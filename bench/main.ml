@@ -8,7 +8,7 @@
      dune exec bench/main.exe -- --jobs 4 t2        # fan tasks over 4 domains
      dune exec bench/main.exe -- --json BENCH.json  # machine-readable timings
 
-   Experiment ids: t1 t2 t3 t4 t5 a1 a2 a3 s1 f1 f2 f3 rob p1 c1 r2 dist obs
+   Experiment ids: t1 t2 t3 t4 t5 a1 a2 a3 s1 f1 f2 f3 rob p1 r2 dist obs
    micro.
 
    --checkpoint FILE journals every check's verdict to a crash-safe
@@ -49,12 +49,7 @@
    SIGKILLs a worker mid-campaign and checks the merged resume matrix
    against the serial one.
 
-   --no-reuse turns off the reuse lane of the c1 cross-query-reuse
-   experiment (both lanes then solve cold; the CI reuse-smoke job runs c1
-   with and without it). c1 exits nonzero if the reuse lane flips any
-   verdict of the cold lane.
-
-   --designs d1,d2 restricts s1 and c1 to the named designs; --no-simplify runs
+   --designs d1,d2 restricts s1 to the named designs; --no-simplify runs
    the solver-cost experiments (t3, f1, a2) with the formula-shrinking
    pipeline off. s1 exits nonzero if any pipeline stage changes a verdict.
 
@@ -105,10 +100,6 @@ let escalation_attempts = Atomic.make 0
 (* --portfolio / --no-share configure the p1 experiment's parallel lane. *)
 let portfolio_width = ref 4
 let portfolio_share = ref true
-
-(* --no-reuse turns off the c1 experiment's reuse lane (it then re-solves
-   cold, like the base lane — the CI on/off smoke uses this). *)
-let reuse_on = ref true
 
 (* --workers / --batch size the dist experiment's worker-process lane;
    --max-restarts / --backoff / --no-retry-oom shape the restart policy
@@ -181,12 +172,12 @@ let record report =
    experiments (t3, f1) use it so resumed rows are never mistaken for
    cold measurements. Solved cells journal their wall-clock seconds,
    which later distributed runs read back for hardest-first ordering. *)
-let check_warm ?simplify ?mono ?reuse technique design iface ~bound =
+let check_warm ?simplify ?mono technique design iface ~bound =
   let limits = bench_limits () in
   let solve () =
     if !escalate then
-      Checks.run_escalating ?simplify ?mono ~limits ?reuse technique design iface ~bound
-    else Checks.run ?simplify ?mono ~limits ?reuse technique design iface ~bound
+      Checks.run_escalating ?simplify ?mono ~limits technique design iface ~bound
+    else Checks.run ?simplify ?mono ~limits technique design iface ~bound
   in
   match !campaign with
   | None -> (record (solve ()), false)
@@ -208,8 +199,8 @@ let check_warm ?simplify ?mono ?reuse technique design iface ~bound =
             ~key ~payload:(Checks.encode_report r);
           (record r, false))
 
-let check ?simplify ?mono ?reuse technique design iface ~bound =
-  fst (check_warm ?simplify ?mono ?reuse technique design iface ~bound)
+let check ?simplify ?mono technique design iface ~bound =
+  fst (check_warm ?simplify ?mono technique design iface ~bound)
 
 (* Sum of per-task wall-clock seconds spent in Par fan-outs by the current
    experiment. task_sum / experiment_wall estimates the speedup over a
@@ -292,17 +283,6 @@ type json_portfolio_row = {
   jpf_imported : int;
 }
 
-(* One C1 matrix row: a design's (correct :: mutants) cases each solved
-   twice per lane — cold both times in the base lane, cold-then-memoized
-   in the reuse lane. *)
-type json_reuse_row = {
-  jx_design : string;
-  jx_cases : int;
-  jx_base_s : float;
-  jx_reuse_s : float; (* nan when the reuse lane was skipped (--no-reuse) *)
-  jx_flips : int;
-}
-
 (* One R2 matrix cell: the same (design, case) verdict from the
    uninterrupted journaled campaign and from the killed-and-resumed one. *)
 type json_campaign_row = {
@@ -334,9 +314,6 @@ let json_portfolio_rows : json_portfolio_row list ref = ref []
 let json_simplify_geomean = ref nan
 let json_portfolio_geomean = ref nan
 let json_portfolio_effective = ref 1
-let json_reuse_rows : json_reuse_row list ref = ref []
-let json_reuse_geomean = ref nan
-let json_reuse_stats : Bmc.Reuse.stats option ref = ref None
 let json_campaign_rows : json_campaign_row list ref = ref []
 let json_dist_rows : json_dist_row list ref = ref []
 let json_dist_geomean = ref nan
@@ -364,10 +341,6 @@ let campaign_flips = ref 0
    killed-and-resumed one) detected by dist; nonzero fails the run. *)
 let dist_flips = ref 0
 
-(* Verdict flips between the cold and reuse lanes detected by C1; a nonzero
-   count fails the whole bench run. *)
-let reuse_flips = ref 0
-
 (* Fault-induced verdict flips detected by rob; like pipeline verdict
    mismatches, a nonzero count fails the whole bench run. *)
 let rob_flips = ref 0
@@ -384,7 +357,7 @@ let write_json path =
   let buf = Buffer.create 4096 in
   let tm = Unix.localtime (Unix.gettimeofday ()) in
   Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"gqed-bench/7\",\n";
+  Buffer.add_string buf "  \"schema\": \"gqed-bench/8\",\n";
   Buffer.add_string buf
     (Printf.sprintf "  \"date\": \"%04d-%02d-%02d\",\n" (tm.Unix.tm_year + 1900)
        (tm.Unix.tm_mon + 1) tm.Unix.tm_mday);
@@ -534,51 +507,6 @@ let write_json path =
            r.jpf_time_single_s r.jpf_time_portfolio_s r.jpf_exported r.jpf_imported
            (if i = List.length prows - 1 then "" else ",")))
     prows;
-  Buffer.add_string buf "    ]\n  },\n";
-  Buffer.add_string buf "  \"reuse\": {\n";
-  Buffer.add_string buf (Printf.sprintf "    \"enabled\": %b,\n" !reuse_on);
-  Buffer.add_string buf (Printf.sprintf "    \"verdict_flips\": %d,\n" !reuse_flips);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"task_sum_reduction_geo_mean\": %s,\n"
-       (if Float.is_nan !json_reuse_geomean then "null"
-        else Printf.sprintf "%.4f" !json_reuse_geomean));
-  let rs =
-    match !json_reuse_stats with
-    | Some s -> s
-    | None ->
-        {
-          Bmc.Reuse.r_memo_hits = 0;
-          r_memo_misses = 0;
-          r_published = 0;
-          r_pub_dropped = 0;
-          r_imported = 0;
-          r_cone_shared = 0;
-          r_cone_new = 0;
-        }
-  in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "    \"memo_hits\": %d,\n    \"memo_misses\": %d,\n    \
-        \"lemmas_published\": %d,\n    \"lemmas_dropped\": %d,\n    \
-        \"lemmas_imported\": %d,\n    \"cones_shared\": %d,\n    \
-        \"cones_new\": %d,\n"
-       rs.Bmc.Reuse.r_memo_hits rs.Bmc.Reuse.r_memo_misses rs.Bmc.Reuse.r_published
-       rs.Bmc.Reuse.r_pub_dropped rs.Bmc.Reuse.r_imported rs.Bmc.Reuse.r_cone_shared
-       rs.Bmc.Reuse.r_cone_new);
-  Buffer.add_string buf "    \"matrix\": [\n";
-  let xrows = !json_reuse_rows in
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "      {\"design\": %S, \"cases\": %d, \"base_s\": %.3f, \"reuse_s\": %s, \
-            \"flips\": %d}%s\n"
-           r.jx_design r.jx_cases r.jx_base_s
-           (if Float.is_nan r.jx_reuse_s then "null"
-            else Printf.sprintf "%.3f" r.jx_reuse_s)
-           r.jx_flips
-           (if i = List.length xrows - 1 then "" else ",")))
-    xrows;
   Buffer.add_string buf "    ]\n  },\n";
   Buffer.add_string buf "  \"campaign\": {\n";
   Buffer.add_string buf
@@ -1059,8 +987,8 @@ let a2 () =
       in
       let (r2, _), t_mono =
         time (fun () ->
-            Bmc.check_safety_mono ~assumes ~simplify:!pipeline ~limits:(bench_limits ())
-              ~design:e.Entry.design ~invariant ~depth ())
+            Bmc.check_safety ~assumes ~simplify:!pipeline ~mono:true
+              ~limits:(bench_limits ()) ~design:e.Entry.design ~invariant ~depth ())
       in
       let result, same =
         match (r1, r2) with
@@ -1819,124 +1747,6 @@ let micro () =
     rows
 
 (* ------------------------------------------------------------------ *)
-(* C1: cross-query reuse — cold vs warm mutant-matrix cost.             *)
-
-(* Default design subset: combined mutant matrices solve in seconds yet
-   cover proved verdicts and all three G-FC failure kinds (the same set
-   the matrix regression test re-solves). --designs overrides. *)
-let c1_default = [ "hamming74"; "graycodec"; "seqdet"; "rle"; "maxtrack" ]
-
-let c1 () =
-  header "C1  Cross-query reuse: cold vs warm mutant-matrix cost";
-  let wanted = match !design_filter with Some ds -> ds | None -> c1_default in
-  let entries = List.filter (fun e -> List.mem e.Entry.name wanted) Registry.all in
-  let tasks =
-    Array.of_list
-      (List.concat_map
-         (fun e ->
-           (e, "correct", e.Entry.design)
-           :: List.map
-                (fun (m, mutant) -> (e, m.Mutation.id, mutant))
-                (mutant_suite e))
-         entries)
-  in
-  (* Each lane solves every (design, case) cell twice — a re-verification
-     sweep in miniature. The base lane re-solves cold both times; the
-     reuse lane shares one context, so its first pass populates the
-     family clause pools and the memo table and its second pass is
-     answered from the memo. Per-cell times are wall-clock inside the
-     task, so --jobs changes neither lane's task-sum. *)
-  let run_pass ctx =
-    Array.of_list
-      (par_map
-         (fun (e, _case, d) ->
-           let r, dt =
-             time (fun () ->
-                 check ?reuse:ctx Checks.Gqed d e.Entry.iface ~bound:e.Entry.rec_bound)
-           in
-           (verdict_key r, dt))
-         (Array.to_list tasks))
-  in
-  let base1 = run_pass None in
-  let base2 = run_pass None in
-  let reuse_passes =
-    if not !reuse_on then None
-    else begin
-      let ctx = Bmc.Reuse.create () in
-      let r1 = run_pass (Some ctx) in
-      let r2 = run_pass (Some ctx) in
-      json_reuse_stats := Some (Bmc.Reuse.stats ctx);
-      Some (r1, r2)
-    end
-  in
-  Printf.printf "%-12s %6s %10s %10s %8s %6s\n" "design" "cases" "base(s)" "reuse(s)"
-    "ratio" "flips";
-  let rows =
-    List.map
-      (fun e ->
-        let cases = ref 0 and base_s = ref 0.0 and reuse_s = ref 0.0 in
-        let flips = ref 0 in
-        Array.iteri
-          (fun i (e', _case, _d) ->
-            if e' == e then begin
-              incr cases;
-              let vb1, db1 = base1.(i) and vb2, db2 = base2.(i) in
-              base_s := !base_s +. db1 +. db2;
-              (match reuse_passes with
-              | None -> if vb2 <> vb1 then incr flips
-              | Some (r1, r2) ->
-                  let vr1, dr1 = r1.(i) and vr2, dr2 = r2.(i) in
-                  reuse_s := !reuse_s +. dr1 +. dr2;
-                  if vb2 <> vb1 || vr1 <> vb1 || vr2 <> vb1 then incr flips)
-            end)
-          tasks;
-        let reuse_s = if reuse_passes = None then nan else !reuse_s in
-        reuse_flips := !reuse_flips + !flips;
-        let ratio =
-          Report.geo_mean_ratio [ (!base_s, reuse_s) ]
-          (* per-design ratio; nan reuse_s filters out *)
-        in
-        Printf.printf "%-12s %6d %10.3f %10s %8s %6d\n" e.Entry.name !cases !base_s
-          (if Float.is_nan reuse_s then "-" else Printf.sprintf "%.3f" reuse_s)
-          (match ratio with None -> "-" | Some x -> Printf.sprintf "%.2fx" x)
-          !flips;
-        {
-          jx_design = e.Entry.name;
-          jx_cases = !cases;
-          jx_base_s = !base_s;
-          jx_reuse_s = reuse_s;
-          jx_flips = !flips;
-        })
-      entries
-  in
-  json_reuse_rows := rows;
-  let geo =
-    Report.geo_mean_ratio (List.map (fun r -> (r.jx_base_s, r.jx_reuse_s)) rows)
-  in
-  (match geo with
-  | Some g ->
-      json_reuse_geomean := g;
-      Printf.printf
-        "\ncold-vs-warm task-sum reduction, geo-mean over %d designs: %.2fx\n"
-        (List.length rows) g
-  | None ->
-      Printf.printf "\nreuse lane skipped (--no-reuse): no reduction to report\n");
-  (match !json_reuse_stats with
-  | Some s ->
-      Printf.printf
-        "reuse: %d/%d memo hits, %d lemmas published (%d dropped), %d imported, \
-         %d/%d cones shared\n"
-        s.Bmc.Reuse.r_memo_hits
-        (s.Bmc.Reuse.r_memo_hits + s.Bmc.Reuse.r_memo_misses)
-        s.Bmc.Reuse.r_published s.Bmc.Reuse.r_pub_dropped s.Bmc.Reuse.r_imported
-        s.Bmc.Reuse.r_cone_shared
-        (s.Bmc.Reuse.r_cone_shared + s.Bmc.Reuse.r_cone_new)
-  | None -> ());
-  if !reuse_flips > 0 then
-    Printf.printf "WARNING: %d verdict flip(s) between the cold and reuse lanes\n"
-      !reuse_flips
-
-(* ------------------------------------------------------------------ *)
 (* R2: crash-safe campaigns — a journaled run killed at a random record
    and resumed must reproduce the uninterrupted verdict matrix
    bit-for-bit, journal I/O faults must never leak into a verdict, and
@@ -2131,7 +1941,7 @@ let r2 () =
 
 (* Default subset: combined mutant matrices solve in seconds yet leave
    enough per-cell work for the process fan-out to amortize its spawn
-   cost (same set as c1). --designs overrides. *)
+   cost. --designs overrides. *)
 let dist_default = [ "hamming74"; "graycodec"; "seqdet"; "rle"; "maxtrack" ]
 
 let dist_cells e =
@@ -2385,7 +2195,7 @@ let experiments =
     ("t1", t1); ("t2", t2); ("t3", t3); ("t4", t4); ("t5", t5);
     ("a1", a1); ("a2", a2); ("a3", a3); ("s1", s1);
     ("f1", f1); ("f2", f2); ("f3", f3);
-    ("rob", rob); ("p1", p1); ("c1", c1); ("r2", r2); ("dist", dist_exp);
+    ("rob", rob); ("p1", p1); ("r2", r2); ("dist", dist_exp);
     ("obs", obs_exp); ("micro", micro);
   ]
 
@@ -2452,9 +2262,6 @@ let () =
         exit 2
     | "--no-share" :: rest ->
         portfolio_share := false;
-        parse_args acc rest
-    | "--no-reuse" :: rest ->
-        reuse_on := false;
         parse_args acc rest
     | "--workers" :: n :: rest -> begin
         match int_of_string_opt n with
@@ -2697,11 +2504,6 @@ let () =
     Printf.eprintf
       "bench: FAILED — %d malformed or empty trace(s) in the obs experiment\n"
       !obs_malformed;
-    exit 1
-  end;
-  if !reuse_flips > 0 then begin
-    Printf.eprintf
-      "bench: FAILED — %d cross-query-reuse verdict flip(s)\n" !reuse_flips;
     exit 1
   end;
   if !campaign_flips > 0 then begin

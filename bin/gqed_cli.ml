@@ -230,19 +230,6 @@ let deterministic_flag =
            completion, lowest decided worker index wins — the same worker \
            count and seed always give the same winner and stats.")
 
-(* Cross-query reuse (see lib/bmc/REUSE.md): one shared context for every
-   check the command runs. Off by default — a single check has nothing to
-   share; the win is matrix workloads (--all-mutants, escalation retries). *)
-let reuse_flag =
-  Arg.(
-    value & flag
-    & info [ "reuse" ]
-        ~doc:
-          "Share work across the run's checks: learnt clauses transfer between \
-           the mutants' solvers and repeated queries are answered from a \
-           verdict cache. Most effective with $(b,--all-mutants). Verdicts are \
-           identical with and without it.")
-
 (* Campaign persistence (see lib/persist/DESIGN.md): journal every check's
    verdict to a crash-safe write-ahead log; a resumed run skips the keys
    already decided and reproduces the uninterrupted output bit-for-bit. *)
@@ -478,7 +465,7 @@ let verify_cmd =
   in
   let run name technique bound mutant all_mutants jobs waveform vcd simplify mono
       simp_stats timeout max_conflicts no_escalate portfolio no_share deterministic
-      reuse checkpoint resume force policy obs_trace obs_metrics obs_format =
+      checkpoint resume force policy obs_trace obs_metrics obs_format =
     setup_obs ~trace:obs_trace ~metrics:obs_metrics ~format:obs_format;
     if jobs < 1 then begin
       prerr_endline "gqed: --jobs must be a positive integer";
@@ -509,7 +496,6 @@ let verify_cmd =
        per-query portfolio). With unbounded budgets the first attempt
        decides, so the per-query clause-sharing portfolio does the work. *)
     let racing = portfolio > 1 && (timeout <> None || max_conflicts <> None) in
-    let reuse = if reuse then Some (Bmc.Reuse.create ()) else None in
     let campaign = start_campaign ~checkpoint ~resume ~force in
     (* SA and stability have no Checks.technique id, so --checkpoint runs
        them fresh each time; everything else journals under the canonical
@@ -529,16 +515,16 @@ let verify_cmd =
       let limits = limits_of ?cancel ?portfolio:pconfig ~timeout ~max_conflicts () in
       let run1 ~simplify ~mono ~limits =
         match technique with
-        | `Gqed -> Checks.gqed ~simplify ~mono ~limits ?reuse design e.Entry.iface ~bound
-        | `Flow -> Checks.flow ~simplify ~mono ~limits ?reuse design e.Entry.iface ~bound
+        | `Gqed -> Checks.gqed ~simplify ~mono ~limits design e.Entry.iface ~bound
+        | `Flow -> Checks.flow ~simplify ~mono ~limits design e.Entry.iface ~bound
         | `Aqed ->
-            Checks.aqed_fc ~simplify ~mono ~limits ?reuse design e.Entry.iface ~bound
+            Checks.aqed_fc ~simplify ~mono ~limits design e.Entry.iface ~bound
         | `Gqed_out ->
-            Checks.gqed_output_only ~simplify ~mono ~limits ?reuse design e.Entry.iface
+            Checks.gqed_output_only ~simplify ~mono ~limits design e.Entry.iface
               ~bound
-        | `Sa -> Checks.sa_check ~simplify ~mono ~limits ?reuse design e.Entry.iface ~bound
+        | `Sa -> Checks.sa_check ~simplify ~mono ~limits design e.Entry.iface ~bound
         | `Stability ->
-            Checks.stability_check ~simplify ~mono ~limits ?reuse design e.Entry.iface
+            Checks.stability_check ~simplify ~mono ~limits design e.Entry.iface
               ~bound
       in
       let solve () =
@@ -556,17 +542,6 @@ let verify_cmd =
               Persist.Campaign.record c ~decided:(Checks.report_decided report) ~key
                 ~payload:(Checks.encode_report report);
               report)
-    in
-    let print_reuse_stats () =
-      match reuse with
-      | None -> ()
-      | Some ctx ->
-          let s = Bmc.Reuse.stats ctx in
-          Printf.printf
-            "reuse: %d memo hits, %d lemmas published, %d imported, %d/%d cones shared\n"
-            s.Bmc.Reuse.r_memo_hits s.Bmc.Reuse.r_published s.Bmc.Reuse.r_imported
-            s.Bmc.Reuse.r_cone_shared
-            (s.Bmc.Reuse.r_cone_shared + s.Bmc.Reuse.r_cone_new)
     in
     if all_mutants then begin
       (match mutant with
@@ -621,7 +596,6 @@ let verify_cmd =
         (List.length muts) !unknown;
       if !restarts > 0 then
         Printf.printf "supervisor: %d worker restart(s) during the campaign\n" !restarts;
-      print_reuse_stats ();
       exit
         (if !detected = List.length muts then 0 else if !unknown > 0 then 3 else 1)
     end;
@@ -648,7 +622,7 @@ let verify_cmd =
                     Checks.reset_check ~simplify ~mono ~limits design e.Entry.iface) );
               ( "single-action",
                 stage (fun ~simplify ~mono ~limits ->
-                    Checks.sa_check ~simplify ~mono ~limits ?reuse design e.Entry.iface
+                    Checks.sa_check ~simplify ~mono ~limits design e.Entry.iface
                       ~bound) );
             ]
             @ (if Qed.Iface.is_variable_latency e.Entry.iface then []
@@ -656,13 +630,13 @@ let verify_cmd =
                  [
                    ( "stability",
                      stage (fun ~simplify ~mono ~limits ->
-                         Checks.stability_check ~simplify ~mono ~limits ?reuse design
+                         Checks.stability_check ~simplify ~mono ~limits design
                            e.Entry.iface ~bound) );
                  ])
             @ [
                 ( "g-fc",
                   stage (fun ~simplify ~mono ~limits ->
-                      Checks.gqed ~simplify ~mono ~limits ?reuse design e.Entry.iface
+                      Checks.gqed ~simplify ~mono ~limits design e.Entry.iface
                         ~bound) );
               ]
           in
@@ -695,7 +669,7 @@ let verify_cmd =
       const run $ design_arg $ technique_arg $ bound_arg $ mutant_arg $ all_mutants_flag
       $ jobs_arg $ waveform_flag $ vcd_arg $ simplify_term $ mono_flag $ simp_stats_flag
       $ timeout_arg $ max_conflicts_arg $ no_escalate_flag $ portfolio_arg
-      $ no_share_flag $ deterministic_flag $ reuse_flag $ checkpoint_arg
+      $ no_share_flag $ deterministic_flag $ checkpoint_arg
       $ resume_flag $ cli_force_flag $ policy_term $ obs_trace_arg $ obs_metrics_arg
       $ obs_format_arg)
 

@@ -84,18 +84,6 @@ let input_index g l =
   let n = node_of l in
   if n < g.num_nodes && g.input_of.(n) >= 0 then Some g.input_of.(n) else None
 
-(* Structural node access for external forward traversals (the cross-query
-   reuse layer computes canonical cone hashes this way). Fanins of an AND
-   node always refer to strictly smaller node indices, so iterating nodes
-   [1 .. num_nodes - 1] visits definitions before uses. *)
-let num_nodes g = g.num_nodes
-
-let node_input_index g n =
-  if n >= 0 && n < g.num_nodes then g.input_of.(n) else -1
-
-let node_fanin0 g n = if n >= 0 && n < g.num_nodes then g.fanin0.(n) else -1
-let node_fanin1 g n = if n >= 0 && n < g.num_nodes then g.fanin1.(n) else -1
-
 let strash_grow g =
   let size = 2 * (g.strash_mask + 1) in
   let mask = size - 1 in
@@ -438,19 +426,7 @@ module Cnf = struct
   let sat_lit e l = edge_lit e l ~need_pos:true
   let assume_lit = sat_lit
 
-  let assert_lit ?root e l =
-    Sat.Solver.add_clause ?root e.solver [ sat_lit e l ]
-
-  (* Node <-> SAT-variable mapping, read by the cross-query reuse layer to
-     translate clause literals through canonical cone hashes. *)
-  let var_of_node e n =
-    if n >= 0 && n < Array.length e.vars then e.vars.(n) else -1
-
-  let iter_emitted e f =
-    let stop = min (Array.length e.vars) e.graph.num_nodes in
-    for n = 0 to stop - 1 do
-      if e.vars.(n) >= 0 then f n e.vars.(n)
-    done
+  let assert_lit e l = Sat.Solver.add_clause e.solver [ sat_lit e l ]
 
   (* Model-read path: no emission. A node the solver never saw has no
      truth value; callers treat [None] as false (don't-care). *)

@@ -57,32 +57,6 @@ val input_index : t -> lit -> int option
 
 val is_complemented : lit -> bool
 
-val node_of : lit -> int
-(** The node index of an edge (strips the complement bit). Node 0 is the
-    constant-false node. *)
-
-(** {1 Structural node access}
-
-    Read-only traversal of the graph's node table, for external forward
-    passes (e.g. the canonical cone hashing of the cross-query reuse
-    layer). Fanins of an AND node always have strictly smaller node
-    indices, so iterating nodes [0 .. num_nodes g - 1] visits definitions
-    before uses. *)
-
-val num_nodes : t -> int
-(** Total nodes: the constant node 0, inputs, and AND gates. *)
-
-val node_input_index : t -> int -> int
-(** [node_input_index g n] is the primary-input number of node [n], or
-    [-1] when [n] is not an input node. *)
-
-val node_fanin0 : t -> int -> lit
-(** First fanin edge of AND node [n]; [-1] when [n] is an input or the
-    constant node. *)
-
-val node_fanin1 : t -> int -> lit
-(** Second fanin edge of AND node [n]; [-1] likewise. *)
-
 (** {1 Construction} *)
 
 val not_ : lit -> lit
@@ -155,18 +129,8 @@ module Cnf : sig
       supporting clauses for the node's cone if not already present. The
       literal is taken in positive use: true entails the AIG function. *)
 
-  val assert_lit : ?root:int -> emitter -> lit -> unit
-  (** Add the unit clause forcing the AIG literal true. [root] is passed
-      through to [Sat.Solver.add_clause] to mark the unit as a provenance
-      root for cross-query lemma transfer. *)
-
-  val var_of_node : emitter -> int -> int
-  (** The SAT variable already allocated for AIG node [n], or [-1] if the
-      node was never emitted. Never emits. *)
-
-  val iter_emitted : emitter -> (int -> int -> unit) -> unit
-  (** [iter_emitted e f] calls [f node var] for every node with an
-      allocated SAT variable, in increasing node order. *)
+  val assert_lit : emitter -> lit -> unit
+  (** Add the unit clause forcing the AIG literal true. *)
 
   val assume_lit : emitter -> lit -> Sat.Lit.t
   (** Like {!sat_lit} but intended for use in [Solver.solve ~assumptions]:

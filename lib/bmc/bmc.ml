@@ -1,7 +1,3 @@
-module Reuse = Reuse
-(** Re-export: [bmc.ml] is the library's main module, so [Reuse] is only
-    reachable from outside as [Bmc.Reuse]. *)
-
 module Unroller = struct
   type t = {
     graph : Aig.t;
@@ -10,12 +6,6 @@ module Unroller = struct
     inputs : (string * int, Aig.lit array) Hashtbl.t; (* (port, frame) *)
     regs : (string * int, Aig.lit array) Hashtbl.t;
     mutable max_frame : int;
-    (* Canonical origin of each primary input (indexed by input number):
-       what design signal, frame and bit it stands for. Graph-local input
-       indices differ across mutants of one design (mutation perturbs
-       allocation order), so the reuse layer keys its cone hashes on these
-       instead. 0 = origin unknown (input allocated outside this module). *)
-    mutable origin_keys : int array;
   }
 
   let create ?(symbolic_init = false) graph design =
@@ -26,25 +16,10 @@ module Unroller = struct
       inputs = Hashtbl.create 64;
       regs = Hashtbl.create 64;
       max_frame = -1;
-      origin_keys = Array.make 64 0;
     }
 
   let design t = t.design
   let max_frame t = t.max_frame
-
-  let set_origin t l key =
-    match Aig.input_index t.graph l with
-    | None -> ()
-    | Some i ->
-        if i >= Array.length t.origin_keys then begin
-          let a = Array.make (max (i + 1) (2 * Array.length t.origin_keys)) 0 in
-          Array.blit t.origin_keys 0 a 0 (Array.length t.origin_keys);
-          t.origin_keys <- a
-        end;
-        t.origin_keys.(i) <- key
-
-  let origin_key t i =
-    if i >= 0 && i < Array.length t.origin_keys then t.origin_keys.(i) else 0
 
   let touch t frame = if frame > t.max_frame then t.max_frame <- frame
 
@@ -56,9 +31,6 @@ module Unroller = struct
     | None ->
         let v = Rtl.input_var t.design name in
         let bits = Array.init v.Expr.width (fun _ -> Aig.fresh_input t.graph) in
-        Array.iteri
-          (fun bit l -> set_origin t l (Reuse.origin_key ~kind:0 ~name ~frame ~bit))
-          bits;
         Hashtbl.add t.inputs (name, frame) bits;
         bits
 
@@ -103,16 +75,8 @@ module Unroller = struct
         in
         let bits =
           if frame = 0 then
-            if t.symbolic_init then begin
-              let bits =
-                Array.init r.Rtl.reg.Expr.width (fun _ -> Aig.fresh_input t.graph)
-              in
-              Array.iteri
-                (fun bit l ->
-                  set_origin t l (Reuse.origin_key ~kind:1 ~name ~frame:0 ~bit))
-                bits;
-              bits
-            end
+            if t.symbolic_init then
+              Array.init r.Rtl.reg.Expr.width (fun _ -> Aig.fresh_input t.graph)
             else
               Array.init r.Rtl.reg.Expr.width (fun i ->
                   Aig.of_bool (Bitvec.bit r.Rtl.init i))
@@ -350,30 +314,16 @@ module Engine = struct
     mutable pre_acc : Sat.Solver.presult;
     mutable t_rewrite : float;
     mutable t_cnf : float;
-    (* Cross-query reuse handle ([None] when reuse is off). Mono mode is
-       incompatible — it retires the solver between queries, losing the
-       provenance-tagged clause database — so [create] drops the context
-       silently for mono engines. *)
-    reuse : Reuse.engine option;
   }
 
   let create ?(symbolic_init = false) ?(certify = false) ?(simplify = default_simplify)
-      ?(mono = false) ?(limits = no_limits) ?reuse design =
+      ?(mono = false) ?(limits = no_limits) design =
     let graph = Aig.create ~rewrite:simplify.sc_rewrite () in
     let unroller = Unroller.create ~symbolic_init graph design in
     let solver = Sat.Solver.create () in
     if certify then Sat.Solver.start_proof solver;
     Sat.Solver.set_fault_hook solver limits.l_fault;
     let emitter = Aig.Cnf.make ~pg:simplify.sc_pg graph solver in
-    let reuse =
-      match reuse with
-      | Some ctx when not mono ->
-          Sat.Solver.set_transfer_log solver true;
-          Some
-            (Reuse.attach ctx ~family:design.Rtl.name ~graph
-               ~input_key:(fun i -> Unroller.origin_key unroller i))
-      | _ -> None
-    in
     {
       graph;
       design;
@@ -402,7 +352,6 @@ module Engine = struct
       pre_acc = zero_presult;
       t_rewrite = 0.;
       t_cnf = 0.;
-      reuse;
     }
 
   let unroller t = t.unroller
@@ -415,15 +364,7 @@ module Engine = struct
   let map_lit t l = match t.map with None -> Some l | Some f -> f l
 
   let assert_lit t l =
-    if t.mono then t.pending <- l :: t.pending
-    else
-      match t.reuse with
-      | None -> Aig.Cnf.assert_lit t.emitter l
-      | Some h ->
-          (* Non-mono engines never compact, so [l] is a literal of the
-             graph the reuse handle hashes. *)
-          let root = Reuse.note_assert h l in
-          Aig.Cnf.assert_lit ~root t.emitter l
+    if t.mono then t.pending <- l :: t.pending else Aig.Cnf.assert_lit t.emitter l
 
   (* Mono mode: every query gets a fresh solver over exactly the cones it
      needs. Retire the outgoing solver/emitter into the accumulators, then —
@@ -565,12 +506,6 @@ module Engine = struct
     let sat_assumptions =
       List.map (fun l -> Aig.Cnf.assume_lit t.emitter (mapped t l)) assumptions
     in
-    (* Import transferable pool lemmas first — the assumption cones were
-       just emitted, so the query's nodes are mappable — then preprocess:
-       imports are learnt clauses, which preprocessing leaves alone. *)
-    (match t.reuse with
-    | Some h -> Reuse.import h ~emitter:t.emitter ~solver:t.solver
-    | None -> ());
     if t.simplify.sc_cnf then begin
       let t0 = Sys.time () in
       (* BVE only for one-shot (mono) queries: it is merely satisfiability-
@@ -610,12 +545,6 @@ module Engine = struct
           Sat.Solver.solve ~assumptions:sat_assumptions ~budget:t.limits.l_budget
             ?cancel:t.limits.l_cancel ?seed:t.limits.l_seed t.solver
     in
-    (* Publish this query's transferable learnt clauses to the family pool
-       regardless of the verdict: they are consequences of the clause set,
-       valid whether the query decided or timed out. *)
-    (match t.reuse with
-    | Some h -> Reuse.publish h ~emitter:t.emitter ~solver:t.solver
-    | None -> ());
     let finish_span verdict =
       if Obs.on () then begin
         Obs.Trace.span_end "bmc.query" ~args:[ ("verdict", verdict) ];
@@ -725,7 +654,7 @@ let coi_setup simplify ~design ~props =
   else (design, Coi.no_reduction design)
 
 let check_safety ?(symbolic_init = false) ?(certify = false) ?(assumes = [])
-    ?(simplify = default_simplify) ?(limits = no_limits) ?reuse ?stats ~design
+    ?(simplify = default_simplify) ?(mono = false) ?(limits = no_limits) ?stats ~design
     ~invariant ~depth () =
   if Expr.width invariant <> 1 then
     invalid_arg "Bmc.check_safety: invariant must be 1 bit wide";
@@ -736,7 +665,10 @@ let check_safety ?(symbolic_init = false) ?(certify = false) ?(assumes = [])
     assumes;
   let original = design in
   let design, coi = coi_setup simplify ~design ~props:(invariant :: assumes) in
-  let engine = Engine.create ~symbolic_init ~certify ~simplify ~limits ?reuse design in
+  (* One engine for all bounds. In mono mode the design blasting (graph +
+     unrolling) is still shared, but each bound's query runs on a fresh
+     solver that replays the recorded assumptions and proven bounds. *)
+  let engine = Engine.create ~symbolic_init ~certify ~simplify ~mono ~limits design in
   Engine.note_coi engine ~before:coi.Coi.coi_regs_before ~after:coi.Coi.coi_regs_after;
   let finish outcome =
     Option.iter (fun f -> f (Engine.simp_stats engine)) stats;
@@ -764,55 +696,6 @@ let check_safety ?(symbolic_init = false) ?(certify = false) ?(assumes = [])
     end
   in
   deepen 0
-
-let check_safety_mono ?(symbolic_init = false) ?(certify = false) ?(assumes = [])
-    ?(simplify = default_simplify) ?(limits = no_limits) ?reuse:_ ?stats ~design
-    ~invariant ~depth () =
-  if Expr.width invariant <> 1 then
-    invalid_arg "Bmc.check_safety_mono: invariant must be 1 bit wide";
-  List.iter
-    (fun a ->
-      if Expr.width a <> 1 then
-        invalid_arg "Bmc.check_safety_mono: assumptions must be 1 bit wide")
-    assumes;
-  let original = design in
-  let design, coi = coi_setup simplify ~design ~props:(invariant :: assumes) in
-  (* One engine for all bounds: the design blasting (graph + unrolling) is
-     hoisted out of the per-bound loop and shared, while each bound's query
-     still runs on a fresh solver (no learnt-clause reuse — that is what
-     makes this the monolithic variant). Per bound only the new frame's
-     assumptions and the previous bound's property are recorded; the
-     engine replays them into each fresh solver. *)
-  let engine = Engine.create ~symbolic_init ~certify ~simplify ~mono:true ~limits design in
-  Engine.note_coi engine ~before:coi.Coi.coi_regs_before ~after:coi.Coi.coi_regs_after;
-  let finish outcome =
-    Option.iter (fun f -> f (Engine.simp_stats engine)) stats;
-    (outcome, Engine.stats engine)
-  in
-  if depth <= 0 then finish (Holds 0)
-  else begin
-    let rec deepen k =
-      assert_assumes engine ~assumes k;
-      let bad = bad_at engine ~invariant k in
-      let r =
-        Obs.Trace.with_span "bmc.bound" ~args:[ ("k", string_of_int k) ] (fun () ->
-            Engine.check engine ~assumptions:[ bad ])
-      in
-      match r with
-      | Engine.Cex w ->
-          let w = if design == original then w else reconstruct_witness ~original ~symbolic_init w in
-          finish (Violated w)
-      | Engine.Undecided reason -> finish (Unknown { un_reason = reason; un_bound = k })
-      | Engine.Unreachable ->
-          if k + 1 >= depth then finish (Holds depth)
-          else begin
-            (* Property holds at bound k: deeper bounds may assume it. *)
-            Engine.assert_lit engine (Aig.not_ bad);
-            deepen (k + 1)
-          end
-    in
-    deepen 0
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Retry escalation.                                                   *)

@@ -14,11 +14,6 @@
     full waveform and cross-checks the bit-blaster against the simulator on
     every witness. *)
 
-module Reuse : module type of Reuse
-(** Cross-query reuse across a matrix of related checks: shared-cone
-    identification, provenance-tracked learnt-clause transfer, and query
-    memoization. See [lib/bmc/REUSE.md] for the soundness argument. *)
-
 module Unroller : sig
   type t
 
@@ -174,7 +169,6 @@ module Engine : sig
     ?simplify:simplify_config ->
     ?mono:bool ->
     ?limits:limits ->
-    ?reuse:Reuse.ctx ->
     Rtl.design ->
     t
   (** [certify] (default [false]) turns on DRAT proof logging in the
@@ -185,8 +179,8 @@ module Engine : sig
       are cross-checked.
 
       [simplify] (default {!default_simplify}) selects the pipeline stages
-      this engine applies; [sc_coi] is handled by the {!check_safety}
-      drivers, not here.
+      this engine applies; [sc_coi] is handled by {!check_safety}, not
+      here.
 
       [mono] (default [false]) puts the engine in monolithic mode: the AIG
       and unrolling persist across queries (so the design is only blasted
@@ -194,14 +188,7 @@ module Engine : sig
       records the literal for replay instead of constraining the current
       solver; with [sc_rewrite] each query additionally sweeps the graph
       down to the cones it needs, and with [sc_cnf] bounded variable
-      elimination is enabled (safe only because each solver is one-shot).
-
-      [reuse], when given, attaches the engine to a shared cross-query
-      reuse context: asserted literals are tracked as provenance roots and
-      each {!check} imports/publishes transferable learnt clauses through
-      the context's per-design pool. Ignored in [mono] mode (the solver is
-      retired per query, so the transfer machinery has nothing durable to
-      attach to). *)
+      elimination is enabled (safe only because each solver is one-shot). *)
 
   val unroller : t -> Unroller.t
   val graph : t -> Aig.t
@@ -261,8 +248,8 @@ val check_safety :
   ?certify:bool ->
   ?assumes:Expr.t list ->
   ?simplify:simplify_config ->
+  ?mono:bool ->
   ?limits:limits ->
-  ?reuse:Reuse.ctx ->
   ?stats:(Engine.simp_stats -> unit) ->
   design:Rtl.design ->
   invariant:Expr.t ->
@@ -280,31 +267,12 @@ val check_safety :
     stages; under COI, counterexamples are re-anchored to the original
     design (out-of-cone registers at their reset values — or zero under
     symbolic init — and the trace re-simulated), so witnesses always speak
-    about the design passed in. [reuse], when given, attaches the engine to
-    a shared cross-query reuse context (see {!Reuse}) — verdict-preserving,
-    like every other knob. [stats], when given, receives the engine's
-    pipeline totals just before the result is returned. *)
-
-val check_safety_mono :
-  ?symbolic_init:bool ->
-  ?certify:bool ->
-  ?assumes:Expr.t list ->
-  ?simplify:simplify_config ->
-  ?limits:limits ->
-  ?reuse:Reuse.ctx ->
-  ?stats:(Engine.simp_stats -> unit) ->
-  design:Rtl.design ->
-  invariant:Expr.t ->
-  depth:int ->
-  unit ->
-  outcome * Sat.Solver.stats
-(** Non-incremental variant: one monolithic SAT query per bound with a
-    fresh solver each time; the design blasting (AIG + unrolling) is shared
-    across bounds, so each bound only lowers its new frame. Exists for the
-    incremental-vs-monolithic ablation (experiment R-A2); same answers as
-    {!check_safety}. [reuse] is accepted for signature compatibility with
-    {!check_safety} but ignored: per-query solvers are retired before any
-    sibling could import from them. *)
+    about the design passed in. [mono] (default [false]) runs every bound
+    as one monolithic query on a fresh solver (see {!Engine.create}); the
+    design blasting is still shared across bounds, and the answers are
+    the same. It exists for the incremental-vs-monolithic ablation
+    (experiment R-A2). [stats], when given, receives the engine's pipeline
+    totals just before the result is returned. *)
 
 (** {1 Retry escalation}
 

@@ -47,10 +47,6 @@ type report = {
   attempts : Bmc.Escalate.attempt list;
 }
 
-type Bmc.Reuse.memo_value += Memo_report of report
-(** What {!run} stores in the reuse context's memo table. Extensible-variant
-    registration keeps [Bmc.Reuse] ignorant of this module's report type. *)
-
 let copy1_prefix = "dut1__"
 let copy2_prefix = "dut2__"
 
@@ -228,9 +224,9 @@ let drive ~engine ~bound ~pairs_at ~kinds =
 (* ------------------------------------------------------------------ *)
 (* A-QED functional consistency (single copy).                          *)
 
-let aqed_fc_fixed ~simplify ~mono ~limits ~reuse design iface ~bound =
+let aqed_fc_fixed ~simplify ~mono ~limits design iface ~bound =
   Iface.check design iface;
-  let engine = Bmc.Engine.create ~simplify ~mono ~limits ?reuse design in
+  let engine = Bmc.Engine.create ~simplify ~mono ~limits design in
   let view = { engine; prefix = ""; iface } in
   let gr = Bmc.Engine.graph engine in
   let latency = iface.Iface.latency in
@@ -265,12 +261,12 @@ let aqed_fc_fixed ~simplify ~mono ~limits ~reuse design iface ~bound =
 (* ------------------------------------------------------------------ *)
 (* G-QED (product of two copies).                                       *)
 
-let gqed_generic ~simplify ~mono ~limits ~reuse ~with_state design iface ~bound =
+let gqed_generic ~simplify ~mono ~limits ~with_state design iface ~bound =
   Iface.check design iface;
   let copy1 = Rtl.rename ~prefix:copy1_prefix design in
   let copy2 = Rtl.rename ~prefix:copy2_prefix design in
   let prod = Rtl.product copy1 copy2 in
-  let engine = Bmc.Engine.create ~simplify ~mono ~limits ?reuse prod in
+  let engine = Bmc.Engine.create ~simplify ~mono ~limits prod in
   let v1 = { engine; prefix = copy1_prefix; iface } in
   let v2 = { engine; prefix = copy2_prefix; iface } in
   let gr = Bmc.Engine.graph engine in
@@ -320,17 +316,17 @@ let gqed_generic ~simplify ~mono ~limits ~reuse ~with_state design iface ~bound 
   drive ~engine ~bound ~pairs_at
     ~kinds:(Gfc_output, Gfc_response, if with_state then Some Gfc_state else None)
 
-let gqed_fixed ~simplify ~mono ~limits ~reuse design iface ~bound =
-  gqed_generic ~simplify ~mono ~limits ~reuse ~with_state:true design iface ~bound
+let gqed_fixed ~simplify ~mono ~limits design iface ~bound =
+  gqed_generic ~simplify ~mono ~limits ~with_state:true design iface ~bound
 
-let gqed_output_only_fixed ~simplify ~mono ~limits ~reuse design iface ~bound =
-  gqed_generic ~simplify ~mono ~limits ~reuse ~with_state:false design iface ~bound
+let gqed_output_only_fixed ~simplify ~mono ~limits design iface ~bound =
+  gqed_generic ~simplify ~mono ~limits ~with_state:false design iface ~bound
 
 (* ------------------------------------------------------------------ *)
 (* Single-action (responsiveness): with fixed latency L, out_valid at
    frame f must equal in_valid at frame f - L (false before reset).      *)
 
-let sa_check_fixed ~simplify ~mono ~limits ~reuse design iface ~bound =
+let sa_check_fixed ~simplify ~mono ~limits design iface ~bound =
   Iface.check design iface;
   if iface.Iface.out_valid = None then begin
     (* No response-valid port: responses are combinational values sampled at
@@ -339,7 +335,7 @@ let sa_check_fixed ~simplify ~mono ~limits ~reuse design iface ~bound =
     report_of engine (Pass bound)
   end
   else begin
-  let engine = Bmc.Engine.create ~simplify ~mono ~limits ?reuse design in
+  let engine = Bmc.Engine.create ~simplify ~mono ~limits design in
   let view = { engine; prefix = ""; iface } in
   let gr = Bmc.Engine.graph engine in
   let latency = iface.Iface.latency in
@@ -364,7 +360,7 @@ let sa_check_fixed ~simplify ~mono ~limits ~reuse design iface ~bound =
 (* Stability: without a dispatch, the architectural state cannot move.   *)
 
 let stability_check ?(simplify = Bmc.default_simplify) ?(mono = false)
-    ?(limits = Bmc.no_limits) ?reuse design iface ~bound =
+    ?(limits = Bmc.no_limits) design iface ~bound =
   Iface.check design iface;
   if iface.Iface.arch_regs = [] || iface.Iface.in_valid = None then begin
     (* No architectural state, or a transaction on every cycle: vacuous. *)
@@ -372,7 +368,7 @@ let stability_check ?(simplify = Bmc.default_simplify) ?(mono = false)
     report_of engine (Pass bound)
   end
   else begin
-    let engine = Bmc.Engine.create ~simplify ~mono ~limits ?reuse design in
+    let engine = Bmc.Engine.create ~simplify ~mono ~limits design in
     let view = { engine; prefix = ""; iface } in
     let gr = Bmc.Engine.graph engine in
     let pairs_at k =
@@ -400,12 +396,12 @@ let stability_check ?(simplify = Bmc.default_simplify) ?(mono = false)
 (* Reset: documented architectural reset values match the RTL.           *)
 
 let reset_check ?(simplify = Bmc.default_simplify) ?(mono = false)
-    ?(limits = Bmc.no_limits) ?reuse design iface =
+    ?(limits = Bmc.no_limits) design iface =
   Iface.check design iface;
   (* Static check: reset values are constants in this modelling. The report
      shape is kept for uniformity; a failure carries a zero-length witness
      whose initial state shows the wrong value. *)
-  let engine = Bmc.Engine.create ~simplify ~mono ~limits ?reuse design in
+  let engine = Bmc.Engine.create ~simplify ~mono ~limits design in
   let initial = Rtl.initial_state design in
   let mismatch =
     List.find_opt
@@ -449,14 +445,14 @@ let assert_k_stable engine prefix ~frame =
    [with_arch] adds the equal-architectural-state hypothesis (dropping it
    gives the A-QED-style check, which false-alarms on interfering designs);
    [with_state] adds the post-state conjunct. *)
-let gqed_variable ~simplify ~mono ~limits ~reuse ~with_arch ~with_state design iface
+let gqed_variable ~simplify ~mono ~limits ~with_arch ~with_state design iface
     ~bound =
   Iface.check design iface;
   let instrumented = Instrument.with_monitor design iface in
   let copy1 = Rtl.rename ~prefix:copy1_prefix instrumented in
   let copy2 = Rtl.rename ~prefix:copy2_prefix instrumented in
   let prod = Rtl.product copy1 copy2 in
-  let engine = Bmc.Engine.create ~simplify ~mono ~limits ?reuse prod in
+  let engine = Bmc.Engine.create ~simplify ~mono ~limits prod in
   let v name w prefix = Expr.var (prefix ^ name) w in
   let both f = (f copy1_prefix, f copy2_prefix) in
   let have p =
@@ -540,11 +536,11 @@ let gqed_variable ~simplify ~mono ~limits ~reuse ~with_arch ~with_state design i
 
 (* Responsiveness for variable latency: no response when nothing is
    outstanding, and every dispatch is answered within max_latency. *)
-let sa_variable ~simplify ~mono ~limits ~reuse design iface ~bound =
+let sa_variable ~simplify ~mono ~limits design iface ~bound =
   Iface.check design iface;
   let lmax = Option.get iface.Iface.max_latency in
   let instrumented = Instrument.with_monitor design iface in
-  let engine = Bmc.Engine.create ~simplify ~mono ~limits ?reuse instrumented in
+  let engine = Bmc.Engine.create ~simplify ~mono ~limits instrumented in
   let u = Bmc.Engine.unroller engine in
   let gr = Bmc.Engine.graph engine in
   let dispatch_e = Instrument.dispatch_expr design iface in
@@ -589,46 +585,46 @@ let sa_variable ~simplify ~mono ~limits ~reuse design iface ~bound =
 (* Public checks: dispatch on the interface's latency mode.              *)
 
 let aqed_fc ?(simplify = Bmc.default_simplify) ?(mono = false) ?(limits = Bmc.no_limits)
-    ?reuse design iface ~bound =
+    design iface ~bound =
   if Iface.is_variable_latency iface then
-    gqed_variable ~simplify ~mono ~limits ~reuse ~with_arch:false ~with_state:false
+    gqed_variable ~simplify ~mono ~limits ~with_arch:false ~with_state:false
       design iface ~bound
-  else aqed_fc_fixed ~simplify ~mono ~limits ~reuse design iface ~bound
+  else aqed_fc_fixed ~simplify ~mono ~limits design iface ~bound
 
 let gqed ?(simplify = Bmc.default_simplify) ?(mono = false) ?(limits = Bmc.no_limits)
-    ?reuse design iface ~bound =
+    design iface ~bound =
   if Iface.is_variable_latency iface then
-    gqed_variable ~simplify ~mono ~limits ~reuse ~with_arch:true ~with_state:true design
+    gqed_variable ~simplify ~mono ~limits ~with_arch:true ~with_state:true design
       iface ~bound
-  else gqed_fixed ~simplify ~mono ~limits ~reuse design iface ~bound
+  else gqed_fixed ~simplify ~mono ~limits design iface ~bound
 
 let gqed_output_only ?(simplify = Bmc.default_simplify) ?(mono = false)
-    ?(limits = Bmc.no_limits) ?reuse design iface ~bound =
+    ?(limits = Bmc.no_limits) design iface ~bound =
   if Iface.is_variable_latency iface then
-    gqed_variable ~simplify ~mono ~limits ~reuse ~with_arch:true ~with_state:false design
+    gqed_variable ~simplify ~mono ~limits ~with_arch:true ~with_state:false design
       iface ~bound
-  else gqed_output_only_fixed ~simplify ~mono ~limits ~reuse design iface ~bound
+  else gqed_output_only_fixed ~simplify ~mono ~limits design iface ~bound
 
 let sa_check ?(simplify = Bmc.default_simplify) ?(mono = false) ?(limits = Bmc.no_limits)
-    ?reuse design iface ~bound =
+    design iface ~bound =
   if Iface.is_variable_latency iface then
-    sa_variable ~simplify ~mono ~limits ~reuse design iface ~bound
-  else sa_check_fixed ~simplify ~mono ~limits ~reuse design iface ~bound
+    sa_variable ~simplify ~mono ~limits design iface ~bound
+  else sa_check_fixed ~simplify ~mono ~limits design iface ~bound
 
 (* ------------------------------------------------------------------ *)
 (* The complete flow.                                                    *)
 
 let flow ?(simplify = Bmc.default_simplify) ?(mono = false) ?(limits = Bmc.no_limits)
-    ?reuse design iface ~bound =
+    design iface ~bound =
   let stages =
     [
       (fun () -> reset_check ~simplify ~mono ~limits design iface);
-      (fun () -> sa_check ~simplify ~mono ~limits ?reuse design iface ~bound);
+      (fun () -> sa_check ~simplify ~mono ~limits design iface ~bound);
     ]
     @ (if Iface.is_variable_latency iface then []
        else
-         [ (fun () -> stability_check ~simplify ~mono ~limits ?reuse design iface ~bound) ])
-    @ [ (fun () -> gqed ~simplify ~mono ~limits ?reuse design iface ~bound) ]
+         [ (fun () -> stability_check ~simplify ~mono ~limits design iface ~bound) ])
+    @ [ (fun () -> gqed ~simplify ~mono ~limits design iface ~bound) ]
   in
   let rec run_stages last = function
     | [] -> last
@@ -658,15 +654,20 @@ let verdict_arg = function
   | Fail _ -> "fail"
   | Unknown _ -> "unknown"
 
-(* One canonical task identity, shared by the in-process memo table and
-   the on-disk campaign journal: the technique, the bound, and structural
-   digests of the design and interface. [simplify]/[mono]/[limits] are
-   deliberately excluded — every pipeline stage and solving lane is
-   verdict-preserving (the repo's core invariant), so a verdict recorded
-   under one configuration answers the same query under any other. *)
+(* Structural digest (Marshal + MD5, hex) of plain data. Journals written
+   by earlier releases hold keys built from exactly these bytes, so the
+   encoding must not change or [--resume] would re-run every cell. *)
+let digest v = Digest.to_hex (Digest.string (Marshal.to_string v []))
+
+(* The canonical task identity of the on-disk campaign journal: the
+   technique, the bound, and structural digests of the design and
+   interface. [simplify]/[mono]/[limits] are deliberately excluded — every
+   pipeline stage and solving lane is verdict-preserving (the repo's core
+   invariant), so a verdict recorded under one configuration answers the
+   same query under any other. *)
 let campaign_key technique design iface ~bound =
-  Printf.sprintf "%s/%d/%s/%s" (technique_to_string technique) bound
-    (Bmc.Reuse.digest design) (Bmc.Reuse.digest iface)
+  Printf.sprintf "%s/%d/%s/%s" (technique_to_string technique) bound (digest design)
+    (digest iface)
 
 (* Cold-start hardness estimate for campaign scheduling: unrolled problem
    size, bound × (state + inputs + nodes). Once a cell has been solved
@@ -676,33 +677,16 @@ let campaign_hint design ~bound =
   float_of_int bound *. float_of_int (state_bits + input_bits + nodes)
 
 let run ?(simplify = Bmc.default_simplify) ?(mono = false) ?(limits = Bmc.no_limits)
-    ?reuse technique design iface ~bound =
+    technique design iface ~bound =
   let solve () =
     match technique with
-    | Aqed -> aqed_fc ~simplify ~mono ~limits ?reuse design iface ~bound
-    | Gqed -> gqed ~simplify ~mono ~limits ?reuse design iface ~bound
+    | Aqed -> aqed_fc ~simplify ~mono ~limits design iface ~bound
+    | Gqed -> gqed ~simplify ~mono ~limits design iface ~bound
     | Gqed_output_only ->
-        gqed_output_only ~simplify ~mono ~limits ?reuse design iface ~bound
-    | Gqed_flow -> flow ~simplify ~mono ~limits ?reuse design iface ~bound
+        gqed_output_only ~simplify ~mono ~limits design iface ~bound
+    | Gqed_flow -> flow ~simplify ~mono ~limits design iface ~bound
   in
-  let go () =
-    match reuse with
-    | None -> solve ()
-    | Some ctx -> begin
-        (* Undecided reports are never cached: a bigger budget might
-           decide. See [campaign_key] for what the key covers. *)
-        let key = campaign_key technique design iface ~bound in
-        match Bmc.Reuse.memo_find ctx key with
-        | Some (Memo_report r) -> r
-        | Some _ | None ->
-            let r = solve () in
-            (match r.verdict with
-            | Unknown _ -> ()
-            | Pass _ | Fail _ -> Bmc.Reuse.memo_add ctx key (Memo_report r));
-            r
-      end
-  in
-  if not (Obs.on ()) then go ()
+  if not (Obs.on ()) then solve ()
   else begin
     Obs.Trace.span_begin "qed.check"
       ~args:
@@ -710,7 +694,7 @@ let run ?(simplify = Bmc.default_simplify) ?(mono = false) ?(limits = Bmc.no_lim
           ("technique", technique_to_string technique);
           ("design", design.Rtl.name);
         ];
-    match go () with
+    match solve () with
     | report ->
         Obs.Trace.span_end "qed.check" ~args:[ ("verdict", verdict_arg report.verdict) ];
         report
@@ -720,7 +704,7 @@ let run ?(simplify = Bmc.default_simplify) ?(mono = false) ?(limits = Bmc.no_lim
   end
 
 let run_escalating ?policy ?(racing = false) ?jobs ?(simplify = Bmc.default_simplify)
-    ?(mono = false) ?(limits = Bmc.no_limits) ?reuse technique design iface ~bound =
+    ?(mono = false) ?(limits = Bmc.no_limits) technique design iface ~bound =
   let unknown_of (r : report) =
     match r.verdict with
     | Unknown u -> Some (Sat.Solver.reason_to_string u.u_reason)
@@ -730,7 +714,7 @@ let run_escalating ?policy ?(racing = false) ?jobs ?(simplify = Bmc.default_simp
   let report, attempts =
     escalate ?policy ~limits ~simplify ~mono ~unknown_of (fun cfg ->
         run ~simplify:cfg.Bmc.Escalate.ec_simplify ~mono:cfg.Bmc.Escalate.ec_mono
-          ~limits:cfg.Bmc.Escalate.ec_limits ?reuse technique design iface ~bound)
+          ~limits:cfg.Bmc.Escalate.ec_limits technique design iface ~bound)
   in
   { report with attempts }
 

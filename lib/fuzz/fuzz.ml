@@ -410,7 +410,7 @@ module Oracle = struct
           | Bmc.Holds bound -> if cert then certified := !certified + bound
           | Bmc.Violated w -> if cert then certified := !certified + (w.Bmc.w_length - 1)
           | Bmc.Unknown _ -> ());
-          let mono, _ = Bmc.check_safety_mono ~design:d ~invariant ~depth () in
+          let mono, _ = Bmc.check_safety ~mono:true ~design:d ~invariant ~depth () in
           let agree =
             match (outcome, mono) with
             | Bmc.Holds a, Bmc.Holds b -> a = b
@@ -663,12 +663,9 @@ module Oracle = struct
             let (escalated, _), _attempts =
               Bmc.Escalate.run ~policy ~limits ~simplify:Bmc.default_simplify
                 ~mono:false ~unknown_of (fun cfg ->
-                  let check =
-                    if cfg.Bmc.Escalate.ec_mono then Bmc.check_safety_mono
-                    else Bmc.check_safety
-                  in
-                  check ~certify:cert ~simplify:cfg.Bmc.Escalate.ec_simplify
-                    ~limits:cfg.Bmc.Escalate.ec_limits ~design:d ~invariant ~depth ())
+                  Bmc.check_safety ~certify:cert ~simplify:cfg.Bmc.Escalate.ec_simplify
+                    ~mono:cfg.Bmc.Escalate.ec_mono ~limits:cfg.Bmc.Escalate.ec_limits
+                    ~design:d ~invariant ~depth ())
             in
             match (reference, escalated) with
             | Bmc.Holds a, Bmc.Holds b when a = b -> Ok certified
@@ -808,55 +805,6 @@ module Oracle = struct
                   (Printf.sprintf "tracing: traced run decided %s but untraced is %s"
                      (outcome_to_string traced)
                      (outcome_to_string reference))))
-
-  (* Cross-query reuse invariance: attaching engines to a shared
-     [Bmc.Reuse] context (cone sharing + learnt-clause transfer) must be
-     verdict-invisible. The same safety check runs three times: once cold
-     (the reference), then twice against one shared context — the first
-     warm run populates the transfer pool, the second imports from it, so
-     the import path is genuinely exercised, not just compiled. With
-     [cert] the warm runs DRAT-certify their UNSAT bounds, which replays
-     imported lemmas through the checker as stamped axioms. *)
-  let reuse_vs_no_reuse ?(cert = false) ~depth rand (d : Rtl.design) =
-    let vars = all_vars d in
-    let invariant = Gen.expr rand ~vars ~width:1 ~depth:2 in
-    match Bmc.check_safety ~certify:cert ~design:d ~invariant ~depth () with
-    | exception Bmc.Certification_failed msg ->
-        Error ("reuse: cold run rejected a DRAT certificate: " ^ msg)
-    | reference, _ -> (
-        let certified =
-          if not cert then 0
-          else
-            match reference with
-            | Bmc.Holds bound -> bound
-            | Bmc.Violated w -> w.Bmc.w_length - 1
-            | Bmc.Unknown _ -> 0
-        in
-        let ctx = Bmc.Reuse.create () in
-        let warm what =
-          match
-            Bmc.check_safety ~certify:cert ~reuse:ctx ~design:d ~invariant ~depth ()
-          with
-          | exception Bmc.Certification_failed msg ->
-              Error
-                (Printf.sprintf "reuse: %s run rejected a DRAT certificate: %s"
-                   what msg)
-          | outcome, _ -> (
-              match (reference, outcome) with
-              | Bmc.Holds a, Bmc.Holds b when a = b -> Ok ()
-              | Bmc.Violated wa, Bmc.Violated wb
-                when wa.Bmc.w_length = wb.Bmc.w_length ->
-                  Ok ()
-              | _ ->
-                  Error
-                    (Printf.sprintf
-                       "reuse: %s run decided %s but the cold verdict is %s" what
-                       (outcome_to_string outcome) (outcome_to_string reference)))
-        in
-        match warm "first warm" with
-        | Error _ as e -> e
-        | Ok () -> (
-            match warm "second warm" with Error _ as e -> e | Ok () -> Ok certified))
 
   (* Crash-safe campaigns: journal a small verification campaign through
      [Persist.Campaign], kill it at a random record boundary (sometimes
@@ -1277,8 +1225,6 @@ let oracles ~config ~cert =
       fun rand d -> Oracle.portfolio_vs_single ~cert ~depth:config.bmc_depth rand d );
     ( "tracing",
       fun rand d -> Oracle.tracing_on_vs_off ~cert ~depth:config.bmc_depth rand d );
-    ( "reuse-vs",
-      fun rand d -> Oracle.reuse_vs_no_reuse ~cert ~depth:config.bmc_depth rand d );
     ( "checkpoint",
       fun rand d -> Oracle.checkpoint_resume ~cert ~depth:config.bmc_depth rand d );
     ( "dist-kill",

@@ -140,9 +140,9 @@ end
 
     A key is skippable iff its {e last} journaled record (last-write-wins)
     is decided — journaled [Unknown] verdicts are replayed into the stats
-    but never returned by {!find_decided}, mirroring the "Unknown is never
-    cached" rule of [Bmc.Reuse]: an Unknown is a budget artifact, not a
-    fact about the design, and the resumed run must re-attempt it. *)
+    but never returned by {!find_decided}: an Unknown is a budget
+    artifact, not a fact about the design, and the resumed run must
+    re-attempt it. *)
 module Campaign : sig
   type t
 

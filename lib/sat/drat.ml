@@ -11,7 +11,6 @@ type event =
   | Input of Lit.t array
   | Add of Lit.t array
   | Delete of Lit.t array
-  | Import of Lit.t array
 
 type proof = event list
 
@@ -24,7 +23,6 @@ let pp_event ppf e =
   | Input c -> Format.fprintf ppf "i %a" pp_clause c
   | Add c -> Format.fprintf ppf "a %a" pp_clause c
   | Delete c -> Format.fprintf ppf "d %a" pp_clause c
-  | Import c -> Format.fprintf ppf "t %a" pp_clause c
 
 (* ------------------------------------------------------------------ *)
 (* Checker.                                                            *)
@@ -262,14 +260,6 @@ let check ?(assumptions = []) proof =
     | Input lits :: rest ->
         attach ck lits;
         go (i + 1) rest
-    | Import lits :: rest ->
-        (* A lemma transferred from another solver working on the same
-           shared cone: an axiom of this stream, like [Input]. Its own
-           derivation was RUP-checked in the donor's stream; soundness of
-           treating it as an axiom here rests on the clause-provenance
-           gate (see lib/bmc/REUSE.md), not on this checker. *)
-        attach ck lits;
-        go (i + 1) rest
     | Add lits :: rest ->
         if not (rup_holds ck lits) then
           Error
@@ -309,7 +299,7 @@ let to_string proof =
   let buf = Buffer.create 1024 in
   List.iter
     (function
-      | Input _ | Import _ -> ()
+      | Input _ -> ()
       | Add lits -> clause_line buf lits
       | Delete lits ->
           Buffer.add_string buf "d ";
@@ -318,11 +308,7 @@ let to_string proof =
   Buffer.contents buf
 
 let formula_to_string proof =
-  let inputs =
-    List.filter_map
-      (function Input lits | Import lits -> Some lits | _ -> None)
-      proof
-  in
+  let inputs = List.filter_map (function Input lits -> Some lits | _ -> None) proof in
   let max_var =
     List.fold_left
       (fun acc lits -> Array.fold_left (fun acc l -> max acc (Lit.var l + 1)) acc lits)

@@ -10,18 +10,9 @@ type clause = {
   mutable act : float;
   mutable lbd : int; (* glue (distinct decision levels) at learn time; 0 for problem clauses *)
   mutable removed : bool;
-  (* Provenance: which asserted root facts this clause (transitively)
-     depends on, as an index into the solver's interned root-set table.
-     0 = the empty set (derived from definitional clauses alone), -1 = the
-     opaque top element (depends on something untracked: preprocessing
-     resolvents, portfolio imports), > 0 = interned set id. Used by the
-     cross-query reuse layer to decide which learnt clauses are safe to
-     transfer to sibling solvers (lib/bmc/REUSE.md). *)
-  mutable prov : int;
 }
 
-let dummy_clause =
-  { lits = [||]; learnt = false; act = 0.; lbd = 0; removed = true; prov = 0 }
+let dummy_clause = { lits = [||]; learnt = false; act = 0.; lbd = 0; removed = true }
 
 (* Watch-list entry. [blocker] is some literal of the clause other than the
    watched one; if it is already true the clause is satisfied and the visit
@@ -231,21 +222,6 @@ type t = {
   (* Search-diversity knobs (per solver so portfolio workers can diverge). *)
   mutable restart_base : int;
   mutable var_decay : float;
-  (* Clause provenance (cross-query reuse). [prov_sets] interns sorted
-     root-key arrays; id 0 is the empty set, -1 the opaque top. [l0prov]
-     tracks, per variable, the provenance of its level-0 assignment (if
-     any): analysis silently drops level-0 literals from learnt clauses,
-     which is a resolution step with the level-0 fact, so its provenance
-     must flow into the learnt clause. [transfer_rev] collects learnt
-     clauses eligible for transfer (provenance fully tracked, small),
-     drained by the reuse layer between queries. *)
-  prov_sets : int array Vec.t;
-  prov_intern : (int array, int) Hashtbl.t;
-  prov_join_memo : (int * int, int) Hashtbl.t;
-  mutable l0prov : int array;
-  mutable transfer_log : bool;
-  mutable transfer_rev : (Lit.t array * int) list;
-  mutable n_transfer_logged : int;
 }
 
 let clause_decay = 1. /. 0.999
@@ -253,8 +229,7 @@ let default_var_decay = 1. /. 0.95
 let default_restart_base = 100
 
 let create () =
-  let s =
-    {
+  {
     nvars = 0;
     assigns = Array.make 16 0;
     level = Array.make 16 (-1);
@@ -307,19 +282,9 @@ let create () =
     import_hook = None;
     n_exported = 0;
     n_imported = 0;
-      restart_base = default_restart_base;
-      var_decay = default_var_decay;
-      prov_sets = Vec.create [||];
-      prov_intern = Hashtbl.create 64;
-      prov_join_memo = Hashtbl.create 64;
-      l0prov = Array.make 16 0;
-      transfer_log = false;
-      transfer_rev = [];
-      n_transfer_logged = 0;
-    }
-  in
-  Vec.push s.prov_sets [||] (* id 0 = the empty provenance set *);
-  s
+    restart_base = default_restart_base;
+    var_decay = default_var_decay;
+  }
 
 let nvars s = s.nvars
 let ok s = s.ok
@@ -366,84 +331,6 @@ let log_empty s =
 let log_delete s lits =
   if s.proof_logging then
     s.proof_rev <- (stamp s, Drat.Delete (Array.copy lits)) :: s.proof_rev
-
-let log_import s lits =
-  if s.proof_logging then
-    s.proof_rev <- (stamp s, Drat.Import (Array.copy lits)) :: s.proof_rev
-
-(* ------------------------------------------------------------------ *)
-(* Clause provenance (cross-query reuse).
-
-   Provenance values form a join-semilattice: 0 (empty set) <= interned
-   sets ordered by inclusion <= -1 (opaque top). Every clause carries one;
-   conflict analysis joins the provenance of every clause resolved on, so
-   a learnt clause's provenance over-approximates the set of asserted root
-   facts it depends on. Sets larger than [max_prov_roots] collapse to top:
-   such clauses are too entangled to be worth shipping anyway. *)
-
-let prov_top = -1
-let max_prov_roots = 64
-
-(* Intern a *sorted, duplicate-free* key array. *)
-let prov_intern_sorted s (set : int array) =
-  let n = Array.length set in
-  if n = 0 then 0
-  else if n > max_prov_roots then prov_top
-  else
-    match Hashtbl.find_opt s.prov_intern set with
-    | Some id -> id
-    | None ->
-        let id = Vec.size s.prov_sets in
-        Vec.push s.prov_sets set;
-        Hashtbl.add s.prov_intern set id;
-        id
-
-let prov_of_root s root = prov_intern_sorted s [| root |]
-
-let prov_of_roots s roots =
-  let sorted = Array.copy roots in
-  Array.sort Int.compare sorted;
-  let n = Array.length sorted in
-  let distinct = ref 0 in
-  for i = 0 to n - 1 do
-    if i = 0 || sorted.(i) <> sorted.(i - 1) then begin
-      sorted.(!distinct) <- sorted.(i);
-      incr distinct
-    end
-  done;
-  prov_intern_sorted s (Array.sub sorted 0 !distinct)
-
-let prov_set s p = if p <= 0 then [||] else Vec.get s.prov_sets p
-
-let prov_join s a b =
-  if a = b || b = 0 then a
-  else if a = 0 then b
-  else if a < 0 || b < 0 then prov_top
-  else begin
-    let key = if a < b then (a, b) else (b, a) in
-    match Hashtbl.find_opt s.prov_join_memo key with
-    | Some r -> r
-    | None ->
-        let sa = Vec.get s.prov_sets a and sb = Vec.get s.prov_sets b in
-        let na = Array.length sa and nb = Array.length sb in
-        let merged = Array.make (na + nb) 0 in
-        let i = ref 0 and j = ref 0 and k = ref 0 in
-        while !i < na && !j < nb do
-          let x = sa.(!i) and y = sb.(!j) in
-          if x < y then (merged.(!k) <- x; incr i)
-          else if y < x then (merged.(!k) <- y; incr j)
-          else (merged.(!k) <- x; incr i; incr j);
-          incr k
-        done;
-        while !i < na do merged.(!k) <- sa.(!i); incr i; incr k done;
-        while !j < nb do merged.(!k) <- sb.(!j); incr j; incr k done;
-        let r =
-          if !k > max_prov_roots then prov_top
-          else prov_intern_sorted s (Array.sub merged 0 !k)
-        in
-        Hashtbl.add s.prov_join_memo key r;
-        r
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Variable order heap (max-heap on activity).                         *)
@@ -525,8 +412,6 @@ let new_var s =
   s.lbd_seen <- grow_array s.lbd_seen (s.nvars + 1) 0;
   s.eliminated <- grow_array s.eliminated s.nvars false;
   s.eliminated.(v) <- false;
-  s.l0prov <- grow_array s.l0prov s.nvars 0;
-  s.l0prov.(v) <- 0;
   if 2 * s.nvars > Array.length s.watches then begin
     let grow_watchlists old =
       let a =
@@ -644,21 +529,6 @@ let locked s c =
 
 exception Conflict of clause
 
-(* Record the provenance of a level-0 implication: the implying clause's
-   provenance joined with that of the other (false-at-level-0) literals of
-   the clause. Called right after enqueuing [l] with reason [c] when the
-   solver is at decision level 0. *)
-let l0_note s l c =
-  if Vec.size s.trail_lim = 0 then begin
-    let p = ref c.prov in
-    let lits = c.lits in
-    for k = 0 to Array.length lits - 1 do
-      let q = lits.(k) in
-      if q <> l then p := prov_join s !p s.l0prov.(Lit.var q)
-    done;
-    s.l0prov.(Lit.var l) <- !p
-  end
-
 (* Binary implications for the newly-true literal [p]: each watcher's blocker
    is the only other literal of its clause, so the visit is assign-or-detect
    with no clause scan. Reason clauses keep the MiniSat invariant that
@@ -683,8 +553,7 @@ let propagate_bin s p =
             c.lits.(0) <- other;
             c.lits.(1) <- Lit.negate p
           end;
-          unchecked_enqueue s other c;
-          l0_note s other c
+          unchecked_enqueue s other c
       | _ ->
           (* Both literals false: conflict. Copy the tail back first. *)
           while !i < n do
@@ -760,10 +629,7 @@ let propagate s =
                   s.qhead <- Vec.size s.trail;
                   raise (Conflict c)
                 end
-                else begin
-                  unchecked_enqueue s lits.(0) c;
-                  l0_note s lits.(0) c
-                end
+                else unchecked_enqueue s lits.(0) c
               end
             end
           end
@@ -808,15 +674,8 @@ let lit_redundant s l =
   done;
   !ok
 
-(* Returns (learnt clause literals, backtrack level, provenance). The
-   asserting literal is at index 0 of the returned array.
-
-   Provenance: the learnt clause is derived by resolving the conflict
-   clause with the reasons of the current-level literals (and, implicitly,
-   with the level-0 facts whose literals are silently dropped below, and
-   with the reasons of literals removed by minimization). The returned
-   provenance joins all of those; literals *kept* in the clause contribute
-   nothing — they appear verbatim, no resolution happens on them. *)
+(* Returns (learnt clause literals, backtrack level). The asserting literal
+   is at index 0 of the returned array. *)
 let analyze s confl =
   let out = Vec.create 0 in
   Vec.push out 0 (* placeholder for the asserting literal *);
@@ -824,10 +683,8 @@ let analyze s confl =
   let p = ref (-1) in
   let index = ref (Vec.size s.trail - 1) in
   let c = ref confl in
-  let prov = ref 0 in
   let continue = ref true in
   while !continue do
-    prov := prov_join s !prov !c.prov;
     if !c.learnt then begin
       bump_clause s !c;
       (* Dynamic glue update: a learnt clause involved in a new conflict may
@@ -846,10 +703,6 @@ let analyze s confl =
         if s.level.(v) >= decision_level s then incr path_c
         else Vec.push out q
       end
-      else if s.level.(v) = 0 then
-        (* Dropping a level-0 literal is a resolution with the level-0
-           fact; its provenance flows into the learnt clause. *)
-        prov := prov_join s !prov s.l0prov.(v)
     done;
     (* Select next literal to expand: latest seen literal on the trail. *)
     while not s.seen.(Lit.var (Vec.get s.trail !index)) do decr index done;
@@ -866,17 +719,7 @@ let analyze s confl =
   Vec.push kept (Vec.get out 0);
   for i = 1 to Vec.size out - 1 do
     let q = Vec.get out i in
-    if lit_redundant s q then begin
-      (* Dropping [q] resolves with its reason (and with the level-0 facts
-         among the reason's literals). *)
-      let r = s.reason.(Lit.var q) in
-      prov := prov_join s !prov r.prov;
-      for k = 1 to Array.length r.lits - 1 do
-        let v = Lit.var r.lits.(k) in
-        if s.level.(v) = 0 then prov := prov_join s !prov s.l0prov.(v)
-      done
-    end
-    else Vec.push kept q
+    if not (lit_redundant s q) then Vec.push kept q
   done;
   (* Find the backtrack level: highest level among tail literals; put that
      literal at index 1 so it is watched after backtracking. *)
@@ -897,7 +740,7 @@ let analyze s confl =
   (* Clear the seen flags. *)
   Vec.iter (fun v -> s.seen.(v) <- false) s.analyze_toclear;
   Vec.clear s.analyze_toclear;
-  (Array.init (Vec.size kept) (Vec.get kept), blevel, !prov)
+  (Array.init (Vec.size kept) (Vec.get kept), blevel)
 
 (* Produce the subset of assumptions responsible for falsifying literal [p]
    (which is a currently-false assumption, passed negated). *)
@@ -927,7 +770,7 @@ let analyze_final s p =
 (* ------------------------------------------------------------------ *)
 (* Clause addition.                                                    *)
 
-let add_clause ?root s lits =
+let add_clause s lits =
   if decision_level s <> 0 then
     invalid_arg "Solver.add_clause: only allowed at decision level 0";
   List.iter
@@ -954,31 +797,17 @@ let add_clause ?root s lits =
          level-0 facts, so it goes into the proof as a derived clause (and
          is the identity any later [Delete] of this clause refers to). *)
       if List.compare_lengths filtered lits <> 0 then log_add_list s filtered;
-      let prov = ref (match root with None -> 0 | Some r -> prov_of_root s r) in
-      List.iter
-        (fun l ->
-          if value_lit s l = -1 then
-            prov := prov_join s !prov s.l0prov.(Lit.var l))
-        lits;
       match filtered with
       | [] -> s.ok <- false
       | [ l ] ->
           unchecked_enqueue s l dummy_clause;
-          s.l0prov.(Lit.var l) <- !prov;
           if propagate s <> None then begin
             s.ok <- false;
             log_empty s
           end
       | _ :: _ :: _ ->
           let c =
-            {
-              lits = Array.of_list filtered;
-              learnt = false;
-              act = 0.;
-              lbd = 0;
-              removed = false;
-              prov = !prov;
-            }
+            { lits = Array.of_list filtered; learnt = false; act = 0.; lbd = 0; removed = false }
           in
           Vec.push s.clauses c;
           attach_clause s c
@@ -1140,13 +969,7 @@ let decide s =
   in
   assume ()
 
-(* Transfer-eligibility filter: provenance fully tracked (not opaque) and
-   the clause is small or low-glue enough to plausibly help a sibling. *)
-let transfer_max_lbd = 6
-let transfer_max_len = 12
-let transfer_cap = 512
-
-let record_learnt s learnt blevel ~lbd ~prov =
+let record_learnt s learnt blevel ~lbd =
   (* First-UIP learnt clauses are derived by resolution over reason clauses,
      hence RUP with respect to the clauses alive right now. *)
   log_add_arr s learnt;
@@ -1157,25 +980,15 @@ let record_learnt s learnt blevel ~lbd ~prov =
   | None -> ()
   | Some hook ->
       if hook (Array.copy learnt) ~lbd then s.n_exported <- s.n_exported + 1);
-  if s.transfer_log && prov >= 0
-     && (lbd <= transfer_max_lbd || Array.length learnt <= transfer_max_len)
-     && s.n_transfer_logged < transfer_cap
-  then begin
-    s.transfer_rev <- (Array.copy learnt, prov) :: s.transfer_rev;
-    s.n_transfer_logged <- s.n_transfer_logged + 1
-  end;
   cancel_until s blevel;
   match Array.length learnt with
   | 1 ->
       (* Asserting unit: goes to level 0 semantically, but we may be above
          level 0 because of assumptions; enqueue at the current (backtracked)
          level with no reason. Correct because blevel = 0 for units. *)
-      unchecked_enqueue s learnt.(0) dummy_clause;
-      if blevel = 0 then s.l0prov.(Lit.var learnt.(0)) <- prov
+      unchecked_enqueue s learnt.(0) dummy_clause
   | _ ->
-      let c =
-        { lits = learnt; learnt = true; act = 0.; lbd; removed = false; prov }
-      in
+      let c = { lits = learnt; learnt = true; act = 0.; lbd; removed = false } in
       s.learnt_bytes <- s.learnt_bytes + 40 + (8 * Array.length learnt);
       Vec.push s.learnts c;
       attach_clause s c;
@@ -1196,10 +1009,10 @@ let search s ~max_conflicts =
           log_empty s;
           raise Found_unsat
         end;
-        let learnt, blevel, prov = analyze s confl in
+        let learnt, blevel = analyze s confl in
         (* LBD must be computed before [record_learnt] backtracks. *)
         let lbd = compute_lbd s learnt in
-        record_learnt s learnt blevel ~lbd ~prov;
+        record_learnt s learnt blevel ~lbd;
         decay_var_activity s;
         decay_clause_activity s
     | None ->
@@ -1300,23 +1113,10 @@ let integrate_import s lits =
     else if len = 1 || !k = 1 then begin
       (* Unit under the level-0 assignment: assert the surviving literal;
          the clause itself adds nothing beyond it. *)
-      if value_lit s l.(0) = 0 then begin
-        unchecked_enqueue s l.(0) dummy_clause;
-        (* Portfolio imports carry no tracked provenance. *)
-        s.l0prov.(Lit.var l.(0)) <- prov_top
-      end
+      if value_lit s l.(0) = 0 then unchecked_enqueue s l.(0) dummy_clause
     end
     else begin
-      let c =
-        {
-          lits = l;
-          learnt = true;
-          act = 0.;
-          lbd = len;
-          removed = false;
-          prov = prov_top;
-        }
-      in
+      let c = { lits = l; learnt = true; act = 0.; lbd = len; removed = false } in
       s.learnt_bytes <- s.learnt_bytes + 40 + (8 * len);
       Vec.push s.learnts c;
       attach_clause s c
@@ -1329,79 +1129,6 @@ let drain_imports s =
   match s.import_hook with
   | None -> ()
   | Some hook -> List.iter (integrate_import s) (hook ())
-
-(* ------------------------------------------------------------------ *)
-(* Cross-query lemma transfer (see lib/bmc/REUSE.md).                  *)
-
-let set_transfer_log s on =
-  s.transfer_log <- on;
-  if not on then begin
-    s.transfer_rev <- [];
-    s.n_transfer_logged <- 0
-  end
-
-let drain_transfers s =
-  let out = List.rev_map (fun (lits, p) -> (lits, prov_set s p)) s.transfer_rev in
-  s.transfer_rev <- [];
-  s.n_transfer_logged <- 0;
-  out
-
-(* Install a lemma transferred from a sibling solver working on the same
-   shared cone. Unlike [integrate_import] (same-CNF portfolio sharing),
-   the donor solved a *different* CNF, so the clause is justified by the
-   shared-cone mapping plus the fact that this solver has asserted every
-   root in [roots] — both checked by the caller (the reuse layer). The
-   clause enters the DRAT stream as an [Import] axiom, and is installed as
-   a learnt clause carrying [roots] as provenance, so lemmas derived from
-   it here remain transferable in turn. *)
-let import_lemma s ~roots lits =
-  if decision_level s <> 0 then
-    invalid_arg "Solver.import_lemma: only allowed at decision level 0";
-  let usable =
-    Array.for_all (fun l -> Lit.var l < s.nvars && not s.eliminated.(Lit.var l)) lits
-  in
-  if not (usable && Array.length lits > 0 && s.ok) then false
-  else if Array.exists (fun l -> value_lit s l = 1) lits then
-    (* Already satisfied at level 0: nothing to install, nothing to log. *)
-    false
-  else begin
-    let prov = prov_of_roots s roots in
-    let l = Array.copy lits in
-    let len = Array.length l in
-    let k = ref 0 in
-    (try
-       for i = 0 to len - 1 do
-         if value_lit s l.(i) <> -1 then begin
-           let tmp = l.(!k) in
-           l.(!k) <- l.(i);
-           l.(i) <- tmp;
-           incr k;
-           if !k >= 2 then raise Exit
-         end
-       done
-     with Exit -> ());
-    log_import s l;
-    s.n_imported <- s.n_imported + 1;
-    if !k = 0 then begin
-      s.ok <- false;
-      log_empty s
-    end
-    else if len = 1 || !k = 1 then begin
-      if value_lit s l.(0) = 0 then begin
-        unchecked_enqueue s l.(0) dummy_clause;
-        s.l0prov.(Lit.var l.(0)) <- prov
-      end
-    end
-    else begin
-      let c =
-        { lits = l; learnt = true; act = 0.; lbd = len; removed = false; prov }
-      in
-      s.learnt_bytes <- s.learnt_bytes + 40 + (8 * len);
-      Vec.push s.learnts c;
-      attach_clause s c
-    end;
-    true
-  end
 
 let solve ?(assumptions = []) ?(budget = no_budget) ?cancel ?seed s =
   s.answer <- A_none;
@@ -1504,10 +1231,8 @@ let unsat_assumptions s =
    miss the clause entirely: preprocessing enqueues derived units without
    propagating between actions, so a clause may arrive with literals that
    are already false. *)
-let install_clause s ~prov lits =
-  let c =
-    { lits = Array.copy lits; learnt = false; act = 0.; lbd = 0; removed = false; prov }
-  in
+let install_clause s lits =
+  let c = { lits = Array.copy lits; learnt = false; act = 0.; lbd = 0; removed = false } in
   let l = c.lits in
   let len = Array.length l in
   let k = ref 0 in
@@ -1528,10 +1253,7 @@ let install_clause s ~prov lits =
     s.ok <- false;
     log_empty s
   end
-  else if !k = 1 && value_lit s l.(0) = 0 then begin
-    unchecked_enqueue s l.(0) dummy_clause;
-    s.l0prov.(Lit.var l.(0)) <- prov
-  end;
+  else if !k = 1 && value_lit s l.(0) = 0 then unchecked_enqueue s l.(0) dummy_clause;
   c
 
 let preprocess ?(elim = false) ?(frozen = []) s =
@@ -1613,18 +1335,6 @@ let preprocess ?(elim = false) ?(frozen = []) s =
       end
     in
     let actions, st = Simplify.run ~config ?seeds ~nvars:s.nvars ~frozen:fr ~protected db in
-    (* Provenance of preprocessing resolvents: Simplify resolves among the
-       problem clauses and the trail units above, so any derived clause
-       depends at most on the join of their provenances. Clause-precise
-       tracking through the action stream is not worth the plumbing; this
-       ambient over-approximation keeps most resolvents transferable when
-       the receiver has asserted the same roots. *)
-    let ambient =
-      let p = ref 0 in
-      Vec.iter (fun c -> p := prov_join s !p c.prov) s.clauses;
-      Vec.iter (fun l -> p := prov_join s !p s.l0prov.(Lit.var l)) s.trail;
-      !p
-    in
     let stopped = ref false in
     let apply = function
       | Simplify.Remove id -> (
@@ -1635,20 +1345,18 @@ let preprocess ?(elim = false) ?(frozen = []) s =
           match Hashtbl.find_opt tbl id with
           | Some old ->
               log_add_arr s lits;
-              let c = install_clause s ~prov:ambient lits in
+              let c = install_clause s lits in
               Hashtbl.replace tbl id c;
               if not old.removed then remove_clause s old
           | None -> ())
       | Simplify.Add (id, lits) ->
           log_add_arr s lits;
-          let c = install_clause s ~prov:ambient lits in
+          let c = install_clause s lits in
           Hashtbl.replace tbl id c
       | Simplify.Unit l ->
           log_add_list s [ l ];
           (match value_lit s l with
-          | 0 ->
-              unchecked_enqueue s l dummy_clause;
-              s.l0prov.(Lit.var l) <- ambient
+          | 0 -> unchecked_enqueue s l dummy_clause
           | 1 -> ()
           | _ ->
               s.ok <- false;

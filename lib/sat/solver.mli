@@ -112,19 +112,11 @@ val new_var : t -> int
 
 val nvars : t -> int
 
-val add_clause : ?root:int -> t -> Lit.t list -> unit
+val add_clause : t -> Lit.t list -> unit
 (** Add a clause over existing variables. May only be called when the solver
     is at decision level 0 (i.e. outside [solve]). Tautologies are dropped
     and duplicate/false-at-level-0 literals removed. Adding the empty clause
-    (or deriving one) makes the solver permanently UNSAT.
-
-    [root] marks the clause as an asserted *root fact* for clause-provenance
-    tracking (cross-query reuse): the value is an opaque caller-chosen key
-    (e.g. a canonical hash of the asserted AIG literal). Learnt clauses then
-    carry the set of root keys they transitively depend on, and only clauses
-    whose full root set is asserted in a receiving solver may be transferred
-    to it (see {!import_lemma} and lib/bmc/REUSE.md). Clauses added without
-    [root] are treated as definitional (empty provenance). *)
+    (or deriving one) makes the solver permanently UNSAT. *)
 
 val ok : t -> bool
 (** [false] once the clause set is known UNSAT at level 0; further [solve]
@@ -248,41 +240,6 @@ val set_import_hook : t -> (unit -> Lit.t array list) option -> unit
     be a logical consequence of the clause set this solver was loaded
     with (true for any peer's learnt clause over the same CNF). Clauses
     mentioning unknown or eliminated variables are skipped. *)
-
-(** {1 Cross-query lemma transfer}
-
-    Unlike portfolio sharing (same CNF, different search trajectories),
-    lemma transfer moves learnt clauses between solvers working on
-    *different but overlapping* CNFs — e.g. the mutants of one design,
-    whose unrolled products share almost every cone. Soundness rests on
-    clause provenance: a learnt clause whose provenance is the root set
-    {r1..rn} is a consequence of the definitional (non-[root]) clauses of
-    its variables plus those asserted roots alone, so it may be installed
-    in any solver that (a) has the same definitions for every variable of
-    the clause (checked by the caller via canonical cone hashing) and (b)
-    has asserted every root in the set. The full argument is in
-    lib/bmc/REUSE.md. *)
-
-val set_transfer_log : t -> bool -> unit
-(** Enable collection of transfer-eligible learnt clauses (fully tracked
-    provenance, small or low-glue). Off by default; disabling clears the
-    pending log. *)
-
-val drain_transfers : t -> (Lit.t array * int array) list
-(** Remove and return the transfer-eligible learnt clauses collected since
-    the last drain, each with its provenance as an array of root keys
-    (empty = derived from definitional clauses alone). Oldest first. *)
-
-val import_lemma : t -> roots:int array -> Lit.t array -> bool
-(** Install a lemma transferred from a sibling solver, at decision level 0
-    only. The caller is responsible for the soundness conditions above:
-    every literal translated through the shared-cone mapping, every key in
-    [roots] asserted (via [add_clause ~root]) in this solver. The clause
-    enters the DRAT stream as a {!Drat.Import} axiom and is installed as a
-    learnt clause whose provenance is [roots], so lemmas derived from it
-    remain transferable in turn. Returns [false] (and installs nothing) if
-    the clause mentions unknown or eliminated variables or is already
-    satisfied at level 0. *)
 
 val configure :
   ?restart_base:int -> ?var_decay:float -> ?invert_phase:bool -> t -> unit

@@ -92,7 +92,7 @@ let test_mono_agrees_with_incremental () =
   List.iter
     (fun (inv, depth) ->
       let r1, _ = Bmc.check_safety ~design:(counter ()) ~invariant:inv ~depth () in
-      let r2, _ = Bmc.check_safety_mono ~design:(counter ()) ~invariant:inv ~depth () in
+      let r2, _ = Bmc.check_safety ~mono:true ~design:(counter ()) ~invariant:inv ~depth () in
       match (r1, r2) with
       | Bmc.Holds a, Bmc.Holds b -> Alcotest.(check int) "both hold" a b
       | Bmc.Violated a, Bmc.Violated b ->
@@ -314,7 +314,7 @@ let test_mono_pipeline_agrees () =
           ~invariant:inv ~depth ()
       in
       let r2, _ =
-        Bmc.check_safety_mono ~simplify:Bmc.default_simplify
+        Bmc.check_safety ~simplify:Bmc.default_simplify ~mono:true
           ~design:(counter_with_noise ()) ~invariant:inv ~depth ()
       in
       match (r1, r2) with
@@ -329,7 +329,7 @@ let test_mono_pipeline_agrees () =
 let test_simp_stats_sanity () =
   let captured = ref None in
   (match
-     Bmc.check_safety_mono ~stats:(fun s -> captured := Some s)
+     Bmc.check_safety ~mono:true ~stats:(fun s -> captured := Some s)
        ~design:(counter_with_noise ()) ~invariant:(count_ne 12) ~depth:6 ()
    with
   | Bmc.Holds 6, _ -> ()
@@ -565,6 +565,45 @@ let test_escalate_racing_cancel_mid_rung () =
         a.Bmc.Escalate.at_reason)
     attempts
 
+(* Two counters advancing under independent enables: enough arithmetic
+   structure for the solver to learn real clauses, with an invariant that
+   holds at every bound (a + b grows by at most 2 per cycle, so within
+   depth d the sum stays under 2d + 1). Every bound is UNSAT, so a
+   certifying run DRAT-checks all sixteen refutations. *)
+let twin_counter () =
+  let a = Expr.var "a" 6 and b = Expr.var "b" 6 in
+  let ea = Expr.var "ea" 1 and eb = Expr.var "eb" 1 in
+  let one = Expr.const_int ~width:6 1 in
+  Rtl.make ~name:"twin_counter"
+    ~inputs:[ { Expr.name = "ea"; width = 1 }; { Expr.name = "eb"; width = 1 } ]
+    ~registers:
+      [
+        {
+          Rtl.reg = { Expr.name = "a"; width = 6 };
+          init = Bv.zero 6;
+          next = Expr.ite ea (Expr.add a one) a;
+        };
+        {
+          Rtl.reg = { Expr.name = "b"; width = 6 };
+          init = Bv.zero 6;
+          next = Expr.ite eb (Expr.add b one) b;
+        };
+      ]
+    ~outputs:[ ("sum", Expr.add a b) ]
+
+let test_certified_twin_counter () =
+  let invariant =
+    Expr.ne (Expr.add (Expr.var "a" 6) (Expr.var "b" 6)) (Expr.const_int ~width:6 34)
+  in
+  match Bmc.check_safety ~certify:true ~design:(twin_counter ()) ~invariant ~depth:16 () with
+  | Bmc.Holds 16, _ -> ()
+  | Bmc.Holds n, _ -> Alcotest.failf "wrong bound %d" n
+  | Bmc.Violated w, _ ->
+      Alcotest.failf "unexpected counterexample of length %d" w.Bmc.w_length
+  | Bmc.Unknown _, _ -> Alcotest.fail "unexpected unknown"
+  | exception Bmc.Certification_failed msg ->
+      Alcotest.failf "DRAT certificate rejected: %s" msg
+
 let suite =
   [
     ("bmc.holds_within_bound", `Quick, test_holds_within_bound);
@@ -584,6 +623,7 @@ let suite =
     ("bmc.coi_witness_bit_identical", `Quick, test_coi_witness_bit_identical);
     ("bmc.mono_pipeline_agrees", `Quick, test_mono_pipeline_agrees);
     ("bmc.simp_stats", `Quick, test_simp_stats_sanity);
+    ("bmc.certified_twin_counter", `Quick, test_certified_twin_counter);
     ("bmc.unknown_under_fault", `Quick, test_unknown_under_permanent_fault);
     ("bmc.escalate_converges", `Quick, test_escalate_converges);
     ("bmc.escalate_max_attempts", `Quick, test_escalate_gives_up_at_max_attempts);

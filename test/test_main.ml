@@ -25,7 +25,6 @@ let () =
       ("fuzz", Test_fuzz.suite);
       ("obs", Test_obs.suite);
       ("matrix", Test_matrix.suite);
-      ("reuse", Test_reuse.suite);
       ("report", Test_report.suite);
       ("persist", Test_persist.suite);
       ("dist", Test_dist.suite);

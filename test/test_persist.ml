@@ -498,10 +498,9 @@ let test_kill_sweep_full_matrix () =
   | _ -> ()
 
 let test_resume_never_skips_unknown () =
-  (* Regression for resume x reuse memoization: a journaled Unknown (here
-     forced by a one-conflict budget) must be re-attempted on resume, not
-     served as a cached verdict — same rule as "Unknown is never cached"
-     in Bmc.Reuse. *)
+  (* Regression: a journaled Unknown (here forced by a one-conflict budget)
+     must be re-attempted on resume, not served as a decided verdict — a
+     bigger budget might decide it. *)
   let e = registry_entry "hamming74" in
   let design = e.Designs.Entry.design
   and iface = e.Designs.Entry.iface
@@ -554,6 +553,16 @@ let test_resume_never_skips_unknown () =
                     clean (verdict_to_string r)
               | None -> Alcotest.fail "decided re-run did not supersede the Unknown");
               Persist.Campaign.close c2))
+
+(* Journals written by earlier releases key their cells with this exact
+   string; if the key construction drifts, [--resume] silently re-runs
+   every cell instead of skipping the decided ones. *)
+let test_campaign_key_frozen () =
+  let e = registry_entry "hamming74" in
+  Alcotest.(check string) "hamming74 G-QED key"
+    "G-QED/4/dead8b1302b7fcdbb9e090e10cd86504/e6c69f46d1b28fc9762b1b6aecbcc51d"
+    (Qed.Checks.campaign_key Qed.Checks.Gqed e.Designs.Entry.design e.Designs.Entry.iface
+       ~bound:e.Designs.Entry.rec_bound)
 
 let test_decode_rejects_drift () =
   let e = registry_entry "hamming74" in
@@ -757,6 +766,7 @@ let suite =
     Alcotest.test_case "resume never skips Unknown" `Slow
       test_resume_never_skips_unknown;
     Alcotest.test_case "report encode/decode drift" `Quick test_decode_rejects_drift;
+    Alcotest.test_case "campaign key is frozen" `Quick test_campaign_key_frozen;
     Alcotest.test_case "journal compaction round-trip" `Quick test_compact_round_trip;
     Alcotest.test_case "campaign auto-compaction gate" `Quick
       test_campaign_auto_compaction;

@@ -49,7 +49,7 @@ let test_only_rob_is_starved () =
   List.iter
     (fun id ->
       Alcotest.(check bool) (id ^ " not starved") false (Report.is_starved id))
-    [ "e1"; "e2"; "rb"; "p1"; "c1" ]
+    [ "e1"; "e2"; "rb"; "p1"; "r2" ]
 
 let test_geo_mean_ratio () =
   (match Report.geo_mean_ratio [ (4.0, 1.0); (1.0, 1.0) ] with
