@@ -6,7 +6,6 @@
      dune exec bench/main.exe                       # all experiments
      dune exec bench/main.exe -- t2 f1              # a subset, by id
      dune exec bench/main.exe -- --jobs 4 t2        # fan tasks over 4 domains
-     dune exec bench/main.exe -- --json BENCH.json  # machine-readable timings
 
    Experiment ids: t1 t2 t3 t4 t5 a1 a2 a3 s1 f1 f2 f3 rob p1 r2 dist obs
    micro.
@@ -30,8 +29,8 @@
    tracing never changes a verdict and that emitted traces pass the
    well-formedness checker; any disagreement fails the run (exit 1).
 
-   --json refuses to overwrite an existing report file; pass --force to
-   replace it (the same applies to --trace/--metrics files).
+   --trace/--metrics refuse to overwrite an existing file; pass --force to
+   replace it.
 
    --portfolio N sets the worker count of the p1 clause-sharing portfolio
    experiment (default 4; clamped so --jobs x --portfolio never exceeds
@@ -57,9 +56,14 @@
    check the harness runs; a check that exhausts it reports "unknown"
    instead of a verdict. --no-escalate turns off the Bmc.Escalate retry
    ladder that otherwise regrows exhausted budgets until the check
-   decides. The run exits 3 when any verdict stayed unknown (and 1, as
-   before, on any verdict mismatch — including a fault-induced flip in
-   rob, which must never happen).
+   decides.
+
+   The exit status is the run's one gate. Every experiment that compares
+   a reference lane with a variant (s1, a2, t5, rob, p1, obs, r2, dist)
+   reports each disagreement as (experiment, cell, expected, got); the
+   run lists them all at the end and exits 1 if there is any. Otherwise
+   it exits 3 when some verdict stayed unknown under the budget, and 0.
+   Machine-readable measurements live in bench/perf (see its README).
 
    Parallelism never changes any verdict or table cell: every task builds
    its own engine and results are reassembled in input order (see
@@ -79,7 +83,7 @@ let time f =
   (result, Unix.gettimeofday () -. t0)
 
 (* ------------------------------------------------------------------ *)
-(* Parallel fan-out (--jobs) and the JSON report (--json).              *)
+(* Parallel fan-out (--jobs), run-wide flags and the verdict gate.      *)
 
 let jobs = ref 1
 
@@ -123,7 +127,7 @@ let dist_policy () =
   }
 
 (* --trace / --metrics / --trace-format enable the Obs layer for the whole
-   run; --force permits overwriting existing report and trace files (and
+   run; --force permits overwriting existing trace and metrics files (and
    starting a fresh campaign over an existing --checkpoint journal). *)
 let obs_trace_path : string option ref = ref None
 let obs_metrics_path : string option ref = ref None
@@ -144,12 +148,31 @@ let campaign_skips = Atomic.make 0
    only varies which crash sites a soak run explores. *)
 let seed = ref 0
 
-(* State of the obs experiment: traced-vs-untraced verdict flips and
-   structurally malformed traces each fail the whole bench run. *)
-let obs_flips = ref 0
-let obs_malformed = ref 0
-let obs_trace_events = ref 0
-let obs_trace_wellformed : bool option ref = ref None
+(* The run's one verdict gate: every disagreement any experiment finds
+   between a reference lane and a variant lands here, and a nonempty list
+   fails the run (Report.exit_code). Experiments record from the main
+   domain only, after their fan-outs have joined. *)
+let flips : Report.flip list ref = ref []
+
+let disagree experiment cell ~expected ~got =
+  flips := { Report.experiment; cell; expected; got } :: !flips
+
+(* [true] when the two verdict strings match; a mismatch is recorded. *)
+let agree experiment cell ~expected ~got =
+  let same = String.equal expected got in
+  if not same then disagree experiment cell ~expected ~got;
+  same
+
+(* Cell-by-cell [agree] over two verdict columns; the number of
+   disagreements. *)
+let agree_all experiment ~cells expected got =
+  List.fold_left2
+    (fun n cell (expected, got) ->
+      if agree experiment cell ~expected ~got then n else n + 1)
+    0 cells (List.combine expected got)
+
+let flip_count experiment =
+  List.length (List.filter (fun f -> f.Report.experiment = experiment) !flips)
 
 let bench_limits () =
   match (!timeout, !max_conflicts) with
@@ -202,378 +225,7 @@ let check_warm ?simplify ?mono technique design iface ~bound =
 let check ?simplify ?mono technique design iface ~bound =
   fst (check_warm ?simplify ?mono technique design iface ~bound)
 
-(* Sum of per-task wall-clock seconds spent in Par fan-outs by the current
-   experiment. task_sum / experiment_wall estimates the speedup over a
-   1-domain run of the same tasks without rerunning it. *)
-let par_task_seconds = ref 0.0
-
-let par_map f xs =
-  let results = Par.map_timed ~jobs:!jobs f xs in
-  par_task_seconds :=
-    !par_task_seconds +. List.fold_left (fun acc (_, dt) -> acc +. dt) 0.0 results;
-  List.map fst results
-
-type json_experiment = {
-  je_id : string;
-  je_wall_s : float;
-  je_task_sum_s : float; (* 0 when the experiment ran no parallel section *)
-  je_starved : bool;
-      (* tasks ran under deliberately starved budgets, so the task-sum is
-         not an estimate of 1-domain cost (see Bench_report.Report) *)
-}
-
-type json_solver_row = {
-  js_design : string;
-  js_bound : int;
-  js_verdict : string;
-  js_time_s : float;
-  js_warm : bool;
-      (* served from the --checkpoint journal without re-solving; its
-         time is the lookup, not the solve — never mix with cold rows *)
-  js_stats : Sat.Solver.stats;
-  js_cnf_vars : int;
-  js_cnf_clauses : int;
-  js_simp : Bmc.Engine.simp_stats;
-}
-
-(* One S1 ablation cell: the same check with the pipeline off and fully on. *)
-type json_simplify_row = {
-  jp_design : string;
-  jp_case : string; (* "correct" or the mutant label *)
-  jp_verdict_off : string;
-  jp_verdict_on : string;
-  jp_vars_off : int;
-  jp_vars_on : int;
-  jp_clauses_off : int;
-  jp_clauses_on : int;
-  jp_time_off_s : float;
-  jp_time_on_s : float;
-}
-
-type json_stage_row = {
-  jg_design : string;
-  jg_stage : string;
-  jg_vars : int;
-  jg_clauses : int;
-  jg_time_s : float;
-}
-
-(* One R-ROB1 matrix cell: a design under a given fault rate, plus the
-   escalation-recovery column (did a 1-conflict starved budget escalate back
-   to the fault-free verdict?). *)
-type json_rob_row = {
-  jr_design : string;
-  jr_rate : float;
-  jr_trials : int;
-  jr_unknown : int;
-  jr_flips : int;
-  jr_recovered : bool;
-}
-
-(* One P1 matrix cell: the same check on the single-solver lane and the
-   portfolio lane, with the portfolio's sharing counters. *)
-type json_portfolio_row = {
-  jpf_design : string;
-  jpf_case : string; (* "correct" or the mutant label *)
-  jpf_verdict_single : string;
-  jpf_verdict_portfolio : string;
-  jpf_time_single_s : float;
-  jpf_time_portfolio_s : float;
-  jpf_exported : int;
-  jpf_imported : int;
-}
-
-(* One R2 matrix cell: the same (design, case) verdict from the
-   uninterrupted journaled campaign and from the killed-and-resumed one. *)
-type json_campaign_row = {
-  jk_design : string;
-  jk_case : string; (* "correct" or the mutant label *)
-  jk_full : string;
-  jk_resumed : string;
-}
-
-(* One D1 matrix row: a design's slice of the combined campaign, solved
-   serially (in-process, workers=1) and across N worker processes
-   appending to per-worker journal shards. Times are sums of journaled
-   per-cell solve seconds (task-sums, not wall-clock — the wall-clock
-   speedup is the per-trial figure). *)
-type json_dist_row = {
-  jd_design : string;
-  jd_cells : int;
-  jd_serial_s : float;
-  jd_dist_s : float;
-  jd_flips : int;
-}
-
-let json_experiments : json_experiment list ref = ref []
-let json_solver_rows : json_solver_row list ref = ref []
-let json_simplify_rows : json_simplify_row list ref = ref []
-let json_stage_rows : json_stage_row list ref = ref []
-let json_rob_rows : json_rob_row list ref = ref []
-let json_portfolio_rows : json_portfolio_row list ref = ref []
-let json_simplify_geomean = ref nan
-let json_portfolio_geomean = ref nan
-let json_portfolio_effective = ref 1
-let json_campaign_rows : json_campaign_row list ref = ref []
-let json_dist_rows : json_dist_row list ref = ref []
-let json_dist_geomean = ref nan
-let json_dist_workers = ref 0
-let json_dist_restarts = ref 0
-let json_dist_killed = ref false
-let json_dist_resume_flips = ref 0
-let json_dist_resume_skipped = ref 0
-let json_dist_resume_merged = ref 0
-let json_campaign_records = ref 0
-let json_campaign_kill_at = ref 0
-let json_campaign_skipped = ref 0
-let json_campaign_rerun = ref 0
-let json_campaign_write_errors = ref 0
-let json_campaign_recovered_bytes = ref 0
-let json_campaign_restarts = ref 0
-let json_campaign_gave_up = ref 0
-
-(* Verdict flips between the uninterrupted and the killed-and-resumed
-   campaign detected by R2 (plus supervised tasks that misbehaved); like
-   the other flip counters, nonzero fails the whole bench run. *)
-let campaign_flips = ref 0
-
-(* Verdict flips between the serial and the N-worker-process lane (or the
-   killed-and-resumed one) detected by dist; nonzero fails the run. *)
-let dist_flips = ref 0
-
-(* Fault-induced verdict flips detected by rob; like pipeline verdict
-   mismatches, a nonzero count fails the whole bench run. *)
-let rob_flips = ref 0
-
-(* Verdict mismatches between pipeline configurations detected by S1; a
-   nonzero count fails the whole bench run (CI perf-smoke trips on it). *)
-let verdict_mismatches = ref 0
-
-(* Verdict flips between the single-solver and portfolio lanes detected by
-   P1; a nonzero count fails the whole bench run. *)
-let portfolio_flips = ref 0
-
-let write_json path =
-  let buf = Buffer.create 4096 in
-  let tm = Unix.localtime (Unix.gettimeofday ()) in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"gqed-bench/8\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"date\": \"%04d-%02d-%02d\",\n" (tm.Unix.tm_year + 1900)
-       (tm.Unix.tm_mon + 1) tm.Unix.tm_mday);
-  Buffer.add_string buf (Printf.sprintf "  \"jobs\": %d,\n" !jobs);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"recommended_domains\": %d,\n" (Par.default_jobs ()));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"unknown_verdicts\": %d,\n" (Atomic.get unknown_verdicts));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"escalation_attempts\": %d,\n" (Atomic.get escalation_attempts));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"obs\": {\"enabled\": %b, \"trace_events\": %d, \"trace_wellformed\": %s, \
-        \"verdict_flips\": %d},\n"
-       (Obs.on ()) !obs_trace_events
-       (match !obs_trace_wellformed with
-       | None -> "null"
-       | Some b -> string_of_bool b)
-       !obs_flips);
-  Buffer.add_string buf "  \"experiments\": [\n";
-  List.iteri
-    (fun i e ->
-      let speedup =
-        Report.json_float_opt
-          (Report.est_speedup_vs_1domain ~starved:e.je_starved ~wall_s:e.je_wall_s
-             ~task_sum_s:e.je_task_sum_s)
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"id\": %S, \"wall_s\": %.3f, \"task_sum_s\": %.3f, \
-            \"starved\": %b, \"est_speedup_vs_1domain\": %s}%s\n"
-           e.je_id e.je_wall_s e.je_task_sum_s e.je_starved speedup
-           (if i = List.length !json_experiments - 1 then "" else ",")))
-    !json_experiments;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"solver\": [\n";
-  let rows = !json_solver_rows in
-  List.iteri
-    (fun i r ->
-      let st = r.js_stats in
-      let sp = r.js_simp in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"design\": %S, \"bound\": %d, \"verdict\": %S, \"time_s\": %.3f, \
-            \"warm\": %b, \
-            \"cnf_vars\": %d, \"cnf_clauses\": %d, \"conflicts\": %d, \"decisions\": %d, \
-            \"propagations\": %d, \"restarts\": %d, \"learnt_clauses\": %d, \
-            \"clauses_exported\": %d, \"clauses_imported\": %d, \
-            \"simp\": {\"queries\": %d, \"coi_regs_before\": %d, \"coi_regs_after\": %d, \
-            \"rewrite_hits\": %d, \"clauses_emitted\": %d, \"clauses_plain\": %d, \
-            \"single_pol_nodes\": %d, \"pre_subsumed\": %d, \"pre_strengthened\": %d, \
-            \"pre_eliminated\": %d, \"pre_units\": %d, \"t_rewrite_s\": %.3f, \
-            \"t_cnf_s\": %.3f}}%s\n"
-           r.js_design r.js_bound r.js_verdict r.js_time_s r.js_warm r.js_cnf_vars
-           r.js_cnf_clauses
-           st.Sat.Solver.conflicts st.Sat.Solver.decisions st.Sat.Solver.propagations
-           st.Sat.Solver.restarts st.Sat.Solver.learnt_clauses
-           st.Sat.Solver.clauses_exported st.Sat.Solver.clauses_imported
-           sp.Bmc.Engine.ss_queries
-           sp.Bmc.Engine.ss_coi_regs_before sp.Bmc.Engine.ss_coi_regs_after
-           sp.Bmc.Engine.ss_rewrite_hits sp.Bmc.Engine.ss_clauses_emitted
-           sp.Bmc.Engine.ss_clauses_plain sp.Bmc.Engine.ss_single_pol
-           sp.Bmc.Engine.ss_pre.Sat.Solver.pre_subsumed
-           sp.Bmc.Engine.ss_pre.Sat.Solver.pre_strengthened
-           sp.Bmc.Engine.ss_pre.Sat.Solver.pre_eliminated
-           sp.Bmc.Engine.ss_pre.Sat.Solver.pre_units sp.Bmc.Engine.ss_t_rewrite
-           sp.Bmc.Engine.ss_t_cnf
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"simplify\": {\n";
-  Buffer.add_string buf
-    (Printf.sprintf "    \"geo_mean_clause_reduction\": %s,\n"
-       (if Float.is_nan !json_simplify_geomean then "null"
-        else Printf.sprintf "%.4f" !json_simplify_geomean));
-  Buffer.add_string buf
-    (Printf.sprintf "    \"verdict_mismatches\": %d,\n" !verdict_mismatches);
-  Buffer.add_string buf "    \"matrix\": [\n";
-  let srows = !json_simplify_rows in
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "      {\"design\": %S, \"case\": %S, \"verdict_off\": %S, \"verdict_on\": %S, \
-            \"vars_off\": %d, \"vars_on\": %d, \"clauses_off\": %d, \"clauses_on\": %d, \
-            \"time_off_s\": %.3f, \"time_on_s\": %.3f}%s\n"
-           r.jp_design r.jp_case r.jp_verdict_off r.jp_verdict_on r.jp_vars_off r.jp_vars_on
-           r.jp_clauses_off r.jp_clauses_on r.jp_time_off_s r.jp_time_on_s
-           (if i = List.length srows - 1 then "" else ",")))
-    srows;
-  Buffer.add_string buf "    ],\n";
-  Buffer.add_string buf "    \"ablation\": [\n";
-  let grows = !json_stage_rows in
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "      {\"design\": %S, \"stage\": %S, \"vars\": %d, \"clauses\": %d, \
-            \"time_s\": %.3f}%s\n"
-           r.jg_design r.jg_stage r.jg_vars r.jg_clauses r.jg_time_s
-           (if i = List.length grows - 1 then "" else ",")))
-    grows;
-  Buffer.add_string buf "    ]\n  },\n";
-  Buffer.add_string buf "  \"robustness\": {\n";
-  Buffer.add_string buf (Printf.sprintf "    \"verdict_flips\": %d,\n" !rob_flips);
-  Buffer.add_string buf "    \"matrix\": [\n";
-  let rrows = !json_rob_rows in
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "      {\"design\": %S, \"rate\": %.3f, \"trials\": %d, \"unknown\": %d, \
-            \"flips\": %d, \"escalation_recovered\": %b}%s\n"
-           r.jr_design r.jr_rate r.jr_trials r.jr_unknown r.jr_flips r.jr_recovered
-           (if i = List.length rrows - 1 then "" else ",")))
-    rrows;
-  Buffer.add_string buf "    ]\n  },\n";
-  Buffer.add_string buf "  \"portfolio\": {\n";
-  Buffer.add_string buf (Printf.sprintf "    \"requested_workers\": %d,\n" !portfolio_width);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"effective_workers\": %d,\n" !json_portfolio_effective);
-  Buffer.add_string buf (Printf.sprintf "    \"share\": %b,\n" !portfolio_share);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"verdict_flips\": %d,\n" !portfolio_flips);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"speedup_geo_mean\": %s,\n"
-       (if Float.is_nan !json_portfolio_geomean then "null"
-        else Printf.sprintf "%.4f" !json_portfolio_geomean));
-  let prows = !json_portfolio_rows in
-  let p_exp = List.fold_left (fun a r -> a + r.jpf_exported) 0 prows in
-  let p_imp = List.fold_left (fun a r -> a + r.jpf_imported) 0 prows in
-  Buffer.add_string buf (Printf.sprintf "    \"clauses_exported\": %d,\n" p_exp);
-  Buffer.add_string buf (Printf.sprintf "    \"clauses_imported\": %d,\n" p_imp);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"share_hit_rate\": %s,\n"
-       (if p_exp = 0 then "null"
-        else Printf.sprintf "%.4f" (float_of_int p_imp /. float_of_int p_exp)));
-  Buffer.add_string buf "    \"matrix\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "      {\"design\": %S, \"case\": %S, \"verdict_single\": %S, \
-            \"verdict_portfolio\": %S, \"time_single_s\": %.3f, \
-            \"time_portfolio_s\": %.3f, \"exported\": %d, \"imported\": %d}%s\n"
-           r.jpf_design r.jpf_case r.jpf_verdict_single r.jpf_verdict_portfolio
-           r.jpf_time_single_s r.jpf_time_portfolio_s r.jpf_exported r.jpf_imported
-           (if i = List.length prows - 1 then "" else ",")))
-    prows;
-  Buffer.add_string buf "    ]\n  },\n";
-  Buffer.add_string buf "  \"campaign\": {\n";
-  Buffer.add_string buf
-    (Printf.sprintf "    \"checkpoint\": %s,\n"
-       (match !checkpoint_path with
-       | None -> "null"
-       | Some p -> Printf.sprintf "%S" p));
-  Buffer.add_string buf
-    (Printf.sprintf "    \"checkpoint_skips\": %d,\n" (Atomic.get campaign_skips));
-  Buffer.add_string buf (Printf.sprintf "    \"records\": %d,\n" !json_campaign_records);
-  Buffer.add_string buf (Printf.sprintf "    \"kill_at\": %d,\n" !json_campaign_kill_at);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"skipped_on_resume\": %d,\n" !json_campaign_skipped);
-  Buffer.add_string buf (Printf.sprintf "    \"rerun\": %d,\n" !json_campaign_rerun);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"verdict_flips\": %d,\n" !campaign_flips);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"write_errors\": %d,\n" !json_campaign_write_errors);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"recovered_bytes\": %d,\n" !json_campaign_recovered_bytes);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"supervisor_restarts\": %d,\n" !json_campaign_restarts);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"supervisor_gave_up\": %d,\n" !json_campaign_gave_up);
-  Buffer.add_string buf "    \"matrix\": [\n";
-  let krows = !json_campaign_rows in
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "      {\"design\": %S, \"case\": %S, \"full\": %S, \"resumed\": %S}%s\n"
-           r.jk_design r.jk_case r.jk_full r.jk_resumed
-           (if i = List.length krows - 1 then "" else ",")))
-    krows;
-  Buffer.add_string buf "    ]\n  },\n";
-  Buffer.add_string buf "  \"dist\": {\n";
-  Buffer.add_string buf (Printf.sprintf "    \"workers\": %d,\n" !json_dist_workers);
-  Buffer.add_string buf (Printf.sprintf "    \"batch\": %d,\n" !dist_batch);
-  Buffer.add_string buf (Printf.sprintf "    \"verdict_flips\": %d,\n" !dist_flips);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"speedup_geo_mean\": %s,\n"
-       (if Float.is_nan !json_dist_geomean then "null"
-        else Printf.sprintf "%.4f" !json_dist_geomean));
-  Buffer.add_string buf
-    (Printf.sprintf "    \"worker_restarts\": %d,\n" !json_dist_restarts);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "    \"kill\": {\"killed\": %b, \"resume_flips\": %d, \
-        \"skipped_on_resume\": %d, \"merged_records\": %d},\n"
-       !json_dist_killed !json_dist_resume_flips !json_dist_resume_skipped
-       !json_dist_resume_merged);
-  Buffer.add_string buf "    \"matrix\": [\n";
-  let drows = !json_dist_rows in
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "      {\"design\": %S, \"cells\": %d, \"serial_task_s\": %.3f, \
-            \"dist_task_s\": %.3f, \"flips\": %d}%s\n"
-           r.jd_design r.jd_cells r.jd_serial_s r.jd_dist_s r.jd_flips
-           (if i = List.length drows - 1 then "" else ",")))
-    drows;
-  Buffer.add_string buf "    ]\n  }\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "bench report written to %s\n" path
+let par_map f xs = Par.map ~jobs:!jobs f xs
 
 let header title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '-')
@@ -617,6 +269,16 @@ let class_name e = if e.Entry.interfering then "interfering" else "non-interf."
 
 (* Shared mutant suites (one mutant per operator so the harness stays fast). *)
 let mutant_suite e = Mutation.mutants ~per_operator_limit:1 e.Entry.design
+
+let mutant_label m =
+  Printf.sprintf "%s:%s"
+    (Mutation.operator_to_string m.Mutation.operator)
+    m.Mutation.target
+
+(* A design's matrix row: the correct design, then its mutant suite. *)
+let design_cases e =
+  ("correct", e.Entry.design)
+  :: List.map (fun (m, mutant) -> (mutant_label m, mutant)) (mutant_suite e)
 
 (* ------------------------------------------------------------------ *)
 (* T1: benchmark suite characteristics.                                 *)
@@ -788,29 +450,12 @@ let t3 () =
               ~bound:e.Entry.rec_bound))
       Registry.all
   in
-  par_task_seconds :=
-    !par_task_seconds +. List.fold_left (fun acc (_, dt) -> acc +. dt) 0.0 rows;
   List.iter
     (fun ((e, (report, warm)), dt) ->
       Printf.printf "%-12s %6d %9d %9d %10d %9s %8.2f%s\n%!" e.Entry.name
         e.Entry.rec_bound report.Checks.cnf_vars report.Checks.cnf_clauses
         report.Checks.sat_stats.Sat.Solver.conflicts (short_verdict report) dt
-        (if warm then "  (journal)" else "");
-      json_solver_rows :=
-        !json_solver_rows
-        @ [
-            {
-              js_design = e.Entry.name;
-              js_bound = e.Entry.rec_bound;
-              js_verdict = verdict_key report;
-              js_time_s = dt;
-              js_warm = warm;
-              js_stats = report.Checks.sat_stats;
-              js_cnf_vars = report.Checks.cnf_vars;
-              js_cnf_clauses = report.Checks.cnf_clauses;
-              js_simp = report.Checks.simp;
-            };
-          ])
+        (if warm then "  (journal)" else ""))
     rows
 
 (* ------------------------------------------------------------------ *)
@@ -861,14 +506,12 @@ let t5 () =
            | `Deterministic n -> Printf.sprintf "deterministic (%d keys)" n
            | `Conflict _ -> "CONFLICT"
          in
-         let agree =
-           match (table, pass) with
-           | `Deterministic _, true | `Conflict _, false -> "yes"
-           | _ -> "NO"
+         let expected =
+           match table with `Deterministic _ -> "pass" | `Conflict _ -> "fail"
          in
-         Printf.printf "%-12s %24s %8s %8s\n%!" name table_str
-           (if pass then "pass" else "fail")
-           agree);
+         let got = if pass then "pass" else "fail" in
+         Printf.printf "%-12s %24s %8s %8s\n%!" name table_str got
+           (if agree "t5" name ~expected ~got then "yes" else "NO"));
   Printf.printf "\nInjected interference (hidden-output mutants):\n";
   par_map
     (fun name ->
@@ -888,36 +531,45 @@ let t5 () =
           let report = check Checks.Gqed mutant e.Entry.iface ~bound:6 in
           let genuine =
             match report.Checks.verdict with
-            | Checks.Fail f -> Theory.witness_is_genuine mutant e.Entry.iface f
-            | Checks.Pass _ | Checks.Unknown _ -> false
+            | Checks.Fail f -> Some (Theory.witness_is_genuine mutant e.Entry.iface f)
+            | Checks.Pass _ | Checks.Unknown _ -> None
           in
           Some (name, table, passed report, genuine))
     small
   |> List.iter (function
        | None -> ()
        | Some (name, table, pass, genuine) ->
+           if genuine = Some false then
+             disagree "t5" (name ^ "/hidden_output") ~expected:"genuine witness"
+               ~got:"spurious witness";
            Printf.printf "  %-12s brute-force=%-8s gqed=%-5s witness-genuine=%b\n%!" name
              (match table with `Conflict _ -> "conflict" | `Deterministic _ -> "det")
              (if pass then "pass" else "fail")
-             genuine);
+             (genuine = Some true));
   (* Every G-QED counterexample found on three mutant suites replays as a
      genuine inconsistency. One task per (design, mutant) pair. *)
   let pairs =
     List.concat_map
       (fun name ->
         let e = Registry.find name in
-        List.map (fun (_m, mutant) -> (e, mutant)) (mutant_suite e))
+        List.map (fun (m, mutant) -> (e, mutant_label m, mutant)) (mutant_suite e))
       [ "accum"; "maxtrack"; "seqdet" ]
   in
   let verdicts =
     par_map
-      (fun (e, mutant) ->
+      (fun (e, _label, mutant) ->
         let report = check Checks.Gqed mutant e.Entry.iface ~bound:e.Entry.rec_bound in
         match report.Checks.verdict with
         | Checks.Fail f -> Some (Theory.witness_is_genuine mutant e.Entry.iface f)
         | Checks.Pass _ | Checks.Unknown _ -> None)
       pairs
   in
+  List.iter2
+    (fun (e, label, _) v ->
+      if v = Some false then
+        disagree "t5" (e.Entry.name ^ "/" ^ label) ~expected:"genuine witness"
+          ~got:"spurious witness")
+    pairs verdicts;
   let total = List.length (List.filter Option.is_some verdicts) in
   let genuine = List.length (List.filter (fun v -> v = Some true) verdicts) in
   Printf.printf "\nWitness soundness: %d/%d reported counterexamples replay as genuine\n"
@@ -990,16 +642,22 @@ let a2 () =
             Bmc.check_safety ~assumes ~simplify:!pipeline ~mono:true
               ~limits:(bench_limits ()) ~design:e.Entry.design ~invariant ~depth ())
       in
+      let show = function
+        | Bmc.Holds a -> Printf.sprintf "holds<=%d" a
+        | Bmc.Violated w -> Printf.sprintf "cex@%d" w.Bmc.w_length
+        | Bmc.Unknown u ->
+            Printf.sprintf "unknown:%s" (Sat.Solver.reason_to_string u.Bmc.un_reason)
+      in
       let result, same =
         match (r1, r2) with
-        | Bmc.Holds a, Bmc.Holds b -> (Printf.sprintf "holds<=%d" a, a = b)
-        | Bmc.Violated a, Bmc.Violated b ->
-            (Printf.sprintf "cex@%d" a.Bmc.w_length, a.Bmc.w_length = b.Bmc.w_length)
-        | (Bmc.Unknown u, _ | _, Bmc.Unknown u) ->
-            (* Not a mismatch: one side gave up under the --timeout or
-               --max-conflicts budget, so there is nothing to compare. *)
-            (Printf.sprintf "unknown:%s" (Sat.Solver.reason_to_string u.Bmc.un_reason), true)
-        | _ -> ("DISAGREE", false)
+        (* Not a mismatch: one side gave up under the --timeout or
+           --max-conflicts budget, so there is nothing to compare. *)
+        | Bmc.Unknown _, _ -> (show r1, true)
+        | _, Bmc.Unknown _ -> (show r2, true)
+        | _ ->
+            ( show r1,
+              agree "a2" (Printf.sprintf "depth %d" depth) ~expected:(show r1)
+                ~got:(show r2) )
       in
       Printf.printf "%-8d %14.3f %14.3f %10s%s\n%!" depth t_inc t_mono result
         (if same then "" else "  MISMATCH"))
@@ -1111,23 +769,14 @@ let s1 () =
   List.iter
     (fun (name, stage, report, dt) ->
       let vk = verdict_key report in
-      let mismatch = baseline_verdict name <> Some vk in
-      if mismatch then incr verdict_mismatches;
-      let sent = report.Checks.simp.Bmc.Engine.ss_clauses_emitted in
+      let same =
+        agree "s1" (name ^ "/" ^ stage)
+          ~expected:(Option.value (baseline_verdict name) ~default:"<no baseline>")
+          ~got:vk
+      in
       Printf.printf "%-12s %-8s %9d %9d %10s %8.2f%s\n%!" name stage report.Checks.cnf_vars
-        sent vk dt
-        (if mismatch then "  VERDICT MISMATCH" else "");
-      json_stage_rows :=
-        !json_stage_rows
-        @ [
-            {
-              jg_design = name;
-              jg_stage = stage;
-              jg_vars = report.Checks.cnf_vars;
-              jg_clauses = sent;
-              jg_time_s = dt;
-            };
-          ])
+        report.Checks.simp.Bmc.Engine.ss_clauses_emitted vk dt
+        (if same then "" else "  VERDICT MISMATCH"))
     ablation;
   (* Off-vs-on over the full design x mutant matrix (same mutant suites as
      T2), monolithic mode on both sides so the comparison is controlled.
@@ -1135,76 +784,52 @@ let s1 () =
      the per-case ratios feed the geo-mean reduction figure. *)
   let cases =
     List.concat_map
-      (fun e ->
-        ("correct", e, e.Entry.design)
-        :: List.map
-             (fun (m, mutant) ->
-               ( Printf.sprintf "%s:%s" (Mutation.operator_to_string m.Mutation.operator)
-                   m.Mutation.target,
-                 e,
-                 mutant ))
-             (mutant_suite e))
+      (fun e -> List.map (fun (label, design) -> (e, label, design)) (design_cases e))
       entries
   in
   let matrix =
     par_map
-      (fun (label, e, design) ->
-        let off, t_off =
-          time (fun () ->
-              check ~simplify:Bmc.no_simplify ~mono:true Checks.Gqed design e.Entry.iface
-                ~bound:e.Entry.rec_bound)
+      (fun (e, label, design) ->
+        let run simplify =
+          check ~simplify ~mono:true Checks.Gqed design e.Entry.iface
+            ~bound:e.Entry.rec_bound
         in
-        let on, t_on =
-          time (fun () ->
-              check ~mono:true Checks.Gqed design e.Entry.iface ~bound:e.Entry.rec_bound)
-        in
-        {
-          jp_design = e.Entry.name;
-          jp_case = label;
-          jp_verdict_off = verdict_key off;
-          jp_verdict_on = verdict_key on;
-          jp_vars_off = off.Checks.cnf_vars;
-          jp_vars_on = on.Checks.cnf_vars;
-          jp_clauses_off = off.Checks.simp.Bmc.Engine.ss_clauses_emitted;
-          jp_clauses_on = on.Checks.simp.Bmc.Engine.ss_clauses_emitted;
-          jp_time_off_s = t_off;
-          jp_time_on_s = t_on;
-        })
+        let off = run Bmc.no_simplify in
+        let on = run Bmc.default_simplify in
+        (e.Entry.name, label, off, on))
       cases
   in
   Printf.printf "\noff vs on over the design x mutant matrix (%d cases):\n"
     (List.length matrix);
   Printf.printf "%-12s %-28s %10s %10s %7s %10s\n" "design" "case" "cl(off)" "cl(on)"
     "saved" "verdict";
-  let log_sum = ref 0.0 and log_n = ref 0 in
-  List.iter
-    (fun r ->
-      let mismatch = r.jp_verdict_off <> r.jp_verdict_on in
-      if mismatch then incr verdict_mismatches;
-      if r.jp_clauses_off > 0 && r.jp_clauses_on > 0 then begin
-        log_sum :=
-          !log_sum +. log (float_of_int r.jp_clauses_on /. float_of_int r.jp_clauses_off);
-        incr log_n
-      end;
-      let saved =
-        if r.jp_clauses_off > 0 then
-          Printf.sprintf "%.0f%%"
-            (100.0 *. (1.0 -. (float_of_int r.jp_clauses_on /. float_of_int r.jp_clauses_off)))
-        else "-"
-      in
-      Printf.printf "%-12s %-28s %10d %10d %7s %10s%s\n%!" r.jp_design r.jp_case
-        r.jp_clauses_off r.jp_clauses_on saved r.jp_verdict_on
-        (if mismatch then
-           Printf.sprintf "  VERDICT MISMATCH (off: %s)" r.jp_verdict_off
-         else ""))
-    matrix;
-  json_simplify_rows := !json_simplify_rows @ matrix;
-  if !log_n > 0 then begin
-    let geo = 1.0 -. exp (!log_sum /. float_of_int !log_n) in
-    json_simplify_geomean := geo;
-    Printf.printf "\ngeo-mean clause reduction: %.1f%% over %d cases; verdict mismatches: %d\n"
-      (100.0 *. geo) !log_n !verdict_mismatches
-  end
+  let ratios =
+    List.filter_map
+      (fun (name, label, off, on) ->
+        let vk_off = verdict_key off and vk_on = verdict_key on in
+        let same = agree "s1" (name ^ "/" ^ label) ~expected:vk_off ~got:vk_on in
+        let cl_off = off.Checks.simp.Bmc.Engine.ss_clauses_emitted
+        and cl_on = on.Checks.simp.Bmc.Engine.ss_clauses_emitted in
+        let saved =
+          if cl_off > 0 then
+            Printf.sprintf "%.0f%%"
+              (100.0 *. (1.0 -. (float_of_int cl_on /. float_of_int cl_off)))
+          else "-"
+        in
+        Printf.printf "%-12s %-28s %10d %10d %7s %10s%s\n%!" name label cl_off cl_on saved
+          vk_on
+          (if same then "" else Printf.sprintf "  VERDICT MISMATCH (off: %s)" vk_off);
+        if cl_off > 0 && cl_on > 0 then Some (float_of_int cl_on, float_of_int cl_off)
+        else None)
+      matrix
+  in
+  match Report.geo_mean_ratio ratios with
+  | None -> ()
+  | Some kept ->
+      Printf.printf
+        "\ngeo-mean clause reduction: %.1f%% over %d cases; verdict mismatches: %d\n"
+        (100.0 *. (1.0 -. kept))
+        (List.length ratios) (flip_count "s1")
 
 (* ------------------------------------------------------------------ *)
 (* F1: G-QED runtime vs unroll bound (scaling curves).                  *)
@@ -1226,8 +851,6 @@ let f1 () =
         check_warm ~simplify:!pipeline Checks.Gqed e.Entry.design e.Entry.iface ~bound)
       cells
   in
-  par_task_seconds :=
-    !par_task_seconds +. List.fold_left (fun acc (_, dt) -> acc +. dt) 0.0 timed;
   let warm_any = ref false in
   List.iteri
     (fun bi bound ->
@@ -1242,25 +865,7 @@ let f1 () =
     bounds;
   if !warm_any then
     Printf.printf
-      "(* = served warm from the --checkpoint journal; lookup time, not solve time)\n";
-  List.iter2
-    (fun (bound, name) ((report, warm), dt) ->
-      json_solver_rows :=
-        !json_solver_rows
-        @ [
-            {
-              js_design = name;
-              js_bound = bound;
-              js_verdict = verdict_key report;
-              js_time_s = dt;
-              js_warm = warm;
-              js_stats = report.Checks.sat_stats;
-              js_cnf_vars = report.Checks.cnf_vars;
-              js_cnf_clauses = report.Checks.cnf_clauses;
-              js_simp = report.Checks.simp;
-            };
-          ])
-    cells timed
+      "(* = served warm from the --checkpoint journal; lookup time, not solve time)\n"
 
 (* ------------------------------------------------------------------ *)
 (* F2: CRV detection rate vs budget, with the G-QED one-shot line.      *)
@@ -1391,10 +996,13 @@ let rob () =
           ~policy:{ Bmc.Escalate.default_policy with max_attempts = 8; growth = 8.0 }
           ~limits:starved Checks.Gqed e.Entry.design e.Entry.iface ~bound
       in
-      let recovered = verdict_key recovered_report = ref_key in
-      (match recovered_report.Checks.verdict with
-      | Checks.Unknown _ -> () (* stayed undecided: not a flip, just reported *)
-      | Checks.Pass _ | Checks.Fail _ -> if not recovered then incr rob_flips);
+      let recovered =
+        match recovered_report.Checks.verdict with
+        | Checks.Unknown _ -> false (* stayed undecided: not a flip, just reported *)
+        | Checks.Pass _ | Checks.Fail _ ->
+            agree "rob" (name ^ "/escalation") ~expected:ref_key
+              ~got:(verdict_key recovered_report)
+      in
       List.iter
         (fun rate ->
           let outcomes =
@@ -1417,30 +1025,21 @@ let rob () =
           in
           let flips =
             List.length
-              (List.filter
-                 (fun r ->
+              (List.filteri
+                 (fun trial r ->
                    match r.Checks.verdict with
                    | Checks.Unknown _ -> false
-                   | Checks.Pass _ | Checks.Fail _ -> verdict_key r <> ref_key)
+                   | Checks.Pass _ | Checks.Fail _ ->
+                       not
+                         (agree "rob"
+                            (Printf.sprintf "%s/rate %.3f/trial %d" name rate trial)
+                            ~expected:ref_key ~got:(verdict_key r)))
                  outcomes)
           in
-          rob_flips := !rob_flips + flips;
           Printf.printf "%-12s %6.3f %8d %9d %7d %12s%s\n%!" name rate trials unknown flips
             (if recovered then "recovered"
              else "gave-up (" ^ short_verdict recovered_report ^ ")")
-            (if flips > 0 then "  VERDICT FLIP" else "");
-          json_rob_rows :=
-            !json_rob_rows
-            @ [
-                {
-                  jr_design = name;
-                  jr_rate = rate;
-                  jr_trials = trials;
-                  jr_unknown = unknown;
-                  jr_flips = flips;
-                  jr_recovered = recovered;
-                };
-              ])
+            (if flips > 0 then "  VERDICT FLIP" else ""))
         rates)
     designs;
   (* Watchdog: a deliberately oversized query runs next to a small one under
@@ -1481,7 +1080,7 @@ let rob () =
       (match r_small.Checks.verdict with
       | Checks.Pass _ -> ()
       | Checks.Fail _ | Checks.Unknown _ ->
-          incr rob_flips;
+          disagree "rob" "watchdog sibling" ~expected:"pass" ~got:(verdict_key r_small);
           Printf.printf "  SIBLING AFFECTED: small query did not pass\n")
   | _ -> ());
   Printf.printf "  fan-out wall clock: %.2fs (a hung query no longer blocks the run)\n" wall
@@ -1498,7 +1097,6 @@ let p1 () =
   (* The portfolio is p1's only parallelism (cells run sequentially), so
      the jobs x portfolio product reduces to the portfolio width here. *)
   let effective, clamped = Par.clamp_inner ~jobs:1 ~inner:requested in
-  json_portfolio_effective := effective;
   if clamped then
     Printf.printf
       "bench: warning: --portfolio %d exceeds %d available core(s); portfolio clamped \
@@ -1526,20 +1124,10 @@ let p1 () =
   in
   Printf.printf "%-12s %-18s %-16s %-16s %7s %7s %7s %9s %9s\n" "design" "case" "single"
     "portfolio" "t1(s)" "tN(s)" "speedup" "exported" "imported";
-  let speedups = ref [] in
+  let timings = ref [] and n_cells = ref 0 in
   List.iter
     (fun e ->
       let bound = e.Entry.rec_bound in
-      let cells =
-        ("correct", e.Entry.design)
-        :: List.map
-             (fun (m, mutant) ->
-               ( Printf.sprintf "%s:%s"
-                   (Mutation.operator_to_string m.Mutation.operator)
-                   m.Mutation.target,
-                 mutant ))
-             (mutant_suite e)
-      in
       List.iter
         (fun (label, design) ->
           let single, t_single =
@@ -1556,44 +1144,28 @@ let p1 () =
           in
           let vk_single = verdict_key single in
           let vk_portfolio = verdict_key portfolio in
-          let flip = vk_single <> vk_portfolio in
-          if flip then incr portfolio_flips;
+          let same =
+            agree "p1" (e.Entry.name ^ "/" ^ label) ~expected:vk_single ~got:vk_portfolio
+          in
+          incr n_cells;
           (* Only the correct cells feed the speedup figure: their queries
              are the all-UNSAT deepening ladder, the hard subset. *)
-          if label = "correct" && t_portfolio > 0.0 then
-            speedups := (t_single /. t_portfolio) :: !speedups;
+          if label = "correct" && t_single > 0.0 && t_portfolio > 0.0 then
+            timings := (t_single, t_portfolio) :: !timings;
           let st = portfolio.Checks.sat_stats in
           Printf.printf "%-12s %-18s %-16s %-16s %7.2f %7.2f %7.2f %9d %9d%s\n%!"
             e.Entry.name label vk_single vk_portfolio t_single t_portfolio
             (if t_portfolio > 0.0 then t_single /. t_portfolio else Float.nan)
             st.Sat.Solver.clauses_exported st.Sat.Solver.clauses_imported
-            (if flip then "  VERDICT FLIP" else "");
-          json_portfolio_rows :=
-            !json_portfolio_rows
-            @ [
-                {
-                  jpf_design = e.Entry.name;
-                  jpf_case = label;
-                  jpf_verdict_single = vk_single;
-                  jpf_verdict_portfolio = vk_portfolio;
-                  jpf_time_single_s = t_single;
-                  jpf_time_portfolio_s = t_portfolio;
-                  jpf_exported = st.Sat.Solver.clauses_exported;
-                  jpf_imported = st.Sat.Solver.clauses_imported;
-                };
-              ])
-        cells)
+            (if same then "" else "  VERDICT FLIP"))
+        (design_cases e))
     entries;
-  (match !speedups with
-  | [] -> ()
-  | ss ->
-      let geo =
-        exp (List.fold_left (fun a s -> a +. log s) 0.0 ss /. float_of_int (List.length ss))
-      in
-      json_portfolio_geomean := geo;
+  (match Report.geo_mean_ratio !timings with
+  | None -> ()
+  | Some geo ->
       Printf.printf
         "\nhard-query (correct-cell) wall-clock speedup, geo-mean over %d designs: %.2fx\n"
-        (List.length ss) geo;
+        (List.length !timings) geo;
       if effective > 1 && geo <= 1.0 then
         Printf.printf
           "  note: portfolio no faster than single-solver on this machine/run\n"
@@ -1602,9 +1174,8 @@ let p1 () =
           "  note: 1 effective worker (requested %d) — speedup comparison measures \
            portfolio overhead only\n"
           requested);
-  if !portfolio_flips = 0 then
-    Printf.printf "portfolio vs single verdicts: all %d cells agree\n"
-      (List.length !json_portfolio_rows)
+  if flip_count "p1" = 0 then
+    Printf.printf "portfolio vs single verdicts: all %d cells agree\n" !n_cells
 
 (* ------------------------------------------------------------------ *)
 (* OBS: tracing is verdict-invisible and emitted traces are well-formed. *)
@@ -1638,27 +1209,19 @@ let obs_exp () =
       if not was_on then Obs.disable ();
       let trace_cell =
         match Obs.Trace.check events with
-        | _ when events = [] ->
-            incr obs_malformed;
-            "EMPTY"
+        | _ when events = [] -> "EMPTY"
         | Ok () -> Printf.sprintf "%d ok" (List.length events)
-        | Error _ ->
-            incr obs_malformed;
-            "MALFORMED"
+        | Error _ -> "MALFORMED"
       in
-      obs_trace_events := !obs_trace_events + List.length events;
-      obs_trace_wellformed :=
-        Some
-          (Option.value !obs_trace_wellformed ~default:true
-          && trace_cell <> "MALFORMED" && trace_cell <> "EMPTY");
+      if trace_cell = "EMPTY" || trace_cell = "MALFORMED" then
+        disagree "obs" (e.Entry.name ^ "/trace") ~expected:"well-formed" ~got:trace_cell;
       let vk_plain = verdict_key plain and vk_traced = verdict_key traced in
-      let flip = vk_plain <> vk_traced in
-      if flip then incr obs_flips;
+      let same = agree "obs" e.Entry.name ~expected:vk_plain ~got:vk_traced in
       Printf.printf "%-12s %-12s %-12s %8.2f %8.2f %10s%s\n%!" e.Entry.name vk_plain
         vk_traced t_off t_on trace_cell
-        (if flip then "  VERDICT FLIP" else ""))
+        (if same then "" else "  VERDICT FLIP"))
     entries;
-  if !obs_flips = 0 && !obs_malformed = 0 then
+  if flip_count "obs" = 0 then
     Printf.printf "\ntraced vs untraced verdicts: all %d designs agree, traces well-formed\n"
       (List.length entries)
 
@@ -1768,17 +1331,11 @@ let r2 () =
   let entries = List.filter (fun e -> List.mem e.Entry.name wanted) Registry.all in
   let cells =
     List.concat_map
-      (fun e ->
-        ("correct", e, e.Entry.design)
-        :: List.map
-             (fun (m, mutant) ->
-               ( Printf.sprintf "%s:%s"
-                   (Mutation.operator_to_string m.Mutation.operator)
-                   m.Mutation.target,
-                 e,
-                 mutant ))
-             (mutant_suite e))
+      (fun e -> List.map (fun (label, design) -> (label, e, design)) (design_cases e))
       entries
+  in
+  let cell_names lane =
+    List.map (fun (label, e, _) -> Printf.sprintf "%s %s/%s" lane e.Entry.name label) cells
   in
   let limits = bench_limits () in
   (* One pass over the cells through a journal at [path]: supervised
@@ -1833,27 +1390,21 @@ let r2 () =
   let j_kill = tmp_journal "kill" in
   let full, stats_full = run_campaign ~resume:false j_kill in
   let n_records = stats_full.Persist.Campaign.c_appended in
-  json_campaign_records := n_records;
   (* Kill: keep a seeded-random prefix of the journal plus a torn partial
      record — the exact on-disk state a SIGKILL mid-append leaves. *)
   let rand = Random.State.make [| 0x9e2; 0xd15c; !seed; List.length cells |] in
   let kill_at = if n_records <= 1 then 0 else Random.State.int rand n_records in
-  json_campaign_kill_at := kill_at;
   Persist.Journal.chop ~torn_bytes:9 ~keep:kill_at j_kill;
   let resumed, stats_res = run_campaign ~resume:true j_kill in
-  json_campaign_skipped := stats_res.Persist.Campaign.c_hits;
-  json_campaign_rerun := stats_res.Persist.Campaign.c_appended;
-  json_campaign_recovered_bytes := stats_res.Persist.Campaign.c_recovered_bytes;
   Printf.printf "%-12s %-18s %-16s %-16s\n" "design" "case" "full" "resumed";
   List.iter2
     (fun (label, e, _) (vf, vr) ->
-      let flip = vf <> vr in
-      if flip then incr campaign_flips;
+      let same =
+        agree "r2" (Printf.sprintf "kill-resume %s/%s" e.Entry.name label) ~expected:vf
+          ~got:vr
+      in
       Printf.printf "%-12s %-18s %-16s %-16s%s\n%!" e.Entry.name label vf vr
-        (if flip then "  VERDICT FLIP" else "");
-      json_campaign_rows :=
-        !json_campaign_rows
-        @ [ { jk_design = e.Entry.name; jk_case = label; jk_full = vf; jk_resumed = vr } ])
+        (if same then "" else "  VERDICT FLIP"))
     cells
     (List.combine full resumed);
   Printf.printf
@@ -1874,14 +1425,11 @@ let r2 () =
   in
   let j_fault = tmp_journal "fault" in
   let faulty, stats_faulty = run_campaign ~fault ~resume:false j_fault in
-  json_campaign_write_errors := stats_faulty.Persist.Campaign.c_write_errors;
-  let count_flips a b =
-    List.fold_left2 (fun n x y -> if x <> y then n + 1 else n) 0 a b
-  in
-  let fault_flips = count_flips full faulty in
+  let fault_flips = agree_all "r2" ~cells:(cell_names "io-fault") full faulty in
   let resumed_faulty, _ = run_campaign ~resume:true j_fault in
-  let fault_resume_flips = count_flips full resumed_faulty in
-  campaign_flips := !campaign_flips + fault_flips + fault_resume_flips;
+  let fault_resume_flips =
+    agree_all "r2" ~cells:(cell_names "io-fault-resume") full resumed_faulty
+  in
   Printf.printf
     "I/O-fault lane: %d append(s) lost to injected faults, %d flip(s) while faulting, \
      %d flip(s) after resuming the damaged journal\n"
@@ -1901,31 +1449,30 @@ let r2 () =
         name)
       demo
   in
-  let restarts = ref 0 and gave_up = ref 0 in
   List.iter2
     (fun (name, crashes) o ->
-      restarts := !restarts + o.Par.Supervise.s_attempts - 1;
       let ok =
         match o.Par.Supervise.s_result with
         | Ok n -> n = name && crashes < o.Par.Supervise.s_attempts
-        | Error (Par.Supervise.Crash _) ->
-            incr gave_up;
-            crashes = max_int
+        | Error (Par.Supervise.Crash _) -> crashes = max_int
         | Error _ -> false
       in
-      Printf.printf "supervise: %-8s %s after %d attempt(s)\n" name
-        (match o.Par.Supervise.s_result with
+      let status =
+        match o.Par.Supervise.s_result with
         | Ok _ -> "succeeded"
-        | Error cls -> "gave up (" ^ Par.Supervise.class_to_string cls ^ ")")
+        | Error cls -> "gave up (" ^ Par.Supervise.class_to_string cls ^ ")"
+      in
+      Printf.printf "supervise: %-8s %s after %d attempt(s)\n" name status
         o.Par.Supervise.s_attempts;
       (* A misbehaving supervisor is a campaign-correctness bug: gate it
          like a flip. *)
-      if not ok then incr campaign_flips)
+      if not ok then
+        disagree "r2" ("supervise " ^ name)
+          ~expected:(if crashes = max_int then "gave up (crash)" else "succeeded")
+          ~got:status)
     demo outcomes;
-  json_campaign_restarts := !restarts;
-  json_campaign_gave_up := !gave_up;
   List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ j_kill; j_fault ];
-  if !campaign_flips = 0 then
+  if flip_count "r2" = 0 then
     Printf.printf
       "kill/resume, fault and supervision lanes: all %d cells reproduce the \
        uninterrupted matrix\n"
@@ -1952,7 +1499,7 @@ let dist_cells e =
       cell_hint = Checks.campaign_hint d ~bound;
     }
   in
-  cell e.Entry.design :: List.map (fun (_m, mutant) -> cell mutant) (mutant_suite e)
+  List.map (fun (_label, d) -> cell d) (design_cases e)
 
 let dist_tables : (string, (string, Rtl.design * Qed.Iface.t * int) Hashtbl.t) Hashtbl.t =
   Hashtbl.create 4
@@ -1975,7 +1522,7 @@ let dist_solver ~arg key =
                 Hashtbl.replace t
                   (Checks.campaign_key Checks.Gqed d e.Entry.iface ~bound)
                   (d, e.Entry.iface, bound))
-              (e.Entry.design :: List.map snd (mutant_suite e)))
+              (List.map snd (design_cases e)))
           (String.split_on_char ',' arg);
         Hashtbl.add dist_tables arg t;
         t
@@ -2004,7 +1551,6 @@ let dist_exp () =
   let workers =
     if !dist_workers > 0 then !dist_workers else max 2 (min 4 (Par.default_jobs ()))
   in
-  json_dist_workers := workers;
   let policy = dist_policy () in
   Printf.printf
     "The combined campaign over %d design(s) is solved by the same\n\
@@ -2036,10 +1582,20 @@ let dist_exp () =
   let per_design = List.map (fun e -> (e, dist_cells e)) entries in
   let all_cells = List.concat_map snd per_design in
   let all_arg = String.concat "," (List.map (fun e -> e.Entry.name) entries) in
-  let count_flips a b =
-    List.fold_left2
-      (fun n x y -> if dist_verdict x <> dist_verdict y then n + 1 else n)
-      0 a b
+  let cell_names lane =
+    List.concat_map
+      (fun e ->
+        List.map
+          (fun (label, _) -> Printf.sprintf "%s %s/%s" lane e.Entry.name label)
+          (design_cases e))
+      entries
+  in
+  (* [rows] may cover a prefix of the cells only: the restart lane runs
+     the first design alone. *)
+  let lane_flips lane ~reference rows =
+    agree_all "dist"
+      ~cells:(List.filteri (fun i _ -> i < List.length rows) (cell_names lane))
+      (List.map dist_verdict reference) (List.map dist_verdict rows)
   in
   (* Throughput is measured on the combined campaign, where cross-design
      parallelism exists — a single design's matrix is usually dominated
@@ -2053,14 +1609,12 @@ let dist_exp () =
     let (rows1, _), t1 =
       time (fun () -> run_lane ~workers:1 ~journal:j1 ~arg:all_arg ~resume:false all_cells)
     in
-    let (rowsn, stn), tn =
+    let (rowsn, _), tn =
       time (fun () -> run_lane ~workers ~journal:jn ~arg:all_arg ~resume:false all_cells)
     in
     sweep j1;
     sweep jn;
-    json_dist_restarts := !json_dist_restarts + stn.Dist.d_restarts;
-    let flips = count_flips rows1 rowsn in
-    dist_flips := !dist_flips + flips;
+    let flips = lane_flips (Printf.sprintf "trial %d" trial) ~reference:rows1 rowsn in
     if t1 > 0.0 && tn > 0.0 then pairs := (t1, tn) :: !pairs;
     Printf.printf "trial %d: %d cells — serial %.3fs, %d workers %.3fs (%s), %d flip(s)%s\n%!"
       trial (List.length all_cells) t1 workers tn
@@ -2084,26 +1638,18 @@ let dist_exp () =
       let slice rows = List.filteri (fun i _ -> i >= !idx && i < !idx + n) rows in
       let s1 = slice !serial_rows and sn = slice !dist_rows in
       let sum rows = List.fold_left (fun a r -> a +. r.Dist.r_seconds) 0.0 rows in
-      (* already counted into dist_flips by the trial loop *)
-      let flips = count_flips s1 sn in
+      (* Display only: the trial loop already gated these cells. *)
+      let flips =
+        List.fold_left2
+          (fun n a b -> if dist_verdict a <> dist_verdict b then n + 1 else n)
+          0 s1 sn
+      in
       Printf.printf "%-12s %6d %14.3f %14.3f %6d\n%!" e.Entry.name n (sum s1) (sum sn)
         flips;
-      json_dist_rows :=
-        !json_dist_rows
-        @ [
-            {
-              jd_design = e.Entry.name;
-              jd_cells = n;
-              jd_serial_s = sum s1;
-              jd_dist_s = sum sn;
-              jd_flips = flips;
-            };
-          ];
       idx := !idx + n)
     per_design;
   (match Report.geo_mean_ratio !pairs with
   | Some g ->
-      json_dist_geomean := g;
       Printf.printf
         "\nserial-vs-%d-worker wall-clock speedup, geo-mean over %d trial(s): %.2fx\n"
         workers (List.length !pairs) g;
@@ -2120,7 +1666,6 @@ let dist_exp () =
      mid-campaign (`Abort also downs its siblings, the hard variant),
      then resume — leftover shards merge first, journaled Unknowns
      re-solve, and the matrix must match the serial reference. *)
-  let reference = List.map dist_verdict !serial_rows in
   let jk = tmp "kill" in
   let rand = Random.State.make [| 0xd157; !seed |] in
   let kill =
@@ -2138,18 +1683,9 @@ let dist_exp () =
     | Error _ -> true
     | Ok _ -> false (* campaign finished before the kill point: still fine *)
   in
-  json_dist_killed := killed;
   let rows_r, st_r = run_lane ~workers ~journal:jk ~arg:all_arg ~resume:true all_cells in
   sweep jk;
-  let resume_flips =
-    List.fold_left2
-      (fun n v r -> if v <> dist_verdict r then n + 1 else n)
-      0 reference rows_r
-  in
-  dist_flips := !dist_flips + resume_flips;
-  json_dist_resume_flips := resume_flips;
-  json_dist_resume_skipped := st_r.Dist.d_skipped;
-  json_dist_resume_merged := st_r.Dist.d_merged;
+  let resume_flips = lane_flips "kill-resume" ~reference:!serial_rows rows_r in
   Printf.printf
     "kill/resume lane: worker %d SIGKILLed after %d ack(s)%s; resume merged %d \
      shard record(s), skipped %d, %d flip(s) vs serial%s\n"
@@ -2171,19 +1707,13 @@ let dist_exp () =
       in
       sweep jr;
       let ref_rows = List.filteri (fun i _ -> i < List.length cells) !serial_rows in
-      let flips =
-        List.fold_left2
-          (fun n a b -> if dist_verdict a <> dist_verdict b then n + 1 else n)
-          0 ref_rows rows
-      in
-      dist_flips := !dist_flips + flips;
-      json_dist_restarts := !json_dist_restarts + st.Dist.d_restarts;
+      let flips = lane_flips "restart" ~reference:ref_rows rows in
       Printf.printf
         "restart lane (%s): worker 0 SIGKILLed after 1 ack, %d supervised \
          restart(s), %d give-up(s), %d flip(s)%s\n"
         e.Entry.name st.Dist.d_restarts st.Dist.d_gave_up flips
         (if flips > 0 then "  VERDICT FLIP" else ""));
-  if !dist_flips = 0 then
+  if flip_count "dist" = 0 then
     Printf.printf
       "serial, distributed, kill/resume and restart lanes: all %d cells agree\n"
       (List.length all_cells)
@@ -2203,7 +1733,6 @@ let () =
   (* Dist workers are this binary re-exec'd: a worker invocation takes
      over here (recognized by its environment) before argv is parsed. *)
   Dist.worker_entry ();
-  let json_path = ref None in
   let rec parse_args acc = function
     | [] -> List.rev acc
     | "--jobs" :: n :: rest -> begin
@@ -2320,12 +1849,6 @@ let () =
     | [ "--designs" ] ->
         prerr_endline "bench: --designs expects a comma-separated list";
         exit 2
-    | "--json" :: path :: rest ->
-        json_path := Some path;
-        parse_args acc rest
-    | [ "--json" ] ->
-        prerr_endline "bench: --json expects a file path";
-        exit 2
     | "--trace" :: path :: rest ->
         obs_trace_path := Some path;
         parse_args acc rest
@@ -2385,7 +1908,7 @@ let () =
     | ids -> ids
   in
   (* Output-file guards run only after the whole command line is parsed, so
-     --force works in any position. Refusing to clobber an existing report
+     --force works in any position. Refusing to clobber an existing file
      beats discovering the loss after an hour-long run. *)
   List.iter
     (fun (flag, path) ->
@@ -2402,11 +1925,7 @@ let () =
               with Sys_error e ->
                 Printf.eprintf "bench: cannot write %s file: %s\n" flag e;
                 exit 2)))
-    [
-      ("--json", !json_path);
-      ("--trace", !obs_trace_path);
-      ("--metrics", !obs_metrics_path);
-    ];
+    [ ("--trace", !obs_trace_path); ("--metrics", !obs_metrics_path) ];
   if !obs_trace_path <> None || !obs_metrics_path <> None then Obs.enable ();
   (* The journal has its own guard (inside Campaign.start): an existing
      file needs --resume to continue or --force to start over, and
@@ -2434,19 +1953,7 @@ let () =
     (List.length requested) !jobs;
   List.iter
     (fun id ->
-      let f = List.assoc id experiments in
-      par_task_seconds := 0.0;
-      let (), dt = time f in
-      json_experiments :=
-        !json_experiments
-        @ [
-            {
-              je_id = id;
-              je_wall_s = dt;
-              je_task_sum_s = !par_task_seconds;
-              je_starved = Report.is_starved id;
-            };
-          ];
+      let (), dt = time (List.assoc id experiments) in
       Printf.printf "[%s completed in %.1fs]\n%!" id dt)
     requested;
   (match !obs_trace_path with
@@ -2479,50 +1986,17 @@ let () =
              s.Persist.Campaign.c_write_errors
          else "");
       Persist.Campaign.close c);
-  (match !json_path with None -> () | Some path -> write_json path);
-  if !verdict_mismatches > 0 then begin
-    Printf.eprintf
-      "bench: FAILED — %d verdict mismatch(es) between pipeline configurations\n"
-      !verdict_mismatches;
-    exit 1
-  end;
-  if !rob_flips > 0 then begin
-    Printf.eprintf "bench: FAILED — %d fault-induced verdict flip(s)\n" !rob_flips;
-    exit 1
-  end;
-  if !portfolio_flips > 0 then begin
-    Printf.eprintf
-      "bench: FAILED — %d portfolio-vs-single verdict flip(s)\n" !portfolio_flips;
-    exit 1
-  end;
-  if !obs_flips > 0 then begin
-    Printf.eprintf
-      "bench: FAILED — %d traced-vs-untraced verdict flip(s)\n" !obs_flips;
-    exit 1
-  end;
-  if !obs_malformed > 0 then begin
-    Printf.eprintf
-      "bench: FAILED — %d malformed or empty trace(s) in the obs experiment\n"
-      !obs_malformed;
-    exit 1
-  end;
-  if !campaign_flips > 0 then begin
-    Printf.eprintf
-      "bench: FAILED — %d kill/resume campaign verdict flip(s)\n" !campaign_flips;
-    exit 1
-  end;
-  if !dist_flips > 0 then begin
-    Printf.eprintf
-      "bench: FAILED — %d distributed-vs-serial verdict flip(s)\n" !dist_flips;
-    exit 1
-  end;
-  (* Distinct exit code for "nothing wrong, but some verdicts stayed unknown
-     under the --timeout/--max-conflicts budget". *)
+  let flips = List.rev !flips in
+  List.iter (fun f -> prerr_endline ("bench: FLIP " ^ Report.flip_to_string f)) flips;
   let unknowns = Atomic.get unknown_verdicts in
-  if unknowns > 0 then begin
+  let code = Report.exit_code ~flips ~unknowns in
+  if code = 1 then
+    Printf.eprintf "bench: FAILED — %d verdict disagreement(s)\n" (List.length flips)
+  else if code = 3 then
+    (* Nothing wrong, but some verdicts stayed unknown under the
+       --timeout/--max-conflicts budget. *)
     Printf.eprintf
       "bench: %d verdict(s) unknown under the configured budget (raise --timeout or \
        --max-conflicts, or drop --no-escalate)\n"
       unknowns;
-    exit 3
-  end
+  exit code

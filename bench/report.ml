@@ -1,25 +1,19 @@
-(* Pure report-shaping helpers for the bench harness, split out of [main]
-   so the JSON field derivations are unit-testable (the executable itself
-   only runs whole experiments). *)
+(* Pure helpers for the bench harness, split out of [main] so the run's
+   exit decision and its summary figures are unit-testable (the
+   executable itself only runs whole experiments). *)
 
-(* Estimated speedup of a fan-out experiment over a 1-domain run of the
-   same tasks: task-seconds divided by wall-clock seconds. [None] (emitted
-   as JSON null) when the experiment ran no parallel section — and, since
-   gqed-bench/5, when it is [starved]: experiments that deliberately
-   starve their tasks' budgets (rob runs checks under 1-conflict budgets
-   to exercise escalation) produce task timings that say nothing about
-   1-domain cost, so a ratio over them is noise dressed up as a figure. *)
-let est_speedup_vs_1domain ~starved ~wall_s ~task_sum_s =
-  if starved || not (task_sum_s > 0.0) || not (wall_s > 0.0) then None
-  else Some (task_sum_s /. wall_s)
+(* One disagreement found by an experiment: in [cell], the reference lane
+   decided [expected] but the variant lane decided [got]. *)
+type flip = { experiment : string; cell : string; expected : string; got : string }
 
-(* Experiments whose tasks run under deliberately starved budgets. *)
-let starved_experiments = [ "rob" ]
-let is_starved id = List.mem id starved_experiments
+let flip_to_string f =
+  Printf.sprintf "%s %s: expected %s, got %s" f.experiment f.cell f.expected f.got
 
-let json_float_opt = function
-  | None -> "null"
-  | Some v -> Printf.sprintf "%.3f" v
+(* The bench exit status is its one gate: any disagreement fails the run
+   (1); otherwise verdicts left undecided by the configured budget give
+   the distinct code 3; otherwise 0. *)
+let exit_code ~flips ~unknowns =
+  if flips <> [] then 1 else if unknowns > 0 then 3 else 0
 
 (* Geometric mean of base/variant over per-design timing pairs, ignoring
    pairs where either side is nonpositive (a design whose whole lane ran

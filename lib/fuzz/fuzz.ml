@@ -386,6 +386,26 @@ module Oracle = struct
           (Sat.Solver.reason_to_string u.Bmc.un_reason)
           u.Bmc.un_bound
 
+  (* The outcome agreement every differential oracle demands of a lane:
+     the same proved bound, or counterexamples of the same length. An
+     [Unknown] on either side is a disagreement; oracles that tolerate a
+     lane giving up (faults) filter that case out before calling. *)
+  let same_outcome ~oracle ~lane reference got =
+    match (reference, got) with
+    | Bmc.Holds a, Bmc.Holds b when a = b -> Ok ()
+    | Bmc.Violated wa, Bmc.Violated wb when wa.Bmc.w_length = wb.Bmc.w_length -> Ok ()
+    | _ ->
+        Error
+          (Printf.sprintf "%s: %s lane decided %s but the reference decided %s" oracle
+             lane (outcome_to_string got) (outcome_to_string reference))
+
+  (* UNSAT bounds a certifying run DRAT-checked on its way to [outcome]:
+     every bound of a proof, every bound below a counterexample. *)
+  let certified_bounds = function
+    | Bmc.Holds bound -> bound
+    | Bmc.Violated w -> w.Bmc.w_length - 1
+    | Bmc.Unknown _ -> 0
+
   (* BMC verdicts against simulator ground truth:
      - a by-construction-true invariant must come back [Holds];
      - a random invariant's counterexample must replay concretely (true at
@@ -406,78 +426,67 @@ module Oracle = struct
       | exception Bmc.Certification_failed msg ->
           Error ("bmc: rejected DRAT certificate: " ^ msg)
       | outcome, _stats -> (
-          (match outcome with
-          | Bmc.Holds bound -> if cert then certified := !certified + bound
-          | Bmc.Violated w -> if cert then certified := !certified + (w.Bmc.w_length - 1)
-          | Bmc.Unknown _ -> ());
+          if cert then certified := !certified + certified_bounds outcome;
           let mono, _ = Bmc.check_safety ~mono:true ~design:d ~invariant ~depth () in
-          let agree =
-            match (outcome, mono) with
-            | Bmc.Holds a, Bmc.Holds b -> a = b
-            | Bmc.Violated wa, Bmc.Violated wb -> wa.Bmc.w_length = wb.Bmc.w_length
-            | _ -> false
-          in
-          if not agree then
-            Error
-              (Printf.sprintf "bmc: incremental %s but monolithic %s"
-                 (outcome_to_string outcome) (outcome_to_string mono))
-          else
-            match outcome with
-            | Bmc.Unknown u ->
-                (* No limits were passed, so giving up is itself a bug. *)
-                Error
-                  (Printf.sprintf "bmc: unlimited run gave up: %s @ bound %d"
-                     (Sat.Solver.reason_to_string u.Bmc.un_reason)
-                     u.Bmc.un_bound)
-            | Bmc.Holds _ when expect_holds -> Ok ()
-            | Bmc.Violated _ when expect_holds ->
-                Error "bmc: true-by-algebra invariant reported violated"
-            | Bmc.Holds bound ->
-                (* No counterexample up to [bound]: concrete random runs of
-                   the same length must not find one either. *)
-                let stimulus =
-                  List.init bound (fun _ -> Gen.valuation rand d.Rtl.inputs)
-                in
-                let trace = Rtl.simulate d stimulus in
-                let violated_at =
-                  List.find_index
-                    (fun step ->
-                      Bitvec.is_zero (eval_on_step d step invariant))
-                    trace
-                in
-                (match violated_at with
-                | None -> Ok ()
-                | Some k ->
-                    Error
-                      (Printf.sprintf
-                         "bmc: proved to depth %d but simulation violates at cycle %d"
-                         bound k))
-            | Bmc.Violated w ->
-                (* The witness must replay: invariant true before the last
-                   cycle, false exactly at it. *)
-                let steps = Array.of_list w.Bmc.w_trace in
-                let n = Array.length steps in
-                if n <> w.Bmc.w_length then Error "bmc: witness trace length mismatch"
-                else
-                  let check_cycle k =
-                    let v = eval_on_step d steps.(k) invariant in
-                    let expected = k < n - 1 in
-                    if Bitvec.to_bool v = expected then None
-                    else
-                      Some
+          match same_outcome ~oracle:"bmc" ~lane:"monolithic" outcome mono with
+          | Error _ as e -> e
+          | Ok () -> (
+              match outcome with
+              | Bmc.Unknown u ->
+                  (* No limits were passed, so giving up is itself a bug. *)
+                  Error
+                    (Printf.sprintf "bmc: unlimited run gave up: %s @ bound %d"
+                       (Sat.Solver.reason_to_string u.Bmc.un_reason)
+                       u.Bmc.un_bound)
+              | Bmc.Holds _ when expect_holds -> Ok ()
+              | Bmc.Violated _ when expect_holds ->
+                  Error "bmc: true-by-algebra invariant reported violated"
+              | Bmc.Holds bound ->
+                  (* No counterexample up to [bound]: concrete random runs of
+                     the same length must not find one either. *)
+                  let stimulus =
+                    List.init bound (fun _ -> Gen.valuation rand d.Rtl.inputs)
+                  in
+                  let trace = Rtl.simulate d stimulus in
+                  let violated_at =
+                    List.find_index
+                      (fun step ->
+                        Bitvec.is_zero (eval_on_step d step invariant))
+                      trace
+                  in
+                  (match violated_at with
+                  | None -> Ok ()
+                  | Some k ->
+                      Error
                         (Printf.sprintf
-                           "bmc: witness invariant %s at cycle %d (expected %s)"
-                           (if Bitvec.to_bool v then "true" else "false")
-                           k
-                           (if expected then "true" else "false"))
-                  in
-                  let rec scan k =
-                    if k >= n then Ok ()
-                    else match check_cycle k with
-                      | Some msg -> Error msg
-                      | None -> scan (k + 1)
-                  in
-                  scan 0)
+                           "bmc: proved to depth %d but simulation violates at cycle %d"
+                           bound k))
+              | Bmc.Violated w ->
+                  (* The witness must replay: invariant true before the last
+                     cycle, false exactly at it. *)
+                  let steps = Array.of_list w.Bmc.w_trace in
+                  let n = Array.length steps in
+                  if n <> w.Bmc.w_length then Error "bmc: witness trace length mismatch"
+                  else
+                    let check_cycle k =
+                      let v = eval_on_step d steps.(k) invariant in
+                      let expected = k < n - 1 in
+                      if Bitvec.to_bool v = expected then None
+                      else
+                        Some
+                          (Printf.sprintf
+                             "bmc: witness invariant %s at cycle %d (expected %s)"
+                             (if Bitvec.to_bool v then "true" else "false")
+                             k
+                             (if expected then "true" else "false"))
+                    in
+                    let rec scan k =
+                      if k >= n then Ok ()
+                      else match check_cycle k with
+                        | Some msg -> Error msg
+                        | None -> scan (k + 1)
+                    in
+                    scan 0))
     in
     let true_inv = Gen.true_invariant rand ~vars in
     let random_inv = Gen.expr rand ~vars ~width:1 ~depth:2 in
@@ -529,26 +538,14 @@ module Oracle = struct
           Error (Printf.sprintf "simplify(%s): rejected DRAT certificate: %s" name msg)
       | outcome, _ -> Ok outcome
     in
-    let agree name a b =
-      match (a, b) with
-      | Bmc.Holds x, Bmc.Holds y when x = y -> Ok ()
-      | Bmc.Violated wa, Bmc.Violated wb when wa.Bmc.w_length = wb.Bmc.w_length -> Ok ()
-      | _ ->
-          Error
-            (Printf.sprintf "simplify(%s): baseline %s but pipeline %s" name
-               (outcome_to_string a) (outcome_to_string b))
-    in
+    let agree lane = same_outcome ~oracle:"simplify" ~lane in
     match run_conf "off" ~certify:false Bmc.no_simplify with
     | Error _ as e -> e
     | Ok base -> (
         match run_conf "all" ~certify:cert Bmc.default_simplify with
         | Error _ as e -> e
         | Ok full -> (
-            (if cert then
-               match full with
-               | Bmc.Holds bound -> certified := bound
-               | Bmc.Violated w -> certified := w.Bmc.w_length - 1
-               | Bmc.Unknown _ -> ());
+            if cert then certified := certified_bounds full;
             match agree "all" base full with
             | Error _ as e -> e
             | Ok () ->
@@ -602,24 +599,13 @@ module Oracle = struct
     | exception Bmc.Certification_failed msg ->
         Error ("faults: fault-free run rejected a DRAT certificate: " ^ msg)
     | reference, _ -> (
-        let certified =
-          if not cert then 0
-          else
-            match reference with
-            | Bmc.Holds bound -> bound
-            | Bmc.Violated w -> w.Bmc.w_length - 1
-            | Bmc.Unknown _ -> 0
-        in
-        let agree what faulty =
-          match (reference, faulty) with
-          | Bmc.Holds a, Bmc.Holds b when a = b -> Ok ()
-          | Bmc.Violated wa, Bmc.Violated wb when wa.Bmc.w_length = wb.Bmc.w_length ->
-              Ok ()
-          | _, Bmc.Unknown _ -> Ok ()
-          | _ ->
-              Error
-                (Printf.sprintf "faults: %s: fault-free %s but faulty %s" what
-                   (outcome_to_string reference) (outcome_to_string faulty))
+        let certified = if cert then certified_bounds reference else 0 in
+        (* A fault may only degrade a verdict to [Unknown]. *)
+        let agree lane faulty =
+          match faulty with
+          | Bmc.Unknown _ -> Ok ()
+          | Bmc.Holds _ | Bmc.Violated _ ->
+              same_outcome ~oracle:"faults" ~lane reference faulty
         in
         let hook_of fseed =
           let frand = Random.State.make [| fseed |] in
@@ -667,17 +653,9 @@ module Oracle = struct
                     ~mono:cfg.Bmc.Escalate.ec_mono ~limits:cfg.Bmc.Escalate.ec_limits
                     ~design:d ~invariant ~depth ())
             in
-            match (reference, escalated) with
-            | Bmc.Holds a, Bmc.Holds b when a = b -> Ok certified
-            | Bmc.Violated wa, Bmc.Violated wb when wa.Bmc.w_length = wb.Bmc.w_length
-              ->
-                Ok certified
-            | _ ->
-                Error
-                  (Printf.sprintf
-                     "faults: escalation ended at %s but fault-free verdict is %s"
-                     (outcome_to_string escalated)
-                     (outcome_to_string reference))))
+            Result.map
+              (fun () -> certified)
+              (same_outcome ~oracle:"faults" ~lane:"escalation" reference escalated)))
 
   (* Portfolio invariance: the clause-sharing portfolio decides exactly the
      single-solver verdict on every generated design, and every portfolio
@@ -695,14 +673,7 @@ module Oracle = struct
     | exception Bmc.Certification_failed msg ->
         Error ("portfolio: single-solver run rejected a DRAT certificate: " ^ msg)
     | reference, _ -> (
-        let certified =
-          if not cert then 0
-          else
-            match reference with
-            | Bmc.Holds bound -> bound
-            | Bmc.Violated w -> w.Bmc.w_length - 1
-            | Bmc.Unknown _ -> 0
-        in
+        let certified = if cert then certified_bounds reference else 0 in
         let lane what config =
           let seed = Random.State.bits rand in
           let limits = Bmc.limits ~seed ~portfolio:config () in
@@ -712,17 +683,7 @@ module Oracle = struct
                 (Printf.sprintf
                    "portfolio: %s lane rejected its merged DRAT certificate: %s" what
                    msg)
-          | outcome, _ -> (
-              match (reference, outcome) with
-              | Bmc.Holds a, Bmc.Holds b when a = b -> Ok ()
-              | Bmc.Violated wa, Bmc.Violated wb
-                when wa.Bmc.w_length = wb.Bmc.w_length ->
-                  Ok ()
-              | _ ->
-                  Error
-                    (Printf.sprintf
-                       "portfolio: %s lane decided %s but single-solver verdict is %s"
-                       what (outcome_to_string outcome) (outcome_to_string reference)))
+          | outcome, _ -> same_outcome ~oracle:"portfolio" ~lane:what reference outcome
         in
         match lane "sharing" (Sat.Portfolio.config ~workers ~share:true ()) with
         | Error _ as e -> e
@@ -770,14 +731,7 @@ module Oracle = struct
     | exception Bmc.Certification_failed msg ->
         Error ("tracing: untraced run rejected a DRAT certificate: " ^ msg)
     | reference, _ -> (
-        let certified =
-          if not cert then 0
-          else
-            match reference with
-            | Bmc.Holds bound -> bound
-            | Bmc.Violated w -> w.Bmc.w_length - 1
-            | Bmc.Unknown _ -> 0
-        in
+        let certified = if cert then certified_bounds reference else 0 in
         let was_on = Obs.on () in
         Obs.Trace.reset ();
         Obs.enable ();
@@ -793,18 +747,10 @@ module Oracle = struct
         Obs.Trace.reset ();
         match traced with
         | Error msg -> Error ("tracing: traced run rejected a DRAT certificate: " ^ msg)
-        | Ok traced -> (
-            match (reference, traced) with
-            | Bmc.Holds a, Bmc.Holds b when a = b -> (
-                match check_trace events with Ok () -> Ok certified | Error _ as e -> e)
-            | Bmc.Violated wa, Bmc.Violated wb when wa.Bmc.w_length = wb.Bmc.w_length
-              -> (
-                match check_trace events with Ok () -> Ok certified | Error _ as e -> e)
-            | _ ->
-                Error
-                  (Printf.sprintf "tracing: traced run decided %s but untraced is %s"
-                     (outcome_to_string traced)
-                     (outcome_to_string reference))))
+        | Ok traced ->
+            Result.bind
+              (same_outcome ~oracle:"tracing" ~lane:"traced" reference traced)
+              (fun () -> Result.map (fun () -> certified) (check_trace events)))
 
   (* Crash-safe campaigns: journal a small verification campaign through
      [Persist.Campaign], kill it at a random record boundary (sometimes
@@ -831,17 +777,8 @@ module Oracle = struct
         Error ("checkpoint: clean run rejected a DRAT certificate: " ^ msg)
     | outcomes ->
         let certified =
-          if not cert then 0
-          else
-            List.fold_left
-              (fun acc o ->
-                acc
-                +
-                match o with
-                | Bmc.Holds bound -> bound
-                | Bmc.Violated w -> w.Bmc.w_length - 1
-                | Bmc.Unknown _ -> 0)
-              0 outcomes
+          if cert then List.fold_left (fun acc o -> acc + certified_bounds o) 0 outcomes
+          else 0
         in
         let reference = List.map outcome_to_string outcomes in
         let diff what got =

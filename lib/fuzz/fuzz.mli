@@ -68,6 +68,14 @@ end
     RNG; reseed to replay. *)
 
 module Oracle : sig
+  val same_outcome :
+    oracle:string -> lane:string -> Bmc.outcome -> Bmc.outcome -> (unit, string) result
+  (** [same_outcome ~oracle ~lane reference got] is the agreement every
+      differential oracle below demands of a lane: the same proved bound,
+      or counterexamples of the same length. Anything else, including
+      [Unknown] on either side, is an [Error] naming [oracle] and [lane]
+      and printing both outcomes. *)
+
   val sim_vs_unroll : cycles:int -> Random.State.t -> Rtl.design -> (unit, string) result
   val eval_vs_blast : Random.State.t -> Rtl.design -> (unit, string) result
   val strash_on_vs_off : Random.State.t -> Rtl.design -> (unit, string) result

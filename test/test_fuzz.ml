@@ -274,6 +274,39 @@ let test_bmc_certify_engine_counts () =
       ()
   | Bmc.Unknown _, _ -> Alcotest.fail "unexpected unknown"
 
+(* ---- shared outcome comparison ---- *)
+
+let test_same_outcome_rejects_wrong_lanes () =
+  let violated n =
+    Bmc.Violated
+      { Bmc.w_length = n; w_initial = Rtl.Smap.empty; w_inputs = [||]; w_trace = [] }
+  in
+  let unknown =
+    Bmc.Unknown { Bmc.un_reason = Sat.Solver.Out_of_conflicts; un_bound = 2 }
+  in
+  let same = Fuzz.Oracle.same_outcome ~oracle:"probe" ~lane:"variant" in
+  List.iter
+    (fun (what, reference, got) ->
+      match same reference got with
+      | Ok () -> Alcotest.failf "%s accepted" what
+      | Error msg ->
+          let mentions sub =
+            let n = String.length msg and m = String.length sub in
+            let rec go i = i + m <= n && (String.sub msg i m = sub || go (i + 1)) in
+            go 0
+          in
+          if not (mentions "probe" && mentions "variant") then
+            Alcotest.failf "%s: message %S does not name the oracle and lane" what msg)
+    [
+      ("Holds 3 vs Holds 4", Bmc.Holds 3, Bmc.Holds 4);
+      ("Violated@3 vs Violated@4", violated 3, violated 4);
+      ("Holds vs Violated", Bmc.Holds 3, violated 3);
+      ("Unknown vs Holds", unknown, Bmc.Holds 3);
+    ];
+  (* And the agreeing lanes pass. *)
+  Alcotest.(check bool) "same bound" true (same (Bmc.Holds 3) (Bmc.Holds 3) = Ok ());
+  Alcotest.(check bool) "same cex length" true (same (violated 4) (violated 4) = Ok ())
+
 (* ---- fault-injection oracle ---- *)
 
 let test_fault_injection_oracle () =
@@ -301,6 +334,7 @@ let suite =
     ("fuzz.gen_true_invariant", `Quick, test_gen_true_invariant_is_true);
     ("fuzz.oracles_agree", `Slow, test_oracles_agree);
     ("fuzz.oracles_agree_certified", `Slow, test_oracles_agree_certified);
+    ("fuzz.same_outcome_rejects", `Quick, test_same_outcome_rejects_wrong_lanes);
     ("fuzz.fault_injection", `Slow, test_fault_injection_oracle);
     ("fuzz.fault_injection_certified", `Slow, test_fault_injection_oracle_certified);
     ("fuzz.dimacs_certified", `Quick, test_dimacs_fuzz_certified);
