@@ -7,7 +7,7 @@
      dune exec bench/main.exe -- t2 f1              # a subset, by id
      dune exec bench/main.exe -- --jobs 4 t2        # fan tasks over 4 domains
 
-   Experiment ids: t1 t2 t3 t4 t5 a1 a2 a3 s1 f1 f2 f3 rob p1 r2 dist obs
+   Experiment ids: t1 t2 t3 t4 t5 a1 a2 a3 s1 f1 f2 f3 rob r2 dist obs
    micro.
 
    --checkpoint FILE journals every check's verdict to a crash-safe
@@ -32,12 +32,6 @@
    --trace/--metrics refuse to overwrite an existing file; pass --force to
    replace it.
 
-   --portfolio N sets the worker count of the p1 clause-sharing portfolio
-   experiment (default 4; clamped so --jobs x --portfolio never exceeds
-   the machine's domain count); --no-share turns off learnt-clause
-   sharing between its workers. p1 exits nonzero if the portfolio lane
-   flips any verdict of the single-solver lane.
-
    --workers N sets the worker-process count of the dist experiment's
    distributed lane (default: up to 4, at least 2); --batch M its pull
    batch size. --max-restarts / --backoff SEC / --no-retry-oom configure
@@ -59,7 +53,7 @@
    decides.
 
    The exit status is the run's one gate. Every experiment that compares
-   a reference lane with a variant (s1, a2, t5, rob, p1, obs, r2, dist)
+   a reference lane with a variant (s1, a2, t5, rob, obs, r2, dist)
    reports each disagreement as (experiment, cell, expected, got); the
    run lists them all at the end and exits 1 if there is any. Otherwise
    it exits 3 when some verdict stayed unknown under the budget, and 0.
@@ -100,10 +94,6 @@ let max_conflicts : int option ref = ref None
 let escalate = ref true
 let unknown_verdicts = Atomic.make 0
 let escalation_attempts = Atomic.make 0
-
-(* --portfolio / --no-share configure the p1 experiment's parallel lane. *)
-let portfolio_width = ref 4
-let portfolio_share = ref true
 
 (* --workers / --batch size the dist experiment's worker-process lane;
    --max-restarts / --backoff / --no-retry-oom shape the restart policy
@@ -1086,98 +1076,6 @@ let rob () =
   Printf.printf "  fan-out wall clock: %.2fs (a hung query no longer blocks the run)\n" wall
 
 (* ------------------------------------------------------------------ *)
-(* P1: clause-sharing portfolio SAT. Every cell of a design x mutant     *)
-(* matrix is checked twice — single-solver lane vs portfolio lane — and  *)
-(* the verdicts must agree exactly. Cells run sequentially so the        *)
-(* per-cell wall-clock comparison is not perturbed by sibling cells.     *)
-
-let p1 () =
-  header "P1  Clause-sharing portfolio SAT: diversified workers race per query";
-  let requested = !portfolio_width in
-  (* The portfolio is p1's only parallelism (cells run sequentially), so
-     the jobs x portfolio product reduces to the portfolio width here. *)
-  let effective, clamped = Par.clamp_inner ~jobs:1 ~inner:requested in
-  if clamped then
-    Printf.printf
-      "bench: warning: --portfolio %d exceeds %d available core(s); portfolio clamped \
-       to %d\n"
-      requested (Par.default_jobs ()) effective;
-  Printf.printf
-    "Each SAT query in the portfolio lane races %d diversified CDCL worker(s)%s.\n\
-     Verdicts are compared cell-by-cell against the single-solver lane; any\n\
-     flip fails the whole bench run (exit 1).\n\n"
-    effective
-    (if !portfolio_share && effective > 1 then ", sharing learnt clauses"
-     else ", no clause sharing");
-  let pconfig = Sat.Portfolio.config ~workers:effective ~share:!portfolio_share () in
-  let single_limits = bench_limits () in
-  let portfolio_limits = { single_limits with Bmc.l_portfolio = Some pconfig } in
-  (* Default subset: the hardest suite members (deep recommended bounds or
-     wide state), where per-query solver time dominates the check. *)
-  let default_names =
-    [ "accum"; "maxtrack"; "seqdet"; "hamming74"; "graycodec"; "movavg4" ]
-  in
-  let entries =
-    match !design_filter with
-    | Some _ -> s1_entries ()
-    | None -> List.filter (fun e -> List.mem e.Entry.name default_names) Registry.all
-  in
-  Printf.printf "%-12s %-18s %-16s %-16s %7s %7s %7s %9s %9s\n" "design" "case" "single"
-    "portfolio" "t1(s)" "tN(s)" "speedup" "exported" "imported";
-  let timings = ref [] and n_cells = ref 0 in
-  List.iter
-    (fun e ->
-      let bound = e.Entry.rec_bound in
-      List.iter
-        (fun (label, design) ->
-          let single, t_single =
-            time (fun () ->
-                record
-                  (Checks.run ~limits:single_limits Checks.Gqed design e.Entry.iface
-                     ~bound))
-          in
-          let portfolio, t_portfolio =
-            time (fun () ->
-                record
-                  (Checks.run ~limits:portfolio_limits Checks.Gqed design e.Entry.iface
-                     ~bound))
-          in
-          let vk_single = verdict_key single in
-          let vk_portfolio = verdict_key portfolio in
-          let same =
-            agree "p1" (e.Entry.name ^ "/" ^ label) ~expected:vk_single ~got:vk_portfolio
-          in
-          incr n_cells;
-          (* Only the correct cells feed the speedup figure: their queries
-             are the all-UNSAT deepening ladder, the hard subset. *)
-          if label = "correct" && t_single > 0.0 && t_portfolio > 0.0 then
-            timings := (t_single, t_portfolio) :: !timings;
-          let st = portfolio.Checks.sat_stats in
-          Printf.printf "%-12s %-18s %-16s %-16s %7.2f %7.2f %7.2f %9d %9d%s\n%!"
-            e.Entry.name label vk_single vk_portfolio t_single t_portfolio
-            (if t_portfolio > 0.0 then t_single /. t_portfolio else Float.nan)
-            st.Sat.Solver.clauses_exported st.Sat.Solver.clauses_imported
-            (if same then "" else "  VERDICT FLIP"))
-        (design_cases e))
-    entries;
-  (match Report.geo_mean_ratio !timings with
-  | None -> ()
-  | Some geo ->
-      Printf.printf
-        "\nhard-query (correct-cell) wall-clock speedup, geo-mean over %d designs: %.2fx\n"
-        (List.length !timings) geo;
-      if effective > 1 && geo <= 1.0 then
-        Printf.printf
-          "  note: portfolio no faster than single-solver on this machine/run\n"
-      else if effective = 1 then
-        Printf.printf
-          "  note: 1 effective worker (requested %d) — speedup comparison measures \
-           portfolio overhead only\n"
-          requested);
-  if flip_count "p1" = 0 then
-    Printf.printf "portfolio vs single verdicts: all %d cells agree\n" !n_cells
-
-(* ------------------------------------------------------------------ *)
 (* OBS: tracing is verdict-invisible and emitted traces are well-formed. *)
 
 let obs_exp () =
@@ -1725,7 +1623,7 @@ let experiments =
     ("t1", t1); ("t2", t2); ("t3", t3); ("t4", t4); ("t5", t5);
     ("a1", a1); ("a2", a2); ("a3", a3); ("s1", s1);
     ("f1", f1); ("f2", f2); ("f3", f3);
-    ("rob", rob); ("p1", p1); ("r2", r2); ("dist", dist_exp);
+    ("rob", rob); ("r2", r2); ("dist", dist_exp);
     ("obs", obs_exp); ("micro", micro);
   ]
 
@@ -1776,21 +1674,6 @@ let () =
         exit 2
     | "--no-escalate" :: rest ->
         escalate := false;
-        parse_args acc rest
-    | "--portfolio" :: n :: rest -> begin
-        match int_of_string_opt n with
-        | Some w when w >= 1 ->
-            portfolio_width := w;
-            parse_args acc rest
-        | _ ->
-            prerr_endline "bench: --portfolio expects a positive integer";
-            exit 2
-      end
-    | [ "--portfolio" ] ->
-        prerr_endline "bench: --portfolio expects a positive integer";
-        exit 2
-    | "--no-share" :: rest ->
-        portfolio_share := false;
         parse_args acc rest
     | "--workers" :: n :: rest -> begin
         match int_of_string_opt n with

@@ -120,9 +120,8 @@ let jobs_arg =
     & opt int 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Run independent checks on $(docv) domains. With $(b,--technique flow) \
-           the four flow stages run concurrently; with $(b,--all-mutants) the \
-           per-mutant checks fan out. Verdicts are identical to the serial run.")
+          "With $(b,--all-mutants), fan the per-mutant checks out over $(docv) \
+           domains. Verdicts are identical to the serial run.")
 
 let all_mutants_flag =
   Arg.(
@@ -201,34 +200,6 @@ let no_escalate_flag =
         ~doc:
           "Give up after the first undecided attempt instead of retrying with \
            exponentially grown budgets and perturbed configurations.")
-
-(* Portfolio knobs: intra-query parallelism racing diversified solvers on
-   every SAT query (see lib/sat/PORTFOLIO.md). *)
-let portfolio_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "portfolio" ] ~docv:"N"
-        ~doc:
-          "Race $(docv) diversified clause-sharing CDCL workers on every SAT \
-           query; the first decisive worker wins and its verdict is certified \
-           exactly like the single-solver lane. $(b,1) (default) keeps the \
-           plain single solver. With finite budgets and escalation on, the \
-           ladder's rungs race concurrently instead of sequentially.")
-
-let no_share_flag =
-  Arg.(
-    value & flag
-    & info [ "no-share" ]
-        ~doc:"Disable learnt-clause sharing between portfolio workers (pure race).")
-
-let deterministic_flag =
-  Arg.(
-    value & flag
-    & info [ "deterministic" ]
-        ~doc:
-          "Reproducible portfolio: no clause sharing, every worker runs to \
-           completion, lowest decided worker index wins — the same worker \
-           count and seed always give the same winner and stats.")
 
 (* Campaign persistence (see lib/persist/DESIGN.md): journal every check's
    verdict to a crash-safe write-ahead log; a resumed run skips the keys
@@ -337,25 +308,17 @@ let start_campaign ~checkpoint ~resume ~force =
               Persist.Campaign.close c);
           Some c)
 
-let portfolio_config ~portfolio ~no_share ~deterministic =
-  if portfolio <= 1 then None
-  else
-    Some
-      (Sat.Portfolio.config ~workers:portfolio ~share:(not no_share)
-         ~deterministic ())
-
-let limits_of ?cancel ?portfolio ~timeout ~max_conflicts () =
-  match (timeout, max_conflicts, cancel, portfolio) with
-  | None, None, None, None -> Bmc.no_limits
+let limits_of ?cancel ~timeout ~max_conflicts () =
+  match (timeout, max_conflicts, cancel) with
+  | None, None, None -> Bmc.no_limits
   | _ ->
       Bmc.limits
         ~budget:(Sat.Solver.budget ?conflicts:max_conflicts ?seconds:timeout ())
-        ?cancel ?portfolio ()
+        ?cancel ()
 
 (* Wrap any check in the escalation policy; with unbounded limits the first
-   attempt decides and this is exactly the plain call. [racing] races the
-   ladder's rungs concurrently ([jobs] wide) instead of climbing them. *)
-let with_escalation ~escalate ?(racing = false) ?jobs ~limits ~simplify ~mono run1 =
+   attempt decides and this is exactly the plain call. *)
+let with_escalation ~escalate ~limits ~simplify ~mono run1 =
   if not escalate then run1 ~simplify ~mono ~limits
   else begin
     let unknown_of (r : Checks.report) =
@@ -363,11 +326,8 @@ let with_escalation ~escalate ?(racing = false) ?jobs ~limits ~simplify ~mono ru
       | Checks.Unknown u -> Some (Sat.Solver.reason_to_string u.Checks.u_reason)
       | Checks.Pass _ | Checks.Fail _ -> None
     in
-    let escalate_fn =
-      if racing then Bmc.Escalate.run_racing ?jobs else Bmc.Escalate.run
-    in
     let report, attempts =
-      escalate_fn ~limits ~simplify ~mono ~unknown_of (fun cfg ->
+      Bmc.Escalate.run ~limits ~simplify ~mono ~unknown_of (fun cfg ->
           run1 ~simplify:cfg.Bmc.Escalate.ec_simplify ~mono:cfg.Bmc.Escalate.ec_mono
             ~limits:cfg.Bmc.Escalate.ec_limits)
     in
@@ -464,38 +424,16 @@ let verify_cmd =
         exit 1
   in
   let run name technique bound mutant all_mutants jobs waveform vcd simplify mono
-      simp_stats timeout max_conflicts no_escalate portfolio no_share deterministic
-      checkpoint resume force policy obs_trace obs_metrics obs_format =
+      simp_stats timeout max_conflicts no_escalate checkpoint resume force policy
+      obs_trace obs_metrics obs_format =
     setup_obs ~trace:obs_trace ~metrics:obs_metrics ~format:obs_format;
     if jobs < 1 then begin
       prerr_endline "gqed: --jobs must be a positive integer";
       exit 2
     end;
-    if portfolio < 1 then begin
-      prerr_endline "gqed: --portfolio must be a positive integer";
-      exit 2
-    end;
-    (* Never oversubscribe: the product of the outer fan-out and the
-       per-query portfolio is capped at the machine's domain count. *)
-    let portfolio =
-      let clamped, did = Par.clamp_inner ~jobs ~inner:portfolio in
-      if did then
-        Printf.eprintf
-          "gqed: warning: --jobs %d x --portfolio %d exceeds %d cores; portfolio \
-           clamped to %d\n\
-           %!"
-          jobs portfolio (Par.default_jobs ()) clamped;
-      clamped
-    in
     let e = or_die (find_design name) in
     let bound = Option.value bound ~default:e.Entry.rec_bound in
     let escalate = not no_escalate in
-    let pconfig = portfolio_config ~portfolio ~no_share ~deterministic in
-    (* With finite budgets the escalation ladder itself becomes the
-       parallelism: rungs race portfolio-wide (and drop the nested
-       per-query portfolio). With unbounded budgets the first attempt
-       decides, so the per-query clause-sharing portfolio does the work. *)
-    let racing = portfolio > 1 && (timeout <> None || max_conflicts <> None) in
     let campaign = start_campaign ~checkpoint ~resume ~force in
     (* SA and stability have no Checks.technique id, so --checkpoint runs
        them fresh each time; everything else journals under the canonical
@@ -512,7 +450,7 @@ let verify_cmd =
       Option.map (fun t -> Checks.campaign_key t design e.Entry.iface ~bound) tech
     in
     let check ?cancel technique design =
-      let limits = limits_of ?cancel ?portfolio:pconfig ~timeout ~max_conflicts () in
+      let limits = limits_of ?cancel ~timeout ~max_conflicts () in
       let run1 ~simplify ~mono ~limits =
         match technique with
         | `Gqed -> Checks.gqed ~simplify ~mono ~limits design e.Entry.iface ~bound
@@ -527,9 +465,7 @@ let verify_cmd =
             Checks.stability_check ~simplify ~mono ~limits design e.Entry.iface
               ~bound
       in
-      let solve () =
-        with_escalation ~escalate ~racing ~jobs:portfolio ~limits ~simplify ~mono run1
-      in
+      let solve () = with_escalation ~escalate ~limits ~simplify ~mono run1 in
       match (campaign, campaign_key_of technique design) with
       | None, _ | _, None -> solve ()
       | Some c, Some key -> (
@@ -604,62 +540,7 @@ let verify_cmd =
     | Some m -> Printf.printf "injected mutation: %s (%s)\n" m.Mutation.id m.Mutation.description
     | None -> ());
     let t0 = Unix.gettimeofday () in
-    let report =
-      match technique with
-      | `Flow when jobs > 1 ->
-          (* Run the flow stages concurrently instead of sequentially.  The
-             reported verdict is the first failing stage in flow order (or the
-             final G-FC report when all pass), identical to Checks.flow. *)
-          let stage run1 () =
-            with_escalation ~escalate ~racing ~jobs:portfolio
-              ~limits:(limits_of ?portfolio:pconfig ~timeout ~max_conflicts ())
-              ~simplify ~mono run1
-          in
-          let stages =
-            [
-              ( "reset",
-                stage (fun ~simplify ~mono ~limits ->
-                    Checks.reset_check ~simplify ~mono ~limits design e.Entry.iface) );
-              ( "single-action",
-                stage (fun ~simplify ~mono ~limits ->
-                    Checks.sa_check ~simplify ~mono ~limits design e.Entry.iface
-                      ~bound) );
-            ]
-            @ (if Qed.Iface.is_variable_latency e.Entry.iface then []
-               else
-                 [
-                   ( "stability",
-                     stage (fun ~simplify ~mono ~limits ->
-                         Checks.stability_check ~simplify ~mono ~limits design
-                           e.Entry.iface ~bound) );
-                 ])
-            @ [
-                ( "g-fc",
-                  stage (fun ~simplify ~mono ~limits ->
-                      Checks.gqed ~simplify ~mono ~limits design e.Entry.iface
-                        ~bound) );
-              ]
-          in
-          let reports = Par.run ~jobs (List.map snd stages) in
-          List.iter2
-            (fun (stage, _) r ->
-              Printf.printf "  stage %-13s %s\n" stage
-                (match r.Checks.verdict with
-                | Checks.Pass _ -> "pass"
-                | Checks.Fail _ -> "FAIL"
-                | Checks.Unknown _ -> "unknown"))
-            stages reports;
-          let rec first_fail = function
-            | [ r ] -> r
-            | r :: rest -> (
-                match r.Checks.verdict with
-                | Checks.Fail _ | Checks.Unknown _ -> r
-                | Checks.Pass _ -> first_fail rest)
-            | [] -> assert false
-          in
-          first_fail reports
-      | t -> check t design
-    in
+    let report = check technique design in
     let dt = Unix.gettimeofday () -. t0 in
     report_and_exit ~name ~waveform ~vcd ~dt ~simp_stats report
   in
@@ -668,8 +549,7 @@ let verify_cmd =
     Term.(
       const run $ design_arg $ technique_arg $ bound_arg $ mutant_arg $ all_mutants_flag
       $ jobs_arg $ waveform_flag $ vcd_arg $ simplify_term $ mono_flag $ simp_stats_flag
-      $ timeout_arg $ max_conflicts_arg $ no_escalate_flag $ portfolio_arg
-      $ no_share_flag $ deterministic_flag $ checkpoint_arg
+      $ timeout_arg $ max_conflicts_arg $ no_escalate_flag $ checkpoint_arg
       $ resume_flag $ cli_force_flag $ policy_term $ obs_trace_arg $ obs_metrics_arg
       $ obs_format_arg)
 

@@ -119,7 +119,6 @@ type limits = {
   l_cancel : Sat.Solver.cancel option;
   l_seed : int option;
   l_fault : (Sat.Solver.stats -> Sat.Solver.fault option) option;
-  l_portfolio : Sat.Portfolio.config option;
 }
 
 let no_limits =
@@ -128,17 +127,10 @@ let no_limits =
     l_cancel = None;
     l_seed = None;
     l_fault = None;
-    l_portfolio = None;
   }
 
-let limits ?(budget = Sat.Solver.no_budget) ?cancel ?seed ?fault ?portfolio () =
-  {
-    l_budget = budget;
-    l_cancel = cancel;
-    l_seed = seed;
-    l_fault = fault;
-    l_portfolio = portfolio;
-  }
+let limits ?(budget = Sat.Solver.no_budget) ?cancel ?seed ?fault () =
+  { l_budget = budget; l_cancel = cancel; l_seed = seed; l_fault = fault }
 
 module Coi = struct
   module S = Set.Make (String)
@@ -260,20 +252,6 @@ module Engine = struct
         pre_units = 0;
       }
 
-  let zero_sat_stats =
-    Sat.Solver.
-      {
-        conflicts = 0;
-        decisions = 0;
-        propagations = 0;
-        restarts = 0;
-        learnt_clauses = 0;
-        clauses = 0;
-        vars = 0;
-        clauses_exported = 0;
-        clauses_imported = 0;
-      }
-
   type check_result =
     | Cex of witness
     | Unreachable
@@ -295,11 +273,6 @@ module Engine = struct
            the emitter works on [graph] directly *)
     mutable pending : Aig.lit list; (* mono: permanent asserts, newest first *)
     mutable certified_unsats : int;
-    (* Portfolio accounting: counters of retired worker solvers (the live
-       master solver never sees worker conflicts), plus the derived clauses
-       of the last portfolio query so certification replay keeps working. *)
-    mutable sat_acc : Sat.Solver.stats;
-    mutable last_derived : Sat.Drat.proof;
     (* Pipeline accounting. The [*_acc] fields collect stats of solvers and
        emitters retired by mono-mode resets; [simp_stats] adds the live ones. *)
     mutable queries : int;
@@ -338,8 +311,6 @@ module Engine = struct
       map = None;
       pending = [];
       certified_unsats = 0;
-      sat_acc = zero_sat_stats;
-      last_derived = [];
       queries = 0;
       coi_before = List.length design.Rtl.registers;
       coi_after = List.length design.Rtl.registers;
@@ -466,13 +437,9 @@ module Engine = struct
 
   (* Replay the solver's DRAT stream through the independent checker. Only
      meaningful right after an UNSAT answer to a query with exactly these
-     SAT-level assumptions. When the last query ran a portfolio, the
-     winning refutation lives in the workers' merged derived clauses —
-     appended after the master's own stream (sound: derived clauses are
-     RUP-monotone, see lib/sat/PORTFOLIO.md). *)
+     SAT-level assumptions. *)
   let certify_unsat_sat_lits t sat_assumptions =
-    Sat.Drat.check ~assumptions:sat_assumptions
-      (Sat.Solver.proof t.solver @ t.last_derived)
+    Sat.Drat.check ~assumptions:sat_assumptions (Sat.Solver.proof t.solver)
 
   let mapped t l =
     match map_lit t l with
@@ -515,35 +482,8 @@ module Engine = struct
       t.t_cnf <- t.t_cnf +. (Sys.time () -. t0)
     end;
     let result =
-      match t.limits.l_portfolio with
-      | Some pc when pc.Sat.Portfolio.p_workers > 1 ->
-          (* Race diversified workers on a snapshot of the master's clause
-             set. The master solver itself does not search: a Sat winner
-             injects its model back (witness extraction reads the master),
-             an Unsat winner leaves its refutation in [o_derived]. *)
-          let o =
-            Sat.Portfolio.solve ~assumptions:sat_assumptions
-              ~budget:t.limits.l_budget ?cancel:t.limits.l_cancel
-              ?seed:t.limits.l_seed ~config:pc t.solver
-          in
-          t.last_derived <- o.Sat.Portfolio.o_derived;
-          let s = o.Sat.Portfolio.o_stats and a = t.sat_acc in
-          t.sat_acc <-
-            Sat.Solver.
-              {
-                a with
-                conflicts = a.conflicts + s.conflicts;
-                decisions = a.decisions + s.decisions;
-                propagations = a.propagations + s.propagations;
-                restarts = a.restarts + s.restarts;
-                clauses_exported = a.clauses_exported + o.Sat.Portfolio.o_exported;
-                clauses_imported = a.clauses_imported + o.Sat.Portfolio.o_imported;
-              };
-          o.Sat.Portfolio.o_result
-      | _ ->
-          t.last_derived <- [];
-          Sat.Solver.solve ~assumptions:sat_assumptions ~budget:t.limits.l_budget
-            ?cancel:t.limits.l_cancel ?seed:t.limits.l_seed t.solver
+      Sat.Solver.solve ~assumptions:sat_assumptions ~budget:t.limits.l_budget
+        ?cancel:t.limits.l_cancel ?seed:t.limits.l_seed t.solver
     in
     let finish_span verdict =
       if Obs.on () then begin
@@ -577,20 +517,7 @@ module Engine = struct
 
   let certified_unsats t = t.certified_unsats
 
-  (* Live master-solver stats plus the counters of retired portfolio
-     workers; gauges (vars/clauses/learnts) stay the master's. *)
-  let stats t =
-    let live = Sat.Solver.stats t.solver and a = t.sat_acc in
-    Sat.Solver.
-      {
-        live with
-        conflicts = live.conflicts + a.conflicts;
-        decisions = live.decisions + a.decisions;
-        propagations = live.propagations + a.propagations;
-        restarts = live.restarts + a.restarts;
-        clauses_exported = live.clauses_exported + a.clauses_exported;
-        clauses_imported = live.clauses_imported + a.clauses_imported;
-      }
+  let stats t = Sat.Solver.stats t.solver
 
   let cnf_size t =
     let st = Sat.Solver.stats t.solver in
@@ -830,117 +757,4 @@ module Escalate = struct
           else attempt (i + 1) (Sat.Solver.budget_scale budget policy.growth) acc
     in
     attempt 0 limits.l_budget []
-
-  (* Race every rung of the ladder concurrently instead of climbing it.
-     Each rung keeps the budget/perturbation it would have had in the
-     sequential schedule (budget scaled by growth^i), runs under its own
-     cancel token (set by the race as soon as any rung decides), and the
-     caller's own cancel token and fault hook are composed into the rung's
-     fault hook. All perturbation knobs are verdict-preserving, so any
-     decided rung is THE answer — the lowest decided index wins, which
-     also makes the rule deterministic when no early cancel fires.
-
-     Rungs never nest a portfolio inside themselves ([l_portfolio] is
-     dropped): the racing ladder IS the parallelism, and nesting would
-     oversubscribe cores. [Unknown] is returned only if every rung
-     exhausts. *)
-  let run_racing ?(policy = default_policy) ?jobs ~limits ~simplify ~mono ~unknown_of
-      f =
-    let n =
-      let j = match jobs with Some j -> max 1 j | None -> policy.max_attempts in
-      max 1 (min policy.max_attempts j)
-    in
-    if n = 1 then run ~policy ~limits ~simplify ~mono ~unknown_of f
-    else begin
-      let rung i =
-        let simplify', mono' =
-          if policy.perturb && i > 0 then
-            perturbed ~base_simplify:simplify ~base_mono:mono i
-          else (simplify, mono)
-        in
-        let seed = if i = 0 then limits.l_seed else Some (i * 0x9e3779b1) in
-        let budget =
-          if i = 0 then limits.l_budget
-          else Sat.Solver.budget_scale limits.l_budget (policy.growth ** float_of_int i)
-        in
-        let budget =
-          match policy.total_seconds with
-          | None -> budget
-          | Some cap ->
-              let max_seconds =
-                match budget.Sat.Solver.max_seconds with
-                | None -> Some cap
-                | Some s -> Some (Float.min s cap)
-              in
-              { budget with Sat.Solver.max_seconds }
-        in
-        (i, budget, simplify', mono', seed)
-      in
-      let fault =
-        match limits.l_cancel with
-        | None -> limits.l_fault
-        | Some outer ->
-            Some
-              (fun st ->
-                if Sat.Solver.cancelled outer then Some Sat.Solver.Fault_cancel
-                else
-                  match limits.l_fault with None -> None | Some g -> g st)
-      in
-      let run_one token (i, budget, simplify', mono', seed) =
-        let cfg =
-          {
-            ec_limits =
-              {
-                l_budget = budget;
-                l_cancel = Some token;
-                l_seed = seed;
-                l_fault = fault;
-                l_portfolio = None;
-              };
-            ec_simplify = simplify';
-            ec_mono = mono';
-          }
-        in
-        let r =
-          Obs.Trace.with_span "escalate.rung"
-            ~args:(("rung", string_of_int i) :: budget_args budget)
-            (fun () -> f cfg)
-        in
-        (i, cfg, r)
-      in
-      let rows =
-        Par.map_governed ~jobs:n ?deadline:policy.total_seconds
-          ~stop_when:(fun (_, _, r) -> unknown_of r = None)
-          run_one (List.init n rung)
-      in
-      let attempts =
-        List.filter_map
-          (fun (row, dt) ->
-            match row with
-            | Error _ -> None
-            | Ok (i, cfg, r) ->
-                Some
-                  {
-                    at_index = i;
-                    at_budget = cfg.ec_limits.l_budget;
-                    at_simplify = cfg.ec_simplify;
-                    at_mono = cfg.ec_mono;
-                    at_seed = cfg.ec_limits.l_seed;
-                    at_seconds = dt;
-                    at_reason = unknown_of r;
-                  })
-          rows
-      in
-      let oks = List.filter_map (fun (row, _) -> Result.to_option row) rows in
-      match List.find_opt (fun (_, _, r) -> unknown_of r = None) oks with
-      | Some (_, _, r) -> (r, attempts)
-      | None -> (
-          match List.rev oks with
-          | (_, _, r) :: _ -> (r, attempts)
-          | [] -> (
-              (* Every rung raised: propagate the first exception. *)
-              match rows with
-              | (Error e, _) :: _ -> raise e
-              | _ -> assert false))
-    end
 end

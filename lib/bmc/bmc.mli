@@ -81,21 +81,16 @@ type limits = {
   l_cancel : Sat.Solver.cancel option;
   l_seed : int option;
   l_fault : (Sat.Solver.stats -> Sat.Solver.fault option) option;
-  l_portfolio : Sat.Portfolio.config option;
-      (** when set with [p_workers > 1], every engine query races a
-          clause-sharing portfolio instead of the single master solver *)
 }
 
 val no_limits : limits
-(** Unbounded, non-cancellable, unseeded, no faults, no portfolio — the
-    default. *)
+(** Unbounded, non-cancellable, unseeded, no faults — the default. *)
 
 val limits :
   ?budget:Sat.Solver.budget ->
   ?cancel:Sat.Solver.cancel ->
   ?seed:int ->
   ?fault:(Sat.Solver.stats -> Sat.Solver.fault option) ->
-  ?portfolio:Sat.Portfolio.config ->
   unit ->
   limits
 
@@ -331,25 +326,4 @@ module Escalate : sig
       perturbed configuration, until an attempt decides, [max_attempts]
       or [total_seconds] is exhausted, or the cancellation token fires.
       Returns the last result and the attempt log (oldest first). *)
-
-  val run_racing :
-    ?policy:policy ->
-    ?jobs:int ->
-    limits:limits ->
-    simplify:simplify_config ->
-    mono:bool ->
-    unknown_of:('a -> string option) ->
-    (config -> 'a) ->
-    'a * attempt list
-  (** Like {!run}, but every rung of the ladder races concurrently on its
-      own domain, each with the budget and perturbed configuration the
-      sequential schedule would have given it. The first rung to decide
-      cancels the others (the caller's own cancel token and fault hook
-      stay composed in); with every knob verdict-preserving, the lowest
-      decided rung is returned. [Unknown] only if all rungs exhaust.
-      [jobs] caps the number of racing rungs (default [max_attempts]);
-      with a cap of 1 this is exactly {!run}. Racing rungs never nest a
-      portfolio ([l_portfolio] is dropped inside rungs). The attempt log
-      has one entry per rung in rung order, with wall-clock times
-      overlapping rather than consecutive. *)
 end

@@ -703,16 +703,15 @@ let run ?(simplify = Bmc.default_simplify) ?(mono = false) ?(limits = Bmc.no_lim
         raise e
   end
 
-let run_escalating ?policy ?(racing = false) ?jobs ?(simplify = Bmc.default_simplify)
-    ?(mono = false) ?(limits = Bmc.no_limits) technique design iface ~bound =
+let run_escalating ?policy ?(simplify = Bmc.default_simplify) ?(mono = false)
+    ?(limits = Bmc.no_limits) technique design iface ~bound =
   let unknown_of (r : report) =
     match r.verdict with
     | Unknown u -> Some (Sat.Solver.reason_to_string u.u_reason)
     | Pass _ | Fail _ -> None
   in
-  let escalate = if racing then Bmc.Escalate.run_racing ?jobs else Bmc.Escalate.run in
   let report, attempts =
-    escalate ?policy ~limits ~simplify ~mono ~unknown_of (fun cfg ->
+    Bmc.Escalate.run ?policy ~limits ~simplify ~mono ~unknown_of (fun cfg ->
         run ~simplify:cfg.Bmc.Escalate.ec_simplify ~mono:cfg.Bmc.Escalate.ec_mono
           ~limits:cfg.Bmc.Escalate.ec_limits technique design iface ~bound)
   in
@@ -727,7 +726,7 @@ let run_escalating ?policy ?(racing = false) ?jobs ?(simplify = Bmc.default_simp
    (or any type it reaches) changes shape; stale records then decode to
    [None] and the task simply re-runs — schema drift degrades to re-work,
    never to a wrong verdict. *)
-let report_schema_tag = "gqed-report/1:"
+let report_schema_tag = "gqed-report/2:"
 
 let encode_report (r : report) = report_schema_tag ^ Marshal.to_string r []
 

@@ -176,8 +176,6 @@ val run :
 
 val run_escalating :
   ?policy:Bmc.Escalate.policy ->
-  ?racing:bool ->
-  ?jobs:int ->
   ?simplify:Bmc.simplify_config ->
   ?mono:bool ->
   ?limits:Bmc.limits ->
@@ -190,11 +188,7 @@ val run_escalating :
     verdict is retried with exponentially grown budgets and perturbed
     configurations until it decides or the policy is exhausted. The
     report's [attempts] field records the full escalation path. With
-    unbounded limits this is exactly {!run} (one attempt, no overhead).
-
-    [racing] (default [false]) switches to {!Bmc.Escalate.run_racing}:
-    the ladder's rungs race concurrently instead of sequentially, with
-    [jobs] capping how many race at once. *)
+    unbounded limits this is exactly {!run} (one attempt, no overhead). *)
 
 (** {2 Campaign persistence}
 

@@ -657,50 +657,12 @@ module Oracle = struct
               (fun () -> certified)
               (same_outcome ~oracle:"faults" ~lane:"escalation" reference escalated)))
 
-  (* Portfolio invariance: the clause-sharing portfolio decides exactly the
-     single-solver verdict on every generated design, and every portfolio
-     UNSAT still replays through the DRAT checker — certification stays on,
-     so a rejected merged certificate (master proof plus imported clauses
-     in shared-clock order) surfaces through [Certification_failed]. Both
-     lanes are exercised: a sharing race and a deterministic (share-off,
-     run-to-completion) portfolio. With no budget and no cancellation the
-     portfolio must decide — [Unknown] counts as a failure here. *)
-  let portfolio_vs_single ?(cert = false) ?(workers = 2) ~depth rand
-      (d : Rtl.design) =
-    let vars = all_vars d in
-    let invariant = Gen.expr rand ~vars ~width:1 ~depth:2 in
-    match Bmc.check_safety ~certify:cert ~design:d ~invariant ~depth () with
-    | exception Bmc.Certification_failed msg ->
-        Error ("portfolio: single-solver run rejected a DRAT certificate: " ^ msg)
-    | reference, _ -> (
-        let certified = if cert then certified_bounds reference else 0 in
-        let lane what config =
-          let seed = Random.State.bits rand in
-          let limits = Bmc.limits ~seed ~portfolio:config () in
-          match Bmc.check_safety ~certify:cert ~limits ~design:d ~invariant ~depth () with
-          | exception Bmc.Certification_failed msg ->
-              Error
-                (Printf.sprintf
-                   "portfolio: %s lane rejected its merged DRAT certificate: %s" what
-                   msg)
-          | outcome, _ -> same_outcome ~oracle:"portfolio" ~lane:what reference outcome
-        in
-        match lane "sharing" (Sat.Portfolio.config ~workers ~share:true ()) with
-        | Error _ as e -> e
-        | Ok () -> (
-            match
-              lane "deterministic"
-                (Sat.Portfolio.config ~workers ~deterministic:true ())
-            with
-            | Error _ as e -> e
-            | Ok () -> Ok certified))
-
   (* Observability invariance: tracing must be verdict-invisible. The same
      safety check run with tracing enabled must decide exactly the untraced
      verdict (spans only watch the pipeline, they never steer it), the
      emitted trace must pass the structural well-formedness checker, and
      the ndjson export must round-trip through the parser. Same gate style
-     as the faults/portfolio oracles: any disagreement is a failure. *)
+     as the faults oracle: any disagreement is a failure. *)
   let check_trace events =
     if events = [] then Error "tracing: enabled run emitted no events"
     else
@@ -1158,8 +1120,6 @@ let oracles ~config ~cert =
       fun rand d -> Oracle.simplify_on_vs_off ~cert ~depth:config.bmc_depth rand d );
     ( "faults",
       fun rand d -> Oracle.fault_injection ~cert ~depth:config.bmc_depth rand d );
-    ( "portfolio",
-      fun rand d -> Oracle.portfolio_vs_single ~cert ~depth:config.bmc_depth rand d );
     ( "tracing",
       fun rand d -> Oracle.tracing_on_vs_off ~cert ~depth:config.bmc_depth rand d );
     ( "checkpoint",

@@ -113,24 +113,6 @@ module Oracle : sig
       reference verdict through {!Bmc.Escalate}. On success, returns the
       number of DRAT-certified bounds of the reference run. *)
 
-  val portfolio_vs_single :
-    ?cert:bool ->
-    ?workers:int ->
-    depth:int ->
-    Random.State.t ->
-    Rtl.design ->
-    (int, string) result
-  (** The clause-sharing portfolio is verdict-invisible: the same safety
-      check run through {!Sat.Portfolio} with [workers] diversified solvers
-      — once racing with clause sharing on, once deterministically with
-      sharing off — must decide exactly the single-solver verdict (same
-      proved bound or same counterexample length; [Unknown] is a failure
-      since nothing bounds the run). With [cert], every portfolio UNSAT is
-      replayed through {!Sat.Drat.check} against the merged certificate
-      (master proof plus imported clauses in shared-clock order). On
-      success, returns the number of certified bounds of the reference
-      run. *)
-
   val tracing_on_vs_off :
     ?cert:bool -> depth:int -> Random.State.t -> Rtl.design -> (int, string) result
   (** Observability is verdict-invisible: the same safety check run with

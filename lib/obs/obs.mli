@@ -5,7 +5,7 @@
     point is guarded by one [Atomic.get] on a global flag, so instrumented
     hot paths pay nothing measurable when tracing is off. When on, events
     go to per-domain buffers (domain-local storage, registered once on a
-    lock-free list), so portfolio workers and {!Par} tasks emit without
+    lock-free list), so {!Par} tasks emit without
     taking any lock; a global atomic sequence number gives the merged
     trace a total order. See DESIGN.md in this directory for the buffer
     ownership and merge-ordering rules. *)

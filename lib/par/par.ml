@@ -26,12 +26,8 @@ end
    task never discards the results of the others.
 
    Each task gets a cancellation token. [deadline] starts a watchdog domain
-   that sets the token of any task running past its per-task allowance;
-   [stop_when] sets every token as soon as one task's result satisfies it
-   (first-counterexample early exit). Tasks that start with their token
-   already set still run — a governed task polls the token on entry and
-   returns promptly — so the result array stays total and input-ordered. *)
-let run_tasks_governed ~jobs ?deadline ?stop_when tasks =
+   that sets the token of any task running past its per-task allowance. *)
+let run_tasks_governed ~jobs ?deadline tasks =
   let n = Array.length tasks in
   let dummy_bt = Printexc.get_raw_backtrace () in
   let results = Array.make n (Error (Exit, dummy_bt)) in
@@ -43,7 +39,6 @@ let run_tasks_governed ~jobs ?deadline ?stop_when tasks =
   let starts = Array.make n nan in
   let finished = Array.make n false in
   let all_done = Atomic.make false in
-  let cancel_all () = Array.iter Cancel.set tokens in
   let exec i =
     let t0 = Unix.gettimeofday () in
     starts.(i) <- t0;
@@ -62,10 +57,7 @@ let run_tasks_governed ~jobs ?deadline ?stop_when tasks =
         ~args:[ ("ok", match r with Ok _ -> "true" | Error _ -> "false") ];
     times.(i) <- Unix.gettimeofday () -. t0;
     finished.(i) <- true;
-    results.(i) <- r;
-    match (stop_when, r) with
-    | Some p, Ok v -> if p v then cancel_all ()
-    | _ -> ()
+    results.(i) <- r
   in
   let watchdog =
     match deadline with
@@ -156,9 +148,9 @@ let run ?jobs thunks =
   reraise_first results;
   Array.to_list (Array.map (function Ok v -> v | Error _ -> assert false) results)
 
-let map_governed ?jobs ?deadline ?stop_when f xs =
+let map_governed ?jobs ?deadline f xs =
   let tasks = Array.of_list (List.map (fun x token -> f token x) xs) in
-  let results, times = run_tasks_governed ~jobs ?deadline ?stop_when tasks in
+  let results, times = run_tasks_governed ~jobs ?deadline tasks in
   let results = drop_bt results in
   List.init (Array.length results) (fun i -> (results.(i), times.(i)))
 
@@ -203,8 +195,7 @@ module Supervise = struct
   (* A raised exception is the only thing to classify: a governed task that
      merely ran out of budget returns an Unknown verdict normally. The
      token tells deadline expiry apart from a genuine crash — the watchdog
-     is the only writer when [stop_when] is absent (supervise does not
-     expose it). *)
+     is its only writer. *)
   let classify ~deadline ~token_set e =
     match e with
     | Out_of_memory -> Oom
@@ -302,12 +293,3 @@ module Supervise = struct
           s_seconds = seconds.(i);
         })
 end
-
-(* Oversubscription guard for nested parallelism (outer fan-out × inner
-   portfolio). Keeps the outer degree — design/mutant fan-out dominates
-   throughput — and shrinks the inner one. *)
-let clamp_inner ~jobs ~inner =
-  let cores = default_jobs () in
-  let jobs = max 1 jobs and inner = max 1 inner in
-  if jobs * inner <= cores then (inner, false)
-  else (max 1 (cores / jobs), true)

@@ -41,7 +41,6 @@ val run : ?jobs:int -> (unit -> 'a) list -> 'a list
 val map_governed :
   ?jobs:int ->
   ?deadline:float ->
-  ?stop_when:('b -> bool) ->
   (Cancel.t -> 'a -> 'b) ->
   'a list ->
   (('b, exn) result * float) list
@@ -54,13 +53,8 @@ val map_governed :
     past its deadline, so a hung query turns into an [Unknown] verdict
     instead of blocking the whole fan-out.
 
-    [stop_when] is the first-counterexample early exit: as soon as a task
-    completes with a result satisfying the predicate, every other task's
-    token is set. Cancelled siblings still produce a row (typically
-    [Unknown]), so the result list keeps one entry per input, in input
-    order.
-
-    Returns one [(outcome, wall_seconds)] pair per input. *)
+    Returns one [(outcome, wall_seconds)] pair per input, in input
+    order. *)
 
 (** Supervision over {!map_governed}: classify worker failures, restart
     the transient classes with capped exponential backoff, and degrade
@@ -130,10 +124,3 @@ module Supervise : sig
       {!outcome} per input. Restarts and give-ups are counted in the
       [par.supervise.*] Obs metrics. *)
 end
-
-val clamp_inner : jobs:int -> inner:int -> int * bool
-(** [clamp_inner ~jobs ~inner] caps nested parallelism: the effective
-    product [jobs × inner] must not exceed
-    [Domain.recommended_domain_count ()]. Returns the clamped inner degree
-    (at least 1 — the outer fan-out keeps its width) and whether clamping
-    occurred, so callers can print a one-line warning. *)

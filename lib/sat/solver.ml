@@ -97,8 +97,6 @@ type stats = {
   learnt_clauses : int;
   clauses : int;
   vars : int;
-  clauses_exported : int;
-  clauses_imported : int;
 }
 
 (* Counters from one (or, accumulated, all) [preprocess] call(s). *)
@@ -171,13 +169,9 @@ type t = {
   mutable lbd_seen : int array;
   mutable lbd_stamp : int;
   (* DRAT proof logging (off unless [start_proof] was called). The stream
-     is kept reversed; [proof] re-chronologizes it. Each event carries a
-     stamp drawn from [proof_clock] when one is installed (0 otherwise):
-     portfolio workers share one clock so their streams can be merged into
-     a single causally-ordered derivation. *)
+     is kept reversed; [proof] re-chronologizes it. *)
   mutable proof_logging : bool;
-  mutable proof_rev : (int * Drat.event) list;
-  mutable proof_clock : int Atomic.t option;
+  mutable proof_rev : Drat.event list;
   (* Preprocessing (Simplify) state: variables resolved away by bounded
      variable elimination, their saved clauses for model reconstruction
      (most recent first), and watermarks so an incremental [preprocess]
@@ -211,22 +205,11 @@ type t = {
   mutable fault_hook : (stats -> fault option) option;
   mutable learnt_bytes : int;
   mutable poll_count : int;
-  (* Clause sharing (portfolio mode). The export hook sees every learnt
-     clause (as a private copy) with its glue and reports whether it took
-     it; the import hook is drained at restart boundaries, where the solver
-     sits at decision level 0 and foreign clauses can be installed safely. *)
-  mutable export_hook : (Lit.t array -> lbd:int -> bool) option;
-  mutable import_hook : (unit -> Lit.t array list) option;
-  mutable n_exported : int;
-  mutable n_imported : int;
-  (* Search-diversity knobs (per solver so portfolio workers can diverge). *)
-  mutable restart_base : int;
-  mutable var_decay : float;
 }
 
 let clause_decay = 1. /. 0.999
-let default_var_decay = 1. /. 0.95
-let default_restart_base = 100
+let var_decay = 1. /. 0.95
+let restart_base = 100
 
 let create () =
   {
@@ -255,7 +238,6 @@ let create () =
     lbd_stamp = 0;
     proof_logging = false;
     proof_rev = [];
-    proof_clock = None;
     eliminated = Array.make 16 false;
     elim_stack = [];
     pre_watermark = 0;
@@ -278,12 +260,6 @@ let create () =
     fault_hook = None;
     learnt_bytes = 0;
     poll_count = 0;
-    export_hook = None;
-    import_hook = None;
-    n_exported = 0;
-    n_imported = 0;
-    restart_base = default_restart_base;
-    var_decay = default_var_decay;
   }
 
 let nvars s = s.nvars
@@ -299,38 +275,28 @@ let start_proof s =
   s.proof_rev <- []
 
 let proof_logging s = s.proof_logging
-let proof s = List.rev_map snd s.proof_rev
-let stamped_proof s = List.rev s.proof_rev
-
-let set_proof_clock s clock = s.proof_clock <- clock
-
-(* Stamps are drawn with a fetch-and-add on the shared clock, so any event
-   logged after observing another worker's publication (through the sharing
-   rings' atomics) gets a strictly larger stamp than the events that
-   produced the published clause. *)
-let stamp s =
-  match s.proof_clock with None -> 0 | Some c -> Atomic.fetch_and_add c 1
+let proof s = List.rev s.proof_rev
 
 (* The solver permutes clause arrays in place (watch maintenance), so every
    logged clause is copied at logging time. *)
 let log_input s lits =
   if s.proof_logging then
-    s.proof_rev <- (stamp s, Drat.Input (Array.of_list lits)) :: s.proof_rev
+    s.proof_rev <- Drat.Input (Array.of_list lits) :: s.proof_rev
 
 let log_add_list s lits =
   if s.proof_logging then
-    s.proof_rev <- (stamp s, Drat.Add (Array.of_list lits)) :: s.proof_rev
+    s.proof_rev <- Drat.Add (Array.of_list lits) :: s.proof_rev
 
 let log_add_arr s lits =
   if s.proof_logging then
-    s.proof_rev <- (stamp s, Drat.Add (Array.copy lits)) :: s.proof_rev
+    s.proof_rev <- Drat.Add (Array.copy lits) :: s.proof_rev
 
 let log_empty s =
-  if s.proof_logging then s.proof_rev <- (stamp s, Drat.Add [||]) :: s.proof_rev
+  if s.proof_logging then s.proof_rev <- Drat.Add [||] :: s.proof_rev
 
 let log_delete s lits =
   if s.proof_logging then
-    s.proof_rev <- (stamp s, Drat.Delete (Array.copy lits)) :: s.proof_rev
+    s.proof_rev <- Drat.Delete (Array.copy lits) :: s.proof_rev
 
 (* ------------------------------------------------------------------ *)
 (* Variable order heap (max-heap on activity).                         *)
@@ -453,7 +419,7 @@ let bump_var s v =
   if s.activity.(v) > 1e100 then rescale_var_activity s;
   heap_decrease s v
 
-let decay_var_activity s = s.var_inc <- s.var_inc *. s.var_decay
+let decay_var_activity s = s.var_inc <- s.var_inc *. var_decay
 
 let bump_clause s c =
   c.act <- c.act +. s.cla_inc;
@@ -907,8 +873,6 @@ let current_stats s =
     learnt_clauses = Vec.size s.learnts;
     clauses = Vec.size s.clauses;
     vars = s.nvars;
-    clauses_exported = s.n_exported;
-    clauses_imported = s.n_imported;
   }
 
 (* Budget/cancellation poll, called on the cheap boundaries of the search
@@ -973,13 +937,6 @@ let record_learnt s learnt blevel ~lbd =
   (* First-UIP learnt clauses are derived by resolution over reason clauses,
      hence RUP with respect to the clauses alive right now. *)
   log_add_arr s learnt;
-  (* Offer the clause to the sharing hook before attaching: the solver
-     permutes [learnt] in place afterwards, so the hook gets a private
-     copy it may publish to other domains. *)
-  (match s.export_hook with
-  | None -> ()
-  | Some hook ->
-      if hook (Array.copy learnt) ~lbd then s.n_exported <- s.n_exported + 1);
   cancel_until s blevel;
   match Array.length learnt with
   | 1 ->
@@ -1074,62 +1031,6 @@ let perturb_phases s seed =
   done
 
 let set_fault_hook s hook = s.fault_hook <- hook
-let set_export_hook s hook = s.export_hook <- hook
-let set_import_hook s hook = s.import_hook <- hook
-
-(* Install one foreign clause at decision level 0. The clause was learnt by
-   a peer over the same CNF, so it is a logical consequence of the shared
-   formula; it enters the proof as a derived clause (RUP in the merged
-   stamped stream — the producer's own Add carries a smaller stamp).
-   Watch placement mirrors [install_clause]: non-false literals first, and
-   the degenerate cases (all-false, effectively unit) resolve right here. *)
-let integrate_import s lits =
-  let usable =
-    Array.for_all (fun l -> Lit.var l < s.nvars && not s.eliminated.(Lit.var l)) lits
-  in
-  if usable && Array.length lits > 0 && s.ok
-     && not (Array.exists (fun l -> value_lit s l = 1) lits)
-  then begin
-    let l = Array.copy lits in
-    let len = Array.length l in
-    let k = ref 0 in
-    (try
-       for i = 0 to len - 1 do
-         if value_lit s l.(i) <> -1 then begin
-           let tmp = l.(!k) in
-           l.(!k) <- l.(i);
-           l.(i) <- tmp;
-           incr k;
-           if !k >= 2 then raise Exit
-         end
-       done
-     with Exit -> ());
-    log_add_arr s l;
-    s.n_imported <- s.n_imported + 1;
-    if !k = 0 then begin
-      s.ok <- false;
-      log_empty s
-    end
-    else if len = 1 || !k = 1 then begin
-      (* Unit under the level-0 assignment: assert the surviving literal;
-         the clause itself adds nothing beyond it. *)
-      if value_lit s l.(0) = 0 then unchecked_enqueue s l.(0) dummy_clause
-    end
-    else begin
-      let c = { lits = l; learnt = true; act = 0.; lbd = len; removed = false } in
-      s.learnt_bytes <- s.learnt_bytes + 40 + (8 * len);
-      Vec.push s.learnts c;
-      attach_clause s c
-    end
-  end
-
-(* Drain the import hook; only legal at decision level 0 (solve entry and
-   restart boundaries). *)
-let drain_imports s =
-  match s.import_hook with
-  | None -> ()
-  | Some hook -> List.iter (integrate_import s) (hook ())
-
 let solve ?(assumptions = []) ?(budget = no_budget) ?cancel ?seed s =
   s.answer <- A_none;
   Vec.clear s.conflict;
@@ -1146,7 +1047,6 @@ let solve ?(assumptions = []) ?(budget = no_budget) ?cancel ?seed s =
       else None
     in
     (match seed with None -> () | Some seed -> perturb_phases s seed);
-    drain_imports s;
     s.assumptions <- Array.of_list assumptions;
     if s.max_learnts = 0. then
       s.max_learnts <- max 1000. (float_of_int (Vec.size s.clauses) *. 0.3);
@@ -1154,7 +1054,7 @@ let solve ?(assumptions = []) ?(budget = no_budget) ?cancel ?seed s =
     let restart = ref 1 in
     (try
        while !result = None do
-         let bound = s.restart_base * luby !restart in
+         let bound = restart_base * luby !restart in
          (try
             search s ~max_conflicts:bound;
             assert false
@@ -1180,11 +1080,7 @@ let solve ?(assumptions = []) ?(budget = no_budget) ?cancel ?seed s =
                  ~args:[ ("restarts", string_of_int s.n_restarts) ];
                Obs.Trace.counter "sat.conflicts" (float_of_int s.n_conflicts);
                Obs.Trace.counter "sat.propagations" (float_of_int s.n_propagations)
-             end;
-             (* Restart boundaries are the import points: the trail is back
-                at level 0, so foreign clauses can be installed with sound
-                watch placement. *)
-             drain_imports s);
+             end);
          incr restart
        done
      with Stop reason ->
@@ -1394,54 +1290,6 @@ let stats = current_stats
 let pp_stats ppf st =
   Format.fprintf ppf
     "vars=%d clauses=%d learnt=%d conflicts=%d decisions=%d propagations=%d \
-     restarts=%d exported=%d imported=%d"
+     restarts=%d"
     st.vars st.clauses st.learnt_clauses st.conflicts st.decisions
-    st.propagations st.restarts st.clauses_exported st.clauses_imported
-
-(* ------------------------------------------------------------------ *)
-(* Portfolio support: configuration diversity, CNF snapshots, model
-   injection. Used by [Portfolio] to clone a master solver's problem into
-   worker solvers and to reflect a worker's answer back into the master. *)
-
-let configure ?restart_base ?var_decay ?invert_phase s =
-  (match restart_base with
-  | None -> ()
-  | Some b ->
-      if b < 1 then invalid_arg "Solver.configure: restart_base must be >= 1";
-      s.restart_base <- b);
-  (match var_decay with
-  | None -> ()
-  | Some d ->
-      if d < 1. then invalid_arg "Solver.configure: var_decay must be >= 1.0";
-      s.var_decay <- d);
-  match invert_phase with
-  | None | Some false -> ()
-  | Some true ->
-      for v = 0 to s.nvars - 1 do
-        s.polarity.(v) <- not s.polarity.(v)
-      done
-
-(* Snapshot of the live clause set at decision level 0: trail units first
-   (they constrain everything downstream), then alive problem clauses, then
-   alive learnts. Loading the snapshot into a fresh solver reproduces an
-   equisatisfiable-with-current-state problem — learnt clauses are logical
-   consequences, so they only prune, never change the verdict. *)
-let export_cnf s =
-  if decision_level s <> 0 then
-    invalid_arg "Solver.export_cnf: only allowed at decision level 0";
-  let acc = ref [] in
-  Vec.iter (fun c -> if not c.removed then acc := Array.copy c.lits :: !acc) s.learnts;
-  Vec.iter (fun c -> if not c.removed then acc := Array.copy c.lits :: !acc) s.clauses;
-  Vec.iter (fun l -> acc := [| l |] :: !acc) s.trail;
-  (s.nvars, !acc)
-
-(* Adopt a model found by a portfolio worker over a CNF exported from this
-   solver, so [value]/[model] (and witness extraction above) work exactly as
-   if this solver had answered Sat itself. Variables resolved away by our
-   own elimination get reconstructed values. *)
-let inject_model s model =
-  if Array.length model < s.nvars then
-    invalid_arg "Solver.inject_model: model too short";
-  s.model <- Array.sub model 0 s.nvars;
-  if s.elim_stack <> [] then Simplify.extend_model s.elim_stack s.model;
-  s.answer <- A_sat
+    st.propagations st.restarts

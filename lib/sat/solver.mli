@@ -98,8 +98,6 @@ type stats = {
   learnt_clauses : int;  (** currently in the learnt database *)
   clauses : int;  (** problem clauses currently in the database *)
   vars : int;
-  clauses_exported : int;  (** learnt clauses handed to the export hook *)
-  clauses_imported : int;  (** foreign clauses installed via the import hook *)
 }
 
 val set_fault_hook : t -> (stats -> fault option) option -> unit
@@ -208,57 +206,3 @@ val proof : t -> Drat.proof
     monotonically across incremental [add_clause]/[solve] calls, so a
     snapshot taken after an [Unsat] answer certifies exactly the clause set
     added up to that point. *)
-
-val stamped_proof : t -> (int * Drat.event) list
-(** Like {!proof} but each event carries the stamp it was logged under
-    (see {!set_proof_clock}). Without a clock every stamp is [0]. *)
-
-val set_proof_clock : t -> int Atomic.t option -> unit
-(** Share a proof clock between solvers. When set, every logged event is
-    stamped with [Atomic.fetch_and_add clock 1] — a causally consistent
-    order across domains: a clause published through an {!set_export_hook}
-    ring carries a smaller stamp than any consumer's re-derivation of it,
-    because the ring's [Atomic] operations order the two logging calls.
-    {!Portfolio} merges per-worker streams by stamp into one checkable
-    DRAT certificate. *)
-
-(** {1 Clause sharing and diversification}
-
-    The hooks underneath {!Portfolio}: a solver racing on a shared CNF
-    exports its good learnt clauses and imports its peers'. Both hooks are
-    called from the solver's own domain — any cross-domain plumbing (ring
-    buffers) lives entirely in the hook closures. *)
-
-val set_export_hook : t -> (Lit.t array -> lbd:int -> bool) option -> unit
-(** Called once per learnt clause, right after it is recorded, with a
-    private copy of the literals and the clause's LBD. Return [true] if
-    the clause was taken (counted in [clauses_exported]). *)
-
-val set_import_hook : t -> (unit -> Lit.t array list) option -> unit
-(** Called at every restart boundary (and at [solve] entry), at decision
-    level 0. Returned clauses are installed as learnt clauses; each must
-    be a logical consequence of the clause set this solver was loaded
-    with (true for any peer's learnt clause over the same CNF). Clauses
-    mentioning unknown or eliminated variables are skipped. *)
-
-val configure :
-  ?restart_base:int -> ?var_decay:float -> ?invert_phase:bool -> t -> unit
-(** Diversification knobs, all verdict-preserving: [restart_base] scales
-    the Luby restart sequence (default 100), [var_decay] sets the VSIDS
-    decay factor (default 1/0.95, must be >= 1.0), [invert_phase] flips
-    every saved phase once at call time (call after allocating
-    variables). *)
-
-val export_cnf : t -> int * Lit.t array list
-(** Snapshot of the live clause set at decision level 0:
-    [(nvars, clauses)] with level-0 trail units first, then alive problem
-    clauses, then alive learnt clauses. Loading the snapshot into a fresh
-    solver yields a problem equisatisfiable with this solver's current
-    state (learnt clauses are consequences — they prune without changing
-    the verdict). Raises [Invalid_argument] off level 0. *)
-
-val inject_model : t -> bool array -> unit
-(** Adopt a model found by another solver over a CNF exported from this
-    one: [value]/[model] behave as after an own [Sat] answer. Variables
-    this solver eliminated by preprocessing are reconstructed from its
-    elimination stack. *)

@@ -461,110 +461,6 @@ let test_escalate_recovers_serial_verdict () =
       Alcotest.(check int) "same witness length" a.Bmc.w_length b.Bmc.w_length
   | _ -> Alcotest.fail "escalation did not recover the serial verdict"
 
-let test_escalate_racing_recovers_verdict () =
-  (* The racing ladder runs its rungs concurrently instead of one after
-     the other; the starved low rungs must not keep the grown rungs from
-     deciding, and the decided verdict matches the unlimited run. *)
-  let reference =
-    Bmc.check_safety ~design:(counter ()) ~invariant:(count_ne 5) ~depth:8 ()
-  in
-  let (outcome, _), attempts =
-    Bmc.Escalate.run_racing
-      ~policy:{ Bmc.Escalate.default_policy with max_attempts = 4; growth = 32.0 }
-      ~jobs:2
-      ~limits:(Bmc.limits ~budget:(Sat.Solver.budget ~conflicts:1 ()) ())
-      ~simplify:Bmc.default_simplify ~mono:false
-      ~unknown_of:(fun (o, _) ->
-        match o with
-        | Bmc.Unknown u -> Some (Sat.Solver.reason_to_string u.Bmc.un_reason)
-        | Bmc.Holds _ | Bmc.Violated _ -> None)
-      (fun cfg ->
-        Bmc.check_safety ~limits:cfg.Bmc.Escalate.ec_limits
-          ~simplify:cfg.Bmc.Escalate.ec_simplify ~design:(counter ())
-          ~invariant:(count_ne 5) ~depth:8 ())
-  in
-  Alcotest.(check bool) "attempt log non-empty" true (attempts <> []);
-  match (reference, outcome) with
-  | (Bmc.Violated a, _), Bmc.Violated b ->
-      Alcotest.(check int) "same witness length" a.Bmc.w_length b.Bmc.w_length
-  | _ -> Alcotest.fail "racing escalation did not recover the verdict"
-
-let test_escalate_racing_all_unknown () =
-  (* Every rung exhausts: the racing ladder must run all of them, log every
-     attempt with its reason, and surface one of the Unknown results
-     instead of raising or hanging. *)
-  let calls = Atomic.make 0 in
-  let (), attempts =
-    Bmc.Escalate.run_racing
-      ~policy:{ Bmc.Escalate.default_policy with max_attempts = 3 }
-      ~jobs:3
-      ~limits:(Bmc.limits ~budget:(Sat.Solver.budget ~conflicts:1 ()) ())
-      ~simplify:Bmc.default_simplify ~mono:false
-      ~unknown_of:(fun () -> Some "still unknown")
-      (fun _cfg -> Atomic.incr calls)
-  in
-  Alcotest.(check int) "every rung ran" 3 (Atomic.get calls);
-  Alcotest.(check int) "every rung logged" 3 (List.length attempts);
-  List.iter
-    (fun a ->
-      Alcotest.(check bool) "every attempt carries a reason" true
-        (a.Bmc.Escalate.at_reason <> None))
-    attempts;
-  (* Rung budgets grow with the index, exactly like the sequential ladder. *)
-  let caps =
-    List.filter_map
-      (fun a ->
-        Option.map
-          (fun c -> (a.Bmc.Escalate.at_index, c))
-          a.Bmc.Escalate.at_budget.Sat.Solver.max_conflicts)
-      attempts
-  in
-  List.iter
-    (fun (i, c) ->
-      List.iter
-        (fun (j, c') ->
-          if i < j then
-            Alcotest.(check bool)
-              (Printf.sprintf "budget grows from rung %d to %d" i j)
-              true (c < c'))
-        caps)
-    caps
-
-let test_escalate_racing_cancel_mid_rung () =
-  (* The caller's cancel token is composed into every rung's fault hook:
-     once a rung cancels it mid-run, the remaining rungs observe the
-     cancellation instead of running to their grown budgets, and the
-     ladder still returns with a complete attempt log. *)
-  let outer = Sat.Solver.cancel_token () in
-  let probe = Sat.Solver.stats (Sat.Solver.create ()) in
-  let result, attempts =
-    Bmc.Escalate.run_racing
-      ~policy:{ Bmc.Escalate.default_policy with max_attempts = 3 }
-      ~jobs:3
-      ~limits:
-        (Bmc.limits ~budget:(Sat.Solver.budget ~conflicts:1 ()) ~cancel:outer ())
-      ~simplify:Bmc.default_simplify ~mono:false
-      ~unknown_of:(fun o -> match o with `Unknown r -> Some r | `Decided -> None)
-      (fun cfg ->
-        (* The first rung to run cancels the shared outer token; the others
-           see the cancellation through the composed fault hook. *)
-        Sat.Solver.cancel outer;
-        match cfg.Bmc.Escalate.ec_limits.Bmc.l_fault with
-        | Some hook when hook probe = Some Sat.Solver.Fault_cancel ->
-            `Unknown "cancelled"
-        | Some _ | None -> `Decided)
-  in
-  (match result with
-  | `Unknown r -> Alcotest.(check string) "cancelled surfaced" "cancelled" r
-  | `Decided -> Alcotest.fail "a rung missed the outer cancellation");
-  Alcotest.(check int) "every rung logged" 3 (List.length attempts);
-  List.iter
-    (fun a ->
-      Alcotest.(check (option string))
-        "every attempt reports cancellation" (Some "cancelled")
-        a.Bmc.Escalate.at_reason)
-    attempts
-
 (* Two counters advancing under independent enables: enough arithmetic
    structure for the solver to learn real clauses, with an invariant that
    holds at every bound (a + b grows by at most 2 per cycle, so within
@@ -628,8 +524,5 @@ let suite =
     ("bmc.escalate_converges", `Quick, test_escalate_converges);
     ("bmc.escalate_max_attempts", `Quick, test_escalate_gives_up_at_max_attempts);
     ("bmc.escalate_recovers", `Quick, test_escalate_recovers_serial_verdict);
-    ("bmc.escalate_racing_recovers", `Quick, test_escalate_racing_recovers_verdict);
-    ("bmc.escalate_racing_all_unknown", `Quick, test_escalate_racing_all_unknown);
-    ("bmc.escalate_racing_cancel", `Quick, test_escalate_racing_cancel_mid_rung);
     QCheck_alcotest.to_alcotest prop_shortest_cex;
   ]

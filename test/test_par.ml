@@ -123,25 +123,6 @@ let test_watchdog_cancels_hung_task () =
   | _ -> Alcotest.fail "expected two Ok results");
   Alcotest.(check bool) "fan-out returned promptly" true (wall < 10.0)
 
-let test_stop_when_cancels_siblings () =
-  let results =
-    Par.map_governed ~jobs:4
-      ~stop_when:(fun r -> r = `Found)
-      (fun token tag -> if tag = 1 then `Found else spin_until_cancelled token)
-      [ 0; 1; 2; 3 ]
-  in
-  let values =
-    List.map (fun (r, _) -> match r with Ok v -> v | Error _ -> `Timed_out) results
-  in
-  Alcotest.(check int) "all tasks reported" 4 (List.length values);
-  Alcotest.(check bool) "the hit was reported" true (List.mem `Found values);
-  List.iteri
-    (fun i v ->
-      Alcotest.(check bool)
-        (Printf.sprintf "task %d released, not timed out" i)
-        true (v <> `Timed_out))
-    values
-
 let suite =
   [
     ("par.ordering", `Quick, test_ordering_preserved);
@@ -155,6 +136,5 @@ let suite =
     ("par.invalid_jobs", `Quick, test_invalid_jobs);
     ("par.governed_plain", `Quick, test_map_governed_plain);
     ("par.watchdog", `Quick, test_watchdog_cancels_hung_task);
-    ("par.stop_when", `Quick, test_stop_when_cancels_siblings);
     QCheck_alcotest.to_alcotest prop_deterministic_across_jobs;
   ]

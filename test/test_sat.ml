@@ -624,153 +624,6 @@ let test_seed_preserves_verdict () =
         (Solver.solve ~seed (pigeonhole 5 4) = Solver.Unsat))
     [ 0; 1; 42; 1337 ]
 
-(* ------------------------------------------------------------------ *)
-(* Clause-sharing portfolio.                                            *)
-
-module Portfolio = Sat.Portfolio
-
-(* Like [pigeonhole] but with DRAT logging on from the start, so the
-   merged portfolio certificate includes the Input events. *)
-let pigeonhole_logged np nh =
-  let s = Solver.create () in
-  Solver.start_proof s;
-  let p = Array.init np (fun _ -> Array.init nh (fun _ -> Solver.new_var s)) in
-  for i = 0 to np - 1 do
-    Solver.add_clause s (List.init nh (fun h -> Lit.pos p.(i).(h)))
-  done;
-  for h = 0 to nh - 1 do
-    for i = 0 to np - 1 do
-      for j = i + 1 to np - 1 do
-        Solver.add_clause s [ Lit.neg p.(i).(h); Lit.neg p.(j).(h) ]
-      done
-    done
-  done;
-  s
-
-let test_ring_overflow_drop () =
-  let r = Portfolio.Ring.create 4 in
-  Alcotest.(check int) "capacity" 4 (Portfolio.Ring.capacity r);
-  for i = 1 to 6 do
-    Alcotest.(check bool)
-      (Printf.sprintf "push %d" i)
-      (i <= 4)
-      (Portfolio.Ring.push r [| Lit.pos i |])
-  done;
-  Alcotest.(check int) "two dropped on full" 2 (Portfolio.Ring.dropped r);
-  for i = 1 to 4 do
-    match Portfolio.Ring.pop r with
-    | Some c ->
-        Alcotest.(check bool) (Printf.sprintf "fifo order %d" i) true (c = [| Lit.pos i |])
-    | None -> Alcotest.fail "ring drained too early"
-  done;
-  Alcotest.(check bool) "empty after drain" true (Portfolio.Ring.pop r = None);
-  (* The consumer's head advance licenses slot reuse by the producer. *)
-  Alcotest.(check bool) "reusable after drain" true
-    (Portfolio.Ring.push r [| Lit.pos 9 |]);
-  Alcotest.(check int) "dropped unchanged" 2 (Portfolio.Ring.dropped r)
-
-let test_portfolio_unsat_matches_single () =
-  (* Same verdict as the single-solver lane, and every non-winning worker
-     either lost the race (Cancelled) or independently agreed — a losing
-     worker must never decide the opposite verdict. *)
-  let o =
-    Portfolio.solve ~config:(Portfolio.config ~workers:3 ()) (pigeonhole 5 4)
-  in
-  Alcotest.(check bool) "unsat" true (o.Portfolio.o_result = Solver.Unsat);
-  Alcotest.(check bool) "winner decided" true (o.Portfolio.o_winner >= 0);
-  List.iter
-    (fun (i, r, _) ->
-      match r with
-      | Solver.Unsat | Solver.Unknown Solver.Cancelled -> ()
-      | Solver.Sat -> Alcotest.failf "worker %d flipped to Sat" i
-      | Solver.Unknown reason ->
-          Alcotest.failf "worker %d: unexpected %s" i (Solver.reason_to_string reason))
-    o.Portfolio.o_reports
-
-let test_portfolio_unsat_certified () =
-  let s = pigeonhole_logged 5 4 in
-  let o = Portfolio.solve ~config:(Portfolio.config ~workers:3 ()) s in
-  Alcotest.(check bool) "unsat" true (o.Portfolio.o_result = Solver.Unsat);
-  match Sat.Drat.check (Solver.proof s @ o.Portfolio.o_derived) with
-  | Ok () -> ()
-  | Error m -> Alcotest.failf "merged certificate rejected: %s" m
-
-let test_portfolio_sat_injects_model () =
-  let s = Solver.create () in
-  let vs = Array.of_list (fresh_vars s 8) in
-  let clauses = ref [] in
-  for i = 0 to 6 do
-    clauses := [ Lit.neg vs.(i); Lit.pos vs.(i + 1) ] :: !clauses
-  done;
-  clauses := [ Lit.pos vs.(0) ] :: !clauses;
-  List.iter (Solver.add_clause s) !clauses;
-  let o = Portfolio.solve ~config:(Portfolio.config ~workers:3 ()) s in
-  Alcotest.(check bool) "sat" true (o.Portfolio.o_result = Solver.Sat);
-  (* The winning model is injected into the master: [Solver.value] answers
-     for the master as if it had solved the query itself. *)
-  Alcotest.(check bool) "master model satisfies clauses" true (check_model s !clauses)
-
-let test_portfolio_no_share_counters_zero () =
-  let o =
-    Portfolio.solve
-      ~config:(Portfolio.config ~workers:2 ~share:false ())
-      (pigeonhole 5 4)
-  in
-  Alcotest.(check bool) "unsat" true (o.Portfolio.o_result = Solver.Unsat);
-  Alcotest.(check int) "nothing exported" 0 o.Portfolio.o_exported;
-  Alcotest.(check int) "nothing imported" 0 o.Portfolio.o_imported;
-  Alcotest.(check int) "nothing dropped" 0 o.Portfolio.o_dropped
-
-let test_portfolio_deterministic_reproducible () =
-  (* Deterministic mode: sharing off, every worker runs to completion,
-     winner = lowest decided index. Two runs on equal masters must agree
-     on the winner, the verdict and every worker's full counter set. *)
-  let run () =
-    Portfolio.solve ~seed:42
-      ~config:(Portfolio.config ~workers:3 ~deterministic:true ())
-      (pigeonhole 5 4)
-  in
-  let a = run () and b = run () in
-  Alcotest.(check bool) "verdict" true (a.Portfolio.o_result = b.Portfolio.o_result);
-  Alcotest.(check int) "winner" a.Portfolio.o_winner b.Portfolio.o_winner;
-  Alcotest.(check int) "report count" (List.length a.Portfolio.o_reports)
-    (List.length b.Portfolio.o_reports);
-  List.iter2
-    (fun (ia, ra, sta) (ib, rb, stb) ->
-      Alcotest.(check int) "worker index" ia ib;
-      Alcotest.(check bool) (Printf.sprintf "worker %d result" ia) true (ra = rb);
-      Alcotest.(check bool) (Printf.sprintf "worker %d stats" ia) true (sta = stb))
-    a.Portfolio.o_reports b.Portfolio.o_reports
-
-let test_portfolio_cancel_all () =
-  let token = Solver.cancel_token () in
-  Solver.cancel token;
-  let o =
-    Portfolio.solve ~cancel:token
-      ~config:(Portfolio.config ~workers:2 ())
-      (pigeonhole 6 5)
-  in
-  (match o.Portfolio.o_result with
-  | Solver.Unknown Solver.Cancelled -> ()
-  | r ->
-      Alcotest.failf "expected Unknown Cancelled, got %s"
-        (match r with
-        | Solver.Sat -> "Sat"
-        | Solver.Unsat -> "Unsat"
-        | Solver.Unknown reason -> "Unknown " ^ Solver.reason_to_string reason));
-  Alcotest.(check int) "no winner" (-1) o.Portfolio.o_winner
-
-let test_portfolio_one_worker_is_plain () =
-  (* p_workers = 1 solves on the master itself: identical verdict and
-     stats to a direct [Solver.solve] call on an equal solver. *)
-  let direct = pigeonhole 5 4 in
-  let r_direct = Solver.solve ~seed:7 direct in
-  let o =
-    Portfolio.solve ~seed:7 ~config:(Portfolio.config ~workers:1 ()) (pigeonhole 5 4)
-  in
-  Alcotest.(check bool) "same verdict" true (o.Portfolio.o_result = r_direct);
-  Alcotest.(check bool) "same stats" true (o.Portfolio.o_stats = Solver.stats direct)
-
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -819,14 +672,6 @@ let suite =
     ("govern.reuse_after_unknown", `Quick, test_reusable_after_unknown);
     ("govern.budget_scale", `Quick, test_budget_scale);
     ("govern.seed_verdict", `Quick, test_seed_preserves_verdict);
-    ("portfolio.ring_overflow", `Quick, test_ring_overflow_drop);
-    ("portfolio.unsat_matches_single", `Quick, test_portfolio_unsat_matches_single);
-    ("portfolio.unsat_certified", `Quick, test_portfolio_unsat_certified);
-    ("portfolio.sat_injects_model", `Quick, test_portfolio_sat_injects_model);
-    ("portfolio.no_share_counters", `Quick, test_portfolio_no_share_counters_zero);
-    ("portfolio.deterministic", `Quick, test_portfolio_deterministic_reproducible);
-    ("portfolio.cancel_all", `Quick, test_portfolio_cancel_all);
-    ("portfolio.one_worker_plain", `Quick, test_portfolio_one_worker_is_plain);
     q prop_matches_brute_force;
     q prop_assumptions_match_brute_force;
     q prop_incremental_consistency;
