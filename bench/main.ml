@@ -185,12 +185,11 @@ let record report =
    experiments (t3, f1) use it so resumed rows are never mistaken for
    cold measurements. Solved cells journal their wall-clock seconds,
    which later distributed runs read back for hardest-first ordering. *)
-let check_warm ?simplify ?mono technique design iface ~bound =
+let check_warm ?simplify technique design iface ~bound =
   let limits = bench_limits () in
   let solve () =
-    if !escalate then
-      Checks.run_escalating ?simplify ?mono ~limits technique design iface ~bound
-    else Checks.run ?simplify ?mono ~limits technique design iface ~bound
+    if !escalate then Checks.run_escalating ?simplify ~limits technique design iface ~bound
+    else Checks.run ?simplify ~limits technique design iface ~bound
   in
   match !campaign with
   | None -> (record (solve ()), false)
@@ -212,8 +211,8 @@ let check_warm ?simplify ?mono technique design iface ~bound =
             ~key ~payload:(Checks.encode_report r);
           (record r, false))
 
-let check ?simplify ?mono technique design iface ~bound =
-  fst (check_warm ?simplify ?mono technique design iface ~bound)
+let check ?simplify technique design iface ~bound =
+  fst (check_warm ?simplify technique design iface ~bound)
 
 let par_map f xs = Par.map ~jobs:!jobs f xs
 
@@ -607,10 +606,10 @@ let a1 () =
            Printf.printf "%-12s %22s %22s\n%!" name (show full) (show out_only))
 
 (* ------------------------------------------------------------------ *)
-(* A2: ablation — incremental vs monolithic BMC.                        *)
+(* A2: ablation — the default engine vs a fresh solver for every query.   *)
 
 let a2 () =
-  header "A2  Ablation: incremental vs monolithic BMC (accum reachability)";
+  header "A2  Ablation: default engine vs fresh solver per query (accum reachability)";
   let e = Registry.find "accum" in
   let assumes =
     [
@@ -619,15 +618,15 @@ let a2 () =
     ]
   in
   let invariant = Expr.ne (Expr.var "acc" 4) (Expr.const_int ~width:4 15) in
-  Printf.printf "%-8s %14s %14s %10s\n" "depth" "incremental(s)" "monolithic(s)" "result";
+  Printf.printf "%-8s %14s %14s %10s\n" "depth" "default(s)" "fresh(s)" "result";
   List.iter
     (fun depth ->
-      let (r1, _), t_inc =
+      let (r1, _), t_default =
         time (fun () ->
             Bmc.check_safety ~assumes ~simplify:!pipeline ~limits:(bench_limits ())
               ~design:e.Entry.design ~invariant ~depth ())
       in
-      let (r2, _), t_mono =
+      let (r2, _), t_fresh =
         time (fun () ->
             Bmc.check_safety ~assumes ~simplify:!pipeline ~mono:true
               ~limits:(bench_limits ()) ~design:e.Entry.design ~invariant ~depth ())
@@ -649,7 +648,7 @@ let a2 () =
               agree "a2" (Printf.sprintf "depth %d" depth) ~expected:(show r1)
                 ~got:(show r2) )
       in
-      Printf.printf "%-8d %14.3f %14.3f %10s%s\n%!" depth t_inc t_mono result
+      Printf.printf "%-8d %14.3f %14.3f %10s%s\n%!" depth t_default t_fresh result
         (if same then "" else "  MISMATCH"))
     [ 4; 8; 12; 16 ]
 
@@ -730,14 +729,12 @@ let s1 () =
       ("all", Bmc.default_simplify);
     ]
   in
-  (* Per-stage ablation on the correct designs, in monolithic mode (the
-     mode where every stage of the pipeline is live — per-query compaction
-     and BVE are no-ops on the incremental engine). "clauses" is the total
-     number of clauses sent to the solver over all SAT queries of the
-     check. Any stage changing the verdict is a verifier bug and fails the
-     bench run. *)
-  Printf.printf
-    "per-stage clauses sent (correct designs, monolithic G-QED at the recommended bound):\n";
+  (* Per-stage ablation on the correct designs with the default engine
+     (per-query compaction and BVE run only once it has switched to fresh
+     solvers). "clauses" is the total number of clauses sent to the solver
+     over all SAT queries of the check. Any stage changing the verdict is a
+     verifier bug and fails the bench run. *)
+  Printf.printf "per-stage clauses sent (correct designs, G-QED at the recommended bound):\n";
   Printf.printf "%-12s %-8s %9s %9s %10s %8s\n" "design" "stage" "vars" "clauses" "verdict"
     "time(s)";
   let ablation =
@@ -745,7 +742,7 @@ let s1 () =
       (fun (e, (stage, conf)) ->
         let report, dt =
           time (fun () ->
-              check ~simplify:conf ~mono:true Checks.Gqed e.Entry.design e.Entry.iface
+              check ~simplify:conf Checks.Gqed e.Entry.design e.Entry.iface
                 ~bound:e.Entry.rec_bound)
         in
         (e.Entry.name, stage, report, dt))
@@ -769,9 +766,8 @@ let s1 () =
         (if same then "" else "  VERDICT MISMATCH"))
     ablation;
   (* Off-vs-on over the full design x mutant matrix (same mutant suites as
-     T2), monolithic mode on both sides so the comparison is controlled.
-     "Clauses" is again the total sent to the solver over the whole check;
-     the per-case ratios feed the geo-mean reduction figure. *)
+     T2). "Clauses" is again the total sent to the solver over the whole
+     check; the per-case ratios feed the geo-mean reduction figure. *)
   let cases =
     List.concat_map
       (fun e -> List.map (fun (label, design) -> (e, label, design)) (design_cases e))
@@ -781,8 +777,7 @@ let s1 () =
     par_map
       (fun (e, label, design) ->
         let run simplify =
-          check ~simplify ~mono:true Checks.Gqed design e.Entry.iface
-            ~bound:e.Entry.rec_bound
+          check ~simplify Checks.Gqed design e.Entry.iface ~bound:e.Entry.rec_bound
         in
         let off = run Bmc.no_simplify in
         let on = run Bmc.default_simplify in

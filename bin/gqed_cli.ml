@@ -158,15 +158,6 @@ let simplify_term =
     $ stage_flag "pg" "Disable polarity-aware (Plaisted-Greenbaum) Tseitin."
     $ stage_flag "cnf" "Disable CNF preprocessing (subsumption / strengthening / BVE).")
 
-let mono_flag =
-  Arg.(
-    value & flag
-    & info [ "mono" ]
-        ~doc:
-          "Monolithic mode: blast the design once, run every SAT query on a fresh \
-           solver. Unlocks the per-query compaction and variable-elimination \
-           stages of the pipeline; same verdicts as the incremental default.")
-
 let simp_stats_flag =
   Arg.(
     value & flag
@@ -318,8 +309,8 @@ let limits_of ?cancel ~timeout ~max_conflicts () =
 
 (* Wrap any check in the escalation policy; with unbounded limits the first
    attempt decides and this is exactly the plain call. *)
-let with_escalation ~escalate ~limits ~simplify ~mono run1 =
-  if not escalate then run1 ~simplify ~mono ~limits
+let with_escalation ~escalate ~limits ~simplify run1 =
+  if not escalate then run1 ~simplify ~limits
   else begin
     let unknown_of (r : Checks.report) =
       match r.Checks.verdict with
@@ -327,9 +318,8 @@ let with_escalation ~escalate ~limits ~simplify ~mono run1 =
       | Checks.Pass _ | Checks.Fail _ -> None
     in
     let report, attempts =
-      Bmc.Escalate.run ~limits ~simplify ~mono ~unknown_of (fun cfg ->
-          run1 ~simplify:cfg.Bmc.Escalate.ec_simplify ~mono:cfg.Bmc.Escalate.ec_mono
-            ~limits:cfg.Bmc.Escalate.ec_limits)
+      Bmc.Escalate.run ~limits ~simplify ~unknown_of (fun cfg ->
+          run1 ~simplify:cfg.Bmc.Escalate.ec_simplify ~limits:cfg.Bmc.Escalate.ec_limits)
     in
     { report with Checks.attempts }
   end
@@ -423,8 +413,8 @@ let verify_cmd =
         | None -> ());
         exit 1
   in
-  let run name technique bound mutant all_mutants jobs waveform vcd simplify mono
-      simp_stats timeout max_conflicts no_escalate checkpoint resume force policy
+  let run name technique bound mutant all_mutants jobs waveform vcd simplify simp_stats
+      timeout max_conflicts no_escalate checkpoint resume force policy
       obs_trace obs_metrics obs_format =
     setup_obs ~trace:obs_trace ~metrics:obs_metrics ~format:obs_format;
     if jobs < 1 then begin
@@ -451,21 +441,18 @@ let verify_cmd =
     in
     let check ?cancel technique design =
       let limits = limits_of ?cancel ~timeout ~max_conflicts () in
-      let run1 ~simplify ~mono ~limits =
+      let run1 ~simplify ~limits =
         match technique with
-        | `Gqed -> Checks.gqed ~simplify ~mono ~limits design e.Entry.iface ~bound
-        | `Flow -> Checks.flow ~simplify ~mono ~limits design e.Entry.iface ~bound
-        | `Aqed ->
-            Checks.aqed_fc ~simplify ~mono ~limits design e.Entry.iface ~bound
+        | `Gqed -> Checks.gqed ~simplify ~limits design e.Entry.iface ~bound
+        | `Flow -> Checks.flow ~simplify ~limits design e.Entry.iface ~bound
+        | `Aqed -> Checks.aqed_fc ~simplify ~limits design e.Entry.iface ~bound
         | `Gqed_out ->
-            Checks.gqed_output_only ~simplify ~mono ~limits design e.Entry.iface
-              ~bound
-        | `Sa -> Checks.sa_check ~simplify ~mono ~limits design e.Entry.iface ~bound
+            Checks.gqed_output_only ~simplify ~limits design e.Entry.iface ~bound
+        | `Sa -> Checks.sa_check ~simplify ~limits design e.Entry.iface ~bound
         | `Stability ->
-            Checks.stability_check ~simplify ~mono ~limits design e.Entry.iface
-              ~bound
+            Checks.stability_check ~simplify ~limits design e.Entry.iface ~bound
       in
-      let solve () = with_escalation ~escalate ~limits ~simplify ~mono run1 in
+      let solve () = with_escalation ~escalate ~limits ~simplify run1 in
       match (campaign, campaign_key_of technique design) with
       | None, _ | _, None -> solve ()
       | Some c, Some key -> (
@@ -548,7 +535,7 @@ let verify_cmd =
     (Cmd.info "verify" ~doc:"Run a QED check on a design (or one of its mutants).")
     Term.(
       const run $ design_arg $ technique_arg $ bound_arg $ mutant_arg $ all_mutants_flag
-      $ jobs_arg $ waveform_flag $ vcd_arg $ simplify_term $ mono_flag $ simp_stats_flag
+      $ jobs_arg $ waveform_flag $ vcd_arg $ simplify_term $ simp_stats_flag
       $ timeout_arg $ max_conflicts_arg $ no_escalate_flag $ checkpoint_arg
       $ resume_flag $ cli_force_flag $ policy_term $ obs_trace_arg $ obs_metrics_arg
       $ obs_format_arg)

@@ -257,12 +257,19 @@ module Engine = struct
     | Unreachable
     | Undecided of Sat.Solver.unknown_reason
 
+  (* An incremental engine switches to a fresh solver per query after its
+     first query whose search takes more than this many conflicts. Chosen by
+     the threshold sweep in EXPERIMENTS.md §A2: lower thresholds slow the
+     short counterexample queries of detection, higher ones leave hard
+     proofs on the incremental solver. *)
+  let fresh_after_conflicts = 500
+
   type t = {
     graph : Aig.t;
     design : Rtl.design;
     unroller : Unroller.t;
     simplify : simplify_config;
-    mono : bool;
+    mutable mono : bool; (* every query on a fresh solver; never reverts *)
     symbolic_init : bool;
     certify : bool;
     limits : limits;
@@ -271,10 +278,12 @@ module Engine = struct
     mutable map : (Aig.lit -> Aig.lit option) option;
         (* literal translation into the current compacted graph; [None] when
            the emitter works on [graph] directly *)
-    mutable pending : Aig.lit list; (* mono: permanent asserts, newest first *)
+    mutable pending : Aig.lit list; (* every permanent assert, newest first *)
     mutable certified_unsats : int;
     (* Pipeline accounting. The [*_acc] fields collect stats of solvers and
-       emitters retired by mono-mode resets; [simp_stats] adds the live ones. *)
+       emitters retired by fresh-solver resets; [simp_stats] and [stats]
+       add the live ones. *)
+    mutable search_acc : Sat.Solver.stats;
     mutable queries : int;
     mutable coi_before : int;
     mutable coi_after : int;
@@ -311,6 +320,7 @@ module Engine = struct
       map = None;
       pending = [];
       certified_unsats = 0;
+      search_acc = Sat.Solver.stats solver (* a new solver: all counters zero *);
       queries = 0;
       coi_before = List.length design.Rtl.registers;
       coi_after = List.length design.Rtl.registers;
@@ -327,17 +337,31 @@ module Engine = struct
 
   let unroller t = t.unroller
   let graph t = t.graph
-  let solver t = t.solver
   let note_coi t ~before ~after =
     t.coi_before <- before;
     t.coi_after <- after
 
   let map_lit t l = match t.map with None -> Some l | Some f -> f l
 
-  let assert_lit t l =
-    if t.mono then t.pending <- l :: t.pending else Aig.Cnf.assert_lit t.emitter l
+  (* Search counters summed over [acc] and [live]; the database sizes are
+     the live solver's. *)
+  let add_search (acc : Sat.Solver.stats) (live : Sat.Solver.stats) =
+    Sat.Solver.
+      {
+        live with
+        conflicts = acc.conflicts + live.conflicts;
+        decisions = acc.decisions + live.decisions;
+        propagations = acc.propagations + live.propagations;
+        restarts = acc.restarts + live.restarts;
+      }
 
-  (* Mono mode: every query gets a fresh solver over exactly the cones it
+  (* Recorded for replay on fresh solvers; the live solver only takes it
+     while the engine is still incremental. *)
+  let assert_lit t l =
+    t.pending <- l :: t.pending;
+    if not t.mono then Aig.Cnf.assert_lit t.emitter l
+
+  (* Fresh-solver queries: each gets a new solver over exactly the cones it
      needs. Retire the outgoing solver/emitter into the accumulators, then —
      when rewriting is on — sweep the persistent graph down to the cones of
      the roots (re-running the rewrite rules over them) and emit from the
@@ -348,6 +372,7 @@ module Engine = struct
     t.plain_acc <- t.plain_acc + st.Aig.Cnf.cnf_clauses_plain;
     t.single_acc <- t.single_acc + st.Aig.Cnf.cnf_single_pol;
     t.pre_acc <- add_presult t.pre_acc (Sat.Solver.preprocess_totals t.solver);
+    t.search_acc <- add_search t.search_acc (Sat.Solver.stats t.solver);
     let solver = Sat.Solver.create () in
     if t.certify then Sat.Solver.start_proof solver;
     (* Fresh solvers inherit the engine's governance: budget/cancel arrive
@@ -464,7 +489,8 @@ module Engine = struct
             ("query", string_of_int t.queries);
             ("frames", string_of_int (Unroller.max_frame t.unroller + 1));
           ];
-    if t.mono then begin
+    let fresh = t.mono in
+    if fresh then begin
       reset_query t ~roots:(assumptions @ t.pending);
       List.iter
         (fun l -> Aig.Cnf.assert_lit t.emitter (mapped t l))
@@ -475,19 +501,24 @@ module Engine = struct
     in
     if t.simplify.sc_cnf then begin
       let t0 = Sys.time () in
-      (* BVE only for one-shot (mono) queries: it is merely satisfiability-
-         preserving, and incremental engines keep adding clauses over
-         existing variables. *)
-      ignore (Sat.Solver.preprocess ~elim:t.mono ~frozen:sat_assumptions t.solver);
+      (* BVE only on a fresh solver: it is merely satisfiability-preserving,
+         and an incremental solver keeps taking clauses over existing
+         variables. *)
+      ignore (Sat.Solver.preprocess ~elim:fresh ~frozen:sat_assumptions t.solver);
       t.t_cnf <- t.t_cnf +. (Sys.time () -. t0)
     end;
+    let conflicts0 = (Sat.Solver.stats t.solver).Sat.Solver.conflicts in
     let result =
       Sat.Solver.solve ~assumptions:sat_assumptions ~budget:t.limits.l_budget
         ?cancel:t.limits.l_cancel ?seed:t.limits.l_seed t.solver
     in
+    if (Sat.Solver.stats t.solver).Sat.Solver.conflicts - conflicts0 > fresh_after_conflicts
+    then t.mono <- true;
     let finish_span verdict =
       if Obs.on () then begin
-        Obs.Trace.span_end "bmc.query" ~args:[ ("verdict", verdict) ];
+        Obs.Trace.span_end "bmc.query"
+          ~args:
+            [ ("verdict", verdict); ("solver", if fresh then "fresh" else "incremental") ];
         Obs.Metrics.add (Obs.Metrics.counter "bmc.queries") 1;
         Obs.Metrics.add (Obs.Metrics.counter ("bmc.verdict." ^ verdict)) 1;
         Obs.Metrics.set
@@ -517,7 +548,7 @@ module Engine = struct
 
   let certified_unsats t = t.certified_unsats
 
-  let stats t = Sat.Solver.stats t.solver
+  let stats t = add_search t.search_acc (Sat.Solver.stats t.solver)
 
   let cnf_size t =
     let st = Sat.Solver.stats t.solver in
@@ -592,9 +623,9 @@ let check_safety ?(symbolic_init = false) ?(certify = false) ?(assumes = [])
     assumes;
   let original = design in
   let design, coi = coi_setup simplify ~design ~props:(invariant :: assumes) in
-  (* One engine for all bounds. In mono mode the design blasting (graph +
-     unrolling) is still shared, but each bound's query runs on a fresh
-     solver that replays the recorded assumptions and proven bounds. *)
+  (* One engine for all bounds. Once it runs queries on fresh solvers, the
+     design blasting (graph + unrolling) is still shared, but each bound's
+     query replays the recorded assumptions and proven bounds. *)
   let engine = Engine.create ~symbolic_init ~certify ~simplify ~mono ~limits design in
   Engine.note_coi engine ~before:coi.Coi.coi_regs_before ~after:coi.Coi.coi_regs_after;
   let finish outcome =
@@ -642,7 +673,6 @@ module Escalate = struct
     at_index : int;
     at_budget : Sat.Solver.budget;
     at_simplify : simplify_config;
-    at_mono : bool;
     at_seed : int option;
     at_seconds : float;
     at_reason : string option;
@@ -661,15 +691,14 @@ module Escalate = struct
           cap "learnt-mb" (Printf.sprintf "%.3g") b.Sat.Solver.max_learnt_mb;
         ]
     in
-    Format.fprintf ppf "#%d [%s]%s%s%s %.3fs: %s" a.at_index
+    Format.fprintf ppf "#%d [%s]%s%s %.3fs: %s" a.at_index
       (if caps = [] then "unbounded" else String.concat " " caps)
-      (if a.at_mono then " mono" else "")
       (if a.at_simplify = no_simplify then " no-simplify" else "")
       (match a.at_seed with None -> "" | Some s -> Printf.sprintf " seed=%d" s)
       a.at_seconds
       (match a.at_reason with None -> "decided" | Some r -> r)
 
-  type config = { ec_limits : limits; ec_simplify : simplify_config; ec_mono : bool }
+  type config = { ec_limits : limits; ec_simplify : simplify_config }
 
   (* Budget caps as span arguments, so an attempt span in the trace shows
      what it was allowed to spend. *)
@@ -684,18 +713,7 @@ module Escalate = struct
         cap "learnt-mb" (Printf.sprintf "%.3g") b.Sat.Solver.max_learnt_mb;
       ]
 
-  (* Perturbation schedule for retry [i] (i >= 1): always reseed; flip the
-     incremental/monolithic lane on odd retries; toggle the simplification
-     pipeline from the third retry on. All three are verdict-preserving. *)
-  let perturbed ~base_simplify ~base_mono i =
-    let mono = if i land 1 = 1 then not base_mono else base_mono in
-    let simplify =
-      if i >= 3 then if base_simplify = no_simplify then default_simplify else no_simplify
-      else base_simplify
-    in
-    (simplify, mono)
-
-  let run ?(policy = default_policy) ~limits ~simplify ~mono ~unknown_of f =
+  let run ?(policy = default_policy) ~limits ~simplify ~unknown_of f =
     let t_start = Unix.gettimeofday () in
     let elapsed () = Unix.gettimeofday () -. t_start in
     let over_total () =
@@ -717,16 +735,19 @@ module Escalate = struct
       match limits.l_cancel with Some c -> Sat.Solver.cancelled c | None -> false
     in
     let rec attempt i budget acc =
-      let simplify', mono' =
-        if policy.perturb && i > 0 then perturbed ~base_simplify:simplify ~base_mono:mono i
-        else (simplify, mono)
+      (* Perturbation schedule: every retry reseeds (below); from the third
+         retry on the simplification pipeline is toggled. Both are
+         verdict-preserving. *)
+      let simplify' =
+        if policy.perturb && i >= 3 then
+          if simplify = no_simplify then default_simplify else no_simplify
+        else simplify
       in
       let seed = if i = 0 then limits.l_seed else Some (i * 0x9e3779b1) in
       let cfg =
         {
           ec_limits = { limits with l_budget = clamp_budget budget; l_seed = seed };
           ec_simplify = simplify';
-          ec_mono = mono';
         }
       in
       let t0 = Unix.gettimeofday () in
@@ -742,7 +763,6 @@ module Escalate = struct
           at_index = i;
           at_budget = cfg.ec_limits.l_budget;
           at_simplify = simplify';
-          at_mono = mono';
           at_seed = seed;
           at_seconds = dt;
           at_reason = reason;

@@ -3,9 +3,10 @@
     The {!Unroller} lowers a design into an {!Aig.t}, one copy of the
     combinational logic per clock cycle ("frame"), with register values fed
     forward between frames. The {!Engine} bundles unroller, AIG, Tseitin
-    emitter and SAT solver, and supports incremental queries: constraints
-    may be asserted permanently or passed per-query as assumptions, and the
-    unrolling deepens on demand.
+    emitter and SAT solver: constraints may be asserted permanently or
+    passed per-query as assumptions, and the unrolling deepens on demand.
+    Queries run on one incremental solver until one of them gets hard,
+    and on a fresh solver each from then on.
 
     On top of the engine, {!check_safety} implements the classic
     incremental-deepening safety check used by the experiment harness and by
@@ -55,11 +56,11 @@ type simplify_config = {
           property's transitive support before unrolling *)
   sc_rewrite : bool;
       (** AIG rewriting: one- and two-level rules at construction time,
-          plus a per-query compaction sweep in monolithic mode *)
+          plus a per-query compaction sweep on fresh solvers *)
   sc_pg : bool;  (** polarity-aware (Plaisted–Greenbaum) Tseitin emission *)
   sc_cnf : bool;
       (** CNF preprocessing: subsumption + self-subsuming resolution (and
-          bounded variable elimination in monolithic mode), DRAT-logged *)
+          bounded variable elimination on fresh solvers), DRAT-logged *)
 }
 
 val default_simplify : simplify_config
@@ -133,7 +134,7 @@ module Engine : sig
   type t
 
   (** Per-engine totals of the simplification pipeline, accumulated over
-      every query (including solvers retired by monolithic-mode resets). *)
+      every query (including solvers retired by fresh-solver resets). *)
   type simp_stats = {
     ss_queries : int;  (** SAT queries issued *)
     ss_coi_regs_before : int;  (** registers before COI (set by the drivers) *)
@@ -177,27 +178,34 @@ module Engine : sig
       this engine applies; [sc_coi] is handled by {!check_safety}, not
       here.
 
-      [mono] (default [false]) puts the engine in monolithic mode: the AIG
-      and unrolling persist across queries (so the design is only blasted
-      once), but every {!check} runs on a fresh solver. [assert_lit] then
-      records the literal for replay instead of constraining the current
-      solver; with [sc_rewrite] each query additionally sweeps the graph
-      down to the cones it needs, and with [sc_cnf] bounded variable
-      elimination is enabled (safe only because each solver is one-shot). *)
+      Solving path: a new engine answers its queries on one incremental
+      solver. After a query whose search takes more than 500 conflicts (a
+      fixed constant), every later {!check} runs on a fresh solver; the
+      AIG and unrolling persist (so the design is only blasted once) and
+      the permanent asserts are replayed. With
+      [sc_rewrite] a fresh-solver query sweeps the graph down to the cones
+      it needs, and with [sc_cnf] it also runs bounded variable elimination
+      (safe only because the solver is one-shot). [mono] (default [false])
+      starts the engine on fresh solvers from the first query; it exists
+      for the differential lanes (the fuzz [bmc] oracle, bench A2, the unit
+      tests), and the answers are the same either way. *)
 
   val unroller : t -> Unroller.t
   val graph : t -> Aig.t
-  val solver : t -> Sat.Solver.t
 
   val assert_lit : t -> Aig.lit -> unit
-  (** Permanently constrain the given AIG literal to true. *)
+  (** Permanently constrain the given AIG literal to true. The engine
+      records it for replay on fresh solvers. *)
 
   val check : t -> assumptions:Aig.lit list -> check_result
   (** SAT query under assumptions and the engine's {!limits}; on SAT,
       extract and replay the witness over all frames unrolled so far.
-      [Undecided] leaves the engine usable: a follow-up [check] (e.g.
-      after growing the budget via a fresh engine, or simply retrying an
-      incremental engine) resumes from the accumulated solver state. *)
+      [Undecided] leaves the engine usable: a follow-up [check] resumes
+      from the accumulated solver state, or starts a fresh solver if the
+      undecided query took more than 500 conflicts.
+
+      With tracing on, the [bmc.query] span end carries
+      [("solver", "incremental" | "fresh")]: the path that answered. *)
 
   val model_lit : t -> Aig.lit -> bool
   (** Value of an AIG literal in the most recent SAT model (valid after
@@ -214,6 +222,10 @@ module Engine : sig
   (** Number of UNSAT answers certified so far on this engine. *)
 
   val stats : t -> Sat.Solver.stats
+  (** Search counters ([conflicts], [decisions], [propagations],
+      [restarts]) summed over every solver this engine has used; the
+      database sizes are the live solver's. *)
+
   val cnf_size : t -> int * int
   (** [(vars, clauses)] currently in the solver. *)
 
@@ -262,19 +274,19 @@ val check_safety :
     stages; under COI, counterexamples are re-anchored to the original
     design (out-of-cone registers at their reset values — or zero under
     symbolic init — and the trace re-simulated), so witnesses always speak
-    about the design passed in. [mono] (default [false]) runs every bound
-    as one monolithic query on a fresh solver (see {!Engine.create}); the
-    design blasting is still shared across bounds, and the answers are
-    the same. It exists for the incremental-vs-monolithic ablation
-    (experiment R-A2). [stats], when given, receives the engine's pipeline
-    totals just before the result is returned. *)
+    about the design passed in. One {!Engine} serves every bound, so the
+    solving path switches as {!Engine.create} describes; [mono] (default
+    [false]) runs every bound on a fresh solver from the first query, for
+    the default-vs-fresh ablation (experiment A2). The answers are the
+    same. [stats], when given, receives the engine's pipeline totals just
+    before the result is returned. *)
 
 (** {1 Retry escalation}
 
     Generic policy for re-running an undecided check with exponentially
     grown budgets and perturbed configurations. The perturbations —
-    simplification on/off, incremental vs monolithic lane, a fresh restart
-    seed — are all verdict-preserving, so any attempt that decides gives
+    simplification on/off and a fresh restart seed — are both
+    verdict-preserving, so any attempt that decides gives
     {e the} answer; varying them merely diversifies the search in the hope
     that one trajectory fits inside the budget. Every attempt is logged,
     so a final verdict carries its full escalation path. *)
@@ -285,7 +297,9 @@ module Escalate : sig
     total_seconds : float option;
         (** cumulative wall-clock cap over all attempts; each attempt's
             per-query [max_seconds] is clamped to the time remaining *)
-    perturb : bool;  (** vary simplify / mono lane / seed across retries *)
+    perturb : bool;
+        (** toggle the simplification pipeline from the third retry on
+            (every retry gets a fresh restart seed regardless) *)
   }
 
   val default_policy : policy
@@ -297,7 +311,6 @@ module Escalate : sig
     at_index : int;
     at_budget : Sat.Solver.budget;
     at_simplify : simplify_config;
-    at_mono : bool;
     at_seed : int option;
     at_seconds : float;
     at_reason : string option;
@@ -306,21 +319,16 @@ module Escalate : sig
   val pp_attempt : Format.formatter -> attempt -> unit
 
   (** Configuration handed to the check runner for one attempt. *)
-  type config = {
-    ec_limits : limits;
-    ec_simplify : simplify_config;
-    ec_mono : bool;
-  }
+  type config = { ec_limits : limits; ec_simplify : simplify_config }
 
   val run :
     ?policy:policy ->
     limits:limits ->
     simplify:simplify_config ->
-    mono:bool ->
     unknown_of:('a -> string option) ->
     (config -> 'a) ->
     'a * attempt list
-  (** [run ~limits ~simplify ~mono ~unknown_of f] calls [f] with the base
+  (** [run ~limits ~simplify ~unknown_of f] calls [f] with the base
       configuration; while [unknown_of] reports a giving-up reason it
       retries with the budget scaled by [growth] and (when [perturb]) a
       perturbed configuration, until an attempt decides, [max_attempts]

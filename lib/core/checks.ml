@@ -224,9 +224,9 @@ let drive ~engine ~bound ~pairs_at ~kinds =
 (* ------------------------------------------------------------------ *)
 (* A-QED functional consistency (single copy).                          *)
 
-let aqed_fc_fixed ~simplify ~mono ~limits design iface ~bound =
+let aqed_fc_fixed ~simplify ~limits design iface ~bound =
   Iface.check design iface;
-  let engine = Bmc.Engine.create ~simplify ~mono ~limits design in
+  let engine = Bmc.Engine.create ~simplify ~limits design in
   let view = { engine; prefix = ""; iface } in
   let gr = Bmc.Engine.graph engine in
   let latency = iface.Iface.latency in
@@ -261,12 +261,12 @@ let aqed_fc_fixed ~simplify ~mono ~limits design iface ~bound =
 (* ------------------------------------------------------------------ *)
 (* G-QED (product of two copies).                                       *)
 
-let gqed_generic ~simplify ~mono ~limits ~with_state design iface ~bound =
+let gqed_generic ~simplify ~limits ~with_state design iface ~bound =
   Iface.check design iface;
   let copy1 = Rtl.rename ~prefix:copy1_prefix design in
   let copy2 = Rtl.rename ~prefix:copy2_prefix design in
   let prod = Rtl.product copy1 copy2 in
-  let engine = Bmc.Engine.create ~simplify ~mono ~limits prod in
+  let engine = Bmc.Engine.create ~simplify ~limits prod in
   let v1 = { engine; prefix = copy1_prefix; iface } in
   let v2 = { engine; prefix = copy2_prefix; iface } in
   let gr = Bmc.Engine.graph engine in
@@ -316,26 +316,26 @@ let gqed_generic ~simplify ~mono ~limits ~with_state design iface ~bound =
   drive ~engine ~bound ~pairs_at
     ~kinds:(Gfc_output, Gfc_response, if with_state then Some Gfc_state else None)
 
-let gqed_fixed ~simplify ~mono ~limits design iface ~bound =
-  gqed_generic ~simplify ~mono ~limits ~with_state:true design iface ~bound
+let gqed_fixed ~simplify ~limits design iface ~bound =
+  gqed_generic ~simplify ~limits ~with_state:true design iface ~bound
 
-let gqed_output_only_fixed ~simplify ~mono ~limits design iface ~bound =
-  gqed_generic ~simplify ~mono ~limits ~with_state:false design iface ~bound
+let gqed_output_only_fixed ~simplify ~limits design iface ~bound =
+  gqed_generic ~simplify ~limits ~with_state:false design iface ~bound
 
 (* ------------------------------------------------------------------ *)
 (* Single-action (responsiveness): with fixed latency L, out_valid at
    frame f must equal in_valid at frame f - L (false before reset).      *)
 
-let sa_check_fixed ~simplify ~mono ~limits design iface ~bound =
+let sa_check_fixed ~simplify ~limits design iface ~bound =
   Iface.check design iface;
   if iface.Iface.out_valid = None then begin
     (* No response-valid port: responses are combinational values sampled at
        dispatch + latency, so single-action holds by construction. *)
-    let engine = Bmc.Engine.create ~simplify ~mono ~limits design in
+    let engine = Bmc.Engine.create ~simplify ~limits design in
     report_of engine (Pass bound)
   end
   else begin
-  let engine = Bmc.Engine.create ~simplify ~mono ~limits design in
+  let engine = Bmc.Engine.create ~simplify ~limits design in
   let view = { engine; prefix = ""; iface } in
   let gr = Bmc.Engine.graph engine in
   let latency = iface.Iface.latency in
@@ -359,16 +359,16 @@ let sa_check_fixed ~simplify ~mono ~limits design iface ~bound =
 (* ------------------------------------------------------------------ *)
 (* Stability: without a dispatch, the architectural state cannot move.   *)
 
-let stability_check ?(simplify = Bmc.default_simplify) ?(mono = false)
-    ?(limits = Bmc.no_limits) design iface ~bound =
+let stability_check ?(simplify = Bmc.default_simplify) ?(limits = Bmc.no_limits) design
+    iface ~bound =
   Iface.check design iface;
   if iface.Iface.arch_regs = [] || iface.Iface.in_valid = None then begin
     (* No architectural state, or a transaction on every cycle: vacuous. *)
-    let engine = Bmc.Engine.create ~simplify ~mono ~limits design in
+    let engine = Bmc.Engine.create ~simplify ~limits design in
     report_of engine (Pass bound)
   end
   else begin
-    let engine = Bmc.Engine.create ~simplify ~mono ~limits design in
+    let engine = Bmc.Engine.create ~simplify ~limits design in
     let view = { engine; prefix = ""; iface } in
     let gr = Bmc.Engine.graph engine in
     let pairs_at k =
@@ -395,13 +395,13 @@ let stability_check ?(simplify = Bmc.default_simplify) ?(mono = false)
 (* ------------------------------------------------------------------ *)
 (* Reset: documented architectural reset values match the RTL.           *)
 
-let reset_check ?(simplify = Bmc.default_simplify) ?(mono = false)
-    ?(limits = Bmc.no_limits) design iface =
+let reset_check ?(simplify = Bmc.default_simplify) ?(limits = Bmc.no_limits) design
+    iface =
   Iface.check design iface;
   (* Static check: reset values are constants in this modelling. The report
      shape is kept for uniformity; a failure carries a zero-length witness
      whose initial state shows the wrong value. *)
-  let engine = Bmc.Engine.create ~simplify ~mono ~limits design in
+  let engine = Bmc.Engine.create ~simplify ~limits design in
   let initial = Rtl.initial_state design in
   let mismatch =
     List.find_opt
@@ -445,14 +445,13 @@ let assert_k_stable engine prefix ~frame =
    [with_arch] adds the equal-architectural-state hypothesis (dropping it
    gives the A-QED-style check, which false-alarms on interfering designs);
    [with_state] adds the post-state conjunct. *)
-let gqed_variable ~simplify ~mono ~limits ~with_arch ~with_state design iface
-    ~bound =
+let gqed_variable ~simplify ~limits ~with_arch ~with_state design iface ~bound =
   Iface.check design iface;
   let instrumented = Instrument.with_monitor design iface in
   let copy1 = Rtl.rename ~prefix:copy1_prefix instrumented in
   let copy2 = Rtl.rename ~prefix:copy2_prefix instrumented in
   let prod = Rtl.product copy1 copy2 in
-  let engine = Bmc.Engine.create ~simplify ~mono ~limits prod in
+  let engine = Bmc.Engine.create ~simplify ~limits prod in
   let v name w prefix = Expr.var (prefix ^ name) w in
   let both f = (f copy1_prefix, f copy2_prefix) in
   let have p =
@@ -536,11 +535,11 @@ let gqed_variable ~simplify ~mono ~limits ~with_arch ~with_state design iface
 
 (* Responsiveness for variable latency: no response when nothing is
    outstanding, and every dispatch is answered within max_latency. *)
-let sa_variable ~simplify ~mono ~limits design iface ~bound =
+let sa_variable ~simplify ~limits design iface ~bound =
   Iface.check design iface;
   let lmax = Option.get iface.Iface.max_latency in
   let instrumented = Instrument.with_monitor design iface in
-  let engine = Bmc.Engine.create ~simplify ~mono ~limits instrumented in
+  let engine = Bmc.Engine.create ~simplify ~limits instrumented in
   let u = Bmc.Engine.unroller engine in
   let gr = Bmc.Engine.graph engine in
   let dispatch_e = Instrument.dispatch_expr design iface in
@@ -584,60 +583,51 @@ let sa_variable ~simplify ~mono ~limits design iface ~bound =
 (* ------------------------------------------------------------------ *)
 (* Public checks: dispatch on the interface's latency mode.              *)
 
-let aqed_fc ?(simplify = Bmc.default_simplify) ?(mono = false) ?(limits = Bmc.no_limits)
-    design iface ~bound =
+let aqed_fc ?(simplify = Bmc.default_simplify) ?(limits = Bmc.no_limits) design iface
+    ~bound =
   if Iface.is_variable_latency iface then
-    gqed_variable ~simplify ~mono ~limits ~with_arch:false ~with_state:false
-      design iface ~bound
-  else aqed_fc_fixed ~simplify ~mono ~limits design iface ~bound
+    gqed_variable ~simplify ~limits ~with_arch:false ~with_state:false design iface ~bound
+  else aqed_fc_fixed ~simplify ~limits design iface ~bound
 
-let gqed ?(simplify = Bmc.default_simplify) ?(mono = false) ?(limits = Bmc.no_limits)
-    design iface ~bound =
+let gqed ?(simplify = Bmc.default_simplify) ?(limits = Bmc.no_limits) design iface
+    ~bound =
   if Iface.is_variable_latency iface then
-    gqed_variable ~simplify ~mono ~limits ~with_arch:true ~with_state:true design
-      iface ~bound
-  else gqed_fixed ~simplify ~mono ~limits design iface ~bound
+    gqed_variable ~simplify ~limits ~with_arch:true ~with_state:true design iface ~bound
+  else gqed_fixed ~simplify ~limits design iface ~bound
 
-let gqed_output_only ?(simplify = Bmc.default_simplify) ?(mono = false)
-    ?(limits = Bmc.no_limits) design iface ~bound =
+let gqed_output_only ?(simplify = Bmc.default_simplify) ?(limits = Bmc.no_limits) design
+    iface ~bound =
   if Iface.is_variable_latency iface then
-    gqed_variable ~simplify ~mono ~limits ~with_arch:true ~with_state:false design
-      iface ~bound
-  else gqed_output_only_fixed ~simplify ~mono ~limits design iface ~bound
+    gqed_variable ~simplify ~limits ~with_arch:true ~with_state:false design iface ~bound
+  else gqed_output_only_fixed ~simplify ~limits design iface ~bound
 
-let sa_check ?(simplify = Bmc.default_simplify) ?(mono = false) ?(limits = Bmc.no_limits)
-    design iface ~bound =
+let sa_check ?(simplify = Bmc.default_simplify) ?(limits = Bmc.no_limits) design iface
+    ~bound =
   if Iface.is_variable_latency iface then
-    sa_variable ~simplify ~mono ~limits design iface ~bound
-  else sa_check_fixed ~simplify ~mono ~limits design iface ~bound
+    sa_variable ~simplify ~limits design iface ~bound
+  else sa_check_fixed ~simplify ~limits design iface ~bound
 
 (* ------------------------------------------------------------------ *)
 (* The complete flow.                                                    *)
 
-let flow ?(simplify = Bmc.default_simplify) ?(mono = false) ?(limits = Bmc.no_limits)
-    design iface ~bound =
-  let stages =
-    [
-      (fun () -> reset_check ~simplify ~mono ~limits design iface);
-      (fun () -> sa_check ~simplify ~mono ~limits design iface ~bound);
-    ]
+let flow ?(simplify = Bmc.default_simplify) ?(limits = Bmc.no_limits) design iface
+    ~bound =
+  let later_stages =
+    [ (fun () -> sa_check ~simplify ~limits design iface ~bound) ]
     @ (if Iface.is_variable_latency iface then []
-       else
-         [ (fun () -> stability_check ~simplify ~mono ~limits design iface ~bound) ])
-    @ [ (fun () -> gqed ~simplify ~mono ~limits design iface ~bound) ]
+       else [ (fun () -> stability_check ~simplify ~limits design iface ~bound) ])
+    @ [ (fun () -> gqed ~simplify ~limits design iface ~bound) ]
   in
-  let rec run_stages last = function
-    | [] -> last
-    | stage :: rest -> begin
-        let report = stage () in
+  (* An undecided stage blocks the flow just like a failing one: the later
+     stages' soundness preconditions were not discharged. *)
+  let rec run_stages report = function
+    | [] -> report
+    | stage :: rest -> (
         match report.verdict with
-        (* An undecided stage blocks the flow just like a failing one: the
-           later stages' soundness preconditions were not discharged. *)
         | Fail _ | Unknown _ -> report
-        | Pass _ -> run_stages report rest
-      end
+        | Pass _ -> run_stages (stage ()) rest)
   in
-  run_stages (reset_check ~simplify design iface) stages
+  run_stages (reset_check ~simplify ~limits design iface) later_stages
 
 (* ------------------------------------------------------------------ *)
 
@@ -661,8 +651,8 @@ let digest v = Digest.to_hex (Digest.string (Marshal.to_string v []))
 
 (* The canonical task identity of the on-disk campaign journal: the
    technique, the bound, and structural digests of the design and
-   interface. [simplify]/[mono]/[limits] are deliberately excluded — every
-   pipeline stage and solving lane is verdict-preserving (the repo's core
+   interface. [simplify]/[limits] are deliberately excluded — every
+   pipeline stage and solving path is verdict-preserving (the repo's core
    invariant), so a verdict recorded under one configuration answers the
    same query under any other. *)
 let campaign_key technique design iface ~bound =
@@ -676,15 +666,14 @@ let campaign_hint design ~bound =
   let state_bits, input_bits, nodes = Rtl.stats design in
   float_of_int bound *. float_of_int (state_bits + input_bits + nodes)
 
-let run ?(simplify = Bmc.default_simplify) ?(mono = false) ?(limits = Bmc.no_limits)
-    technique design iface ~bound =
+let run ?(simplify = Bmc.default_simplify) ?(limits = Bmc.no_limits) technique design
+    iface ~bound =
   let solve () =
     match technique with
-    | Aqed -> aqed_fc ~simplify ~mono ~limits design iface ~bound
-    | Gqed -> gqed ~simplify ~mono ~limits design iface ~bound
-    | Gqed_output_only ->
-        gqed_output_only ~simplify ~mono ~limits design iface ~bound
-    | Gqed_flow -> flow ~simplify ~mono ~limits design iface ~bound
+    | Aqed -> aqed_fc ~simplify ~limits design iface ~bound
+    | Gqed -> gqed ~simplify ~limits design iface ~bound
+    | Gqed_output_only -> gqed_output_only ~simplify ~limits design iface ~bound
+    | Gqed_flow -> flow ~simplify ~limits design iface ~bound
   in
   if not (Obs.on ()) then solve ()
   else begin
@@ -703,17 +692,17 @@ let run ?(simplify = Bmc.default_simplify) ?(mono = false) ?(limits = Bmc.no_lim
         raise e
   end
 
-let run_escalating ?policy ?(simplify = Bmc.default_simplify) ?(mono = false)
-    ?(limits = Bmc.no_limits) technique design iface ~bound =
+let run_escalating ?policy ?(simplify = Bmc.default_simplify) ?(limits = Bmc.no_limits)
+    technique design iface ~bound =
   let unknown_of (r : report) =
     match r.verdict with
     | Unknown u -> Some (Sat.Solver.reason_to_string u.u_reason)
     | Pass _ | Fail _ -> None
   in
   let report, attempts =
-    Bmc.Escalate.run ?policy ~limits ~simplify ~mono ~unknown_of (fun cfg ->
-        run ~simplify:cfg.Bmc.Escalate.ec_simplify ~mono:cfg.Bmc.Escalate.ec_mono
-          ~limits:cfg.Bmc.Escalate.ec_limits technique design iface ~bound)
+    Bmc.Escalate.run ?policy ~limits ~simplify ~unknown_of (fun cfg ->
+        run ~simplify:cfg.Bmc.Escalate.ec_simplify ~limits:cfg.Bmc.Escalate.ec_limits
+          technique design iface ~bound)
   in
   { report with attempts }
 
@@ -726,7 +715,7 @@ let run_escalating ?policy ?(simplify = Bmc.default_simplify) ?(mono = false)
    (or any type it reaches) changes shape; stale records then decode to
    [None] and the task simply re-runs — schema drift degrades to re-work,
    never to a wrong verdict. *)
-let report_schema_tag = "gqed-report/2:"
+let report_schema_tag = "gqed-report/3:"
 
 let encode_report (r : report) = report_schema_tag ^ Marshal.to_string r []
 

@@ -75,11 +75,10 @@ type report = {
 
 (** Every check takes [?simplify] (default {!Bmc.default_simplify})
     selecting the formula-shrinking stages of its BMC engine; pass
-    {!Bmc.no_simplify} (or a partial configuration) for ablation. [?mono]
-    (default [false]) runs the engine in monolithic mode — the design is
-    blasted once and every SAT query gets a fresh solver, which unlocks the
-    per-query compaction sweep and bounded variable elimination stages of
-    the pipeline (see {!Bmc.Engine.create}). [?limits] (default
+    {!Bmc.no_simplify} (or a partial configuration) for ablation. The
+    engine picks its own solving path: incremental until a query gets
+    hard, then a fresh solver per query (see {!Bmc.Engine.create}).
+    [?limits] (default
     {!Bmc.no_limits}) governs the engine's resources: per-query budget,
     cancellation token, restart seed and fault hook; an exhausted budget
     or fired token yields an [Unknown] verdict. The decided verdict is
@@ -88,7 +87,6 @@ type report = {
 
 val aqed_fc :
   ?simplify:Bmc.simplify_config ->
-  ?mono:bool ->
   ?limits:Bmc.limits ->
   Rtl.design ->
   Iface.t ->
@@ -97,7 +95,6 @@ val aqed_fc :
 
 val gqed :
   ?simplify:Bmc.simplify_config ->
-  ?mono:bool ->
   ?limits:Bmc.limits ->
   Rtl.design ->
   Iface.t ->
@@ -106,7 +103,6 @@ val gqed :
 
 val gqed_output_only :
   ?simplify:Bmc.simplify_config ->
-  ?mono:bool ->
   ?limits:Bmc.limits ->
   Rtl.design ->
   Iface.t ->
@@ -115,7 +111,6 @@ val gqed_output_only :
 
 val sa_check :
   ?simplify:Bmc.simplify_config ->
-  ?mono:bool ->
   ?limits:Bmc.limits ->
   Rtl.design ->
   Iface.t ->
@@ -124,7 +119,6 @@ val sa_check :
 
 val stability_check :
   ?simplify:Bmc.simplify_config ->
-  ?mono:bool ->
   ?limits:Bmc.limits ->
   Rtl.design ->
   Iface.t ->
@@ -137,7 +131,6 @@ val stability_check :
 
 val reset_check :
   ?simplify:Bmc.simplify_config ->
-  ?mono:bool ->
   ?limits:Bmc.limits ->
   Rtl.design ->
   Iface.t ->
@@ -148,7 +141,6 @@ val reset_check :
 
 val flow :
   ?simplify:Bmc.simplify_config ->
-  ?mono:bool ->
   ?limits:Bmc.limits ->
   Rtl.design ->
   Iface.t ->
@@ -166,7 +158,6 @@ val technique_to_string : technique -> string
 
 val run :
   ?simplify:Bmc.simplify_config ->
-  ?mono:bool ->
   ?limits:Bmc.limits ->
   technique ->
   Rtl.design ->
@@ -177,7 +168,6 @@ val run :
 val run_escalating :
   ?policy:Bmc.Escalate.policy ->
   ?simplify:Bmc.simplify_config ->
-  ?mono:bool ->
   ?limits:Bmc.limits ->
   technique ->
   Rtl.design ->
@@ -199,11 +189,10 @@ val run_escalating :
 val campaign_key : technique -> Rtl.design -> Iface.t -> bound:int -> string
 (** Canonical task identity — technique, bound and Marshal+MD5 digests of
     the design and interface. The encoding is frozen so journals written
-    by earlier releases still resume. [simplify]/[mono]/[limits] are
-    deliberately excluded:
-    every pipeline stage and solving lane is verdict-preserving, so a
-    verdict recorded under one configuration answers the same query
-    under any other. *)
+    by earlier releases still resume. [simplify]/[limits] are
+    deliberately excluded: every pipeline stage and solving path is
+    verdict-preserving, so a verdict recorded under one configuration
+    answers the same query under any other. *)
 
 val campaign_hint : Rtl.design -> bound:int -> float
 (** Cold-start hardness estimate for a campaign cell — unrolled problem

@@ -412,7 +412,8 @@ module Oracle = struct
        every cycle but the last, false at the last);
      - a random invariant BMC proved must also survive concrete random
        simulation to the same depth;
-     - the incremental and monolithic engines must agree.
+     - the default engine must agree with one on fresh solvers from the
+       first query.
      With [cert] on, every UNSAT bound is DRAT-certified (the engine raises
      [Certification_failed] on a rejected proof — reported as an oracle
      failure, since it means "Proved" without a checkable proof). *)
@@ -427,8 +428,8 @@ module Oracle = struct
           Error ("bmc: rejected DRAT certificate: " ^ msg)
       | outcome, _stats -> (
           if cert then certified := !certified + certified_bounds outcome;
-          let mono, _ = Bmc.check_safety ~mono:true ~design:d ~invariant ~depth () in
-          match same_outcome ~oracle:"bmc" ~lane:"monolithic" outcome mono with
+          let fresh, _ = Bmc.check_safety ~mono:true ~design:d ~invariant ~depth () in
+          match same_outcome ~oracle:"bmc" ~lane:"fresh-solver" outcome fresh with
           | Error _ as e -> e
           | Ok () -> (
               match outcome with
@@ -647,11 +648,10 @@ module Oracle = struct
               | Bmc.Holds _ | Bmc.Violated _ -> None
             in
             let (escalated, _), _attempts =
-              Bmc.Escalate.run ~policy ~limits ~simplify:Bmc.default_simplify
-                ~mono:false ~unknown_of (fun cfg ->
+              Bmc.Escalate.run ~policy ~limits ~simplify:Bmc.default_simplify ~unknown_of
+                (fun cfg ->
                   Bmc.check_safety ~certify:cert ~simplify:cfg.Bmc.Escalate.ec_simplify
-                    ~mono:cfg.Bmc.Escalate.ec_mono ~limits:cfg.Bmc.Escalate.ec_limits
-                    ~design:d ~invariant ~depth ())
+                    ~limits:cfg.Bmc.Escalate.ec_limits ~design:d ~invariant ~depth ())
             in
             Result.map
               (fun () -> certified)

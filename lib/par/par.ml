@@ -117,11 +117,6 @@ let run_tasks ~jobs tasks =
 let drop_bt results =
   Array.map (function Ok v -> Ok v | Error (e, _) -> Error e) results
 
-let map_result ?jobs f xs =
-  let tasks = Array.of_list (List.map (fun x () -> f x) xs) in
-  let results, _ = run_tasks ~jobs tasks in
-  Array.to_list (drop_bt results)
-
 let reraise_first results =
   Array.iter
     (function
@@ -141,12 +136,6 @@ let map_timed ?jobs f xs =
   reraise_first results;
   List.init (Array.length results)
     (fun i -> ((match results.(i) with Ok v -> v | Error _ -> assert false), times.(i)))
-
-let run ?jobs thunks =
-  let tasks = Array.of_list thunks in
-  let results, _ = run_tasks ~jobs tasks in
-  reraise_first results;
-  Array.to_list (Array.map (function Ok v -> v | Error _ -> assert false) results)
 
 let map_governed ?jobs ?deadline f xs =
   let tasks = Array.of_list (List.map (fun x token -> f token x) xs) in

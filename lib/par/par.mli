@@ -31,13 +31,6 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 val map_timed : ?jobs:int -> ('a -> 'b) -> 'a list -> ('b * float) list
 (** Like {!map}, also returning each task's wall-clock seconds. *)
 
-val map_result : ?jobs:int -> ('a -> 'b) -> 'a list -> ('b, exn) result list
-(** Like {!map} but exceptions are captured per task: a failing task never
-    loses the other tasks' results. *)
-
-val run : ?jobs:int -> (unit -> 'a) list -> 'a list
-(** [map] for heterogeneous thunks. *)
-
 val map_governed :
   ?jobs:int ->
   ?deadline:float ->

@@ -20,7 +20,7 @@
     - {b bounded variable elimination}: a variable whose resolvent set is
       no larger than the clauses it replaces is resolved away. Only
       satisfiability-preserving, so the caller enables it solely for
-      one-shot (monolithic) queries and freezes assumption variables; the
+      one-shot (fresh-solver) queries and freezes assumption variables; the
       eliminated clauses are saved for {!extend_model}. *)
 
 type config = {

@@ -1,6 +1,6 @@
 (* BMC tests: safety checks on small designs with known shortest
    counterexamples, witness replay correctness, symbolic initial states,
-   and agreement between the incremental and monolithic engines. *)
+   and agreement between the default engine and one on fresh solvers. *)
 
 module Bv = Bitvec
 
@@ -303,8 +303,8 @@ let test_coi_witness_bit_identical () =
        (Rtl.Smap.equal Bitvec.equal)
        base.Bmc.w_inputs coi.Bmc.w_inputs)
 
-(* Monolithic mode with the full pipeline (compaction + BVE live) agrees
-   with the unsimplified incremental engine. *)
+(* Fresh solvers from the first query, with the full pipeline (compaction
+   + BVE live), agree with the unsimplified default engine. *)
 let test_mono_pipeline_agrees () =
   List.iter
     (fun depth ->
@@ -321,11 +321,11 @@ let test_mono_pipeline_agrees () =
       | Bmc.Holds a, Bmc.Holds b -> Alcotest.(check int) "same bound" a b
       | Bmc.Violated a, Bmc.Violated b ->
           Alcotest.(check int) "same cex length" a.Bmc.w_length b.Bmc.w_length
-      | _ -> Alcotest.fail "mono/incremental verdicts differ")
+      | _ -> Alcotest.fail "fresh/default verdicts differ")
     [ 3; 6; 9 ]
 
 (* The stats record actually measures the pipeline: PG emits fewer clauses
-   than plain Tseitin, and mono-mode preprocessing eliminates variables. *)
+   than plain Tseitin, and fresh-solver preprocessing eliminates variables. *)
 let test_simp_stats_sanity () =
   let captured = ref None in
   (match
@@ -345,6 +345,45 @@ let test_simp_stats_sanity () =
         (s.Bmc.Engine.ss_coi_regs_before = 2 && s.Bmc.Engine.ss_coi_regs_after = 1);
       Alcotest.(check bool) "BVE eliminated variables" true
         (s.Bmc.Engine.ss_pre.Sat.Solver.pre_eliminated > 0)
+
+(* The engine's search counters cover every solver it used, not only the
+   live one: on fresh solvers its conflicts equal the per-solve sum the
+   solver publishes as the sat.conflicts metric. Propagations also happen
+   outside [solve] (level-0 units), so that metric is only a lower bound. *)
+let test_stats_span_fresh_solvers () =
+  let e = Designs.Registry.find "accum" in
+  let assumes =
+    [
+      Expr.ult (Expr.var "x" 4) (Expr.const_int ~width:4 2);
+      Expr.eq (Expr.var "cmd" 1) (Expr.const_int ~width:1 0);
+    ]
+  in
+  let invariant = Expr.ne (Expr.var "acc" 4) (Expr.const_int ~width:4 15) in
+  let was_on = Obs.on () in
+  Obs.enable ();
+  Obs.Metrics.reset ();
+  let outcome, stats =
+    Fun.protect
+      ~finally:(fun () -> if not was_on then Obs.disable ())
+      (fun () ->
+        Bmc.check_safety ~assumes ~mono:true ~design:e.Designs.Entry.design ~invariant
+          ~depth:12 ())
+  in
+  let metric name =
+    match List.assoc_opt name (Obs.Metrics.snapshot ()) with
+    | Some (Obs.Metrics.Counter n) -> n
+    | _ -> Alcotest.failf "no %s counter" name
+  in
+  let solves = metric "sat.solves" and conflicts = metric "sat.conflicts" in
+  let propagations = metric "sat.propagations" in
+  Obs.Metrics.reset ();
+  (match outcome with
+  | Bmc.Holds 12 -> ()
+  | _ -> Alcotest.fail "expected Holds 12");
+  Alcotest.(check int) "one solver per bound" 12 solves;
+  Alcotest.(check int) "conflicts summed" conflicts stats.Sat.Solver.conflicts;
+  Alcotest.(check bool) "propagations summed" true
+    (stats.Sat.Solver.propagations >= propagations)
 
 (* Property: the incremental engine reports the *shortest* counterexample.
    For the enabled counter, the shortest trace reaching value n has exactly
@@ -380,7 +419,7 @@ let test_escalate_converges () =
   let result, attempts =
     Bmc.Escalate.run
       ~limits:(Bmc.limits ~budget:(Sat.Solver.budget ~conflicts:4 ()) ())
-      ~simplify:Bmc.default_simplify ~mono:false
+      ~simplify:Bmc.default_simplify
       ~unknown_of:(function `Unknown -> Some "gave up" | `Decided -> None)
       (fun _cfg ->
         if !starve > 0 then begin
@@ -421,7 +460,7 @@ let test_escalate_gives_up_at_max_attempts () =
     Bmc.Escalate.run
       ~policy:{ Bmc.Escalate.default_policy with max_attempts = 3 }
       ~limits:(Bmc.limits ~budget:(Sat.Solver.budget ~conflicts:1 ()) ())
-      ~simplify:Bmc.default_simplify ~mono:false
+      ~simplify:Bmc.default_simplify
       ~unknown_of:(fun () -> Some "still unknown")
       (fun _ -> incr calls)
   in
@@ -445,7 +484,7 @@ let test_escalate_recovers_serial_verdict () =
   let (outcome, _), attempts =
     Bmc.Escalate.run
       ~limits:(Bmc.limits ~fault:hook ())
-      ~simplify:Bmc.default_simplify ~mono:false
+      ~simplify:Bmc.default_simplify
       ~unknown_of:(fun (o, _) ->
         match o with
         | Bmc.Unknown u -> Some (Sat.Solver.reason_to_string u.Bmc.un_reason)
@@ -519,6 +558,7 @@ let suite =
     ("bmc.coi_witness_bit_identical", `Quick, test_coi_witness_bit_identical);
     ("bmc.mono_pipeline_agrees", `Quick, test_mono_pipeline_agrees);
     ("bmc.simp_stats", `Quick, test_simp_stats_sanity);
+    ("bmc.stats_span_fresh_solvers", `Quick, test_stats_span_fresh_solvers);
     ("bmc.certified_twin_counter", `Quick, test_certified_twin_counter);
     ("bmc.unknown_under_fault", `Quick, test_unknown_under_permanent_fault);
     ("bmc.escalate_converges", `Quick, test_escalate_converges);

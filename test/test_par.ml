@@ -1,5 +1,5 @@
 (* Tests for the domain pool: deterministic ordering, serial equivalence,
-   per-task exception isolation, and timing capture. *)
+   first-error ordering, timing capture, and the governed pool's watchdog. *)
 
 let squares n = List.init n (fun i -> i * i)
 
@@ -25,24 +25,6 @@ let test_empty_and_singleton () =
   Alcotest.(check (list int)) "empty" [] (Par.map ~jobs:4 (fun i -> i) []);
   Alcotest.(check (list int)) "singleton" [ 9 ] (Par.map ~jobs:4 (fun i -> i * 9) [ 1 ])
 
-let test_exception_does_not_lose_results () =
-  let xs = List.init 20 (fun i -> i) in
-  let results =
-    Par.map_result ~jobs:4 (fun i -> if i = 7 then failwith "boom" else i + 1) xs
-  in
-  Alcotest.(check int) "all tasks reported" 20 (List.length results);
-  List.iteri
-    (fun i r ->
-      match r with
-      | Ok v ->
-          Alcotest.(check bool) "non-failing index" true (i <> 7);
-          Alcotest.(check int) "value" (i + 1) v
-      | Error (Failure msg) ->
-          Alcotest.(check int) "failing index" 7 i;
-          Alcotest.(check string) "message" "boom" msg
-      | Error _ -> Alcotest.fail "unexpected exception")
-    results
-
 let test_map_raises_first_error_in_order () =
   let xs = List.init 20 (fun i -> i) in
   match Par.map ~jobs:4 (fun i -> if i mod 6 = 5 then failwith (string_of_int i) else i) xs with
@@ -51,10 +33,6 @@ let test_map_raises_first_error_in_order () =
       (* Failing indices are 5, 11, 17; the first in input order wins, no
          matter which domain hit its failure first. *)
       Alcotest.(check string) "first failure by input order" "5" msg
-
-let test_run_thunks () =
-  let r = Par.run ~jobs:3 [ (fun () -> 1); (fun () -> 2); (fun () -> 3) ] in
-  Alcotest.(check (list int)) "thunks in order" [ 1; 2; 3 ] r
 
 let test_map_timed () =
   let xs = [ 1; 2; 3; 4 ] in
@@ -128,9 +106,7 @@ let suite =
     ("par.ordering", `Quick, test_ordering_preserved);
     ("par.jobs1_serial", `Quick, test_jobs_one_equals_serial);
     ("par.empty_singleton", `Quick, test_empty_and_singleton);
-    ("par.exception_isolation", `Quick, test_exception_does_not_lose_results);
     ("par.first_error_in_order", `Quick, test_map_raises_first_error_in_order);
-    ("par.run_thunks", `Quick, test_run_thunks);
     ("par.map_timed", `Quick, test_map_timed);
     ("par.more_jobs_than_tasks", `Quick, test_more_jobs_than_tasks);
     ("par.invalid_jobs", `Quick, test_invalid_jobs);

@@ -578,18 +578,20 @@ let test_decode_rejects_drift () =
   (match Qed.Checks.decode_report ("gqed-report/0:" ^ blob) with
   | Some _ -> Alcotest.fail "stale schema tag decoded; payload drift must re-run"
   | None -> ());
-  (* Version 1 reports carried two more solver stats fields; a journal
-     written then must re-run its cells rather than decode them. *)
-  let tag = "gqed-report/2:" in
+  (* Version 1 reports carried two more solver stats fields, and version 2
+     escalation attempts one more field; a journal written under either
+     must re-run its cells rather than decode them. *)
+  let tag = "gqed-report/3:" in
   let tag_len = String.length tag in
   Alcotest.(check string) "current schema tag" tag (String.sub blob 0 tag_len);
-  let v1_blob =
-    "gqed-report/1:" ^ String.sub blob tag_len (String.length blob - tag_len)
-  in
-  (match Qed.Checks.decode_report v1_blob with
-  | Some _ -> Alcotest.fail "gqed-report/1 blob decoded; it must re-run"
-  | None -> ());
-  match Qed.Checks.decode_report "gqed-report/2:not-a-marshal-blob" with
+  List.iter
+    (fun old ->
+      let old_blob = old ^ String.sub blob tag_len (String.length blob - tag_len) in
+      match Qed.Checks.decode_report old_blob with
+      | Some _ -> Alcotest.failf "%s blob decoded; it must re-run" old
+      | None -> ())
+    [ "gqed-report/1:"; "gqed-report/2:" ];
+  match Qed.Checks.decode_report "gqed-report/3:not-a-marshal-blob" with
   | Some _ -> Alcotest.fail "garbage payload decoded"
   | None -> ()
 

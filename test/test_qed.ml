@@ -346,29 +346,55 @@ let test_decomposition () =
   | Some (name, _) -> Alcotest.(check string) "right sub" "bad_fn" name
   | None -> Alcotest.fail "no failure reported"
 
-(* ---- formula-shrinking pipeline / monolithic mode ---- *)
+(* ---- formula-shrinking pipeline ---- *)
 
-(* G-QED verdicts are invariant under the simplification pipeline and under
-   monolithic (hoisted-blasting) mode, on both a passing and a failing
-   design — the checks-level counterpart of the Bmc-level ablation tests. *)
-let test_gqed_pipeline_and_mono_agree () =
+(* G-QED verdicts are invariant under the simplification pipeline, on both
+   a passing and a failing design — the checks-level counterpart of the
+   Bmc-level ablation tests. *)
+let test_gqed_pipeline_agrees () =
   let agree name design expect_pass =
     List.iter
-      (fun (conf_name, simplify, mono) ->
-        let report = Checks.gqed ~simplify ~mono design accum_iface ~bound:7 in
+      (fun (conf_name, simplify) ->
+        let report = Checks.gqed ~simplify design accum_iface ~bound:7 in
         Alcotest.(check bool)
           (Printf.sprintf "%s under %s" name conf_name)
           expect_pass
           (verdict_pass report.Checks.verdict))
-      [
-        ("off", Bmc.no_simplify, false);
-        ("all", Bmc.default_simplify, false);
-        ("off+mono", Bmc.no_simplify, true);
-        ("all+mono", Bmc.default_simplify, true);
-      ]
+      [ ("off", Bmc.no_simplify); ("all", Bmc.default_simplify) ]
   in
   agree "correct accum" (accum No_bug) true;
   agree "hidden-op accum" (accum Hidden_op) false
+
+(* The default engine stays on its incremental solver until a query takes
+   more than 500 conflicts, then answers every later query on a fresh one;
+   each bmc.query span end names the path that answered. hamming74 never
+   gets there, accum does, and both still prove at the recommended bound. *)
+let test_solver_path_switches () =
+  let paths name =
+    let { Designs.Entry.design; iface; rec_bound; _ } = Designs.Registry.find name in
+    let was_on = Obs.on () in
+    Obs.Trace.reset ();
+    Obs.enable ();
+    let report, events =
+      Fun.protect
+        ~finally:(fun () ->
+          Obs.Trace.reset ();
+          if not was_on then Obs.disable ())
+        (fun () ->
+          let r = Checks.gqed design iface ~bound:rec_bound in
+          (r, Obs.Trace.events ()))
+    in
+    Alcotest.(check bool) (name ^ " proves") true (verdict_pass report.Checks.verdict);
+    List.sort_uniq compare
+      (List.filter_map
+         (fun (ev : Obs.Trace.event) ->
+           if ev.ev_name = "bmc.query" && ev.ev_kind = Obs.Trace.End then
+             List.assoc_opt "solver" ev.ev_args
+           else None)
+         events)
+  in
+  Alcotest.(check (list string)) "hamming74 paths" [ "incremental" ] (paths "hamming74");
+  Alcotest.(check (list string)) "accum paths" [ "fresh"; "incremental" ] (paths "accum")
 
 (* ------------------------------------------------------------------ *)
 (* Resource governance at the check level: Unknown verdicts and the      *)
@@ -426,7 +452,8 @@ let test_run_escalating_no_limits_is_run () =
 let suite =
   [
     ("qed.gqed_correct_accum", `Quick, test_gqed_passes_on_correct_accum);
-    ("qed.pipeline_mono_agree", `Quick, test_gqed_pipeline_and_mono_agree);
+    ("qed.pipeline_mono_agree", `Quick, test_gqed_pipeline_agrees);
+    ("qed.solver_path_switches", `Quick, test_solver_path_switches);
     ("qed.aqed_false_alarm", `Quick, test_aqed_false_alarm_on_interfering);
     ("qed.gqed_hidden_op", `Quick, test_gqed_catches_hidden_op);
     ("qed.state_conjunct_ablation", `Quick, test_state_conjunct_is_load_bearing);
