@@ -7,8 +7,7 @@
      dune exec bench/main.exe -- t2 f1              # a subset, by id
      dune exec bench/main.exe -- --jobs 4 t2        # fan tasks over 4 domains
 
-   Experiment ids: t1 t2 t3 t4 t5 a1 a2 a3 s1 f1 f2 f3 rob r2 dist obs
-   micro.
+   Experiment ids: t1 t2 t3 t4 t5 a1 a2 a3 s1 f1 f2 f3 micro.
 
    --checkpoint FILE journals every check's verdict to a crash-safe
    write-ahead log as the run progresses; --resume replays an existing
@@ -17,30 +16,12 @@
    re-attempted). A fresh run refuses an existing journal unless --force;
    --resume without a journal is an error. Timing figures of a resumed
    run are not comparable to a cold one (skipped cells cost ~0), but no
-   verdict or table cell ever changes. The r2 experiment exercises the
-   same machinery in-process: journaled run, killed at a random record,
-   resumed, diffed — plus injected journal I/O faults and supervised
-   worker restarts; any flip exits 1. --seed N varies which kill point
-   the r2 crash simulation picks (verdicts are seed-independent).
+   verdict or table cell ever changes.
 
    --trace FILE / --metrics FILE / --trace-format ndjson|chrome enable
    the Obs layer for the whole run and write the merged span trace and
-   metrics snapshot on completion. The obs experiment cross-checks that
-   tracing never changes a verdict and that emitted traces pass the
-   well-formedness checker; any disagreement fails the run (exit 1).
-
-   --trace/--metrics refuse to overwrite an existing file; pass --force to
-   replace it.
-
-   --workers N sets the worker-process count of the dist experiment's
-   distributed lane (default: up to 4, at least 2); --batch M its pull
-   batch size. --max-restarts / --backoff SEC / --no-retry-oom configure
-   the restart policy its supervisor (and `gqed campaign`) applies to
-   worker deaths. dist solves every campaign cell twice — serially
-   in-process and across N worker processes journaling to per-worker
-   shards — and exits 1 if any verdict differs; a kill/resume lane
-   SIGKILLs a worker mid-campaign and checks the merged resume matrix
-   against the serial one.
+   metrics snapshot on completion. --trace/--metrics refuse to overwrite
+   an existing file; pass --force to replace it.
 
    --designs d1,d2 restricts s1 to the named designs; --no-simplify runs
    the solver-cost experiments (t3, f1, a2) with the formula-shrinking
@@ -53,9 +34,9 @@
    decides.
 
    The exit status is the run's one gate. Every experiment that compares
-   a reference lane with a variant (s1, a2, t5, rob, obs, r2, dist)
-   reports each disagreement as (experiment, cell, expected, got); the
-   run lists them all at the end and exits 1 if there is any. Otherwise
+   a reference lane with a variant (s1, a2, t5) reports each
+   disagreement as (experiment, cell, expected, got); the run lists them
+   all at the end and exits 1 if there is any. Otherwise
    it exits 3 when some verdict stayed unknown under the budget, and 0.
    Machine-readable measurements live in bench/perf (see its README).
 
@@ -93,28 +74,6 @@ let timeout : float option ref = ref None
 let max_conflicts : int option ref = ref None
 let escalate = ref true
 let unknown_verdicts = Atomic.make 0
-let escalation_attempts = Atomic.make 0
-
-(* --workers / --batch size the dist experiment's worker-process lane;
-   --max-restarts / --backoff / --no-retry-oom shape the restart policy
-   its supervisor applies to worker deaths (the same knobs `gqed
-   campaign` exposes). workers = 0 means auto: min(cores, 4), at least 2
-   so the distributed lane is really distributed. *)
-let dist_workers = ref 0
-let dist_batch = ref 2
-let dist_max_restarts = ref Par.Supervise.default_policy.Par.Supervise.max_restarts
-let dist_backoff = ref Par.Supervise.default_policy.Par.Supervise.backoff_s
-let dist_retry_oom = ref true
-
-let dist_policy () =
-  {
-    Par.Supervise.max_restarts = !dist_max_restarts;
-    backoff_s = !dist_backoff;
-    backoff_cap_s =
-      Float.max !dist_backoff
-        Par.Supervise.default_policy.Par.Supervise.backoff_cap_s;
-    retry_oom = !dist_retry_oom;
-  }
 
 (* --trace / --metrics / --trace-format enable the Obs layer for the whole
    run; --force permits overwriting existing trace and metrics files (and
@@ -133,11 +92,6 @@ let checkpoint_resume = ref false
 let campaign : Persist.Campaign.t option ref = ref None
 let campaign_skips = Atomic.make 0
 
-(* --seed N perturbs the seeded randomness of experiments that use any
-   (currently the R2 kill point); verdicts are seed-independent, so this
-   only varies which crash sites a soak run explores. *)
-let seed = ref 0
-
 (* The run's one verdict gate: every disagreement any experiment finds
    between a reference lane and a variant lands here, and a nonempty list
    fails the run (Report.exit_code). Experiments record from the main
@@ -153,14 +107,6 @@ let agree experiment cell ~expected ~got =
   if not same then disagree experiment cell ~expected ~got;
   same
 
-(* Cell-by-cell [agree] over two verdict columns; the number of
-   disagreements. *)
-let agree_all experiment ~cells expected got =
-  List.fold_left2
-    (fun n cell (expected, got) ->
-      if agree experiment cell ~expected ~got then n else n + 1)
-    0 cells (List.combine expected got)
-
 let flip_count experiment =
   List.length (List.filter (fun f -> f.Report.experiment = experiment) !flips)
 
@@ -173,8 +119,6 @@ let record report =
   (match report.Checks.verdict with
   | Checks.Unknown _ -> Atomic.incr unknown_verdicts
   | Checks.Pass _ | Checks.Fail _ -> ());
-  let extra = List.length report.Checks.attempts - 1 in
-  if extra > 0 then ignore (Atomic.fetch_and_add escalation_attempts extra);
   report
 
 (* Every experiment's checks funnel through here so the budget flags,
@@ -938,187 +882,6 @@ let f3 () =
     (c /. g)
 
 (* ------------------------------------------------------------------ *)
-(* R-ROB1: robustness — fault injection, starved budgets, escalation     *)
-(* recovery and the Par watchdog. See EXPERIMENTS.md.                    *)
-
-(* A seeded stochastic solver fault hook: with probability [rate] per
-   solver poll it fires resource exhaustion, external cancellation or
-   allocation pressure. Deterministic in [seed]. *)
-let rob_hook seed rate =
-  let st = Random.State.make [| 0xb0b; seed |] in
-  fun (_ : Sat.Solver.stats) ->
-    if Random.State.float st 1.0 >= rate then None
-    else
-      match Random.State.int st 4 with
-      | 0 -> Some (Sat.Solver.Fault_exhaust Sat.Solver.Out_of_conflicts)
-      | 1 -> Some (Sat.Solver.Fault_exhaust Sat.Solver.Out_of_memory_budget)
-      | 2 -> Some Sat.Solver.Fault_cancel
-      | _ -> Some (Sat.Solver.Fault_alloc 4096)
-
-let rob () =
-  header "R-ROB1  Robustness: faults, starved budgets, escalation, watchdog";
-  Printf.printf
-    "Faults fire mid-solve (exhaustion / cancellation / allocation\n\
-     pressure). A fault may only turn a verdict into unknown; a flip\n\
-     between pass and fail fails the whole bench run.\n\n";
-  let designs = [ "accum"; "maxtrack"; "seqdet" ] in
-  let rates = [ 0.005; 0.02; 0.1 ] in
-  let trials = 3 in
-  Printf.printf "%-12s %6s %8s %9s %7s %12s\n" "design" "rate" "trials" "unknown" "flips"
-    "escalation";
-  List.iter
-    (fun name ->
-      let e = Registry.find name in
-      let bound = e.Entry.rec_bound in
-      let reference = Checks.gqed e.Entry.design e.Entry.iface ~bound in
-      let ref_key = verdict_key reference in
-      (* Escalation recovery: starve every query to a single conflict; the
-         retry ladder must regrow the budget until the fault-free verdict
-         comes back. *)
-      let starved = Bmc.limits ~budget:(Sat.Solver.budget ~conflicts:1 ()) () in
-      let recovered_report =
-        Checks.run_escalating
-          ~policy:{ Bmc.Escalate.default_policy with max_attempts = 8; growth = 8.0 }
-          ~limits:starved Checks.Gqed e.Entry.design e.Entry.iface ~bound
-      in
-      let recovered =
-        match recovered_report.Checks.verdict with
-        | Checks.Unknown _ -> false (* stayed undecided: not a flip, just reported *)
-        | Checks.Pass _ | Checks.Fail _ ->
-            agree "rob" (name ^ "/escalation") ~expected:ref_key
-              ~got:(verdict_key recovered_report)
-      in
-      List.iter
-        (fun rate ->
-          let outcomes =
-            par_map
-              (fun trial ->
-                let limits =
-                  Bmc.limits ~fault:(rob_hook (Hashtbl.hash (name, rate, trial)) rate) ()
-                in
-                Checks.run ~limits Checks.Gqed e.Entry.design e.Entry.iface ~bound)
-              (List.init trials (fun i -> i))
-          in
-          let unknown =
-            List.length
-              (List.filter
-                 (fun r ->
-                   match r.Checks.verdict with
-                   | Checks.Unknown _ -> true
-                   | Checks.Pass _ | Checks.Fail _ -> false)
-                 outcomes)
-          in
-          let flips =
-            List.length
-              (List.filteri
-                 (fun trial r ->
-                   match r.Checks.verdict with
-                   | Checks.Unknown _ -> false
-                   | Checks.Pass _ | Checks.Fail _ ->
-                       not
-                         (agree "rob"
-                            (Printf.sprintf "%s/rate %.3f/trial %d" name rate trial)
-                            ~expected:ref_key ~got:(verdict_key r)))
-                 outcomes)
-          in
-          Printf.printf "%-12s %6.3f %8d %9d %7d %12s%s\n%!" name rate trials unknown flips
-            (if recovered then "recovered"
-             else "gave-up (" ^ short_verdict recovered_report ^ ")")
-            (if flips > 0 then "  VERDICT FLIP" else ""))
-        rates)
-    designs;
-  (* Watchdog: a deliberately oversized query runs next to a small one under
-     a per-task deadline. The fan-out must not block on the big query — the
-     watchdog cancels it, its row comes back cancelled, and the sibling's
-     verdict is unaffected. *)
-  Printf.printf "\nwatchdog (per-task deadline 0.3s, 2 tasks):\n";
-  let big = Registry.find "mmio_engine" in
-  let small = Registry.find "hamming74" in
-  let t0 = Unix.gettimeofday () in
-  let results =
-    Par.map_governed ~jobs:2 ~deadline:0.3
-      (fun token (e, bound) ->
-        Checks.gqed ~limits:(Bmc.limits ~cancel:token ()) e.Entry.design e.Entry.iface
-          ~bound)
-      [ (big, 3 * big.Entry.rec_bound); (small, small.Entry.rec_bound) ]
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  List.iter2
-    (fun (e, bound) (result, dt) ->
-      match result with
-      | Ok report ->
-          Printf.printf "  %-12s bound %-3d -> %-28s %6.2fs\n" e.Entry.name bound
-            (verdict_key report) dt
-      | Error exn ->
-          Printf.printf "  %-12s bound %-3d -> raised %s\n" e.Entry.name bound
-            (Printexc.to_string exn))
-    [ (big, 3 * big.Entry.rec_bound); (small, small.Entry.rec_bound) ]
-    results;
-  (match results with
-  | [ (Ok r_big, _); (Ok r_small, _) ] ->
-      (match r_big.Checks.verdict with
-      | Checks.Unknown _ -> ()
-      | Checks.Pass _ | Checks.Fail _ ->
-          (* Finishing before the deadline is legal; it just means the
-             machine is fast enough that the demo did not demonstrate. *)
-          Printf.printf "  (oversized query finished before the deadline)\n");
-      (match r_small.Checks.verdict with
-      | Checks.Pass _ -> ()
-      | Checks.Fail _ | Checks.Unknown _ ->
-          disagree "rob" "watchdog sibling" ~expected:"pass" ~got:(verdict_key r_small);
-          Printf.printf "  SIBLING AFFECTED: small query did not pass\n")
-  | _ -> ());
-  Printf.printf "  fan-out wall clock: %.2fs (a hung query no longer blocks the run)\n" wall
-
-(* ------------------------------------------------------------------ *)
-(* OBS: tracing is verdict-invisible and emitted traces are well-formed. *)
-
-let obs_exp () =
-  header "OBS  Observability: tracing is verdict-invisible, traces well-formed";
-  Printf.printf
-    "Each design is checked once with the Obs layer off and once with span\n\
-     tracing on. The verdicts must match exactly and the emitted trace must\n\
-     pass the structural well-formedness checker; any disagreement fails the\n\
-     whole bench run (exit 1).\n\n";
-  let was_on = Obs.on () in
-  let names = [ "alu_pipe"; "popcount"; "graycodec" ] in
-  let entries = List.filter (fun e -> List.mem e.Entry.name names) Registry.all in
-  Printf.printf "%-12s %-12s %-12s %8s %8s %10s\n" "design" "untraced" "traced"
-    "t_off(s)" "t_on(s)" "trace";
-  List.iter
-    (fun e ->
-      let bound = e.Entry.rec_bound in
-      let run1 () =
-        record
-          (Checks.run ~limits:(bench_limits ()) Checks.Gqed e.Entry.design
-             e.Entry.iface ~bound)
-      in
-      Obs.disable ();
-      let plain, t_off = time run1 in
-      Obs.Trace.reset ();
-      Obs.enable ();
-      let traced, t_on = time run1 in
-      let events = Obs.Trace.events () in
-      if not was_on then Obs.disable ();
-      let trace_cell =
-        match Obs.Trace.check events with
-        | _ when events = [] -> "EMPTY"
-        | Ok () -> Printf.sprintf "%d ok" (List.length events)
-        | Error _ -> "MALFORMED"
-      in
-      if trace_cell = "EMPTY" || trace_cell = "MALFORMED" then
-        disagree "obs" (e.Entry.name ^ "/trace") ~expected:"well-formed" ~got:trace_cell;
-      let vk_plain = verdict_key plain and vk_traced = verdict_key traced in
-      let same = agree "obs" e.Entry.name ~expected:vk_plain ~got:vk_traced in
-      Printf.printf "%-12s %-12s %-12s %8.2f %8.2f %10s%s\n%!" e.Entry.name vk_plain
-        vk_traced t_off t_on trace_cell
-        (if same then "" else "  VERDICT FLIP"))
-    entries;
-  if flip_count "obs" = 0 then
-    Printf.printf "\ntraced vs untraced verdicts: all %d designs agree, traces well-formed\n"
-      (List.length entries)
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per table/figure kernel.    *)
 
 let micro () =
@@ -1203,429 +966,15 @@ let micro () =
     rows
 
 (* ------------------------------------------------------------------ *)
-(* R2: crash-safe campaigns — a journaled run killed at a random record
-   and resumed must reproduce the uninterrupted verdict matrix
-   bit-for-bit, journal I/O faults must never leak into a verdict, and
-   the supervisor must restart crashing workers without taking the
-   campaign down. *)
-
-let r2_default = [ "accum"; "hamming74"; "graycodec" ]
-
-let r2 () =
-  header "R2  Crash-safe campaigns: kill/resume equivalence + supervised restarts";
-  Printf.printf
-    "A (design x case) G-QED campaign is journaled to a write-ahead log,\n\
-     killed at a random record (torn tail included) and resumed; the\n\
-     resumed matrix must match the uninterrupted one cell-for-cell. A\n\
-     second lane journals under injected I/O faults (torn / short write /\n\
-     ENOSPC) — write errors degrade durability, never verdicts. Any\n\
-     disagreement fails the whole bench run (exit 1).\n\n";
-  let wanted = match !design_filter with Some ds -> ds | None -> r2_default in
-  let entries = List.filter (fun e -> List.mem e.Entry.name wanted) Registry.all in
-  let cells =
-    List.concat_map
-      (fun e -> List.map (fun (label, design) -> (label, e, design)) (design_cases e))
-      entries
-  in
-  let cell_names lane =
-    List.map (fun (label, e, _) -> Printf.sprintf "%s %s/%s" lane e.Entry.name label) cells
-  in
-  let limits = bench_limits () in
-  (* One pass over the cells through a journal at [path]: supervised
-     fan-out, decided journal hits are skipped on resume. Returns the
-     verdict matrix (input order) and the campaign stats. *)
-  let run_campaign ?fault ~resume path =
-    match Persist.Campaign.start ?fault ~resume ~force:false path with
-    | Error msg -> failwith ("r2: " ^ msg)
-    | Ok c ->
-        let outcomes =
-          Par.Supervise.supervise ~jobs:!jobs
-            (fun _token (_label, e, design) ->
-              let key =
-                Checks.campaign_key Checks.Gqed design e.Entry.iface
-                  ~bound:e.Entry.rec_bound
-              in
-              match
-                Option.bind (Persist.Campaign.find_decided c key) Checks.decode_report
-              with
-              | Some r -> r
-              | None ->
-                  let r, dt =
-                    time (fun () ->
-                        record
-                          (Checks.run ~limits Checks.Gqed design e.Entry.iface
-                             ~bound:e.Entry.rec_bound))
-                  in
-                  Persist.Campaign.record c ~seconds:dt
-                    ~decided:(Checks.report_decided r) ~key
-                    ~payload:(Checks.encode_report r);
-                  r)
-            cells
-        in
-        let stats = Persist.Campaign.stats c in
-        Persist.Campaign.close c;
-        let verdicts =
-          List.map
-            (fun o ->
-              match o.Par.Supervise.s_result with
-              | Ok r -> verdict_key r
-              | Error cls -> "gave-up:" ^ Par.Supervise.class_to_string cls)
-            outcomes
-        in
-        (verdicts, stats)
-  in
-  let tmp_journal tag =
-    let f = Filename.temp_file ("gqed-r2-" ^ tag) ".jrnl" in
-    Sys.remove f;
-    f
-  in
-  (* Lane 1: uninterrupted journaled run — the reference matrix. *)
-  let j_kill = tmp_journal "kill" in
-  let full, stats_full = run_campaign ~resume:false j_kill in
-  let n_records = stats_full.Persist.Campaign.c_appended in
-  (* Kill: keep a seeded-random prefix of the journal plus a torn partial
-     record — the exact on-disk state a SIGKILL mid-append leaves. *)
-  let rand = Random.State.make [| 0x9e2; 0xd15c; !seed; List.length cells |] in
-  let kill_at = if n_records <= 1 then 0 else Random.State.int rand n_records in
-  Persist.Journal.chop ~torn_bytes:9 ~keep:kill_at j_kill;
-  let resumed, stats_res = run_campaign ~resume:true j_kill in
-  Printf.printf "%-12s %-18s %-16s %-16s\n" "design" "case" "full" "resumed";
-  List.iter2
-    (fun (label, e, _) (vf, vr) ->
-      let same =
-        agree "r2" (Printf.sprintf "kill-resume %s/%s" e.Entry.name label) ~expected:vf
-          ~got:vr
-      in
-      Printf.printf "%-12s %-18s %-16s %-16s%s\n%!" e.Entry.name label vf vr
-        (if same then "" else "  VERDICT FLIP"))
-    cells
-    (List.combine full resumed);
-  Printf.printf
-    "\nkilled at record %d/%d (+9 torn bytes): %d skipped from the journal, %d re-run, \
-     %d corrupt tail byte(s) dropped\n"
-    kill_at n_records stats_res.Persist.Campaign.c_hits
-    stats_res.Persist.Campaign.c_appended
-    stats_res.Persist.Campaign.c_recovered_bytes;
-  (* Lane 2: journal under injected I/O faults — every third append is
-     torn, every seventh fails short, every eleventh hits ENOSPC. The
-     verdict matrix must not notice; then resume from the fault-riddled
-     journal and it still must not notice. *)
-  let fault i =
-    if i mod 11 = 7 then Some Persist.Enospc
-    else if i mod 7 = 3 then Some (Persist.Short_write 5)
-    else if i mod 3 = 1 then Some (Persist.Torn 11)
-    else None
-  in
-  let j_fault = tmp_journal "fault" in
-  let faulty, stats_faulty = run_campaign ~fault ~resume:false j_fault in
-  let fault_flips = agree_all "r2" ~cells:(cell_names "io-fault") full faulty in
-  let resumed_faulty, _ = run_campaign ~resume:true j_fault in
-  let fault_resume_flips =
-    agree_all "r2" ~cells:(cell_names "io-fault-resume") full resumed_faulty
-  in
-  Printf.printf
-    "I/O-fault lane: %d append(s) lost to injected faults, %d flip(s) while faulting, \
-     %d flip(s) after resuming the damaged journal\n"
-    stats_faulty.Persist.Campaign.c_write_errors fault_flips fault_resume_flips;
-  (* Lane 3: supervision — a worker that crashes twice must be restarted
-     into success, a worker that always crashes must degrade to a typed
-     give-up without aborting its siblings. Serial so the attempt counts
-     are deterministic. *)
-  let attempt_counts : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  let demo = [ ("steady", 0); ("flaky", 2); ("doomed", max_int) ] in
-  let outcomes =
-    Par.Supervise.supervise ~jobs:1
-      (fun _token (name, crashes) ->
-        let a = Option.value ~default:0 (Hashtbl.find_opt attempt_counts name) in
-        Hashtbl.replace attempt_counts name (a + 1);
-        if a < crashes then failwith (name ^ ": injected crash");
-        name)
-      demo
-  in
-  List.iter2
-    (fun (name, crashes) o ->
-      let ok =
-        match o.Par.Supervise.s_result with
-        | Ok n -> n = name && crashes < o.Par.Supervise.s_attempts
-        | Error (Par.Supervise.Crash _) -> crashes = max_int
-        | Error _ -> false
-      in
-      let status =
-        match o.Par.Supervise.s_result with
-        | Ok _ -> "succeeded"
-        | Error cls -> "gave up (" ^ Par.Supervise.class_to_string cls ^ ")"
-      in
-      Printf.printf "supervise: %-8s %s after %d attempt(s)\n" name status
-        o.Par.Supervise.s_attempts;
-      (* A misbehaving supervisor is a campaign-correctness bug: gate it
-         like a flip. *)
-      if not ok then
-        disagree "r2" ("supervise " ^ name)
-          ~expected:(if crashes = max_int then "gave up (crash)" else "succeeded")
-          ~got:status)
-    demo outcomes;
-  List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ j_kill; j_fault ];
-  if flip_count "r2" = 0 then
-    Printf.printf
-      "kill/resume, fault and supervision lanes: all %d cells reproduce the \
-       uninterrupted matrix\n"
-      (List.length cells)
-
-(* ------------------------------------------------------------------ *)
-(* D1: distributed sharded campaigns — the same campaign cells solved    *)
-(* serially in-process and across N worker processes journaling to       *)
-(* per-worker shards, flip-gated, plus a kill/resume lane and a          *)
-(* supervised-restart lane. Workers are this executable re-exec'd (see   *)
-(* lib/dist/DESIGN.md), so the solver rebuilds its key -> task table     *)
-(* from the design names carried in [arg] alone.                         *)
-
-(* Default subset: combined mutant matrices solve in seconds yet leave
-   enough per-cell work for the process fan-out to amortize its spawn
-   cost. --designs overrides. *)
-let dist_default = [ "hamming74"; "graycodec"; "seqdet"; "rle"; "maxtrack" ]
-
-let dist_cells e =
-  let bound = e.Entry.rec_bound in
-  let cell d =
-    {
-      Dist.cell_key = Checks.campaign_key Checks.Gqed d e.Entry.iface ~bound;
-      cell_hint = Checks.campaign_hint d ~bound;
-    }
-  in
-  List.map (fun (_label, d) -> cell d) (design_cases e)
-
-let dist_tables : (string, (string, Rtl.design * Qed.Iface.t * int) Hashtbl.t) Hashtbl.t =
-  Hashtbl.create 4
-
-(* arg = comma-separated registry names. The table is deterministic from
-   them (registry designs plus the harness's shared mutant suites), so a
-   worker process reconstructs exactly the coordinator's key space. *)
-let dist_solver ~arg key =
-  let table =
-    match Hashtbl.find_opt dist_tables arg with
-    | Some t -> t
-    | None ->
-        let t = Hashtbl.create 64 in
-        List.iter
-          (fun name ->
-            let e = Registry.find name in
-            let bound = e.Entry.rec_bound in
-            List.iter
-              (fun d ->
-                Hashtbl.replace t
-                  (Checks.campaign_key Checks.Gqed d e.Entry.iface ~bound)
-                  (d, e.Entry.iface, bound))
-              (List.map snd (design_cases e)))
-          (String.split_on_char ',' arg);
-        Hashtbl.add dist_tables arg t;
-        t
-  in
-  match Hashtbl.find_opt table key with
-  | None -> failwith ("bench dist worker: unknown cell key " ^ key)
-  | Some (d, iface, bound) ->
-      let r = Checks.run Checks.Gqed d iface ~bound in
-      (Checks.report_decided r, Checks.encode_report r)
-
-let () = Dist.register "bench-campaign" dist_solver
-
-(* Payload bytes embed wall-clock solver stats, so lane equality is over
-   decoded verdicts, exactly what the tables print. *)
-let dist_verdict r =
-  if r.Dist.r_payload = "" then "<no payload>"
-  else
-    match Checks.decode_report r.Dist.r_payload with
-    | Some rep -> verdict_key rep
-    | None -> "<undecodable>"
-
-let dist_exp () =
-  header "D1  Distributed campaigns: serial vs N-worker-process matrix";
-  let wanted = match !design_filter with Some ds -> ds | None -> dist_default in
-  let entries = List.filter (fun e -> List.mem e.Entry.name wanted) Registry.all in
-  let workers =
-    if !dist_workers > 0 then !dist_workers else max 2 (min 4 (Par.default_jobs ()))
-  in
-  let policy = dist_policy () in
-  Printf.printf
-    "The combined campaign over %d design(s) is solved by the same\n\
-     registered solver twice per trial: serially in-process (workers=1)\n\
-     and sharded across %d worker processes pulling batches of %d\n\
-     hardest-first, each journaling to its own shard. The merged matrices\n\
-     must agree cell-for-cell; any flip fails the whole bench run\n\
-     (exit 1). A kill lane then SIGKILLs a worker mid-campaign and\n\
-     resumes from the leftover shards.\n\n"
-    (List.length entries) workers !dist_batch;
-  let tmp tag =
-    let f = Filename.temp_file ("gqed-dist-" ^ tag) ".jrnl" in
-    Sys.remove f;
-    f
-  in
-  let sweep path =
-    List.iter
-      (fun f -> try Sys.remove f with Sys_error _ -> ())
-      (path :: List.init 16 (Dist.worker_journal path))
-  in
-  let run_lane ?kill ~workers ~journal ~arg ~resume cells =
-    match
-      Dist.run ~workers ~batch:!dist_batch ~policy ?kill ~resume ~force:false
-        ~journal ~solver:"bench-campaign" ~arg cells
-    with
-    | Ok (rows, st) -> (rows, st)
-    | Error msg -> failwith ("dist: " ^ msg)
-  in
-  let per_design = List.map (fun e -> (e, dist_cells e)) entries in
-  let all_cells = List.concat_map snd per_design in
-  let all_arg = String.concat "," (List.map (fun e -> e.Entry.name) entries) in
-  let cell_names lane =
-    List.concat_map
-      (fun e ->
-        List.map
-          (fun (label, _) -> Printf.sprintf "%s %s/%s" lane e.Entry.name label)
-          (design_cases e))
-      entries
-  in
-  (* [rows] may cover a prefix of the cells only: the restart lane runs
-     the first design alone. *)
-  let lane_flips lane ~reference rows =
-    agree_all "dist"
-      ~cells:(List.filteri (fun i _ -> i < List.length rows) (cell_names lane))
-      (List.map dist_verdict reference) (List.map dist_verdict rows)
-  in
-  (* Throughput is measured on the combined campaign, where cross-design
-     parallelism exists — a single design's matrix is usually dominated
-     by its one hard all-UNSAT "correct" cell, which no amount of
-     sharding can split. Two trials feed the geo-mean. *)
-  let trials = 2 in
-  let pairs = ref [] in
-  let serial_rows = ref [] and dist_rows = ref [] in
-  for trial = 1 to trials do
-    let j1 = tmp "serial" and jn = tmp "par" in
-    let (rows1, _), t1 =
-      time (fun () -> run_lane ~workers:1 ~journal:j1 ~arg:all_arg ~resume:false all_cells)
-    in
-    let (rowsn, _), tn =
-      time (fun () -> run_lane ~workers ~journal:jn ~arg:all_arg ~resume:false all_cells)
-    in
-    sweep j1;
-    sweep jn;
-    let flips = lane_flips (Printf.sprintf "trial %d" trial) ~reference:rows1 rowsn in
-    if t1 > 0.0 && tn > 0.0 then pairs := (t1, tn) :: !pairs;
-    Printf.printf "trial %d: %d cells — serial %.3fs, %d workers %.3fs (%s), %d flip(s)%s\n%!"
-      trial (List.length all_cells) t1 workers tn
-      (if tn > 0.0 then Printf.sprintf "%.2fx" (t1 /. tn) else "-")
-      flips
-      (if flips > 0 then "  VERDICT FLIP" else "");
-    if trial = 1 then begin
-      serial_rows := rows1;
-      dist_rows := rowsn
-    end
-  done;
-  (* Per-design matrix from trial 1. Times are sums of the journaled
-     per-cell solve seconds (task-sums), so a design's row is not
-     perturbed by which lane happened to co-schedule a sibling design. *)
-  Printf.printf "\n%-12s %6s %14s %14s %6s\n" "design" "cells" "serial-sum(s)"
-    "dist-sum(s)" "flips";
-  let idx = ref 0 in
-  List.iter
-    (fun (e, cells) ->
-      let n = List.length cells in
-      let slice rows = List.filteri (fun i _ -> i >= !idx && i < !idx + n) rows in
-      let s1 = slice !serial_rows and sn = slice !dist_rows in
-      let sum rows = List.fold_left (fun a r -> a +. r.Dist.r_seconds) 0.0 rows in
-      (* Display only: the trial loop already gated these cells. *)
-      let flips =
-        List.fold_left2
-          (fun n a b -> if dist_verdict a <> dist_verdict b then n + 1 else n)
-          0 s1 sn
-      in
-      Printf.printf "%-12s %6d %14.3f %14.3f %6d\n%!" e.Entry.name n (sum s1) (sum sn)
-        flips;
-      idx := !idx + n)
-    per_design;
-  (match Report.geo_mean_ratio !pairs with
-  | Some g ->
-      Printf.printf
-        "\nserial-vs-%d-worker wall-clock speedup, geo-mean over %d trial(s): %.2fx\n"
-        workers (List.length !pairs) g;
-      if g <= 1.0 then
-        if Par.default_jobs () <= 1 then
-          Printf.printf
-            "  note: 1 core available — the fan-out can only measure its own \
-             overhead here (>1x needs >=2 cores)\n"
-        else
-          Printf.printf
-            "  note: worker processes no faster than in-process on this machine/run\n"
-  | None -> ());
-  (* Kill/resume lane over the whole cell set: SIGKILL one worker
-     mid-campaign (`Abort also downs its siblings, the hard variant),
-     then resume — leftover shards merge first, journaled Unknowns
-     re-solve, and the matrix must match the serial reference. *)
-  let jk = tmp "kill" in
-  let rand = Random.State.make [| 0xd157; !seed |] in
-  let kill =
-    {
-      Dist.k_worker = Random.State.int rand workers;
-      k_after = 1 + Random.State.int rand (max 1 (min 6 (List.length all_cells - 1)));
-      k_mode = `Abort;
-    }
-  in
-  let killed =
-    match
-      Dist.run ~workers ~batch:!dist_batch ~policy ~kill ~resume:false ~force:false
-        ~journal:jk ~solver:"bench-campaign" ~arg:all_arg all_cells
-    with
-    | Error _ -> true
-    | Ok _ -> false (* campaign finished before the kill point: still fine *)
-  in
-  let rows_r, st_r = run_lane ~workers ~journal:jk ~arg:all_arg ~resume:true all_cells in
-  sweep jk;
-  let resume_flips = lane_flips "kill-resume" ~reference:!serial_rows rows_r in
-  Printf.printf
-    "kill/resume lane: worker %d SIGKILLed after %d ack(s)%s; resume merged %d \
-     shard record(s), skipped %d, %d flip(s) vs serial%s\n"
-    kill.Dist.k_worker kill.Dist.k_after
-    (if killed then "" else " (campaign finished first)")
-    st_r.Dist.d_merged st_r.Dist.d_skipped resume_flips
-    (if resume_flips > 0 then "  VERDICT FLIP" else "");
-  (* Supervised-restart lane: same kill, `Restart mode — the supervisor
-     revives the worker and the run completes on its own. *)
-  (match entries with
-  | [] -> ()
-  | e :: _ ->
-      let cells = dist_cells e in
-      let jr = tmp "restart" in
-      let rows, st =
-        run_lane
-          ~kill:{ Dist.k_worker = 0; k_after = 1; k_mode = `Restart }
-          ~workers ~journal:jr ~arg:e.Entry.name ~resume:false cells
-      in
-      sweep jr;
-      let ref_rows = List.filteri (fun i _ -> i < List.length cells) !serial_rows in
-      let flips = lane_flips "restart" ~reference:ref_rows rows in
-      Printf.printf
-        "restart lane (%s): worker 0 SIGKILLed after 1 ack, %d supervised \
-         restart(s), %d give-up(s), %d flip(s)%s\n"
-        e.Entry.name st.Dist.d_restarts st.Dist.d_gave_up flips
-        (if flips > 0 then "  VERDICT FLIP" else ""));
-  if flip_count "dist" = 0 then
-    Printf.printf
-      "serial, distributed, kill/resume and restart lanes: all %d cells agree\n"
-      (List.length all_cells)
-
-(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
     ("t1", t1); ("t2", t2); ("t3", t3); ("t4", t4); ("t5", t5);
     ("a1", a1); ("a2", a2); ("a3", a3); ("s1", s1);
-    ("f1", f1); ("f2", f2); ("f3", f3);
-    ("rob", rob); ("r2", r2); ("dist", dist_exp);
-    ("obs", obs_exp); ("micro", micro);
+    ("f1", f1); ("f2", f2); ("f3", f3); ("micro", micro);
   ]
 
 let () =
-  (* Dist workers are this binary re-exec'd: a worker invocation takes
-     over here (recognized by its environment) before argv is parsed. *)
-  Dist.worker_entry ();
   let rec parse_args acc = function
     | [] -> List.rev acc
     | "--jobs" :: n :: rest -> begin
@@ -1669,57 +1018,6 @@ let () =
         exit 2
     | "--no-escalate" :: rest ->
         escalate := false;
-        parse_args acc rest
-    | "--workers" :: n :: rest -> begin
-        match int_of_string_opt n with
-        | Some w when w >= 1 ->
-            dist_workers := w;
-            parse_args acc rest
-        | _ ->
-            prerr_endline "bench: --workers expects a positive integer";
-            exit 2
-      end
-    | [ "--workers" ] ->
-        prerr_endline "bench: --workers expects a positive integer";
-        exit 2
-    | "--batch" :: n :: rest -> begin
-        match int_of_string_opt n with
-        | Some b when b >= 1 ->
-            dist_batch := b;
-            parse_args acc rest
-        | _ ->
-            prerr_endline "bench: --batch expects a positive integer";
-            exit 2
-      end
-    | [ "--batch" ] ->
-        prerr_endline "bench: --batch expects a positive integer";
-        exit 2
-    | "--max-restarts" :: n :: rest -> begin
-        match int_of_string_opt n with
-        | Some r when r >= 0 ->
-            dist_max_restarts := r;
-            parse_args acc rest
-        | _ ->
-            prerr_endline "bench: --max-restarts expects a non-negative integer";
-            exit 2
-      end
-    | [ "--max-restarts" ] ->
-        prerr_endline "bench: --max-restarts expects a non-negative integer";
-        exit 2
-    | "--backoff" :: s :: rest -> begin
-        match float_of_string_opt s with
-        | Some b when b >= 0.0 ->
-            dist_backoff := b;
-            parse_args acc rest
-        | _ ->
-            prerr_endline "bench: --backoff expects a non-negative number of seconds";
-            exit 2
-      end
-    | [ "--backoff" ] ->
-        prerr_endline "bench: --backoff expects a non-negative number of seconds";
-        exit 2
-    | "--no-retry-oom" :: rest ->
-        dist_retry_oom := false;
         parse_args acc rest
     | "--designs" :: names :: rest ->
         design_filter := Some (String.split_on_char ',' names);
@@ -1766,18 +1064,6 @@ let () =
     | "--resume" :: rest ->
         checkpoint_resume := true;
         parse_args acc rest
-    | "--seed" :: s :: rest -> begin
-        match int_of_string_opt s with
-        | Some n ->
-            seed := n;
-            parse_args acc rest
-        | None ->
-            prerr_endline "bench: --seed expects an integer";
-            exit 2
-      end
-    | [ "--seed" ] ->
-        prerr_endline "bench: --seed expects an integer";
-        exit 2
     | id :: rest -> parse_args (id :: acc) rest
   in
   let requested =

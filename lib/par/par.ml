@@ -114,9 +114,6 @@ let run_tasks_governed ~jobs ?deadline tasks =
 let run_tasks ~jobs tasks =
   run_tasks_governed ~jobs (Array.map (fun t (_ : Cancel.t) -> t ()) tasks)
 
-let drop_bt results =
-  Array.map (function Ok v -> Ok v | Error (e, _) -> Error e) results
-
 let reraise_first results =
   Array.iter
     (function
@@ -136,12 +133,6 @@ let map_timed ?jobs f xs =
   reraise_first results;
   List.init (Array.length results)
     (fun i -> ((match results.(i) with Ok v -> v | Error _ -> assert false), times.(i)))
-
-let map_governed ?jobs ?deadline f xs =
-  let tasks = Array.of_list (List.map (fun x token -> f token x) xs) in
-  let results, times = run_tasks_governed ~jobs ?deadline tasks in
-  let results = drop_bt results in
-  List.init (Array.length results) (fun i -> (results.(i), times.(i)))
 
 (* Supervision over the governed pool: classify worker failures, restart
    the transient classes with capped exponential backoff, and degrade the

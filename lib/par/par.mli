@@ -31,28 +31,11 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 val map_timed : ?jobs:int -> ('a -> 'b) -> 'a list -> ('b * float) list
 (** Like {!map}, also returning each task's wall-clock seconds. *)
 
-val map_governed :
-  ?jobs:int ->
-  ?deadline:float ->
-  (Cancel.t -> 'a -> 'b) ->
-  'a list ->
-  (('b, exn) result * float) list
-(** Resource-governed fan-out. Each task receives its own {!Cancel.t}
-    token, which it should thread into its solver calls (e.g. via
-    {!Bmc.limits}).
-
-    [deadline] gives every task a wall-clock allowance in seconds: a
-    watchdog domain polls running tasks and sets the token of any task
-    past its deadline, so a hung query turns into an [Unknown] verdict
-    instead of blocking the whole fan-out.
-
-    Returns one [(outcome, wall_seconds)] pair per input, in input
-    order. *)
-
-(** Supervision over {!map_governed}: classify worker failures, restart
-    the transient classes with capped exponential backoff, and degrade
-    exhausted tasks to a typed failure — one bad task never aborts the
-    campaign. *)
+(** Resource-governed, supervised fan-out: each task gets a cancellation
+    token and an optional watchdog deadline; worker failures are
+    classified, the transient classes restarted with capped exponential
+    backoff, and exhausted tasks degraded to a typed failure — one bad
+    task never aborts the campaign. *)
 module Supervise : sig
   type failure_class =
     | Crash of string  (** unexpected exception ([Printexc.to_string]) *)
@@ -106,7 +89,12 @@ module Supervise : sig
     (Cancel.t -> 'a -> 'b) ->
     'a list ->
     'b outcome list
-  (** Like {!map_governed}, but raised exceptions are classified and the
+  (** Fan [f] out like {!map}, handing each task its own {!Cancel.t}
+      token to thread into its solver calls (e.g. via {!Bmc.limits}).
+      [deadline] gives every task a wall-clock allowance in seconds: a
+      watchdog domain polls running tasks and sets the token of any task
+      past it, so a hung query turns into an [Unknown] verdict instead of
+      blocking the fan-out. Raised exceptions are classified and the
       transient classes ([Crash], [Oom]) are re-run — whole retry rounds
       with capped exponential backoff between them — until they succeed
       or exhaust [policy.max_restarts]; [Deadline]/[Cancelled] failures

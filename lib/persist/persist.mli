@@ -103,8 +103,7 @@ module Journal : sig
       only the first
       [keep] records, then append [torn_bytes] of a partial record
       (default 0). This is what a SIGKILL at record [keep] leaves on
-      disk. Used by tests, the bench R2 experiment and the fuzz
-      kill/resume oracle. *)
+      disk. Used by tests and the fuzz kill/resume oracle. *)
 
   type compaction = {
     comp_before : int;  (** records before compaction *)

@@ -66,14 +66,16 @@ let prop_deterministic_across_jobs =
       Par.map ~jobs f xs = serial)
 
 (* ------------------------------------------------------------------ *)
-(* Governed fan-out: per-task cancellation tokens, watchdog deadlines,   *)
-(* and first-hit sibling cancellation.                                   *)
+(* Governed fan-out through Supervise.supervise, the path a CLI        *)
+(* campaign under --timeout takes: per-task tokens, watchdog deadlines. *)
 
-let test_map_governed_plain () =
-  let results = Par.map_governed ~jobs:4 (fun _token i -> i * 3) [ 1; 2; 3; 4 ] in
+let test_supervise_plain () =
+  let results = Par.Supervise.supervise ~jobs:4 (fun _token i -> i * 3) [ 1; 2; 3; 4 ] in
   Alcotest.(check (list int))
     "values in order" [ 3; 6; 9; 12 ]
-    (List.map (fun (r, _) -> match r with Ok v -> v | Error _ -> -1) results)
+    (List.map
+       (fun o -> match o.Par.Supervise.s_result with Ok v -> v | Error _ -> -1)
+       results)
 
 (* A cooperative "hung" task: spins until its token is set. The 10 s guard
    turns a broken watchdog into a test failure instead of a CI hang. *)
@@ -89,13 +91,13 @@ let spin_until_cancelled token =
 let test_watchdog_cancels_hung_task () =
   let t0 = Unix.gettimeofday () in
   let results =
-    Par.map_governed ~jobs:2 ~deadline:0.1
+    Par.Supervise.supervise ~jobs:2 ~deadline:0.1
       (fun token tag -> if tag = 0 then spin_until_cancelled token else `Quick_done)
       [ 0; 1 ]
   in
   let wall = Unix.gettimeofday () -. t0 in
-  (match results with
-  | [ (Ok a, _); (Ok b, _) ] ->
+  (match List.map (fun o -> o.Par.Supervise.s_result) results with
+  | [ Ok a; Ok b ] ->
       Alcotest.(check bool) "hung task cancelled by the watchdog" true (a = `Cancelled);
       Alcotest.(check bool) "sibling unaffected" true (b = `Quick_done)
   | _ -> Alcotest.fail "expected two Ok results");
@@ -110,7 +112,7 @@ let suite =
     ("par.map_timed", `Quick, test_map_timed);
     ("par.more_jobs_than_tasks", `Quick, test_more_jobs_than_tasks);
     ("par.invalid_jobs", `Quick, test_invalid_jobs);
-    ("par.governed_plain", `Quick, test_map_governed_plain);
+    ("par.governed_plain", `Quick, test_supervise_plain);
     ("par.watchdog", `Quick, test_watchdog_cancels_hung_task);
     QCheck_alcotest.to_alcotest prop_deterministic_across_jobs;
   ]

@@ -4,7 +4,8 @@
    headerless files), injected I/O faults, atomic snapshots, supervised
    restarts, and the end-to-end resume-equivalence sweep over a real
    mutant matrix — kill the campaign after every record in turn and the
-   resumed verdicts must be bit-for-bit those of an uninterrupted run. *)
+   resumed verdicts must be bit-for-bit those of an uninterrupted run, as
+   must a run journaled under injected I/O faults and its resume. *)
 
 let tmp_path tag =
   let file = Filename.temp_file ("gqed-test-" ^ tag) ".jrnl" in
@@ -444,8 +445,8 @@ let matrix_cells name ~mutants =
     (fun d -> (d, e.Designs.Entry.iface, bound))
     (e.Designs.Entry.design :: muts)
 
-let run_campaign path ~resume cells =
-  match Persist.Campaign.start ~resume ~force:(not resume) path with
+let run_campaign ?fault path ~resume cells =
+  match Persist.Campaign.start ?fault ~resume ~force:(not resume) path with
   | Error msg -> Alcotest.failf "campaign %s: %s" path msg
   | Ok c ->
       Fun.protect
@@ -496,6 +497,30 @@ let test_kill_sweep_full_matrix () =
   match Sys.getenv_opt "GQED_FULL_MATRIX" with
   | Some ("1" | "true") -> test_kill_at_every_record ~mutants:max_int ()
   | _ -> ()
+
+(* Journal I/O faults cost durability, never verdicts: every third append
+   is torn, every seventh fails short and every eleventh hits ENOSPC. The
+   faulted run and a resume from its damaged journal must both reproduce
+   the uninterrupted matrix. The whole hamming74 matrix (21 cells, proved
+   and detected) is long enough for every fault kind to fire. *)
+let test_io_faults_never_flip () =
+  let cells = matrix_cells "hamming74" ~mutants:max_int in
+  let fault i =
+    if i mod 11 = 7 then Some Persist.Enospc
+    else if i mod 7 = 3 then Some (Persist.Short_write 5)
+    else if i mod 3 = 1 then Some (Persist.Torn 11)
+    else None
+  in
+  with_tmp "fault-ref" (fun ref_path ->
+      let reference, _ = run_campaign ref_path ~resume:false cells in
+      with_tmp "fault" (fun path ->
+          let faulted, stats = run_campaign ~fault path ~resume:false cells in
+          Alcotest.(check (list string)) "faulted matrix" reference faulted;
+          if stats.Persist.Campaign.c_write_errors <= 0 then
+            Alcotest.fail "no injected fault was counted as a write error";
+          let resumed, _ = run_campaign path ~resume:true cells in
+          Alcotest.(check (list string)) "resumed from the damaged journal" reference
+            resumed))
 
 let test_resume_never_skips_unknown () =
   (* Regression: a journaled Unknown (here forced by a one-conflict budget)
@@ -776,6 +801,7 @@ let suite =
     Alcotest.test_case "kill-at-every-record sweep (fast)" `Slow test_kill_sweep_fast;
     Alcotest.test_case "kill-at-every-record sweep (full matrix)" `Slow
       test_kill_sweep_full_matrix;
+    Alcotest.test_case "I/O faults never flip a verdict" `Slow test_io_faults_never_flip;
     Alcotest.test_case "resume never skips Unknown" `Slow
       test_resume_never_skips_unknown;
     Alcotest.test_case "report encode/decode drift" `Quick test_decode_rejects_drift;

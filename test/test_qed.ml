@@ -368,7 +368,8 @@ let test_gqed_pipeline_agrees () =
 (* The default engine stays on its incremental solver until a query takes
    more than 500 conflicts, then answers every later query on a fresh one;
    each bmc.query span end names the path that answered. hamming74 never
-   gets there, accum does, and both still prove at the recommended bound. *)
+   gets there, accum does, and both still prove at the recommended bound.
+   Both traces must be non-empty and pass the structural checker. *)
 let test_solver_path_switches () =
   let paths name =
     let { Designs.Entry.design; iface; rec_bound; _ } = Designs.Registry.find name in
@@ -385,6 +386,10 @@ let test_solver_path_switches () =
           (r, Obs.Trace.events ()))
     in
     Alcotest.(check bool) (name ^ " proves") true (verdict_pass report.Checks.verdict);
+    Alcotest.(check bool) (name ^ " traced events") true (events <> []);
+    (match Obs.Trace.check events with
+    | Ok () -> ()
+    | Error msg -> Alcotest.failf "%s trace malformed: %s" name msg);
     List.sort_uniq compare
       (List.filter_map
          (fun (ev : Obs.Trace.event) ->
