@@ -155,7 +155,7 @@ let report_of engine verdict =
    assert each condition's negation (strengthening future queries) and drop
    it from the pending set, which keeps every query focused on the
    conditions added since the last one. *)
-let find_failure engine pending ~at ~kind_of =
+let find_failure engine pending ~at ~kind =
   let gr = Bmc.Engine.graph engine in
   match !pending with
   | [] -> None
@@ -176,11 +176,11 @@ let find_failure engine pending ~at ~kind_of =
               List.find_opt (fun (_, lit) -> Bmc.Engine.model_lit engine lit) conds
             with
             | Some (p, _) -> p
-            | None -> fst (List.hd conds)
+            | None ->
+                failwith (Printf.sprintf "Checks: %s model at bound %d satisfies no pending pair"
+                            (failure_kind_to_string kind) at)
           in
-          Some
-            (Fail
-               { kind = kind_of pair; cycle_a = pair.p_i; cycle_b = pair.p_j; witness })
+          Some (Fail { kind; cycle_a = pair.p_i; cycle_b = pair.p_j; witness })
     end
 
 (* Generic driver: deepen cycle by cycle, adding the pair conditions that
@@ -204,16 +204,16 @@ let drive ~engine ~bound ~pairs_at ~kinds =
       stage pending_out (fun p -> p.c_out) new_pairs;
       stage pending_resp (fun p -> p.c_resp) new_pairs;
       if kind_state <> None then stage pending_state (fun p -> p.c_state) new_pairs;
-      match find_failure engine pending_out ~at:k ~kind_of:(fun _ -> kind_out) with
+      match find_failure engine pending_out ~at:k ~kind:kind_out with
       | Some f -> report_of engine f
       | None -> (
-          match find_failure engine pending_resp ~at:k ~kind_of:(fun _ -> kind_resp) with
+          match find_failure engine pending_resp ~at:k ~kind:kind_resp with
           | Some f -> report_of engine f
           | None -> (
               match
                 match kind_state with
                 | None -> None
-                | Some ks -> find_failure engine pending_state ~at:k ~kind_of:(fun _ -> ks)
+                | Some ks -> find_failure engine pending_state ~at:k ~kind:ks
               with
               | Some f -> report_of engine f
               | None -> deepen (k + 1)))
@@ -303,15 +303,12 @@ let gqed_generic ~simplify ~limits ~with_state design iface ~bound =
       c_state = Aig.and_ gr base state_ne;
     }
   in
-  (* Pairs (i, j) whose latest referenced frame max(i, j) + horizon equals
-     k - 1; both dispatch cycles range over [0, m]. *)
+  (* Pairs (i, m), i <= m, whose latest referenced frame m + horizon equals
+     k - 1. Every conjunct is symmetric in the two copies, so the mirrored
+     (m, i) is satisfiable exactly when (i, m) is and is never staged. *)
   let pairs_at k =
     let m = k - 1 - horizon in
-    if m < 0 then []
-    else
-      List.init m (fun i -> pair i m)
-      @ List.init m (fun j -> pair m j)
-      @ [ pair m m ]
+    if m < 0 then [] else List.init (m + 1) (fun i -> pair i m)
   in
   drive ~engine ~bound ~pairs_at
     ~kinds:(Gfc_output, Gfc_response, if with_state then Some Gfc_state else None)
@@ -328,14 +325,12 @@ let gqed_output_only_fixed ~simplify ~limits design iface ~bound =
 
 let sa_check_fixed ~simplify ~limits design iface ~bound =
   Iface.check design iface;
-  if iface.Iface.out_valid = None then begin
+  let engine = Bmc.Engine.create ~simplify ~limits design in
+  if iface.Iface.out_valid = None then
     (* No response-valid port: responses are combinational values sampled at
        dispatch + latency, so single-action holds by construction. *)
-    let engine = Bmc.Engine.create ~simplify ~limits design in
     report_of engine (Pass bound)
-  end
   else begin
-  let engine = Bmc.Engine.create ~simplify ~limits design in
   let view = { engine; prefix = ""; iface } in
   let gr = Bmc.Engine.graph engine in
   let latency = iface.Iface.latency in
@@ -362,13 +357,11 @@ let sa_check_fixed ~simplify ~limits design iface ~bound =
 let stability_check ?(simplify = Bmc.default_simplify) ?(limits = Bmc.no_limits) design
     iface ~bound =
   Iface.check design iface;
-  if iface.Iface.arch_regs = [] || iface.Iface.in_valid = None then begin
+  let engine = Bmc.Engine.create ~simplify ~limits design in
+  if iface.Iface.arch_regs = [] || iface.Iface.in_valid = None then
     (* No architectural state, or a transaction on every cycle: vacuous. *)
-    let engine = Bmc.Engine.create ~simplify ~limits design in
     report_of engine (Pass bound)
-  end
   else begin
-    let engine = Bmc.Engine.create ~simplify ~limits design in
     let view = { engine; prefix = ""; iface } in
     let gr = Bmc.Engine.graph engine in
     let pairs_at k =

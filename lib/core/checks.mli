@@ -20,7 +20,10 @@
       and the post-transaction architectural states must be equal. The
       unconstrained contexts before [i] and [j] are what expose
       interference through non-architectural state; the post-state
-      conjunct is what catches state-corruption bugs.
+      conjunct is what catches state-corruption bugs. Only pairs with
+      [i <= j] are queried: the copies are renamings of one design with
+      independent inputs and the condition is symmetric in them, so a
+      failure at [(j, i)] is the same failure with the copies swapped.
 
     - {!gqed_output_only}: G-QED without the post-state conjunct — the
       ablation showing that the state-matching conjunct is load-bearing.
@@ -44,7 +47,9 @@ val failure_kind_to_string : failure_kind -> string
 
 type failure = {
   kind : failure_kind;
-  cycle_a : int;  (** dispatch cycle of the first transaction (copy 1) *)
+  cycle_a : int;
+      (** dispatch cycle of the first transaction (copy 1); for the
+          fixed-latency G-QED kinds, [cycle_a <= cycle_b] *)
   cycle_b : int;  (** dispatch cycle of the second transaction (copy 2) *)
   witness : Bmc.witness;
 }

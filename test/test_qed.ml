@@ -454,6 +454,69 @@ let test_run_escalating_no_limits_is_run () =
   | Checks.Fail _ | Checks.Unknown _ -> Alcotest.fail "expected a pass");
   Alcotest.(check int) "one attempt" 1 (List.length r.Checks.attempts)
 
+(* ---- copy symmetry of the two-copy product ---- *)
+
+(* Rename every dut1__ key to dut2__ and back. *)
+let swap_copies (v : Rtl.valuation) =
+  let p1 = Checks.copy1_prefix and p2 = Checks.copy2_prefix in
+  let swap key =
+    let move from into =
+      into ^ String.sub key (String.length from) (String.length key - String.length from)
+    in
+    if String.starts_with ~prefix:p1 key then move p1 p2
+    else if String.starts_with ~prefix:p2 key then move p2 p1
+    else key
+  in
+  Rtl.Smap.fold (fun key x acc -> Rtl.Smap.add (swap key) x acc) v Rtl.Smap.empty
+
+(* Fixed-latency G-QED queries only the pairs (i, j) with i <= j: the
+   copies are renamings of one design with independent inputs, so a
+   failure of (j, i) is the same failure with the copies swapped. On golden
+   detected cells, every failure must come with cycle_a <= cycle_b, and the
+   witness with its copies swapped must re-simulate on the product into a
+   genuine failure at (cycle_b, cycle_a). *)
+let test_mirror_symmetric () =
+  let golden = Lazy.force Test_matrix.golden_tbl in
+  let strict = ref 0 in
+  List.iter
+    (fun name ->
+      let { Designs.Entry.design; iface; rec_bound; _ } = Designs.Registry.find name in
+      assert (not (Iface.is_variable_latency iface));
+      let prod d =
+        Rtl.product
+          (Rtl.rename ~prefix:Checks.copy1_prefix d)
+          (Rtl.rename ~prefix:Checks.copy2_prefix d)
+      in
+      List.iter
+        (fun (m, d) ->
+          let cell = Printf.sprintf "%s %s" name m.Mutation.id in
+          match Hashtbl.find_opt golden (name, m.Mutation.id) with
+          | Some v when String.starts_with ~prefix:"detected@" v -> (
+              match (Checks.gqed d iface ~bound:rec_bound).Checks.verdict with
+              | Checks.Fail f ->
+                  let a = f.Checks.cycle_a and b = f.Checks.cycle_b in
+                  if a > b then Alcotest.failf "%s: cycle_a %d > cycle_b %d" cell a b;
+                  if a < b then incr strict;
+                  let w = f.Checks.witness in
+                  let w_initial = swap_copies w.Bmc.w_initial in
+                  let w_inputs = Array.map swap_copies w.Bmc.w_inputs in
+                  let w_trace = Rtl.simulate_from (prod d) w_initial (Array.to_list w_inputs) in
+                  let swapped =
+                    {
+                      f with
+                      Checks.cycle_a = b;
+                      cycle_b = a;
+                      witness = { w with Bmc.w_initial; w_inputs; w_trace };
+                    }
+                  in
+                  Alcotest.(check bool) (cell ^ " swapped witness genuine") true
+                    (Theory.witness_is_genuine d iface swapped)
+              | Checks.Pass _ | Checks.Unknown _ -> Alcotest.failf "%s: expected %s" cell v)
+          | _ -> ())
+        (Mutation.mutants design))
+    [ "hamming74"; "graycodec"; "seqdet"; "rle"; "maxtrack"; "accum"; "popcount"; "fir4" ];
+  Alcotest.(check bool) "some failure has cycle_a < cycle_b" true (!strict > 0)
+
 let suite =
   [
     ("qed.gqed_correct_accum", `Quick, test_gqed_passes_on_correct_accum);
@@ -479,4 +542,5 @@ let suite =
     ("qed.limits_unknown", `Quick, test_limits_produce_unknown);
     ("qed.escalate_converges", `Quick, test_run_escalating_converges);
     ("qed.escalate_no_limits", `Quick, test_run_escalating_no_limits_is_run);
+    ("qed.mirror_symmetric", `Quick, test_mirror_symmetric);
   ]
