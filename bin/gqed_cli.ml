@@ -114,15 +114,6 @@ let technique_arg =
           "One of $(b,gqed) (default), $(b,flow) (reset+SA+stability+G-FC), \
            $(b,aqed), $(b,gqed-out) (ablation), $(b,sa), $(b,stability).")
 
-let jobs_arg =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:
-          "With $(b,--all-mutants), fan the per-mutant checks out over $(docv) \
-           domains. Verdicts are identical to the serial run.")
-
 let all_mutants_flag =
   Arg.(
     value
@@ -174,8 +165,10 @@ let timeout_arg =
     & info [ "timeout" ] ~docv:"SEC"
         ~doc:
           "Per-query wall-clock budget in seconds. An exhausted budget turns the \
-           verdict into $(b,unknown) (exit code 3) rather than hanging; with \
-           $(b,--all-mutants) it also bounds each mutant's task via a watchdog.")
+           verdict into $(b,unknown) (exit code 3) rather than hanging. It is not a \
+           per-check or per-mutant cap: a check issues many queries, and escalation \
+           retries an undecided query with the budget grown 4x per attempt (up to \
+           64x on the fourth); $(b,--no-escalate) keeps it fixed.")
 
 let max_conflicts_arg =
   Arg.(
@@ -222,52 +215,6 @@ let cli_force_flag =
     & info [ "force" ]
         ~doc:"Allow starting a fresh campaign over an existing $(b,--checkpoint) journal.")
 
-(* Supervision knobs, shared by verify --all-mutants (in-process domain
-   workers) and campaign --workers (worker processes): both paths run
-   the same restart policy. *)
-let policy_term =
-  let d = Par.Supervise.default_policy in
-  let max_restarts_arg =
-    Arg.(
-      value
-      & opt int d.Par.Supervise.max_restarts
-      & info [ "max-restarts" ] ~docv:"N"
-          ~doc:
-            "Restart a crashed worker at most $(docv) times before degrading it \
-             to a typed give-up.")
-  in
-  let backoff_arg =
-    Arg.(
-      value
-      & opt float d.Par.Supervise.backoff_s
-      & info [ "backoff" ] ~docv:"SEC"
-          ~doc:
-            "Base delay before a worker restart; doubles per consecutive restart \
-             (capped).")
-  in
-  let no_retry_oom_arg =
-    Arg.(
-      value & flag
-      & info [ "no-retry-oom" ]
-          ~doc:
-            "Never restart a worker that died of memory exhaustion — an OOM task \
-             would only OOM again; its cell degrades to $(b,unknown) and is \
-             re-attempted on $(b,--resume).")
-  in
-  let combine max_restarts backoff_s no_retry_oom =
-    if max_restarts < 0 then begin
-      prerr_endline "gqed: --max-restarts must be non-negative";
-      exit 2
-    end;
-    {
-      Par.Supervise.max_restarts;
-      backoff_s;
-      backoff_cap_s = Float.max backoff_s d.Par.Supervise.backoff_cap_s;
-      retry_oom = not no_retry_oom;
-    }
-  in
-  Term.(const combine $ max_restarts_arg $ backoff_arg $ no_retry_oom_arg)
-
 let start_campaign ~checkpoint ~resume ~force =
   match checkpoint with
   | None ->
@@ -299,13 +246,10 @@ let start_campaign ~checkpoint ~resume ~force =
               Persist.Campaign.close c);
           Some c)
 
-let limits_of ?cancel ~timeout ~max_conflicts () =
-  match (timeout, max_conflicts, cancel) with
-  | None, None, None -> Bmc.no_limits
-  | _ ->
-      Bmc.limits
-        ~budget:(Sat.Solver.budget ?conflicts:max_conflicts ?seconds:timeout ())
-        ?cancel ()
+let limits_of ~timeout ~max_conflicts =
+  match (timeout, max_conflicts) with
+  | None, None -> Bmc.no_limits
+  | _ -> Bmc.limits ~budget:(Sat.Solver.budget ?conflicts:max_conflicts ?seconds:timeout ()) ()
 
 (* Wrap any check in the escalation policy; with unbounded limits the first
    attempt decides and this is exactly the plain call. *)
@@ -413,14 +357,10 @@ let verify_cmd =
         | None -> ());
         exit 1
   in
-  let run name technique bound mutant all_mutants jobs waveform vcd simplify simp_stats
-      timeout max_conflicts no_escalate checkpoint resume force policy
-      obs_trace obs_metrics obs_format =
+  let run name technique bound mutant all_mutants waveform vcd simplify simp_stats
+      timeout max_conflicts no_escalate checkpoint resume force obs_trace obs_metrics
+      obs_format =
     setup_obs ~trace:obs_trace ~metrics:obs_metrics ~format:obs_format;
-    if jobs < 1 then begin
-      prerr_endline "gqed: --jobs must be a positive integer";
-      exit 2
-    end;
     let e = or_die (find_design name) in
     let bound = Option.value bound ~default:e.Entry.rec_bound in
     let escalate = not no_escalate in
@@ -439,8 +379,8 @@ let verify_cmd =
       in
       Option.map (fun t -> Checks.campaign_key t design e.Entry.iface ~bound) tech
     in
-    let check ?cancel technique design =
-      let limits = limits_of ?cancel ~timeout ~max_conflicts () in
+    let check technique design =
+      let limits = limits_of ~timeout ~max_conflicts in
       let run1 ~simplify ~limits =
         match technique with
         | `Gqed -> Checks.gqed ~simplify ~limits design e.Entry.iface ~bound
@@ -472,53 +412,31 @@ let verify_cmd =
           prerr_endline "gqed: --mutant and --all-mutants are mutually exclusive";
           exit 2
       | None -> ());
-      let muts =
-        List.filter_map
-          (fun m ->
-            match Mutation.apply e.Entry.design m with
-            | Some design -> Some (m, design)
-            | None -> None)
-          (Mutation.enumerate e.Entry.design)
-      in
-      (* Each task builds its own engine inside the check, so mutants fan out
-         across domains with no shared solver state. Under --timeout a
-         watchdog cancels any task past its allowance, so one hung mutant
-         never blocks the whole table — it just shows up as "unknown". The
-         supervisor restarts crashed/OOM'd workers with capped backoff and
-         degrades exhausted ones to a typed give-up, so one bad task never
-         takes the campaign down. *)
-      let results =
-        Par.Supervise.supervise ~jobs ?deadline:timeout ~policy
-          (fun token (_, design) -> check ~cancel:token technique design)
-          muts
-      in
+      (* A plain serial loop through the [check] funnel (budget,
+         escalation, journal); [gqed campaign --workers N] is the
+         parallel, crash-isolated runner for the same cells. *)
+      let muts = Mutation.mutants e.Entry.design in
       Printf.printf "%-40s %-18s %9s\n" "mutant" "verdict" "time";
-      let detected = ref 0 and unknown = ref 0 and restarts = ref 0 in
-      List.iter2
-        (fun (m, _) o ->
-          restarts := !restarts + o.Par.Supervise.s_attempts - 1;
+      let detected = ref 0 and unknown = ref 0 in
+      List.iter
+        (fun (m, design) ->
+          let t0 = Unix.gettimeofday () in
+          let report = check technique design in
           let cell =
-            match o.Par.Supervise.s_result with
-            | Ok report -> (
-                match report.Checks.verdict with
-                | Checks.Fail _ ->
-                    incr detected;
-                    "detected"
-                | Checks.Pass _ -> "ESCAPE"
-                | Checks.Unknown _ ->
-                    incr unknown;
-                    "unknown")
-            | Error cls ->
+            match report.Checks.verdict with
+            | Checks.Fail _ ->
+                incr detected;
+                "detected"
+            | Checks.Pass _ -> "ESCAPE"
+            | Checks.Unknown _ ->
                 incr unknown;
-                "gave-up:" ^ Par.Supervise.class_to_string cls
+                "unknown"
           in
           Printf.printf "%-40s %-18s %8.2fs\n" m.Mutation.id cell
-            o.Par.Supervise.s_seconds)
-        muts results;
+            (Unix.gettimeofday () -. t0))
+        muts;
       Printf.printf "detected %d/%d mutants (%d unknown)\n" !detected
         (List.length muts) !unknown;
-      if !restarts > 0 then
-        Printf.printf "supervisor: %d worker restart(s) during the campaign\n" !restarts;
       exit
         (if !detected = List.length muts then 0 else if !unknown > 0 then 3 else 1)
     end;
@@ -535,10 +453,9 @@ let verify_cmd =
     (Cmd.info "verify" ~doc:"Run a QED check on a design (or one of its mutants).")
     Term.(
       const run $ design_arg $ technique_arg $ bound_arg $ mutant_arg $ all_mutants_flag
-      $ jobs_arg $ waveform_flag $ vcd_arg $ simplify_term $ simp_stats_flag
-      $ timeout_arg $ max_conflicts_arg $ no_escalate_flag $ checkpoint_arg
-      $ resume_flag $ cli_force_flag $ policy_term $ obs_trace_arg $ obs_metrics_arg
-      $ obs_format_arg)
+      $ waveform_flag $ vcd_arg $ simplify_term $ simp_stats_flag $ timeout_arg
+      $ max_conflicts_arg $ no_escalate_flag $ checkpoint_arg $ resume_flag
+      $ cli_force_flag $ obs_trace_arg $ obs_metrics_arg $ obs_format_arg)
 
 (* ---- campaign ---- *)
 
@@ -681,7 +598,7 @@ let campaign_cmd =
              may drop the last records, a mere SIGKILL cannot).")
   in
   let run names technique bound workers batch no_sync checkpoint resume force
-      policy obs_trace obs_metrics obs_format =
+      obs_trace obs_metrics obs_format =
     setup_obs ~trace:obs_trace ~metrics:obs_metrics ~format:obs_format;
     if workers < 1 then begin
       prerr_endline "gqed: --workers must be a positive integer";
@@ -713,7 +630,7 @@ let campaign_cmd =
     let cells = List.map (fun (_, cell, _, _, _) -> cell) tasks in
     let arg = campaign_arg_encode ~technique ~bound_override:bound names in
     match
-      Dist.run ~workers ~batch ~policy ~sync:(not no_sync) ~arg ~resume ~force
+      Dist.run ~workers ~batch ~sync:(not no_sync) ~arg ~resume ~force
         ~journal:checkpoint ~solver:"campaign" cells
     with
     | Error msg ->
@@ -789,8 +706,8 @@ let campaign_cmd =
           uninterrupted verdict matrix bit-for-bit.")
     Term.(
       const run $ designs_arg $ technique_arg $ bound_arg $ workers_arg $ batch_arg
-      $ no_sync_arg $ checkpoint_arg $ resume_flag $ cli_force_flag $ policy_term
-      $ obs_trace_arg $ obs_metrics_arg $ obs_format_arg)
+      $ no_sync_arg $ checkpoint_arg $ resume_flag $ cli_force_flag $ obs_trace_arg
+      $ obs_metrics_arg $ obs_format_arg)
 
 (* ---- mutants ---- *)
 

@@ -116,7 +116,6 @@ let no_simplify = { sc_coi = false; sc_rewrite = false; sc_pg = false; sc_cnf = 
 
 type limits = {
   l_budget : Sat.Solver.budget;
-  l_cancel : Sat.Solver.cancel option;
   l_seed : int option;
   l_fault : (Sat.Solver.stats -> Sat.Solver.fault option) option;
 }
@@ -124,13 +123,12 @@ type limits = {
 let no_limits =
   {
     l_budget = Sat.Solver.no_budget;
-    l_cancel = None;
     l_seed = None;
     l_fault = None;
   }
 
-let limits ?(budget = Sat.Solver.no_budget) ?cancel ?seed ?fault () =
-  { l_budget = budget; l_cancel = cancel; l_seed = seed; l_fault = fault }
+let limits ?(budget = Sat.Solver.no_budget) ?seed ?fault () =
+  { l_budget = budget; l_seed = seed; l_fault = fault }
 
 module Coi = struct
   module S = Set.Make (String)
@@ -375,8 +373,9 @@ module Engine = struct
     t.search_acc <- add_search t.search_acc (Sat.Solver.stats t.solver);
     let solver = Sat.Solver.create () in
     if t.certify then Sat.Solver.start_proof solver;
-    (* Fresh solvers inherit the engine's governance: budget/cancel arrive
-       per [solve] call, the fault hook is installed on the instance. *)
+    (* Fresh solvers inherit the engine's governance: budget and seed
+       arrive per [solve] call, the fault hook is installed on the
+       instance. *)
     Sat.Solver.set_fault_hook solver t.limits.l_fault;
     t.solver <- solver;
     if t.simplify.sc_rewrite then begin
@@ -510,7 +509,7 @@ module Engine = struct
     let conflicts0 = (Sat.Solver.stats t.solver).Sat.Solver.conflicts in
     let result =
       Sat.Solver.solve ~assumptions:sat_assumptions ~budget:t.limits.l_budget
-        ?cancel:t.limits.l_cancel ?seed:t.limits.l_seed t.solver
+        ?seed:t.limits.l_seed t.solver
     in
     if (Sat.Solver.stats t.solver).Sat.Solver.conflicts - conflicts0 > fresh_after_conflicts
     then t.mono <- true;
@@ -731,9 +730,6 @@ module Escalate = struct
           in
           { b with Sat.Solver.max_seconds }
     in
-    let cancelled () =
-      match limits.l_cancel with Some c -> Sat.Solver.cancelled c | None -> false
-    in
     let rec attempt i budget acc =
       (* Perturbation schedule: every retry reseeds (below); from the third
          retry on the simplification pipeline is toggled. Both are
@@ -772,7 +768,7 @@ module Escalate = struct
       match reason with
       | None -> (r, List.rev acc)
       | Some _ ->
-          if i + 1 >= policy.max_attempts || over_total () || cancelled () then
+          if i + 1 >= policy.max_attempts || over_total () then
             (r, List.rev acc)
           else attempt (i + 1) (Sat.Solver.budget_scale budget policy.growth) acc
     in

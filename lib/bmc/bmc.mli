@@ -73,23 +73,21 @@ val no_simplify : simplify_config
 (** {1 Resource limits}
 
     A bundle of the solver-level governance knobs (see {!Sat.Solver}):
-    per-query budget, cooperative cancellation token, phase-perturbation
-    seed and fault-injection hook. The budget applies to {e each} SAT
-    query an engine issues — whole-check caps are the business of
-    {!Escalate} policies and [Par] watchdogs. *)
+    per-query budget, phase-perturbation seed and fault-injection hook.
+    The budget applies to {e each} SAT query an engine issues — a
+    whole-check wall-clock cap is an {!Escalate} policy's
+    [total_seconds]. *)
 type limits = {
   l_budget : Sat.Solver.budget;
-  l_cancel : Sat.Solver.cancel option;
   l_seed : int option;
   l_fault : (Sat.Solver.stats -> Sat.Solver.fault option) option;
 }
 
 val no_limits : limits
-(** Unbounded, non-cancellable, unseeded, no faults — the default. *)
+(** Unbounded, unseeded, no faults — the default. *)
 
 val limits :
   ?budget:Sat.Solver.budget ->
-  ?cancel:Sat.Solver.cancel ->
   ?seed:int ->
   ?fault:(Sat.Solver.stats -> Sat.Solver.fault option) ->
   unit ->
@@ -332,6 +330,6 @@ module Escalate : sig
       configuration; while [unknown_of] reports a giving-up reason it
       retries with the budget scaled by [growth] and (when [perturb]) a
       perturbed configuration, until an attempt decides, [max_attempts]
-      or [total_seconds] is exhausted, or the cancellation token fires.
+      or [total_seconds] is exhausted.
       Returns the last result and the attempt log (oldest first). *)
 end

@@ -85,8 +85,8 @@ type report = {
     hard, then a fresh solver per query (see {!Bmc.Engine.create}).
     [?limits] (default
     {!Bmc.no_limits}) governs the engine's resources: per-query budget,
-    cancellation token, restart seed and fault hook; an exhausted budget
-    or fired token yields an [Unknown] verdict. The decided verdict is
+    restart seed and fault hook; an exhausted budget or an injected
+    fault yields an [Unknown] verdict. The decided verdict is
     independent of every knob — the bench harness and the fuzz oracle
     enforce this. *)
 

@@ -36,6 +36,49 @@ type kill = { k_worker : int; k_after : int; k_mode : [ `Restart | `Abort ] }
 
 exception Aborted of string
 
+(* ------------------------------------------------------------------ *)
+(* Restart policy                                                      *)
+(* ------------------------------------------------------------------ *)
+
+type restart_policy = {
+  max_restarts : int;
+  backoff_s : float;
+  backoff_cap_s : float;
+  retry_oom : bool;
+}
+
+let default_policy =
+  { max_restarts = 2; backoff_s = 0.05; backoff_cap_s = 1.0; retry_oom = true }
+
+(* Capped exponential backoff before retry round [round] (1-based);
+   round 0 — the first attempt — waits nothing. *)
+let backoff_delay policy ~round =
+  if round <= 0 then 0.0
+  else Float.min policy.backoff_cap_s (policy.backoff_s *. (2.0 ** float_of_int (round - 1)))
+
+type failure = Crash of string | Oom
+
+let failure_to_string = function Crash _ -> "crash" | Oom -> "oom"
+
+(* Crashes are transient (a sibling freeing memory, a flaky external
+   resource); OOM only when the policy says so — under a hard memory
+   ceiling a retry would just die again. *)
+let retryable policy = function Crash _ -> true | Oom -> policy.retry_oom
+
+(* Worker processes report OOM with this exit code so the coordinator
+   can classify it without a shared address space. Picked from the BSD
+   sysexits range to stay clear of shell/signal codes. *)
+let oom_exit_code = 77
+
+(* Signals — SIGKILL from the OOM killer or a test harness, SIGSEGV —
+   and nonzero exits are crashes unless the worker used the OOM
+   convention above. *)
+let classify_exit = function
+  | Unix.WEXITED n when n = oom_exit_code -> Oom
+  | Unix.WEXITED n -> Crash (Printf.sprintf "exit %d" n)
+  | Unix.WSIGNALED s -> Crash (Printf.sprintf "signal %d" s)
+  | Unix.WSTOPPED s -> Crash (Printf.sprintf "stopped %d" s)
+
 let m_dispatched = lazy (Obs.Metrics.counter "dist.dispatched")
 let m_restarts = lazy (Obs.Metrics.counter "dist.restarts")
 let m_merged = lazy (Obs.Metrics.counter "dist.merged")
@@ -188,7 +231,7 @@ let merge ?delete ~into journal = apply_scan ?delete ~into (scan_workers journal
 (* Runs in the worker process. Protocol: read "CELL <key>" lines, solve,
    append to the per-worker journal (durable before the ack), answer
    "ACK <d|u> <seconds> <key>"; "DONE" or EOF (coordinator died) ends.
-   OOM exits with the [Par.Supervise.oom_exit_code] convention so the
+   OOM exits with the [oom_exit_code] convention so the
    coordinator can classify it; other exceptions exit 70. *)
 let worker_main ~journal ~sync ~solve ~idx ~rfd ~wfd =
   let jpath = worker_journal journal idx in
@@ -210,7 +253,7 @@ let worker_main ~journal ~sync ~solve ~idx ~rfd ~wfd =
             let key = String.sub line 5 (String.length line - 5) in
             let t0 = Unix.gettimeofday () in
             match solve key with
-            | exception Out_of_memory -> finish Par.Supervise.oom_exit_code
+            | exception Out_of_memory -> finish oom_exit_code
             | exception e ->
                 prerr_endline
                   (Printf.sprintf "gqed dist worker %d: %s" idx (Printexc.to_string e));
@@ -323,15 +366,11 @@ let solve_inline ~policy ~campaign ~solve ~restarts ~gave_up key =
     | (decided, payload) -> Some (decided, payload)
     | exception Sys.Break -> raise Sys.Break
     | exception e ->
-        let retry =
-          match e with
-          | Out_of_memory -> policy.Par.Supervise.retry_oom
-          | _ -> true
-        in
-        if retry && n < policy.Par.Supervise.max_restarts then begin
+        let cls = match e with Out_of_memory -> Oom | e -> Crash (Printexc.to_string e) in
+        if retryable policy cls && n < policy.max_restarts then begin
           incr restarts;
           if Obs.on () then Obs.Metrics.incr (Lazy.force m_restarts);
-          Unix.sleepf (Par.Supervise.backoff_delay policy ~round:(n + 1));
+          Unix.sleepf (backoff_delay policy ~round:(n + 1));
           attempt (n + 1)
         end
         else begin
@@ -415,19 +454,22 @@ let run_distributed ~nw ~batch ~policy ~sync ~kill ~journal ~solver ~arg ~campai
       try snd (Unix.waitpid [] w.w_pid)
       with Unix.Unix_error _ -> Unix.WEXITED 70
     in
-    match (w.w_state, status) with
-    | `Done, Unix.WEXITED 0 | `Gone, _ -> w.w_state <- `Gone
-    | was, status ->
+    match w.w_state with
+    | `Done | `Gone ->
+        (* A worker sent DONE owes no acks, and every cell it acked is
+           already durable in its shard: however it died, there is
+           nothing to requeue and nothing to restart it for. *)
+        w.w_state <- `Gone
+    | `Live ->
         let cls =
           match status with
-          | Unix.WEXITED 0 -> Par.Supervise.Crash "exit 0 with work outstanding"
-          | s -> Par.Supervise.classify_exit s
+          | Unix.WEXITED 0 -> Crash "exit 0 with work outstanding"
+          | s -> classify_exit s
         in
         requeue w.w_outstanding;
         w.w_outstanding <- [];
         w.w_state <- `Gone;
-        if Par.Supervise.retryable policy cls && w.w_restarts < policy.Par.Supervise.max_restarts
-        then begin
+        if retryable policy cls && w.w_restarts < policy.max_restarts then begin
           w.w_restarts <- w.w_restarts + 1;
           incr restarts;
           if Obs.on () then begin
@@ -436,21 +478,21 @@ let run_distributed ~nw ~batch ~policy ~sync ~kill ~journal ~solver ~arg ~campai
               ~args:
                 [
                   ("worker", string_of_int w.w_idx);
-                  ("class", Par.Supervise.class_to_string cls);
+                  ("class", failure_to_string cls);
                 ]
           end;
-          Unix.sleepf (Par.Supervise.backoff_delay policy ~round:w.w_restarts);
+          Unix.sleepf (backoff_delay policy ~round:w.w_restarts);
           respawn w;
           feed w
         end
-        else if was <> `Done then begin
+        else begin
           incr gave_up;
           if Obs.on () then
             Obs.Trace.instant "dist.gave_up"
               ~args:
                 [
                   ("worker", string_of_int w.w_idx);
-                  ("class", Par.Supervise.class_to_string cls);
+                  ("class", failure_to_string cls);
                 ]
         end
   in
@@ -574,7 +616,7 @@ let run_distributed ~nw ~batch ~policy ~sync ~kill ~journal ~solver ~arg ~campai
   in
   List.length leftovers
 
-let run ?(workers = 2) ?(batch = 2) ?(policy = Par.Supervise.default_policy)
+let run ?(workers = 2) ?(batch = 2) ?(policy = default_policy)
     ?(sync = true) ?(compact_min = 512) ?kill ?(arg = "") ~resume ~force ~journal
     ~solver cells =
   Obs.Trace.with_span "dist.run" (fun () ->

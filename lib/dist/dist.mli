@@ -7,10 +7,11 @@
     prior runs, falling back to a size heuristic cold). Workers pull
     small batches over a pipe protocol — no static chunking, so one hard
     mutant cannot straggle a whole shard — solve each cell, append the
-    outcome to [<journal>.worker-<i>], and ack. Worker deaths are
-    classified with {!Par.Supervise.classify_exit} and restarted under
-    the same restart policy as in-process supervision; when every worker
-    is gone the coordinator degrades to solving the remainder itself.
+    outcome to [<journal>.worker-<i>], and ack. A worker that dies with
+    cells outstanding is classified (crash or OOM, from its exit status)
+    and restarted under a {!restart_policy}; when every worker is gone
+    the coordinator degrades to solving the remainder itself, retrying
+    crashed solves under the same policy.
     On completion — and, crucially, on resume after killing any subset
     of workers — per-worker journals are merged into the main journal
     with decided-beats-undecided, last-write-wins semantics, so the
@@ -69,6 +70,18 @@ type merge_stats = {
   m_unreadable : int;  (** worker journals skipped as unparseable *)
 }
 
+type restart_policy = {
+  max_restarts : int;  (** restarts per worker (retries per in-process cell) *)
+  backoff_s : float;  (** pause before the first restart *)
+  backoff_cap_s : float;  (** exponential backoff saturates here *)
+  retry_oom : bool;
+      (** whether an OOM death is restarted; set false under a hard
+          memory ceiling, where a retry would just die again *)
+}
+
+val default_policy : restart_policy
+(** 2 restarts, 50 ms initial backoff, 1 s cap, OOM retried. *)
+
 type kill = {
   k_worker : int;  (** worker index to SIGKILL *)
   k_after : int;  (** ... once it has acked this many cells (1-based) *)
@@ -113,7 +126,7 @@ val merge : ?delete:bool -> into:Persist.Campaign.t -> string -> merge_stats
 val run :
   ?workers:int ->
   ?batch:int ->
-  ?policy:Par.Supervise.restart_policy ->
+  ?policy:restart_policy ->
   ?sync:bool ->
   ?compact_min:int ->
   ?kill:kill ->
@@ -129,9 +142,13 @@ val run :
     cells. [solver] names a {!register}ed solve function and [arg]
     (default [""]) its configuration string; the solve runs {e in the
     worker process}, and raising [Out_of_memory] there reports as an
-    [Oom] worker death (never retried when [policy.retry_oom] is
-    false), any other exception as a [Crash]. [workers <= 1] solves
-    in-process (same journal, same rows — the serial baseline).
+    OOM worker death (never retried when [policy.retry_oom] is false),
+    any other exception as a crash. [policy] defaults to
+    {!default_policy}; a worker that already finished its share is never
+    restarted, whatever its exit status. [workers <= 1] solves
+    in-process (same journal, same rows — the serial baseline), where a
+    raising solve is retried under the same policy and, once exhausted,
+    degrades to an undecided row with an empty payload.
 
     [resume]/[force]/[journal] follow {!Persist.Campaign.start}, with
     [compact_min] forwarded to its auto-compaction gate; leftover

@@ -886,7 +886,7 @@ module Oracle = struct
         in
         let policy =
           {
-            Par.Supervise.max_restarts = 1;
+            Dist.max_restarts = 1;
             backoff_s = 0.001;
             backoff_cap_s = 0.002;
             retry_oom = true;

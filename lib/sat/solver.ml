@@ -76,12 +76,6 @@ let reason_to_string = function
   | Out_of_memory_budget -> "learnt-clause memory budget exhausted"
   | Cancelled -> "cancelled"
 
-type cancel = bool Atomic.t
-
-let cancel_token () : cancel = Atomic.make false
-let cancel (c : cancel) = Atomic.set c true
-let cancelled (c : cancel) = Atomic.get c
-
 type fault =
   | Fault_exhaust of unknown_reason
   | Fault_cancel
@@ -201,7 +195,6 @@ type t = {
   mutable lim_decisions : int;
   mutable lim_learnt_bytes : int;
   mutable deadline : float;
-  mutable cancel_tok : cancel option;
   mutable fault_hook : (stats -> fault option) option;
   mutable learnt_bytes : int;
   mutable poll_count : int;
@@ -256,7 +249,6 @@ let create () =
     lim_decisions = max_int;
     lim_learnt_bytes = max_int;
     deadline = infinity;
-    cancel_tok = None;
     fault_hook = None;
     learnt_bytes = 0;
     poll_count = 0;
@@ -875,19 +867,16 @@ let current_stats s =
     vars = s.nvars;
   }
 
-(* Budget/cancellation poll, called on the cheap boundaries of the search
-   loop (once per propagate-or-conflict iteration, never inside a
+(* Budget and fault-hook poll, called on the cheap boundaries of the
+   search loop (once per propagate-or-conflict iteration, never inside a
    propagation wave). Counter checks are plain compares against the
-   absolute limits; the wall clock is only consulted every 64 polls, and
-   only when a deadline is set. *)
+   absolute limits; the wall clock is only consulted when a deadline is
+   set. *)
 let poll_limits s =
   if s.n_conflicts >= s.lim_conflicts then raise (Stop Out_of_conflicts);
   if s.n_propagations >= s.lim_propagations then raise (Stop Out_of_propagations);
   if s.n_decisions >= s.lim_decisions then raise (Stop Out_of_decisions);
   if s.learnt_bytes >= s.lim_learnt_bytes then raise (Stop Out_of_memory_budget);
-  (match s.cancel_tok with
-  | Some c when Atomic.get c -> raise (Stop Cancelled)
-  | _ -> ());
   (match s.fault_hook with
   | None -> ()
   | Some hook -> (
@@ -995,7 +984,7 @@ let rec luby i =
 (* Arm the per-call limits. Counter caps are relative to this call (the
    counters accumulate across incremental solves); the learnt-memory cap is
    absolute, since it bounds the footprint of the shared database. *)
-let set_limits s budget cancel =
+let set_limits s budget =
   let rel base = function None -> max_int | Some n -> base + max 0 n in
   s.lim_conflicts <- rel s.n_conflicts budget.max_conflicts;
   s.lim_propagations <- rel s.n_propagations budget.max_propagations;
@@ -1007,16 +996,14 @@ let set_limits s budget cancel =
   s.deadline <-
     (match budget.max_seconds with
     | None -> infinity
-    | Some sec -> Unix.gettimeofday () +. sec);
-  s.cancel_tok <- cancel
+    | Some sec -> Unix.gettimeofday () +. sec)
 
 let clear_limits s =
   s.lim_conflicts <- max_int;
   s.lim_propagations <- max_int;
   s.lim_decisions <- max_int;
   s.lim_learnt_bytes <- max_int;
-  s.deadline <- infinity;
-  s.cancel_tok <- None
+  s.deadline <- infinity
 
 (* Deterministic polarity perturbation (xorshift keyed on the seed): flips
    the saved phases so a retry explores a different trajectory. Verdict-
@@ -1031,7 +1018,7 @@ let perturb_phases s seed =
   done
 
 let set_fault_hook s hook = s.fault_hook <- hook
-let solve ?(assumptions = []) ?(budget = no_budget) ?cancel ?seed s =
+let solve ?(assumptions = []) ?(budget = no_budget) ?seed s =
   s.answer <- A_none;
   Vec.clear s.conflict;
   if not s.ok then begin
@@ -1039,7 +1026,7 @@ let solve ?(assumptions = []) ?(budget = no_budget) ?cancel ?seed s =
     Unsat
   end
   else begin
-    set_limits s budget cancel;
+    set_limits s budget;
     (* Per-solve metric deltas: stats are cumulative on the solver, so
        sample them at entry and publish the difference at exit. *)
     let obs0 =
@@ -1084,7 +1071,7 @@ let solve ?(assumptions = []) ?(budget = no_budget) ?cancel ?seed s =
          incr restart
        done
      with Stop reason ->
-       (* Budget exhausted, cancelled, or an injected fault: back out to a
+       (* Budget exhausted or an injected fault: back out to a
           clean level-0 state. Learnt clauses (and their DRAT events) are
           kept, so a follow-up [solve] resumes from the accumulated work. *)
        s.answer <- A_unknown;

@@ -18,11 +18,10 @@ type t
 
     Every [solve] call may run under a {!budget} — optional caps on
     conflicts, propagations, decisions, wall-clock seconds and the memory
-    footprint of the learnt-clause database — and under a cooperative
-    {!cancel} token settable from another domain. Caps are counted
-    relative to the start of the call, checked on the cheap boundaries of
-    the search loop, and exhausting any of them (or a set token) returns
-    {!Unknown} with the first reason that fired. An [Unknown] answer
+    footprint of the learnt-clause database. Caps are counted relative to
+    the start of the call, checked on the cheap boundaries of the search
+    loop, and exhausting any of them returns {!Unknown} with the first
+    reason that fired. An [Unknown] answer
     leaves the solver fully reusable: the trail is backtracked to level 0,
     learnt clauses are kept, and a follow-up [solve] (with a larger
     budget, or none) resumes from the accumulated state. *)
@@ -58,20 +57,10 @@ type unknown_reason =
   | Out_of_time
   | Out_of_memory_budget
   | Cancelled
-(** Why a [solve] call gave up. [Cancelled] covers both a set {!cancel}
-    token and an injected [Fault_cancel]. *)
+(** Why a [solve] call gave up. [Cancelled] is only ever produced by an
+    injected [Fault_cancel]. *)
 
 val reason_to_string : unknown_reason -> string
-
-type cancel = bool Atomic.t
-(** Cooperative cancellation token. Any domain may {!cancel} it; the
-    solver polls it on search-loop boundaries. The same token type is
-    shared with [Par] watchdogs — no dependency needed, it is a plain
-    [bool Atomic.t]. *)
-
-val cancel_token : unit -> cancel
-val cancel : cancel -> unit
-val cancelled : cancel -> bool
 
 (** {1 Fault injection}
 
@@ -123,12 +112,10 @@ val ok : t -> bool
 val solve :
   ?assumptions:Lit.t list ->
   ?budget:budget ->
-  ?cancel:cancel ->
   ?seed:int ->
   t ->
   result
-(** [budget] caps are relative to this call (see {!budget}); [cancel] is
-    polled cooperatively; [seed] perturbs the saved-phase polarities
+(** [budget] caps are relative to this call (see {!budget}); [seed] perturbs the saved-phase polarities
     before searching, diversifying the restart trajectory across retries
     without affecting the verdict. An [Unknown] answer reports partial
     progress through {!stats} and leaves the solver reusable. *)

@@ -1,7 +1,8 @@
 (* Tests for the distributed campaign layer (Dist): per-worker journal
    merge semantics (overlapping keys, torn shard tails, Unknown
-   precedence), hardest-first scheduling, process supervision (crash
-   restart, OOM class policy), and the end-to-end resume-equivalence
+   precedence), hardest-first scheduling, supervision (worker crash
+   restart, OOM class policy, idle deaths left alone, in-process retry
+   and give-up), and the end-to-end resume-equivalence
    sweep — SIGKILL a worker after every ack count in turn, resume, and
    the merged matrix must be bit-for-bit the serial run's.
 
@@ -28,7 +29,7 @@ let with_tmp tag f =
   Fun.protect ~finally:cleanup (fun () -> f path)
 
 let fast_policy =
-  { Par.Supervise.max_restarts = 2; backoff_s = 0.001; backoff_cap_s = 0.002; retry_oom = true }
+  { Dist.max_restarts = 2; backoff_s = 0.001; backoff_cap_s = 0.002; retry_oom = true }
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -72,6 +73,9 @@ let crash_once_solve ~arg key =
     failwith "injected worker crash"
   end
   else (true, "v:" ^ key)
+
+let crash_always_solve ~arg:_ key =
+  if key = "cell-00" then failwith "injected permanent crash" else (true, "v:" ^ key)
 
 let oom_solve ~arg:_ key =
   if key = "cell-00" then raise Out_of_memory else (true, "v:" ^ key)
@@ -133,6 +137,7 @@ let register_solvers () =
   Dist.register "test-toy" toy_solve;
   Dist.register "test-toy-matrix" toy_matrix_solve;
   Dist.register "test-crash-once" crash_once_solve;
+  Dist.register "test-crash-always" crash_always_solve;
   Dist.register "test-oom" oom_solve;
   Dist.register "test-real" real_solve
 
@@ -320,7 +325,7 @@ let test_worker_crash_restarted () =
 
 let test_oom_not_retried_by_policy () =
   with_tmp "oom" (fun path ->
-      let policy = { fast_policy with Par.Supervise.retry_oom = false } in
+      let policy = { fast_policy with Dist.retry_oom = false } in
       let rows, stats =
         run_ok ~workers:2 ~batch:1 ~policy ~resume:false ~journal:path
           ~solver:"test-oom" (toy_cells 6)
@@ -335,6 +340,77 @@ let test_oom_not_retried_by_policy () =
         (List.length (List.filter (fun r -> r.Dist.r_decided) rows));
       if stats.Dist.d_gave_up < 1 then
         Alcotest.failf "expected OOM give-ups, saw %d" stats.Dist.d_gave_up)
+
+(* Worker 0 acks its one cell, is sent DONE and is then SIGKILLed: it
+   owes no acks and its cell is already in its shard, so supervision must
+   not spend a backoff and a respawn on it. *)
+let test_idle_worker_death_not_restarted () =
+  with_tmp "idle" (fun path ->
+      let kill = { Dist.k_worker = 0; k_after = 1; k_mode = `Restart } in
+      let rows, stats =
+        run_ok ~workers:2 ~batch:1 ~policy:fast_policy ~kill ~resume:false
+          ~journal:path ~solver:"test-toy" (toy_cells 2)
+      in
+      Alcotest.(check (list (triple string bool string)))
+        "every row decided"
+        [ ("cell-00", true, "v:cell-00"); ("cell-01", true, "v:cell-01") ]
+        (rows_sig rows);
+      Alcotest.(check int) "idle worker not restarted" 0 stats.Dist.d_restarts)
+
+(* The in-process path ([workers <= 1], and the degraded fallback once
+   every worker gave up) supervises solves itself: a crash is retried
+   under the policy and an exhausted cell degrades to an undecided row. *)
+let test_inline_restarts_and_give_up () =
+  let cells = toy_cells 4 in
+  with_tmp "inline-once" (fun path ->
+      let marker = path ^ ".crashed-once" in
+      Fun.protect
+        ~finally:(fun () -> try Sys.remove marker with Sys_error _ -> ())
+        (fun () ->
+          let rows, stats =
+            run_ok ~workers:1 ~policy:fast_policy ~arg:marker ~resume:false
+              ~journal:path ~solver:"test-crash-once" cells
+          in
+          Alcotest.(check bool) "crash-once: every cell decided" true
+            (List.for_all (fun r -> r.Dist.r_decided) rows);
+          Alcotest.(check int) "crash-once: one retry" 1 stats.Dist.d_restarts;
+          Alcotest.(check int) "crash-once: no give-up" 0 stats.Dist.d_gave_up));
+  with_tmp "inline-always" (fun path ->
+      let rows, stats =
+        run_ok ~workers:1 ~policy:fast_policy ~resume:false ~journal:path
+          ~solver:"test-crash-always" cells
+      in
+      Alcotest.(check (list string)) "crash-always: only cell-00 undecided"
+        [ "cell-00" ]
+        (List.filter_map
+           (fun r -> if r.Dist.r_decided then None else Some r.Dist.r_key)
+           rows);
+      Alcotest.(check int) "crash-always: policy exhausted"
+        fast_policy.Dist.max_restarts stats.Dist.d_restarts;
+      if stats.Dist.d_gave_up < 1 then
+        Alcotest.failf "expected a give-up, saw %d" stats.Dist.d_gave_up)
+
+(* Rows come back in input order although the queue runs hardest-first:
+   the hints rank the cells in reverse input order, and the degraded row
+   of the always-crashing cell keeps its slot among the decided ones. *)
+let test_inline_preserves_order () =
+  let cells =
+    List.mapi (fun i c -> { c with Dist.cell_hint = float_of_int i }) (toy_cells 4)
+  in
+  with_tmp "inline-order" (fun path ->
+      let rows, _ =
+        run_ok ~workers:1 ~policy:fast_policy ~resume:false ~journal:path
+          ~solver:"test-crash-always" cells
+      in
+      Alcotest.(check (list (triple string bool string)))
+        "degraded cell, others decided, input order"
+        [
+          ("cell-00", false, "");
+          ("cell-01", true, "v:cell-01");
+          ("cell-02", true, "v:cell-02");
+          ("cell-03", true, "v:cell-03");
+        ]
+        (rows_sig rows))
 
 (* ------------------------------------------------------------------ *)
 (* Kill-a-worker-at-every-batch resume equivalence                     *)
@@ -454,6 +530,12 @@ let suite =
     Alcotest.test_case "worker crash is restarted" `Quick test_worker_crash_restarted;
     Alcotest.test_case "OOM not retried under policy" `Quick
       test_oom_not_retried_by_policy;
+    Alcotest.test_case "idle worker death is not restarted" `Quick
+      test_idle_worker_death_not_restarted;
+    Alcotest.test_case "in-process: restarts and give-up" `Quick
+      test_inline_restarts_and_give_up;
+    Alcotest.test_case "in-process: preserves order" `Quick
+      test_inline_preserves_order;
     Alcotest.test_case "kill-worker-at-every-batch sweep (fast)" `Slow
       test_kill_sweep_fast;
     Alcotest.test_case "real matrix: dist equals serial" `Slow

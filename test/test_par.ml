@@ -65,44 +65,6 @@ let prop_deterministic_across_jobs =
       let serial = List.map f xs in
       Par.map ~jobs f xs = serial)
 
-(* ------------------------------------------------------------------ *)
-(* Governed fan-out through Supervise.supervise, the path a CLI        *)
-(* campaign under --timeout takes: per-task tokens, watchdog deadlines. *)
-
-let test_supervise_plain () =
-  let results = Par.Supervise.supervise ~jobs:4 (fun _token i -> i * 3) [ 1; 2; 3; 4 ] in
-  Alcotest.(check (list int))
-    "values in order" [ 3; 6; 9; 12 ]
-    (List.map
-       (fun o -> match o.Par.Supervise.s_result with Ok v -> v | Error _ -> -1)
-       results)
-
-(* A cooperative "hung" task: spins until its token is set. The 10 s guard
-   turns a broken watchdog into a test failure instead of a CI hang. *)
-let spin_until_cancelled token =
-  let t0 = Unix.gettimeofday () in
-  let rec go () =
-    if Par.Cancel.is_set token then `Cancelled
-    else if Unix.gettimeofday () -. t0 > 10.0 then `Timed_out
-    else go ()
-  in
-  go ()
-
-let test_watchdog_cancels_hung_task () =
-  let t0 = Unix.gettimeofday () in
-  let results =
-    Par.Supervise.supervise ~jobs:2 ~deadline:0.1
-      (fun token tag -> if tag = 0 then spin_until_cancelled token else `Quick_done)
-      [ 0; 1 ]
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  (match List.map (fun o -> o.Par.Supervise.s_result) results with
-  | [ Ok a; Ok b ] ->
-      Alcotest.(check bool) "hung task cancelled by the watchdog" true (a = `Cancelled);
-      Alcotest.(check bool) "sibling unaffected" true (b = `Quick_done)
-  | _ -> Alcotest.fail "expected two Ok results");
-  Alcotest.(check bool) "fan-out returned promptly" true (wall < 10.0)
-
 let suite =
   [
     ("par.ordering", `Quick, test_ordering_preserved);
@@ -112,7 +74,5 @@ let suite =
     ("par.map_timed", `Quick, test_map_timed);
     ("par.more_jobs_than_tasks", `Quick, test_more_jobs_than_tasks);
     ("par.invalid_jobs", `Quick, test_invalid_jobs);
-    ("par.governed_plain", `Quick, test_supervise_plain);
-    ("par.watchdog", `Quick, test_watchdog_cancels_hung_task);
     QCheck_alcotest.to_alcotest prop_deterministic_across_jobs;
   ]

@@ -1,8 +1,7 @@
-(* Tests for the crash-safe campaign persistence layer (Persist) and the
-   Par.Supervise restart layer: journal round-trips, every recovery path a
-   SIGKILL or bit-rot can force (torn tail, bad CRC, duplicates, empty and
-   headerless files), injected I/O faults, atomic snapshots, supervised
-   restarts, and the end-to-end resume-equivalence sweep over a real
+(* Tests for the crash-safe campaign persistence layer (Persist): journal
+   round-trips, every recovery path a SIGKILL or bit-rot can force (torn
+   tail, bad CRC, duplicates, empty and headerless files), injected I/O
+   faults, atomic snapshots, and the end-to-end resume-equivalence sweep over a real
    mutant matrix — kill the campaign after every record in turn and the
    resumed verdicts must be bit-for-bit those of an uninterrupted run, as
    must a run journaled under injected I/O faults and its resume. *)
@@ -315,89 +314,6 @@ let test_campaign_guards () =
             "forced start discarded the old journal" None
             (Persist.Campaign.find_decided c "k");
           Persist.Campaign.close c)
-
-(* ------------------------------------------------------------------ *)
-(* Par.Supervise                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let fast_policy =
-  { Par.Supervise.max_restarts = 2; backoff_s = 0.001; backoff_cap_s = 0.002; retry_oom = true }
-
-let test_supervise_restarts () =
-  let attempts = Hashtbl.create 8 in
-  let bump name =
-    let n = Option.value ~default:0 (Hashtbl.find_opt attempts name) in
-    Hashtbl.replace attempts name (n + 1);
-    n + 1
-  in
-  let task _token (name, crashes_before_success) =
-    let a = bump name in
-    if a <= crashes_before_success then failwith (name ^ " transient crash");
-    name ^ "-done"
-  in
-  let outcomes =
-    Par.Supervise.supervise ~jobs:1 ~policy:fast_policy task
-      [ ("steady", 0); ("flaky", 2); ("doomed", max_int) ]
-  in
-  (match outcomes with
-  | [ steady; flaky; doomed ] ->
-      (match steady.Par.Supervise.s_result with
-      | Ok v -> Alcotest.(check string) "steady result" "steady-done" v
-      | Error c ->
-          Alcotest.failf "steady failed: %s" (Par.Supervise.class_to_string c));
-      Alcotest.(check int) "steady ran once" 1 steady.Par.Supervise.s_attempts;
-      (match flaky.Par.Supervise.s_result with
-      | Ok v -> Alcotest.(check string) "flaky result" "flaky-done" v
-      | Error c -> Alcotest.failf "flaky failed: %s" (Par.Supervise.class_to_string c));
-      Alcotest.(check int) "flaky needed all three attempts" 3
-        flaky.Par.Supervise.s_attempts;
-      (match doomed.Par.Supervise.s_result with
-      | Ok _ -> Alcotest.fail "doomed succeeded"
-      | Error (Par.Supervise.Crash msg) ->
-          Alcotest.(check bool) "crash carries the exception text" true
-            (contains ~sub:"doomed transient crash" msg)
-      | Error c ->
-          Alcotest.failf "doomed misclassified: %s" (Par.Supervise.class_to_string c));
-      Alcotest.(check int) "doomed exhausted the policy" 3
-        doomed.Par.Supervise.s_attempts
-  | _ -> Alcotest.fail "wrong outcome count");
-  ignore (Hashtbl.length attempts)
-
-let test_supervise_cancelled_not_retried () =
-  (* A task whose own token is set when it raises is classified Cancelled
-     (no deadline in force) and must not be retried — a second run would
-     just be cancelled again. *)
-  let runs = ref 0 in
-  let outcomes =
-    Par.Supervise.supervise ~jobs:1 ~policy:fast_policy
-      (fun token () ->
-        incr runs;
-        Par.Cancel.set token;
-        failwith "observed cancellation")
-      [ () ]
-  in
-  match outcomes with
-  | [ o ] -> (
-      Alcotest.(check int) "ran exactly once" 1 !runs;
-      Alcotest.(check int) "one attempt" 1 o.Par.Supervise.s_attempts;
-      match o.Par.Supervise.s_result with
-      | Error Par.Supervise.Cancelled -> ()
-      | Error c ->
-          Alcotest.failf "misclassified: %s" (Par.Supervise.class_to_string c)
-      | Ok _ -> Alcotest.fail "cancelled task succeeded")
-  | _ -> Alcotest.fail "wrong outcome count"
-
-let test_supervise_preserves_order () =
-  let outcomes =
-    Par.Supervise.supervise ~policy:fast_policy (fun _ x -> x * x) [ 1; 2; 3; 4; 5 ]
-  in
-  let values =
-    List.map
-      (fun o ->
-        match o.Par.Supervise.s_result with Ok v -> v | Error _ -> Alcotest.fail "failed")
-      outcomes
-  in
-  Alcotest.(check (list int)) "results in input order" [ 1; 4; 9; 16; 25 ] values
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: kill-at-every-record resume equivalence over a real
@@ -794,10 +710,6 @@ let suite =
       test_campaign_swallows_write_faults;
     Alcotest.test_case "snapshot write is atomic" `Quick test_snapshot_atomic;
     Alcotest.test_case "campaign guard semantics" `Quick test_campaign_guards;
-    Alcotest.test_case "supervise: restarts and give-up" `Quick test_supervise_restarts;
-    Alcotest.test_case "supervise: cancelled not retried" `Quick
-      test_supervise_cancelled_not_retried;
-    Alcotest.test_case "supervise: preserves order" `Quick test_supervise_preserves_order;
     Alcotest.test_case "kill-at-every-record sweep (fast)" `Slow test_kill_sweep_fast;
     Alcotest.test_case "kill-at-every-record sweep (full matrix)" `Slow
       test_kill_sweep_full_matrix;

@@ -567,11 +567,6 @@ let test_budget_learnt_mb_fires () =
   expect_unknown "learnt_mb" Solver.Out_of_memory_budget
     (Solver.solve ~budget:(Solver.budget ~learnt_mb:1e-9 ()) (pigeonhole 6 5))
 
-let test_cancel_token_fires () =
-  let token = Solver.cancel_token () in
-  Solver.cancel token;
-  expect_unknown "cancel" Solver.Cancelled (Solver.solve ~cancel:token (pigeonhole 6 5))
-
 let test_fault_hook_fires () =
   let s = pigeonhole 5 4 in
   Solver.set_fault_hook s (Some (fun _ -> Some Solver.Fault_cancel));
@@ -596,11 +591,11 @@ let test_reusable_after_unknown () =
   for i = 0 to 28 do
     Solver.add_clause s [ Lit.neg vs.(i); Lit.pos vs.(i + 1) ]
   done;
-  let token = Solver.cancel_token () in
-  Solver.cancel token;
-  (match Solver.solve ~cancel:token s with
+  Solver.set_fault_hook s (Some (fun _ -> Some Solver.Fault_cancel));
+  (match Solver.solve s with
   | Solver.Unknown _ -> ()
   | Solver.Sat | Solver.Unsat -> Alcotest.fail "expected cancellation");
+  Solver.set_fault_hook s None;
   Alcotest.(check bool) "sat on resume" true (Solver.solve s = Solver.Sat);
   for i = 0 to 28 do
     Alcotest.(check bool) "model respects implication" true
@@ -667,7 +662,6 @@ let suite =
     ("govern.propagations", `Quick, test_budget_propagations_fires);
     ("govern.seconds", `Quick, test_budget_seconds_fires);
     ("govern.learnt_mb", `Quick, test_budget_learnt_mb_fires);
-    ("govern.cancel", `Quick, test_cancel_token_fires);
     ("govern.fault_hook", `Quick, test_fault_hook_fires);
     ("govern.reuse_after_unknown", `Quick, test_reusable_after_unknown);
     ("govern.budget_scale", `Quick, test_budget_scale);
