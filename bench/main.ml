@@ -884,6 +884,23 @@ let f3 () =
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per table/figure kernel.    *)
 
+(* PHP(np, nh) as a fresh solver: every pigeon in some hole, no two pigeons
+   in one hole. *)
+let pigeonhole np nh =
+  let s = Sat.Solver.create () in
+  let p = Array.init np (fun _ -> Array.init nh (fun _ -> Sat.Solver.new_var s)) in
+  for i = 0 to np - 1 do
+    Sat.Solver.add_clause s (List.init nh (fun h -> Sat.Lit.pos p.(i).(h)))
+  done;
+  for h = 0 to nh - 1 do
+    for i = 0 to np - 1 do
+      for j = i + 1 to np - 1 do
+        Sat.Solver.add_clause s [ Sat.Lit.neg p.(i).(h); Sat.Lit.neg p.(j).(h) ]
+      done
+    done
+  done;
+  s
+
 let micro () =
   header "Micro-benchmarks (Bechamel): per-experiment computational kernels";
   let open Bechamel in
@@ -935,6 +952,8 @@ let micro () =
                (Crv.run accum { Crv.seed = 1; max_transactions = 200; idle_prob = 0.2 })));
       Test.make ~name:"f3.aqed_fc_bound4"
         (Staged.stage (fun () -> ignore (Checks.aqed_fc mutant accum.Entry.iface ~bound:4)));
+      Test.make ~name:"sat.cdcl_php_8_7"
+        (Staged.stage (fun () -> ignore (Sat.Solver.solve (pigeonhole 8 7))));
     ]
   in
   let instance = Toolkit.Instance.monotonic_clock in

@@ -1216,6 +1216,41 @@ let exhaustive_sat n clauses =
   in
   go 0
 
+(* PHP(n+1, n), n in {6, 7, 8}: every pigeon in some hole, no two pigeons
+   in one hole. Unsatisfiable; for n >= 7 hard enough (thousands of
+   conflicts) to drive learnt-database reduction and arena compaction,
+   which the small instances never reach. Variables are renamed and their
+   polarities flipped at random, which keeps the formula unsatisfiable. *)
+let pigeonhole rand =
+  let holes = 6 + Random.State.int rand 3 in
+  let n = (holes + 1) * holes in
+  let perm = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int rand (i + 1) in
+    let t = perm.(i) in
+    perm.(i) <- perm.(j);
+    perm.(j) <- t
+  done;
+  let flip = Array.init n (fun _ -> Random.State.bool rand) in
+  let lit p h ~neg =
+    let v = perm.((p * holes) + h) in
+    Sat.Lit.make v ~neg:(neg <> flip.(v))
+  in
+  let pigeons = List.init (holes + 1) Fun.id and hole_ids = List.init holes Fun.id in
+  let at_least = List.map (fun p -> List.map (fun h -> lit p h ~neg:false) hole_ids) pigeons in
+  let at_most =
+    List.concat_map
+      (fun h ->
+        List.concat_map
+          (fun p ->
+            List.filter_map
+              (fun q -> if q > p then Some [ lit p h ~neg:true; lit q h ~neg:true ] else None)
+              pigeons)
+          pigeons)
+      hole_ids
+  in
+  (n, at_least @ at_most)
+
 let dimacs ?(max_vars = 20) ~seed ~count ~cert () =
   let rand = Random.State.make [| seed |] in
   let bad = ref [] in
@@ -1224,8 +1259,6 @@ let dimacs ?(max_vars = 20) ~seed ~count ~cert () =
     let n = 1 + Random.State.int rand max_vars in
     let m = Random.State.int rand ((4 * n) + 1) in
     let clauses = ref [] in
-    let buf = Buffer.create 256 in
-    Buffer.add_string buf (Printf.sprintf "p cnf %d %d\n" n m);
     for _ = 1 to m do
       (* Length distribution biased toward binary clauses so the solver's
          binary implication lists, watcher blockers and LBD machinery all
@@ -1241,13 +1274,26 @@ let dimacs ?(max_vars = 20) ~seed ~count ~cert () =
         List.init len (fun _ ->
             Sat.Lit.make (Random.State.int rand n) ~neg:(Random.State.bool rand))
       in
-      clauses := lits :: !clauses;
-      List.iter
-        (fun l -> Buffer.add_string buf (string_of_int (Sat.Lit.to_dimacs l) ^ " "))
-        lits;
-      Buffer.add_string buf "0\n"
+      clauses := lits :: !clauses
     done;
-    let expected = exhaustive_sat n !clauses in
+    (* Every 20th instance is a pigeonhole formula instead. It has its own
+       generator and the small instance drawn above is dropped, so every
+       other index gets the same instance as without it. *)
+    let n, clauses, expected =
+      if i mod 20 = 0 then
+        let n, php = pigeonhole (Random.State.make [| seed; i |]) in
+        (n, php, false)
+      else (n, List.rev !clauses, exhaustive_sat n !clauses)
+    in
+    let buf = Buffer.create 256 in
+    Buffer.add_string buf (Printf.sprintf "p cnf %d %d\n" n (List.length clauses));
+    List.iter
+      (fun lits ->
+        List.iter
+          (fun l -> Buffer.add_string buf (string_of_int (Sat.Lit.to_dimacs l) ^ " "))
+          lits;
+        Buffer.add_string buf "0\n")
+      clauses;
     (* Through the DIMACS text pipeline, as a user would drive it. *)
     match Sat.Dimacs.parse_string (Buffer.contents buf) with
     | Error e -> flag i ("parse error: " ^ e)
@@ -1264,7 +1310,7 @@ let dimacs ?(max_vars = 20) ~seed ~count ~cert () =
                 let v = model.(Sat.Lit.var l) in
                 if Sat.Lit.is_neg l then not v else v
               in
-              if not (List.for_all (List.exists lit_true) !clauses) then
+              if not (List.for_all (List.exists lit_true) clauses) then
                 flag i "model does not satisfy instance"
             end
         | Sat.Solver.Unsat ->

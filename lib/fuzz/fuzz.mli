@@ -197,8 +197,14 @@ val design_to_string : Rtl.design -> string
     pipeline and cross-checked against an exhaustive enumerator that
     shares no code with the solver. SAT answers are validated against the
     model; with [cert] set, UNSAT answers must carry an accepted DRAT
-    certificate. Returns the list of (instance index, complaint) —
-    empty when the solver survived. *)
+    certificate. Every 20th instance (index divisible by 20) is instead a
+    pigeonhole formula PHP(n+1, n), n in {6, 7, 8}, with variables renamed
+    and polarities flipped at random, expected UNSAT. The two larger sizes
+    take thousands of conflicts, so learnt-database reduction and arena
+    compaction run. It
+    comes from its own generator keyed on [(seed, index)], so the other
+    instances are the same as without it. Returns the list of (instance
+    index, complaint) — empty when the solver survived. *)
 
 val dimacs :
   ?max_vars:int -> seed:int -> count:int -> cert:bool -> unit -> (int * string) list

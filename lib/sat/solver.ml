@@ -1,27 +1,92 @@
 (* CDCL solver. The architecture follows MiniSat 2.2 closely; comments
    below mark the places where invariants are subtle (watch maintenance,
-   first-UIP analysis, reason locking). *)
+   first-UIP analysis, reason locking, arena relocation).
 
-type clause = {
-  mutable lits : int array;
-  (* lits.(0) and lits.(1) are the watched literals of a clause with >= 2
-     literals. For a reason clause, lits.(0) is the implied literal. *)
-  learnt : bool;
-  mutable act : float;
-  mutable lbd : int; (* glue (distinct decision levels) at learn time; 0 for problem clauses *)
-  mutable removed : bool;
-}
+   Data layout. Every clause of length >= 2 lives in one flat [int array],
+   the arena, and is named by a clause reference ("cref"): the offset of
+   its header word. A clause occupies [hdr + size] consecutive words:
 
-let dummy_clause = { lits = [||]; learnt = false; act = 0.; lbd = 0; removed = true }
+     arena.(c)          header: bit 0 removed, bit 1 learnt,
+                        bits 2..31 size, bits 32.. LBD
+     arena.(c + 1)      activity (learnt clauses), as the bits of a
+                        non-negative float; the forwarding cref while
+                        [compact_arena] runs
+     arena.(c + hdr + i)  literal i
 
-(* Watch-list entry. [blocker] is some literal of the clause other than the
-   watched one; if it is already true the clause is satisfied and the visit
-   never touches the clause itself (better locality on the hot path). For
-   binary clauses the blocker is the only other literal, so binary watchers
-   carry the full semantics of the clause and propagation needs no search. *)
-type watcher = { w_clause : clause; w_blocker : int }
+   Invariants:
+   - lits[0] and lits[1] are the watched literals; for a clause that is the
+     reason of an assignment, lits[0] is the implied literal.
+   - Detach is lazy: [remove_clause] only sets the removed bit and counts
+     the clause's words as wasted. Watchers of removed clauses are dropped
+     when propagation next visits them or when the arena is compacted.
+   - Every clause that is not removed is in exactly one of [clauses] and
+     [learnts] whenever the arena may be compacted (after [reduce_db],
+     [simplify] and [preprocess]), and no reason points at a removed
+     clause.
+   - Compaction relocates: once the wasted words pass a fixed fraction of
+     the arena, live clauses are copied to a fresh arena in database order
+     and every cref held by the watch lists, [reason] and both databases is
+     rewritten. Watch lists and [learnts] keep their order, so compaction
+     never changes the search.
 
-let dummy_watcher = { w_clause = dummy_clause; w_blocker = 0 }
+   Watch lists, the trail, the databases and the VSIDS heap are [ivec]s,
+   monomorphic int vectors; a watch entry is the pair (cref, blocker)
+   stored in two consecutive slots. The blocker is some literal of the
+   clause other than the watched one; if it is already true the clause is
+   satisfied and the visit never touches the arena (better locality on the
+   hot path). For binary clauses the blocker is the only other literal, so
+   binary watchers carry the full semantics of the clause and propagation
+   needs no search. The hot paths inline their literal arithmetic ([var],
+   [neg]) rather than calling [Lit]: across modules every call is a real
+   call. *)
+
+(* ------------------------------------------------------------------ *)
+(* Int vectors.                                                        *)
+
+type ivec = { mutable a : int array; mutable n : int }
+
+let ivec_create () = { a = [||]; n = 0 }
+
+let ivec_grow v need =
+  let a' = Array.make (max need (max 8 (2 * Array.length v.a))) 0 in
+  Array.blit v.a 0 a' 0 v.n;
+  v.a <- a'
+
+let ivec_push v x =
+  if v.n = Array.length v.a then ivec_grow v (v.n + 1);
+  Array.unsafe_set v.a v.n x;
+  v.n <- v.n + 1
+
+(* Push a watch entry (cref, blocker). *)
+let ivec_push2 v x y =
+  if v.n + 2 > Array.length v.a then ivec_grow v (v.n + 2);
+  Array.unsafe_set v.a v.n x;
+  Array.unsafe_set v.a (v.n + 1) y;
+  v.n <- v.n + 2
+
+let[@inline] var l = l lsr 1
+let[@inline] neg l = l lxor 1
+
+(* ------------------------------------------------------------------ *)
+(* Clause arena encoding.                                              *)
+
+let hdr = 2
+let no_cref = -1
+let size_mask = (1 lsl 30) - 1
+let[@inline] h_removed h = h land 1 <> 0
+let[@inline] h_learnt h = h land 2 <> 0
+let[@inline] h_size h = (h lsr 2) land size_mask
+let[@inline] h_lbd h = h lsr 32
+
+(* Activities are non-negative, so bit 63 of their IEEE encoding is 0 and
+   the other 63 bits fit an OCaml int exactly. *)
+let[@inline] act_get ar c =
+  Int64.float_of_bits (Int64.logand (Int64.of_int (Array.unsafe_get ar (c + 1))) Int64.max_int)
+
+let[@inline] act_set ar c x = Array.unsafe_set ar (c + 1) (Int64.to_int (Int64.bits_of_float x))
+
+(* Wasted words above this share of the used arena trigger compaction. *)
+let garbage_frac = 0.2
 
 type budget = {
   max_conflicts : int option;
@@ -133,35 +198,43 @@ type t = {
   (* Per-variable state, arrays of capacity >= nvars. *)
   mutable assigns : int array; (* 0 = unassigned, 1 = true, -1 = false *)
   mutable level : int array;
-  mutable reason : clause array; (* dummy_clause = none *)
+  mutable reason : int array; (* cref, or no_cref *)
   mutable activity : float array;
   mutable polarity : bool array; (* saved phase: true = assign negative *)
   mutable seen : bool array;
-  (* Per-literal watch lists, capacity >= 2 * nvars. [watches] holds clauses
-     of length >= 3; binary clauses live in [bin_watches], where each entry's
-     blocker is the implied literal. *)
-  mutable watches : watcher Vec.t array;
-  mutable bin_watches : watcher Vec.t array;
-  (* Clause databases. *)
-  clauses : clause Vec.t;
-  learnts : clause Vec.t;
+  (* Per-literal watch lists of (cref, blocker) pairs, capacity >= 2 * nvars.
+     [watches] holds clauses of length >= 3; binary clauses live in
+     [bin_watches], where each entry's blocker is the implied literal. *)
+  mutable watches : ivec array;
+  mutable bin_watches : ivec array;
+  (* Clause arena (see the header comment) and the two databases. *)
+  mutable arena : int array;
+  mutable arena_top : int; (* first free word *)
+  mutable arena_wasted : int; (* words held by removed clauses *)
+  clauses : ivec;
+  learnts : ivec;
   (* Assignment trail. *)
-  trail : int Vec.t;
-  trail_lim : int Vec.t;
+  trail : ivec;
+  trail_lim : ivec;
   mutable qhead : int;
   (* VSIDS. *)
   mutable var_inc : float;
   mutable cla_inc : float;
-  heap : int Vec.t; (* binary max-heap of variables by activity *)
+  heap : ivec; (* binary max-heap of variables by activity *)
   mutable heap_index : int array; (* position in heap, -1 if absent *)
   (* Assumptions for the current solve. *)
   mutable assumptions : int array;
-  conflict : int Vec.t; (* failed assumptions, negated *)
-  analyze_toclear : int Vec.t;
+  conflict : ivec; (* failed assumptions, negated *)
+  analyze_toclear : ivec;
+  learnt_buf : ivec; (* conflict analysis output, reused across conflicts *)
   (* LBD computation scratch: level -> stamp of the last clause that
      contained a literal at that level. *)
   mutable lbd_seen : int array;
   mutable lbd_stamp : int;
+  (* Trail size at the last level-0 [simplify] (MiniSat's simpDB_assigns),
+     or -1 once a problem clause was added since. While the level-0 trail
+     has not grown, another pass would remove nothing. *)
+  mutable simp_assigns : int;
   (* DRAT proof logging (off unless [start_proof] was called). The stream
      is kept reversed; [proof] re-chronologizes it. *)
   mutable proof_logging : bool;
@@ -209,26 +282,31 @@ let create () =
     nvars = 0;
     assigns = Array.make 16 0;
     level = Array.make 16 (-1);
-    reason = Array.make 16 dummy_clause;
+    reason = Array.make 16 no_cref;
     activity = Array.make 16 0.;
     polarity = Array.make 16 true;
     seen = Array.make 16 false;
-    watches = Array.init 32 (fun _ -> Vec.create dummy_watcher);
-    bin_watches = Array.init 32 (fun _ -> Vec.create dummy_watcher);
-    clauses = Vec.create dummy_clause;
-    learnts = Vec.create dummy_clause;
-    trail = Vec.create 0;
-    trail_lim = Vec.create 0;
+    watches = Array.init 32 (fun _ -> ivec_create ());
+    bin_watches = Array.init 32 (fun _ -> ivec_create ());
+    arena = Array.make 256 0;
+    arena_top = 0;
+    arena_wasted = 0;
+    clauses = ivec_create ();
+    learnts = ivec_create ();
+    trail = ivec_create ();
+    trail_lim = ivec_create ();
     qhead = 0;
     var_inc = 1.;
     cla_inc = 1.;
-    heap = Vec.create 0;
+    heap = ivec_create ();
     heap_index = Array.make 16 (-1);
     assumptions = [||];
-    conflict = Vec.create 0;
-    analyze_toclear = Vec.create 0;
+    conflict = ivec_create ();
+    analyze_toclear = ivec_create ();
+    learnt_buf = ivec_create ();
     lbd_seen = Array.make 16 0;
     lbd_stamp = 0;
+    simp_assigns = -1;
     proof_logging = false;
     proof_rev = [];
     eliminated = Array.make 16 false;
@@ -258,19 +336,41 @@ let nvars s = s.nvars
 let ok s = s.ok
 
 (* ------------------------------------------------------------------ *)
+(* Clause access.                                                      *)
+
+let[@inline] c_size s c = h_size (Array.unsafe_get s.arena c)
+let[@inline] c_lit s c i = s.arena.(c + hdr + i)
+let c_lits s c = Array.sub s.arena (c + hdr) (c_size s c)
+
+(* Reserve a clause of [size] literals; the caller fills them in. The arena
+   may move, so re-read [s.arena] afterwards. *)
+let alloc_clause s ~learnt ~lbd size =
+  let need = s.arena_top + hdr + size in
+  if need > Array.length s.arena then begin
+    let a = Array.make (max need (2 * Array.length s.arena)) 0 in
+    Array.blit s.arena 0 a 0 s.arena_top;
+    s.arena <- a
+  end;
+  let c = s.arena_top in
+  s.arena.(c) <- (lbd lsl 32) lor (size lsl 2) lor if learnt then 2 else 0;
+  s.arena.(c + 1) <- 0;
+  s.arena_top <- need;
+  c
+
+(* ------------------------------------------------------------------ *)
 (* DRAT proof logging.                                                 *)
 
 let start_proof s =
-  if Vec.size s.clauses > 0 || Vec.size s.learnts > 0 || Vec.size s.trail > 0 || not s.ok
-  then invalid_arg "Solver.start_proof: must be enabled before any clause is added";
+  if s.clauses.n > 0 || s.learnts.n > 0 || s.trail.n > 0 || not s.ok then
+    invalid_arg "Solver.start_proof: must be enabled before any clause is added";
   s.proof_logging <- true;
   s.proof_rev <- []
 
 let proof_logging s = s.proof_logging
 let proof s = List.rev s.proof_rev
 
-(* The solver permutes clause arrays in place (watch maintenance), so every
-   logged clause is copied at logging time. *)
+(* The solver permutes clause literals in place (watch maintenance), so
+   every logged clause is copied at logging time. *)
 let log_input s lits =
   if s.proof_logging then
     s.proof_rev <- Drat.Input (Array.of_list lits) :: s.proof_rev
@@ -286,37 +386,36 @@ let log_add_arr s lits =
 let log_empty s =
   if s.proof_logging then s.proof_rev <- Drat.Add [||] :: s.proof_rev
 
-let log_delete s lits =
-  if s.proof_logging then
-    s.proof_rev <- Drat.Delete (Array.copy lits) :: s.proof_rev
+let log_delete s c =
+  if s.proof_logging then s.proof_rev <- Drat.Delete (c_lits s c) :: s.proof_rev
 
 (* ------------------------------------------------------------------ *)
 (* Variable order heap (max-heap on activity).                         *)
 
-let heap_lt s v1 v2 = s.activity.(v1) > s.activity.(v2)
+let[@inline] heap_lt s v1 v2 = s.activity.(v1) > s.activity.(v2)
 
 let heap_swap s i j =
-  let h = s.heap in
-  let vi = Vec.get h i and vj = Vec.get h j in
-  Vec.set h i vj;
-  Vec.set h j vi;
+  let h = s.heap.a in
+  let vi = h.(i) and vj = h.(j) in
+  h.(i) <- vj;
+  h.(j) <- vi;
   s.heap_index.(vi) <- j;
   s.heap_index.(vj) <- i
 
 let rec heap_up s i =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
-    if heap_lt s (Vec.get s.heap i) (Vec.get s.heap parent) then begin
+    if heap_lt s s.heap.a.(i) s.heap.a.(parent) then begin
       heap_swap s i parent;
       heap_up s parent
     end
   end
 
 let rec heap_down s i =
-  let n = Vec.size s.heap in
+  let n = s.heap.n and h = s.heap.a in
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let best = if l < n && heap_lt s (Vec.get s.heap l) (Vec.get s.heap i) then l else i in
-  let best = if r < n && heap_lt s (Vec.get s.heap r) (Vec.get s.heap best) then r else best in
+  let best = if l < n && heap_lt s h.(l) h.(i) then l else i in
+  let best = if r < n && heap_lt s h.(r) h.(best) then r else best in
   if best <> i then begin
     heap_swap s i best;
     heap_down s best
@@ -324,9 +423,9 @@ let rec heap_down s i =
 
 let heap_insert s v =
   if s.heap_index.(v) < 0 then begin
-    Vec.push s.heap v;
-    s.heap_index.(v) <- Vec.size s.heap - 1;
-    heap_up s (Vec.size s.heap - 1)
+    ivec_push s.heap v;
+    s.heap_index.(v) <- s.heap.n - 1;
+    heap_up s (s.heap.n - 1)
   end
 
 let heap_decrease s v =
@@ -335,11 +434,13 @@ let heap_decrease s v =
   if i >= 0 then heap_up s i
 
 let heap_pop s =
-  let v = Vec.get s.heap 0 in
-  let last = Vec.pop s.heap in
+  let h = s.heap.a in
+  let v = h.(0) in
+  s.heap.n <- s.heap.n - 1;
+  let last = h.(s.heap.n) in
   s.heap_index.(v) <- -1;
-  if Vec.size s.heap > 0 then begin
-    Vec.set s.heap 0 last;
+  if s.heap.n > 0 then begin
+    h.(0) <- last;
     s.heap_index.(last) <- 0;
     heap_down s 0
   end;
@@ -362,7 +463,7 @@ let new_var s =
   s.nvars <- v + 1;
   s.assigns <- grow_array s.assigns s.nvars 0;
   s.level <- grow_array s.level s.nvars (-1);
-  s.reason <- grow_array s.reason s.nvars dummy_clause;
+  s.reason <- grow_array s.reason s.nvars no_cref;
   s.activity <- grow_array s.activity s.nvars 0.;
   s.polarity <- grow_array s.polarity s.nvars true;
   s.seen <- grow_array s.seen s.nvars false;
@@ -373,8 +474,7 @@ let new_var s =
   if 2 * s.nvars > Array.length s.watches then begin
     let grow_watchlists old =
       let a =
-        Array.init (max (2 * s.nvars) (2 * Array.length old)) (fun _ ->
-            Vec.create dummy_watcher)
+        Array.init (max (2 * s.nvars) (2 * Array.length old)) (fun _ -> ivec_create ())
       in
       Array.blit old 0 a 0 (Array.length old);
       a
@@ -384,18 +484,18 @@ let new_var s =
   end;
   s.assigns.(v) <- 0;
   s.level.(v) <- -1;
-  s.reason.(v) <- dummy_clause;
+  s.reason.(v) <- no_cref;
   s.activity.(v) <- 0.;
   s.polarity.(v) <- true;
   heap_insert s v;
   v
 
 (* Literal value: 0 unassigned, 1 true, -1 false. *)
-let value_lit s l =
-  let a = s.assigns.(Lit.var l) in
-  if Lit.is_neg l then -a else a
+let[@inline] value_lit s l =
+  let a = Array.unsafe_get s.assigns (var l) in
+  if l land 1 = 1 then -a else a
 
-let decision_level s = Vec.size s.trail_lim
+let[@inline] decision_level s = s.trail_lim.n
 
 (* ------------------------------------------------------------------ *)
 (* Activity.                                                           *)
@@ -414,9 +514,14 @@ let bump_var s v =
 let decay_var_activity s = s.var_inc <- s.var_inc *. var_decay
 
 let bump_clause s c =
-  c.act <- c.act +. s.cla_inc;
-  if c.act > 1e20 then begin
-    Vec.iter (fun c -> c.act <- c.act *. 1e-20) s.learnts;
+  let ar = s.arena in
+  let act = act_get ar c +. s.cla_inc in
+  act_set ar c act;
+  if act > 1e20 then begin
+    for i = 0 to s.learnts.n - 1 do
+      let l = s.learnts.a.(i) in
+      act_set ar l (act_get ar l *. 1e-20)
+    done;
     s.cla_inc <- s.cla_inc *. 1e-20
   end
 
@@ -425,28 +530,28 @@ let decay_clause_activity s = s.cla_inc <- s.cla_inc *. clause_decay
 (* ------------------------------------------------------------------ *)
 (* Trail.                                                              *)
 
-let unchecked_enqueue s l reason =
-  let v = Lit.var l in
-  s.assigns.(v) <- (if Lit.is_neg l then -1 else 1);
-  s.level.(v) <- decision_level s;
-  s.reason.(v) <- reason;
-  Vec.push s.trail l
+let[@inline] unchecked_enqueue s l reason =
+  let v = var l in
+  Array.unsafe_set s.assigns v (if l land 1 = 1 then -1 else 1);
+  Array.unsafe_set s.level v s.trail_lim.n;
+  Array.unsafe_set s.reason v reason;
+  ivec_push s.trail l
 
-let new_decision_level s = Vec.push s.trail_lim (Vec.size s.trail)
+let new_decision_level s = ivec_push s.trail_lim s.trail.n
 
 let cancel_until s lvl =
   if decision_level s > lvl then begin
-    let bound = Vec.get s.trail_lim lvl in
-    for i = Vec.size s.trail - 1 downto bound do
-      let l = Vec.get s.trail i in
-      let v = Lit.var l in
+    let bound = s.trail_lim.a.(lvl) in
+    for i = s.trail.n - 1 downto bound do
+      let l = s.trail.a.(i) in
+      let v = var l in
       s.assigns.(v) <- 0;
-      s.polarity.(v) <- Lit.is_neg l;
-      s.reason.(v) <- dummy_clause;
+      s.polarity.(v) <- l land 1 = 1;
+      s.reason.(v) <- no_cref;
       heap_insert s v
     done;
-    Vec.shrink s.trail bound;
-    Vec.shrink s.trail_lim lvl;
+    s.trail.n <- bound;
+    s.trail_lim.n <- lvl;
     s.qhead <- bound
   end
 
@@ -454,275 +559,339 @@ let cancel_until s lvl =
 (* Clause attachment.                                                  *)
 
 (* watches.(l) holds the clauses that must be inspected when [l] becomes
-   true, i.e. the clauses watching the literal [negate l]. Binary clauses go
+   true, i.e. the clauses watching the literal [neg l]. Binary clauses go
    to the dedicated implication lists instead. *)
 let attach_clause s c =
-  if Array.length c.lits = 2 then begin
-    Vec.push s.bin_watches.(Lit.negate c.lits.(0)) { w_clause = c; w_blocker = c.lits.(1) };
-    Vec.push s.bin_watches.(Lit.negate c.lits.(1)) { w_clause = c; w_blocker = c.lits.(0) }
-  end
-  else begin
-    Vec.push s.watches.(Lit.negate c.lits.(0)) { w_clause = c; w_blocker = c.lits.(1) };
-    Vec.push s.watches.(Lit.negate c.lits.(1)) { w_clause = c; w_blocker = c.lits.(0) }
-  end
+  let l0 = c_lit s c 0 and l1 = c_lit s c 1 in
+  let ws = if c_size s c = 2 then s.bin_watches else s.watches in
+  ivec_push2 ws.(neg l0) c l1;
+  ivec_push2 ws.(neg l1) c l0
 
-(* Detaching is lazy: [removed] clauses are dropped when the watch lists are
-   next traversed, which avoids O(watchlist) scans here. *)
+(* Detaching is lazy: removed clauses are dropped when the watch lists are
+   next traversed or the arena is compacted, which avoids O(watchlist)
+   scans here. *)
 let remove_clause s c =
-  c.removed <- true;
-  if c.learnt then
-    s.learnt_bytes <- s.learnt_bytes - (40 + (8 * Array.length c.lits));
+  let h = s.arena.(c) in
+  s.arena.(c) <- h lor 1;
+  let size = h_size h in
+  if h_learnt h then s.learnt_bytes <- s.learnt_bytes - (40 + (8 * size));
+  s.arena_wasted <- s.arena_wasted + hdr + size;
   (* A removed clause must never remain a reason. Callers guarantee this via
      the [locked] check. *)
-  log_delete s c.lits
+  log_delete s c
 
 let locked s c =
-  Array.length c.lits > 0
-  &&
-  let v = Lit.var c.lits.(0) in
-  s.reason.(v) == c && s.assigns.(v) <> 0
+  let v = var (c_lit s c 0) in
+  s.reason.(v) = c && s.assigns.(v) <> 0
+
+(* Copy the live clauses into a fresh arena, in database order, and rewrite
+   every cref: the databases, the reasons and the watch lists (dropping the
+   watchers of removed clauses, keeping the order of the rest). *)
+let compact_arena s =
+  let old = s.arena in
+  let live = s.arena_top - s.arena_wasted in
+  if Obs.on () then
+    Obs.Trace.span_begin "sat.compact"
+      ~args:[ ("words", string_of_int s.arena_top); ("live", string_of_int live) ];
+  let fresh = Array.make (max 256 (live + (live / 2))) 0 in
+  let top = ref 0 in
+  let relocate db =
+    for i = 0 to db.n - 1 do
+      let c = db.a.(i) in
+      let len = hdr + h_size old.(c) in
+      Array.blit old c fresh !top len;
+      old.(c + 1) <- !top;
+      db.a.(i) <- !top;
+      top := !top + len
+    done
+  in
+  relocate s.clauses;
+  relocate s.learnts;
+  for v = 0 to s.nvars - 1 do
+    let r = s.reason.(v) in
+    if r <> no_cref then
+      s.reason.(v) <- (if h_removed old.(r) then no_cref else old.(r + 1))
+  done;
+  let relocate_watches ws =
+    let j = ref 0 in
+    let i = ref 0 in
+    while !i < ws.n do
+      let c = ws.a.(!i) in
+      if not (h_removed old.(c)) then begin
+        ws.a.(!j) <- old.(c + 1);
+        ws.a.(!j + 1) <- ws.a.(!i + 1);
+        j := !j + 2
+      end;
+      i := !i + 2
+    done;
+    ws.n <- !j
+  in
+  for l = 0 to (2 * s.nvars) - 1 do
+    relocate_watches s.watches.(l);
+    relocate_watches s.bin_watches.(l)
+  done;
+  s.arena <- fresh;
+  s.arena_top <- !top;
+  s.arena_wasted <- 0;
+  if Obs.on () then Obs.Trace.span_end "sat.compact"
+
+let maybe_compact s =
+  if float_of_int s.arena_wasted > float_of_int s.arena_top *. garbage_frac then
+    compact_arena s
 
 (* ------------------------------------------------------------------ *)
 (* Propagation.                                                        *)
 
-exception Conflict of clause
-
 (* Binary implications for the newly-true literal [p]: each watcher's blocker
    is the only other literal of its clause, so the visit is assign-or-detect
    with no clause scan. Reason clauses keep the MiniSat invariant that
-   lits.(0) is the implied literal, so the two binary literals are swapped
-   into place on implication. *)
+   lits[0] is the implied literal, so the two binary literals are swapped
+   into place on implication. Returns the conflicting cref or [no_cref]. *)
 let propagate_bin s p =
   let ws = s.bin_watches.(p) in
+  let wa = ws.a and n = ws.n and ar = s.arena in
   let i = ref 0 and j = ref 0 in
-  let n = Vec.size ws in
+  let confl = ref no_cref in
   while !i < n do
-    let w = Vec.unsafe_get ws !i in
-    incr i;
-    let c = w.w_clause in
-    if not c.removed then begin
-      Vec.unsafe_set ws !j w;
-      incr j;
-      let other = w.w_blocker in
+    let c = Array.unsafe_get wa !i and other = Array.unsafe_get wa (!i + 1) in
+    i := !i + 2;
+    if not (h_removed (Array.unsafe_get ar c)) then begin
+      Array.unsafe_set wa !j c;
+      Array.unsafe_set wa (!j + 1) other;
+      j := !j + 2;
       match value_lit s other with
       | 1 -> ()
       | 0 ->
-          if c.lits.(0) <> other then begin
-            c.lits.(0) <- other;
-            c.lits.(1) <- Lit.negate p
+          if Array.unsafe_get ar (c + hdr) <> other then begin
+            Array.unsafe_set ar (c + hdr) other;
+            Array.unsafe_set ar (c + hdr + 1) (neg p)
           end;
           unchecked_enqueue s other c
       | _ ->
           (* Both literals false: conflict. Copy the tail back first. *)
+          confl := c;
           while !i < n do
-            Vec.unsafe_set ws !j (Vec.unsafe_get ws !i);
+            Array.unsafe_set wa !j (Array.unsafe_get wa !i);
             incr i;
             incr j
-          done;
-          Vec.shrink ws !j;
-          s.qhead <- Vec.size s.trail;
-          raise (Conflict c)
+          done
     end
   done;
-  Vec.shrink ws !j
+  ws.n <- !j;
+  !confl
 
-let propagate s =
-  try
-    while s.qhead < Vec.size s.trail do
-      let p = Vec.get s.trail s.qhead in
-      s.qhead <- s.qhead + 1;
-      s.n_propagations <- s.n_propagations + 1;
-      propagate_bin s p;
-      let ws = s.watches.(p) in
-      let i = ref 0 and j = ref 0 in
-      let n = Vec.size ws in
-      while !i < n do
-        let w = Vec.unsafe_get ws !i in
-        incr i;
-        if value_lit s w.w_blocker = 1 then begin
-          (* Blocker already true: the clause is satisfied, keep the watcher
-             without touching the clause. *)
-          Vec.unsafe_set ws !j w;
-          incr j
+(* Long clauses watched by [neg p], now false. *)
+let propagate_long s p =
+  let ws = s.watches.(p) in
+  let wa = ws.a and n = ws.n and ar = s.arena in
+  let false_lit = neg p in
+  let i = ref 0 and j = ref 0 in
+  let confl = ref no_cref in
+  while !i < n do
+    let c = Array.unsafe_get wa !i and blocker = Array.unsafe_get wa (!i + 1) in
+    i := !i + 2;
+    if value_lit s blocker = 1 then begin
+      (* Blocker already true: the clause is satisfied, keep the watcher
+         without touching the clause. *)
+      Array.unsafe_set wa !j c;
+      Array.unsafe_set wa (!j + 1) blocker;
+      j := !j + 2
+    end
+    else begin
+      let h = Array.unsafe_get ar c in
+      if not (h_removed h) then begin
+        let b = c + hdr in
+        (* Make sure the false watch is at position 1. *)
+        if Array.unsafe_get ar b = false_lit then begin
+          Array.unsafe_set ar b (Array.unsafe_get ar (b + 1));
+          Array.unsafe_set ar (b + 1) false_lit
+        end;
+        let first = Array.unsafe_get ar b in
+        if value_lit s first = 1 then begin
+          (* Clause already satisfied by the other watch: keep it, with
+             that watch as the new blocker. *)
+          Array.unsafe_set wa !j c;
+          Array.unsafe_set wa (!j + 1) first;
+          j := !j + 2
         end
         else begin
-          let c = w.w_clause in
-          if not c.removed then begin
-            let lits = c.lits in
-            let false_lit = Lit.negate p in
-            (* Make sure the false watch is at position 1. *)
-            if lits.(0) = false_lit then begin
-              lits.(0) <- lits.(1);
-              lits.(1) <- false_lit
-            end;
-            if value_lit s lits.(0) = 1 then begin
-              (* Clause already satisfied by the other watch: keep it, with
-                 that watch as the new blocker. *)
-              Vec.unsafe_set ws !j { w_clause = c; w_blocker = lits.(0) };
-              incr j
+          (* Look for a new literal to watch. *)
+          let stop = b + h_size h in
+          let k = ref (b + 2) in
+          while !k < stop && value_lit s (Array.unsafe_get ar !k) = -1 do incr k done;
+          if !k < stop then begin
+            let l = Array.unsafe_get ar !k in
+            Array.unsafe_set ar (b + 1) l;
+            Array.unsafe_set ar !k false_lit;
+            ivec_push2 s.watches.(neg l) c first
+            (* not kept in ws: do not copy *)
+          end
+          else begin
+            (* Unit or conflicting. *)
+            Array.unsafe_set wa !j c;
+            Array.unsafe_set wa (!j + 1) first;
+            j := !j + 2;
+            if value_lit s first = -1 then begin
+              (* Conflict: copy the remaining watchers back first. *)
+              confl := c;
+              while !i < n do
+                Array.unsafe_set wa !j (Array.unsafe_get wa !i);
+                incr i;
+                incr j
+              done
             end
-            else begin
-              (* Look for a new literal to watch. *)
-              let len = Array.length lits in
-              let k = ref 2 in
-              while !k < len && value_lit s lits.(!k) = -1 do incr k done;
-              if !k < len then begin
-                lits.(1) <- lits.(!k);
-                lits.(!k) <- false_lit;
-                Vec.push s.watches.(Lit.negate lits.(1)) { w_clause = c; w_blocker = lits.(0) }
-                (* not kept in ws: do not copy *)
-              end
-              else begin
-                (* Unit or conflicting. *)
-                Vec.unsafe_set ws !j { w_clause = c; w_blocker = lits.(0) };
-                incr j;
-                if value_lit s lits.(0) = -1 then begin
-                  (* Conflict: copy the remaining watchers back first. *)
-                  while !i < n do
-                    Vec.unsafe_set ws !j (Vec.unsafe_get ws !i);
-                    incr i;
-                    incr j
-                  done;
-                  Vec.shrink ws !j;
-                  s.qhead <- Vec.size s.trail;
-                  raise (Conflict c)
-                end
-                else unchecked_enqueue s lits.(0) c
-              end
-            end
+            else unchecked_enqueue s first c
           end
         end
-      done;
-      Vec.shrink ws !j
-    done;
-    None
-  with Conflict c -> Some c
+      end
+    end
+  done;
+  ws.n <- !j;
+  !confl
+
+(* Returns the conflicting cref, or [no_cref] once the queue is empty. *)
+let propagate s =
+  let confl = ref no_cref in
+  while !confl = no_cref && s.qhead < s.trail.n do
+    let p = Array.unsafe_get s.trail.a s.qhead in
+    s.qhead <- s.qhead + 1;
+    s.n_propagations <- s.n_propagations + 1;
+    confl := propagate_bin s p;
+    if !confl = no_cref then confl := propagate_long s p
+  done;
+  if !confl <> no_cref then s.qhead <- s.trail.n;
+  !confl
 
 (* ------------------------------------------------------------------ *)
 (* Conflict analysis (first UIP).                                      *)
 
 (* Literal-blocks-distance ("glue", Audemard & Simon 2009): the number of
-   distinct decision levels among the literals. Must be called while the
-   literals are still assigned (i.e. before backtracking). *)
-let compute_lbd s lits =
+   distinct decision levels among the [len] literals at [a.(off)]. Must be
+   called while the literals are still assigned (i.e. before backtracking). *)
+let compute_lbd s a off len =
   s.lbd_stamp <- s.lbd_stamp + 1;
   let stamp = s.lbd_stamp in
   let count = ref 0 in
-  Array.iter
-    (fun l ->
-      let lv = s.level.(Lit.var l) in
-      if lv > 0 && s.lbd_seen.(lv) <> stamp then begin
-        s.lbd_seen.(lv) <- stamp;
-        incr count
-      end)
-    lits;
+  for i = off to off + len - 1 do
+    let lv = s.level.(var a.(i)) in
+    if lv > 0 && s.lbd_seen.(lv) <> stamp then begin
+      s.lbd_seen.(lv) <- stamp;
+      incr count
+    end
+  done;
   !count
 
 (* Is [l] implied by the current learnt set? Basic (non-recursive)
    minimization: every literal of its reason (other than the implied one)
    is already in the learnt clause or at level 0. *)
 let lit_redundant s l =
-  let r = s.reason.(Lit.var l) in
-  (not (r == dummy_clause))
+  let r = s.reason.(var l) in
+  r <> no_cref
   &&
   let ok = ref true in
-  for k = 1 to Array.length r.lits - 1 do
-    let q = r.lits.(k) in
-    if (not s.seen.(Lit.var q)) && s.level.(Lit.var q) > 0 then ok := false
+  for k = 1 to c_size s r - 1 do
+    let q = c_lit s r k in
+    if (not s.seen.(var q)) && s.level.(var q) > 0 then ok := false
   done;
   !ok
 
-(* Returns (learnt clause literals, backtrack level). The asserting literal
-   is at index 0 of the returned array. *)
+(* Leaves the learnt clause in [s.learnt_buf], asserting literal first,
+   and returns the backtrack level. *)
 let analyze s confl =
-  let out = Vec.create 0 in
-  Vec.push out 0 (* placeholder for the asserting literal *);
+  let out = s.learnt_buf in
+  out.n <- 0;
+  ivec_push out 0 (* placeholder for the asserting literal *);
   let path_c = ref 0 in
   let p = ref (-1) in
-  let index = ref (Vec.size s.trail - 1) in
+  let index = ref (s.trail.n - 1) in
   let c = ref confl in
   let continue = ref true in
   while !continue do
-    if !c.learnt then begin
+    let h = s.arena.(!c) in
+    if h_learnt h then begin
       bump_clause s !c;
       (* Dynamic glue update: a learnt clause involved in a new conflict may
          now span fewer levels than when it was learnt. Keep the minimum. *)
-      let d = compute_lbd s !c.lits in
-      if d < !c.lbd then !c.lbd <- d
+      let d = compute_lbd s s.arena (!c + hdr) (h_size h) in
+      if d < h_lbd h then s.arena.(!c) <- (h land 0xFFFF_FFFF) lor (d lsl 32)
     end;
     let start = if !p = -1 then 0 else 1 in
-    for jj = start to Array.length !c.lits - 1 do
-      let q = !c.lits.(jj) in
-      let v = Lit.var q in
+    for jj = start to h_size h - 1 do
+      let q = c_lit s !c jj in
+      let v = var q in
       if (not s.seen.(v)) && s.level.(v) > 0 then begin
         bump_var s v;
         s.seen.(v) <- true;
-        Vec.push s.analyze_toclear v;
-        if s.level.(v) >= decision_level s then incr path_c
-        else Vec.push out q
+        ivec_push s.analyze_toclear v;
+        if s.level.(v) >= decision_level s then incr path_c else ivec_push out q
       end
     done;
     (* Select next literal to expand: latest seen literal on the trail. *)
-    while not s.seen.(Lit.var (Vec.get s.trail !index)) do decr index done;
-    p := Vec.get s.trail !index;
+    while not s.seen.(var s.trail.a.(!index)) do decr index done;
+    p := s.trail.a.(!index);
     decr index;
-    c := s.reason.(Lit.var !p);
-    s.seen.(Lit.var !p) <- false;
+    c := s.reason.(var !p);
+    s.seen.(var !p) <- false;
     decr path_c;
     if !path_c <= 0 then continue := false
   done;
-  Vec.set out 0 (Lit.negate !p);
-  (* Minimize: drop redundant literals from the tail. *)
-  let kept = Vec.create 0 in
-  Vec.push kept (Vec.get out 0);
-  for i = 1 to Vec.size out - 1 do
-    let q = Vec.get out i in
-    if not (lit_redundant s q) then Vec.push kept q
+  out.a.(0) <- neg !p;
+  (* Minimize in place: drop redundant literals from the tail. *)
+  let kept = ref 1 in
+  for i = 1 to out.n - 1 do
+    let q = out.a.(i) in
+    if not (lit_redundant s q) then begin
+      out.a.(!kept) <- q;
+      incr kept
+    end
   done;
+  out.n <- !kept;
   (* Find the backtrack level: highest level among tail literals; put that
      literal at index 1 so it is watched after backtracking. *)
   let blevel =
-    if Vec.size kept = 1 then 0
+    if out.n = 1 then 0
     else begin
+      let a = out.a in
       let max_i = ref 1 in
-      for i = 2 to Vec.size kept - 1 do
-        if s.level.(Lit.var (Vec.get kept i)) > s.level.(Lit.var (Vec.get kept !max_i))
-        then max_i := i
+      for i = 2 to out.n - 1 do
+        if s.level.(var a.(i)) > s.level.(var a.(!max_i)) then max_i := i
       done;
-      let tmp = Vec.get kept 1 in
-      Vec.set kept 1 (Vec.get kept !max_i);
-      Vec.set kept !max_i tmp;
-      s.level.(Lit.var (Vec.get kept 1))
+      let tmp = a.(1) in
+      a.(1) <- a.(!max_i);
+      a.(!max_i) <- tmp;
+      s.level.(var a.(1))
     end
   in
   (* Clear the seen flags. *)
-  Vec.iter (fun v -> s.seen.(v) <- false) s.analyze_toclear;
-  Vec.clear s.analyze_toclear;
-  (Array.init (Vec.size kept) (Vec.get kept), blevel)
+  for i = 0 to s.analyze_toclear.n - 1 do
+    s.seen.(s.analyze_toclear.a.(i)) <- false
+  done;
+  s.analyze_toclear.n <- 0;
+  blevel
 
 (* Produce the subset of assumptions responsible for falsifying literal [p]
    (which is a currently-false assumption, passed negated). *)
 let analyze_final s p =
-  Vec.clear s.conflict;
-  Vec.push s.conflict p;
+  s.conflict.n <- 0;
+  ivec_push s.conflict p;
   if decision_level s > 0 then begin
-    s.seen.(Lit.var p) <- true;
-    let bottom = Vec.get s.trail_lim 0 in
-    for i = Vec.size s.trail - 1 downto bottom do
-      let l = Vec.get s.trail i in
-      let v = Lit.var l in
+    s.seen.(var p) <- true;
+    let bottom = s.trail_lim.a.(0) in
+    for i = s.trail.n - 1 downto bottom do
+      let l = s.trail.a.(i) in
+      let v = var l in
       if s.seen.(v) then begin
         let r = s.reason.(v) in
-        if r == dummy_clause then Vec.push s.conflict (Lit.negate l)
+        if r = no_cref then ivec_push s.conflict (neg l)
         else
-          for k = 1 to Array.length r.lits - 1 do
-            let q = r.lits.(k) in
-            if s.level.(Lit.var q) > 0 then s.seen.(Lit.var q) <- true
+          for k = 1 to c_size s r - 1 do
+            let q = c_lit s r k in
+            if s.level.(var q) > 0 then s.seen.(var q) <- true
           done;
         s.seen.(v) <- false
       end
     done;
-    s.seen.(Lit.var p) <- false
+    s.seen.(var p) <- false
   end
 
 (* ------------------------------------------------------------------ *)
@@ -758,17 +927,17 @@ let add_clause s lits =
       match filtered with
       | [] -> s.ok <- false
       | [ l ] ->
-          unchecked_enqueue s l dummy_clause;
-          if propagate s <> None then begin
+          unchecked_enqueue s l no_cref;
+          if propagate s <> no_cref then begin
             s.ok <- false;
             log_empty s
           end
       | _ :: _ :: _ ->
-          let c =
-            { lits = Array.of_list filtered; learnt = false; act = 0.; lbd = 0; removed = false }
-          in
-          Vec.push s.clauses c;
-          attach_clause s c
+          let c = alloc_clause s ~learnt:false ~lbd:0 (List.length filtered) in
+          List.iteri (fun i l -> s.arena.(c + hdr + i) <- l) filtered;
+          ivec_push s.clauses c;
+          attach_clause s c;
+          s.simp_assigns <- -1
     end
   end
 
@@ -777,57 +946,67 @@ let add_clause s lits =
 
 let reduce_db s =
   if Obs.on () then
-    Obs.Trace.span_begin "sat.reduce"
-      ~args:[ ("learnts", string_of_int (Vec.size s.learnts)) ];
+    Obs.Trace.span_begin "sat.reduce" ~args:[ ("learnts", string_of_int s.learnts.n) ];
   (* Glue-based reduction (Glucose-style): sort so the clauses to drop come
      first — highest LBD first, coldest activity as tiebreak — then drop the
      first half. Binary clauses, "glue" clauses (LBD <= 2) and clauses
      currently acting as a reason are always kept. *)
-  Vec.sort_sub
+  let n = s.learnts.n in
+  let sorted = Array.sub s.learnts.a 0 n in
+  let ar = s.arena in
+  Array.sort
     (fun a b ->
-      if a.lbd <> b.lbd then Int.compare b.lbd a.lbd else Float.compare a.act b.act)
-    s.learnts;
-  let n = Vec.size s.learnts in
-  let keep = Vec.create dummy_clause in
+      let la = h_lbd ar.(a) and lb = h_lbd ar.(b) in
+      if la <> lb then Int.compare lb la else Float.compare (act_get ar a) (act_get ar b))
+    sorted;
+  let kept = ref 0 in
   for i = 0 to n - 1 do
-    let c = Vec.get s.learnts i in
-    if locked s c || Array.length c.lits = 2 || c.lbd <= 2 || i >= n / 2 then
-      Vec.push keep c
+    let c = sorted.(i) in
+    let h = ar.(c) in
+    if locked s c || h_size h = 2 || h_lbd h <= 2 || i >= n / 2 then begin
+      s.learnts.a.(!kept) <- c;
+      incr kept
+    end
     else remove_clause s c
   done;
-  Vec.clear s.learnts;
-  Vec.iter (fun c -> Vec.push s.learnts c) keep;
+  s.learnts.n <- !kept;
+  maybe_compact s;
   if Obs.on () then
-    Obs.Trace.span_end "sat.reduce"
-      ~args:[ ("kept", string_of_int (Vec.size s.learnts)) ]
+    Obs.Trace.span_end "sat.reduce" ~args:[ ("kept", string_of_int s.learnts.n) ]
 
 let clause_satisfied s c =
-  let rec loop i = i < Array.length c.lits && (value_lit s c.lits.(i) = 1 || loop (i + 1)) in
-  loop 0
+  let b = c + hdr in
+  let stop = b + c_size s c in
+  let rec loop i = i < stop && (value_lit s s.arena.(i) = 1 || loop (i + 1)) in
+  loop b
 
 let simplify s =
   assert (decision_level s = 0);
   if Obs.on () then Obs.Trace.span_begin "sat.simplify";
-  if s.ok && propagate s = None then begin
-    let compact ?(track_watermark = false) vec =
-      let keep = Vec.create dummy_clause in
+  if s.ok && propagate s = no_cref then begin
+    let compact ?(track_watermark = false) db =
+      let kept = ref 0 in
       let removed_below = ref 0 in
-      for i = 0 to Vec.size vec - 1 do
-        let c = Vec.get vec i in
-        if c.removed || (clause_satisfied s c && not (locked s c)) then begin
-          if not c.removed then remove_clause s c;
+      for i = 0 to db.n - 1 do
+        let c = db.a.(i) in
+        if h_removed s.arena.(c) || (clause_satisfied s c && not (locked s c)) then begin
+          if not (h_removed s.arena.(c)) then remove_clause s c;
           if track_watermark && i < s.pre_watermark then incr removed_below
         end
-        else Vec.push keep c
+        else begin
+          db.a.(!kept) <- c;
+          incr kept
+        end
       done;
-      Vec.clear vec;
-      Vec.iter (fun c -> Vec.push vec c) keep;
+      db.n <- !kept;
       (* Keep the preprocessing watermark pointing at the first clause not
          yet seen by [preprocess], across the index shifts of compaction. *)
       if track_watermark then s.pre_watermark <- max 0 (s.pre_watermark - !removed_below)
     in
     compact s.learnts;
     compact ~track_watermark:true s.clauses;
+    s.simp_assigns <- s.trail.n;
+    maybe_compact s;
     if Obs.on () then Obs.Trace.span_end "sat.simplify"
   end
   else begin
@@ -843,7 +1022,7 @@ let simplify s =
 
 let pick_branch_var s =
   let rec loop () =
-    if Vec.is_empty s.heap then None
+    if s.heap.n = 0 then None
     else begin
       let v = heap_pop s in
       if s.assigns.(v) = 0 then Some v else loop ()
@@ -862,8 +1041,8 @@ let current_stats s =
     decisions = s.n_decisions;
     propagations = s.n_propagations;
     restarts = s.n_restarts;
-    learnt_clauses = Vec.size s.learnts;
-    clauses = Vec.size s.clauses;
+    learnt_clauses = s.learnts.n;
+    clauses = s.clauses.n;
     vars = s.nvars;
   }
 
@@ -904,11 +1083,11 @@ let decide s =
           new_decision_level s;
           assume ()
       | -1 ->
-          analyze_final s (Lit.negate p);
+          analyze_final s (neg p);
           raise Found_unsat
       | _ ->
           new_decision_level s;
-          unchecked_enqueue s p dummy_clause
+          unchecked_enqueue s p no_cref
     end
     else begin
       s.n_decisions <- s.n_decisions + 1;
@@ -917,61 +1096,66 @@ let decide s =
       | Some v ->
           let l = Lit.make v ~neg:s.polarity.(v) in
           new_decision_level s;
-          unchecked_enqueue s l dummy_clause
+          unchecked_enqueue s l no_cref
     end
   in
   assume ()
 
-let record_learnt s learnt blevel ~lbd =
+(* Store the clause in [s.learnt_buf] (asserting literal first) and assert
+   it after backtracking to [blevel]. *)
+let record_learnt s blevel ~lbd =
+  let buf = s.learnt_buf in
   (* First-UIP learnt clauses are derived by resolution over reason clauses,
      hence RUP with respect to the clauses alive right now. *)
-  log_add_arr s learnt;
+  if s.proof_logging then log_add_arr s (Array.sub buf.a 0 buf.n);
   cancel_until s blevel;
-  match Array.length learnt with
-  | 1 ->
-      (* Asserting unit: goes to level 0 semantically, but we may be above
-         level 0 because of assumptions; enqueue at the current (backtracked)
-         level with no reason. Correct because blevel = 0 for units. *)
-      unchecked_enqueue s learnt.(0) dummy_clause
-  | _ ->
-      let c = { lits = learnt; learnt = true; act = 0.; lbd; removed = false } in
-      s.learnt_bytes <- s.learnt_bytes + 40 + (8 * Array.length learnt);
-      Vec.push s.learnts c;
-      attach_clause s c;
-      bump_clause s c;
-      unchecked_enqueue s learnt.(0) c
+  if buf.n = 1 then
+    (* Asserting unit: goes to level 0 semantically, but we may be above
+       level 0 because of assumptions; enqueue at the current (backtracked)
+       level with no reason. Correct because blevel = 0 for units. *)
+    unchecked_enqueue s buf.a.(0) no_cref
+  else begin
+    let c = alloc_clause s ~learnt:true ~lbd buf.n in
+    Array.blit buf.a 0 s.arena (c + hdr) buf.n;
+    s.learnt_bytes <- s.learnt_bytes + 40 + (8 * buf.n);
+    ivec_push s.learnts c;
+    attach_clause s c;
+    bump_clause s c;
+    unchecked_enqueue s buf.a.(0) c
+  end
 
 let search s ~max_conflicts =
   let conflict_c = ref 0 in
   let continue = ref true in
   while !continue do
     poll_limits s;
-    match propagate s with
-    | Some confl ->
-        s.n_conflicts <- s.n_conflicts + 1;
-        incr conflict_c;
-        if decision_level s = 0 then begin
-          s.ok <- false;
-          log_empty s;
-          raise Found_unsat
-        end;
-        let learnt, blevel = analyze s confl in
-        (* LBD must be computed before [record_learnt] backtracks. *)
-        let lbd = compute_lbd s learnt in
-        record_learnt s learnt blevel ~lbd;
-        decay_var_activity s;
-        decay_clause_activity s
-    | None ->
-        if !conflict_c >= max_conflicts then begin
-          cancel_until s 0;
-          raise Restart
-        end;
-        if decision_level s = 0 then simplify s;
-        if not s.ok then raise Found_unsat;
-        if float_of_int (Vec.size s.learnts) -. float_of_int (Vec.size s.trail)
-           >= s.max_learnts
-        then reduce_db s;
-        decide s
+    let confl = propagate s in
+    if confl <> no_cref then begin
+      s.n_conflicts <- s.n_conflicts + 1;
+      incr conflict_c;
+      if decision_level s = 0 then begin
+        s.ok <- false;
+        log_empty s;
+        raise Found_unsat
+      end;
+      let blevel = analyze s confl in
+      (* LBD must be computed before [record_learnt] backtracks. *)
+      let lbd = compute_lbd s s.learnt_buf.a 0 s.learnt_buf.n in
+      record_learnt s blevel ~lbd;
+      decay_var_activity s;
+      decay_clause_activity s
+    end
+    else begin
+      if !conflict_c >= max_conflicts then begin
+        cancel_until s 0;
+        raise Restart
+      end;
+      if decision_level s = 0 && s.trail.n <> s.simp_assigns then simplify s;
+      if not s.ok then raise Found_unsat;
+      if float_of_int s.learnts.n -. float_of_int s.trail.n >= s.max_learnts then
+        reduce_db s;
+      decide s
+    end
   done
 
 (* Luby restart sequence (1-based): 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ... *)
@@ -1020,7 +1204,7 @@ let perturb_phases s seed =
 let set_fault_hook s hook = s.fault_hook <- hook
 let solve ?(assumptions = []) ?(budget = no_budget) ?seed s =
   s.answer <- A_none;
-  Vec.clear s.conflict;
+  s.conflict.n <- 0;
   if not s.ok then begin
     s.answer <- A_unsat;
     Unsat
@@ -1036,7 +1220,7 @@ let solve ?(assumptions = []) ?(budget = no_budget) ?seed s =
     (match seed with None -> () | Some seed -> perturb_phases s seed);
     s.assumptions <- Array.of_list assumptions;
     if s.max_learnts = 0. then
-      s.max_learnts <- max 1000. (float_of_int (Vec.size s.clauses) *. 0.3);
+      s.max_learnts <- max 1000. (float_of_int s.clauses.n *. 0.3);
     let result = ref None in
     let restart = ref 1 in
     (try
@@ -1104,7 +1288,7 @@ let model s =
 let unsat_assumptions s =
   if s.answer <> A_unsat then
     failwith "Solver.unsat_assumptions: last answer was not Unsat";
-  List.map Lit.negate (Vec.to_list s.conflict)
+  List.init s.conflict.n (fun i -> Lit.negate s.conflict.a.(i))
 
 (* ------------------------------------------------------------------ *)
 (* CNF preprocessing (see Simplify).                                   *)
@@ -1115,8 +1299,7 @@ let unsat_assumptions s =
    propagating between actions, so a clause may arrive with literals that
    are already false. *)
 let install_clause s lits =
-  let c = { lits = Array.copy lits; learnt = false; act = 0.; lbd = 0; removed = false } in
-  let l = c.lits in
+  let l = Array.copy lits in
   let len = Array.length l in
   let k = ref 0 in
   (try
@@ -1130,19 +1313,21 @@ let install_clause s lits =
        end
      done
    with Exit -> ());
-  Vec.push s.clauses c;
+  let c = alloc_clause s ~learnt:false ~lbd:0 len in
+  Array.blit l 0 s.arena (c + hdr) len;
+  ivec_push s.clauses c;
   attach_clause s c;
   if !k = 0 then begin
     s.ok <- false;
     log_empty s
   end
-  else if !k = 1 && value_lit s l.(0) = 0 then unchecked_enqueue s l.(0) dummy_clause;
+  else if !k = 1 && value_lit s l.(0) = 0 then unchecked_enqueue s l.(0) no_cref;
   c
 
 let preprocess ?(elim = false) ?(frozen = []) s =
   if decision_level s <> 0 then
     invalid_arg "Solver.preprocess: only allowed at decision level 0";
-  let before = Vec.size s.clauses in
+  let before = s.clauses.n in
   if Obs.on () then
     Obs.Trace.span_begin "sat.preprocess"
       ~args:[ ("clauses", string_of_int before); ("elim", string_of_bool elim) ];
@@ -1150,7 +1335,7 @@ let preprocess ?(elim = false) ?(frozen = []) s =
     let r =
       {
         pre_clauses_before = before;
-        pre_clauses_after = Vec.size s.clauses;
+        pre_clauses_after = s.clauses.n;
         pre_subsumed = st.Simplify.s_subsumed;
         pre_strengthened = st.Simplify.s_strengthened;
         pre_eliminated = st.Simplify.s_eliminated;
@@ -1179,23 +1364,25 @@ let preprocess ?(elim = false) ?(frozen = []) s =
     (* Level-0 implied literals never need their reason clause again
        (conflict analysis stops above level 0), so clear the pointers and
        let preprocessing strengthen or delete former reasons freely. *)
-    Vec.iter (fun l -> s.reason.(Lit.var l) <- dummy_clause) s.trail;
-    let n = Vec.size s.clauses in
-    let ntrail = Vec.size s.trail in
+    for i = 0 to s.trail.n - 1 do
+      s.reason.(var s.trail.a.(i)) <- no_cref
+    done;
+    let n = s.clauses.n in
+    let ntrail = s.trail.n in
     let db = Array.make (n + ntrail) [||] in
     let protected = Array.make (n + ntrail) false in
-    let tbl : (int, clause) Hashtbl.t = Hashtbl.create (2 * (n + ntrail) + 16) in
+    let tbl : (int, int) Hashtbl.t = Hashtbl.create (2 * (n + ntrail) + 16) in
     for i = 0 to n - 1 do
-      let c = Vec.get s.clauses i in
-      (* Snapshot: the solver permutes clause arrays in place. *)
-      db.(i) <- Array.copy c.lits;
+      let c = s.clauses.a.(i) in
+      (* Snapshot: the solver permutes clause literals in place. *)
+      db.(i) <- c_lits s c;
       Hashtbl.replace tbl i c
     done;
     (* The level-0 trail enters the database as protected unit clauses: it
        subsumes and strengthens but is itself immutable (those literals are
        assignments, not clause objects, and their DRAT events must stay). *)
     for i = 0 to ntrail - 1 do
-      db.(n + i) <- [| Vec.get s.trail i |];
+      db.(n + i) <- [| s.trail.a.(i) |];
       protected.(n + i) <- true
     done;
     let fr = Array.make (max 1 s.nvars) false in
@@ -1222,7 +1409,7 @@ let preprocess ?(elim = false) ?(frozen = []) s =
     let apply = function
       | Simplify.Remove id -> (
           match Hashtbl.find_opt tbl id with
-          | Some c -> if not c.removed then remove_clause s c
+          | Some c -> if not (h_removed s.arena.(c)) then remove_clause s c
           | None -> ())
       | Simplify.Strengthen (id, lits) -> (
           match Hashtbl.find_opt tbl id with
@@ -1230,7 +1417,7 @@ let preprocess ?(elim = false) ?(frozen = []) s =
               log_add_arr s lits;
               let c = install_clause s lits in
               Hashtbl.replace tbl id c;
-              if not old.removed then remove_clause s old
+              if not (h_removed s.arena.(old)) then remove_clause s old
           | None -> ())
       | Simplify.Add (id, lits) ->
           log_add_arr s lits;
@@ -1239,7 +1426,7 @@ let preprocess ?(elim = false) ?(frozen = []) s =
       | Simplify.Unit l ->
           log_add_list s [ l ];
           (match value_lit s l with
-          | 0 -> unchecked_enqueue s l dummy_clause
+          | 0 -> unchecked_enqueue s l no_cref
           | 1 -> ()
           | _ ->
               s.ok <- false;
@@ -1256,17 +1443,27 @@ let preprocess ?(elim = false) ?(frozen = []) s =
           s.elim_stack <- (v, saved) :: s.elim_stack
     in
     List.iter (fun a -> if not !stopped then apply a) actions;
-    if s.ok && propagate s <> None then begin
+    if s.ok && propagate s <> no_cref then begin
       s.ok <- false;
       log_empty s
     end;
     (* Compact the problem database and advance the watermarks. *)
-    let keep = Vec.create dummy_clause in
-    Vec.iter (fun c -> if not c.removed then Vec.push keep c) s.clauses;
-    Vec.clear s.clauses;
-    Vec.iter (fun c -> Vec.push s.clauses c) keep;
-    s.pre_watermark <- Vec.size s.clauses;
-    s.pre_trail_mark <- Vec.size s.trail;
+    let kept = ref 0 in
+    for i = 0 to s.clauses.n - 1 do
+      let c = s.clauses.a.(i) in
+      if not (h_removed s.arena.(c)) then begin
+        s.clauses.a.(!kept) <- c;
+        incr kept
+      end
+    done;
+    s.clauses.n <- !kept;
+    s.pre_watermark <- s.clauses.n;
+    s.pre_trail_mark <- s.trail.n;
+    (* Cleared reasons may have unlocked satisfied clauses, and installed
+       clauses may already be satisfied: the next restart at level 0
+       simplifies again. *)
+    s.simp_assigns <- -1;
+    maybe_compact s;
     finish st
   end
 

@@ -3,7 +3,10 @@
     A MiniSat-style conflict-driven clause-learning solver: two-watched-
     literal propagation, first-UIP clause learning with basic conflict-clause
     minimization, VSIDS branching with phase saving, Luby restarts and
-    activity-based learnt-clause database reduction. It solves incrementally:
+    learnt-clause database reduction that drops high-LBD ("glue") clauses
+    first, breaking ties by clause activity. Clauses live in one flat
+    integer arena that is compacted as clauses are deleted; see the header
+    of [solver.ml] for the layout. It solves incrementally:
     clauses may be added between [solve] calls, and each call may pass
     assumptions (temporary unit hypotheses) whose unsatisfiable core is
     available after an UNSAT answer.

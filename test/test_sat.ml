@@ -525,8 +525,9 @@ let test_preprocess_drat_certified () =
 
 (* Pigeonhole np/nh: UNSAT for np > nh, with enough real search that every
    budget kind gets a chance to fire before the verdict. *)
-let pigeonhole np nh =
+let pigeonhole ?(proof = false) np nh =
   let s = Solver.create () in
+  if proof then Solver.start_proof s;
   let p = Array.init np (fun _ -> Array.init nh (fun _ -> Solver.new_var s)) in
   for i = 0 to np - 1 do
     Solver.add_clause s (List.init nh (fun h -> Lit.pos p.(i).(h)))
@@ -619,6 +620,73 @@ let test_seed_preserves_verdict () =
         (Solver.solve ~seed (pigeonhole 5 4) = Solver.Unsat))
     [ 0; 1; 42; 1337 ]
 
+(* Run [f] with tracing on and fresh buffers; [spans name] then counts the
+   spans of that name opened so far. *)
+let traced f =
+  let was_on = Obs.on () in
+  Obs.Trace.reset ();
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Trace.reset ();
+      if not was_on then Obs.disable ())
+    f
+
+let spans name =
+  List.length
+    (List.filter
+       (fun e -> e.Obs.Trace.ev_kind = Obs.Trace.Begin && e.Obs.Trace.ev_name = name)
+       (Obs.Trace.events ()))
+
+(* PHP(8,7) takes thousands of conflicts, enough to reduce the learnt
+   database and compact the clause arena: the DRAT stream must still
+   replay. Then an incremental solver runs a guarded PHP(8,7) past a
+   compaction and must stay sound on the relocated clauses: UNSAT under
+   the guard (certified), SAT without it after more clauses arrive. *)
+let test_reduce_compact_drat () =
+  traced (fun () ->
+      let s = pigeonhole ~proof:true 8 7 in
+      Alcotest.(check bool) "PHP(8,7) unsat" true (Solver.solve s = Solver.Unsat);
+      Alcotest.(check bool) "DRAT accepted" true (Sat.Drat.check (Solver.proof s) = Ok ());
+      Alcotest.(check bool) "sat.reduce fired" true (spans "sat.reduce" > 0);
+      Alcotest.(check bool) "arena compacted" true (spans "sat.compact" > 0);
+      let s = Solver.create () in
+      Solver.start_proof s;
+      let g = Solver.new_var s in
+      let p = Array.init 8 (fun _ -> Array.init 7 (fun _ -> Solver.new_var s)) in
+      let clauses = ref [] in
+      let add c =
+        clauses := c :: !clauses;
+        Solver.add_clause s c
+      in
+      for i = 0 to 7 do
+        let some_hole = List.init 7 (fun h -> Lit.pos p.(i).(h)) in
+        add (if i = 7 then Lit.neg g :: some_hole else some_hole)
+      done;
+      for h = 0 to 6 do
+        for i = 0 to 7 do
+          for j = i + 1 to 7 do
+            add [ Lit.neg p.(i).(h); Lit.neg p.(j).(h) ]
+          done
+        done
+      done;
+      let compactions = spans "sat.compact" in
+      Alcotest.(check bool) "unsat under the guard" true
+        (Solver.solve ~assumptions:[ Lit.pos g ] s = Solver.Unsat);
+      Alcotest.(check bool) "compacted during the guarded solve" true
+        (spans "sat.compact" > compactions);
+      Alcotest.(check bool) "guarded DRAT accepted" true
+        (Sat.Drat.check ~assumptions:[ Lit.pos g ] (Solver.proof s) = Ok ());
+      add [ Lit.neg p.(0).(0) ];
+      add [ Lit.neg p.(1).(1) ];
+      add [ Lit.pos p.(0).(1); Lit.pos p.(0).(2) ];
+      let assumptions = [ Lit.neg g; Lit.pos p.(2).(3) ] in
+      Alcotest.(check bool) "sat without the guard" true
+        (Solver.solve ~assumptions s = Solver.Sat);
+      Alcotest.(check bool) "model satisfies every clause" true (check_model s !clauses);
+      Alcotest.(check bool) "model satisfies the assumptions" true
+        (List.for_all (Solver.value s) assumptions))
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -640,6 +708,7 @@ let suite =
     ("sat.value_before_solve", `Quick, test_value_before_solve_raises);
     ("sat.stats_monotone", `Quick, test_stats_monotone);
     ("sat.lit_encoding", `Quick, test_lit_encoding);
+    ("sat.reduce_compact_drat", `Quick, test_reduce_compact_drat);
     ("dimacs.roundtrip", `Quick, test_dimacs_roundtrip);
     ("dimacs.errors", `Quick, test_dimacs_errors);
     ("dimacs.solve", `Quick, test_dimacs_solve);
