@@ -27,11 +27,9 @@
    the solver-cost experiments (t3, f1, a2) with the formula-shrinking
    pipeline off. s1 exits nonzero if any pipeline stage changes a verdict.
 
-   --timeout SEC and --max-conflicts N put a per-query budget on every
-   check the harness runs; a check that exhausts it reports "unknown"
-   instead of a verdict. --no-escalate turns off the Bmc.Escalate retry
-   ladder that otherwise regrows exhausted budgets until the check
-   decides.
+   --timeout SEC and --max-conflicts N put one fixed per-query budget on
+   every check the harness runs; a check that exhausts it reports
+   "unknown" instead of a verdict, and nothing retries it.
 
    The exit status is the run's one gate. Every experiment that compares
    a reference lane with a variant (s1, a2, t5) reports each
@@ -68,11 +66,10 @@ let jobs = ref 1
 let pipeline = ref Bmc.default_simplify
 
 (* --timeout / --max-conflicts build the per-query budget every governed
-   check runs under; --no-escalate disables the retry ladder. Counters are
-   atomic because checks run on worker domains under Par fan-outs. *)
+   check runs under. Counters are atomic because checks run on worker
+   domains under Par fan-outs. *)
 let timeout : float option ref = ref None
 let max_conflicts : int option ref = ref None
-let escalate = ref true
 let unknown_verdicts = Atomic.make 0
 
 (* --trace / --metrics / --trace-format enable the Obs layer for the whole
@@ -121,20 +118,16 @@ let record report =
   | Checks.Pass _ | Checks.Fail _ -> ());
   report
 
-(* Every experiment's checks funnel through here so the budget flags,
-   escalation policy and the --checkpoint journal apply uniformly. With no
-   budget set this is exactly the direct check: run_escalating under
-   Bmc.no_limits is one attempt. [check_warm] additionally says whether
-   the report was served warm from the --checkpoint journal — the timing
-   experiments (t3, f1) use it so resumed rows are never mistaken for
-   cold measurements. Solved cells journal their wall-clock seconds,
-   which later distributed runs read back for hardest-first ordering. *)
+(* Every experiment's checks funnel through here so the budget flags and
+   the --checkpoint journal apply uniformly. [check_warm] additionally
+   says whether the report was served warm from the --checkpoint journal
+   — the timing experiments (t3, f1) use it so resumed rows are never
+   mistaken for cold measurements. Solved cells journal their wall-clock
+   seconds, which later distributed runs read back for hardest-first
+   ordering. *)
 let check_warm ?simplify technique design iface ~bound =
   let limits = bench_limits () in
-  let solve () =
-    if !escalate then Checks.run_escalating ?simplify ~limits technique design iface ~bound
-    else Checks.run ?simplify ~limits technique design iface ~bound
-  in
+  let solve () = Checks.run ?simplify ~limits technique design iface ~bound in
   match !campaign with
   | None -> (record (solve ()), false)
   | Some c -> (
@@ -1035,9 +1028,6 @@ let () =
     | [ "--max-conflicts" ] ->
         prerr_endline "bench: --max-conflicts expects a positive integer";
         exit 2
-    | "--no-escalate" :: rest ->
-        escalate := false;
-        parse_args acc rest
     | "--designs" :: names :: rest ->
         design_filter := Some (String.split_on_char ',' names);
         parse_args acc rest
@@ -1180,6 +1170,6 @@ let () =
        --timeout/--max-conflicts budget. *)
     Printf.eprintf
       "bench: %d verdict(s) unknown under the configured budget (raise --timeout or \
-       --max-conflicts, or drop --no-escalate)\n"
+       --max-conflicts)\n"
       unknowns;
   exit code

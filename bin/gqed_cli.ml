@@ -155,9 +155,9 @@ let simp_stats_flag =
     & info [ "simp-stats" ]
         ~doc:"Print the formula-shrinking pipeline statistics after the verdict.")
 
-(* Resource-governance knobs. A budget that runs out yields an Unknown
-   verdict (exit code 3) instead of hanging; escalation retries undecided
-   checks with exponentially grown budgets and perturbed configurations. *)
+(* Resource-governance knobs: one fixed budget per SAT query. A budget
+   that runs out yields an Unknown verdict (exit code 3) instead of
+   hanging; nothing retries it. *)
 let timeout_arg =
   Arg.(
     value
@@ -166,24 +166,17 @@ let timeout_arg =
         ~doc:
           "Per-query wall-clock budget in seconds. An exhausted budget turns the \
            verdict into $(b,unknown) (exit code 3) rather than hanging. It is not a \
-           per-check or per-mutant cap: a check issues many queries, and escalation \
-           retries an undecided query with the budget grown 4x per attempt (up to \
-           64x on the fourth); $(b,--no-escalate) keeps it fixed.")
+           per-check or per-mutant cap: a check issues many queries, each with the \
+           same fixed budget.")
 
 let max_conflicts_arg =
   Arg.(
     value
     & opt (some int) None
     & info [ "max-conflicts" ] ~docv:"N"
-        ~doc:"Per-query conflict budget; exhausted budgets yield $(b,unknown).")
-
-let no_escalate_flag =
-  Arg.(
-    value & flag
-    & info [ "no-escalate" ]
         ~doc:
-          "Give up after the first undecided attempt instead of retrying with \
-           exponentially grown budgets and perturbed configurations.")
+          "Per-query conflict budget, fixed for every query of the check; an \
+           exhausted budget yields $(b,unknown) (exit code 3).")
 
 (* Campaign persistence (see lib/persist/DESIGN.md): journal every check's
    verdict to a crash-safe write-ahead log; a resumed run skips the keys
@@ -250,23 +243,6 @@ let limits_of ~timeout ~max_conflicts =
   match (timeout, max_conflicts) with
   | None, None -> Bmc.no_limits
   | _ -> Bmc.limits ~budget:(Sat.Solver.budget ?conflicts:max_conflicts ?seconds:timeout ()) ()
-
-(* Wrap any check in the escalation policy; with unbounded limits the first
-   attempt decides and this is exactly the plain call. *)
-let with_escalation ~escalate ~limits ~simplify run1 =
-  if not escalate then run1 ~simplify ~limits
-  else begin
-    let unknown_of (r : Checks.report) =
-      match r.Checks.verdict with
-      | Checks.Unknown u -> Some (Sat.Solver.reason_to_string u.Checks.u_reason)
-      | Checks.Pass _ | Checks.Fail _ -> None
-    in
-    let report, attempts =
-      Bmc.Escalate.run ~limits ~simplify ~unknown_of (fun cfg ->
-          run1 ~simplify:cfg.Bmc.Escalate.ec_simplify ~limits:cfg.Bmc.Escalate.ec_limits)
-    in
-    { report with Checks.attempts }
-  end
 
 let waveform_flag =
   Arg.(value & flag & info [ "waveform" ] ~doc:"Print the full counterexample waveform.")
@@ -336,11 +312,6 @@ let verify_cmd =
       dt;
     if simp_stats then
       Format.printf "simplify: %a@." Bmc.Engine.pp_simp_stats report.Checks.simp;
-    (match report.Checks.attempts with
-    | [] | [ _ ] -> ()
-    | attempts ->
-        Printf.printf "escalation (%d attempts):\n" (List.length attempts);
-        List.iter (fun a -> Format.printf "  %a@." Bmc.Escalate.pp_attempt a) attempts);
     match report.Checks.verdict with
     | Checks.Pass _ -> exit 0
     | Checks.Unknown u ->
@@ -358,12 +329,11 @@ let verify_cmd =
         exit 1
   in
   let run name technique bound mutant all_mutants waveform vcd simplify simp_stats
-      timeout max_conflicts no_escalate checkpoint resume force obs_trace obs_metrics
+      timeout max_conflicts checkpoint resume force obs_trace obs_metrics
       obs_format =
     setup_obs ~trace:obs_trace ~metrics:obs_metrics ~format:obs_format;
     let e = or_die (find_design name) in
     let bound = Option.value bound ~default:e.Entry.rec_bound in
-    let escalate = not no_escalate in
     let campaign = start_campaign ~checkpoint ~resume ~force in
     (* SA and stability have no Checks.technique id, so --checkpoint runs
        them fresh each time; everything else journals under the canonical
@@ -379,9 +349,9 @@ let verify_cmd =
       in
       Option.map (fun t -> Checks.campaign_key t design e.Entry.iface ~bound) tech
     in
+    let limits = limits_of ~timeout ~max_conflicts in
     let check technique design =
-      let limits = limits_of ~timeout ~max_conflicts in
-      let run1 ~simplify ~limits =
+      let solve () =
         match technique with
         | `Gqed -> Checks.gqed ~simplify ~limits design e.Entry.iface ~bound
         | `Flow -> Checks.flow ~simplify ~limits design e.Entry.iface ~bound
@@ -392,7 +362,6 @@ let verify_cmd =
         | `Stability ->
             Checks.stability_check ~simplify ~limits design e.Entry.iface ~bound
       in
-      let solve () = with_escalation ~escalate ~limits ~simplify run1 in
       match (campaign, campaign_key_of technique design) with
       | None, _ | _, None -> solve ()
       | Some c, Some key -> (
@@ -413,7 +382,7 @@ let verify_cmd =
           exit 2
       | None -> ());
       (* A plain serial loop through the [check] funnel (budget,
-         escalation, journal); [gqed campaign --workers N] is the
+         journal); [gqed campaign --workers N] is the
          parallel, crash-isolated runner for the same cells. *)
       let muts = Mutation.mutants e.Entry.design in
       Printf.printf "%-40s %-18s %9s\n" "mutant" "verdict" "time";
@@ -454,7 +423,7 @@ let verify_cmd =
     Term.(
       const run $ design_arg $ technique_arg $ bound_arg $ mutant_arg $ all_mutants_flag
       $ waveform_flag $ vcd_arg $ simplify_term $ simp_stats_flag $ timeout_arg
-      $ max_conflicts_arg $ no_escalate_flag $ checkpoint_arg $ resume_flag
+      $ max_conflicts_arg $ checkpoint_arg $ resume_flag
       $ cli_force_flag $ obs_trace_arg $ obs_metrics_arg $ obs_format_arg)
 
 (* ---- campaign ---- *)

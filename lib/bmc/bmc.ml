@@ -116,19 +116,13 @@ let no_simplify = { sc_coi = false; sc_rewrite = false; sc_pg = false; sc_cnf = 
 
 type limits = {
   l_budget : Sat.Solver.budget;
-  l_seed : int option;
   l_fault : (Sat.Solver.stats -> Sat.Solver.fault option) option;
 }
 
-let no_limits =
-  {
-    l_budget = Sat.Solver.no_budget;
-    l_seed = None;
-    l_fault = None;
-  }
+let no_limits = { l_budget = Sat.Solver.no_budget; l_fault = None }
 
-let limits ?(budget = Sat.Solver.no_budget) ?seed ?fault () =
-  { l_budget = budget; l_seed = seed; l_fault = fault }
+let limits ?(budget = Sat.Solver.no_budget) ?fault () =
+  { l_budget = budget; l_fault = fault }
 
 module Coi = struct
   module S = Set.Make (String)
@@ -373,9 +367,8 @@ module Engine = struct
     t.search_acc <- add_search t.search_acc (Sat.Solver.stats t.solver);
     let solver = Sat.Solver.create () in
     if t.certify then Sat.Solver.start_proof solver;
-    (* Fresh solvers inherit the engine's governance: budget and seed
-       arrive per [solve] call, the fault hook is installed on the
-       instance. *)
+    (* Fresh solvers inherit the engine's governance: the budget arrives
+       per [solve] call, the fault hook is installed on the instance. *)
     Sat.Solver.set_fault_hook solver t.limits.l_fault;
     t.solver <- solver;
     if t.simplify.sc_rewrite then begin
@@ -508,8 +501,7 @@ module Engine = struct
     end;
     let conflicts0 = (Sat.Solver.stats t.solver).Sat.Solver.conflicts in
     let result =
-      Sat.Solver.solve ~assumptions:sat_assumptions ~budget:t.limits.l_budget
-        ?seed:t.limits.l_seed t.solver
+      Sat.Solver.solve ~assumptions:sat_assumptions ~budget:t.limits.l_budget t.solver
     in
     if (Sat.Solver.stats t.solver).Sat.Solver.conflicts - conflicts0 > fresh_after_conflicts
     then t.mono <- true;
@@ -541,7 +533,7 @@ module Engine = struct
         Unreachable
     | Sat.Solver.Unknown reason ->
         (* No verdict: nothing to certify or extract. The solver backed out
-           to level 0, so the engine stays usable for a retry. *)
+           to level 0, so the engine stays usable. *)
         finish_span "undecided";
         Undecided reason
 
@@ -653,124 +645,3 @@ let check_safety ?(symbolic_init = false) ?(certify = false) ?(assumes = [])
     end
   in
   deepen 0
-
-(* ------------------------------------------------------------------ *)
-(* Retry escalation.                                                   *)
-
-module Escalate = struct
-  type policy = {
-    max_attempts : int;
-    growth : float;
-    total_seconds : float option;
-    perturb : bool;
-  }
-
-  let default_policy =
-    { max_attempts = 4; growth = 4.0; total_seconds = None; perturb = true }
-
-  type attempt = {
-    at_index : int;
-    at_budget : Sat.Solver.budget;
-    at_simplify : simplify_config;
-    at_seed : int option;
-    at_seconds : float;
-    at_reason : string option;
-  }
-
-  let pp_attempt ppf a =
-    let b = a.at_budget in
-    let cap name to_s = Option.map (fun v -> name ^ "=" ^ to_s v) in
-    let caps =
-      List.filter_map Fun.id
-        [
-          cap "conflicts" string_of_int b.Sat.Solver.max_conflicts;
-          cap "propagations" string_of_int b.Sat.Solver.max_propagations;
-          cap "decisions" string_of_int b.Sat.Solver.max_decisions;
-          cap "seconds" (Printf.sprintf "%.3g") b.Sat.Solver.max_seconds;
-          cap "learnt-mb" (Printf.sprintf "%.3g") b.Sat.Solver.max_learnt_mb;
-        ]
-    in
-    Format.fprintf ppf "#%d [%s]%s%s %.3fs: %s" a.at_index
-      (if caps = [] then "unbounded" else String.concat " " caps)
-      (if a.at_simplify = no_simplify then " no-simplify" else "")
-      (match a.at_seed with None -> "" | Some s -> Printf.sprintf " seed=%d" s)
-      a.at_seconds
-      (match a.at_reason with None -> "decided" | Some r -> r)
-
-  type config = { ec_limits : limits; ec_simplify : simplify_config }
-
-  (* Budget caps as span arguments, so an attempt span in the trace shows
-     what it was allowed to spend. *)
-  let budget_args (b : Sat.Solver.budget) =
-    let cap name to_s v = Option.map (fun x -> (name, to_s x)) v in
-    List.filter_map Fun.id
-      [
-        cap "conflicts" string_of_int b.Sat.Solver.max_conflicts;
-        cap "propagations" string_of_int b.Sat.Solver.max_propagations;
-        cap "decisions" string_of_int b.Sat.Solver.max_decisions;
-        cap "seconds" (Printf.sprintf "%.3g") b.Sat.Solver.max_seconds;
-        cap "learnt-mb" (Printf.sprintf "%.3g") b.Sat.Solver.max_learnt_mb;
-      ]
-
-  let run ?(policy = default_policy) ~limits ~simplify ~unknown_of f =
-    let t_start = Unix.gettimeofday () in
-    let elapsed () = Unix.gettimeofday () -. t_start in
-    let over_total () =
-      match policy.total_seconds with None -> false | Some cap -> elapsed () >= cap
-    in
-    let clamp_budget (b : Sat.Solver.budget) =
-      match policy.total_seconds with
-      | None -> b
-      | Some cap ->
-          let remaining = Float.max 0.01 (cap -. elapsed ()) in
-          let max_seconds =
-            match b.Sat.Solver.max_seconds with
-            | None -> Some remaining
-            | Some s -> Some (Float.min s remaining)
-          in
-          { b with Sat.Solver.max_seconds }
-    in
-    let rec attempt i budget acc =
-      (* Perturbation schedule: every retry reseeds (below); from the third
-         retry on the simplification pipeline is toggled. Both are
-         verdict-preserving. *)
-      let simplify' =
-        if policy.perturb && i >= 3 then
-          if simplify = no_simplify then default_simplify else no_simplify
-        else simplify
-      in
-      let seed = if i = 0 then limits.l_seed else Some (i * 0x9e3779b1) in
-      let cfg =
-        {
-          ec_limits = { limits with l_budget = clamp_budget budget; l_seed = seed };
-          ec_simplify = simplify';
-        }
-      in
-      let t0 = Unix.gettimeofday () in
-      let r =
-        Obs.Trace.with_span "escalate.attempt"
-          ~args:(("attempt", string_of_int i) :: budget_args cfg.ec_limits.l_budget)
-          (fun () -> f cfg)
-      in
-      let dt = Unix.gettimeofday () -. t0 in
-      let reason = unknown_of r in
-      let a =
-        {
-          at_index = i;
-          at_budget = cfg.ec_limits.l_budget;
-          at_simplify = simplify';
-          at_seed = seed;
-          at_seconds = dt;
-          at_reason = reason;
-        }
-      in
-      let acc = a :: acc in
-      match reason with
-      | None -> (r, List.rev acc)
-      | Some _ ->
-          if i + 1 >= policy.max_attempts || over_total () then
-            (r, List.rev acc)
-          else attempt (i + 1) (Sat.Solver.budget_scale budget policy.growth) acc
-    in
-    attempt 0 limits.l_budget []
-end

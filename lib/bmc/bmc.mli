@@ -73,22 +73,20 @@ val no_simplify : simplify_config
 (** {1 Resource limits}
 
     A bundle of the solver-level governance knobs (see {!Sat.Solver}):
-    per-query budget, phase-perturbation seed and fault-injection hook.
-    The budget applies to {e each} SAT query an engine issues — a
-    whole-check wall-clock cap is an {!Escalate} policy's
-    [total_seconds]. *)
+    per-query budget and fault-injection hook. The budget is one fixed
+    cap on {e each} SAT query an engine issues, not on the whole check;
+    a query that exhausts it ends the check with an [Unknown] at that
+    bound, and nothing retries it. *)
 type limits = {
   l_budget : Sat.Solver.budget;
-  l_seed : int option;
   l_fault : (Sat.Solver.stats -> Sat.Solver.fault option) option;
 }
 
 val no_limits : limits
-(** Unbounded, unseeded, no faults — the default. *)
+(** Unbounded, no faults — the default. *)
 
 val limits :
   ?budget:Sat.Solver.budget ->
-  ?seed:int ->
   ?fault:(Sat.Solver.stats -> Sat.Solver.fault option) ->
   unit ->
   limits
@@ -278,58 +276,3 @@ val check_safety :
     the default-vs-fresh ablation (experiment A2). The answers are the
     same. [stats], when given, receives the engine's pipeline totals just
     before the result is returned. *)
-
-(** {1 Retry escalation}
-
-    Generic policy for re-running an undecided check with exponentially
-    grown budgets and perturbed configurations. The perturbations —
-    simplification on/off and a fresh restart seed — are both
-    verdict-preserving, so any attempt that decides gives
-    {e the} answer; varying them merely diversifies the search in the hope
-    that one trajectory fits inside the budget. Every attempt is logged,
-    so a final verdict carries its full escalation path. *)
-module Escalate : sig
-  type policy = {
-    max_attempts : int;  (** total attempts, including the first *)
-    growth : float;  (** budget multiplier between attempts *)
-    total_seconds : float option;
-        (** cumulative wall-clock cap over all attempts; each attempt's
-            per-query [max_seconds] is clamped to the time remaining *)
-    perturb : bool;
-        (** toggle the simplification pipeline from the third retry on
-            (every retry gets a fresh restart seed regardless) *)
-  }
-
-  val default_policy : policy
-  (** 4 attempts, 4x growth, no total cap, perturbation on. *)
-
-  (** One attempt as actually run: its effective configuration, how long
-      it took, and [None] for its reason when it decided. *)
-  type attempt = {
-    at_index : int;
-    at_budget : Sat.Solver.budget;
-    at_simplify : simplify_config;
-    at_seed : int option;
-    at_seconds : float;
-    at_reason : string option;
-  }
-
-  val pp_attempt : Format.formatter -> attempt -> unit
-
-  (** Configuration handed to the check runner for one attempt. *)
-  type config = { ec_limits : limits; ec_simplify : simplify_config }
-
-  val run :
-    ?policy:policy ->
-    limits:limits ->
-    simplify:simplify_config ->
-    unknown_of:('a -> string option) ->
-    (config -> 'a) ->
-    'a * attempt list
-  (** [run ~limits ~simplify ~unknown_of f] calls [f] with the base
-      configuration; while [unknown_of] reports a giving-up reason it
-      retries with the budget scaled by [growth] and (when [perturb]) a
-      perturbed configuration, until an attempt decides, [max_attempts]
-      or [total_seconds] is exhausted.
-      Returns the last result and the attempt log (oldest first). *)
-end

@@ -44,7 +44,6 @@ type report = {
   cnf_vars : int;
   cnf_clauses : int;
   simp : Bmc.Engine.simp_stats;
-  attempts : Bmc.Escalate.attempt list;
 }
 
 let copy1_prefix = "dut1__"
@@ -144,7 +143,6 @@ let report_of engine verdict =
     cnf_vars = vars;
     cnf_clauses = clauses;
     simp = Bmc.Engine.simp_stats engine;
-    attempts = [];
   }
 
 (* Solve for any of the pending conditions of one selector; on SAT identify
@@ -685,20 +683,6 @@ let run ?(simplify = Bmc.default_simplify) ?(limits = Bmc.no_limits) technique d
         raise e
   end
 
-let run_escalating ?policy ?(simplify = Bmc.default_simplify) ?(limits = Bmc.no_limits)
-    technique design iface ~bound =
-  let unknown_of (r : report) =
-    match r.verdict with
-    | Unknown u -> Some (Sat.Solver.reason_to_string u.u_reason)
-    | Pass _ | Fail _ -> None
-  in
-  let report, attempts =
-    Bmc.Escalate.run ?policy ~limits ~simplify ~unknown_of (fun cfg ->
-        run ~simplify:cfg.Bmc.Escalate.ec_simplify ~limits:cfg.Bmc.Escalate.ec_limits
-          technique design iface ~bound)
-  in
-  { report with attempts }
-
 (* ------------------------------------------------------------------ *)
 (* Journal payloads (lib/persist campaigns).                            *)
 
@@ -708,7 +692,7 @@ let run_escalating ?policy ?(simplify = Bmc.default_simplify) ?(limits = Bmc.no_
    (or any type it reaches) changes shape; stale records then decode to
    [None] and the task simply re-runs — schema drift degrades to re-work,
    never to a wrong verdict. *)
-let report_schema_tag = "gqed-report/3:"
+let report_schema_tag = "gqed-report/4:"
 
 let encode_report (r : report) = report_schema_tag ^ Marshal.to_string r []
 

@@ -73,9 +73,6 @@ type report = {
   cnf_clauses : int;
   simp : Bmc.Engine.simp_stats;
       (** formula-shrinking pipeline totals for this check's engine *)
-  attempts : Bmc.Escalate.attempt list;
-      (** escalation path that produced this verdict; empty unless the
-          check ran under {!run_escalating} *)
 }
 
 (** Every check takes [?simplify] (default {!Bmc.default_simplify})
@@ -83,12 +80,11 @@ type report = {
     {!Bmc.no_simplify} (or a partial configuration) for ablation. The
     engine picks its own solving path: incremental until a query gets
     hard, then a fresh solver per query (see {!Bmc.Engine.create}).
-    [?limits] (default
-    {!Bmc.no_limits}) governs the engine's resources: per-query budget,
-    restart seed and fault hook; an exhausted budget or an injected
-    fault yields an [Unknown] verdict. The decided verdict is
-    independent of every knob — the bench harness and the fuzz oracle
-    enforce this. *)
+    [?limits] (default {!Bmc.no_limits}) governs the engine's
+    resources: one fixed per-query budget and a fault hook; an exhausted
+    budget or an injected fault yields an [Unknown] verdict, which
+    nothing retries. The decided verdict is independent of every knob —
+    the bench harness and the fuzz oracle enforce this. *)
 
 val aqed_fc :
   ?simplify:Bmc.simplify_config ->
@@ -169,21 +165,6 @@ val run :
   Iface.t ->
   bound:int ->
   report
-
-val run_escalating :
-  ?policy:Bmc.Escalate.policy ->
-  ?simplify:Bmc.simplify_config ->
-  ?limits:Bmc.limits ->
-  technique ->
-  Rtl.design ->
-  Iface.t ->
-  bound:int ->
-  report
-(** {!run} wrapped in the {!Bmc.Escalate} retry policy: an [Unknown]
-    verdict is retried with exponentially grown budgets and perturbed
-    configurations until it decides or the policy is exhausted. The
-    report's [attempts] field records the full escalation path. With
-    unbounded limits this is exactly {!run} (one attempt, no overhead). *)
 
 (** {2 Campaign persistence}
 

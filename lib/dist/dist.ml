@@ -44,40 +44,15 @@ type restart_policy = {
   max_restarts : int;
   backoff_s : float;
   backoff_cap_s : float;
-  retry_oom : bool;
 }
 
-let default_policy =
-  { max_restarts = 2; backoff_s = 0.05; backoff_cap_s = 1.0; retry_oom = true }
+let default_policy = { max_restarts = 2; backoff_s = 0.05; backoff_cap_s = 1.0 }
 
 (* Capped exponential backoff before retry round [round] (1-based);
    round 0 — the first attempt — waits nothing. *)
 let backoff_delay policy ~round =
   if round <= 0 then 0.0
   else Float.min policy.backoff_cap_s (policy.backoff_s *. (2.0 ** float_of_int (round - 1)))
-
-type failure = Crash of string | Oom
-
-let failure_to_string = function Crash _ -> "crash" | Oom -> "oom"
-
-(* Crashes are transient (a sibling freeing memory, a flaky external
-   resource); OOM only when the policy says so — under a hard memory
-   ceiling a retry would just die again. *)
-let retryable policy = function Crash _ -> true | Oom -> policy.retry_oom
-
-(* Worker processes report OOM with this exit code so the coordinator
-   can classify it without a shared address space. Picked from the BSD
-   sysexits range to stay clear of shell/signal codes. *)
-let oom_exit_code = 77
-
-(* Signals — SIGKILL from the OOM killer or a test harness, SIGSEGV —
-   and nonzero exits are crashes unless the worker used the OOM
-   convention above. *)
-let classify_exit = function
-  | Unix.WEXITED n when n = oom_exit_code -> Oom
-  | Unix.WEXITED n -> Crash (Printf.sprintf "exit %d" n)
-  | Unix.WSIGNALED s -> Crash (Printf.sprintf "signal %d" s)
-  | Unix.WSTOPPED s -> Crash (Printf.sprintf "stopped %d" s)
 
 let m_dispatched = lazy (Obs.Metrics.counter "dist.dispatched")
 let m_restarts = lazy (Obs.Metrics.counter "dist.restarts")
@@ -231,8 +206,8 @@ let merge ?delete ~into journal = apply_scan ?delete ~into (scan_workers journal
 (* Runs in the worker process. Protocol: read "CELL <key>" lines, solve,
    append to the per-worker journal (durable before the ack), answer
    "ACK <d|u> <seconds> <key>"; "DONE" or EOF (coordinator died) ends.
-   OOM exits with the [oom_exit_code] convention so the
-   coordinator can classify it; other exceptions exit 70. *)
+   Any exception, [Out_of_memory] included, exits 70: the coordinator
+   treats every death with work outstanding as a crash. *)
 let worker_main ~journal ~sync ~solve ~idx ~rfd ~wfd =
   let jpath = worker_journal journal idx in
   match Persist.Journal.open_append ~sync jpath with
@@ -253,7 +228,6 @@ let worker_main ~journal ~sync ~solve ~idx ~rfd ~wfd =
             let key = String.sub line 5 (String.length line - 5) in
             let t0 = Unix.gettimeofday () in
             match solve key with
-            | exception Out_of_memory -> finish oom_exit_code
             | exception e ->
                 prerr_endline
                   (Printf.sprintf "gqed dist worker %d: %s" idx (Printexc.to_string e));
@@ -356,18 +330,17 @@ let spawn ~journal ~sync ~solver ~arg idx =
 
 (* In-process supervised solve: the [workers <= 1] baseline and the
    degraded path once every worker has given up. Mirrors the process
-   supervisor: crashes retried with capped backoff, OOM only when the
-   policy allows, exhaustion degrades to an empty Unknown row (re-run
-   on resume) instead of aborting the campaign. *)
+   supervisor: any exception is a crash, retried with capped backoff;
+   exhaustion degrades to an empty Unknown row (re-run on resume)
+   instead of aborting the campaign. *)
 let solve_inline ~policy ~campaign ~solve ~restarts ~gave_up key =
   let t0 = Unix.gettimeofday () in
   let rec attempt n =
     match solve key with
     | (decided, payload) -> Some (decided, payload)
     | exception Sys.Break -> raise Sys.Break
-    | exception e ->
-        let cls = match e with Out_of_memory -> Oom | e -> Crash (Printexc.to_string e) in
-        if retryable policy cls && n < policy.max_restarts then begin
+    | exception _ ->
+        if n < policy.max_restarts then begin
           incr restarts;
           if Obs.on () then Obs.Metrics.incr (Lazy.force m_restarts);
           Unix.sleepf (backoff_delay policy ~round:(n + 1));
@@ -450,10 +423,7 @@ let run_distributed ~nw ~batch ~policy ~sync ~kill ~journal ~solver ~arg ~campai
   in
   let handle_eof w =
     close_worker_fds w;
-    let status =
-      try snd (Unix.waitpid [] w.w_pid)
-      with Unix.Unix_error _ -> Unix.WEXITED 70
-    in
+    (try ignore (Unix.waitpid [] w.w_pid) with Unix.Unix_error _ -> ());
     match w.w_state with
     | `Done | `Gone ->
         (* A worker sent DONE owes no acks, and every cell it acked is
@@ -461,25 +431,17 @@ let run_distributed ~nw ~batch ~policy ~sync ~kill ~journal ~solver ~arg ~campai
            nothing to requeue and nothing to restart it for. *)
         w.w_state <- `Gone
     | `Live ->
-        let cls =
-          match status with
-          | Unix.WEXITED 0 -> Crash "exit 0 with work outstanding"
-          | s -> classify_exit s
-        in
+        (* Whatever the exit status — a signal, exit 70 from a raising
+           solve, even exit 0 — dying with work outstanding is a crash. *)
         requeue w.w_outstanding;
         w.w_outstanding <- [];
         w.w_state <- `Gone;
-        if retryable policy cls && w.w_restarts < policy.max_restarts then begin
+        if w.w_restarts < policy.max_restarts then begin
           w.w_restarts <- w.w_restarts + 1;
           incr restarts;
           if Obs.on () then begin
             Obs.Metrics.incr (Lazy.force m_restarts);
-            Obs.Trace.instant "dist.restart"
-              ~args:
-                [
-                  ("worker", string_of_int w.w_idx);
-                  ("class", failure_to_string cls);
-                ]
+            Obs.Trace.instant "dist.restart" ~args:[ ("worker", string_of_int w.w_idx) ]
           end;
           Unix.sleepf (backoff_delay policy ~round:w.w_restarts);
           respawn w;
@@ -488,12 +450,7 @@ let run_distributed ~nw ~batch ~policy ~sync ~kill ~journal ~solver ~arg ~campai
         else begin
           incr gave_up;
           if Obs.on () then
-            Obs.Trace.instant "dist.gave_up"
-              ~args:
-                [
-                  ("worker", string_of_int w.w_idx);
-                  ("class", failure_to_string cls);
-                ]
+            Obs.Trace.instant "dist.gave_up" ~args:[ ("worker", string_of_int w.w_idx) ]
         end
   in
   let handle_ack w line =

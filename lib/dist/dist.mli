@@ -8,8 +8,8 @@
     small batches over a pipe protocol — no static chunking, so one hard
     mutant cannot straggle a whole shard — solve each cell, append the
     outcome to [<journal>.worker-<i>], and ack. A worker that dies with
-    cells outstanding is classified (crash or OOM, from its exit status)
-    and restarted under a {!restart_policy}; when every worker is gone
+    cells outstanding has crashed, whatever its exit status, and is
+    restarted under a {!restart_policy}; when every worker is gone
     the coordinator degrades to solving the remainder itself, retrying
     crashed solves under the same policy.
     On completion — and, crucially, on resume after killing any subset
@@ -74,13 +74,10 @@ type restart_policy = {
   max_restarts : int;  (** restarts per worker (retries per in-process cell) *)
   backoff_s : float;  (** pause before the first restart *)
   backoff_cap_s : float;  (** exponential backoff saturates here *)
-  retry_oom : bool;
-      (** whether an OOM death is restarted; set false under a hard
-          memory ceiling, where a retry would just die again *)
 }
 
 val default_policy : restart_policy
-(** 2 restarts, 50 ms initial backoff, 1 s cap, OOM retried. *)
+(** 2 restarts, 50 ms initial backoff, 1 s cap. *)
 
 type kill = {
   k_worker : int;  (** worker index to SIGKILL *)
@@ -141,9 +138,8 @@ val run :
     spawned worker processes pulling batches of [batch] (default 2)
     cells. [solver] names a {!register}ed solve function and [arg]
     (default [""]) its configuration string; the solve runs {e in the
-    worker process}, and raising [Out_of_memory] there reports as an
-    OOM worker death (never retried when [policy.retry_oom] is false),
-    any other exception as a crash. [policy] defaults to
+    worker process}, and any exception raised there ([Out_of_memory]
+    included) reports as a worker crash. [policy] defaults to
     {!default_policy}; a worker that already finished its share is never
     restarted, whatever its exit status. [workers <= 1] solves
     in-process (same journal, same rows — the serial baseline), where a

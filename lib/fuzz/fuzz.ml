@@ -591,8 +591,7 @@ module Oracle = struct
      it must never flip [Holds] <-> [Violated] against the fault-free
      reference — and every query that does complete still DRAT-certifies
      (certification stays on, so a rejected certificate surfaces through
-     [Certification_failed]). Finally, escalation from a starved budget
-     with the faults removed must recover the reference verdict exactly. *)
+     [Certification_failed]). *)
   let fault_injection ?(cert = false) ?(rate = 0.02) ~depth rand (d : Rtl.design) =
     let vars = all_vars d in
     let invariant = Gen.expr rand ~vars ~width:1 ~depth:2 in
@@ -633,29 +632,7 @@ module Oracle = struct
                 | Error _ as e -> e
                 | Ok () -> trial (k + 1))
         in
-        match trial 0 with
-        | Error _ as e -> e
-        | Ok () -> (
-            (* A starved initial budget forces [Unknown]; escalation (no
-               faults) must then converge back to the reference verdict. *)
-            let limits = Bmc.limits ~budget:(Sat.Solver.budget ~conflicts:1 ()) () in
-            let policy =
-              { Bmc.Escalate.default_policy with max_attempts = 6; growth = 8.0 }
-            in
-            let unknown_of (o, _) =
-              match o with
-              | Bmc.Unknown u -> Some (Sat.Solver.reason_to_string u.Bmc.un_reason)
-              | Bmc.Holds _ | Bmc.Violated _ -> None
-            in
-            let (escalated, _), _attempts =
-              Bmc.Escalate.run ~policy ~limits ~simplify:Bmc.default_simplify ~unknown_of
-                (fun cfg ->
-                  Bmc.check_safety ~certify:cert ~simplify:cfg.Bmc.Escalate.ec_simplify
-                    ~limits:cfg.Bmc.Escalate.ec_limits ~design:d ~invariant ~depth ())
-            in
-            Result.map
-              (fun () -> certified)
-              (same_outcome ~oracle:"faults" ~lane:"escalation" reference escalated)))
+        Result.map (fun () -> certified) (trial 0))
 
   (* Observability invariance: tracing must be verdict-invisible. The same
      safety check run with tracing enabled must decide exactly the untraced
@@ -884,14 +861,7 @@ module Oracle = struct
             (fun i (k, _) -> { Dist.cell_key = k; cell_hint = float_of_int i })
             cells_spec
         in
-        let policy =
-          {
-            Dist.max_restarts = 1;
-            backoff_s = 0.001;
-            backoff_cap_s = 0.002;
-            retry_oom = true;
-          }
-        in
+        let policy = { Dist.max_restarts = 1; backoff_s = 0.001; backoff_cap_s = 0.002 } in
         let run ?kill ~resume () =
           Dist.run ~workers:2 ~batch:1 ~policy ?kill ~sync:false ~resume
             ~force:false ~journal ~solver:"fuzz-dist" ~arg:table_file cells

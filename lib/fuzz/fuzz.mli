@@ -109,9 +109,8 @@ module Oracle : sig
       probability [rate] per poll; each faulty run's outcome must equal the
       fault-free reference or be [Unknown] — never the opposite decided
       verdict — with DRAT certification active throughout when [cert].
-      A final run starved to a 1-conflict budget must recover the
-      reference verdict through {!Bmc.Escalate}. On success, returns the
-      number of DRAT-certified bounds of the reference run. *)
+      On success, returns the number of DRAT-certified bounds of the
+      reference run. *)
 
   val tracing_on_vs_off :
     ?cert:bool -> depth:int -> Random.State.t -> Rtl.design -> (int, string) result

@@ -223,8 +223,9 @@ module Journal = struct
       entries;
     Buffer.contents buf
 
-  (* Forward declaration dance not needed: Snapshot lives below, so the
-     atomic rewrites here inline the same tmp+fsync+rename sequence. *)
+  (* Write [content] to a temp file in the same directory, fsync, rename
+     over [path]: readers see the old file or the new one, never a
+     prefix. *)
   let rewrite_atomic path content =
     let dir = Filename.dirname path in
     let tmp =
@@ -426,62 +427,24 @@ module Journal = struct
         | Ok (entries, _good, _rec, _vsn) -> (
             let folded = fold_last entries in
             let content = encode_entries folded in
-            match
-              (* Inline Snapshot.write_atomic semantics; Snapshot is
-                 defined below, so route through the shared rewrite and
-                 honor the fault hook the same way. *)
-              (match fault with
-              | Some hook -> (
-                  match hook () with
-                  | None -> Ok ()
-                  | Some _ -> Error "compact aborted by injected fault (journal untouched)")
-              | None -> Ok ())
-            with
-            | Error msg -> Error msg
-            | Ok () -> (
-                match rewrite_atomic path content with
-                | exception Unix.Unix_error (e, _, _) ->
-                    Error (Printf.sprintf "%s: %s" path (Unix.error_message e))
-                | exception Sys_error msg -> Error msg
-                | () ->
-                    if Obs.on () then Obs.Metrics.incr (Lazy.force m_compactions);
-                    Ok
-                      {
-                        comp_before = List.length entries;
-                        comp_after = List.length folded;
-                        comp_bytes_before = String.length data;
-                        comp_bytes_after = String.length content;
-                      })))
-end
-
-module Snapshot = struct
-  let write_atomic ?fault path content =
-    let dir = Filename.dirname path in
-    let tmp =
-      Filename.concat dir
-        (Printf.sprintf ".%s.tmp.%d" (Filename.basename path) (Unix.getpid ()))
-    in
-    let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-    (try
-       (match fault with
-       | Some hook -> (
-           match hook () with
-           | None -> ()
-           | Some (Short_write k) | Some (Torn k) ->
-               Journal.write_all fd content (min k (String.length content));
-               Unix.close fd;
-               raise (Injected_fault "snapshot torn before rename")
-           | Some Enospc ->
-               Unix.close fd;
-               raise (Injected_fault "ENOSPC"))
-       | None -> ());
-       Journal.write_all fd content (String.length content);
-       (try Unix.fsync fd with Unix.Unix_error _ -> ());
-       Unix.close fd
-     with e ->
-       (try Unix.close fd with Unix.Unix_error _ -> ());
-       raise e);
-    Unix.rename tmp path
+            let injected =
+              match fault with Some hook -> hook () <> None | None -> false
+            in
+            if injected then Error "compact aborted by injected fault (journal untouched)"
+            else
+              match rewrite_atomic path content with
+              | exception Unix.Unix_error (e, _, _) ->
+                  Error (Printf.sprintf "%s: %s" path (Unix.error_message e))
+              | exception Sys_error msg -> Error msg
+              | () ->
+                  if Obs.on () then Obs.Metrics.incr (Lazy.force m_compactions);
+                  Ok
+                    {
+                      comp_before = List.length entries;
+                      comp_after = List.length folded;
+                      comp_bytes_before = String.length data;
+                      comp_bytes_after = String.length content;
+                    }))
 end
 
 module Campaign = struct

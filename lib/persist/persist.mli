@@ -114,7 +114,7 @@ module Journal : sig
 
   val compact : ?fault:(unit -> io_fault option) -> string -> (compaction, string) result
   (** Fold duplicate records last-write-wins and rewrite the journal
-      through {!Snapshot.write_atomic}: each key keeps exactly its last
+      atomically (temp file, fsync, rename): each key keeps exactly its last
       record (decided or not, seconds included), in first-appearance
       order, so the skip index of the compacted journal is bit-for-bit
       that of the uncompacted one — including the "a trailing Unknown
@@ -124,15 +124,6 @@ module Journal : sig
       rename and leaves the journal untouched. Do not compact a journal
       that is open for appending — the open handle would keep writing
       to the replaced inode. *)
-end
-
-module Snapshot : sig
-  val write_atomic : ?fault:(unit -> io_fault option) -> string -> string -> unit
-  (** [write_atomic path content]: write [content] to a temp file in the
-      same directory, fsync, rename over [path]. Readers see either the
-      old file or the new one, never a prefix. An injected fault aborts
-      before the rename, leaving [path] untouched (the temp file is left
-      behind, as a crash would). *)
 end
 
 (** The policy layer over {!Journal}: what a resumed campaign may skip.

@@ -114,17 +114,6 @@ let budget ?conflicts ?propagations ?decisions ?seconds ?learnt_mb () =
     max_learnt_mb = learnt_mb;
   }
 
-let budget_scale b factor =
-  let scale_int = Option.map (fun n -> int_of_float (ceil (float_of_int n *. factor))) in
-  let scale_float = Option.map (fun x -> x *. factor) in
-  {
-    max_conflicts = scale_int b.max_conflicts;
-    max_propagations = scale_int b.max_propagations;
-    max_decisions = scale_int b.max_decisions;
-    max_seconds = scale_float b.max_seconds;
-    max_learnt_mb = scale_float b.max_learnt_mb;
-  }
-
 type unknown_reason =
   | Out_of_conflicts
   | Out_of_propagations
@@ -1189,20 +1178,8 @@ let clear_limits s =
   s.lim_learnt_bytes <- max_int;
   s.deadline <- infinity
 
-(* Deterministic polarity perturbation (xorshift keyed on the seed): flips
-   the saved phases so a retry explores a different trajectory. Verdict-
-   preserving — phases only steer the search. *)
-let perturb_phases s seed =
-  let st = ref (if seed = 0 then 0x9e3779b9 else seed) in
-  for v = 0 to s.nvars - 1 do
-    st := !st lxor (!st lsl 13);
-    st := !st lxor (!st lsr 7);
-    st := !st lxor (!st lsl 17);
-    s.polarity.(v) <- !st land 1 = 1
-  done
-
 let set_fault_hook s hook = s.fault_hook <- hook
-let solve ?(assumptions = []) ?(budget = no_budget) ?seed s =
+let solve ?(assumptions = []) ?(budget = no_budget) s =
   s.answer <- A_none;
   s.conflict.n <- 0;
   if not s.ok then begin
@@ -1217,7 +1194,6 @@ let solve ?(assumptions = []) ?(budget = no_budget) ?seed s =
       if Obs.on () then Some (s.n_conflicts, s.n_propagations, Unix.gettimeofday ())
       else None
     in
-    (match seed with None -> () | Some seed -> perturb_phases s seed);
     s.assumptions <- Array.of_list assumptions;
     if s.max_learnts = 0. then
       s.max_learnts <- max 1000. (float_of_int s.clauses.n *. 0.3);

@@ -49,10 +49,6 @@ val budget :
   unit ->
   budget
 
-val budget_scale : budget -> float -> budget
-(** Multiply every finite cap by the factor (escalation helper). Absent
-    caps stay absent. *)
-
 type unknown_reason =
   | Out_of_conflicts
   | Out_of_propagations
@@ -115,13 +111,11 @@ val ok : t -> bool
 val solve :
   ?assumptions:Lit.t list ->
   ?budget:budget ->
-  ?seed:int ->
   t ->
   result
-(** [budget] caps are relative to this call (see {!budget}); [seed] perturbs the saved-phase polarities
-    before searching, diversifying the restart trajectory across retries
-    without affecting the verdict. An [Unknown] answer reports partial
-    progress through {!stats} and leaves the solver reusable. *)
+(** [budget] caps are relative to this call (see {!budget}). An [Unknown]
+    answer reports partial progress through {!stats} and leaves the solver
+    reusable. *)
 
 val value : t -> Lit.t -> bool
 (** Model value of a literal after a [Sat] answer. Raises [Failure] if the

@@ -399,7 +399,7 @@ let prop_shortest_cex =
       | Bmc.Holds _, _ | Bmc.Unknown _, _ -> false)
 
 (* ------------------------------------------------------------------ *)
-(* Resource governance: Unknown outcomes and the escalation ladder.     *)
+(* Resource governance: faults and budgets yield Unknown outcomes.     *)
 
 let test_unknown_under_permanent_fault () =
   (* A hook that cancels every query can only ever produce Unknown. *)
@@ -411,94 +411,6 @@ let test_unknown_under_permanent_fault () =
       Alcotest.(check string) "reason" "cancelled"
         (Sat.Solver.reason_to_string u.Bmc.un_reason)
   | Bmc.Holds _, _ | Bmc.Violated _, _ -> Alcotest.fail "fault hook did not fire"
-
-let test_escalate_converges () =
-  (* A runner that gives up twice and then decides: the ladder must retry
-     with grown budgets and stop at the first decided attempt. *)
-  let starve = ref 2 in
-  let result, attempts =
-    Bmc.Escalate.run
-      ~limits:(Bmc.limits ~budget:(Sat.Solver.budget ~conflicts:4 ()) ())
-      ~simplify:Bmc.default_simplify
-      ~unknown_of:(function `Unknown -> Some "gave up" | `Decided -> None)
-      (fun _cfg ->
-        if !starve > 0 then begin
-          decr starve;
-          `Unknown
-        end
-        else `Decided)
-  in
-  (match result with
-  | `Decided -> ()
-  | `Unknown -> Alcotest.fail "never decided");
-  Alcotest.(check int) "three attempts" 3 (List.length attempts);
-  let caps =
-    List.map
-      (fun a ->
-        match a.Bmc.Escalate.at_budget.Sat.Solver.max_conflicts with
-        | Some c -> c
-        | None -> max_int)
-      attempts
-  in
-  (match caps with
-  | [ a; b; c ] -> Alcotest.(check bool) "budgets grow" true (a < b && b < c)
-  | _ -> Alcotest.fail "expected three budgets");
-  match List.rev attempts with
-  | last :: earlier ->
-      Alcotest.(check bool) "last attempt decided" true
-        (last.Bmc.Escalate.at_reason = None);
-      List.iter
-        (fun a ->
-          Alcotest.(check bool) "earlier attempts carry a reason" true
-            (a.Bmc.Escalate.at_reason <> None))
-        earlier
-  | [] -> Alcotest.fail "no attempts logged"
-
-let test_escalate_gives_up_at_max_attempts () =
-  let calls = ref 0 in
-  let (), attempts =
-    Bmc.Escalate.run
-      ~policy:{ Bmc.Escalate.default_policy with max_attempts = 3 }
-      ~limits:(Bmc.limits ~budget:(Sat.Solver.budget ~conflicts:1 ()) ())
-      ~simplify:Bmc.default_simplify
-      ~unknown_of:(fun () -> Some "still unknown")
-      (fun _ -> incr calls)
-  in
-  Alcotest.(check int) "capped attempts" 3 (List.length attempts);
-  Alcotest.(check int) "runner called exactly that often" 3 !calls
-
-let test_escalate_recovers_serial_verdict () =
-  (* check_safety starved by a transient fault (first two queries cancel)
-     converges to the unlimited run's verdict through the ladder. *)
-  let reference =
-    Bmc.check_safety ~design:(counter ()) ~invariant:(count_ne 5) ~depth:8 ()
-  in
-  let remaining = ref 2 in
-  let hook _ =
-    if !remaining > 0 then begin
-      decr remaining;
-      Some Sat.Solver.Fault_cancel
-    end
-    else None
-  in
-  let (outcome, _), attempts =
-    Bmc.Escalate.run
-      ~limits:(Bmc.limits ~fault:hook ())
-      ~simplify:Bmc.default_simplify
-      ~unknown_of:(fun (o, _) ->
-        match o with
-        | Bmc.Unknown u -> Some (Sat.Solver.reason_to_string u.Bmc.un_reason)
-        | Bmc.Holds _ | Bmc.Violated _ -> None)
-      (fun cfg ->
-        Bmc.check_safety ~limits:cfg.Bmc.Escalate.ec_limits
-          ~simplify:cfg.Bmc.Escalate.ec_simplify ~design:(counter ())
-          ~invariant:(count_ne 5) ~depth:8 ())
-  in
-  Alcotest.(check bool) "escalated at least once" true (List.length attempts >= 2);
-  match (reference, outcome) with
-  | (Bmc.Violated a, _), Bmc.Violated b ->
-      Alcotest.(check int) "same witness length" a.Bmc.w_length b.Bmc.w_length
-  | _ -> Alcotest.fail "escalation did not recover the serial verdict"
 
 (* Two counters advancing under independent enables: enough arithmetic
    structure for the solver to learn real clauses, with an invariant that
@@ -561,8 +473,5 @@ let suite =
     ("bmc.stats_span_fresh_solvers", `Quick, test_stats_span_fresh_solvers);
     ("bmc.certified_twin_counter", `Quick, test_certified_twin_counter);
     ("bmc.unknown_under_fault", `Quick, test_unknown_under_permanent_fault);
-    ("bmc.escalate_converges", `Quick, test_escalate_converges);
-    ("bmc.escalate_max_attempts", `Quick, test_escalate_gives_up_at_max_attempts);
-    ("bmc.escalate_recovers", `Quick, test_escalate_recovers_serial_verdict);
     QCheck_alcotest.to_alcotest prop_shortest_cex;
   ]

@@ -28,8 +28,7 @@ let with_tmp tag f =
   in
   Fun.protect ~finally:cleanup (fun () -> f path)
 
-let fast_policy =
-  { Dist.max_restarts = 2; backoff_s = 0.001; backoff_cap_s = 0.002; retry_oom = true }
+let fast_policy = { Dist.max_restarts = 2; backoff_s = 0.001; backoff_cap_s = 0.002 }
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -323,15 +322,18 @@ let test_worker_crash_restarted () =
           if stats.Dist.d_restarts < 1 then
             Alcotest.failf "expected a worker restart, saw %d" stats.Dist.d_restarts))
 
-let test_oom_not_retried_by_policy () =
+let test_oom_restarted_like_crash () =
+  (* Out_of_memory has no class of its own: the worker dies like any
+     crash, is restarted under the policy, and once the restarts are
+     spent the cell degrades to an undecided row (re-run on resume);
+     every other cell still gets its verdict. *)
   with_tmp "oom" (fun path ->
-      let policy = { fast_policy with Dist.retry_oom = false } in
       let rows, stats =
-        run_ok ~workers:2 ~batch:1 ~policy ~resume:false ~journal:path
+        run_ok ~workers:2 ~batch:1 ~policy:fast_policy ~resume:false ~journal:path
           ~solver:"test-oom" (toy_cells 6)
       in
-      (* The OOM cell degrades to an undecided row (re-run on resume);
-         every other cell still gets its verdict. *)
+      if stats.Dist.d_restarts < 1 then
+        Alcotest.failf "expected a worker restart, saw %d" stats.Dist.d_restarts;
       (match List.find_opt (fun r -> r.Dist.r_key = "cell-00") rows with
       | Some r ->
           Alcotest.(check bool) "OOM cell undecided" false r.Dist.r_decided
@@ -339,7 +341,7 @@ let test_oom_not_retried_by_policy () =
       Alcotest.(check int) "only the OOM cell is undecided" 5
         (List.length (List.filter (fun r -> r.Dist.r_decided) rows));
       if stats.Dist.d_gave_up < 1 then
-        Alcotest.failf "expected OOM give-ups, saw %d" stats.Dist.d_gave_up)
+        Alcotest.failf "expected give-ups, saw %d" stats.Dist.d_gave_up)
 
 (* Worker 0 acks its one cell, is sent DONE and is then SIGKILLed: it
    owes no acks and its cell is already in its shard, so supervision must
@@ -528,8 +530,8 @@ let suite =
     Alcotest.test_case "unregistered solver rejected" `Quick
       test_unregistered_solver_rejected;
     Alcotest.test_case "worker crash is restarted" `Quick test_worker_crash_restarted;
-    Alcotest.test_case "OOM not retried under policy" `Quick
-      test_oom_not_retried_by_policy;
+    Alcotest.test_case "OOM worker is restarted like a crash" `Quick
+      test_oom_restarted_like_crash;
     Alcotest.test_case "idle worker death is not restarted" `Quick
       test_idle_worker_death_not_restarted;
     Alcotest.test_case "in-process: restarts and give-up" `Quick

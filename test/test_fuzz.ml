@@ -311,8 +311,7 @@ let test_same_outcome_rejects_wrong_lanes () =
 
 let test_fault_injection_oracle () =
   (* On the healthy stack the oracle must hold across seeds: faults only
-     ever yield Unknown, never a flipped verdict, and escalation recovers
-     the reference verdict from a starved budget. *)
+     ever yield Unknown, never a flipped verdict. *)
   for seed = 0 to 4 do
     let rand = Random.State.make [| 0xFA; seed |] in
     let d = Fuzz.Gen.design rand in

@@ -1,7 +1,7 @@
 (* Tests for the crash-safe campaign persistence layer (Persist): journal
    round-trips, every recovery path a SIGKILL or bit-rot can force (torn
    tail, bad CRC, duplicates, empty and headerless files), injected I/O
-   faults, atomic snapshots, and the end-to-end resume-equivalence sweep over a real
+   faults, atomic compaction, and the end-to-end resume-equivalence sweep over a real
    mutant matrix — kill the campaign after every record in turn and the
    resumed verdicts must be bit-for-bit those of an uninterrupted run, as
    must a run journaled under injected I/O faults and its resume. *)
@@ -264,26 +264,27 @@ let test_campaign_swallows_write_faults () =
           Alcotest.(check (list string)) "only the non-faulted key persisted" [ "kept" ]
             (List.map (fun e -> e.Persist.Journal.e_key) entries))
 
-let test_snapshot_atomic () =
-  with_tmp "snap" (fun path ->
-      Persist.Snapshot.write_atomic path "first contents";
+let test_compact_atomic_under_fault () =
+  with_tmp "compact-fault" (fun path ->
+      write_journal path [ ("a", true, "a1"); ("a", true, "a2"); ("b", false, "b1") ];
       let read () =
         let ic = open_in_bin path in
         let s = really_input_string ic (in_channel_length ic) in
         close_in ic;
         s
       in
-      Alcotest.(check string) "snapshot written" "first contents" (read ());
-      (* A faulted rewrite leaves the old contents untouched. *)
-      (try
-         Persist.Snapshot.write_atomic
-           ~fault:(fun () -> Some (Persist.Short_write 3))
-           path "second contents"
-       with Persist.Injected_fault _ -> ());
-      Alcotest.(check string) "old contents survive a faulted rewrite"
-        "first contents" (read ());
-      Persist.Snapshot.write_atomic path "third contents";
-      Alcotest.(check string) "clean rewrite replaces" "third contents" (read ()))
+      let before = read () in
+      (* A faulted compaction aborts before the rename: journal untouched. *)
+      (match
+         Persist.Journal.compact ~fault:(fun () -> Some (Persist.Short_write 3)) path
+       with
+      | Ok _ -> Alcotest.fail "faulted compaction reported success"
+      | Error _ -> ());
+      Alcotest.(check string) "journal byte-identical after a faulted compaction" before
+        (read ());
+      match Persist.Journal.compact path with
+      | Error msg -> Alcotest.failf "clean compaction after a fault: %s" msg
+      | Ok comp -> Alcotest.(check int) "records after" 2 comp.Persist.Journal.comp_after)
 
 (* ------------------------------------------------------------------ *)
 (* Campaign guard semantics                                            *)
@@ -519,10 +520,11 @@ let test_decode_rejects_drift () =
   (match Qed.Checks.decode_report ("gqed-report/0:" ^ blob) with
   | Some _ -> Alcotest.fail "stale schema tag decoded; payload drift must re-run"
   | None -> ());
-  (* Version 1 reports carried two more solver stats fields, and version 2
-     escalation attempts one more field; a journal written under either
-     must re-run its cells rather than decode them. *)
-  let tag = "gqed-report/3:" in
+  (* Version 1 reports carried two more solver stats fields, version 2
+     escalation attempts one more field, and version 3 the escalation
+     attempt log; a journal written under any of them must re-run its
+     cells rather than decode them. *)
+  let tag = "gqed-report/4:" in
   let tag_len = String.length tag in
   Alcotest.(check string) "current schema tag" tag (String.sub blob 0 tag_len);
   List.iter
@@ -531,8 +533,8 @@ let test_decode_rejects_drift () =
       match Qed.Checks.decode_report old_blob with
       | Some _ -> Alcotest.failf "%s blob decoded; it must re-run" old
       | None -> ())
-    [ "gqed-report/1:"; "gqed-report/2:" ];
-  match Qed.Checks.decode_report "gqed-report/3:not-a-marshal-blob" with
+    [ "gqed-report/1:"; "gqed-report/2:"; "gqed-report/3:" ];
+  match Qed.Checks.decode_report "gqed-report/4:not-a-marshal-blob" with
   | Some _ -> Alcotest.fail "garbage payload decoded"
   | None -> ()
 
@@ -708,7 +710,8 @@ let suite =
       test_fault_appends_leave_loadable_prefix;
     Alcotest.test_case "campaign swallows write faults" `Quick
       test_campaign_swallows_write_faults;
-    Alcotest.test_case "snapshot write is atomic" `Quick test_snapshot_atomic;
+    Alcotest.test_case "journal compact is atomic under faults" `Quick
+      test_compact_atomic_under_fault;
     Alcotest.test_case "campaign guard semantics" `Quick test_campaign_guards;
     Alcotest.test_case "kill-at-every-record sweep (fast)" `Slow test_kill_sweep_fast;
     Alcotest.test_case "kill-at-every-record sweep (full matrix)" `Slow

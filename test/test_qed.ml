@@ -402,8 +402,7 @@ let test_solver_path_switches () =
   Alcotest.(check (list string)) "accum paths" [ "fresh"; "incremental" ] (paths "accum")
 
 (* ------------------------------------------------------------------ *)
-(* Resource governance at the check level: Unknown verdicts and the      *)
-(* escalating runner.                                                    *)
+(* Resource governance at the check level: Unknown verdicts.             *)
 
 let test_limits_produce_unknown () =
   let limits = Bmc.limits ~fault:(fun _ -> Some Sat.Solver.Fault_cancel) () in
@@ -411,48 +410,8 @@ let test_limits_produce_unknown () =
   match r.Checks.verdict with
   | Checks.Unknown u ->
       Alcotest.(check string) "reason" "cancelled"
-        (Sat.Solver.reason_to_string u.Checks.u_reason);
-      Alcotest.(check bool) "no attempts without escalation" true
-        (r.Checks.attempts = [])
+        (Sat.Solver.reason_to_string u.Checks.u_reason)
   | Checks.Pass _ | Checks.Fail _ -> Alcotest.fail "fault hook did not fire"
-
-let test_run_escalating_converges () =
-  (* The first two queries are cancelled by a transient fault; the ladder
-     must retry until it reproduces the unlimited verdict — same failure
-     kind, same witness length — and log the whole path. *)
-  let reference = Checks.gqed (accum Hidden_op) accum_iface ~bound:4 in
-  let remaining = ref 2 in
-  let hook _ =
-    if !remaining > 0 then begin
-      decr remaining;
-      Some Sat.Solver.Fault_cancel
-    end
-    else None
-  in
-  let r =
-    Checks.run_escalating
-      ~limits:(Bmc.limits ~fault:hook ())
-      Checks.Gqed (accum Hidden_op) accum_iface ~bound:4
-  in
-  Alcotest.(check bool) "escalated at least once" true
-    (List.length r.Checks.attempts >= 2);
-  match (reference.Checks.verdict, r.Checks.verdict) with
-  | Checks.Fail a, Checks.Fail b ->
-      Alcotest.(check string) "same failure kind"
-        (Checks.failure_kind_to_string a.Checks.kind)
-        (Checks.failure_kind_to_string b.Checks.kind);
-      Alcotest.(check int) "same witness length" a.Checks.witness.Bmc.w_length
-        b.Checks.witness.Bmc.w_length
-  | _ -> Alcotest.fail "escalation did not recover the reference verdict"
-
-let test_run_escalating_no_limits_is_run () =
-  (* With unbounded limits the escalating runner is exactly [run]: a single
-     attempt and the same verdict. *)
-  let r = Checks.run_escalating Checks.Gqed (accum No_bug) accum_iface ~bound:4 in
-  (match r.Checks.verdict with
-  | Checks.Pass _ -> ()
-  | Checks.Fail _ | Checks.Unknown _ -> Alcotest.fail "expected a pass");
-  Alcotest.(check int) "one attempt" 1 (List.length r.Checks.attempts)
 
 (* ---- copy symmetry of the two-copy product ---- *)
 
@@ -540,7 +499,5 @@ let suite =
     ("qed.iface_validation", `Quick, test_iface_validation);
     ("qed.decomposition", `Quick, test_decomposition);
     ("qed.limits_unknown", `Quick, test_limits_produce_unknown);
-    ("qed.escalate_converges", `Quick, test_run_escalating_converges);
-    ("qed.escalate_no_limits", `Quick, test_run_escalating_no_limits_is_run);
     ("qed.mirror_symmetric", `Quick, test_mirror_symmetric);
   ]

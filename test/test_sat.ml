@@ -603,23 +603,6 @@ let test_reusable_after_unknown () =
       ((not (Solver.value s (Lit.pos vs.(i)))) || Solver.value s (Lit.pos vs.(i + 1)))
   done
 
-let test_budget_scale () =
-  let b = Solver.budget_scale (Solver.budget ~conflicts:10 ~seconds:2.0 ()) 4.0 in
-  Alcotest.(check (option int)) "conflicts scaled" (Some 40) b.Solver.max_conflicts;
-  (match b.Solver.max_seconds with
-  | Some s -> Alcotest.(check bool) "seconds scaled" true (abs_float (s -. 8.0) < 1e-9)
-  | None -> Alcotest.fail "seconds dropped");
-  Alcotest.(check (option int)) "absent stays absent" None b.Solver.max_decisions
-
-let test_seed_preserves_verdict () =
-  List.iter
-    (fun seed ->
-      Alcotest.(check bool)
-        (Printf.sprintf "seed %d" seed)
-        true
-        (Solver.solve ~seed (pigeonhole 5 4) = Solver.Unsat))
-    [ 0; 1; 42; 1337 ]
-
 (* Run [f] with tracing on and fresh buffers; [spans name] then counts the
    spans of that name opened so far. *)
 let traced f =
@@ -733,8 +716,6 @@ let suite =
     ("govern.learnt_mb", `Quick, test_budget_learnt_mb_fires);
     ("govern.fault_hook", `Quick, test_fault_hook_fires);
     ("govern.reuse_after_unknown", `Quick, test_reusable_after_unknown);
-    ("govern.budget_scale", `Quick, test_budget_scale);
-    ("govern.seed_verdict", `Quick, test_seed_preserves_verdict);
     q prop_matches_brute_force;
     q prop_assumptions_match_brute_force;
     q prop_incremental_consistency;
