@@ -563,8 +563,8 @@ let campaign_cmd =
       value & flag
       & info [ "no-sync" ]
           ~doc:
-            "Skip the per-record fsync in worker journals (faster; a power loss \
-             may drop the last records, a mere SIGKILL cannot).")
+            "Skip the per-record fsync in the campaign journal (faster; a power \
+             loss may drop the last records, a mere SIGKILL cannot).")
   in
   let run names technique bound workers batch no_sync checkpoint resume force
       obs_trace obs_metrics obs_format =
@@ -651,15 +651,10 @@ let campaign_cmd =
           "campaign: %d cell(s), %d from journal, %d dispatched across %d worker(s)\n"
           stats.Dist.d_cells stats.Dist.d_skipped stats.Dist.d_dispatched
           stats.Dist.d_workers;
-        if
-          stats.Dist.d_restarts + stats.Dist.d_gave_up + stats.Dist.d_degraded
-          + stats.Dist.d_stale_unknowns > 0
-        then
+        if stats.Dist.d_restarts + stats.Dist.d_gave_up + stats.Dist.d_degraded > 0 then
           Printf.printf
-            "supervisor: %d restart(s), %d give-up(s), %d cell(s) solved degraded, \
-             %d stale unknown(s) dropped\n"
-            stats.Dist.d_restarts stats.Dist.d_gave_up stats.Dist.d_degraded
-            stats.Dist.d_stale_unknowns;
+            "supervisor: %d restart(s), %d give-up(s), %d cell(s) solved degraded\n"
+            stats.Dist.d_restarts stats.Dist.d_gave_up stats.Dist.d_degraded;
         let cs = stats.Dist.d_campaign in
         if cs.Persist.Campaign.c_compactions > 0 then
           Printf.printf "journal: compacted, %d stale record(s) folded away\n"
@@ -670,9 +665,10 @@ let campaign_cmd =
     (Cmd.info "campaign"
        ~doc:
          "Run a distributed verification campaign: every (design, mutant) cell \
-          sharded across worker processes, journaled per worker, merged into a \
-          resumable checkpoint. Kill it anytime; $(b,--resume) reproduces the \
-          uninterrupted verdict matrix bit-for-bit.")
+          sharded across worker processes, each verdict journaled by the \
+          coordinator into a resumable checkpoint. Kill it anytime; \
+          $(b,--resume) reproduces the uninterrupted verdict matrix \
+          bit-for-bit.")
     Term.(
       const run $ designs_arg $ technique_arg $ bound_arg $ workers_arg $ batch_arg
       $ no_sync_arg $ checkpoint_arg $ resume_flag $ cli_force_flag $ obs_trace_arg

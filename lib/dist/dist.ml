@@ -16,20 +16,10 @@ type stats = {
   d_skipped : int;
   d_dispatched : int;
   d_merged : int;
-  d_stale_unknowns : int;
   d_restarts : int;
   d_gave_up : int;
   d_degraded : int;
   d_campaign : Persist.Campaign.stats;
-}
-
-type merge_stats = {
-  m_files : int;
-  m_records : int;
-  m_merged : int;
-  m_stale_unknowns : int;
-  m_torn_files : int;
-  m_unreadable : int;
 }
 
 type kill = { k_worker : int; k_after : int; k_mode : [ `Restart | `Abort ] }
@@ -77,9 +67,8 @@ let lookup name = Hashtbl.find_opt solvers name
 let env_solver = "GQED_DIST_WORKER"
 let env_arg = "GQED_DIST_ARG"
 let env_index = "GQED_DIST_INDEX"
-let env_journal = "GQED_DIST_JOURNAL"
-let env_sync = "GQED_DIST_SYNC"
 
+(* The shard path older versions wrote; nothing writes it now. *)
 let worker_journal path i = Printf.sprintf "%s.worker-%d" path i
 
 let write_all fd s =
@@ -90,159 +79,41 @@ let write_all fd s =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Per-worker journal merge                                            *)
-(* ------------------------------------------------------------------ *)
-
-let worker_files journal =
-  let dir = Filename.dirname journal in
-  let prefix = Filename.basename journal ^ ".worker-" in
-  let plen = String.length prefix in
-  match Sys.readdir dir with
-  | exception Sys_error _ -> []
-  | names ->
-      Array.to_list names
-      |> List.filter_map (fun name ->
-             if String.length name > plen && String.sub name 0 plen = prefix then
-               match int_of_string_opt (String.sub name plen (String.length name - plen)) with
-               | Some i -> Some (i, Filename.concat dir name)
-               | None -> None
-             else None)
-      |> List.sort compare
-
-type scan = {
-  sc_files : (int * string) list;
-  sc_order : string list;  (* first-appearance key order across the scan *)
-  sc_decided : (string, Persist.Journal.entry) Hashtbl.t;
-  sc_undecided : (string, Persist.Journal.entry) Hashtbl.t;
-  sc_records : int;
-  sc_torn : int;
-  sc_unreadable : int;
-}
-
-(* Scan worker journals in index order, folding records into per-key
-   last-decided / last-undecided slots. A shard that crashed mid-append
-   just loses its torn tail — exactly the single-journal recovery rule. *)
-let scan_workers journal =
-  let files = worker_files journal in
-  let records = ref 0 and torn = ref 0 and unreadable = ref 0 in
-  let order = ref [] in
-  let seen = Hashtbl.create 64 in
-  let decided_t = Hashtbl.create 64 in
-  let undecided_t = Hashtbl.create 64 in
-  List.iter
-    (fun (_i, path) ->
-      match Persist.Journal.load path with
-      | Error _ -> incr unreadable
-      | Ok (entries, recovery) ->
-          if recovery.Persist.Journal.rec_truncated then incr torn;
-          records := !records + List.length entries;
-          List.iter
-            (fun (e : Persist.Journal.entry) ->
-              if not (Hashtbl.mem seen e.e_key) then begin
-                Hashtbl.add seen e.e_key ();
-                order := e.e_key :: !order
-              end;
-              if e.e_decided then Hashtbl.replace decided_t e.e_key e
-              else Hashtbl.replace undecided_t e.e_key e)
-            entries)
-    files;
-  {
-    sc_files = files;
-    sc_order = List.rev !order;
-    sc_decided = decided_t;
-    sc_undecided = undecided_t;
-    sc_records = !records;
-    sc_torn = !torn;
-    sc_unreadable = !unreadable;
-  }
-
-(* Final merged record for a key: any decided record beats any Unknown
-   (a decided verdict is a fact, an Unknown a budget artifact); within a
-   class the scan's last write wins. *)
-let scan_final sc key =
-  match Hashtbl.find_opt sc.sc_decided key with
-  | Some e -> Some e
-  | None -> Hashtbl.find_opt sc.sc_undecided key
-
-let apply_scan ?(delete = true) ~into sc =
-  let merged = ref 0 and stale = ref 0 in
-  List.iter
-    (fun key ->
-      match scan_final sc key with
-      | None -> ()
-      | Some (e : Persist.Journal.entry) ->
-          let prev = Persist.Campaign.peek_decided into key in
-          if (not e.e_decided) && prev <> None then
-            (* A leftover Unknown never downgrades a decided verdict the
-               main journal already holds. *)
-            incr stale
-          else if e.e_decided && prev = Some e.e_payload then
-            (* Re-merge after a crash mid-merge: already applied. *)
-            ()
-          else begin
-            Persist.Campaign.record ~seconds:e.e_seconds into ~decided:e.e_decided
-              ~key ~payload:e.e_payload;
-            incr merged
-          end)
-    sc.sc_order;
-  if delete then
-    List.iter (fun (_i, p) -> try Sys.remove p with Sys_error _ -> ()) sc.sc_files;
-  if Obs.on () then Obs.Metrics.add (Lazy.force m_merged) !merged;
-  {
-    m_files = List.length sc.sc_files;
-    m_records = sc.sc_records;
-    m_merged = !merged;
-    m_stale_unknowns = !stale;
-    m_torn_files = sc.sc_torn;
-    m_unreadable = sc.sc_unreadable;
-  }
-
-let merge ?delete ~into journal = apply_scan ?delete ~into (scan_workers journal)
-
-(* ------------------------------------------------------------------ *)
 (* Worker process                                                      *)
 (* ------------------------------------------------------------------ *)
 
 (* Runs in the worker process. Protocol: read "CELL <key>" lines, solve,
-   append to the per-worker journal (durable before the ack), answer
-   "ACK <d|u> <seconds> <key>"; "DONE" or EOF (coordinator died) ends.
+   answer "ACK <d|u> <seconds> <payload_len> <key>\n" followed by exactly
+   [payload_len] payload bytes; "DONE" or EOF (coordinator died) ends.
    Any exception, [Out_of_memory] included, exits 70: the coordinator
    treats every death with work outstanding as a crash. *)
-let worker_main ~journal ~sync ~solve ~idx ~rfd ~wfd =
-  let jpath = worker_journal journal idx in
-  match Persist.Journal.open_append ~sync jpath with
-  | Error msg ->
-      prerr_endline (Printf.sprintf "gqed dist worker %d: %s" idx msg);
-      70
-  | Ok (j, _entries, _recovery) ->
-      let ic = Unix.in_channel_of_descr rfd in
-      let finish code =
-        Persist.Journal.close j;
-        code
-      in
-      let rec loop () =
-        match input_line ic with
-        | exception End_of_file -> finish 0
-        | "DONE" -> finish 0
-        | line when String.length line > 5 && String.sub line 0 5 = "CELL " -> (
-            let key = String.sub line 5 (String.length line - 5) in
-            let t0 = Unix.gettimeofday () in
-            match solve key with
-            | exception e ->
-                prerr_endline
-                  (Printf.sprintf "gqed dist worker %d: %s" idx (Printexc.to_string e));
-                finish 70
-            | decided, payload ->
-                let seconds = Unix.gettimeofday () -. t0 in
-                Persist.Journal.append ~seconds j ~decided ~key ~payload;
-                write_all wfd
-                  (Printf.sprintf "ACK %c %.6f %s\n" (if decided then 'd' else 'u') seconds key);
-                loop ())
-        | line ->
-            prerr_endline (Printf.sprintf "gqed dist worker %d: bad command %S" idx line);
-            finish 70
-      in
-      loop ()
+let worker_main ~solve ~idx ~rfd ~wfd =
+  let ic = Unix.in_channel_of_descr rfd in
+  let rec loop () =
+    match input_line ic with
+    | exception End_of_file -> 0
+    | "DONE" -> 0
+    | line when String.length line > 5 && String.sub line 0 5 = "CELL " -> (
+        let key = String.sub line 5 (String.length line - 5) in
+        let t0 = Unix.gettimeofday () in
+        match solve key with
+        | exception e ->
+            prerr_endline (Printf.sprintf "gqed dist worker %d: %s" idx (Printexc.to_string e));
+            70
+        | decided, payload ->
+            let seconds = Unix.gettimeofday () -. t0 in
+            (* %.17g round-trips the float exactly. *)
+            write_all wfd
+              (Printf.sprintf "ACK %c %.17g %d %s\n"
+                 (if decided then 'd' else 'u')
+                 seconds (String.length payload) key);
+            write_all wfd payload;
+            loop ())
+    | line ->
+        prerr_endline (Printf.sprintf "gqed dist worker %d: bad command %S" idx line);
+        70
+  in
+  loop ()
 
 (* ------------------------------------------------------------------ *)
 (* Coordinator                                                         *)
@@ -252,13 +123,20 @@ type wstate = {
   w_idx : int;
   mutable w_pid : int;
   mutable w_in : Unix.file_descr;  (* coordinator -> worker commands *)
-  mutable w_out : Unix.file_descr;  (* worker -> coordinator acks *)
-  mutable w_buf : Buffer.t;
+  mutable w_out : Unix.file_descr;  (* worker -> coordinator frames *)
+  mutable w_buf : Bytes.t;  (* received bytes; frames parse from [w_pos] *)
+  mutable w_pos : int;
+  mutable w_len : int;
   mutable w_outstanding : string list;  (* dispatched, unacked, oldest first *)
   mutable w_acks : int;
   mutable w_restarts : int;
   mutable w_state : [ `Live | `Done | `Gone ];
 }
+
+(* A frame header longer than this, or a payload length beyond it, is a
+   protocol error rather than a reason to buffer without bound. *)
+let max_header = 64 * 1024
+let max_payload = 64 * 1024 * 1024
 
 (* The hook a hosting executable calls first thing in [main]: when the
    worker environment variables are present, this process IS a worker —
@@ -272,24 +150,17 @@ let worker_entry () =
         prerr_endline ("gqed dist worker: " ^ msg);
         Unix._exit 70
       in
-      let getenv v =
-        match Sys.getenv_opt v with
-        | Some s -> s
-        | None -> fail (v ^ " unset in worker environment")
-      in
       let idx =
-        match int_of_string_opt (getenv env_index) with
+        match Option.bind (Sys.getenv_opt env_index) int_of_string_opt with
         | Some i -> i
-        | None -> fail ("bad " ^ env_index)
+        | None -> fail ("bad or unset " ^ env_index)
       in
-      let journal = getenv env_journal in
-      let sync = getenv env_sync = "1" in
       let arg = Option.value ~default:"" (Sys.getenv_opt env_arg) in
       let code =
         match lookup name with
         | None -> fail (Printf.sprintf "solver %S not registered in this executable" name)
         | Some mk -> (
-            try worker_main ~journal ~sync ~solve:(mk ~arg) ~idx ~rfd:Unix.stdin ~wfd:Unix.stdout
+            try worker_main ~solve:(mk ~arg) ~idx ~rfd:Unix.stdin ~wfd:Unix.stdout
             with e ->
               (try prerr_endline ("gqed dist worker: " ^ Printexc.to_string e)
                with _ -> ());
@@ -302,7 +173,7 @@ let worker_entry () =
    spawns without the fork primitive, so it stays legal after domains
    have run in the coordinator — and the worker is free to race domains
    itself. *)
-let spawn ~journal ~sync ~solver ~arg idx =
+let spawn ~solver ~arg idx =
   let c2w_r, c2w_w = Unix.pipe () in
   let w2c_r, w2c_w = Unix.pipe () in
   Unix.set_close_on_exec c2w_w;
@@ -318,8 +189,6 @@ let spawn ~journal ~sync ~solver ~arg idx =
         env_solver ^ "=" ^ solver;
         env_arg ^ "=" ^ arg;
         env_index ^ "=" ^ string_of_int idx;
-        env_journal ^ "=" ^ journal;
-        env_sync ^ "=" ^ (if sync then "1" else "0");
       |]
   in
   let exe = Sys.executable_name in
@@ -358,8 +227,22 @@ let solve_inline ~policy ~campaign ~solve ~restarts ~gave_up key =
   Persist.Campaign.record ~seconds campaign ~decided ~key ~payload;
   { r_key = key; r_decided = decided; r_payload = payload; r_seconds = seconds; r_warm = false }
 
-let run_distributed ~nw ~batch ~policy ~sync ~kill ~journal ~solver ~arg ~campaign
-    ~done_rows ~dispatched ~restarts ~gave_up ~merged ~stale queue =
+(* Parse "ACK <d|u> <seconds> <payload_len> <key>" (newline stripped). *)
+let parse_header line =
+  match String.split_on_char ' ' line with
+  | "ACK" :: flag :: seconds :: len :: (_ :: _ as key) -> (
+      match (flag, float_of_string_opt seconds, int_of_string_opt len) with
+      | ("d" | "u"), Some seconds, Some len
+        when Float.is_finite seconds && len >= 0 && len <= max_payload ->
+          Some (flag = "d", seconds, len, String.concat " " key)
+      | _ -> None)
+  | _ -> None
+
+(* The coordinator is the campaign journal's only writer: each complete
+   frame is journaled here before the worker's window is topped up, so
+   a worker killed after solving costs only its unacked cells' re-work. *)
+let run_distributed ~nw ~batch ~policy ~kill ~solver ~arg ~campaign ~done_rows
+    ~dispatched ~restarts ~gave_up ~merged queue =
   let pending = ref queue in
   let take () =
     match !pending with [] -> None | k :: tl -> pending := tl; Some k
@@ -369,16 +252,17 @@ let run_distributed ~nw ~batch ~policy ~sync ~kill ~journal ~solver ~arg ~campai
   let workers = Array.init nw (fun i ->
       {
         w_idx = i; w_pid = -1; w_in = Unix.stdin; w_out = Unix.stdin;
-        w_buf = Buffer.create 256; w_outstanding = []; w_acks = 0;
-        w_restarts = 0; w_state = `Gone;
+        w_buf = Bytes.create 4096; w_pos = 0; w_len = 0; w_outstanding = [];
+        w_acks = 0; w_restarts = 0; w_state = `Gone;
       })
   in
   let respawn w =
-    let pid, win, wout = spawn ~journal ~sync ~solver ~arg w.w_idx in
+    let pid, win, wout = spawn ~solver ~arg w.w_idx in
     w.w_pid <- pid;
     w.w_in <- win;
     w.w_out <- wout;
-    Buffer.clear w.w_buf;
+    w.w_pos <- 0;
+    w.w_len <- 0;
     w.w_state <- `Live
   in
   let send w line =
@@ -426,9 +310,9 @@ let run_distributed ~nw ~batch ~policy ~sync ~kill ~journal ~solver ~arg ~campai
     (try ignore (Unix.waitpid [] w.w_pid) with Unix.Unix_error _ -> ());
     match w.w_state with
     | `Done | `Gone ->
-        (* A worker sent DONE owes no acks, and every cell it acked is
-           already durable in its shard: however it died, there is
-           nothing to requeue and nothing to restart it for. *)
+        (* A worker sent DONE owes no frames, and every cell it answered
+           is already journaled: however it died, there is nothing to
+           requeue and nothing to restart it for. *)
         w.w_state <- `Gone
     | `Live ->
         (* Whatever the exit status — a signal, exit 70 from a raising
@@ -453,87 +337,101 @@ let run_distributed ~nw ~batch ~policy ~sync ~kill ~journal ~solver ~arg ~campai
             Obs.Trace.instant "dist.gave_up" ~args:[ ("worker", string_of_int w.w_idx) ]
         end
   in
-  let handle_ack w line =
-    (* "ACK <d|u> <seconds> <key>" — only scheduling state; the verdict
-       itself travels through the worker's journal. *)
-    let ok =
-      String.length line > 4
-      && String.sub line 0 4 = "ACK "
-      && String.length line > 6
-      && (line.[4] = 'd' || line.[4] = 'u')
-      && line.[5] = ' '
+  (* A frame the coordinator cannot parse leaves the stream unframeable:
+     treat the worker as crashed. *)
+  let protocol_error w =
+    (try Unix.kill w.w_pid Sys.sigkill with Unix.Unix_error _ -> ());
+    handle_eof w
+  in
+  let handle_frame w ~decided ~seconds ~key ~payload =
+    Persist.Campaign.record ~seconds campaign ~decided ~key ~payload;
+    incr merged;
+    if Obs.on () then Obs.Metrics.incr (Lazy.force m_merged);
+    Hashtbl.replace done_rows key
+      { r_key = key; r_decided = decided; r_payload = payload; r_seconds = seconds; r_warm = false };
+    let rec remove = function
+      | [] -> []
+      | k :: tl -> if k = key then tl else k :: remove tl
     in
-    if not ok then ()
-    else
-      match String.index_from_opt line 6 ' ' with
-      | None -> ()
-      | Some sp ->
-          let key = String.sub line (sp + 1) (String.length line - sp - 1) in
-          let rec remove = function
-            | [] -> []
-            | k :: tl -> if k = key then tl else k :: remove tl
-          in
-          w.w_outstanding <- remove w.w_outstanding;
-          w.w_acks <- w.w_acks + 1;
-          (match !kill_armed with
-          | Some k when k.k_worker = w.w_idx && w.w_acks >= k.k_after -> (
-              kill_armed := None;
-              match k.k_mode with
-              | `Restart ->
-                  (try Unix.kill w.w_pid Sys.sigkill with Unix.Unix_error _ -> ())
-              | `Abort ->
-                  abort
-                    (Printf.sprintf
-                       "campaign aborted by kill hook (worker %d after %d acks); worker journals left for --resume"
-                       k.k_worker k.k_after))
-          | _ -> ());
-          if w.w_state = `Live then feed w
+    w.w_outstanding <- remove w.w_outstanding;
+    w.w_acks <- w.w_acks + 1;
+    (match !kill_armed with
+    | Some k when k.k_worker = w.w_idx && w.w_acks >= k.k_after -> (
+        kill_armed := None;
+        match k.k_mode with
+        | `Restart -> (try Unix.kill w.w_pid Sys.sigkill with Unix.Unix_error _ -> ())
+        | `Abort ->
+            abort
+              (Printf.sprintf "campaign aborted by kill hook (worker %d after %d acks)"
+                 k.k_worker k.k_after))
+    | _ -> ());
+    if w.w_state = `Live then feed w
+  in
+  let rec newline b i stop =
+    if i >= stop then None else if Bytes.get b i = '\n' then Some i else newline b (i + 1) stop
+  in
+  (* Parse every complete frame in [w_buf] from [w_pos]; a partial frame
+     waits for the next read. *)
+  let rec drain w =
+    match newline w.w_buf w.w_pos w.w_len with
+    | Some nl -> (
+        let line = Bytes.sub_string w.w_buf w.w_pos (nl - w.w_pos) in
+        match parse_header line with
+        | None -> protocol_error w
+        | Some (decided, seconds, len, key) ->
+            if not (List.mem key w.w_outstanding) then protocol_error w
+            else if w.w_len - (nl + 1) >= len then begin
+              let payload = Bytes.sub_string w.w_buf (nl + 1) len in
+              w.w_pos <- nl + 1 + len;
+              handle_frame w ~decided ~seconds ~key ~payload;
+              if w.w_state <> `Gone then drain w
+            end)
+    | None -> if w.w_len - w.w_pos > max_header then protocol_error w
   in
   let handle_readable w =
-    let buf = Bytes.create 4096 in
-    match Unix.read w.w_out buf 0 4096 with
+    (* Slide the unparsed tail to the front, then make room for a read. *)
+    if w.w_pos > 0 then begin
+      Bytes.blit w.w_buf w.w_pos w.w_buf 0 (w.w_len - w.w_pos);
+      w.w_len <- w.w_len - w.w_pos;
+      w.w_pos <- 0
+    end;
+    if Bytes.length w.w_buf - w.w_len < 4096 then begin
+      let grown = Bytes.create (2 * Bytes.length w.w_buf + 4096) in
+      Bytes.blit w.w_buf 0 grown 0 w.w_len;
+      w.w_buf <- grown
+    end;
+    match Unix.read w.w_out w.w_buf w.w_len (Bytes.length w.w_buf - w.w_len) with
     | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE | Unix.EBADF), _, _) ->
         handle_eof w
     | 0 -> handle_eof w
     | n ->
-        Buffer.add_subbytes w.w_buf buf 0 n;
-        let rec drain () =
-          let s = Buffer.contents w.w_buf in
-          match String.index_opt s '\n' with
-          | None -> ()
-          | Some i ->
-              let line = String.sub s 0 i in
-              Buffer.clear w.w_buf;
-              Buffer.add_string w.w_buf (String.sub s (i + 1) (String.length s - i - 1));
-              handle_ack w line;
-              if w.w_state <> `Gone then drain ()
-        in
-        drain ()
+        w.w_len <- w.w_len + n;
+        drain w
   in
-  (try
-     Array.iter (fun w -> respawn w) workers;
-     Array.iter (fun w -> feed w) workers;
-     let live () =
-       Array.to_list workers |> List.filter (fun w -> w.w_state <> `Gone)
-     in
-     let rec loop () =
-       match live () with
-       | [] -> ()
-       | ws -> (
-           let fds = List.map (fun w -> w.w_out) ws in
-           match Unix.select fds [] [] 1.0 with
-           | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-           | ready, _, _ ->
-               List.iter
-                 (fun fd ->
-                   match List.find_opt (fun w -> w.w_out = fd && w.w_state <> `Gone) ws with
-                   | Some w -> handle_readable w
-                   | None -> ())
-                 ready;
-               loop ())
-     in
-     loop ()
-   with
+  try
+    Array.iter (fun w -> respawn w) workers;
+    Array.iter (fun w -> feed w) workers;
+    let live () =
+      Array.to_list workers |> List.filter (fun w -> w.w_state <> `Gone)
+    in
+    let rec loop () =
+      match live () with
+      | [] -> ()
+      | ws -> (
+          let fds = List.map (fun w -> w.w_out) ws in
+          match Unix.select fds [] [] 1.0 with
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
+          | ready, _, _ ->
+              List.iter
+                (fun fd ->
+                  match List.find_opt (fun w -> w.w_out = fd && w.w_state <> `Gone) ws with
+                  | Some w -> handle_readable w
+                  | None -> ())
+                ready;
+              loop ())
+    in
+    loop ()
+  with
   | Aborted _ as e -> raise e
   | e ->
       (* ^C or an unexpected coordinator error: don't leave orphans. *)
@@ -545,33 +443,7 @@ let run_distributed ~nw ~batch ~policy ~sync ~kill ~journal ~solver ~arg ~campai
             close_worker_fds w
           end)
         workers;
-      raise e);
-  (* Every worker is reaped; fold their journals into the main one and
-     turn the merged records into result rows. *)
-  let sc = scan_workers journal in
-  let ms = apply_scan ~delete:true ~into:campaign sc in
-  merged := !merged + ms.m_merged;
-  stale := !stale + ms.m_stale_unknowns;
-  List.iter
-    (fun key ->
-      match scan_final sc key with
-      | None -> ()
-      | Some (e : Persist.Journal.entry) ->
-          Hashtbl.replace done_rows key
-            {
-              r_key = key;
-              r_decided = e.e_decided;
-              r_payload = e.e_payload;
-              r_seconds = e.e_seconds;
-              r_warm = false;
-            })
-    sc.sc_order;
-  (* Give-up exhaustion can leave unsolved cells; degrade to in-process
-     so the campaign still answers every cell. *)
-  let leftovers =
-    List.filter (fun key -> not (Hashtbl.mem done_rows key)) !pending
-  in
-  List.length leftovers
+      raise e
 
 let run ?(workers = 2) ?(batch = 2) ?(policy = default_policy)
     ?(sync = true) ?(compact_min = 512) ?kill ?(arg = "") ~resume ~force ~journal
@@ -585,19 +457,6 @@ let run ?(workers = 2) ?(batch = 2) ?(policy = default_policy)
           match Persist.Campaign.start ~sync ~compact_min ~resume ~force journal with
           | Error msg -> Error msg
           | Ok campaign ->
-              let merged = ref 0 and stale = ref 0 in
-              (* Fresh start: stale shards from an older campaign must not
-                 leak in. Resume: fold them in before scheduling, so what a
-                 killed run's shards decided is skipped, not re-solved. *)
-              if resume then begin
-                let ms = merge ~into:campaign journal in
-                merged := ms.m_merged;
-                stale := ms.m_stale_unknowns
-              end
-              else
-                List.iter
-                  (fun (_i, p) -> try Sys.remove p with Sys_error _ -> ())
-                  (worker_files journal);
               let seen = Hashtbl.create 64 in
               let cells =
                 List.filter
@@ -645,7 +504,7 @@ let run ?(workers = 2) ?(batch = 2) ?(policy = default_policy)
               in
               let done_rows : (string, row) Hashtbl.t = Hashtbl.create 64 in
               let dispatched = ref 0 and restarts = ref 0 and gave_up = ref 0 in
-              let degraded = ref 0 in
+              let merged = ref 0 and degraded = ref 0 in
               let nw = if queue = [] then 0 else min workers (List.length queue) in
               let outcome =
                 if nw <= 1 then begin
@@ -655,7 +514,7 @@ let run ?(workers = 2) ?(batch = 2) ?(policy = default_policy)
                       Hashtbl.replace done_rows key
                         (solve_inline ~policy ~campaign ~solve ~restarts ~gave_up key))
                     queue;
-                  Ok 0
+                  Ok ()
                 end
                 else begin
                   let old_pipe =
@@ -669,15 +528,16 @@ let run ?(workers = 2) ?(batch = 2) ?(policy = default_policy)
                       | None -> ())
                     (fun () ->
                       match
-                        run_distributed ~nw ~batch ~policy ~sync ~kill ~journal ~solver
-                          ~arg ~campaign ~done_rows ~dispatched ~restarts ~gave_up
-                          ~merged ~stale queue
+                        run_distributed ~nw ~batch ~policy ~kill ~solver ~arg ~campaign
+                          ~done_rows ~dispatched ~restarts ~gave_up ~merged queue
                       with
                       | exception Aborted msg ->
                           Persist.Campaign.close campaign;
                           Error msg
-                      | leftovers ->
-                          (* all workers exhausted with work left: degrade *)
+                      | () ->
+                          (* Every worker gave up with work left: degrade to
+                             in-process so the campaign still answers every
+                             cell. *)
                           List.iter
                             (fun key ->
                               if not (Hashtbl.mem done_rows key) then begin
@@ -687,12 +547,12 @@ let run ?(workers = 2) ?(batch = 2) ?(policy = default_policy)
                                      ~gave_up key)
                               end)
                             queue;
-                          Ok leftovers)
+                          Ok ())
                 end
               in
               (match outcome with
               | Error msg -> Error msg
-              | Ok _ ->
+              | Ok () ->
                   let rows =
                     List.map
                       (fun c ->
@@ -721,7 +581,6 @@ let run ?(workers = 2) ?(batch = 2) ?(policy = default_policy)
                         d_skipped = Hashtbl.length warm;
                         d_dispatched = !dispatched;
                         d_merged = !merged;
-                        d_stale_unknowns = !stale;
                         d_restarts = !restarts;
                         d_gave_up = !gave_up;
                         d_degraded = !degraded;

@@ -1,21 +1,22 @@
-(** Distributed sharded campaigns: fan a verification campaign out across
-    N worker {e processes}, each appending to its own crash-safe journal,
-    and merge the shards back into one verdict matrix.
+(** Distributed campaigns: fan a verification campaign out across N
+    worker {e processes} and collect their verdicts into one crash-safe
+    journal.
 
-    The coordinator owns the main campaign journal and a work queue of
-    campaign cells ordered hardest-first (journaled solve times from
-    prior runs, falling back to a size heuristic cold). Workers pull
-    small batches over a pipe protocol — no static chunking, so one hard
-    mutant cannot straggle a whole shard — solve each cell, append the
-    outcome to [<journal>.worker-<i>], and ack. A worker that dies with
+    The coordinator owns the campaign journal — it is the only process
+    that writes it — and a work queue of campaign cells ordered
+    hardest-first (journaled solve times from prior runs, falling back
+    to a size heuristic cold). Workers pull small batches over a pipe
+    protocol — no static chunking, so one hard mutant cannot straggle a
+    whole shard — solve each cell, and answer with a length-prefixed
+    frame carrying the verdict payload, which the coordinator journals
+    before topping the worker's window back up. A worker that dies with
     cells outstanding has crashed, whatever its exit status, and is
-    restarted under a {!restart_policy}; when every worker is gone
-    the coordinator degrades to solving the remainder itself, retrying
-    crashed solves under the same policy.
-    On completion — and, crucially, on resume after killing any subset
-    of workers — per-worker journals are merged into the main journal
-    with decided-beats-undecided, last-write-wins semantics, so the
-    final matrix is bit-identical to an uninterrupted run's.
+    restarted under a {!restart_policy}; its unanswered cells are
+    re-queued, so a kill costs re-work, never a verdict. When every
+    worker is gone the coordinator degrades to solving the remainder
+    itself, retrying crashed solves under the same policy. Resuming
+    after a kill skips what the journal decided, so the final matrix is
+    bit-identical to an uninterrupted run's.
 
     A worker is this same executable re-exec'd (the OCaml 5 runtime
     forbids [Unix.fork] once any domain has ever been created, and the
@@ -23,13 +24,13 @@
     {e registered name}, not closure: the host binary {!register}s its
     solvers and calls {!worker_entry} first thing in [main].
 
-    See DESIGN.md in this directory for the wire protocol, the merge
-    order, and the crash model. *)
+    See DESIGN.md in this directory for the wire protocol and the crash
+    model. *)
 
 type cell = {
   cell_key : string;
       (** campaign identity ([Checks.campaign_key]); must not contain
-          newlines (it travels over a line protocol) *)
+          newlines (it travels in a frame's header line) *)
   cell_hint : float;
       (** cold-start hardness estimate ([Checks.campaign_hint]); only
           the ordering matters *)
@@ -51,23 +52,11 @@ type stats = {
   d_cells : int;  (** input cells after key dedup *)
   d_skipped : int;  (** served warm from the main journal *)
   d_dispatched : int;  (** CELL commands sent (requeues included) *)
-  d_merged : int;  (** folded worker records applied to the main journal *)
-  d_stale_unknowns : int;
-      (** leftover worker Unknowns dropped because the main journal
-          already held a decided verdict for the key *)
+  d_merged : int;  (** worker results the coordinator journaled *)
   d_restarts : int;  (** worker restarts (and in-process retries) *)
   d_gave_up : int;  (** workers (or serial cells) that exhausted the policy *)
   d_degraded : int;  (** cells the coordinator solved after workers exhausted *)
   d_campaign : Persist.Campaign.stats;  (** main journal's own accounting *)
-}
-
-type merge_stats = {
-  m_files : int;  (** worker journals found and scanned *)
-  m_records : int;  (** records replayed from them *)
-  m_merged : int;  (** folded records applied to the campaign *)
-  m_stale_unknowns : int;  (** Unknowns dropped: main already decided *)
-  m_torn_files : int;  (** worker journals whose tails needed recovery *)
-  m_unreadable : int;  (** worker journals skipped as unparseable *)
 }
 
 type restart_policy = {
@@ -84,9 +73,9 @@ type kill = {
   k_after : int;  (** ... once it has acked this many cells (1-based) *)
   k_mode : [ `Restart | `Abort ];
       (** [`Restart]: let supervision revive it (the run completes);
-          [`Abort]: SIGKILL every worker and return [Error], leaving all
-          worker journals on disk for a resume — the crash model the
-          kill-sweep tests and the fuzz oracle drive *)
+          [`Abort]: SIGKILL every worker and return [Error], leaving the
+          journal holding every result answered so far for a resume — the
+          crash model the kill-sweep tests and the fuzz oracle drive *)
 }
 
 val register : string -> (arg:string -> string -> bool * string) -> unit
@@ -102,23 +91,13 @@ val worker_entry : unit -> unit
     campaigns, after its {!register} calls. A no-op in a normal process;
     in a spawned worker (recognized by its environment) it runs the
     worker protocol on stdin/stdout and [Unix._exit]s — stdout is the
-    ack channel, so worker solvers must not print to it. *)
+    frame channel, so worker solvers must not print to it (a line that
+    is not a frame counts as a worker crash). *)
 
 val worker_journal : string -> int -> string
-(** [worker_journal journal i] is the per-worker journal path,
-    [journal ^ ".worker-<i>"]. *)
-
-val merge : ?delete:bool -> into:Persist.Campaign.t -> string -> merge_stats
-(** Merge every [<journal>.worker-*] file next to [journal] into the
-    campaign. Within the scan (worker-index order, then record order)
-    the last decided record for a key wins; an Unknown survives only if
-    no shard decided the key — and is dropped entirely when the main
-    journal already has a decided verdict (a decided fact beats a
-    leftover budget artifact). Torn worker tails are recovered like any
-    journal load; unreadable files are skipped, never fatal. [delete]
-    (default true) removes merged worker files, making a crash during
-    merge safe: the next resume simply re-merges, and last-write-wins
-    absorbs the duplicates. *)
+(** [worker_journal journal i] is [journal ^ ".worker-<i>"], the shard
+    path older versions wrote; nothing writes it now. Delete it with the
+    next benchmark change. *)
 
 val run :
   ?workers:int ->
@@ -147,10 +126,9 @@ val run :
     degrades to an undecided row with an empty payload.
 
     [resume]/[force]/[journal] follow {!Persist.Campaign.start}, with
-    [compact_min] forwarded to its auto-compaction gate; leftover
-    worker journals from a killed run are merged {e before} scheduling,
-    so resuming skips exactly what any shard already decided and
-    re-solves journaled Unknowns.
+    [sync] and [compact_min] forwarded to it; the coordinator journals
+    each result as its frame arrives, so resuming a killed run skips
+    exactly what was journaled and re-solves journaled Unknowns.
 
     Returns one {!row} per distinct input key, in first-appearance
     input order, plus {!stats}; [Error] if [solver] is unregistered, a

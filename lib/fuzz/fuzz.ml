@@ -848,7 +848,7 @@ module Oracle = struct
     let cleanup () =
       List.iter
         (fun f -> try Sys.remove f with Sys_error _ -> ())
-        (table_file :: journal :: List.init 4 (Dist.worker_journal journal))
+        [ table_file; journal ]
     in
     Fun.protect ~finally:cleanup (fun () ->
         let oc = open_out_bin table_file in
@@ -893,12 +893,14 @@ module Oracle = struct
             (* The campaign outran the kill point — still a full matrix. *)
             diff "unkilled run" rows
         | Error _ -> (
-            (* Downed mid-run: shards are on disk. Half the time, tear the
-               killed worker's shard tail — a SIGKILL mid-append. *)
+            (* Downed mid-run: the journal holds what was answered. Half
+               the time, tear its last record — the coordinator SIGKILLed
+               mid-append. *)
             (if Random.State.bool rand then
-               let shard = Dist.worker_journal journal kill.Dist.k_worker in
-               if Sys.file_exists shard then
-                 Persist.Journal.chop ~torn_bytes:7 ~keep:1 shard);
+               match Persist.Journal.load journal with
+               | Ok (entries, _) when entries <> [] ->
+                   Persist.Journal.chop ~torn_bytes:7 ~keep:(List.length entries - 1) journal
+               | _ -> ());
             match run ~resume:true () with
             | Error msg -> Error ("dist: resume failed: " ^ msg)
             | Ok (rows, _) -> diff "resumed run" rows))

@@ -138,8 +138,8 @@ module Oracle : sig
     depth:int -> Random.State.t -> Rtl.design -> (unit, string) result
   (** Killing a worker process only costs re-work: a small safety-check
       campaign sharded across 2 worker processes via {!Dist.run} is
-      SIGKILLed at a random ack (sometimes also tearing the dead worker's
-      shard tail) and resumed; the merged matrix must equal an in-process
+      SIGKILLed at a random ack (sometimes also tearing the journal's
+      last record) and resumed; the resumed matrix must equal an in-process
       reference cell-for-cell, with journaled [Unknown]s re-solved. The
       random design travels to the re-exec'd workers through a marshalled
       cell table on disk, exercising the solver-by-registered-name path

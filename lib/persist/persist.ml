@@ -41,10 +41,7 @@ let crc32 s = crc32_update 0l s 0 (String.length s)
 
 let magic = "GQEDJRNL"
 
-(* v1 records had no timing field; v2 carries the task's wall-clock
-   seconds as an IEEE double after the flags byte. Both versions load;
-   appends always write v2 (open_append upgrades a v1 file first). *)
-let version_v1 = '\001'
+(* A journal of any other version is refused, not replayed. *)
 let version = '\002'
 let header = magic ^ String.make 1 version
 let header_len = String.length header
@@ -81,8 +78,7 @@ let read_be64f s pos =
   done;
   Int64.float_of_bits !bits
 
-(* v2: tag(1) key_len(4) payload_len(4) flags(1) seconds(8) key payload crc(4)
-   v1: tag(1) key_len(4) payload_len(4) flags(1)            key payload crc(4) *)
+(* tag(1) key_len(4) payload_len(4) flags(1) seconds(8) key payload crc(4) *)
 let encode_record ?(seconds = 0.) ~decided ~key ~payload () =
   let buf = Buffer.create (22 + String.length key + String.length payload) in
   Buffer.add_char buf record_tag;
@@ -133,24 +129,22 @@ module Journal = struct
       (fun () -> really_input_string ic (in_channel_length ic))
 
   (* Parse [data]; returns entries, the offset just past the last whole
-     valid record, the recovery summary, and the on-disk format version.
-     Everything after that offset is a torn or corrupt tail. *)
+     valid record, and the recovery summary. Everything after that
+     offset is a torn or corrupt tail. *)
   let parse data =
     let len = String.length data in
     if len = 0 then
-      Ok ([], header_len, { rec_entries = 0; rec_dropped_bytes = 0; rec_truncated = false }, version)
+      Ok ([], header_len, { rec_entries = 0; rec_dropped_bytes = 0; rec_truncated = false })
     else if len < header_len || String.sub data 0 (String.length magic) <> magic then
       Error "not a gqed journal (bad magic)"
     else begin
       let vsn = data.[String.length magic] in
-      if vsn <> version && vsn <> version_v1 then
+      if vsn <> version then
         Error
           (Printf.sprintf "unsupported journal version %d (expected %d)"
              (Char.code vsn) (Char.code version))
       else begin
-        (* bytes between flags and key: the v2 seconds field *)
-        let extra = if vsn = version_v1 then 0 else 8 in
-        let fixed = 14 + extra in
+        let fixed = 22 (* an empty record: 18 header bytes + crc *) in
         let entries = ref [] in
         let pos = ref header_len in
         let good = ref header_len in
@@ -162,16 +156,16 @@ module Journal = struct
              let key_len = read_be32 data (p + 1) in
              let payload_len = read_be32 data (p + 5) in
              if key_len < 0 || payload_len < 0 || key_len > max_field || payload_len > max_field then raise Exit;
-             let body_len = 10 + extra + key_len + payload_len in
+             let body_len = 18 + key_len + payload_len in
              if len - p < body_len + 4 then raise Exit;
              let stored = Int32.of_int (read_be32 data (p + body_len)) in
              let computed = crc32_update 0l data p body_len in
              if Int32.logand stored 0xFFFFFFFFl <> Int32.logand computed 0xFFFFFFFFl then raise Exit;
              let e_decided = data.[p + 9] <> '\000' in
-             let e_seconds = if extra = 0 then 0. else read_be64f data (p + 10) in
+             let e_seconds = read_be64f data (p + 10) in
              let e_seconds = if Float.is_nan e_seconds then 0. else e_seconds in
-             let e_key = String.sub data (p + 10 + extra) key_len in
-             let e_payload = String.sub data (p + 10 + extra + key_len) payload_len in
+             let e_key = String.sub data (p + 18) key_len in
+             let e_payload = String.sub data (p + 18 + key_len) payload_len in
              entries := { e_key; e_decided; e_payload; e_seconds } :: !entries;
              pos := p + body_len + 4;
              good := !pos
@@ -186,8 +180,7 @@ module Journal = struct
               rec_entries = List.length es;
               rec_dropped_bytes = dropped;
               rec_truncated = dropped > 0;
-            },
-            vsn )
+            } )
       end
     end
 
@@ -198,7 +191,7 @@ module Journal = struct
         | data -> (
             match parse data with
             | Error msg -> Error msg
-            | Ok (entries, _good, recovery, _vsn) ->
+            | Ok (entries, _good, recovery) ->
                 if Obs.on () then begin
                   Obs.Metrics.add (Lazy.force m_replayed) recovery.rec_entries;
                   if recovery.rec_truncated then begin
@@ -269,18 +262,7 @@ module Journal = struct
         | data -> (
             match parse data with
             | Error msg -> Error msg
-            | Ok (entries, good, recovery, vsn) ->
-                (* A legacy v1 journal cannot take v2 appends in place;
-                   upgrade it with one atomic rewrite (seconds 0),
-                   dropping any torn tail in the same stroke. *)
-                let good =
-                  if vsn = version_v1 && String.length data > 0 then begin
-                    let upgraded = encode_entries entries in
-                    rewrite_atomic path upgraded;
-                    String.length upgraded
-                  end
-                  else good
-                in
+            | Ok (entries, good, recovery) ->
                 let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
                 (* A 0-byte file is a valid empty journal but has no
                    header yet; write one so appends are parseable. *)
@@ -288,7 +270,7 @@ module Journal = struct
                   let n = Unix.write_substring fd header 0 header_len in
                   if n <> header_len then failwith "short header write"
                 end
-                else if vsn <> version_v1 && recovery.rec_truncated then begin
+                else if recovery.rec_truncated then begin
                   (* Cut the torn/corrupt tail on disk so it is not
                      carried forward under new records. *)
                   Unix.ftruncate fd good;
@@ -378,7 +360,7 @@ module Journal = struct
     | data ->
         (match parse data with
         | Error msg -> failwith msg
-        | Ok (entries, _good, _rec, _vsn) ->
+        | Ok (entries, _good, _rec) ->
             let kept = List.filteri (fun i _ -> i < keep) entries in
             let buf = Buffer.create 4096 in
             Buffer.add_string buf (encode_entries kept);
@@ -424,7 +406,7 @@ module Journal = struct
     | data -> (
         match parse data with
         | Error msg -> Error msg
-        | Ok (entries, _good, _rec, _vsn) -> (
+        | Ok (entries, _good, _rec) -> (
             let folded = fold_last entries in
             let content = encode_entries folded in
             let injected =
@@ -564,12 +546,6 @@ module Campaign = struct
             if Obs.on () then Obs.Metrics.incr (Lazy.force m_hits);
             Some payload
         | None -> None)
-
-  let peek_decided t key =
-    Mutex.lock t.ca_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.ca_lock)
-      (fun () -> Hashtbl.find_opt t.ca_index key)
 
   let last_seconds t key =
     Mutex.lock t.ca_lock;

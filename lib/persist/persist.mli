@@ -10,11 +10,7 @@
     (a flipped bit mid-file) also stops replay at the damage point, so a
     corrupt journal can only ever cost re-work, never import a wrong
     verdict. See DESIGN.md in this directory for the record format and
-    the recovery invariants.
-
-    Records carry the task's wall-clock seconds (format v2); v1 journals
-    load transparently (seconds read back as 0) and are upgraded in place
-    the first time they are opened for appending. *)
+    the recovery invariants. *)
 
 exception Injected_fault of string
 (** Raised by I/O fault hooks standing in for [ENOSPC] / short writes.
@@ -52,8 +48,8 @@ module Journal : sig
             never eligible for skipping on resume *)
     e_payload : string;  (** opaque encoded verdict *)
     e_seconds : float;
-        (** wall-clock seconds the task took; 0 for records replayed from
-            a v1 journal or when the writer did not measure *)
+        (** wall-clock seconds the task took; 0 when the writer did not
+            measure *)
   }
 
   type recovery = {
@@ -66,8 +62,7 @@ module Journal : sig
   (** Replay a journal. A missing header or wrong version is [Error]; a
       0-byte file is a valid empty journal; a torn or CRC-corrupt tail
       is dropped (reported in [recovery], the file itself untouched).
-      Entries are returned in append order, duplicates included. Both
-      the current (v2, timed) and the legacy v1 record formats load. *)
+      Entries are returned in append order, duplicates included. *)
 
   val open_append :
     ?sync:bool ->
@@ -77,8 +72,7 @@ module Journal : sig
   (** Open a journal for appending, creating it (with header) if absent.
       If the existing file has a damaged tail it is truncated on disk
       back to the last valid record before appending resumes, so a
-      recovered journal never carries dead bytes forward. A v1 journal
-      is atomically rewritten in the current format first (seconds 0).
+      recovered journal never carries dead bytes forward.
       [sync] (default true) fsyncs after every append. *)
 
   val append :
@@ -168,10 +162,6 @@ module Campaign : sig
   val find_decided : t -> string -> string option
   (** Payload of the last decided record for this key, if any.
       Thread-safe; counts a hit. *)
-
-  val peek_decided : t -> string -> string option
-  (** Like {!find_decided} but does not count a skip — for schedulers
-      and journal merges that need to know without claiming the cell. *)
 
   val last_seconds : t -> string -> float option
   (** Last positive journaled wall-clock seconds for this key, if any —

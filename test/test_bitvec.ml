@@ -362,5 +362,5 @@ let suite =
     ("bitvec.out_of_range_widths", `Quick, test_out_of_range_widths_raise);
     ("bitvec.all_ones_corners", `Quick, test_all_ones_corners);
   ]
-  @ List.map QCheck_alcotest.to_alcotest props
-  @ List.map QCheck_alcotest.to_alcotest ref_props
+  @ List.map Qc.to_alcotest props
+  @ List.map Qc.to_alcotest ref_props

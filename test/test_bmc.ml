@@ -473,5 +473,5 @@ let suite =
     ("bmc.stats_span_fresh_solvers", `Quick, test_stats_span_fresh_solvers);
     ("bmc.certified_twin_counter", `Quick, test_certified_twin_counter);
     ("bmc.unknown_under_fault", `Quick, test_unknown_under_permanent_fault);
-    QCheck_alcotest.to_alcotest prop_shortest_cex;
+    Qc.to_alcotest prop_shortest_cex;
   ]

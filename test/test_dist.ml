@@ -1,10 +1,10 @@
-(* Tests for the distributed campaign layer (Dist): per-worker journal
-   merge semantics (overlapping keys, torn shard tails, Unknown
-   precedence), hardest-first scheduling, supervision (worker crash
-   restart, OOM class policy, idle deaths left alone, in-process retry
-   and give-up), and the end-to-end resume-equivalence
-   sweep — SIGKILL a worker after every ack count in turn, resume, and
-   the merged matrix must be bit-for-bit the serial run's.
+(* Tests for the distributed campaign layer (Dist): payload framing over
+   the worker pipe (empty, frame-lookalike and multi-read payloads; a
+   non-frame line is a worker crash), hardest-first scheduling,
+   supervision (worker crash restart, OOM restarted like a crash, idle
+   deaths left alone, in-process retry and give-up), and the end-to-end
+   resume-equivalence sweep — SIGKILL a worker after every ack count in
+   turn, resume, and the matrix must be bit-for-bit the serial run's.
 
    Multi-worker runs re-exec the test binary itself, so every solver
    used with [workers >= 2] is registered by name in [register_solvers]
@@ -17,16 +17,22 @@ let tmp_path tag =
   Sys.remove file;
   file
 
-(* Dist runs leave per-worker shards next to the journal on abort; sweep
-   them up with the main file. *)
 let with_tmp tag f =
   let path = tmp_path tag in
-  let cleanup () =
-    List.iter
-      (fun p -> try Sys.remove p with Sys_error _ -> ())
-      (path :: List.init 8 (Dist.worker_journal path))
-  in
-  Fun.protect ~finally:cleanup (fun () -> f path)
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () -> f path)
+
+(* Files named [path ^ ".worker-*"]: the per-worker shards older versions
+   wrote. The coordinator is the only journal writer, so there are none. *)
+let shard_files path =
+  let prefix = Filename.basename path ^ ".worker-" in
+  Sys.readdir (Filename.dirname path)
+  |> Array.to_list
+  |> List.filter (String.starts_with ~prefix)
+
+let check_no_shards what path =
+  Alcotest.(check (list string)) (what ^ ": no shard files") [] (shard_files path)
 
 let fast_policy = { Dist.max_restarts = 2; backoff_s = 0.001; backoff_cap_s = 0.002 }
 
@@ -78,6 +84,27 @@ let crash_always_solve ~arg:_ key =
 
 let oom_solve ~arg:_ key =
   if key = "cell-00" then raise Out_of_memory else (true, "v:" ^ key)
+
+(* Payloads the frame must carry verbatim: empty, one that looks like a
+   frame header, and one of every byte value larger than a pipe buffer
+   and a single 4096-byte read. *)
+let framing_payload = function
+  | "cell-00" -> ""
+  | "cell-01" -> "\nACK d 0.1 cell-01\n"
+  | "cell-02" -> String.init (70 * 1024) (fun i -> Char.chr (i land 0xff))
+  | key -> "v:" ^ key
+
+let framing_solve ~arg:_ key = (key <> "cell-03", framing_payload key)
+
+(* Writes a line that is not a frame to the frame channel before answering. *)
+let noise = "noise: not a frame"
+
+let noisy_solve ~arg:_ key =
+  if key = "cell-00" then begin
+    let line = noise ^ "\n" in
+    ignore (Unix.write_substring Unix.stdout line 0 (String.length line))
+  end;
+  (true, "v:" ^ key)
 
 (* Real mutant matrix over a registry design: arg is "<name>:<mutants>",
    from which both the coordinator's cell list and the worker's
@@ -138,104 +165,14 @@ let register_solvers () =
   Dist.register "test-crash-once" crash_once_solve;
   Dist.register "test-crash-always" crash_always_solve;
   Dist.register "test-oom" oom_solve;
+  Dist.register "test-framing" framing_solve;
+  Dist.register "test-noisy" noisy_solve;
   Dist.register "test-real" real_solve
 
-(* ------------------------------------------------------------------ *)
-(* Merge semantics, on hand-crafted worker shards                      *)
-(* ------------------------------------------------------------------ *)
-
-let write_shard path specs =
-  match Persist.Journal.open_append path with
-  | Error msg -> Alcotest.failf "shard %s: %s" path msg
-  | Ok (j, _, _) ->
-      List.iter
-        (fun (key, decided, payload, seconds) ->
-          Persist.Journal.append ~seconds j ~decided ~key ~payload)
-        specs;
-      Persist.Journal.close j
-
-let start_campaign ?(resume = false) path =
-  match Persist.Campaign.start ~resume ~force:false path with
+let start_campaign path =
+  match Persist.Campaign.start ~resume:false ~force:false path with
   | Ok c -> c
   | Error msg -> Alcotest.failf "campaign %s: %s" path msg
-
-let test_merge_overlap_and_precedence () =
-  with_tmp "merge" (fun path ->
-      let c = start_campaign path in
-      (* Shard 0: decides a and b, later downgrades b to Unknown, leaves
-         e undecided. Shard 1: re-decides a (later in scan order: wins),
-         decides b (decided beats shard 0's trailing Unknown), leaves f
-         undecided twice (last write wins within the class). *)
-      write_shard (Dist.worker_journal path 0)
-        [
-          ("a", true, "a-w0", 0.2);
-          ("b", true, "b-w0", 0.1);
-          ("b", false, "b-unk", 0.1);
-          ("e", false, "e-unk", 0.3);
-        ];
-      write_shard (Dist.worker_journal path 1)
-        [
-          ("a", true, "a-w1", 0.4);
-          ("b", true, "b-w1", 0.1);
-          ("f", false, "f-unk-1", 0.1);
-          ("f", false, "f-unk-2", 0.2);
-        ];
-      let ms = Dist.merge ~delete:false ~into:c path in
-      Alcotest.(check int) "two shards scanned" 2 ms.Dist.m_files;
-      Alcotest.(check int) "all records replayed" 8 ms.Dist.m_records;
-      Alcotest.(check int) "one merged record per key" 4 ms.Dist.m_merged;
-      Alcotest.(check (option string)) "a: last decided wins across shards"
-        (Some "a-w1")
-        (Persist.Campaign.peek_decided c "a");
-      Alcotest.(check (option string)) "b: decided beats a trailing Unknown"
-        (Some "b-w1")
-        (Persist.Campaign.peek_decided c "b");
-      Alcotest.(check (option string)) "e: Unknown stays unskippable" None
-        (Persist.Campaign.peek_decided c "e");
-      Alcotest.(check (option string)) "f: Unknown stays unskippable" None
-        (Persist.Campaign.peek_decided c "f");
-      (* Merged seconds feed the hardness signal. *)
-      Alcotest.(check (option (float 1e-9))) "a: seconds merged" (Some 0.4)
-        (Persist.Campaign.last_seconds c "a");
-      (* delete:false left the shards in place; the default sweeps them. *)
-      Alcotest.(check bool) "shards kept" true
-        (Sys.file_exists (Dist.worker_journal path 0));
-      let _ = Dist.merge ~into:c path in
-      Alcotest.(check bool) "shards deleted by default merge" false
-        (Sys.file_exists (Dist.worker_journal path 0));
-      Persist.Campaign.close c)
-
-let test_merge_torn_shard_tail () =
-  with_tmp "torn" (fun path ->
-      let c = start_campaign path in
-      let shard = Dist.worker_journal path 0 in
-      write_shard shard
-        [ ("a", true, "a-pay", 0.1); ("b", true, "b-pay", 0.1); ("c", true, "c-pay", 0.1) ];
-      (* SIGKILL mid-append: keep 2 whole records plus half a third. *)
-      Persist.Journal.chop ~torn_bytes:9 ~keep:2 shard;
-      let ms = Dist.merge ~delete:false ~into:c path in
-      Alcotest.(check int) "torn shard counted" 1 ms.Dist.m_torn_files;
-      Alcotest.(check int) "surviving prefix merged" 2 ms.Dist.m_merged;
-      Alcotest.(check (option string)) "a survives" (Some "a-pay")
-        (Persist.Campaign.peek_decided c "a");
-      Alcotest.(check (option string)) "c was torn away" None
-        (Persist.Campaign.peek_decided c "c");
-      Persist.Campaign.close c)
-
-let test_merge_stale_unknown_never_downgrades () =
-  with_tmp "stale" (fun path ->
-      (* Main journal already decided k; a leftover shard holds an older
-         Unknown for it. The merge must drop the Unknown — a decided
-         fact beats a budget artifact — so k stays skippable. *)
-      let c = start_campaign path in
-      Persist.Campaign.record c ~decided:true ~key:"k" ~payload:"decided-pay";
-      write_shard (Dist.worker_journal path 0) [ ("k", false, "old-unk", 0.1) ];
-      let ms = Dist.merge ~into:c path in
-      Alcotest.(check int) "stale Unknown dropped" 1 ms.Dist.m_stale_unknowns;
-      Alcotest.(check int) "nothing merged" 0 ms.Dist.m_merged;
-      Alcotest.(check (option string)) "k still skippable" (Some "decided-pay")
-        (Persist.Campaign.peek_decided c "k");
-      Persist.Campaign.close c)
 
 (* ------------------------------------------------------------------ *)
 (* Scheduling and rows (in-process lanes: solvers may capture state)   *)
@@ -415,15 +352,64 @@ let test_inline_preserves_order () =
         (rows_sig rows))
 
 (* ------------------------------------------------------------------ *)
+(* Payload framing                                                     *)
+(* ------------------------------------------------------------------ *)
+
+let test_payload_framing () =
+  let cells = toy_cells 4 in
+  let serial =
+    with_tmp "framing-serial" (fun path ->
+        let rows, _ = run_ok ~workers:1 ~resume:false ~journal:path ~solver:"test-framing" cells in
+        rows_sig rows)
+  in
+  with_tmp "framing" (fun path ->
+      let rows, stats =
+        run_ok ~workers:2 ~batch:2 ~resume:false ~journal:path ~solver:"test-framing" cells
+      in
+      Alcotest.(check int) "two workers used" 2 stats.Dist.d_workers;
+      Alcotest.(check matrix) "framed rows equal the in-process rows" serial (rows_sig rows);
+      Alcotest.(check int) "one journaled result per cell" 4 stats.Dist.d_merged;
+      (match Persist.Journal.load path with
+      | Error msg -> Alcotest.failf "journal: %s" msg
+      | Ok (entries, _) ->
+          Alcotest.(check (list (triple string bool string)))
+            "exactly one record per cell" serial
+            (List.sort compare
+               (List.map
+                  (fun (e : Persist.Journal.entry) ->
+                    (e.Persist.Journal.e_key, e.Persist.Journal.e_decided,
+                     e.Persist.Journal.e_payload))
+                  entries)));
+      check_no_shards "framing" path)
+
+(* A line that is not a frame cannot be skipped — the framing would not
+   survive it — so the coordinator kills and restarts the worker like a
+   crash; the cell is answered in the end, if need be in-process. *)
+let test_malformed_frame_is_crash () =
+  with_tmp "noisy" (fun path ->
+      let rows, stats =
+        run_ok ~workers:2 ~batch:2 ~policy:fast_policy ~resume:false ~journal:path
+          ~solver:"test-noisy" (toy_cells 6)
+      in
+      if stats.Dist.d_restarts < 1 then
+        Alcotest.failf "expected a worker restart, saw %d" stats.Dist.d_restarts;
+      Alcotest.(check matrix) "every cell answered, no noise in a payload"
+        (List.map (fun c -> (c.Dist.cell_key, true, "v:" ^ c.Dist.cell_key)) (toy_cells 6))
+        (rows_sig rows);
+      check_no_shards "noisy" path)
+
+(* ------------------------------------------------------------------ *)
 (* Kill-a-worker-at-every-batch resume equivalence                     *)
 (* ------------------------------------------------------------------ *)
 
 (* Serial reference, then: SIGKILL worker (k mod 2) after k acks (Abort
-   mode kills the whole campaign, shards left on disk), resume with the
-   full worker fleet, and demand the serial matrix bit-for-bit. Torn
-   shard tails are layered on every third kill point. [proj] projects a
-   row to its comparable signature — raw payload bytes for toy solves,
-   decoded verdicts for real checks (whose payloads embed timings). *)
+   mode kills the whole campaign; the journal keeps every answered cell),
+   resume with the full worker fleet, and demand the serial matrix
+   bit-for-bit. On every third kill point the journal's last record is
+   also torn, standing in for a coordinator SIGKILLed mid-append.
+   [proj] projects a row to its comparable signature — raw payload bytes
+   for toy solves, decoded verdicts for real checks (whose payloads embed
+   timings). *)
 let kill_sweep ?(proj = row_sig) ?arg ~cells ~solver ~acks () =
   let reference =
     let path = tmp_path "sweep-ref" in
@@ -446,19 +432,14 @@ let kill_sweep ?(proj = row_sig) ?arg ~cells ~solver ~acks () =
               (Printf.sprintf "kill@%d never fired: matrix intact" k)
               reference (List.map proj rows)
         | Error _ ->
-            (* Shards survive the abort for the resume to merge. *)
-            let shard = Dist.worker_journal path (k mod 2) in
-            Alcotest.(check bool)
-              (Printf.sprintf "kill@%d left the doomed worker's shard" k)
-              true (Sys.file_exists shard);
-            (if k mod 3 = 0 then
-               (* The SIGKILL also tore the shard mid-append. *)
-               match Persist.Journal.load shard with
-               | Ok (entries, _) when entries <> [] ->
-                   Persist.Journal.chop ~torn_bytes:9
-                     ~keep:(List.length entries - 1)
-                     shard
-               | _ -> ());
+            let n =
+              match Persist.Journal.load path with
+              | Ok (entries, _) -> List.length entries
+              | Error msg -> Alcotest.failf "kill@%d: journal: %s" k msg
+            in
+            if n < k then Alcotest.failf "kill@%d: journal holds only %d records" k n;
+            check_no_shards (Printf.sprintf "kill@%d" k) path;
+            if k mod 3 = 0 then Persist.Journal.chop ~torn_bytes:9 ~keep:(n - 1) path;
             let rows, stats =
               run_ok ?arg ~workers:2 ~resume:true ~journal:path ~solver cells
             in
@@ -468,10 +449,7 @@ let kill_sweep ?(proj = row_sig) ?arg ~cells ~solver ~acks () =
             if stats.Dist.d_skipped + stats.Dist.d_dispatched < List.length cells then
               Alcotest.failf "kill@%d: %d skipped + %d dispatched < %d cells" k
                 stats.Dist.d_skipped stats.Dist.d_dispatched (List.length cells);
-            (* Merged shards are swept up. *)
-            Alcotest.(check bool)
-              (Printf.sprintf "kill@%d resume swept the shards" k)
-              false (Sys.file_exists shard))
+            check_no_shards (Printf.sprintf "kill@%d resume" k) path)
   done
 
 let test_kill_sweep_fast () =
@@ -519,12 +497,8 @@ let test_real_kill_sweep_full_matrix () =
 
 let suite =
   [
-    Alcotest.test_case "merge: overlap, precedence, LWW" `Quick
-      test_merge_overlap_and_precedence;
-    Alcotest.test_case "merge: torn shard tail recovered" `Quick
-      test_merge_torn_shard_tail;
-    Alcotest.test_case "merge: stale Unknown never downgrades" `Quick
-      test_merge_stale_unknown_never_downgrades;
+    Alcotest.test_case "payload framing" `Quick test_payload_framing;
+    Alcotest.test_case "malformed frame is a crash" `Quick test_malformed_frame_is_crash;
     Alcotest.test_case "hardest-first queue order" `Quick test_hardest_first_order;
     Alcotest.test_case "warm rows on repeat run" `Quick test_warm_rows_on_repeat;
     Alcotest.test_case "unregistered solver rejected" `Quick

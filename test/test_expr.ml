@@ -302,9 +302,9 @@ let suite =
     ("expr.conj_disj", `Quick, test_conj_disj);
     ("expr.pp", `Quick, test_pp);
     ("expr.simplify_rules", `Quick, test_simplify_rules);
-    QCheck_alcotest.to_alcotest prop_blast_matches_eval;
-    QCheck_alcotest.to_alcotest prop_simplify_preserves_eval;
-    QCheck_alcotest.to_alcotest prop_simplify_never_grows;
-    QCheck_alcotest.to_alcotest prop_simplify_idempotent;
-    QCheck_alcotest.to_alcotest prop_vars_subset;
+    Qc.to_alcotest prop_blast_matches_eval;
+    Qc.to_alcotest prop_simplify_preserves_eval;
+    Qc.to_alcotest prop_simplify_never_grows;
+    Qc.to_alcotest prop_simplify_idempotent;
+    Qc.to_alcotest prop_vars_subset;
   ]

@@ -314,5 +314,5 @@ let suite =
     ("mutation.unknown_target", `Quick, test_apply_unknown_target);
     ("mutation.init_corrupt", `Quick, test_init_corrupt_changes_reset);
     ("mutation.gqed_subsumes_aqed", `Slow, test_gqed_subsumes_aqed);
-    QCheck_alcotest.to_alcotest prop_flow_failures_are_genuine;
+    Qc.to_alcotest prop_flow_failures_are_genuine;
   ]

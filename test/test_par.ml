@@ -74,5 +74,5 @@ let suite =
     ("par.map_timed", `Quick, test_map_timed);
     ("par.more_jobs_than_tasks", `Quick, test_more_jobs_than_tasks);
     ("par.invalid_jobs", `Quick, test_invalid_jobs);
-    QCheck_alcotest.to_alcotest prop_deterministic_across_jobs;
+    Qc.to_alcotest prop_deterministic_across_jobs;
   ]

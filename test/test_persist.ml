@@ -622,8 +622,8 @@ let test_campaign_auto_compaction () =
           let entries, _ = load_ok path in
           Alcotest.(check int) "journal holds only live rows" 2 (List.length entries))
 
-(* A v1 record, byte-for-byte: no seconds field. Upgrades must still
-   load these and [open_append] must transparently rewrite them as v2. *)
+(* A v1 record, byte-for-byte: no seconds field. The format is gone, so
+   a v1 journal must be refused, not replayed or rewritten. *)
 let encode_v1_record ~decided ~key ~payload =
   let buf = Buffer.create 64 in
   let add32 n =
@@ -639,37 +639,25 @@ let encode_v1_record ~decided ~key ~payload =
   add32 (Int32.to_int (Persist.crc32 body) land 0xFFFFFFFF);
   Buffer.contents buf
 
-let test_v1_journal_upgrade () =
+let test_v1_journal_refused () =
   with_tmp "v1" (fun path ->
-      let oc = open_out_bin path in
-      output_string oc "GQEDJRNL\001";
-      output_string oc (encode_v1_record ~decided:true ~key:"old-key" ~payload:"old-pay");
-      output_string oc (encode_v1_record ~decided:false ~key:"old-unk" ~payload:"u");
-      close_out oc;
-      let entries, recovery = load_ok path in
-      Alcotest.(check bool) "v1 loads clean" false recovery.Persist.Journal.rec_truncated;
-      Alcotest.(check (list (triple string bool string)))
-        "v1 entries decode"
-        [ ("old-key", true, "old-pay"); ("old-unk", false, "u") ]
-        (List.map entry_triple entries);
-      List.iter
-        (fun e ->
-          Alcotest.(check (float 0.)) "v1 has no timings" 0. e.Persist.Journal.e_seconds)
-        entries;
-      (* Opening for append upgrades the file in place to v2. *)
-      let j, existing, _ = open_ok path in
-      Alcotest.(check int) "upgrade preserves entries" 2 (List.length existing);
-      Persist.Journal.append ~seconds:0.125 j ~decided:true ~key:"new" ~payload:"n";
-      Persist.Journal.close j;
-      let header = In_channel.with_open_bin path (fun ic -> really_input_string ic 9) in
-      Alcotest.(check char) "version byte bumped to v2" '\002' header.[8];
-      let entries, _ = load_ok path in
-      Alcotest.(check int) "all three entries survive" 3 (List.length entries);
-      match List.rev entries with
-      | last :: _ ->
-          Alcotest.(check (float 1e-9)) "v2 seconds round-trip" 0.125
-            last.Persist.Journal.e_seconds
-      | [] -> Alcotest.fail "journal empty after upgrade")
+      let bytes =
+        "GQEDJRNL\001"
+        ^ encode_v1_record ~decided:true ~key:"old-key" ~payload:"old-pay"
+        ^ encode_v1_record ~decided:false ~key:"old-unk" ~payload:"u"
+      in
+      Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+      let expect_error what = function
+        | Ok _ -> Alcotest.failf "%s accepted a v1 journal" what
+        | Error msg ->
+            if not (contains ~sub:"unsupported journal version 1" msg) then
+              Alcotest.failf "%s: unexpected error %S" what msg
+      in
+      expect_error "Journal.load" (Persist.Journal.load path);
+      expect_error "Campaign.start ~resume:true"
+        (Persist.Campaign.start ~resume:true ~force:false path);
+      Alcotest.(check string) "v1 file left byte-identical" bytes
+        (In_channel.with_open_bin path In_channel.input_all))
 
 let test_seconds_round_trip () =
   with_tmp "seconds" (fun path ->
@@ -689,7 +677,7 @@ let test_seconds_round_trip () =
           Alcotest.(check (option (float 1e-9))) "no timing journaled" None
             (Persist.Campaign.last_seconds c "k0");
           Alcotest.(check (option string)) "verdict intact" (Some "p")
-            (Persist.Campaign.peek_decided c "k");
+            (Persist.Campaign.find_decided c "k");
           Persist.Campaign.close c)
 
 let suite =
@@ -724,6 +712,6 @@ let suite =
     Alcotest.test_case "journal compaction round-trip" `Quick test_compact_round_trip;
     Alcotest.test_case "campaign auto-compaction gate" `Quick
       test_campaign_auto_compaction;
-    Alcotest.test_case "v1 journal upgrade" `Quick test_v1_journal_upgrade;
+    Alcotest.test_case "v1 journal is refused" `Quick test_v1_journal_refused;
     Alcotest.test_case "per-cell seconds round-trip" `Quick test_seconds_round_trip;
   ]

@@ -671,7 +671,7 @@ let test_reduce_compact_drat () =
         (List.for_all (Solver.value s) assumptions))
 
 let suite =
-  let q = QCheck_alcotest.to_alcotest in
+  let q = Qc.to_alcotest in
   [
     ("sat.trivial_sat", `Quick, test_trivial_sat);
     ("sat.trivial_unsat", `Quick, test_trivial_unsat);
