@@ -9,14 +9,8 @@
 
    Experiment ids: t1 t2 t3 t4 t5 a1 a2 a3 s1 f1 f2 f3 micro.
 
-   --checkpoint FILE journals every check's verdict to a crash-safe
-   write-ahead log as the run progresses; --resume replays an existing
-   journal and skips the decided tasks, reproducing the uninterrupted
-   verdict matrix bit-for-bit (journaled Unknown verdicts are always
-   re-attempted). A fresh run refuses an existing journal unless --force;
-   --resume without a journal is an error. Timing figures of a resumed
-   run are not comparable to a cold one (skipped cells cost ~0), but no
-   verdict or table cell ever changes.
+   Every check runs cold: the harness keeps no journal. A journaled,
+   resumable mutant matrix is `gqed campaign --checkpoint FILE`.
 
    --trace FILE / --metrics FILE / --trace-format ndjson|chrome enable
    the Obs layer for the whole run and write the merged span trace and
@@ -73,21 +67,11 @@ let max_conflicts : int option ref = ref None
 let unknown_verdicts = Atomic.make 0
 
 (* --trace / --metrics / --trace-format enable the Obs layer for the whole
-   run; --force permits overwriting existing trace and metrics files (and
-   starting a fresh campaign over an existing --checkpoint journal). *)
+   run; --force permits overwriting existing trace and metrics files. *)
 let obs_trace_path : string option ref = ref None
 let obs_metrics_path : string option ref = ref None
 let obs_format : [ `Ndjson | `Chrome ] ref = ref `Ndjson
 let force_overwrite = ref false
-
-(* --checkpoint FILE journals every check's outcome to a crash-safe
-   write-ahead log; --resume replays it and skips the decided keys, so a
-   killed run picks up where it stopped with an identical verdict matrix.
-   The skip counter is atomic because checks run on worker domains. *)
-let checkpoint_path : string option ref = ref None
-let checkpoint_resume = ref false
-let campaign : Persist.Campaign.t option ref = ref None
-let campaign_skips = Atomic.make 0
 
 (* The run's one verdict gate: every disagreement any experiment finds
    between a reference lane and a variant lands here, and a nonempty list
@@ -112,44 +96,16 @@ let bench_limits () =
   | None, None -> Bmc.no_limits
   | t, c -> Bmc.limits ~budget:(Sat.Solver.budget ?conflicts:c ?seconds:t ()) ()
 
-let record report =
+(* Every experiment's checks funnel through here so the budget flags
+   apply uniformly and exhausted budgets are counted for the exit code. *)
+let check ?simplify technique design iface ~bound =
+  let report =
+    Checks.run ?simplify ~limits:(bench_limits ()) technique design iface ~bound
+  in
   (match report.Checks.verdict with
   | Checks.Unknown _ -> Atomic.incr unknown_verdicts
   | Checks.Pass _ | Checks.Fail _ -> ());
   report
-
-(* Every experiment's checks funnel through here so the budget flags and
-   the --checkpoint journal apply uniformly. [check_warm] additionally
-   says whether the report was served warm from the --checkpoint journal
-   — the timing experiments (t3, f1) use it so resumed rows are never
-   mistaken for cold measurements. Solved cells journal their wall-clock
-   seconds, which later distributed runs read back for hardest-first
-   ordering. *)
-let check_warm ?simplify technique design iface ~bound =
-  let limits = bench_limits () in
-  let solve () = Checks.run ?simplify ~limits technique design iface ~bound in
-  match !campaign with
-  | None -> (record (solve ()), false)
-  | Some c -> (
-      let key = Checks.campaign_key technique design iface ~bound in
-      let cached =
-        (* Only decided verdicts come back from the journal (the Unknown
-           rule lives in Persist.Campaign); a payload from a stale schema
-           decodes to None and the task simply re-runs. *)
-        Option.bind (Persist.Campaign.find_decided c key) Checks.decode_report
-      in
-      match cached with
-      | Some r ->
-          Atomic.incr campaign_skips;
-          (record r, true)
-      | None ->
-          let r, dt = time solve in
-          Persist.Campaign.record c ~seconds:dt ~decided:(Checks.report_decided r)
-            ~key ~payload:(Checks.encode_report r);
-          (record r, false))
-
-let check ?simplify technique design iface ~bound =
-  fst (check_warm ?simplify technique design iface ~bound)
 
 let par_map f xs = Par.map ~jobs:!jobs f xs
 
@@ -372,16 +328,15 @@ let t3 () =
   let rows =
     Par.map_timed ~jobs:!jobs
       (fun e ->
-        (e, check_warm ~simplify:!pipeline Checks.Gqed e.Entry.design e.Entry.iface
+        (e, check ~simplify:!pipeline Checks.Gqed e.Entry.design e.Entry.iface
               ~bound:e.Entry.rec_bound))
       Registry.all
   in
   List.iter
-    (fun ((e, (report, warm)), dt) ->
-      Printf.printf "%-12s %6d %9d %9d %10d %9s %8.2f%s\n%!" e.Entry.name
+    (fun ((e, report), dt) ->
+      Printf.printf "%-12s %6d %9d %9d %10d %9s %8.2f\n%!" e.Entry.name
         e.Entry.rec_bound report.Checks.cnf_vars report.Checks.cnf_clauses
-        report.Checks.sat_stats.Sat.Solver.conflicts (short_verdict report) dt
-        (if warm then "  (journal)" else ""))
+        report.Checks.sat_stats.Sat.Solver.conflicts (short_verdict report) dt)
     rows
 
 (* ------------------------------------------------------------------ *)
@@ -770,24 +725,19 @@ let f1 () =
     Par.map_timed ~jobs:!jobs
       (fun (bound, name) ->
         let e = Registry.find name in
-        check_warm ~simplify:!pipeline Checks.Gqed e.Entry.design e.Entry.iface ~bound)
+        check ~simplify:!pipeline Checks.Gqed e.Entry.design e.Entry.iface ~bound)
       cells
   in
-  let warm_any = ref false in
   List.iteri
     (fun bi bound ->
       Printf.printf "%-6d" bound;
       List.iteri
         (fun di _ ->
-          let (_, warm), dt = List.nth timed ((bi * List.length designs) + di) in
-          if warm then warm_any := true;
-          Printf.printf " %11.3f%s" dt (if warm then "*" else " "))
+          let _, dt = List.nth timed ((bi * List.length designs) + di) in
+          Printf.printf " %11.3f " dt)
         designs;
       Printf.printf "\n%!")
-    bounds;
-  if !warm_any then
-    Printf.printf
-      "(* = served warm from the --checkpoint journal; lookup time, not solve time)\n"
+    bounds
 
 (* ------------------------------------------------------------------ *)
 (* F2: CRV detection rate vs budget, with the G-QED one-shot line.      *)
@@ -1064,15 +1014,6 @@ let () =
     | "--force" :: rest ->
         force_overwrite := true;
         parse_args acc rest
-    | "--checkpoint" :: path :: rest ->
-        checkpoint_path := Some path;
-        parse_args acc rest
-    | [ "--checkpoint" ] ->
-        prerr_endline "bench: --checkpoint expects a file path";
-        exit 2
-    | "--resume" :: rest ->
-        checkpoint_resume := true;
-        parse_args acc rest
     | id :: rest -> parse_args (id :: acc) rest
   in
   let requested =
@@ -1100,20 +1041,6 @@ let () =
                 exit 2)))
     [ ("--trace", !obs_trace_path); ("--metrics", !obs_metrics_path) ];
   if !obs_trace_path <> None || !obs_metrics_path <> None then Obs.enable ();
-  (* The journal has its own guard (inside Campaign.start): an existing
-     file needs --resume to continue or --force to start over, and
-     --resume without a journal is an error, not a silent cold start. *)
-  (match (!checkpoint_path, !checkpoint_resume) with
-  | None, true ->
-      prerr_endline "bench: --resume requires --checkpoint FILE";
-      exit 2
-  | None, false -> ()
-  | Some path, resume -> (
-      match Persist.Campaign.start ~resume ~force:!force_overwrite path with
-      | Ok c -> campaign := Some c
-      | Error msg ->
-          prerr_endline ("bench: " ^ msg);
-          exit 2));
   List.iter
     (fun id ->
       if not (List.mem_assoc id experiments) then begin
@@ -1140,25 +1067,6 @@ let () =
   | Some path ->
       Obs.Metrics.write path (Obs.Metrics.snapshot ());
       Printf.printf "metrics written to %s\n" path);
-  (match !campaign with
-  | None -> ()
-  | Some c ->
-      let s = Persist.Campaign.stats c in
-      Printf.printf
-        "campaign journal %s: %d record(s) loaded (%d undecided), %d check(s) skipped, \
-         %d appended%s%s\n"
-        (Persist.Campaign.path c) s.Persist.Campaign.c_loaded
-        s.Persist.Campaign.c_undecided_loaded (Atomic.get campaign_skips)
-        s.Persist.Campaign.c_appended
-        (if s.Persist.Campaign.c_recovered_bytes > 0 then
-           Printf.sprintf " (%d corrupt tail byte(s) dropped)"
-             s.Persist.Campaign.c_recovered_bytes
-         else "")
-        (if s.Persist.Campaign.c_write_errors > 0 then
-           Printf.sprintf " (%d append(s) LOST to I/O errors)"
-             s.Persist.Campaign.c_write_errors
-         else "");
-      Persist.Campaign.close c);
   let flips = List.rev !flips in
   List.iter (fun f -> prerr_endline ("bench: FLIP " ^ Report.flip_to_string f)) flips;
   let unknowns = Atomic.get unknown_verdicts in

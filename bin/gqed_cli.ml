@@ -4,7 +4,7 @@
      gqed list                          list the benchmark designs
      gqed info DESIGN                   design + interface details
      gqed verify DESIGN [options]       run a QED check (optionally on a mutant)
-     gqed campaign [DESIGN...] [options] distributed mutant campaign with checkpointing
+     gqed campaign [DESIGN...] [options] journaled mutant matrix, serial or sharded
      gqed mutants DESIGN                list the mutation ids of a design
      gqed simulate DESIGN [options]     random simulation trace
      gqed crv DESIGN [options]          constrained-random baseline run
@@ -114,13 +114,6 @@ let technique_arg =
           "One of $(b,gqed) (default), $(b,flow) (reset+SA+stability+G-FC), \
            $(b,aqed), $(b,gqed-out) (ablation), $(b,sa), $(b,stability).")
 
-let all_mutants_flag =
-  Arg.(
-    value
-    & flag
-    & info [ "all-mutants" ]
-        ~doc:"Run the chosen technique on every mutant of the design and print a table.")
-
 (* Formula-shrinking pipeline knobs. The verdict never depends on these;
    they exist for ablation and debugging (see lib/bmc/bmc.mli). *)
 let simplify_term =
@@ -177,67 +170,6 @@ let max_conflicts_arg =
         ~doc:
           "Per-query conflict budget, fixed for every query of the check; an \
            exhausted budget yields $(b,unknown) (exit code 3).")
-
-(* Campaign persistence (see lib/persist/DESIGN.md): journal every check's
-   verdict to a crash-safe write-ahead log; a resumed run skips the keys
-   already decided and reproduces the uninterrupted output bit-for-bit. *)
-let checkpoint_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "checkpoint" ] ~docv:"FILE"
-        ~doc:
-          "Journal every check's verdict to the crash-safe log $(docv) as the \
-           run progresses. A killed run can then be continued with \
-           $(b,--resume), skipping the already-decided checks; journaled \
-           $(b,unknown) verdicts are always re-attempted. Refuses an existing \
-           journal unless $(b,--resume) or $(b,--force).")
-
-let resume_flag =
-  Arg.(
-    value & flag
-    & info [ "resume" ]
-        ~doc:
-          "Continue the campaign journaled at $(b,--checkpoint): decided \
-           checks are answered from the journal, the rest run as usual. A \
-           missing journal is an error, not a silent cold start.")
-
-let cli_force_flag =
-  Arg.(
-    value & flag
-    & info [ "force" ]
-        ~doc:"Allow starting a fresh campaign over an existing $(b,--checkpoint) journal.")
-
-let start_campaign ~checkpoint ~resume ~force =
-  match checkpoint with
-  | None ->
-      if resume then begin
-        prerr_endline "gqed: --resume requires --checkpoint FILE";
-        exit 2
-      end;
-      None
-  | Some path -> (
-      match Persist.Campaign.start ~resume ~force path with
-      | Error msg ->
-          prerr_endline ("gqed: " ^ msg);
-          exit 2
-      | Ok c ->
-          (* Every verdict path funnels through Stdlib.exit, so the summary
-             and the final fsync/close always happen. *)
-          at_exit (fun () ->
-              let s = Persist.Campaign.stats c in
-              Printf.eprintf
-                "gqed: campaign journal %s: %d record(s) loaded (%d undecided), %d \
-                 check(s) skipped, %d appended%s\n\
-                 %!"
-                path s.Persist.Campaign.c_loaded s.Persist.Campaign.c_undecided_loaded
-                s.Persist.Campaign.c_hits s.Persist.Campaign.c_appended
-                (if s.Persist.Campaign.c_write_errors > 0 then
-                   Printf.sprintf " (%d append(s) LOST to I/O errors)"
-                     s.Persist.Campaign.c_write_errors
-                 else "");
-              Persist.Campaign.close c);
-          Some c)
 
 let limits_of ~timeout ~max_conflicts =
   match (timeout, max_conflicts) with
@@ -328,111 +260,45 @@ let verify_cmd =
         | None -> ());
         exit 1
   in
-  let run name technique bound mutant all_mutants waveform vcd simplify simp_stats
-      timeout max_conflicts checkpoint resume force obs_trace obs_metrics
-      obs_format =
+  let run name technique bound mutant waveform vcd simplify simp_stats timeout
+      max_conflicts obs_trace obs_metrics obs_format =
     setup_obs ~trace:obs_trace ~metrics:obs_metrics ~format:obs_format;
     let e = or_die (find_design name) in
     let bound = Option.value bound ~default:e.Entry.rec_bound in
-    let campaign = start_campaign ~checkpoint ~resume ~force in
-    (* SA and stability have no Checks.technique id, so --checkpoint runs
-       them fresh each time; everything else journals under the canonical
-       campaign key. *)
-    let campaign_key_of technique design =
-      let tech =
-        match technique with
-        | `Gqed -> Some Checks.Gqed
-        | `Aqed -> Some Checks.Aqed
-        | `Gqed_out -> Some Checks.Gqed_output_only
-        | `Flow -> Some Checks.Gqed_flow
-        | `Sa | `Stability -> None
-      in
-      Option.map (fun t -> Checks.campaign_key t design e.Entry.iface ~bound) tech
-    in
-    let limits = limits_of ~timeout ~max_conflicts in
-    let check technique design =
-      let solve () =
-        match technique with
-        | `Gqed -> Checks.gqed ~simplify ~limits design e.Entry.iface ~bound
-        | `Flow -> Checks.flow ~simplify ~limits design e.Entry.iface ~bound
-        | `Aqed -> Checks.aqed_fc ~simplify ~limits design e.Entry.iface ~bound
-        | `Gqed_out ->
-            Checks.gqed_output_only ~simplify ~limits design e.Entry.iface ~bound
-        | `Sa -> Checks.sa_check ~simplify ~limits design e.Entry.iface ~bound
-        | `Stability ->
-            Checks.stability_check ~simplify ~limits design e.Entry.iface ~bound
-      in
-      match (campaign, campaign_key_of technique design) with
-      | None, _ | _, None -> solve ()
-      | Some c, Some key -> (
-          match
-            Option.bind (Persist.Campaign.find_decided c key) Checks.decode_report
-          with
-          | Some report -> report
-          | None ->
-              let report = solve () in
-              Persist.Campaign.record c ~decided:(Checks.report_decided report) ~key
-                ~payload:(Checks.encode_report report);
-              report)
-    in
-    if all_mutants then begin
-      (match mutant with
-      | Some _ ->
-          prerr_endline "gqed: --mutant and --all-mutants are mutually exclusive";
-          exit 2
-      | None -> ());
-      (* A plain serial loop through the [check] funnel (budget,
-         journal); [gqed campaign --workers N] is the
-         parallel, crash-isolated runner for the same cells. *)
-      let muts = Mutation.mutants e.Entry.design in
-      Printf.printf "%-40s %-18s %9s\n" "mutant" "verdict" "time";
-      let detected = ref 0 and unknown = ref 0 in
-      List.iter
-        (fun (m, design) ->
-          let t0 = Unix.gettimeofday () in
-          let report = check technique design in
-          let cell =
-            match report.Checks.verdict with
-            | Checks.Fail _ ->
-                incr detected;
-                "detected"
-            | Checks.Pass _ -> "ESCAPE"
-            | Checks.Unknown _ ->
-                incr unknown;
-                "unknown"
-          in
-          Printf.printf "%-40s %-18s %8.2fs\n" m.Mutation.id cell
-            (Unix.gettimeofday () -. t0))
-        muts;
-      Printf.printf "detected %d/%d mutants (%d unknown)\n" !detected
-        (List.length muts) !unknown;
-      exit
-        (if !detected = List.length muts then 0 else if !unknown > 0 then 3 else 1)
-    end;
     let design, m = or_die (resolve_mutant e mutant) in
     (match m with
     | Some m -> Printf.printf "injected mutation: %s (%s)\n" m.Mutation.id m.Mutation.description
     | None -> ());
+    let limits = limits_of ~timeout ~max_conflicts in
+    let iface = e.Entry.iface in
     let t0 = Unix.gettimeofday () in
-    let report = check technique design in
+    let report =
+      match technique with
+      | `Gqed -> Checks.gqed ~simplify ~limits design iface ~bound
+      | `Flow -> Checks.flow ~simplify ~limits design iface ~bound
+      | `Aqed -> Checks.aqed_fc ~simplify ~limits design iface ~bound
+      | `Gqed_out -> Checks.gqed_output_only ~simplify ~limits design iface ~bound
+      | `Sa -> Checks.sa_check ~simplify ~limits design iface ~bound
+      | `Stability -> Checks.stability_check ~simplify ~limits design iface ~bound
+    in
     let dt = Unix.gettimeofday () -. t0 in
     report_and_exit ~name ~waveform ~vcd ~dt ~simp_stats report
   in
   Cmd.v
-    (Cmd.info "verify" ~doc:"Run a QED check on a design (or one of its mutants).")
+    (Cmd.info "verify" ~doc:"Run one QED check on a design (or one of its mutants).")
     Term.(
-      const run $ design_arg $ technique_arg $ bound_arg $ mutant_arg $ all_mutants_flag
-      $ waveform_flag $ vcd_arg $ simplify_term $ simp_stats_flag $ timeout_arg
-      $ max_conflicts_arg $ checkpoint_arg $ resume_flag
-      $ cli_force_flag $ obs_trace_arg $ obs_metrics_arg $ obs_format_arg)
+      const run $ design_arg $ technique_arg $ bound_arg $ mutant_arg $ waveform_flag
+      $ vcd_arg $ simplify_term $ simp_stats_flag $ timeout_arg $ max_conflicts_arg
+      $ obs_trace_arg $ obs_metrics_arg $ obs_format_arg)
 
 (* ---- campaign ---- *)
 
-(* A distributed sharded campaign: every (design, mutant) cell of the
-   chosen designs, solved across N worker processes with pull-based
-   batching, journaled per worker and merged into one checkpoint (see
-   lib/dist/DESIGN.md). Workers are this executable re-exec'd, so the
-   solver rebuilds its key -> task table from the [arg] string alone. *)
+(* The one matrix runner: every (design, mutant) cell of the chosen
+   designs, solved across N worker processes with pull-based batching
+   (or in-process with --workers 1) and journaled by the coordinator into
+   one checkpoint (see lib/dist/DESIGN.md). Workers are this executable
+   re-exec'd, so the solver rebuilds its key -> task table and its
+   per-query budget from the [arg] string alone. *)
 
 let campaign_tech_names =
   [ ("gqed", Checks.Gqed); ("flow", Checks.Gqed_flow); ("aqed", Checks.Aqed);
@@ -476,48 +342,69 @@ let campaign_tasks ~technique ~bound_override names =
         tasks)
     entries
 
-(* arg = "<tech>|<bound or ->|<comma-separated names or empty for all>" *)
-let campaign_arg_encode ~technique ~bound_override names =
-  Printf.sprintf "%s|%s|%s"
-    (campaign_tech_to_string technique)
-    (match bound_override with None -> "-" | Some b -> string_of_int b)
-    (String.concat "," names)
+(* arg = "<tech>|<bound>|<timeout>|<max-conflicts>|<names>": "-" for an
+   unset bound or budget, names comma-separated (empty for all). *)
+type campaign_spec = {
+  cs_technique : Checks.technique;
+  cs_bound : int option;
+  cs_timeout : float option;
+  cs_max_conflicts : int option;
+  cs_names : string list;
+}
+
+let campaign_arg_encode spec =
+  let opt f = function None -> "-" | Some v -> f v in
+  String.concat "|"
+    [
+      campaign_tech_to_string spec.cs_technique;
+      opt string_of_int spec.cs_bound;
+      (* %.17g round-trips the float exactly. *)
+      opt (Printf.sprintf "%.17g") spec.cs_timeout;
+      opt string_of_int spec.cs_max_conflicts;
+      String.concat "," spec.cs_names;
+    ]
 
 let campaign_arg_decode arg =
   match String.split_on_char '|' arg with
-  | [ tech; bound; names ] ->
-      let technique =
-        match List.assoc_opt tech campaign_tech_names with
-        | Some t -> t
-        | None -> failwith ("bad campaign technique " ^ tech)
-      in
-      let bound_override = if bound = "-" then None else Some (int_of_string bound) in
-      let names = if names = "" then [] else String.split_on_char ',' names in
-      (technique, bound_override, names)
+  | [ tech; bound; timeout; max_conflicts; names ] ->
+      let opt f = function "-" -> None | v -> Some (f v) in
+      {
+        cs_technique =
+          (match List.assoc_opt tech campaign_tech_names with
+          | Some t -> t
+          | None -> failwith ("bad campaign technique " ^ tech));
+        cs_bound = opt int_of_string bound;
+        cs_timeout = opt float_of_string timeout;
+        cs_max_conflicts = opt int_of_string max_conflicts;
+        cs_names = (if names = "" then [] else String.split_on_char ',' names);
+      }
   | _ -> failwith ("bad campaign arg " ^ arg)
 
 let campaign_tables : (string, (string, Rtl.design * Qed.Iface.t * int) Hashtbl.t) Hashtbl.t =
   Hashtbl.create 4
 
 let campaign_solver ~arg key =
+  let spec = campaign_arg_decode arg in
   let table =
     match Hashtbl.find_opt campaign_tables arg with
     | Some t -> t
     | None ->
-        let technique, bound_override, names = campaign_arg_decode arg in
         let t = Hashtbl.create 64 in
         List.iter
           (fun (_label, cell, d, iface, bound) ->
             Hashtbl.replace t cell.Dist.cell_key (d, iface, bound))
-          (campaign_tasks ~technique ~bound_override names);
+          (campaign_tasks ~technique:spec.cs_technique ~bound_override:spec.cs_bound
+             spec.cs_names);
         Hashtbl.add campaign_tables arg t;
         t
   in
-  let technique, _, _ = campaign_arg_decode arg in
   match Hashtbl.find_opt table key with
   | None -> failwith ("campaign worker: unknown cell key " ^ key)
   | Some (d, iface, bound) ->
-      let r = Checks.run technique d iface ~bound in
+      let limits =
+        limits_of ~timeout:spec.cs_timeout ~max_conflicts:spec.cs_max_conflicts
+      in
+      let r = Checks.run ~limits spec.cs_technique d iface ~bound in
       (Checks.report_decided r, Checks.encode_report r)
 
 let () = Dist.register "campaign" campaign_solver
@@ -566,8 +453,39 @@ let campaign_cmd =
             "Skip the per-record fsync in the campaign journal (faster; a power \
              loss may drop the last records, a mere SIGKILL cannot).")
   in
-  let run names technique bound workers batch no_sync checkpoint resume force
-      obs_trace obs_metrics obs_format =
+  (* Campaign persistence (see lib/persist/DESIGN.md): the coordinator
+     journals every cell's verdict to a crash-safe write-ahead log; a
+     resumed run skips the cells already decided and reproduces the
+     uninterrupted verdict matrix bit-for-bit. *)
+  let checkpoint_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "checkpoint" ] ~docv:"FILE"
+          ~doc:
+            "Journal every cell's verdict to the crash-safe log $(docv) \
+             (required). A killed campaign can then be continued with \
+             $(b,--resume), skipping the already-decided cells; journaled \
+             $(b,unknown) verdicts are always re-attempted. Refuses an existing \
+             journal unless $(b,--resume) or $(b,--force).")
+  in
+  let resume_flag =
+    Arg.(
+      value & flag
+      & info [ "resume" ]
+          ~doc:
+            "Continue the campaign journaled at $(b,--checkpoint): decided \
+             cells are answered from the journal, the rest run as usual. A \
+             missing journal is an error, not a silent cold start.")
+  in
+  let force_flag =
+    Arg.(
+      value & flag
+      & info [ "force" ]
+          ~doc:"Allow starting a fresh campaign over an existing $(b,--checkpoint) journal.")
+  in
+  let run names technique bound timeout max_conflicts workers batch no_sync
+      checkpoint resume force obs_trace obs_metrics obs_format =
     setup_obs ~trace:obs_trace ~metrics:obs_metrics ~format:obs_format;
     if workers < 1 then begin
       prerr_endline "gqed: --workers must be a positive integer";
@@ -597,7 +515,16 @@ let campaign_cmd =
           Hashtbl.add label_of cell.Dist.cell_key label)
       tasks;
     let cells = List.map (fun (_, cell, _, _, _) -> cell) tasks in
-    let arg = campaign_arg_encode ~technique ~bound_override:bound names in
+    let arg =
+      campaign_arg_encode
+        {
+          cs_technique = technique;
+          cs_bound = bound;
+          cs_timeout = timeout;
+          cs_max_conflicts = max_conflicts;
+          cs_names = names;
+        }
+    in
     match
       Dist.run ~workers ~batch ~sync:(not no_sync) ~arg ~resume ~force
         ~journal:checkpoint ~solver:"campaign" cells
@@ -659,20 +586,31 @@ let campaign_cmd =
         if cs.Persist.Campaign.c_compactions > 0 then
           Printf.printf "journal: compacted, %d stale record(s) folded away\n"
             cs.Persist.Campaign.c_compacted_away;
+        (* Damage never changes a verdict (a lost append is re-run on
+           resume), but a run that lost records is not fully journaled. *)
+        let damage =
+          List.filter_map
+            (fun (n, what) -> if n > 0 then Some (Printf.sprintf "%d %s" n what) else None)
+            [
+              (cs.Persist.Campaign.c_write_errors, "append(s) LOST to I/O errors");
+              (cs.Persist.Campaign.c_recovered_bytes, "corrupt tail byte(s) dropped");
+            ]
+        in
+        if damage <> [] then Printf.printf "journal: %s\n" (String.concat ", " damage);
         exit (if !undecided > 0 then 3 else if !anomalies > 0 then 1 else 0)
   in
   Cmd.v
     (Cmd.info "campaign"
        ~doc:
-         "Run a distributed verification campaign: every (design, mutant) cell \
-          sharded across worker processes, each verdict journaled by the \
-          coordinator into a resumable checkpoint. Kill it anytime; \
-          $(b,--resume) reproduces the uninterrupted verdict matrix \
-          bit-for-bit.")
+         "Run a mutant-detection matrix: every (design, mutant) cell checked \
+          once, sharded across worker processes (or in-process with \
+          $(b,--workers) 1), each verdict journaled by the coordinator into a \
+          resumable checkpoint. Kill it anytime; $(b,--resume) reproduces the \
+          uninterrupted verdict matrix bit-for-bit.")
     Term.(
-      const run $ designs_arg $ technique_arg $ bound_arg $ workers_arg $ batch_arg
-      $ no_sync_arg $ checkpoint_arg $ resume_flag $ cli_force_flag $ obs_trace_arg
-      $ obs_metrics_arg $ obs_format_arg)
+      const run $ designs_arg $ technique_arg $ bound_arg $ timeout_arg
+      $ max_conflicts_arg $ workers_arg $ batch_arg $ no_sync_arg $ checkpoint_arg
+      $ resume_flag $ force_flag $ obs_trace_arg $ obs_metrics_arg $ obs_format_arg)
 
 (* ---- mutants ---- *)
 

@@ -53,8 +53,8 @@ let m_merged = lazy (Obs.Metrics.counter "dist.merged")
 (* ------------------------------------------------------------------ *)
 
 (* Workers are fresh processes (the OCaml 5 runtime forbids [Unix.fork]
-   once any domain has ever been created, and solvers race domains), so
-   a solve function cannot travel as a closure: it is named here, and
+   once any domain has ever been created, and a host may have run [Par]
+   domains before the campaign starts), so a solve function cannot travel as a closure: it is named here, and
    the name plus a small [arg] string travel to the worker through its
    environment, where [worker_entry] resolves them against the same
    registry. *)
@@ -171,8 +171,7 @@ let worker_entry () =
 (* Spawn one worker: re-exec this executable with the worker environment
    set, protocol piped over its stdin/stdout. [Unix.create_process_env]
    spawns without the fork primitive, so it stays legal after domains
-   have run in the coordinator — and the worker is free to race domains
-   itself. *)
+   have run in the coordinator. *)
 let spawn ~solver ~arg idx =
   let c2w_r, c2w_w = Unix.pipe () in
   let w2c_r, w2c_w = Unix.pipe () in

@@ -19,8 +19,8 @@
     bit-identical to an uninterrupted run's.
 
     A worker is this same executable re-exec'd (the OCaml 5 runtime
-    forbids [Unix.fork] once any domain has ever been created, and the
-    solver stack races domains), so solve functions are passed by
+    forbids [Unix.fork] once any domain has ever been created, and a
+    host may have run [Par] domains first), so solve functions are passed by
     {e registered name}, not closure: the host binary {!register}s its
     solvers and calls {!worker_entry} first thing in [main].
 

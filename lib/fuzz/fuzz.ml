@@ -691,111 +691,10 @@ module Oracle = struct
               (same_outcome ~oracle:"tracing" ~lane:"traced" reference traced)
               (fun () -> Result.map (fun () -> certified) (check_trace events)))
 
-  (* Crash-safe campaigns: journal a small verification campaign through
-     [Persist.Campaign], kill it at a random record boundary (sometimes
-     mid-append, leaving a torn tail), resume from the damaged journal and
-     diff the final verdict matrix bit-for-bit against an uninterrupted
-     run. The property under test: a crash may only cost re-work — the
-     resumed matrix must equal the clean one exactly, journaled [Unknown]s
-     are re-attempted rather than trusted, and a torn tail is truncated
-     away without poisoning the replayed prefix. With [cert] the clean
-     reference queries DRAT-certify their UNSAT bounds. *)
-  let checkpoint_resume ?(cert = false) ~depth rand (d : Rtl.design) =
-    let vars = all_vars d in
-    let invariants =
-      List.init 3 (fun i ->
-          ( Printf.sprintf "inv%d" i,
-            if i = 0 then Gen.true_invariant rand ~vars
-            else Gen.expr rand ~vars ~width:1 ~depth:2 ))
-    in
-    let solve invariant =
-      fst (Bmc.check_safety ~certify:cert ~design:d ~invariant ~depth ())
-    in
-    match List.map (fun (_, inv) -> solve inv) invariants with
-    | exception Bmc.Certification_failed msg ->
-        Error ("checkpoint: clean run rejected a DRAT certificate: " ^ msg)
-    | outcomes ->
-        let certified =
-          if cert then List.fold_left (fun acc o -> acc + certified_bounds o) 0 outcomes
-          else 0
-        in
-        let reference = List.map outcome_to_string outcomes in
-        let diff what got =
-          let rec go i a b =
-            match (a, b) with
-            | [], [] -> Ok ()
-            | x :: a', y :: b' ->
-                if String.equal x y then go (i + 1) a' b'
-                else
-                  Error
-                    (Printf.sprintf
-                       "checkpoint: %s: task %d decided %s but the clean run \
-                        decided %s" what i y x)
-            | _ -> Error (Printf.sprintf "checkpoint: %s: matrix length differs" what)
-          in
-          go 0 reference got
-        in
-        let journal = Filename.temp_file "gqed-fuzz-campaign" ".jrnl" in
-        Fun.protect
-          ~finally:(fun () -> try Sys.remove journal with Sys_error _ -> ())
-          (fun () ->
-            let campaign_pass ~resume =
-              match Persist.Campaign.start ~resume ~force:(not resume) journal with
-              | Error msg -> Error ("checkpoint: " ^ msg)
-              | Ok c ->
-                  Fun.protect
-                    ~finally:(fun () -> Persist.Campaign.close c)
-                    (fun () ->
-                      match
-                        List.map
-                          (fun (key, inv) ->
-                            match Persist.Campaign.find_decided c key with
-                            | Some payload -> payload
-                            | None ->
-                                let outcome = solve inv in
-                                let payload = outcome_to_string outcome in
-                                let decided =
-                                  match outcome with
-                                  | Bmc.Unknown _ -> false
-                                  | Bmc.Holds _ | Bmc.Violated _ -> true
-                                in
-                                Persist.Campaign.record c ~decided ~key ~payload;
-                                payload)
-                          invariants
-                      with
-                      | matrix -> Ok matrix
-                      | exception Bmc.Certification_failed msg ->
-                          Error
-                            ("checkpoint: journaled run rejected a DRAT \
-                              certificate: " ^ msg))
-            in
-            match campaign_pass ~resume:false with
-            | Error _ as e -> e
-            | Ok full -> (
-                match diff "journaled run" full with
-                | Error _ as e -> e
-                | Ok () -> (
-                    (* Kill the campaign: keep a random prefix of records and,
-                       half the time, a few bytes of a half-written record —
-                       exactly what a crash mid-append leaves behind. *)
-                    let keep = Random.State.int rand (List.length invariants) in
-                    let torn_bytes = if Random.State.bool rand then 9 else 0 in
-                    Persist.Journal.chop ~torn_bytes ~keep journal;
-                    match campaign_pass ~resume:true with
-                    | Error _ as e -> e
-                    | Ok resumed -> (
-                        match diff "resumed run" resumed with
-                        | Error _ as e -> e
-                        | Ok () -> Ok certified))))
-
-  (* Distributed campaigns: the same crash-only-costs-rework property as
-     [checkpoint_resume], but with real worker processes — shard a small
-     safety-check campaign across 2 workers, SIGKILL one at a random ack
-     (downing the whole run), resume from the leftover per-worker shards
-     and diff the merged matrix against an in-process reference. A random
-     design cannot be rebuilt from a compact arg string in the re-exec'd
-     worker, so the cell table is marshalled to a temp file and the file
-     path travels as the solver arg. *)
+  (* Both campaign oracles run small safety-check campaigns through
+     [Dist.run]. A random design cannot be rebuilt from a compact arg
+     string in a re-exec'd worker, so the cell table is marshalled to a
+     temp file and the file path travels as the solver arg. *)
 
   let dist_tables : (string, (string, Rtl.design * Expr.t * int) Hashtbl.t) Hashtbl.t =
     Hashtbl.create 4
@@ -828,6 +727,112 @@ module Oracle = struct
 
   let () = Dist.register "fuzz-dist" dist_solver
 
+  (* Marshal the (key, invariant) campaign over [d] to a temp cell table
+     and hand [f] the table path (the "fuzz-dist" solver arg), a fresh
+     journal path and the cells; both files and the in-process copy of
+     the table are gone afterwards. *)
+  let with_cell_table ~depth (d : Rtl.design) spec f =
+    let table_file = Filename.temp_file "gqed-fuzz-dist" ".tbl" in
+    let journal = Filename.temp_file "gqed-fuzz-dist" ".jrnl" in
+    Sys.remove journal;
+    let cleanup () =
+      Hashtbl.remove dist_tables table_file;
+      List.iter
+        (fun f -> try Sys.remove f with Sys_error _ -> ())
+        [ table_file; journal ]
+    in
+    Fun.protect ~finally:cleanup (fun () ->
+        let oc = open_out_bin table_file in
+        Marshal.to_channel oc (List.map (fun (k, inv) -> (k, (d, inv, depth))) spec) [];
+        close_out oc;
+        let cells =
+          List.mapi
+            (fun i (k, _) -> { Dist.cell_key = k; cell_hint = float_of_int i })
+            spec
+        in
+        f ~table_file ~journal cells)
+
+  (* The campaign's payload column must equal the reference outcomes. *)
+  let diff_rows ~oracle what reference rows =
+    let rec go i a b =
+      match (a, b) with
+      | [], [] -> Ok ()
+      | x :: a', y :: b' ->
+          if String.equal x y.Dist.r_payload then go (i + 1) a' b'
+          else
+            Error
+              (Printf.sprintf "%s: %s: cell %d decided %s but the reference decided %s"
+                 oracle what i y.Dist.r_payload x)
+      | _ -> Error (Printf.sprintf "%s: %s: matrix length differs" oracle what)
+    in
+    go 0 reference rows
+
+  (* Crash-safe campaigns: journal a small verification campaign through
+     the serial campaign runner ([Dist.run ~workers:1], the path
+     [gqed campaign --workers 1] takes), kill it at a random record
+     boundary (sometimes mid-append, leaving a torn tail), resume from the
+     damaged journal and diff the final verdict matrix bit-for-bit
+     against a clean run. The property under test: a crash may only cost
+     re-work — the resumed matrix must equal the clean one exactly,
+     journaled [Unknown]s are re-attempted rather than trusted, and a
+     torn tail is truncated away without poisoning the replayed prefix.
+     With [cert] the clean reference queries DRAT-certify their UNSAT
+     bounds. *)
+  let checkpoint_resume ?(cert = false) ~depth rand (d : Rtl.design) =
+    let vars = all_vars d in
+    let invariants =
+      List.init 3 (fun i ->
+          ( Printf.sprintf "inv%d" i,
+            if i = 0 then Gen.true_invariant rand ~vars
+            else Gen.expr rand ~vars ~width:1 ~depth:2 ))
+    in
+    let solve invariant =
+      fst (Bmc.check_safety ~certify:cert ~design:d ~invariant ~depth ())
+    in
+    match List.map (fun (_, inv) -> solve inv) invariants with
+    | exception Bmc.Certification_failed msg ->
+        Error ("checkpoint: clean run rejected a DRAT certificate: " ^ msg)
+    | outcomes ->
+        let certified =
+          if cert then List.fold_left (fun acc o -> acc + certified_bounds o) 0 outcomes
+          else 0
+        in
+        let reference = List.map outcome_to_string outcomes in
+        let diff = diff_rows ~oracle:"checkpoint" in
+        with_cell_table ~depth d invariants (fun ~table_file ~journal cells ->
+            let run ~resume =
+              match
+                Dist.run ~workers:1 ~sync:false ~resume ~force:false ~journal
+                  ~solver:"fuzz-dist" ~arg:table_file cells
+              with
+              | Error msg -> Error ("checkpoint: " ^ msg)
+              | Ok (rows, _) -> Ok rows
+            in
+            match run ~resume:false with
+            | Error _ as e -> e
+            | Ok full -> (
+                match diff "journaled run" reference full with
+                | Error _ as e -> e
+                | Ok () -> (
+                    (* Kill the campaign: keep a random prefix of records and,
+                       half the time, a few bytes of a half-written record —
+                       exactly what a crash mid-append leaves behind. *)
+                    let keep = Random.State.int rand (List.length invariants) in
+                    let torn_bytes = if Random.State.bool rand then 9 else 0 in
+                    Persist.Journal.chop ~torn_bytes ~keep journal;
+                    match run ~resume:true with
+                    | Error _ as e -> e
+                    | Ok resumed ->
+                        Result.map
+                          (fun () -> certified)
+                          (diff "resumed run" reference resumed))))
+
+  (* Distributed campaigns: the same crash-only-costs-rework property as
+     [checkpoint_resume], but with real worker processes — shard a small
+     safety-check campaign across 2 workers, SIGKILL one at a random ack
+     (downing the whole run), resume from the coordinator's journal
+     (sometimes with its last record torn) and diff the resumed matrix
+     against an in-process reference. *)
   let dist_kill_worker ~depth rand (d : Rtl.design) =
     let vars = all_vars d in
     let cells_spec =
@@ -842,44 +847,12 @@ module Oracle = struct
           outcome_to_string (fst (Bmc.check_safety ~design:d ~invariant ~depth ())))
         cells_spec
     in
-    let table_file = Filename.temp_file "gqed-fuzz-dist" ".tbl" in
-    let journal = Filename.temp_file "gqed-fuzz-dist" ".jrnl" in
-    Sys.remove journal;
-    let cleanup () =
-      List.iter
-        (fun f -> try Sys.remove f with Sys_error _ -> ())
-        [ table_file; journal ]
-    in
-    Fun.protect ~finally:cleanup (fun () ->
-        let oc = open_out_bin table_file in
-        Marshal.to_channel oc
-          (List.map (fun (k, inv) -> (k, (d, inv, depth))) cells_spec)
-          [];
-        close_out oc;
-        let cells =
-          List.mapi
-            (fun i (k, _) -> { Dist.cell_key = k; cell_hint = float_of_int i })
-            cells_spec
-        in
+    let diff = diff_rows ~oracle:"dist" in
+    with_cell_table ~depth d cells_spec (fun ~table_file ~journal cells ->
         let policy = { Dist.max_restarts = 1; backoff_s = 0.001; backoff_cap_s = 0.002 } in
         let run ?kill ~resume () =
           Dist.run ~workers:2 ~batch:1 ~policy ?kill ~sync:false ~resume
             ~force:false ~journal ~solver:"fuzz-dist" ~arg:table_file cells
-        in
-        let diff what rows =
-          let rec go i a b =
-            match (a, b) with
-            | [], [] -> Ok ()
-            | x :: a', y :: b' ->
-                if String.equal x y.Dist.r_payload then go (i + 1) a' b'
-                else
-                  Error
-                    (Printf.sprintf
-                       "dist: %s: cell %d decided %s but the reference decided %s"
-                       what i y.Dist.r_payload x)
-            | _ -> Error (Printf.sprintf "dist: %s: matrix length differs" what)
-          in
-          go 0 reference rows
         in
         let kill =
           {
@@ -891,7 +864,7 @@ module Oracle = struct
         match run ~kill ~resume:false () with
         | Ok (rows, _) ->
             (* The campaign outran the kill point — still a full matrix. *)
-            diff "unkilled run" rows
+            diff "unkilled run" reference rows
         | Error _ -> (
             (* Downed mid-run: the journal holds what was answered. Half
                the time, tear its last record — the coordinator SIGKILLed
@@ -903,7 +876,7 @@ module Oracle = struct
                | _ -> ());
             match run ~resume:true () with
             | Error msg -> Error ("dist: resume failed: " ^ msg)
-            | Ok (rows, _) -> diff "resumed run" rows))
+            | Ok (rows, _) -> diff "resumed run" reference rows))
 end
 
 (* ------------------------------------------------------------------ *)

@@ -126,8 +126,9 @@ module Oracle : sig
   val checkpoint_resume :
     ?cert:bool -> depth:int -> Random.State.t -> Rtl.design -> (int, string) result
   (** Crash/resume is verdict-invisible: a small campaign of safety checks
-      journaled through {!Persist.Campaign} is killed at a random record
-      boundary (sometimes mid-append, leaving a torn tail via
+      run and journaled by the serial campaign runner ([Dist.run
+      ~workers:1], as [gqed campaign --workers 1]) is killed at a random
+      record boundary (sometimes mid-append, leaving a torn tail via
       {!Persist.Journal.chop}) and resumed; the resumed verdict matrix
       must equal the uninterrupted run bit-for-bit. Journaled [Unknown]s
       are re-attempted on resume, never skipped. With [cert] the clean

@@ -1,7 +1,8 @@
 (* Tests for the observability layer: span nesting and balance invariants,
    metrics snapshot/diff algebra, concurrent emission from several domains,
    exporter round-trips, and the overwrite guard behind bench --trace and
-   --metrics (which --force lifts, as it does for --checkpoint journals). *)
+   --metrics (which --force lifts, as it does for campaign --checkpoint
+   journals). *)
 
 module Trace = Obs.Trace
 module Metrics = Obs.Metrics
@@ -305,7 +306,8 @@ let test_metrics_concurrent_adds () =
   Metrics.reset ()
 
 (* ---- export guard (bench --trace / --metrics overwrite regression;
-   --checkpoint journals refuse the same way in Persist.Campaign) ---- *)
+   campaign --checkpoint journals refuse the same way in
+   Persist.Campaign) ---- *)
 
 let test_export_guard_refuses_overwrite () =
   let path = Filename.temp_file "gqed_obs" ".json" in
