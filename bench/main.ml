@@ -5,7 +5,6 @@
    Usage:
      dune exec bench/main.exe                       # all experiments
      dune exec bench/main.exe -- t2 f1              # a subset, by id
-     dune exec bench/main.exe -- --jobs 4 t2        # fan tasks over 4 domains
 
    Experiment ids: t1 t2 t3 t4 t5 a1 a2 a3 s1 f1 f2 f3 micro.
 
@@ -32,9 +31,8 @@
    it exits 3 when some verdict stayed unknown under the budget, and 0.
    Machine-readable measurements live in bench/perf (see its README).
 
-   Parallelism never changes any verdict or table cell: every task builds
-   its own engine and results are reassembled in input order (see
-   lib/par/DESIGN.md), so --jobs N only changes wall-clock time. *)
+   Every task runs serially in one domain; parallel runs are `gqed
+   campaign --workers N`. *)
 
 module Entry = Designs.Entry
 module Registry = Designs.Registry
@@ -50,9 +48,7 @@ let time f =
   (result, Unix.gettimeofday () -. t0)
 
 (* ------------------------------------------------------------------ *)
-(* Parallel fan-out (--jobs), run-wide flags and the verdict gate.      *)
-
-let jobs = ref 1
+(* Run-wide flags and the verdict gate.                                *)
 
 (* --no-simplify: run the solver-cost experiments (t3, f1, a2) with the
    formula-shrinking pipeline disabled, for before/after comparisons. S1
@@ -60,11 +56,10 @@ let jobs = ref 1
 let pipeline = ref Bmc.default_simplify
 
 (* --timeout / --max-conflicts build the per-query budget every governed
-   check runs under. Counters are atomic because checks run on worker
-   domains under Par fan-outs. *)
+   check runs under. *)
 let timeout : float option ref = ref None
 let max_conflicts : int option ref = ref None
-let unknown_verdicts = Atomic.make 0
+let unknown_verdicts = ref 0
 
 (* --trace / --metrics / --trace-format enable the Obs layer for the whole
    run; --force permits overwriting existing trace and metrics files. *)
@@ -75,8 +70,7 @@ let force_overwrite = ref false
 
 (* The run's one verdict gate: every disagreement any experiment finds
    between a reference lane and a variant lands here, and a nonempty list
-   fails the run (Report.exit_code). Experiments record from the main
-   domain only, after their fan-outs have joined. *)
+   fails the run (Report.exit_code). *)
 let flips : Report.flip list ref = ref []
 
 let disagree experiment cell ~expected ~got =
@@ -103,11 +97,13 @@ let check ?simplify technique design iface ~bound =
     Checks.run ?simplify ~limits:(bench_limits ()) technique design iface ~bound
   in
   (match report.Checks.verdict with
-  | Checks.Unknown _ -> Atomic.incr unknown_verdicts
+  | Checks.Unknown _ -> incr unknown_verdicts
   | Checks.Pass _ | Checks.Fail _ -> ());
   report
 
-let par_map f xs = Par.map ~jobs:!jobs f xs
+(* [f] over [xs] in order, each result paired with its wall-clock
+   seconds. *)
+let map_timed f xs = List.map (fun x -> time (fun () -> f x)) xs
 
 let header title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '-')
@@ -195,9 +191,7 @@ type t2_row = {
 }
 
 (* One task per matrix cell (design x mutant) plus one false-alarm task per
-   design; the whole matrix fans out over domains at once and the rows are
-   reassembled in registry order, so the printed table is independent of
-   [jobs]. *)
+   design; the rows are reassembled in registry order. *)
 type t2_cell = {
   cc_crv_detected : bool;
   cc_crv_cycles : int;
@@ -214,7 +208,7 @@ let t2_compute () =
       Registry.all
   in
   let results =
-    par_map
+    List.map
       (function
         | `Alarm e ->
             Printf.eprintf "  [t2] %s...\n%!" e.Entry.name;
@@ -324,9 +318,8 @@ let t3 () =
   header "T3  G-QED verification cost on correct designs";
   Printf.printf "%-12s %6s %9s %9s %10s %9s %8s\n" "design" "bound" "vars" "clauses"
     "conflicts" "verdict" "time(s)";
-  (* Per-design rows fan out over domains; printing stays in registry order. *)
   let rows =
-    Par.map_timed ~jobs:!jobs
+    map_timed
       (fun e ->
         (e, check ~simplify:!pipeline Checks.Gqed e.Entry.design e.Entry.iface
               ~bound:e.Entry.rec_bound))
@@ -369,7 +362,7 @@ let t5 () =
   header "T5  Theory validation (bounded-exhaustive + per-witness soundness)";
   let small = [ "accum"; "maxtrack"; "rle"; "seqdet"; "histogram" ] in
   Printf.printf "%-12s %24s %8s %8s\n" "design" "brute-force table" "G-QED" "agree";
-  par_map
+  List.map
     (fun name ->
       let e = Registry.find name in
       let alphabet =
@@ -394,7 +387,7 @@ let t5 () =
          Printf.printf "%-12s %24s %8s %8s\n%!" name table_str got
            (if agree "t5" name ~expected ~got then "yes" else "NO"));
   Printf.printf "\nInjected interference (hidden-output mutants):\n";
-  par_map
+  List.map
     (fun name ->
       let e = Registry.find name in
       match
@@ -437,7 +430,7 @@ let t5 () =
       [ "accum"; "maxtrack"; "seqdet" ]
   in
   let verdicts =
-    par_map
+    List.map
       (fun (e, _label, mutant) ->
         let report = check Checks.Gqed mutant e.Entry.iface ~bound:e.Entry.rec_bound in
         match report.Checks.verdict with
@@ -462,7 +455,7 @@ let t5 () =
 let a1 () =
   header "A1  Ablation: post-state conjunct (hidden-state mutants of arch regs)";
   Printf.printf "%-12s %22s %22s\n" "design" "G-QED(full)" "G-QED(out-only)";
-  par_map
+  List.map
     (fun e ->
       if not e.Entry.interfering then None
       else
@@ -630,7 +623,7 @@ let s1 () =
   Printf.printf "%-12s %-8s %9s %9s %10s %8s\n" "design" "stage" "vars" "clauses" "verdict"
     "time(s)";
   let ablation =
-    par_map
+    List.map
       (fun (e, (stage, conf)) ->
         let report, dt =
           time (fun () ->
@@ -666,7 +659,7 @@ let s1 () =
       entries
   in
   let matrix =
-    par_map
+    List.map
       (fun (e, label, design) ->
         let run simplify =
           check ~simplify Checks.Gqed design e.Entry.iface ~bound:e.Entry.rec_bound
@@ -718,11 +711,10 @@ let f1 () =
   Printf.printf "%-6s" "bound";
   List.iter (Printf.printf " %12s") designs;
   Printf.printf "\n";
-  (* All (bound, design) cells fan out at once; each cell's time is its own
-     task wall-clock, so the grid is the same data the serial run prints. *)
+  (* Each cell's time is its own task wall-clock. *)
   let cells = List.concat_map (fun b -> List.map (fun d -> (b, d)) designs) bounds in
   let timed =
-    Par.map_timed ~jobs:!jobs
+    map_timed
       (fun (bound, name) ->
         let e = Registry.find name in
         check ~simplify:!pipeline Checks.Gqed e.Entry.design e.Entry.iface ~bound)
@@ -763,7 +755,7 @@ let f2 () =
   Printf.printf "%-20s" "mutant";
   List.iter (fun b -> Printf.printf " %7s" (Printf.sprintf "%dtx" b)) budgets;
   Printf.printf " %16s\n" "G-QED one-shot";
-  par_map
+  List.map
     (fun (label, design_name, op) ->
       let e = Registry.find design_name in
       match
@@ -939,18 +931,6 @@ let experiments =
 let () =
   let rec parse_args acc = function
     | [] -> List.rev acc
-    | "--jobs" :: n :: rest -> begin
-        match int_of_string_opt n with
-        | Some j when j >= 1 ->
-            jobs := j;
-            parse_args acc rest
-        | _ ->
-            prerr_endline "bench: --jobs expects a positive integer";
-            exit 2
-      end
-    | [ "--jobs" ] ->
-        prerr_endline "bench: --jobs expects a positive integer";
-        exit 2
     | "--no-simplify" :: rest ->
         pipeline := Bmc.no_simplify;
         parse_args acc rest
@@ -1049,8 +1029,7 @@ let () =
         exit 2
       end)
     requested;
-  Printf.printf "G-QED reproduction harness — %d experiment(s), %d job(s)\n"
-    (List.length requested) !jobs;
+  Printf.printf "G-QED reproduction harness — %d experiment(s)\n" (List.length requested);
   List.iter
     (fun id ->
       let (), dt = time (List.assoc id experiments) in
@@ -1069,7 +1048,7 @@ let () =
       Printf.printf "metrics written to %s\n" path);
   let flips = List.rev !flips in
   List.iter (fun f -> prerr_endline ("bench: FLIP " ^ Report.flip_to_string f)) flips;
-  let unknowns = Atomic.get unknown_verdicts in
+  let unknowns = !unknown_verdicts in
   let code = Report.exit_code ~flips ~unknowns in
   if code = 1 then
     Printf.eprintf "bench: FAILED — %d verdict disagreement(s)\n" (List.length flips)

@@ -429,7 +429,7 @@ let campaign_cmd =
   let workers_arg =
     Arg.(
       value
-      & opt int (Par.default_jobs ())
+      & opt int (Domain.recommended_domain_count ())
       & info [ "workers" ] ~docv:"N"
           ~doc:
             "Shard the campaign across $(docv) worker processes (default: the \

@@ -52,9 +52,9 @@ let m_merged = lazy (Obs.Metrics.counter "dist.merged")
 (* Solver registry                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Workers are fresh processes (the OCaml 5 runtime forbids [Unix.fork]
-   once any domain has ever been created, and a host may have run [Par]
-   domains before the campaign starts), so a solve function cannot travel as a closure: it is named here, and
+(* Workers are fresh processes (a re-exec starts from a clean runtime,
+   sharing none of the coordinator's heap, descriptors or unflushed
+   buffers), so a solve function cannot travel as a closure: it is named here, and
    the name plus a small [arg] string travel to the worker through its
    environment, where [worker_entry] resolves them against the same
    registry. *)
@@ -170,8 +170,8 @@ let worker_entry () =
 
 (* Spawn one worker: re-exec this executable with the worker environment
    set, protocol piped over its stdin/stdout. [Unix.create_process_env]
-   spawns without the fork primitive, so it stays legal after domains
-   have run in the coordinator. *)
+   execs a fresh runtime, so the worker inherits nothing of the
+   coordinator's state but the pipes. *)
 let spawn ~solver ~arg idx =
   let c2w_r, c2w_w = Unix.pipe () in
   let w2c_r, w2c_w = Unix.pipe () in
@@ -445,7 +445,7 @@ let run_distributed ~nw ~batch ~policy ~kill ~solver ~arg ~campaign ~done_rows
       raise e
 
 let run ?(workers = 2) ?(batch = 2) ?(policy = default_policy)
-    ?(sync = true) ?(compact_min = 512) ?kill ?(arg = "") ~resume ~force ~journal
+    ?(sync = true) ?kill ?(arg = "") ~resume ~force ~journal
     ~solver cells =
   Obs.Trace.with_span "dist.run" (fun () ->
       match (lookup solver, List.find_opt (fun c -> String.contains c.cell_key '\n') cells) with
@@ -453,7 +453,7 @@ let run ?(workers = 2) ?(batch = 2) ?(policy = default_policy)
       | _, Some c -> Error (Printf.sprintf "cell key contains a newline: %S" c.cell_key)
       | Some mk, None -> (
           let solve = mk ~arg in
-          match Persist.Campaign.start ~sync ~compact_min ~resume ~force journal with
+          match Persist.Campaign.start ~sync ~resume ~force journal with
           | Error msg -> Error msg
           | Ok campaign ->
               let seen = Hashtbl.create 64 in

@@ -18,9 +18,9 @@
     after a kill skips what the journal decided, so the final matrix is
     bit-identical to an uninterrupted run's.
 
-    A worker is this same executable re-exec'd (the OCaml 5 runtime
-    forbids [Unix.fork] once any domain has ever been created, and a
-    host may have run [Par] domains first), so solve functions are passed by
+    A worker is this same executable re-exec'd (a fresh runtime that
+    shares none of the coordinator's heap, descriptors or unflushed
+    buffers), so solve functions are passed by
     {e registered name}, not closure: the host binary {!register}s its
     solvers and calls {!worker_entry} first thing in [main].
 
@@ -104,7 +104,6 @@ val run :
   ?batch:int ->
   ?policy:restart_policy ->
   ?sync:bool ->
-  ?compact_min:int ->
   ?kill:kill ->
   ?arg:string ->
   resume:bool ->
@@ -126,7 +125,7 @@ val run :
     degrades to an undecided row with an empty payload.
 
     [resume]/[force]/[journal] follow {!Persist.Campaign.start}, with
-    [sync] and [compact_min] forwarded to it; the coordinator journals
+    [sync] forwarded to it; the coordinator journals
     each result as its frame arrives, so resuming a killed run skips
     exactly what was journaled and re-solves journaled Unknowns.
 

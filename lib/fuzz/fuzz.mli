@@ -1,9 +1,9 @@
 (** Differential fuzzing of the verification stack.
 
     The verifier's verdicts are only as trustworthy as its kernels — the
-    expression evaluator, the bit-blaster, the hash-consed AIG, the CDCL
-    solver and the parallel fan-out all sit between a design and a
-    "Proved"/"Detected" answer. This module generates seeded random but
+    expression evaluator, the bit-blaster, the hash-consed AIG and the
+    CDCL solver all sit between a design and a "Proved"/"Detected"
+    answer. This module generates seeded random but
     well-typed RTL transition systems and runs every artifact through
     {e independent} implementation paths, demanding bit-exact agreement:
 
@@ -18,9 +18,7 @@
       examples must violate the invariant exactly at their last cycle, and
       invariants that are true by construction must come back [Holds];
       with certification on, every UNSAT bound is DRAT-checked
-      ({!Sat.Drat});
-    - {b jobs}: verdicts computed under {!Par} domain fan-out against the
-      serial run.
+      ({!Sat.Drat}).
 
     Failing designs are shrunk greedily to a (locally) minimal reproducer
     and written to a corpus directory together with the seed that found
@@ -85,8 +83,6 @@ module Oracle : sig
   (** On success, the number of UNSAT bounds that were DRAT-certified
       (0 when [cert] is false). *)
 
-  val jobs_vs_serial : depth:int -> Random.State.t -> Rtl.design -> (unit, string) result
-
   val simplify_on_vs_off :
     ?cert:bool -> depth:int -> Random.State.t -> Rtl.design -> (int, string) result
   (** The formula-shrinking pipeline is verdict-invisible: the same safety
@@ -118,7 +114,7 @@ module Oracle : sig
       {!Obs} tracing enabled must decide exactly the untraced verdict
       (same proved bound or same counterexample length). The emitted trace
       must additionally pass {!Obs.Trace.check} (balanced spans, monotone
-      per-domain timestamps, strictly increasing sequence numbers) and
+      per-track timestamps, strictly increasing sequence numbers) and
       round-trip through the ndjson exporter and parser unchanged. On
       success, returns the number of certified bounds of the reference
       run. *)
@@ -130,8 +126,9 @@ module Oracle : sig
       ~workers:1], as [gqed campaign --workers 1]) is killed at a random
       record boundary (sometimes mid-append, leaving a torn tail via
       {!Persist.Journal.chop}) and resumed; the resumed verdict matrix
-      must equal the uninterrupted run bit-for-bit. Journaled [Unknown]s
-      are re-attempted on resume, never skipped. With [cert] the clean
+      must equal the uninterrupted run bit-for-bit, and exactly the cells
+      whose decided record survived the crash come back [r_warm].
+      Journaled [Unknown]s are re-attempted on resume, never skipped. With [cert] the clean
       reference queries DRAT-certify their UNSAT bounds; on success,
       returns the number of certified bounds of the reference run. *)
 
@@ -141,7 +138,9 @@ module Oracle : sig
       campaign sharded across 2 worker processes via {!Dist.run} is
       SIGKILLed at a random ack (sometimes also tearing the journal's
       last record) and resumed; the resumed matrix must equal an in-process
-      reference cell-for-cell, with journaled [Unknown]s re-solved. The
+      reference cell-for-cell, exactly the cells whose decided record
+      survived come back [r_warm], and journaled [Unknown]s are
+      re-solved. The
       random design travels to the re-exec'd workers through a marshalled
       cell table on disk, exercising the solver-by-registered-name path
       end to end. Any binary that runs this oracle must have called

@@ -1,10 +1,11 @@
-(* Tracing + metrics. See DESIGN.md for the multi-domain buffer ownership
-   and merge-ordering argument. *)
+(* Tracing + metrics. Each process is one domain (parallelism is worker
+   processes), so the trace is one buffer and metrics are plain cells; see
+   DESIGN.md. *)
 
-let enabled = Atomic.make false
-let on () = Atomic.get enabled
-let enable () = Atomic.set enabled true
-let disable () = Atomic.set enabled false
+let enabled = ref false
+let on () = !enabled
+let enable () = enabled := true
+let disable () = enabled := false
 
 (* ------------------------------------------------------------------ *)
 (* Minimal JSON.                                                       *)
@@ -250,59 +251,23 @@ module Trace = struct
     ev_args : (string * string) list;
   }
 
-  (* One buffer per domain, owned exclusively by that domain (it lives in
-     domain-local storage): only the owner ever writes [b_events] and
-     [b_last_ts], so emission is lock- and contention-free. The buffer is
-     published once per epoch on a Treiber-stack registry so the merge can
-     reach buffers of domains that have since exited. *)
-  type buf = {
-    b_domain : int;
-    mutable b_epoch : int;
-    mutable b_events : event list; (* newest first *)
-    mutable b_last_ts : float;
-  }
-
-  let epoch = Atomic.make 0
-  let registry : buf list Atomic.t = Atomic.make []
-  let seq = Atomic.make 0
-
-  let key =
-    Domain.DLS.new_key (fun () ->
-        {
-          b_domain = (Domain.self () :> int);
-          b_epoch = -1;
-          b_events = [];
-          b_last_ts = 0.;
-        })
-
-  let rec register b =
-    let cur = Atomic.get registry in
-    if not (Atomic.compare_and_set registry cur (b :: cur)) then register b
-
-  let buffer () =
-    let b = Domain.DLS.get key in
-    let e = Atomic.get epoch in
-    if b.b_epoch <> e then begin
-      b.b_epoch <- e;
-      b.b_events <- [];
-      b.b_last_ts <- 0.;
-      register b
-    end;
-    b
+  (* The one trace buffer: newest event first. *)
+  let buffer : event list ref = ref []
+  let seq = ref 0
+  let last_ts = ref 0.
 
   let emit kind name args =
-    let b = buffer () in
-    let s = Atomic.fetch_and_add seq 1 in
-    (* Clamp against the last timestamp this domain emitted: gettimeofday
-       is not guaranteed monotone, and the well-formedness checker demands
-       per-domain monotonicity. *)
+    (* Clamp against the last timestamp emitted: gettimeofday is not
+       guaranteed monotone, and the well-formedness checker demands
+       per-track monotonicity. *)
     let now = Unix.gettimeofday () in
-    let ts = if now > b.b_last_ts then now else b.b_last_ts in
-    b.b_last_ts <- ts;
-    b.b_events <-
-      { ev_seq = s; ev_domain = b.b_domain; ev_ts = ts; ev_kind = kind;
+    let ts = if now > !last_ts then now else !last_ts in
+    last_ts := ts;
+    buffer :=
+      { ev_seq = !seq; ev_domain = 0; ev_ts = ts; ev_kind = kind;
         ev_name = name; ev_args = args }
-      :: b.b_events
+      :: !buffer;
+    incr seq
 
   let span_begin ?(args = []) name = if on () then emit Begin name args
   let span_end ?(args = []) name = if on () then emit End name args
@@ -319,14 +284,11 @@ module Trace = struct
     end
 
   let reset () =
-    Atomic.set registry [];
-    Atomic.incr epoch;
-    Atomic.set seq 0
+    buffer := [];
+    seq := 0;
+    last_ts := 0.
 
-  let events () =
-    let bufs = Atomic.get registry in
-    let all = List.concat_map (fun b -> b.b_events) bufs in
-    List.sort (fun a b -> Int.compare a.ev_seq b.ev_seq) all
+  let events () = List.rev !buffer
 
   (* ---------------- well-formedness ---------------- *)
 
@@ -587,85 +549,59 @@ end
 (* Metrics.                                                            *)
 
 module Metrics = struct
-  (* CAS loop for float accumulation: [compare_and_set] on a boxed float
-     compares the box physically, and we only ever CAS the exact box we
-     read, so a success means no interleaved write. *)
-  let rec atomic_add_float a x =
-    let cur = Atomic.get a in
-    if not (Atomic.compare_and_set a cur (cur +. x)) then atomic_add_float a x
-
   let bucket_bounds =
     [| 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 0.1; 1.; 10.; 100.; 1e3; infinity |]
 
   type hist = {
-    h_counts : int Atomic.t array; (* per-bound, non-cumulative *)
-    h_n : int Atomic.t;
-    h_s : float Atomic.t;
+    h_counts : int array; (* per-bound, non-cumulative *)
+    mutable h_n : int;
+    mutable h_s : float;
   }
 
-  type counter = int Atomic.t
-  type gauge = float Atomic.t
+  type counter = int ref
+  type gauge = float ref
   type histogram = hist
 
   type cell = Ccell of counter | Gcell of gauge | Hcell of hist
 
   let registry : (string, cell) Hashtbl.t = Hashtbl.create 32
-  let lock = Mutex.create ()
+
+  let clash name =
+    invalid_arg (Printf.sprintf "Obs.Metrics: %S already registered with another kind" name)
+
+  let intern name make wrap unwrap =
+    match Hashtbl.find_opt registry name with
+    | Some cell -> ( match unwrap cell with Some x -> x | None -> clash name)
+    | None ->
+        let x = make () in
+        Hashtbl.add registry name (wrap x);
+        x
 
   let counter name =
-    Mutex.protect lock (fun () ->
-        match Hashtbl.find_opt registry name with
-        | Some (Ccell c) -> c
-        | Some _ ->
-            invalid_arg
-              (Printf.sprintf "Obs.Metrics: %S already registered with another kind" name)
-        | None ->
-            let c = Atomic.make 0 in
-            Hashtbl.add registry name (Ccell c);
-            c)
+    intern name (fun () -> ref 0) (fun c -> Ccell c) (function Ccell c -> Some c | _ -> None)
 
   let gauge name =
-    Mutex.protect lock (fun () ->
-        match Hashtbl.find_opt registry name with
-        | Some (Gcell g) -> g
-        | Some _ ->
-            invalid_arg
-              (Printf.sprintf "Obs.Metrics: %S already registered with another kind" name)
-        | None ->
-            let g = Atomic.make 0. in
-            Hashtbl.add registry name (Gcell g);
-            g)
+    intern name (fun () -> ref 0.) (fun g -> Gcell g) (function Gcell g -> Some g | _ -> None)
 
   let histogram name =
-    Mutex.protect lock (fun () ->
-        match Hashtbl.find_opt registry name with
-        | Some (Hcell h) -> h
-        | Some _ ->
-            invalid_arg
-              (Printf.sprintf "Obs.Metrics: %S already registered with another kind" name)
-        | None ->
-            let h =
-              {
-                h_counts = Array.init (Array.length bucket_bounds) (fun _ -> Atomic.make 0);
-                h_n = Atomic.make 0;
-                h_s = Atomic.make 0.;
-              }
-            in
-            Hashtbl.add registry name (Hcell h);
-            h)
+    intern name
+      (fun () -> { h_counts = Array.make (Array.length bucket_bounds) 0; h_n = 0; h_s = 0. })
+      (fun h -> Hcell h)
+      (function Hcell h -> Some h | _ -> None)
 
-  let add c n = ignore (Atomic.fetch_and_add c n)
+  let add c n = c := !c + n
   let incr c = add c 1
-  let set g v = Atomic.set g v
+  let set g v = g := v
 
   let observe h v =
     let rec bucket i =
       if i >= Array.length bucket_bounds - 1 || v <= bucket_bounds.(i) then i
       else bucket (i + 1)
     in
-    ignore (Atomic.fetch_and_add h.h_counts.(bucket 0) 1);
-    ignore (Atomic.fetch_and_add h.h_n 1);
-    atomic_add_float h.h_s v
+    let b = bucket 0 in
+    h.h_counts.(b) <- h.h_counts.(b) + 1;
+    h.h_n <- h.h_n + 1;
+    h.h_s <- h.h_s +. v
 
   type value =
     | Counter of int
@@ -675,33 +611,24 @@ module Metrics = struct
   type snapshot = (string * value) list
 
   let snapshot () =
-    let rows =
-      Mutex.protect lock (fun () ->
-          Hashtbl.fold (fun name cell acc -> (name, cell) :: acc) registry [])
+    let value = function
+      | Ccell c -> Counter !c
+      | Gcell g -> Gauge !g
+      | Hcell h ->
+          (* Cumulative buckets for the snapshot view. *)
+          let acc = ref 0 in
+          let buckets =
+            Array.to_list
+              (Array.mapi
+                 (fun i c ->
+                   acc := !acc + c;
+                   (bucket_bounds.(i), !acc))
+                 h.h_counts)
+          in
+          Histogram { h_count = h.h_n; h_sum = h.h_s; h_buckets = buckets }
     in
     List.sort (fun (a, _) (b, _) -> String.compare a b)
-      (List.map
-         (fun (name, cell) ->
-           let v =
-             match cell with
-             | Ccell c -> Counter (Atomic.get c)
-             | Gcell g -> Gauge (Atomic.get g)
-             | Hcell h ->
-                 (* Cumulative buckets for the snapshot view. *)
-                 let acc = ref 0 in
-                 let buckets =
-                   Array.to_list
-                     (Array.mapi
-                        (fun i c ->
-                          acc := !acc + Atomic.get c;
-                          (bucket_bounds.(i), !acc))
-                        h.h_counts)
-                 in
-                 Histogram
-                   { h_count = Atomic.get h.h_n; h_sum = Atomic.get h.h_s; h_buckets = buckets }
-           in
-           (name, v))
-         rows)
+      (Hashtbl.fold (fun name cell acc -> (name, value cell) :: acc) registry [])
 
   let diff ~before ~after =
     List.map
@@ -727,7 +654,7 @@ module Metrics = struct
         (name, v'))
       after
 
-  let reset () = Mutex.protect lock (fun () -> Hashtbl.reset registry)
+  let reset () = Hashtbl.reset registry
 
   let value_json = function
     | Counter n -> Json.Obj [ ("type", Json.Str "counter"); ("value", Json.Num (float_of_int n)) ]

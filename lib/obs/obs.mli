@@ -2,16 +2,15 @@
     solving stack.
 
     Zero-dependency (unix only) and disabled by default: every emission
-    point is guarded by one [Atomic.get] on a global flag, so instrumented
-    hot paths pay nothing measurable when tracing is off. When on, events
-    go to per-domain buffers (domain-local storage, registered once on a
-    lock-free list), so {!Par} tasks emit without
-    taking any lock; a global atomic sequence number gives the merged
-    trace a total order. See DESIGN.md in this directory for the buffer
-    ownership and merge-ordering rules. *)
+    point is guarded by one load of a global flag, so instrumented hot
+    paths pay nothing measurable when tracing is off. When on, events go
+    to one in-process buffer in emission order. Each process runs one
+    domain (parallelism is [Dist] worker processes), so neither the
+    buffer nor the metrics take a lock. See DESIGN.md in this
+    directory. *)
 
 val on : unit -> bool
-(** The near-zero-cost guard: one atomic load. Instrumentation sites check
+(** The near-zero-cost guard: one load. Instrumentation sites check
     this before building argument lists. *)
 
 val enable : unit -> unit
@@ -44,14 +43,16 @@ end
 module Trace : sig
   type kind =
     | Begin  (** span open *)
-    | End  (** span close; must match the innermost open span of its domain *)
+    | End  (** span close; must match the innermost open span of its track *)
     | Instant  (** point event *)
     | Counter of float  (** sampled value *)
 
   type event = {
-    ev_seq : int;  (** global emission order (strictly increasing) *)
-    ev_domain : int;  (** id of the emitting domain *)
-    ev_ts : float;  (** seconds; non-decreasing within a domain *)
+    ev_seq : int;  (** emission order (strictly increasing) *)
+    ev_domain : int;
+        (** track id ([dom] in ndjson, [tid] in Chrome); always 0 for
+            events emitted in-process *)
+    ev_ts : float;  (** seconds; non-decreasing within a track *)
     ev_kind : kind;
     ev_name : string;
     ev_args : (string * string) list;
@@ -70,21 +71,19 @@ module Trace : sig
   val counter : string -> float -> unit
 
   val reset : unit -> unit
-  (** Drop all buffered events (a new epoch: buffers of live domains are
-      lazily re-registered on their next emission). *)
+  (** Drop all buffered events and restart [seq] at 0. *)
 
   val events : unit -> event list
-  (** The merged trace in sequence order. Only meaningful at quiescence —
-      after every emitting domain has been joined (or is idle); the merge
-      itself takes no lock. *)
+  (** The buffered trace in sequence order. *)
 
   (** {2 Well-formedness} *)
 
   val check : event list -> (unit, string) result
-  (** Structural invariants of a merged trace: sequence numbers strictly
-      increase, timestamps are non-decreasing per domain, every [End]
-      matches the innermost open [Begin] of its domain, and no span is
-      left open. *)
+  (** Structural invariants of a trace: sequence numbers strictly
+      increase, timestamps are non-decreasing per track ([ev_domain]),
+      every [End] matches the innermost open [Begin] of its track, and no
+      span is left open. Per-track checking keeps merged multi-process
+      traces checkable. *)
 
   (** {2 Exporters} *)
 
@@ -95,7 +94,7 @@ module Trace : sig
   val to_chrome : Buffer.t -> event list -> unit
   (** Chrome [trace_event] JSON ([{"traceEvents":[...]}]), loadable in
       Perfetto / [about://tracing]. Timestamps are microseconds relative
-      to the first event; domains appear as threads. *)
+      to the first event; tracks appear as threads. *)
 
   val parse_ndjson : string -> (event list, string) result
   (** Re-read an ndjson export (inverse of {!to_ndjson}). *)
@@ -110,11 +109,10 @@ end
 
 (** {1 Metrics registry}
 
-    Named counters, gauges and histograms with atomic updates. Handles
-    are interned by name: two [counter "x"] calls share state. Updates
-    are unconditional (callers guard with {!on} where the lookup itself
-    would be hot); reads take a consistent-enough snapshot for reporting,
-    not a linearizable one. *)
+    Named counters, gauges and histograms held in plain mutable cells.
+    Handles are interned by name: two [counter "x"] calls share state.
+    Updates are unconditional (callers guard with {!on} where the lookup
+    itself would be hot). *)
 
 module Metrics : sig
   type counter

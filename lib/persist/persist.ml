@@ -107,7 +107,6 @@ module Journal = struct
     j_sync : bool;
     j_fault : fault_hook option;
     j_fd : Unix.file_descr;
-    j_lock : Mutex.t;
     mutable j_appended : int;
     mutable j_seq : int;  (* append index fed to the fault hook *)
     mutable j_good : int;
@@ -252,8 +251,7 @@ module Journal = struct
         let fd = fresh () in
         Ok
           ( { j_path = path; j_sync = sync; j_fault = fault; j_fd = fd;
-              j_lock = Mutex.create (); j_appended = 0; j_seq = 0;
-              j_good = header_len; j_closed = false },
+              j_appended = 0; j_seq = 0; j_good = header_len; j_closed = false },
             [],
             { rec_entries = 0; rec_dropped_bytes = 0; rec_truncated = false } )
       else
@@ -282,8 +280,7 @@ module Journal = struct
                 if sync then fsync_fd fd;
                 Ok
                   ( { j_path = path; j_sync = sync; j_fault = fault; j_fd = fd;
-                      j_lock = Mutex.create (); j_appended = 0; j_seq = 0;
-                      j_good = good; j_closed = false },
+                      j_appended = 0; j_seq = 0; j_good = good; j_closed = false },
                     entries,
                     recovery ))
     with
@@ -297,46 +294,42 @@ module Journal = struct
     done
 
   let append ?(seconds = 0.) t ~decided ~key ~payload () =
-    Mutex.lock t.j_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.j_lock)
-      (fun () ->
-        if t.j_closed then invalid_arg "Persist.Journal.append: closed";
-        let rec_bytes = encode_record ~seconds ~decided ~key ~payload () in
-        let n = String.length rec_bytes in
-        let seq = t.j_seq in
-        t.j_seq <- seq + 1;
-        (* Roll back partial bytes a previous failed or torn append left
-           behind, so this record lands at the end of the valid prefix
-           and stays replayable. (A real SIGKILL gets no such repair —
-           load/open_append recover the file then.) *)
-        let file_end = Unix.lseek t.j_fd 0 Unix.SEEK_END in
-        if file_end > t.j_good then begin
-          Unix.ftruncate t.j_fd t.j_good;
-          ignore (Unix.lseek t.j_fd 0 Unix.SEEK_END)
-        end;
-        (match t.j_fault with
-        | Some hook -> (
-            match hook seq with
-            | None -> ()
-            | Some (Short_write k) ->
-                write_all t.j_fd rec_bytes (min k n);
-                if t.j_sync then fsync_fd t.j_fd;
-                raise (Injected_fault (Printf.sprintf "short write (%d of %d bytes)" (min k n) n))
-            | Some Enospc -> raise (Injected_fault "ENOSPC")
-            | Some (Torn k) ->
-                (* Kill-mid-append: partial bytes land, nobody sees an
-                   error. The record is lost but the journal stays
-                   recoverable. *)
-                write_all t.j_fd rec_bytes (min k n);
-                if t.j_sync then fsync_fd t.j_fd;
-                raise Exit)
-        | None -> ());
-        write_all t.j_fd rec_bytes n;
-        if t.j_sync then fsync_fd t.j_fd;
-        t.j_good <- t.j_good + n;
-        t.j_appended <- t.j_appended + 1;
-        if Obs.on () then Obs.Metrics.incr (Lazy.force m_appends))
+    if t.j_closed then invalid_arg "Persist.Journal.append: closed";
+    let rec_bytes = encode_record ~seconds ~decided ~key ~payload () in
+    let n = String.length rec_bytes in
+    let seq = t.j_seq in
+    t.j_seq <- seq + 1;
+    (* Roll back partial bytes a previous failed or torn append left
+       behind, so this record lands at the end of the valid prefix
+       and stays replayable. (A real SIGKILL gets no such repair —
+       load/open_append recover the file then.) *)
+    let file_end = Unix.lseek t.j_fd 0 Unix.SEEK_END in
+    if file_end > t.j_good then begin
+      Unix.ftruncate t.j_fd t.j_good;
+      ignore (Unix.lseek t.j_fd 0 Unix.SEEK_END)
+    end;
+    (match t.j_fault with
+    | Some hook -> (
+        match hook seq with
+        | None -> ()
+        | Some (Short_write k) ->
+            write_all t.j_fd rec_bytes (min k n);
+            if t.j_sync then fsync_fd t.j_fd;
+            raise (Injected_fault (Printf.sprintf "short write (%d of %d bytes)" (min k n) n))
+        | Some Enospc -> raise (Injected_fault "ENOSPC")
+        | Some (Torn k) ->
+            (* Kill-mid-append: partial bytes land, nobody sees an
+               error. The record is lost but the journal stays
+               recoverable. *)
+            write_all t.j_fd rec_bytes (min k n);
+            if t.j_sync then fsync_fd t.j_fd;
+            raise Exit)
+    | None -> ());
+    write_all t.j_fd rec_bytes n;
+    if t.j_sync then fsync_fd t.j_fd;
+    t.j_good <- t.j_good + n;
+    t.j_appended <- t.j_appended + 1;
+    if Obs.on () then Obs.Metrics.incr (Lazy.force m_appends)
 
   let append ?seconds t ~decided ~key ~payload =
     try append ?seconds t ~decided ~key ~payload () with Exit -> (* Torn: silent *) ()
@@ -344,15 +337,11 @@ module Journal = struct
   let appended t = t.j_appended
 
   let close t =
-    Mutex.lock t.j_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.j_lock)
-      (fun () ->
-        if not t.j_closed then begin
-          t.j_closed <- true;
-          if t.j_sync then fsync_fd t.j_fd;
-          (try Unix.close t.j_fd with Unix.Unix_error _ -> ())
-        end)
+    if not t.j_closed then begin
+      t.j_closed <- true;
+      if t.j_sync then fsync_fd t.j_fd;
+      (try Unix.close t.j_fd with Unix.Unix_error _ -> ())
+    end
 
   let chop ?(torn_bytes = 0) ~keep path =
     match read_file path with
@@ -449,7 +438,6 @@ module Campaign = struct
     (* last positive wall-clock seconds per key, decided or not: the
        hardness signal the distributed scheduler sorts its queue by *)
     ca_seconds : (string, float) Hashtbl.t;
-    ca_lock : Mutex.t;
     mutable ca_stats : stats;
   }
 
@@ -520,7 +508,6 @@ module Campaign = struct
               ca_path = path;
               ca_index = index;
               ca_seconds = seconds;
-              ca_lock = Mutex.create ();
               ca_stats =
                 {
                   c_loaded = recovery.Journal.rec_entries;
@@ -536,22 +523,14 @@ module Campaign = struct
     end
 
   let find_decided t key =
-    Mutex.lock t.ca_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.ca_lock)
-      (fun () ->
-        match Hashtbl.find_opt t.ca_index key with
-        | Some payload ->
-            t.ca_stats <- { t.ca_stats with c_hits = t.ca_stats.c_hits + 1 };
-            if Obs.on () then Obs.Metrics.incr (Lazy.force m_hits);
-            Some payload
-        | None -> None)
+    match Hashtbl.find_opt t.ca_index key with
+    | Some payload ->
+        t.ca_stats <- { t.ca_stats with c_hits = t.ca_stats.c_hits + 1 };
+        if Obs.on () then Obs.Metrics.incr (Lazy.force m_hits);
+        Some payload
+    | None -> None
 
-  let last_seconds t key =
-    Mutex.lock t.ca_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.ca_lock)
-      (fun () -> Hashtbl.find_opt t.ca_seconds key)
+  let last_seconds t key = Hashtbl.find_opt t.ca_seconds key
 
   let record ?(seconds = 0.) t ~decided ~key ~payload =
     let ok =
@@ -563,22 +542,16 @@ module Campaign = struct
            resume. Never let journal I/O poison a verdict path. *)
         false
     in
-    Mutex.lock t.ca_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.ca_lock)
-      (fun () ->
-        if seconds > 0. then Hashtbl.replace t.ca_seconds key seconds;
-        if decided then Hashtbl.replace t.ca_index key payload
-        else Hashtbl.remove t.ca_index key;
-        if ok then t.ca_stats <- { t.ca_stats with c_appended = t.ca_stats.c_appended + 1 }
-        else begin
-          t.ca_stats <- { t.ca_stats with c_write_errors = t.ca_stats.c_write_errors + 1 };
-          if Obs.on () then Obs.Metrics.incr (Lazy.force m_write_errors)
-        end)
+    if seconds > 0. then Hashtbl.replace t.ca_seconds key seconds;
+    if decided then Hashtbl.replace t.ca_index key payload
+    else Hashtbl.remove t.ca_index key;
+    if ok then t.ca_stats <- { t.ca_stats with c_appended = t.ca_stats.c_appended + 1 }
+    else begin
+      t.ca_stats <- { t.ca_stats with c_write_errors = t.ca_stats.c_write_errors + 1 };
+      if Obs.on () then Obs.Metrics.incr (Lazy.force m_write_errors)
+    end
 
-  let stats t =
-    Mutex.lock t.ca_lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.ca_lock) (fun () -> t.ca_stats)
+  let stats t = t.ca_stats
 
   let path t = t.ca_path
   let close t = Journal.close t.ca_journal

@@ -77,7 +77,7 @@ module Journal : sig
 
   val append :
     ?seconds:float -> t -> decided:bool -> key:string -> payload:string -> unit
-  (** Append one record and (when [sync]) fsync. Thread-safe. Raises
+  (** Append one record and (when [sync]) fsync. Raises
       {!Injected_fault} when the fault hook fires, [Sys_error] on real
       I/O failure; in both cases the journal file is no worse than torn,
       which {!load} recovers from. A handle that survives a failed
@@ -160,8 +160,8 @@ module Campaign : sig
       changes what a resume may skip, only the file size. *)
 
   val find_decided : t -> string -> string option
-  (** Payload of the last decided record for this key, if any.
-      Thread-safe; counts a hit. *)
+  (** Payload of the last decided record for this key, if any; counts a
+      hit. *)
 
   val last_seconds : t -> string -> float option
   (** Last positive journaled wall-clock seconds for this key, if any —
@@ -172,7 +172,7 @@ module Campaign : sig
   (** Journal one outcome and index it. A failed append (injected or
       real I/O error) degrades durability — the key will be re-run on
       resume — but never raises out of a verdict-producing path; it is
-      counted in [c_write_errors]. Thread-safe. *)
+      counted in [c_write_errors]. *)
 
   val stats : t -> stats
   val path : t -> string

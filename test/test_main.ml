@@ -10,7 +10,6 @@ let () =
     [
       ("bitvec", Test_bitvec.suite);
       ("sat", Test_sat.suite);
-      ("par", Test_par.suite);
       ("vec", Test_vec.suite);
       ("aig", Test_aig.suite);
       ("expr", Test_expr.suite);

@@ -1,6 +1,5 @@
 (* Tests for the observability layer: span nesting and balance invariants,
-   metrics snapshot/diff algebra, concurrent emission from several domains,
-   exporter round-trips, and the overwrite guard behind bench --trace and
+   metrics snapshot/diff algebra, exporter round-trips, and the overwrite guard behind bench --trace and
    --metrics (which --force lifts, as it does for campaign --checkpoint
    journals). *)
 
@@ -56,8 +55,7 @@ let test_nested_spans_balanced () =
   in
   Alcotest.(check int) "six events" 6 (List.length evs);
   check_ok evs;
-  (* Sequence numbers are the emission order, 0-based and gapless when a
-     single domain emits. *)
+  (* Sequence numbers are the emission order, 0-based and gapless. *)
   List.iteri
     (fun i ev -> Alcotest.(check int) "gapless seq" i ev.Trace.ev_seq)
     evs
@@ -112,42 +110,15 @@ let test_checker_rejects_seq_violations () =
     [ ev 0 1.0 Trace.Instant "a"; ev 0 2.0 Trace.Instant "b" ];
   check_err "decreasing seq"
     [ ev 5 1.0 Trace.Instant "a"; ev 3 2.0 Trace.Instant "b" ];
-  check_err "time going backwards in one domain"
+  check_err "time going backwards in one track"
     [ ev 0 2.0 Trace.Instant "a"; ev 1 1.0 Trace.Instant "b" ];
-  (* Per-domain clocks are independent: an older timestamp on another
-     domain is fine. *)
+  (* Per-track clocks are independent: an older timestamp on another
+     track (a merged multi-process trace) is fine. *)
   check_ok
     [
       ev 0 2.0 Trace.Instant "a";
       { (ev 1 1.0 Trace.Instant "b") with Trace.ev_domain = 1 };
     ]
-
-(* ---- concurrent emission ---- *)
-
-let test_concurrent_domains_merge () =
-  let per_domain = 50 and domains = 4 in
-  let evs =
-    traced (fun () ->
-        let worker d () =
-          for i = 1 to per_domain / 2 do
-            Trace.with_span
-              (Printf.sprintf "d%d.task" d)
-              ~args:[ ("i", string_of_int i) ]
-              (fun () -> ())
-          done
-        in
-        let ds = List.init domains (fun d -> Domain.spawn (worker d)) in
-        List.iter Domain.join ds;
-        Trace.events ())
-  in
-  Alcotest.(check int) "every event arrived" (per_domain * domains)
-    (List.length evs);
-  check_ok evs;
-  (* The merge must interleave without losing any domain. *)
-  let doms =
-    List.sort_uniq compare (List.map (fun e -> e.Trace.ev_domain) evs)
-  in
-  Alcotest.(check int) "all domains represented" domains (List.length doms)
 
 (* ---- exporters ---- *)
 
@@ -285,26 +256,6 @@ let test_metrics_snapshot_sorted_and_interned () =
   | _ -> Alcotest.fail "kind clash accepted");
   Metrics.reset ()
 
-let test_metrics_concurrent_adds () =
-  Metrics.reset ();
-  let c = Metrics.counter "conc.count" in
-  let g = Metrics.gauge "conc.sum" in
-  let per = 10_000 and domains = 4 in
-  let worker () =
-    for _ = 1 to per do
-      Metrics.incr c;
-      (* Gauge used as a float accumulator exercises the CAS loop. *)
-      Metrics.set g 1.0
-    done
-  in
-  let ds = List.init domains (fun _ -> Domain.spawn worker) in
-  List.iter Domain.join ds;
-  (match List.assoc_opt "conc.count" (Metrics.snapshot ()) with
-  | Some (Metrics.Counter n) ->
-      Alcotest.(check int) "no lost increments" (per * domains) n
-  | _ -> Alcotest.fail "counter missing");
-  Metrics.reset ()
-
 (* ---- export guard (bench --trace / --metrics overwrite regression;
    campaign --checkpoint journals refuse the same way in
    Persist.Campaign) ---- *)
@@ -336,12 +287,10 @@ let suite =
     ("obs.with_span_raise", `Quick, test_with_span_closes_on_raise);
     ("obs.reject_unbalanced", `Quick, test_checker_rejects_unbalanced);
     ("obs.reject_seq", `Quick, test_checker_rejects_seq_violations);
-    ("obs.concurrent_merge", `Quick, test_concurrent_domains_merge);
     ("obs.ndjson_roundtrip", `Quick, test_ndjson_roundtrip);
     ("obs.chrome_parses", `Quick, test_chrome_export_parses);
     ("obs.validate_file", `Quick, test_validate_file_both_formats);
     ("obs.metrics_diff", `Quick, test_metrics_snapshot_and_diff);
     ("obs.metrics_interning", `Quick, test_metrics_snapshot_sorted_and_interned);
-    ("obs.metrics_concurrent", `Quick, test_metrics_concurrent_adds);
     ("obs.export_guard", `Quick, test_export_guard_refuses_overwrite);
   ]
