@@ -836,6 +836,25 @@ let pigeonhole np nh =
   done;
   s
 
+(* A Tseitin-style CNF: [ninputs] inputs, [ngates] AND gates over random
+   earlier nodes with random polarities (three clauses each), and one
+   clause asking for one of the last three gates. *)
+let tseitin_cnf ~seed ~ninputs ~ngates =
+  let rand = Random.State.make [| seed |] in
+  let lit v = Sat.Lit.make v ~neg:(Random.State.bool rand) in
+  let gates =
+    List.init ngates (fun i ->
+        let g = ninputs + i in
+        let a = lit (Random.State.int rand g) and b = lit (Random.State.int rand g) in
+        [
+          [| Sat.Lit.neg g; a |];
+          [| Sat.Lit.neg g; b |];
+          [| Sat.Lit.pos g; Sat.Lit.negate a; Sat.Lit.negate b |];
+        ])
+  in
+  let n = ninputs + ngates in
+  (n, Array.of_list (List.concat gates @ [ Array.init 3 (fun i -> Sat.Lit.pos (n - 1 - i)) ]))
+
 let micro () =
   header "Micro-benchmarks (Bechamel): per-experiment computational kernels";
   let open Bechamel in
@@ -846,6 +865,9 @@ let micro () =
       (Mutation.mutants accum.Entry.design)
     |> Option.get
   in
+  let simp_nvars, simp_cnf = tseitin_cnf ~seed:5 ~ninputs:200 ~ngates:3000 in
+  let simp_frozen = Array.make simp_nvars false in
+  let simp_protected = Array.make (Array.length simp_cnf) false in
   let sim_inputs =
     let rand = Random.State.make [| 9 |] in
     List.init 200 (fun _ ->
@@ -889,6 +911,11 @@ let micro () =
         (Staged.stage (fun () -> ignore (Checks.aqed_fc mutant accum.Entry.iface ~bound:4)));
       Test.make ~name:"sat.cdcl_php_8_7"
         (Staged.stage (fun () -> ignore (Sat.Solver.solve (pigeonhole 8 7))));
+      Test.make ~name:"sat.simplify_bve"
+        (Staged.stage (fun () ->
+             ignore
+               (Sat.Simplify.run ~nvars:simp_nvars ~frozen:simp_frozen
+                  ~protected:simp_protected simp_cnf)));
     ]
   in
   let instance = Toolkit.Instance.monotonic_clock in

@@ -1,13 +1,25 @@
-(* SatELite-style preprocessing over a clause-database snapshot.
+(* SatELite-style preprocessing on flat arrays.
 
-   The data structure is the classic one: per-variable occurrence lists
-   (both polarities mixed, as in MiniSat's SimpSolver, so a backward check
-   from clause C finds both the clauses C subsumes and the clauses C
-   strengthens — including strengthenings that flip C's probe literal
-   itself) plus a 62-bit signature per clause for cheap non-subsumption
-   rejection. Occurrence lists are append-only with lazy invalidation:
-   entries for dead or since-strengthened clauses are filtered out by the
-   membership test of the subsumption check itself. *)
+   Clauses are numbered: the input clauses keep their ids 0..n-1 and the
+   clauses created during the run (derived units, resolvents) continue
+   from n. Per-clause state lives in side arrays indexed by that number,
+   plus a 62-bit signature per clause for cheap non-subsumption rejection.
+
+   Occurrence lists are per variable with both polarities mixed (as in
+   MiniSat's SimpSolver, so a backward check from clause C finds both the
+   clauses C subsumes and the clauses C strengthens — including
+   strengthenings that flip C's probe literal itself). Each one has two
+   parts: a CSR segment over the input clauses, built once, and a linked
+   list (in flat arrays) of the clauses created during the run. Both
+   invalidate lazily: entries for dead or since-strengthened clauses are
+   filtered out by the membership test of the subsumption check itself,
+   and collecting a variable's clauses for elimination drops its dead
+   entries. A clause has one entry per literal, so the entries of a
+   clause with a repeated variable are adjacent.
+
+   The action log depends on the order in which occurrences are visited.
+   It is newest first: created clauses from the latest back, then input
+   clauses by descending id. Dropping dead entries keeps that order. *)
 
 type config = {
   subsume : bool;
@@ -36,274 +48,594 @@ type stats = {
   s_units : int;
 }
 
-(* Internal clause record. [cid] = -1 for derived unit pseudo-clauses that
-   exist only inside this run (their solver counterpart is a level-0
-   assignment, not a clause object, so no action may reference them). *)
-type cls = {
-  cid : int;
-  mutable lits : Lit.t array;
-  mutable csig : int;
-  mutable dead : bool;
-  mutable queued : bool;
-  prot : bool;
+(* Per-clause flag bits. *)
+let f_dead = 1
+let f_queued = 2
+let f_prot = 4
+
+type t = {
+  config : config;
+  (* Per variable. [frozen] is a private copy, [||] when BVE is off. *)
+  frozen : bool array;
+  occ_n : int array; (* live literal occurrences *)
+  (* Whether an input clause repeats a literal. Without one, no clause
+     ever does (resolvents are deduplicated), so [occ_n.(v)] is exactly
+     the number of live clauses with [v] counted per polarity. *)
+  repeats : bool;
+  (* Input clauses of [v]: [occ_db.(occ_lo.(v)) .. occ_db.(occ_hi.(v) - 1)],
+     ascending. *)
+  occ_lo : int array;
+  occ_hi : int array;
+  occ_db : int array;
+  (* Created clauses of [v]: entry [dyn_head.(v)] (newest, -1 if none),
+     then along the links: entry [e] is the pair [ent.(e)] (the clause),
+     [ent.(e + 1)] (the next entry, or -1). *)
+  dyn_head : int array;
+  mutable ent : int array;
+  mutable n_ent : int; (* slots used in [ent] *)
+  (* Per clause. A clause with [cid] = -1 is a derived unit that exists
+     only inside this run: its solver counterpart is a level-0 assignment,
+     not a clause object, so no action may reference it. *)
+  mutable lits : Lit.t array array; (* never mutated, only replaced *)
+  mutable csig : int array;
+  mutable cid : int array;
+  mutable flags : Bytes.t;
+  mutable nc : int;
+  (* FIFO worklist of clause numbers; a clause is in it at most once. *)
+  mutable queue : int array;
+  mutable qhead : int;
+  mutable qtail : int;
+  mutable actions : action list; (* reversed *)
+  mutable next_id : int;
+  mutable contradiction : bool;
+  mutable n_sub : int;
+  mutable n_str : int;
+  mutable n_elim : int;
+  mutable n_res : int;
+  mutable n_unit : int;
 }
 
+let[@inline] has st k f = Char.code (Bytes.get st.flags k) land f <> 0
+
+let[@inline] set st k f =
+  Bytes.set st.flags k (Char.unsafe_chr (Char.code (Bytes.get st.flags k) lor f))
+
+let[@inline] clear st k f =
+  Bytes.set st.flags k (Char.unsafe_chr (Char.code (Bytes.get st.flags k) land lnot f))
+
+let emit st a = st.actions <- a :: st.actions
+
 let sig_of lits =
-  Array.fold_left (fun s l -> s lor (1 lsl (Lit.var l mod 62))) 0 lits
+  let s = ref 0 in
+  for i = 0 to Array.length lits - 1 do
+    s := !s lor (1 lsl (Lit.var lits.(i) mod 62))
+  done;
+  !s
 
-let mem l c =
-  let lits = c.lits in
+let mem l lits =
   let n = Array.length lits in
-  let rec go i = i < n && (lits.(i) = l || go (i + 1)) in
-  go 0
+  let i = ref 0 in
+  while !i < n && lits.(!i) <> l do
+    incr i
+  done;
+  !i < n
 
-type sub = No | Sub | Str of Lit.t
+let grow a n fill =
+  let b = Array.make n fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
-(* Does [c] subsume [d], or strengthen it by removing one literal?
-   [Str p] means: every literal of [c] except one is in [d], and that one
-   appears negated in [d] as [p] — the resolvent of [c] and [d] on [p]
-   subsumes [d], so [p] can be removed from [d]. *)
-let subsume_check c d =
-  if Array.length c.lits > Array.length d.lits then No
-  else if c.csig land lnot d.csig <> 0 then No
+(* Append clause [lits] (never mutated afterwards) and index it. *)
+let new_clause st ~cid lits =
+  let k = st.nc in
+  if k = Array.length st.lits then begin
+    let cap = 2 * k + 16 in
+    st.lits <- grow st.lits cap [||];
+    st.csig <- grow st.csig cap 0;
+    st.cid <- grow st.cid cap 0;
+    st.flags <- Bytes.extend st.flags 0 (cap - k)
+  end;
+  st.nc <- k + 1;
+  st.lits.(k) <- lits;
+  st.csig.(k) <- sig_of lits;
+  st.cid.(k) <- cid;
+  Bytes.set st.flags k '\000';
+  for i = 0 to Array.length lits - 1 do
+    let v = Lit.var lits.(i) in
+    let e = st.n_ent in
+    if e = Array.length st.ent then st.ent <- grow st.ent ((2 * e) + 64) 0;
+    st.n_ent <- e + 2;
+    st.ent.(e) <- k;
+    st.ent.(e + 1) <- st.dyn_head.(v);
+    st.dyn_head.(v) <- e;
+    st.occ_n.(v) <- st.occ_n.(v) + 1
+  done;
+  k
+
+let dec_occ st lits =
+  for i = 0 to Array.length lits - 1 do
+    let v = Lit.var lits.(i) in
+    st.occ_n.(v) <- st.occ_n.(v) - 1
+  done
+
+let enqueue st k =
+  if Char.code (Bytes.get st.flags k) land (f_queued lor f_dead) = 0 then begin
+    set st k f_queued;
+    if st.qtail = Array.length st.queue then begin
+      let live = st.qtail - st.qhead in
+      let q =
+        if 2 * st.qhead >= st.qtail then st.queue
+        else Array.make ((2 * st.qtail) + 16) 0
+      in
+      Array.blit st.queue st.qhead q 0 live;
+      st.queue <- q;
+      st.qhead <- 0;
+      st.qtail <- live
+    end;
+    st.queue.(st.qtail) <- k;
+    st.qtail <- st.qtail + 1
+  end
+
+let freeze st v = if st.config.bve then st.frozen.(v) <- true
+
+let new_unit st l =
+  emit st (Unit l);
+  st.n_unit <- st.n_unit + 1;
+  freeze st (Lit.var l);
+  enqueue st (new_clause st ~cid:(-1) [| l |])
+
+let kill st k =
+  if not (has st k f_dead) then begin
+    set st k f_dead;
+    dec_occ st st.lits.(k);
+    if st.cid.(k) >= 0 then emit st (Remove st.cid.(k))
+  end
+
+(* Remove literal [p] from clause [d]. *)
+let strengthen st d p =
+  let old = st.lits.(d) in
+  let n = ref 0 and keep = ref p in
+  for i = 0 to Array.length old - 1 do
+    if old.(i) <> p then begin
+      incr n;
+      keep := old.(i)
+    end
+  done;
+  st.n_str <- st.n_str + 1;
+  match !n with
+  | 0 ->
+      (* [d] was the unit [p] and is contradicted: the set is UNSAT. *)
+      emit st Empty;
+      st.contradiction <- true;
+      set st d f_dead
+  | 1 ->
+      new_unit st !keep;
+      set st d f_dead;
+      dec_occ st old;
+      if st.cid.(d) >= 0 then emit st (Remove st.cid.(d))
+  | n ->
+      let lits = Array.make n 0 in
+      let j = ref 0 in
+      for i = 0 to Array.length old - 1 do
+        if old.(i) <> p then begin
+          lits.(!j) <- old.(i);
+          incr j
+        end
+      done;
+      st.occ_n.(Lit.var p) <- st.occ_n.(Lit.var p) - 1;
+      st.lits.(d) <- lits;
+      st.csig.(d) <- sig_of lits;
+      emit st (Strengthen (st.cid.(d), lits));
+      enqueue st d
+
+(* Does [c] subsume [d] ([sub_sub]), or strengthen it by removing one
+   literal (that literal, >= 0)? The caller has checked the signatures. It strengthens when every literal of [c]
+   except one is in [d], and that one appears negated in [d] as [p]: the
+   resolvent of [c] and [d] on [p] subsumes [d], so [p] can go. *)
+let sub_no = -1
+let sub_sub = -2
+
+let subsume_check st c d =
+  let lc = st.lits.(c) and ld = st.lits.(d) in
+  if Array.length lc > Array.length ld then sub_no
   else begin
-    let flip = ref (-1) in
-    let bad = ref false in
-    let lits = c.lits in
-    let n = Array.length lits in
-    let i = ref 0 in
+    let flip = ref (-1) and bad = ref false and i = ref 0 in
+    let n = Array.length lc in
     while (not !bad) && !i < n do
-      let l = lits.(!i) in
-      if mem l d then ()
-      else if !flip < 0 && mem (Lit.negate l) d then flip := l
+      let l = lc.(!i) in
+      if mem l ld then ()
+      else if !flip < 0 && mem (Lit.negate l) ld then flip := l
       else bad := true;
       incr i
     done;
-    if !bad then No else if !flip < 0 then Sub else Str (Lit.negate !flip)
+    if !bad then sub_no else if !flip < 0 then sub_sub else Lit.negate !flip
+  end
+
+(* The signature test comes first: it rejects most candidates without
+   touching anything else of theirs. *)
+let visit st c csig d =
+  if (not st.contradiction) && d <> c
+     && csig land lnot st.csig.(d) = 0
+     && Char.code (Bytes.get st.flags d) land (f_dead lor f_prot) = 0
+     && not (has st c f_dead)
+  then begin
+    let r = subsume_check st c d in
+    if r = sub_sub then begin
+      if st.config.subsume then begin
+        st.n_sub <- st.n_sub + 1;
+        kill st d
+      end
+    end
+    else if r >= 0 && st.config.self_subsume then strengthen st d r
+  end
+
+(* Backward subsumption + strengthening from [c]: probe the occurrence
+   list of c's least-occurring variable; every clause c subsumes or
+   strengthens must contain (a polarity of) each of c's variables. Only
+   the entries present when the probe starts are visited. *)
+let process st c =
+  if not (has st c f_dead) then begin
+    let lits = st.lits.(c) in
+    let best = ref (Lit.var lits.(0)) in
+    for i = 0 to Array.length lits - 1 do
+      let v = Lit.var lits.(i) in
+      if st.occ_n.(v) < st.occ_n.(!best) then best := v
+    done;
+    let v = !best and csig = st.csig.(c) in
+    let e = ref st.dyn_head.(v) in
+    while !e >= 0 do
+      visit st c csig st.ent.(!e);
+      e := st.ent.(!e + 1)
+    done;
+    for j = st.occ_hi.(v) - 1 downto st.occ_lo.(v) do
+      visit st c csig st.occ_db.(j)
+    done
+  end
+
+let drain st =
+  while (not st.contradiction) && st.qhead < st.qtail do
+    let c = st.queue.(st.qhead) in
+    st.qhead <- st.qhead + 1;
+    if st.qhead = st.qtail then begin
+      st.qhead <- 0;
+      st.qtail <- 0
+    end;
+    clear st c f_queued;
+    process st c
+  done
+
+(* ---- Bounded variable elimination ---- *)
+
+(* Buffers shared by every attempt of one run: the live clauses of the
+   variable by polarity; a per-literal stamp that deduplicates resolvent
+   literals and finds tautologies without sorting; and the attempt's
+   resolvents, packed unsorted in [res] with [res_end.(i)] the end of
+   resolvent [i] (a committed elimination sorts them). *)
+type bve = {
+  pos : int array;
+  neg : int array;
+  mutable np : int;
+  mutable nn : int;
+  mutable prev : int; (* last occurrence entry seen *)
+  mark : int array;
+  mutable stamp : int;
+  mutable plits : int array; (* the stamped clause's distinct literals *)
+  mutable res : int array;
+  res_end : int array;
+}
+
+(* Stamp the distinct literals of clause [p] other than [v]'s and copy
+   them to [b.plits]. Returns how many there are, or -1 if two are
+   complementary (then every resolvent on [v] with [p] is a tautology). *)
+let mark_clause st b p v =
+  b.stamp <- b.stamp + 1;
+  let s = b.stamp and lp = st.lits.(p) in
+  if Array.length lp > Array.length b.plits then b.plits <- Array.make (2 * Array.length lp) 0;
+  let m = ref 0 and taut = ref false in
+  for i = 0 to Array.length lp - 1 do
+    let l = lp.(i) in
+    if Lit.var l <> v then
+      if b.mark.(Lit.negate l) = s then taut := true
+      else if b.mark.(l) <> s then begin
+        b.mark.(l) <- s;
+        b.plits.(!m) <- l;
+        incr m
+      end
+  done;
+  if !taut then -1 else !m
+
+(* Append the resolvent on [v] of the clause stamped [ps] (its [psize]
+   literals in [b.plits]) and clause [n] to [b.res] at [top], unsorted.
+   Returns its end, or -1 if it is a tautology. *)
+let add_resolvent st b top ps psize n v =
+  b.stamp <- b.stamp + 1;
+  let s = b.stamp and ln = st.lits.(n) in
+  let need = top + psize + Array.length ln in
+  if need > Array.length b.res then b.res <- grow b.res (2 * need) 0;
+  let r = b.res in
+  Array.blit b.plits 0 r top psize;
+  let m = ref (top + psize) and taut = ref false and i = ref 0 in
+  while (not !taut) && !i < Array.length ln do
+    let l = ln.(!i) in
+    if Lit.var l <> v then begin
+      let c = b.mark.(Lit.negate l) in
+      if c = ps || c = s then taut := true
+      else begin
+        let c = b.mark.(l) in
+        if c <> ps && c <> s then begin
+          b.mark.(l) <- s;
+          r.(!m) <- l;
+          incr m
+        end
+      end
+    end;
+    incr i
+  done;
+  if !taut then -1 else !m
+
+(* Sort [r.(lo) .. r.(hi - 1)] in place (resolvents are short). *)
+let sort_range r lo hi =
+  for i = lo + 1 to hi - 1 do
+    let l = r.(i) in
+    let j = ref i in
+    while !j > lo && r.(!j - 1) > l do
+      r.(!j) <- r.(!j - 1);
+      decr j
+    done;
+    r.(!j) <- l
+  done
+
+(* [k] is a live clause in [v]'s occurrence list. A clause's duplicate
+   entries are adjacent, so comparing with the previous entry
+   deduplicates. [np]/[nn] go past the buffers' length when there are
+   more live clauses than they hold. *)
+let see st b v k =
+  if k <> b.prev then begin
+    b.prev <- k;
+    let lits = st.lits.(k) and p = Lit.pos v in
+    let has_p = ref false and has_n = ref false in
+    for i = 0 to Array.length lits - 1 do
+      let l = lits.(i) in
+      if l = p then has_p := true else if l = Lit.negate p then has_n := true
+    done;
+    let cap = Array.length b.pos in
+    if !has_p then begin
+      if b.np < cap then b.pos.(b.np) <- k;
+      b.np <- b.np + 1
+    end;
+    if !has_n then begin
+      if b.nn < cap then b.neg.(b.nn) <- k;
+      b.nn <- b.nn + 1
+    end
+  end
+
+let rev a n =
+  for i = 0 to (n / 2) - 1 do
+    let t = a.(i) in
+    a.(i) <- a.(n - 1 - i);
+    a.(n - 1 - i) <- t
+  done
+
+(* Live clauses of [v] by polarity into [b.pos]/[b.neg], oldest first
+   (the reverse of the occurrence order), unlinking dead entries on the
+   way: the list keeps its order. *)
+let collect st b v =
+  b.np <- 0;
+  b.nn <- 0;
+  b.prev <- -1;
+  let prev = ref (-1) and e = ref st.dyn_head.(v) in
+  while !e >= 0 do
+    let k = st.ent.(!e) and next = st.ent.(!e + 1) in
+    if has st k f_dead then begin
+      if !prev < 0 then st.dyn_head.(v) <- next else st.ent.(!prev + 1) <- next
+    end
+    else begin
+      see st b v k;
+      prev := !e
+    end;
+    e := next
+  done;
+  (* Survivors are packed toward the segment's end. *)
+  let w = ref st.occ_hi.(v) in
+  for j = st.occ_hi.(v) - 1 downto st.occ_lo.(v) do
+    let k = st.occ_db.(j) in
+    if not (has st k f_dead) then begin
+      see st b v k;
+      decr w;
+      st.occ_db.(!w) <- k
+    end
+  done;
+  st.occ_lo.(v) <- !w;
+  if b.np <= Array.length b.pos && b.nn <= Array.length b.neg then begin
+    rev b.pos b.np;
+    rev b.neg b.nn
+  end
+
+let try_eliminate st b v =
+  let cfg = st.config in
+  if (not st.frozen.(v)) && st.occ_n.(v) > 0
+     && (st.occ_n.(v) <= cfg.bve_max_occ || st.repeats)
+  then begin
+    collect st b v;
+    let np = b.np and nn = b.nn in
+    let total = np + nn in
+    if total > 0 && total <= cfg.bve_max_occ then begin
+      (* Size every resolvent; give up at the first one that is too long
+         or once the non-tautological ones outnumber the clauses. *)
+      let count = ref 0 and ok = ref true and top = ref 0 and i = ref 0 in
+      while !ok && !i < np do
+        let psize = mark_clause st b b.pos.(!i) v in
+        let ps = b.stamp and j = ref 0 in
+        while !ok && psize >= 0 && !j < nn do
+          let e = add_resolvent st b !top ps psize b.neg.(!j) v in
+          if e >= 0 then
+            if e - !top > cfg.bve_max_resolvent || !count = total then ok := false
+            else begin
+              b.res_end.(!count) <- e;
+              incr count;
+              top := e
+            end;
+          incr j
+        done;
+        incr i
+      done;
+      if !ok then begin
+        (* Commit: add resolvents first (each is RUP from its two live
+           parents), then delete the parents, then record the variable
+           for model reconstruction. *)
+        let start = ref 0 in
+        for r = 0 to !count - 1 do
+          let e = b.res_end.(r) in
+          sort_range b.res !start e;
+          (match e - !start with
+          | 0 ->
+              emit st Empty;
+              st.contradiction <- true
+          | 1 -> if not st.contradiction then new_unit st b.res.(!start)
+          | len ->
+              if not st.contradiction then begin
+                let lits = Array.sub b.res !start len in
+                let id = st.next_id in
+                st.next_id <- id + 1;
+                emit st (Add (id, lits));
+                st.n_res <- st.n_res + 1;
+                enqueue st (new_clause st ~cid:id lits)
+              end);
+          start := e
+        done;
+        if not st.contradiction then begin
+          let parent i = if i < np then b.pos.(i) else b.neg.(i - np) in
+          let saved = Array.init total (fun i -> st.lits.(parent i)) in
+          for i = 0 to total - 1 do
+            kill st (parent i)
+          done;
+          emit st (Eliminate (v, saved));
+          st.n_elim <- st.n_elim + 1;
+          st.frozen.(v) <- true;
+          drain st
+        end
+      end
+    end
   end
 
 let run ?(config = default_config) ?seeds ~nvars ~frozen ~protected clauses =
   let nvars = max nvars 1 in
-  let frozen =
-    let a = Array.make nvars false in
-    Array.blit frozen 0 a 0 (min (Array.length frozen) nvars);
-    a
-  in
-  let occ : cls list array = Array.make nvars [] in
+  let n = Array.length clauses in
+  (* Occurrence counts, then the CSR index over the input clauses: fill
+     each variable's segment from its end while walking the clauses by
+     descending id, so each segment ends up in ascending id order. *)
   let occ_n = Array.make nvars 0 in
-  let actions = ref [] in
-  let emit a = actions := a :: !actions in
-  let n_sub = ref 0 and n_str = ref 0 and n_elim = ref 0 in
-  let n_res = ref 0 and n_unit = ref 0 in
-  let next_id = ref (Array.length clauses) in
-  let contradiction = ref false in
-  let queue = Queue.create () in
-  let enqueue c =
-    if (not c.queued) && not c.dead then begin
-      c.queued <- true;
-      Queue.add c queue
-    end
+  let csig = Array.make (n + 16) 0 in
+  let total = ref 0 and repeats = ref false in
+  for i = 0 to n - 1 do
+    let lits = clauses.(i) in
+    csig.(i) <- sig_of lits;
+    total := !total + Array.length lits;
+    for j = 0 to Array.length lits - 1 do
+      let v = Lit.var lits.(j) in
+      occ_n.(v) <- occ_n.(v) + 1;
+      if config.bve then
+        for k = 0 to j - 1 do
+          if lits.(k) = lits.(j) then repeats := true
+        done
+    done
+  done;
+  let occ_hi = Array.make nvars 0 in
+  let sum = ref 0 in
+  for v = 0 to nvars - 1 do
+    sum := !sum + occ_n.(v);
+    occ_hi.(v) <- !sum
+  done;
+  let occ_db = Array.make !total 0 in
+  let occ_lo = Array.copy occ_hi in
+  for i = n - 1 downto 0 do
+    let lits = clauses.(i) in
+    for j = Array.length lits - 1 downto 0 do
+      let v = Lit.var lits.(j) in
+      occ_lo.(v) <- occ_lo.(v) - 1;
+      occ_db.(occ_lo.(v)) <- i
+    done
+  done;
+  let flags = Bytes.make (n + 16) '\000' in
+  for i = 0 to min n (Array.length protected) - 1 do
+    if protected.(i) then Bytes.set flags i (Char.chr f_prot)
+  done;
+  let st =
+    {
+      config;
+      frozen =
+        (if config.bve then begin
+           let a = Array.make nvars false in
+           Array.blit frozen 0 a 0 (min (Array.length frozen) nvars);
+           a
+         end
+         else [||]);
+      occ_n;
+      repeats = !repeats;
+      occ_lo;
+      occ_hi;
+      occ_db;
+      dyn_head = Array.make nvars (-1);
+      ent = [||];
+      n_ent = 0;
+      lits = Array.append clauses (Array.make 16 [||]);
+      csig;
+      cid = Array.init (n + 16) (fun i -> i);
+      flags;
+      nc = n;
+      queue = Array.make (n + 16) 0;
+      qhead = 0;
+      qtail = 0;
+      actions = [];
+      next_id = n;
+      contradiction = false;
+      n_sub = 0;
+      n_str = 0;
+      n_elim = 0;
+      n_res = 0;
+      n_unit = 0;
+    }
   in
-  let add_occ c =
-    Array.iter
-      (fun l ->
-        let v = Lit.var l in
-        occ.(v) <- c :: occ.(v);
-        occ_n.(v) <- occ_n.(v) + 1)
-      c.lits
-  in
-  let dec_occ lits =
-    Array.iter (fun l -> occ_n.(Lit.var l) <- occ_n.(Lit.var l) - 1) lits
-  in
-  let db =
-    Array.mapi
-      (fun i lits ->
-        {
-          cid = i;
-          lits = Array.copy lits;
-          csig = sig_of lits;
-          dead = false;
-          queued = false;
-          prot = i < Array.length protected && protected.(i);
-        })
-      clauses
-  in
-  Array.iter add_occ db;
   (* Variables constrained by a protected clause (the trail) must never be
      eliminated; derived units freeze theirs as they appear. *)
-  Array.iter
-    (fun c -> if c.prot then Array.iter (fun l -> frozen.(Lit.var l) <- true) c.lits)
-    db;
-  let new_unit l =
-    emit (Unit l);
-    incr n_unit;
-    frozen.(Lit.var l) <- true;
-    let u =
-      { cid = -1; lits = [| l |]; csig = sig_of [| l |]; dead = false; queued = false; prot = false }
-    in
-    add_occ u;
-    enqueue u
-  in
-  let kill c =
-    if not c.dead then begin
-      c.dead <- true;
-      dec_occ c.lits;
-      if c.cid >= 0 then emit (Remove c.cid)
-    end
-  in
-  let strengthen d p =
-    let lits = Array.of_list (List.filter (fun l -> l <> p) (Array.to_list d.lits)) in
-    incr n_str;
-    match Array.length lits with
-    | 0 ->
-        (* [d] was the unit [p] and is contradicted: the set is UNSAT. *)
-        emit Empty;
-        contradiction := true;
-        d.dead <- true
-    | 1 ->
-        new_unit lits.(0);
-        d.dead <- true;
-        dec_occ d.lits;
-        if d.cid >= 0 then emit (Remove d.cid)
-    | _ ->
-        occ_n.(Lit.var p) <- occ_n.(Lit.var p) - 1;
-        d.lits <- lits;
-        d.csig <- sig_of lits;
-        emit (Strengthen (d.cid, Array.copy lits));
-        enqueue d
-  in
-  (* Backward subsumption + strengthening from [c]: probe the occurrence
-     list of c's least-occurring variable; every clause c subsumes or
-     strengthens must contain (a polarity of) each of c's variables. *)
-  let process c =
-    if not c.dead then begin
-      let best = ref (Lit.var c.lits.(0)) in
-      Array.iter
-        (fun l -> if occ_n.(Lit.var l) < occ_n.(!best) then best := Lit.var l)
-        c.lits;
-      let candidates = occ.(!best) in
-      List.iter
-        (fun d ->
-          if (not !contradiction) && (not (d == c)) && (not d.dead) && (not d.prot)
-             && not c.dead
-          then
-            match subsume_check c d with
-            | Sub ->
-                if config.subsume then begin
-                  incr n_sub;
-                  kill d
-                end
-            | Str p -> if config.self_subsume then strengthen d p
-            | No -> ())
-        candidates
-    end
-  in
-  let drain () =
-    while (not !contradiction) && not (Queue.is_empty queue) do
-      let c = Queue.pop queue in
-      c.queued <- false;
-      process c
-    done
-  in
+  for i = 0 to n - 1 do
+    if has st i f_prot then Array.iter (fun l -> freeze st (Lit.var l)) clauses.(i)
+  done;
   (match seeds with
-  | None -> Array.iter enqueue db
-  | Some ids ->
-      List.iter (fun i -> if i >= 0 && i < Array.length db then enqueue db.(i)) ids);
-  drain ();
+  | None ->
+      for i = 0 to n - 1 do
+        enqueue st i
+      done
+  | Some ids -> List.iter (fun i -> if i >= 0 && i < n then enqueue st i) ids);
+  drain st;
   (* Bounded variable elimination, cheapest variables first. *)
-  if config.bve && not !contradiction then begin
-    let resolve p n v =
-      let ls =
-        List.filter (fun l -> Lit.var l <> v) (Array.to_list p.lits)
-        @ List.filter (fun l -> Lit.var l <> v) (Array.to_list n.lits)
-      in
-      let ls = List.sort_uniq Int.compare ls in
-      let rec taut = function
-        | a :: (b :: _ as rest) -> (Lit.var a = Lit.var b) || taut rest
-        | _ -> false
-      in
-      if taut ls then None else Some (Array.of_list ls)
-    in
-    let try_eliminate v =
-      if not frozen.(v) then begin
-        let live = List.filter (fun c -> (not c.dead) && mem (Lit.pos v) c) occ.(v)
-        and live_n = List.filter (fun c -> (not c.dead) && mem (Lit.neg v) c) occ.(v) in
-        (* Occurrence lists are append-only, so a clause can appear twice
-           transiently; dedup physically. *)
-        let dedup l =
-          List.fold_left (fun acc c -> if List.memq c acc then acc else c :: acc) [] l
-        in
-        let pos = dedup live and neg = dedup live_n in
-        let np = List.length pos and nn = List.length neg in
-        if np + nn > 0 && np + nn <= config.bve_max_occ then begin
-          let ok = ref true in
-          let resolvents = ref [] in
-          List.iter
-            (fun p ->
-              List.iter
-                (fun n ->
-                  if !ok then
-                    match resolve p n v with
-                    | None -> ()
-                    | Some r ->
-                        if Array.length r > config.bve_max_resolvent then ok := false
-                        else resolvents := r :: !resolvents)
-                neg)
-            pos;
-          if !ok && List.length !resolvents <= np + nn then begin
-            (* Commit: add resolvents first (each is RUP from its two live
-               parents), then delete the parents, then record the variable
-               for model reconstruction. *)
-            List.iter
-              (fun r ->
-                match Array.length r with
-                | 0 ->
-                    emit Empty;
-                    contradiction := true
-                | 1 -> if not !contradiction then new_unit r.(0)
-                | _ ->
-                    if not !contradiction then begin
-                      let id = !next_id in
-                      incr next_id;
-                      emit (Add (id, Array.copy r));
-                      incr n_res;
-                      let c =
-                        {
-                          cid = id;
-                          lits = Array.copy r;
-                          csig = sig_of r;
-                          dead = false;
-                          queued = false;
-                          prot = false;
-                        }
-                      in
-                      add_occ c;
-                      enqueue c
-                    end)
-              (List.rev !resolvents);
-            if not !contradiction then begin
-              let saved = Array.of_list (List.map (fun c -> Array.copy c.lits) (pos @ neg)) in
-              List.iter kill (pos @ neg);
-              emit (Eliminate (v, saved));
-              incr n_elim;
-              frozen.(v) <- true;
-              drain ()
-            end
-          end
-        end
-      end
+  if config.bve && not st.contradiction then begin
+    let cap = max 1 config.bve_max_occ in
+    let b =
+      {
+        pos = Array.make cap 0;
+        neg = Array.make cap 0;
+        np = 0;
+        nn = 0;
+        prev = -1;
+        mark = Array.make (2 * nvars) 0;
+        stamp = 0;
+        plits = Array.make 64 0;
+        res = Array.make 256 0;
+        res_end = Array.make cap 0;
+      }
     in
     let order = Array.init nvars (fun v -> v) in
     Array.sort (fun a b -> Int.compare occ_n.(a) occ_n.(b)) order;
-    Array.iter (fun v -> if not !contradiction then try_eliminate v) order
+    Array.iter (fun v -> if not st.contradiction then try_eliminate st b v) order
   end;
-  ( List.rev !actions,
+  ( List.rev st.actions,
     {
-      s_subsumed = !n_sub;
-      s_strengthened = !n_str;
-      s_eliminated = !n_elim;
-      s_resolvents = !n_res;
-      s_units = !n_unit;
+      s_subsumed = st.n_sub;
+      s_strengthened = st.n_str;
+      s_eliminated = st.n_elim;
+      s_resolvents = st.n_res;
+      s_units = st.n_unit;
     } )
 
 (* Model extension for eliminated variables (reverse elimination order):

@@ -1,13 +1,21 @@
 (** CNF preprocessing: subsumption, self-subsuming resolution and bounded
     variable elimination (SatELite, Eén & Biere 2005).
 
-    This module is deliberately solver-free: it works on a snapshot of the
-    clause database (arrays of literals) and returns an ordered {!action}
-    log describing what it did. The solver replays the log against its own
-    clause records, mirroring every step into the DRAT stream — each
-    derived clause is added {e before} the clauses it came from are
-    deleted, so every addition is RUP against the live set at that point
-    and the existing certificate checker accepts the whole stream.
+    This module is deliberately solver-free: it reads the clause database
+    as arrays of literals and returns an ordered {!action} log describing
+    what it did. The solver replays the log against its own clause
+    records, mirroring every step into the DRAT stream — each derived
+    clause is added {e before} the clauses it came from are deleted, so
+    every addition is RUP against the live set at that point and the
+    existing certificate checker accepts the whole stream.
+
+    {b Ownership.} {!run} never mutates its input arrays (the clauses,
+    [frozen], [protected]) and keeps no reference to them after it
+    returns, except through the log: the literal arrays in {!Eliminate}
+    may be the input clause arrays themselves, and every array in the log
+    may be shared between actions. The caller must not mutate an input
+    clause array while it still uses the log, and must not mutate the
+    log's arrays.
 
     Three kinds of reasoning, all bounded:
 

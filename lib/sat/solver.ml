@@ -1275,29 +1275,29 @@ let unsat_assumptions s =
    propagating between actions, so a clause may arrive with literals that
    are already false. *)
 let install_clause s lits =
-  let l = Array.copy lits in
-  let len = Array.length l in
+  let len = Array.length lits in
+  let c = alloc_clause s ~learnt:false ~lbd:0 len in
+  let a = s.arena and o = c + hdr in
+  Array.blit lits 0 a o len;
   let k = ref 0 in
   (try
      for i = 0 to len - 1 do
-       if value_lit s l.(i) <> -1 then begin
-         let tmp = l.(!k) in
-         l.(!k) <- l.(i);
-         l.(i) <- tmp;
+       if value_lit s a.(o + i) <> -1 then begin
+         let tmp = a.(o + !k) in
+         a.(o + !k) <- a.(o + i);
+         a.(o + i) <- tmp;
          incr k;
          if !k >= 2 then raise Exit
        end
      done
    with Exit -> ());
-  let c = alloc_clause s ~learnt:false ~lbd:0 len in
-  Array.blit l 0 s.arena (c + hdr) len;
   ivec_push s.clauses c;
   attach_clause s c;
   if !k = 0 then begin
     s.ok <- false;
     log_empty s
   end
-  else if !k = 1 && value_lit s l.(0) = 0 then unchecked_enqueue s l.(0) no_cref;
+  else if !k = 1 && value_lit s a.(o) = 0 then unchecked_enqueue s a.(o) no_cref;
   c
 
 let preprocess ?(elim = false) ?(frozen = []) s =
@@ -1322,7 +1322,12 @@ let preprocess ?(elim = false) ?(frozen = []) s =
     s.pre_acc <- presult_add s.pre_acc r;
     if Obs.on () then
       Obs.Trace.span_end "sat.preprocess"
-        ~args:[ ("clauses", string_of_int r.pre_clauses_after) ];
+        ~args:
+          [
+            ("clauses", string_of_int r.pre_clauses_after);
+            ("eliminated", string_of_int r.pre_eliminated);
+            ("subsumed", string_of_int r.pre_subsumed);
+          ];
     r
   in
   let nothing =
@@ -1345,27 +1350,32 @@ let preprocess ?(elim = false) ?(frozen = []) s =
     done;
     let n = s.clauses.n in
     let ntrail = s.trail.n in
+    (* Snapshot (the solver permutes clause literals in place): clause id
+       [i < n] is problem clause [i], and the level-0 trail enters as
+       protected unit clauses [n + i]: they subsume and strengthen but are
+       themselves immutable (those literals are assignments, not clause
+       objects, and their DRAT events must stay). Simplify never mutates
+       these arrays, so its actions may share them. *)
     let db = Array.make (n + ntrail) [||] in
     let protected = Array.make (n + ntrail) false in
-    let tbl : (int, int) Hashtbl.t = Hashtbl.create (2 * (n + ntrail) + 16) in
     for i = 0 to n - 1 do
-      let c = s.clauses.a.(i) in
-      (* Snapshot: the solver permutes clause literals in place. *)
-      db.(i) <- c_lits s c;
-      Hashtbl.replace tbl i c
+      db.(i) <- c_lits s s.clauses.a.(i)
     done;
-    (* The level-0 trail enters the database as protected unit clauses: it
-       subsumes and strengthens but is itself immutable (those literals are
-       assignments, not clause objects, and their DRAT events must stay). *)
     for i = 0 to ntrail - 1 do
       db.(n + i) <- [| s.trail.a.(i) |];
       protected.(n + i) <- true
     done;
-    let fr = Array.make (max 1 s.nvars) false in
-    List.iter (fun l -> fr.(Lit.var l) <- true) frozen;
-    for v = 0 to s.nvars - 1 do
-      if s.eliminated.(v) then fr.(v) <- true
-    done;
+    let fr =
+      if not elim then [||]
+      else begin
+        let fr = Array.make (max 1 s.nvars) false in
+        List.iter (fun l -> fr.(Lit.var l) <- true) frozen;
+        for v = 0 to s.nvars - 1 do
+          if s.eliminated.(v) then fr.(v) <- true
+        done;
+        fr
+      end
+    in
     let config = { Simplify.default_config with bve = elim } in
     let seeds =
       if s.pre_watermark <= 0 && s.pre_trail_mark <= 0 then None
@@ -1381,24 +1391,27 @@ let preprocess ?(elim = false) ?(frozen = []) s =
       end
     in
     let actions, st = Simplify.run ~config ?seeds ~nvars:s.nvars ~frozen:fr ~protected db in
+    (* The id map: [cref.(id)] is the clause currently standing for
+       Simplify's clause [id], or [no_cref] for the trail units. Ids are
+       dense: the snapshot's, then one per [Add] (there are [s_resolvents]
+       of them). [Strengthen] moves an id to its new clause. *)
+    let cref = Array.make (n + ntrail + st.Simplify.s_resolvents) no_cref in
+    Array.blit s.clauses.a 0 cref 0 n;
     let stopped = ref false in
     let apply = function
-      | Simplify.Remove id -> (
-          match Hashtbl.find_opt tbl id with
-          | Some c -> if not (h_removed s.arena.(c)) then remove_clause s c
-          | None -> ())
-      | Simplify.Strengthen (id, lits) -> (
-          match Hashtbl.find_opt tbl id with
-          | Some old ->
-              log_add_arr s lits;
-              let c = install_clause s lits in
-              Hashtbl.replace tbl id c;
-              if not (h_removed s.arena.(old)) then remove_clause s old
-          | None -> ())
+      | Simplify.Remove id ->
+          let c = cref.(id) in
+          if c <> no_cref && not (h_removed s.arena.(c)) then remove_clause s c
+      | Simplify.Strengthen (id, lits) ->
+          let old = cref.(id) in
+          if old <> no_cref then begin
+            log_add_arr s lits;
+            cref.(id) <- install_clause s lits;
+            if not (h_removed s.arena.(old)) then remove_clause s old
+          end
       | Simplify.Add (id, lits) ->
           log_add_arr s lits;
-          let c = install_clause s lits in
-          Hashtbl.replace tbl id c
+          cref.(id) <- install_clause s lits
       | Simplify.Unit l ->
           log_add_list s [ l ];
           (match value_lit s l with

@@ -391,6 +391,169 @@ let test_simplify_bve_extend_model () =
       clauses
   done
 
+(* The action log decides the solver's clause database after
+   preprocessing, hence the whole search and the DRAT stream: it must not
+   change unless the preprocessing itself is meant to. Fixed-seed CNFs, a
+   random one and a Tseitin encoding of a random AND graph, each with
+   elimination on and off, each over the whole database (unseeded) and as
+   an incremental run (seeded with the newest clauses, plus protected
+   trail units). *)
+let pinned_cnfs () =
+  let rand = Random.State.make [| 31 |] in
+  let lit v = Lit.make v ~neg:(Random.State.bool rand) in
+  let random_cnf =
+    Array.init 100 (fun _ ->
+        let vs = ref [] in
+        while List.length !vs < 3 do
+          let v = Random.State.int rand 60 in
+          if not (List.mem v !vs) then vs := v :: !vs
+        done;
+        Array.of_list (List.map lit !vs))
+  in
+  (* Inputs 0..11, gate g = a & b over earlier nodes, and one clause
+     asserting that one of three gate outputs holds. *)
+  let ninputs = 12 and ngates = 40 in
+  let gates =
+    List.init ngates (fun i ->
+        let g = ninputs + i in
+        let a = lit (Random.State.int rand g) and b = lit (Random.State.int rand g) in
+        [ [| Lit.neg g; a |]; [| Lit.neg g; b |]; [| Lit.pos g; Lit.negate a; Lit.negate b |] ])
+  in
+  let output = Array.init 3 (fun i -> lit (ninputs + ngates - 1 - (5 * i))) in
+  let tseitin = Array.of_list (List.concat gates @ [ output ]) in
+  [ ("random", 60, random_cnf); ("tseitin", ninputs + ngates, tseitin) ]
+
+let render_log actions st =
+  let b = Buffer.create 4096 in
+  let lits a = String.concat " " (Array.to_list (Array.map string_of_int a)) in
+  List.iter
+    (function
+      | Simplify.Remove i -> Printf.bprintf b "R %d\n" i
+      | Simplify.Strengthen (i, a) -> Printf.bprintf b "S %d %s\n" i (lits a)
+      | Simplify.Add (i, a) -> Printf.bprintf b "A %d %s\n" i (lits a)
+      | Simplify.Unit l -> Printf.bprintf b "U %d\n" l
+      | Simplify.Empty -> Buffer.add_string b "E\n"
+      | Simplify.Eliminate (v, saved) ->
+          Printf.bprintf b "X %d %s\n" v
+            (String.concat " | " (Array.to_list (Array.map lits saved))))
+    actions;
+  Printf.bprintf b "stats %d %d %d %d %d\n" st.Simplify.s_subsumed st.Simplify.s_strengthened
+    st.Simplify.s_eliminated st.Simplify.s_resolvents st.Simplify.s_units;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* (case, number of actions, digest of the rendered log and stats). The
+   constants were computed by running this test body against the
+   list-based Simplify at commit 2d8d456, which the flat-array rewrite
+   replaced. *)
+let pinned_logs =
+  [
+    ("random bve unseeded", 238, "a0e20bf287201753c2f224ec4a9f97dc");
+    ("random bve seeded", 235, "579b760029a9468f93405deddf908ae1");
+    ("random nobve unseeded", 0, "c48902d4b4553f63076acf3191d0b1e3");
+    ("random nobve seeded", 10, "22fc955593882b0563d9725288dc3c9f");
+    ("tseitin bve unseeded", 95, "5baddf5a7476319aa51c5e1bb770c8b3");
+    ("tseitin bve seeded", 241, "61c19d7a0507a9fded048bf7f3b5a93d");
+    ("tseitin nobve unseeded", 91, "4ce1841c5c58119d91f64d0c178b2d7c");
+    ("tseitin nobve seeded", 25, "246e5d5eff6beb8770a1e1793e48804b");
+  ]
+
+let test_simplify_action_log_pinned () =
+  let got =
+    List.concat_map
+      (fun (name, nvars, cnf) ->
+        let n = Array.length cnf in
+        List.concat_map
+          (fun bve ->
+            let config = { Simplify.default_config with Simplify.bve } in
+            let frozen = Array.init nvars (fun v -> v mod 7 = 0) in
+            List.map
+              (fun seeded ->
+                let clauses, protected, seeds =
+                  if not seeded then (cnf, no_flags n, None)
+                  else
+                    ( Array.append cnf [| [| Lit.pos 3 |]; [| Lit.neg 8 |] |],
+                      Array.init (n + 2) (fun i -> i >= n),
+                      Some (List.init 17 (fun i -> n + 1 - i)) )
+                in
+                let actions, st =
+                  Simplify.run ~config ?seeds ~nvars ~frozen ~protected clauses
+                in
+                ( Printf.sprintf "%s %s %s" name (if bve then "bve" else "nobve")
+                    (if seeded then "seeded" else "unseeded"),
+                  List.length actions,
+                  render_log actions st ))
+              [ false; true ])
+          [ true; false ])
+      (pinned_cnfs ())
+  in
+  List.iter2
+    (fun (name, n, digest) (name', n', digest') ->
+      Alcotest.(check string) "case" name name';
+      Alcotest.(check int) (name ^ ": actions") n n';
+      Alcotest.(check string) (name ^ ": log digest") digest digest')
+    pinned_logs got
+
+(* Elimination bounds at their edges. Every variable but [x] is frozen,
+   and no clause subsumes or strengthens another, so an elimination of
+   [x] is the only possible action. *)
+let test_simplify_bve_boundaries () =
+  let x = 0 in
+  let config = Simplify.default_config in
+  let run ?(freeze_x = false) clauses =
+    let nvars =
+      1 + Array.fold_left (Array.fold_left (fun m l -> max m (Lit.var l))) 0 clauses
+    in
+    let frozen = Array.init nvars (fun v -> v <> x || freeze_x) in
+    Simplify.run ~config ~nvars ~frozen ~protected:(no_flags (Array.length clauses)) clauses
+  in
+  let untouched name ?freeze_x clauses =
+    let actions, st = run ?freeze_x clauses in
+    Alcotest.(check int) (name ^ ": no action") 0 (List.length actions);
+    Alcotest.(check int) (name ^ ": not eliminated") 0 st.Simplify.s_eliminated
+  in
+  let eliminated name ~resolvents clauses =
+    let actions, st = run clauses in
+    Alcotest.(check int) (name ^ ": eliminated") 1 st.Simplify.s_eliminated;
+    Alcotest.(check int) (name ^ ": resolvents") resolvents st.Simplify.s_resolvents;
+    Alcotest.(check int)
+      (name ^ ": every clause removed") (Array.length clauses)
+      (List.length (List.filter (function Simplify.Remove _ -> true | _ -> false) actions));
+    match List.rev actions with
+    | Simplify.Eliminate (v, saved) :: _ ->
+        Alcotest.(check int) (name ^ ": variable") x v;
+        Alcotest.(check int) (name ^ ": saved clauses") (Array.length clauses) (Array.length saved)
+    | _ -> Alcotest.failf "%s: the log does not end with Eliminate" name
+  in
+  let px = Lit.pos x and nx = Lit.neg x in
+  let p = Lit.pos and n = Lit.neg in
+  (* 2 positive x 3 negative clauses: 6 resolvents for 5 clauses. *)
+  untouched "resolvents = clauses + 1"
+    [| [| px; p 1 |]; [| px; p 2 |]; [| nx; p 3 |]; [| nx; p 4 |]; [| nx; p 5 |] |];
+  (* The same shape with one pair tautological: 5 resolvents, 5 clauses. *)
+  eliminated "extra resolvent is a tautology" ~resolvents:5
+    [| [| px; p 1 |]; [| px; n 3 |]; [| nx; p 3 |]; [| nx; p 4 |]; [| nx; p 5 |] |];
+  (* One resolvent of [k] literals. *)
+  let long k =
+    let half = k / 2 in
+    [|
+      Array.init (half + 1) (fun i -> if i = 0 then px else p i);
+      Array.init (k - half + 1) (fun i -> if i = 0 then nx else p (half + i));
+    |]
+  in
+  untouched "resolvent of bve_max_resolvent + 1 literals" (long (config.bve_max_resolvent + 1));
+  eliminated "resolvent of bve_max_resolvent literals" ~resolvents:1
+    (long config.bve_max_resolvent);
+  (* One positive clause and [k - 1] negative ones: [k] occurrences and
+     [k - 1] resolvents. *)
+  let occurrences k =
+    Array.init k (fun i -> if i = 0 then [| px; p 1 |] else [| nx; p (i + 1) |])
+  in
+  untouched "bve_max_occ + 1 occurrences" (occurrences (config.bve_max_occ + 1));
+  eliminated "bve_max_occ occurrences" ~resolvents:(config.bve_max_occ - 1)
+    (occurrences config.bve_max_occ);
+  untouched "frozen" ~freeze_x:true [| [| px; p 1 |]; [| nx; p 2 |] |];
+  eliminated "not frozen" ~resolvents:1 [| [| px; p 1 |]; [| nx; p 2 |] |]
+
 let random_instance rand nvars nclauses =
   List.init nclauses (fun _ ->
       let len = 1 + Random.State.int rand 3 in
@@ -700,6 +863,8 @@ let suite =
     ("simplify.subsumption", `Quick, test_simplify_subsumption);
     ("simplify.self_subsume", `Quick, test_simplify_self_subsume);
     ("simplify.bve_extend_model", `Quick, test_simplify_bve_extend_model);
+    ("simplify.action_log_pinned", `Quick, test_simplify_action_log_pinned);
+    ("simplify.bve_boundaries", `Quick, test_simplify_bve_boundaries);
     ("simplify.preprocess_matches_plain", `Quick, test_preprocess_matches_plain);
     ("simplify.preprocess_incremental", `Quick, test_preprocess_incremental);
     ("simplify.preprocess_drat", `Quick, test_preprocess_drat_certified);
