@@ -85,16 +85,13 @@ let agree experiment cell ~expected ~got =
 let flip_count experiment =
   List.length (List.filter (fun f -> f.Report.experiment = experiment) !flips)
 
-let bench_limits () =
-  match (!timeout, !max_conflicts) with
-  | None, None -> Bmc.no_limits
-  | t, c -> Bmc.limits ~budget:(Sat.Solver.budget ?conflicts:c ?seconds:t ()) ()
+let bench_budget () = Sat.Solver.budget ?conflicts:!max_conflicts ?seconds:!timeout ()
 
 (* Every experiment's checks funnel through here so the budget flags
    apply uniformly and exhausted budgets are counted for the exit code. *)
 let check ?simplify technique design iface ~bound =
   let report =
-    Checks.run ?simplify ~limits:(bench_limits ()) technique design iface ~bound
+    Checks.run ?simplify ~budget:(bench_budget ()) technique design iface ~bound
   in
   (match report.Checks.verdict with
   | Checks.Unknown _ -> incr unknown_verdicts
@@ -508,13 +505,13 @@ let a2 () =
     (fun depth ->
       let (r1, _), t_default =
         time (fun () ->
-            Bmc.check_safety ~assumes ~simplify:!pipeline ~limits:(bench_limits ())
+            Bmc.check_safety ~assumes ~simplify:!pipeline ~budget:(bench_budget ())
               ~design:e.Entry.design ~invariant ~depth ())
       in
       let (r2, _), t_fresh =
         time (fun () ->
             Bmc.check_safety ~assumes ~simplify:!pipeline ~mono:true
-              ~limits:(bench_limits ()) ~design:e.Entry.design ~invariant ~depth ())
+              ~budget:(bench_budget ()) ~design:e.Entry.design ~invariant ~depth ())
       in
       let show = function
         | Bmc.Holds a -> Printf.sprintf "holds<=%d" a

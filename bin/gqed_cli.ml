@@ -99,16 +99,20 @@ let info_cmd =
 
 (* ---- verify ---- *)
 
+(* The one technique vocabulary of [verify] and [campaign]. *)
+let techniques =
+  [
+    ("gqed", Checks.Gqed); ("flow", Checks.Gqed_flow); ("aqed", Checks.Aqed);
+    ("gqed-out", Checks.Gqed_output_only); ("sa", Checks.Sa);
+    ("stability", Checks.Stability);
+  ]
+
+let technique_name t = fst (List.find (fun (_, t') -> t' = t) techniques)
+
 let technique_arg =
-  let techniques =
-    [
-      ("flow", `Flow); ("gqed", `Gqed); ("aqed", `Aqed); ("gqed-out", `Gqed_out);
-      ("sa", `Sa); ("stability", `Stability);
-    ]
-  in
   Arg.(
     value
-    & opt (enum techniques) `Gqed
+    & opt (enum techniques) Checks.Gqed
     & info [ "technique" ] ~docv:"TECH"
         ~doc:
           "One of $(b,gqed) (default), $(b,flow) (reset+SA+stability+G-FC), \
@@ -170,11 +174,6 @@ let max_conflicts_arg =
         ~doc:
           "Per-query conflict budget, fixed for every query of the check; an \
            exhausted budget yields $(b,unknown) (exit code 3).")
-
-let limits_of ~timeout ~max_conflicts =
-  match (timeout, max_conflicts) with
-  | None, None -> Bmc.no_limits
-  | _ -> Bmc.limits ~budget:(Sat.Solver.budget ?conflicts:max_conflicts ?seconds:timeout ()) ()
 
 let waveform_flag =
   Arg.(value & flag & info [ "waveform" ] ~doc:"Print the full counterexample waveform.")
@@ -269,18 +268,9 @@ let verify_cmd =
     (match m with
     | Some m -> Printf.printf "injected mutation: %s (%s)\n" m.Mutation.id m.Mutation.description
     | None -> ());
-    let limits = limits_of ~timeout ~max_conflicts in
-    let iface = e.Entry.iface in
+    let budget = Sat.Solver.budget ?conflicts:max_conflicts ?seconds:timeout () in
     let t0 = Unix.gettimeofday () in
-    let report =
-      match technique with
-      | `Gqed -> Checks.gqed ~simplify ~limits design iface ~bound
-      | `Flow -> Checks.flow ~simplify ~limits design iface ~bound
-      | `Aqed -> Checks.aqed_fc ~simplify ~limits design iface ~bound
-      | `Gqed_out -> Checks.gqed_output_only ~simplify ~limits design iface ~bound
-      | `Sa -> Checks.sa_check ~simplify ~limits design iface ~bound
-      | `Stability -> Checks.stability_check ~simplify ~limits design iface ~bound
-    in
+    let report = Checks.run ~simplify ~budget technique design e.Entry.iface ~bound in
     let dt = Unix.gettimeofday () -. t0 in
     report_and_exit ~name ~waveform ~vcd ~dt ~simp_stats report
   in
@@ -299,13 +289,6 @@ let verify_cmd =
    one checkpoint (see lib/dist/DESIGN.md). Workers are this executable
    re-exec'd, so the solver rebuilds its key -> task table and its
    per-query budget from the [arg] string alone. *)
-
-let campaign_tech_names =
-  [ ("gqed", Checks.Gqed); ("flow", Checks.Gqed_flow); ("aqed", Checks.Aqed);
-    ("gqed-out", Checks.Gqed_output_only) ]
-
-let campaign_tech_to_string t =
-  fst (List.find (fun (_, t') -> t' = t) campaign_tech_names)
 
 (* One task per cell: display label, campaign cell, and what the solver
    needs to re-run it. Deterministic from (technique, bound override,
@@ -356,7 +339,7 @@ let campaign_arg_encode spec =
   let opt f = function None -> "-" | Some v -> f v in
   String.concat "|"
     [
-      campaign_tech_to_string spec.cs_technique;
+      technique_name spec.cs_technique;
       opt string_of_int spec.cs_bound;
       (* %.17g round-trips the float exactly. *)
       opt (Printf.sprintf "%.17g") spec.cs_timeout;
@@ -370,7 +353,7 @@ let campaign_arg_decode arg =
       let opt f = function "-" -> None | v -> Some (f v) in
       {
         cs_technique =
-          (match List.assoc_opt tech campaign_tech_names with
+          (match List.assoc_opt tech techniques with
           | Some t -> t
           | None -> failwith ("bad campaign technique " ^ tech));
         cs_bound = opt int_of_string bound;
@@ -401,10 +384,10 @@ let campaign_solver ~arg key =
   match Hashtbl.find_opt table key with
   | None -> failwith ("campaign worker: unknown cell key " ^ key)
   | Some (d, iface, bound) ->
-      let limits =
-        limits_of ~timeout:spec.cs_timeout ~max_conflicts:spec.cs_max_conflicts
+      let budget =
+        Sat.Solver.budget ?conflicts:spec.cs_max_conflicts ?seconds:spec.cs_timeout ()
       in
-      let r = Checks.run ~limits spec.cs_technique d iface ~bound in
+      let r = Checks.run ~budget spec.cs_technique d iface ~bound in
       (Checks.report_decided r, Checks.encode_report r)
 
 let () = Dist.register "campaign" campaign_solver
@@ -415,16 +398,6 @@ let campaign_cmd =
       value & pos_all string []
       & info [] ~docv:"DESIGN"
           ~doc:"Designs to campaign over (default: every registry design).")
-  in
-  let technique_arg =
-    Arg.(
-      value
-      & opt (enum campaign_tech_names) Checks.Gqed
-      & info [ "technique" ] ~docv:"TECH"
-          ~doc:
-            "One of $(b,gqed) (default), $(b,flow), $(b,aqed), $(b,gqed-out); \
-             techniques without a campaign identity (sa, stability) cannot be \
-             journaled.")
   in
   let workers_arg =
     Arg.(
@@ -583,9 +556,6 @@ let campaign_cmd =
             "supervisor: %d restart(s), %d give-up(s), %d cell(s) solved degraded\n"
             stats.Dist.d_restarts stats.Dist.d_gave_up stats.Dist.d_degraded;
         let cs = stats.Dist.d_campaign in
-        if cs.Persist.Campaign.c_compactions > 0 then
-          Printf.printf "journal: compacted, %d stale record(s) folded away\n"
-            cs.Persist.Campaign.c_compacted_away;
         (* Damage never changes a verdict (a lost append is re-run on
            resume), but a run that lost records is not fully journaled. *)
         let damage =

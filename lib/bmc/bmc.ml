@@ -114,16 +114,6 @@ type simplify_config = {
 let default_simplify = { sc_coi = true; sc_rewrite = true; sc_pg = true; sc_cnf = true }
 let no_simplify = { sc_coi = false; sc_rewrite = false; sc_pg = false; sc_cnf = false }
 
-type limits = {
-  l_budget : Sat.Solver.budget;
-  l_fault : (Sat.Solver.stats -> Sat.Solver.fault option) option;
-}
-
-let no_limits = { l_budget = Sat.Solver.no_budget; l_fault = None }
-
-let limits ?(budget = Sat.Solver.no_budget) ?fault () =
-  { l_budget = budget; l_fault = fault }
-
 module Coi = struct
   module S = Set.Make (String)
 
@@ -206,8 +196,6 @@ module Engine = struct
     ss_clauses_plain : int;
     ss_single_pol : int;
     ss_pre : Sat.Solver.presult;
-    ss_t_rewrite : float;
-    ss_t_cnf : float;
   }
 
   let pp_simp_stats ppf s =
@@ -264,7 +252,7 @@ module Engine = struct
     mutable mono : bool; (* every query on a fresh solver; never reverts *)
     symbolic_init : bool;
     certify : bool;
-    limits : limits;
+    budget : Sat.Solver.budget;
     mutable solver : Sat.Solver.t;
     mutable emitter : Aig.Cnf.emitter;
     mutable map : (Aig.lit -> Aig.lit option) option;
@@ -286,17 +274,14 @@ module Engine = struct
     mutable plain_acc : int;
     mutable single_acc : int;
     mutable pre_acc : Sat.Solver.presult;
-    mutable t_rewrite : float;
-    mutable t_cnf : float;
   }
 
   let create ?(symbolic_init = false) ?(certify = false) ?(simplify = default_simplify)
-      ?(mono = false) ?(limits = no_limits) design =
+      ?(mono = false) ?(budget = Sat.Solver.no_budget) design =
     let graph = Aig.create ~rewrite:simplify.sc_rewrite () in
     let unroller = Unroller.create ~symbolic_init graph design in
     let solver = Sat.Solver.create () in
     if certify then Sat.Solver.start_proof solver;
-    Sat.Solver.set_fault_hook solver limits.l_fault;
     let emitter = Aig.Cnf.make ~pg:simplify.sc_pg graph solver in
     {
       graph;
@@ -306,7 +291,7 @@ module Engine = struct
       mono;
       symbolic_init;
       certify;
-      limits;
+      budget;
       solver;
       emitter;
       map = None;
@@ -323,8 +308,6 @@ module Engine = struct
       plain_acc = 0;
       single_acc = 0;
       pre_acc = zero_presult;
-      t_rewrite = 0.;
-      t_cnf = 0.;
     }
 
   let unroller t = t.unroller
@@ -367,12 +350,8 @@ module Engine = struct
     t.search_acc <- add_search t.search_acc (Sat.Solver.stats t.solver);
     let solver = Sat.Solver.create () in
     if t.certify then Sat.Solver.start_proof solver;
-    (* Fresh solvers inherit the engine's governance: the budget arrives
-       per [solve] call, the fault hook is installed on the instance. *)
-    Sat.Solver.set_fault_hook solver t.limits.l_fault;
     t.solver <- solver;
     if t.simplify.sc_rewrite then begin
-      let t0 = Sys.time () in
       if Obs.on () then
         Obs.Trace.span_begin "bmc.rewrite"
           ~args:[ ("ands", string_of_int (Aig.num_ands t.graph)) ];
@@ -380,7 +359,6 @@ module Engine = struct
       let h, map = Aig.compact t.graph ~roots in
       t.compact_out <- t.compact_out + Aig.num_ands h;
       t.rewrite_acc <- t.rewrite_acc + Aig.num_rewrites h;
-      t.t_rewrite <- t.t_rewrite +. (Sys.time () -. t0);
       if Obs.on () then
         Obs.Trace.span_end "bmc.rewrite" ~args:[ ("ands", string_of_int (Aig.num_ands h)) ];
       t.map <- Some map;
@@ -491,17 +469,14 @@ module Engine = struct
     let sat_assumptions =
       List.map (fun l -> Aig.Cnf.assume_lit t.emitter (mapped t l)) assumptions
     in
-    if t.simplify.sc_cnf then begin
-      let t0 = Sys.time () in
+    if t.simplify.sc_cnf then
       (* BVE only on a fresh solver: it is merely satisfiability-preserving,
          and an incremental solver keeps taking clauses over existing
          variables. *)
       ignore (Sat.Solver.preprocess ~elim:fresh ~frozen:sat_assumptions t.solver);
-      t.t_cnf <- t.t_cnf +. (Sys.time () -. t0)
-    end;
     let conflicts0 = (Sat.Solver.stats t.solver).Sat.Solver.conflicts in
     let result =
-      Sat.Solver.solve ~assumptions:sat_assumptions ~budget:t.limits.l_budget t.solver
+      Sat.Solver.solve ~assumptions:sat_assumptions ~budget:t.budget t.solver
     in
     if (Sat.Solver.stats t.solver).Sat.Solver.conflicts - conflicts0 > fresh_after_conflicts
     then t.mono <- true;
@@ -558,8 +533,6 @@ module Engine = struct
       ss_clauses_plain = t.plain_acc + st.Aig.Cnf.cnf_clauses_plain;
       ss_single_pol = t.single_acc + st.Aig.Cnf.cnf_single_pol;
       ss_pre = add_presult t.pre_acc (Sat.Solver.preprocess_totals t.solver);
-      ss_t_rewrite = t.t_rewrite;
-      ss_t_cnf = t.t_cnf;
     }
 end
 
@@ -603,7 +576,7 @@ let coi_setup simplify ~design ~props =
   else (design, Coi.no_reduction design)
 
 let check_safety ?(symbolic_init = false) ?(certify = false) ?(assumes = [])
-    ?(simplify = default_simplify) ?(mono = false) ?(limits = no_limits) ?stats ~design
+    ?(simplify = default_simplify) ?(mono = false) ?budget ?stats ~design
     ~invariant ~depth () =
   if Expr.width invariant <> 1 then
     invalid_arg "Bmc.check_safety: invariant must be 1 bit wide";
@@ -617,7 +590,7 @@ let check_safety ?(symbolic_init = false) ?(certify = false) ?(assumes = [])
   (* One engine for all bounds. Once it runs queries on fresh solvers, the
      design blasting (graph + unrolling) is still shared, but each bound's
      query replays the recorded assumptions and proven bounds. *)
-  let engine = Engine.create ~symbolic_init ~certify ~simplify ~mono ~limits design in
+  let engine = Engine.create ~symbolic_init ~certify ~simplify ~mono ?budget design in
   Engine.note_coi engine ~before:coi.Coi.coi_regs_before ~after:coi.Coi.coi_regs_after;
   let finish outcome =
     Option.iter (fun f -> f (Engine.simp_stats engine)) stats;

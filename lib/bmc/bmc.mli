@@ -70,27 +70,6 @@ val no_simplify : simplify_config
 (** All four stages off — the pre-pipeline behaviour, kept for ablation and
     as the differential-fuzzing baseline. *)
 
-(** {1 Resource limits}
-
-    A bundle of the solver-level governance knobs (see {!Sat.Solver}):
-    per-query budget and fault-injection hook. The budget is one fixed
-    cap on {e each} SAT query an engine issues, not on the whole check;
-    a query that exhausts it ends the check with an [Unknown] at that
-    bound, and nothing retries it. *)
-type limits = {
-  l_budget : Sat.Solver.budget;
-  l_fault : (Sat.Solver.stats -> Sat.Solver.fault option) option;
-}
-
-val no_limits : limits
-(** Unbounded, no faults — the default. *)
-
-val limits :
-  ?budget:Sat.Solver.budget ->
-  ?fault:(Sat.Solver.stats -> Sat.Solver.fault option) ->
-  unit ->
-  limits
-
 (** Cone-of-influence reduction at the design level. *)
 module Coi : sig
   type stats = {
@@ -142,14 +121,12 @@ module Engine : sig
     ss_clauses_plain : int;  (** what plain Tseitin would have emitted *)
     ss_single_pol : int;  (** AND nodes emitted in a single polarity *)
     ss_pre : Sat.Solver.presult;  (** CNF-preprocessing totals *)
-    ss_t_rewrite : float;  (** CPU seconds in rewriting/compaction *)
-    ss_t_cnf : float;  (** CPU seconds in CNF preprocessing *)
   }
 
   val pp_simp_stats : Format.formatter -> simp_stats -> unit
 
   (** Three-valued query result: SAT with a replayed witness, certified
-      UNSAT, or gave up under the engine's {!limits}. *)
+      UNSAT, or gave up under the engine's budget. *)
   type check_result =
     | Cex of witness
     | Unreachable
@@ -160,7 +137,7 @@ module Engine : sig
     ?certify:bool ->
     ?simplify:simplify_config ->
     ?mono:bool ->
-    ?limits:limits ->
+    ?budget:Sat.Solver.budget ->
     Rtl.design ->
     t
   (** [certify] (default [false]) turns on DRAT proof logging in the
@@ -184,7 +161,11 @@ module Engine : sig
       (safe only because the solver is one-shot). [mono] (default [false])
       starts the engine on fresh solvers from the first query; it exists
       for the differential lanes (the fuzz [bmc] oracle, bench A2, the unit
-      tests), and the answers are the same either way. *)
+      tests), and the answers are the same either way.
+
+      [budget] (default {!Sat.Solver.no_budget}) caps {e each} SAT query
+      the engine runs, not the whole check: a query that exhausts it
+      answers [Undecided], and nothing retries it. *)
 
   val unroller : t -> Unroller.t
   val graph : t -> Aig.t
@@ -194,7 +175,7 @@ module Engine : sig
       records it for replay on fresh solvers. *)
 
   val check : t -> assumptions:Aig.lit list -> check_result
-  (** SAT query under assumptions and the engine's {!limits}; on SAT,
+  (** SAT query under assumptions and the engine's budget; on SAT,
       extract and replay the witness over all frames unrolled so far.
       [Undecided] leaves the engine usable: a follow-up [check] resumes
       from the accumulated solver state, or starts a fresh solver if the
@@ -243,7 +224,7 @@ type outcome =
   | Holds of int  (** the invariant holds for all traces of up to n cycles *)
   | Violated of witness
   | Unknown of unknown_info
-      (** a query gave up under the {!limits}; cycles below [un_bound]
+      (** a query gave up under the per-query [budget]; cycles below [un_bound]
           were decided clean *)
 
 val check_safety :
@@ -252,7 +233,7 @@ val check_safety :
   ?assumes:Expr.t list ->
   ?simplify:simplify_config ->
   ?mono:bool ->
-  ?limits:limits ->
+  ?budget:Sat.Solver.budget ->
   ?stats:(Engine.simp_stats -> unit) ->
   design:Rtl.design ->
   invariant:Expr.t ->

@@ -62,7 +62,7 @@ type verdict =
   | Pass of int  (** no violation within this many cycles *)
   | Fail of failure
   | Unknown of unknown
-      (** gave up under resource {!Bmc.limits}; neither a pass nor a fail *)
+      (** a query exhausted its [budget]; neither a pass nor a fail *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
 
@@ -80,15 +80,14 @@ type report = {
     {!Bmc.no_simplify} (or a partial configuration) for ablation. The
     engine picks its own solving path: incremental until a query gets
     hard, then a fresh solver per query (see {!Bmc.Engine.create}).
-    [?limits] (default {!Bmc.no_limits}) governs the engine's
-    resources: one fixed per-query budget and a fault hook; an exhausted
-    budget or an injected fault yields an [Unknown] verdict, which
+    [?budget] (default {!Sat.Solver.no_budget}) caps each SAT query the
+    engine runs; an exhausted budget yields an [Unknown] verdict, which
     nothing retries. The decided verdict is independent of every knob —
     the bench harness and the fuzz oracle enforce this. *)
 
 val aqed_fc :
   ?simplify:Bmc.simplify_config ->
-  ?limits:Bmc.limits ->
+  ?budget:Sat.Solver.budget ->
   Rtl.design ->
   Iface.t ->
   bound:int ->
@@ -96,7 +95,7 @@ val aqed_fc :
 
 val gqed :
   ?simplify:Bmc.simplify_config ->
-  ?limits:Bmc.limits ->
+  ?budget:Sat.Solver.budget ->
   Rtl.design ->
   Iface.t ->
   bound:int ->
@@ -104,7 +103,7 @@ val gqed :
 
 val gqed_output_only :
   ?simplify:Bmc.simplify_config ->
-  ?limits:Bmc.limits ->
+  ?budget:Sat.Solver.budget ->
   Rtl.design ->
   Iface.t ->
   bound:int ->
@@ -112,7 +111,7 @@ val gqed_output_only :
 
 val sa_check :
   ?simplify:Bmc.simplify_config ->
-  ?limits:Bmc.limits ->
+  ?budget:Sat.Solver.budget ->
   Rtl.design ->
   Iface.t ->
   bound:int ->
@@ -120,7 +119,7 @@ val sa_check :
 
 val stability_check :
   ?simplify:Bmc.simplify_config ->
-  ?limits:Bmc.limits ->
+  ?budget:Sat.Solver.budget ->
   Rtl.design ->
   Iface.t ->
   bound:int ->
@@ -132,7 +131,7 @@ val stability_check :
 
 val reset_check :
   ?simplify:Bmc.simplify_config ->
-  ?limits:Bmc.limits ->
+  ?budget:Sat.Solver.budget ->
   Rtl.design ->
   Iface.t ->
   report
@@ -142,7 +141,7 @@ val reset_check :
 
 val flow :
   ?simplify:Bmc.simplify_config ->
-  ?limits:Bmc.limits ->
+  ?budget:Sat.Solver.budget ->
   Rtl.design ->
   Iface.t ->
   bound:int ->
@@ -151,15 +150,21 @@ val flow :
     {!sa_check}, then {!stability_check}, then {!gqed}; the first failing
     — or first undecided — stage is reported. *)
 
-(** {2 Technique selection (used by the experiment harness)} *)
+(** {2 Technique selection (used by the CLI and the experiment harness)} *)
 
-type technique = Aqed | Gqed | Gqed_output_only | Gqed_flow
+type technique =
+  | Aqed  (** {!aqed_fc} *)
+  | Gqed  (** {!gqed} *)
+  | Gqed_output_only  (** {!gqed_output_only} *)
+  | Gqed_flow  (** {!flow} *)
+  | Sa  (** {!sa_check} *)
+  | Stability  (** {!stability_check} *)
 
 val technique_to_string : technique -> string
 
 val run :
   ?simplify:Bmc.simplify_config ->
-  ?limits:Bmc.limits ->
+  ?budget:Sat.Solver.budget ->
   technique ->
   Rtl.design ->
   Iface.t ->
@@ -175,7 +180,7 @@ val run :
 val campaign_key : technique -> Rtl.design -> Iface.t -> bound:int -> string
 (** Canonical task identity — technique, bound and Marshal+MD5 digests of
     the design and interface. The encoding is frozen so journals written
-    by earlier releases still resume. [simplify]/[limits] are
+    by earlier releases still resume. [simplify]/[budget] are
     deliberately excluded: every pipeline stage and solving path is
     verdict-preserving, so a verdict recorded under one configuration
     answers the same query under any other. *)

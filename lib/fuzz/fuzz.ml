@@ -389,7 +389,7 @@ module Oracle = struct
   (* The outcome agreement every differential oracle demands of a lane:
      the same proved bound, or counterexamples of the same length. An
      [Unknown] on either side is a disagreement; oracles that tolerate a
-     lane giving up (faults) filter that case out before calling. *)
+     lane giving up (budget) filter that case out before calling. *)
   let same_outcome ~oracle ~lane reference got =
     match (reference, got) with
     | Bmc.Holds a, Bmc.Holds b when a = b -> Ok ()
@@ -564,50 +564,36 @@ module Oracle = struct
                 in
                 check_stages stages))
 
-  (* Fault injection: a solver hook that randomly fires budget exhaustion,
-     cancellation and allocation-pressure faults mid-solve. The invariance
-     property under test: a fault may only degrade a verdict to [Unknown] —
-     it must never flip [Holds] <-> [Violated] against the fault-free
-     reference — and every query that does complete still DRAT-certifies
-     (certification stays on, so a rejected certificate surfaces through
+  (* Budget invariance: the same safety check under per-query conflict
+     caps drawn uniformly from 0 .. 2c + 1, c the reference run's total
+     conflicts, so some trials decide and some give up. The property under
+     test: a budget may only degrade a verdict to [Unknown] — it must never
+     flip [Holds] <-> [Violated] against the unbudgeted reference — and
+     every query that does complete still DRAT-certifies (certification
+     stays on, so a rejected certificate surfaces through
      [Certification_failed]). *)
-  let fault_injection ?(cert = false) ?(rate = 0.02) ~depth rand (d : Rtl.design) =
+  let budget_caps ?(cert = false) ~depth rand (d : Rtl.design) =
     let vars = all_vars d in
     let invariant = Gen.expr rand ~vars ~width:1 ~depth:2 in
     match Bmc.check_safety ~certify:cert ~design:d ~invariant ~depth () with
     | exception Bmc.Certification_failed msg ->
-        Error ("faults: fault-free run rejected a DRAT certificate: " ^ msg)
-    | reference, _ -> (
+        Error ("budget: unbudgeted run rejected a DRAT certificate: " ^ msg)
+    | reference, stats -> (
         let certified = if cert then certified_bounds reference else 0 in
-        (* A fault may only degrade a verdict to [Unknown]. *)
-        let agree lane faulty =
-          match faulty with
-          | Bmc.Unknown _ -> Ok ()
-          | Bmc.Holds _ | Bmc.Violated _ ->
-              same_outcome ~oracle:"faults" ~lane reference faulty
-        in
-        let hook_of fseed =
-          let frand = Random.State.make [| fseed |] in
-          fun (_ : Sat.Solver.stats) ->
-            if Random.State.float frand 1.0 >= rate then None
-            else
-              match Random.State.int frand 4 with
-              | 0 -> Some (Sat.Solver.Fault_exhaust Sat.Solver.Out_of_conflicts)
-              | 1 -> Some (Sat.Solver.Fault_exhaust Sat.Solver.Out_of_memory_budget)
-              | 2 -> Some Sat.Solver.Fault_cancel
-              | _ -> Some (Sat.Solver.Fault_alloc 4096)
-        in
         let rec trial k =
           if k >= 3 then Ok ()
           else
-            let limits = Bmc.limits ~fault:(hook_of (Random.State.bits rand)) () in
-            match Bmc.check_safety ~certify:cert ~limits ~design:d ~invariant ~depth () with
+            let cap = Random.State.int rand ((2 * stats.Sat.Solver.conflicts) + 2) in
+            let budget = Sat.Solver.budget ~conflicts:cap () in
+            match Bmc.check_safety ~certify:cert ~budget ~design:d ~invariant ~depth () with
             | exception Bmc.Certification_failed msg ->
                 Error
-                  ("faults: completed query under faults rejected its DRAT \
+                  ("budget: completed query under a budget rejected its DRAT \
                     certificate: " ^ msg)
-            | faulty, _ -> (
-                match agree (Printf.sprintf "trial %d" k) faulty with
+            | Bmc.Unknown _, _ -> trial (k + 1)
+            | capped, _ -> (
+                let lane = Printf.sprintf "trial %d (cap %d)" k cap in
+                match same_outcome ~oracle:"budget" ~lane reference capped with
                 | Error _ as e -> e
                 | Ok () -> trial (k + 1))
         in
@@ -618,7 +604,7 @@ module Oracle = struct
      verdict (spans only watch the pipeline, they never steer it), the
      emitted trace must pass the structural well-formedness checker, and
      the ndjson export must round-trip through the parser. Same gate style
-     as the faults oracle: any disagreement is a failure. *)
+     as the budget oracle: any disagreement is a failure. *)
   let check_trace events =
     if events = [] then Error "tracing: enabled run emitted no events"
     else
@@ -1073,8 +1059,7 @@ let oracles ~config ~cert =
     (3, "bmc-vs-sim", fun rand d -> Oracle.bmc_vs_sim ~cert ~depth:config.bmc_depth rand d);
     ( 5, "simplify",
       fun rand d -> Oracle.simplify_on_vs_off ~cert ~depth:config.bmc_depth rand d );
-    ( 6, "faults",
-      fun rand d -> Oracle.fault_injection ~cert ~depth:config.bmc_depth rand d );
+    (6, "budget", fun rand d -> Oracle.budget_caps ~cert ~depth:config.bmc_depth rand d);
     ( 7, "tracing",
       fun rand d -> Oracle.tracing_on_vs_off ~cert ~depth:config.bmc_depth rand d );
     ( 8, "checkpoint",
@@ -1275,8 +1260,7 @@ let dimacs ?(max_vars = 20) ~seed ~count ~cert () =
               | Ok () -> ()
               | Error e -> flag i ("DRAT certificate rejected: " ^ e))
         | Sat.Solver.Unknown r ->
-            (* No budget, no cancellation, no faults: the solver has no
-               business giving up here. *)
+            (* No budget: the solver has no business giving up here. *)
             flag i
               ("solver UNKNOWN without a budget: " ^ Sat.Solver.reason_to_string r))
   done;

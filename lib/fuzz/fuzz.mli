@@ -93,20 +93,16 @@ module Oracle : sig
       [cert], the fully-simplified run is DRAT-certified at every UNSAT
       bound; on success, returns the number of certified bounds. *)
 
-  val fault_injection :
-    ?cert:bool ->
-    ?rate:float ->
-    depth:int ->
-    Random.State.t ->
-    Rtl.design ->
-    (int, string) result
-  (** Verdict invariance under injected faults. A solver fault hook fires
-      budget-exhaustion, cancellation and allocation-pressure faults with
-      probability [rate] per poll; each faulty run's outcome must equal the
-      fault-free reference or be [Unknown] — never the opposite decided
-      verdict — with DRAT certification active throughout when [cert].
-      On success, returns the number of DRAT-certified bounds of the
-      reference run. *)
+  val budget_caps :
+    ?cert:bool -> depth:int -> Random.State.t -> Rtl.design -> (int, string) result
+  (** Verdict invariance under per-query budgets. Three trials re-run the
+      reference safety check, each under a conflict cap drawn from
+      [rand] uniformly in [0 .. 2c + 1], c the reference's total
+      conflicts; each trial's
+      outcome must equal the unbudgeted reference or be [Unknown] — never
+      the opposite decided verdict — with DRAT certification active
+      throughout when [cert]. On success, returns the number of
+      DRAT-certified bounds of the reference run. *)
 
   val tracing_on_vs_off :
     ?cert:bool -> depth:int -> Random.State.t -> Rtl.design -> (int, string) result

@@ -119,7 +119,6 @@ module Journal = struct
   let m_appends = lazy (Obs.Metrics.counter "persist.appends")
   let m_replayed = lazy (Obs.Metrics.counter "persist.replayed")
   let m_recoveries = lazy (Obs.Metrics.counter "persist.recoveries")
-  let m_compactions = lazy (Obs.Metrics.counter "persist.compactions")
 
   let read_file path =
     let ic = open_in_bin path in
@@ -214,29 +213,6 @@ module Journal = struct
              ~payload:e.e_payload ()))
       entries;
     Buffer.contents buf
-
-  (* Write [content] to a temp file in the same directory, fsync, rename
-     over [path]: readers see the old file or the new one, never a
-     prefix. *)
-  let rewrite_atomic path content =
-    let dir = Filename.dirname path in
-    let tmp =
-      Filename.concat dir
-        (Printf.sprintf ".%s.tmp.%d" (Filename.basename path) (Unix.getpid ()))
-    in
-    let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-    (try
-       let pos = ref 0 in
-       let n = String.length content in
-       while !pos < n do
-         pos := !pos + Unix.write_substring fd content !pos (n - !pos)
-       done;
-       fsync_fd fd;
-       Unix.close fd
-     with e ->
-       (try Unix.close fd with Unix.Unix_error _ -> ());
-       raise e);
-    Unix.rename tmp path
 
   let open_append ?(sync = true) ?fault path =
     let fresh () =
@@ -363,59 +339,6 @@ module Journal = struct
             Fun.protect
               ~finally:(fun () -> close_out_noerr oc)
               (fun () -> output_string oc (Buffer.contents buf)))
-
-  type compaction = {
-    comp_before : int;
-    comp_after : int;
-    comp_bytes_before : int;
-    comp_bytes_after : int;
-  }
-
-  (* Fold duplicates last-write-wins: each key keeps exactly its final
-     record (decided or Unknown alike), in first-appearance order. The
-     skip index of the compacted journal is therefore identical to that
-     of the original — an Unknown that superseded a decided record stays
-     an Unknown, so the key still re-runs on resume. *)
-  let fold_last entries =
-    let last = Hashtbl.create 64 in
-    List.iter (fun e -> Hashtbl.replace last e.e_key e) entries;
-    let seen = Hashtbl.create 64 in
-    List.filter_map
-      (fun e ->
-        if Hashtbl.mem seen e.e_key then None
-        else begin
-          Hashtbl.add seen e.e_key ();
-          Hashtbl.find_opt last e.e_key
-        end)
-      entries
-
-  let compact ?fault path =
-    match read_file path with
-    | exception Sys_error msg -> Error msg
-    | data -> (
-        match parse data with
-        | Error msg -> Error msg
-        | Ok (entries, _good, _rec) -> (
-            let folded = fold_last entries in
-            let content = encode_entries folded in
-            let injected =
-              match fault with Some hook -> hook () <> None | None -> false
-            in
-            if injected then Error "compact aborted by injected fault (journal untouched)"
-            else
-              match rewrite_atomic path content with
-              | exception Unix.Unix_error (e, _, _) ->
-                  Error (Printf.sprintf "%s: %s" path (Unix.error_message e))
-              | exception Sys_error msg -> Error msg
-              | () ->
-                  if Obs.on () then Obs.Metrics.incr (Lazy.force m_compactions);
-                  Ok
-                    {
-                      comp_before = List.length entries;
-                      comp_after = List.length folded;
-                      comp_bytes_before = String.length data;
-                      comp_bytes_after = String.length content;
-                    }))
 end
 
 module Campaign = struct
@@ -426,8 +349,6 @@ module Campaign = struct
     c_appended : int;
     c_write_errors : int;
     c_recovered_bytes : int;
-    c_compactions : int;
-    c_compacted_away : int;
   }
 
   type t = {
@@ -444,12 +365,7 @@ module Campaign = struct
   let m_hits = lazy (Obs.Metrics.counter "persist.skips")
   let m_write_errors = lazy (Obs.Metrics.counter "persist.write_errors")
 
-  (* Auto-compaction gate: only worth an atomic rewrite once the journal
-     is both big and mostly dead. *)
-  let should_compact ~compact_min ~records ~live =
-    records >= compact_min && records > 0 && float_of_int live /. float_of_int records < 0.6
-
-  let start ?sync ?fault ?(compact_min = 512) ~resume ~force path =
+  let start ?sync ?fault ~resume ~force path =
     if resume && not (Sys.file_exists path) then
       Error
         (Printf.sprintf
@@ -461,26 +377,6 @@ module Campaign = struct
            path)
     else begin
       if (not resume) && Sys.file_exists path then Sys.remove path;
-      (* Resume path: compact first when the journal has grown mostly
-         duplicate, while no append handle is open. The skip index is
-         invariant under compaction, so this only changes file size. *)
-      let compactions = ref 0 and compacted_away = ref 0 in
-      (if resume then
-         match Journal.load path with
-         | Error _ -> ()  (* open_append will surface the real error *)
-         | Ok (entries, _rec) ->
-             let records = List.length entries in
-             let live = Hashtbl.length (
-               let h = Hashtbl.create 64 in
-               List.iter (fun e -> Hashtbl.replace h e.Journal.e_key ()) entries;
-               h)
-             in
-             if should_compact ~compact_min ~records ~live then
-               match Journal.compact path with
-               | Ok c ->
-                   incr compactions;
-                   compacted_away := c.Journal.comp_before - c.Journal.comp_after
-               | Error _ -> () (* keep the uncompacted journal; resume still works *));
       match Journal.open_append ?sync ?fault path with
       | Error _ as e -> e
       | Ok (j, entries, recovery) ->
@@ -516,8 +412,6 @@ module Campaign = struct
                   c_appended = 0;
                   c_write_errors = 0;
                   c_recovered_bytes = recovery.Journal.rec_dropped_bytes;
-                  c_compactions = !compactions;
-                  c_compacted_away = !compacted_away;
                 };
             }
     end

@@ -4,9 +4,10 @@
 
     The journal is a write-ahead log: one record per completed task,
     appended (and optionally fsynced) before the verdict is reported.
-    Loading tolerates the two things a SIGKILL can leave behind — a torn
-    record at the tail and a rename that never happened — by truncating
-    the file back to the last whole, CRC-valid record. Anything stronger
+    Loading tolerates what a SIGKILL can leave behind — a torn record at
+    the tail — by truncating the file back to the last whole, CRC-valid
+    record. The journal is never rewritten in place: a re-run task
+    appends a second record, and the last one for a key wins. Anything stronger
     (a flipped bit mid-file) also stops replay at the damage point, so a
     corrupt journal can only ever cost re-work, never import a wrong
     verdict. See DESIGN.md in this directory for the record format and
@@ -98,26 +99,6 @@ module Journal : sig
       [keep] records, then append [torn_bytes] of a partial record
       (default 0). This is what a SIGKILL at record [keep] leaves on
       disk. Used by tests and the fuzz kill/resume oracle. *)
-
-  type compaction = {
-    comp_before : int;  (** records before compaction *)
-    comp_after : int;  (** records after (distinct keys) *)
-    comp_bytes_before : int;
-    comp_bytes_after : int;
-  }
-
-  val compact : ?fault:(unit -> io_fault option) -> string -> (compaction, string) result
-  (** Fold duplicate records last-write-wins and rewrite the journal
-      atomically (temp file, fsync, rename): each key keeps exactly its last
-      record (decided or not, seconds included), in first-appearance
-      order, so the skip index of the compacted journal is bit-for-bit
-      that of the uncompacted one — including the "a trailing Unknown
-      blocks skipping" rule. A torn or corrupt tail is dropped by the
-      rewrite. Readers racing the compaction see either the old file or
-      the new one, never a prefix; an injected fault aborts before the
-      rename and leaves the journal untouched. Do not compact a journal
-      that is open for appending — the open handle would keep writing
-      to the replaced inode. *)
 end
 
 (** The policy layer over {!Journal}: what a resumed campaign may skip.
@@ -137,14 +118,11 @@ module Campaign : sig
     c_appended : int;  (** new records written this session *)
     c_write_errors : int;  (** appends lost to I/O faults (degraded, not fatal) *)
     c_recovered_bytes : int;  (** corrupt tail bytes dropped on load *)
-    c_compactions : int;  (** auto-compactions performed on start *)
-    c_compacted_away : int;  (** duplicate records folded by them *)
   }
 
   val start :
     ?sync:bool ->
     ?fault:fault_hook ->
-    ?compact_min:int ->
     resume:bool ->
     force:bool ->
     string ->
@@ -153,11 +131,8 @@ module Campaign : sig
       [path] is an error unless [force] (overwrite guard, same contract
       as [Obs.Export.guard]). [resume:true] requires an existing journal
       — resuming without one is an error, not a silent cold start.
-
-      Resuming auto-compacts first when the journal has grown mostly
-      dead: at least [compact_min] records (default 512) of which fewer
-      than 60% are live (last record for their key). Compaction never
-      changes what a resume may skip, only the file size. *)
+      A resumed journal keeps every record it holds, duplicates
+      included: the skip index reads them last-write-wins. *)
 
   val find_decided : t -> string -> string option
   (** Payload of the last decided record for this key, if any; counts a

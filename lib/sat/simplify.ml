@@ -21,16 +21,9 @@
    It is newest first: created clauses from the latest back, then input
    clauses by descending id. Dropping dead entries keeps that order. *)
 
-type config = {
-  subsume : bool;
-  self_subsume : bool;
-  bve : bool;
-  bve_max_occ : int;
-  bve_max_resolvent : int;
-}
+type config = { bve : bool; bve_max_occ : int; bve_max_resolvent : int }
 
-let default_config =
-  { subsume = true; self_subsume = true; bve = true; bve_max_occ = 20; bve_max_resolvent = 30 }
+let default_config = { bve = true; bve_max_occ = 20; bve_max_resolvent = 30 }
 
 type action =
   | Remove of int
@@ -261,12 +254,10 @@ let visit st c csig d =
   then begin
     let r = subsume_check st c d in
     if r = sub_sub then begin
-      if st.config.subsume then begin
-        st.n_sub <- st.n_sub + 1;
-        kill st d
-      end
+      st.n_sub <- st.n_sub + 1;
+      kill st d
     end
-    else if r >= 0 && st.config.self_subsume then strengthen st d r
+    else if r >= 0 then strengthen st d r
   end
 
 (* Backward subsumption + strengthening from [c]: probe the occurrence
@@ -526,9 +517,10 @@ let run ?(config = default_config) ?seeds ~nvars ~frozen ~protected clauses =
      descending id, so each segment ends up in ascending id order. *)
   let occ_n = Array.make nvars 0 in
   let csig = Array.make (n + 16) 0 in
-  let total = ref 0 and repeats = ref false in
+  let total = ref 0 and repeats = ref false and empty = ref false in
   for i = 0 to n - 1 do
     let lits = clauses.(i) in
+    if Array.length lits = 0 then empty := true;
     csig.(i) <- sig_of lits;
     total := !total + Array.length lits;
     for j = 0 to Array.length lits - 1 do
@@ -588,7 +580,7 @@ let run ?(config = default_config) ?seeds ~nvars ~frozen ~protected clauses =
       qtail = 0;
       actions = [];
       next_id = n;
-      contradiction = false;
+      contradiction = !empty;
       n_sub = 0;
       n_str = 0;
       n_elim = 0;
@@ -596,6 +588,9 @@ let run ?(config = default_config) ?seeds ~nvars ~frozen ~protected clauses =
       n_unit = 0;
     }
   in
+  (* An empty input clause makes the set UNSAT as given: log it and do
+     nothing else (subsumption would read the clause's first literal). *)
+  if !empty then emit st Empty;
   (* Variables constrained by a protected clause (the trail) must never be
      eliminated; derived units freeze theirs as they appear. *)
   for i = 0 to n - 1 do

@@ -32,8 +32,6 @@
       eliminated clauses are saved for {!extend_model}. *)
 
 type config = {
-  subsume : bool;
-  self_subsume : bool;
   bve : bool;  (** bounded variable elimination (needs [frozen] discipline) *)
   bve_max_occ : int;
       (** do not try to eliminate a variable occurring in more clauses *)

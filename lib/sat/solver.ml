@@ -88,52 +88,16 @@ let[@inline] act_set ar c x = Array.unsafe_set ar (c + 1) (Int64.to_int (Int64.b
 (* Wasted words above this share of the used arena trigger compaction. *)
 let garbage_frac = 0.2
 
-type budget = {
-  max_conflicts : int option;
-  max_propagations : int option;
-  max_decisions : int option;
-  max_seconds : float option;
-  max_learnt_mb : float option;
-}
+type budget = { max_conflicts : int option; max_seconds : float option }
 
-let no_budget =
-  {
-    max_conflicts = None;
-    max_propagations = None;
-    max_decisions = None;
-    max_seconds = None;
-    max_learnt_mb = None;
-  }
+let no_budget = { max_conflicts = None; max_seconds = None }
+let budget ?conflicts ?seconds () = { max_conflicts = conflicts; max_seconds = seconds }
 
-let budget ?conflicts ?propagations ?decisions ?seconds ?learnt_mb () =
-  {
-    max_conflicts = conflicts;
-    max_propagations = propagations;
-    max_decisions = decisions;
-    max_seconds = seconds;
-    max_learnt_mb = learnt_mb;
-  }
-
-type unknown_reason =
-  | Out_of_conflicts
-  | Out_of_propagations
-  | Out_of_decisions
-  | Out_of_time
-  | Out_of_memory_budget
-  | Cancelled
+type unknown_reason = Out_of_conflicts | Out_of_time
 
 let reason_to_string = function
   | Out_of_conflicts -> "conflict budget exhausted"
-  | Out_of_propagations -> "propagation budget exhausted"
-  | Out_of_decisions -> "decision budget exhausted"
   | Out_of_time -> "wall-clock budget exhausted"
-  | Out_of_memory_budget -> "learnt-clause memory budget exhausted"
-  | Cancelled -> "cancelled"
-
-type fault =
-  | Fault_exhaust of unknown_reason
-  | Fault_cancel
-  | Fault_alloc of int
 
 type result = Sat | Unsat | Unknown of unknown_reason
 
@@ -250,16 +214,9 @@ type t = {
   mutable n_restarts : int;
   (* Resource governance: absolute limits for the active [solve] call
      (max_int / infinity when uncapped), set at entry from the budget plus
-     the counters so far. [learnt_bytes] is an incremental estimate of the
-     learnt database footprint, maintained on learn/remove. *)
+     the counters so far. *)
   mutable lim_conflicts : int;
-  mutable lim_propagations : int;
-  mutable lim_decisions : int;
-  mutable lim_learnt_bytes : int;
   mutable deadline : float;
-  mutable fault_hook : (stats -> fault option) option;
-  mutable learnt_bytes : int;
-  mutable poll_count : int;
 }
 
 let clause_decay = 1. /. 0.999
@@ -312,13 +269,7 @@ let create () =
     n_propagations = 0;
     n_restarts = 0;
     lim_conflicts = max_int;
-    lim_propagations = max_int;
-    lim_decisions = max_int;
-    lim_learnt_bytes = max_int;
     deadline = infinity;
-    fault_hook = None;
-    learnt_bytes = 0;
-    poll_count = 0;
   }
 
 let nvars s = s.nvars
@@ -563,7 +514,6 @@ let remove_clause s c =
   let h = s.arena.(c) in
   s.arena.(c) <- h lor 1;
   let size = h_size h in
-  if h_learnt h then s.learnt_bytes <- s.learnt_bytes - (40 + (8 * size));
   s.arena_wasted <- s.arena_wasted + hdr + size;
   (* A removed clause must never remain a reason. Callers guarantee this via
      the [locked] check. *)
@@ -1035,27 +985,12 @@ let current_stats s =
     vars = s.nvars;
   }
 
-(* Budget and fault-hook poll, called on the cheap boundaries of the
-   search loop (once per propagate-or-conflict iteration, never inside a
-   propagation wave). Counter checks are plain compares against the
-   absolute limits; the wall clock is only consulted when a deadline is
-   set. *)
+(* Budget poll, called on the cheap boundaries of the search loop (once
+   per propagate-or-conflict iteration, never inside a propagation wave).
+   The conflict check is a plain compare against the absolute limit; the
+   wall clock is only consulted when a deadline is set. *)
 let poll_limits s =
   if s.n_conflicts >= s.lim_conflicts then raise (Stop Out_of_conflicts);
-  if s.n_propagations >= s.lim_propagations then raise (Stop Out_of_propagations);
-  if s.n_decisions >= s.lim_decisions then raise (Stop Out_of_decisions);
-  if s.learnt_bytes >= s.lim_learnt_bytes then raise (Stop Out_of_memory_budget);
-  (match s.fault_hook with
-  | None -> ()
-  | Some hook -> (
-      match hook (current_stats s) with
-      | None -> ()
-      | Some (Fault_exhaust r) -> raise (Stop r)
-      | Some Fault_cancel -> raise (Stop Cancelled)
-      | Some (Fault_alloc words) ->
-          (* Allocation pressure: a dead array the GC must sweep. *)
-          ignore (Sys.opaque_identity (Array.make (max 1 words) 0))));
-  s.poll_count <- s.poll_count + 1;
   (* gettimeofday costs far less than the decision + propagation wave each
      poll corresponds to, so no further amortization is needed. *)
   if s.deadline < infinity && Unix.gettimeofday () > s.deadline then
@@ -1106,7 +1041,6 @@ let record_learnt s blevel ~lbd =
   else begin
     let c = alloc_clause s ~learnt:true ~lbd buf.n in
     Array.blit buf.a 0 s.arena (c + hdr) buf.n;
-    s.learnt_bytes <- s.learnt_bytes + 40 + (8 * buf.n);
     ivec_push s.learnts c;
     attach_clause s c;
     bump_clause s c;
@@ -1154,18 +1088,11 @@ let rec luby i =
   let k = find_k 1 in
   if (1 lsl k) - 1 = i then 1 lsl (k - 1) else luby (i - (1 lsl (k - 1)) + 1)
 
-(* Arm the per-call limits. Counter caps are relative to this call (the
-   counters accumulate across incremental solves); the learnt-memory cap is
-   absolute, since it bounds the footprint of the shared database. *)
+(* Arm the per-call limits. The conflict cap is relative to this call
+   (the counter accumulates across incremental solves). *)
 let set_limits s budget =
-  let rel base = function None -> max_int | Some n -> base + max 0 n in
-  s.lim_conflicts <- rel s.n_conflicts budget.max_conflicts;
-  s.lim_propagations <- rel s.n_propagations budget.max_propagations;
-  s.lim_decisions <- rel s.n_decisions budget.max_decisions;
-  s.lim_learnt_bytes <-
-    (match budget.max_learnt_mb with
-    | None -> max_int
-    | Some mb -> int_of_float (mb *. 1024. *. 1024.));
+  s.lim_conflicts <-
+    (match budget.max_conflicts with None -> max_int | Some n -> s.n_conflicts + max 0 n);
   s.deadline <-
     (match budget.max_seconds with
     | None -> infinity
@@ -1173,12 +1100,8 @@ let set_limits s budget =
 
 let clear_limits s =
   s.lim_conflicts <- max_int;
-  s.lim_propagations <- max_int;
-  s.lim_decisions <- max_int;
-  s.lim_learnt_bytes <- max_int;
   s.deadline <- infinity
 
-let set_fault_hook s hook = s.fault_hook <- hook
 let solve ?(assumptions = []) ?(budget = no_budget) s =
   s.answer <- A_none;
   s.conflict.n <- 0;
@@ -1231,8 +1154,7 @@ let solve ?(assumptions = []) ?(budget = no_budget) s =
          incr restart
        done
      with Stop reason ->
-       (* Budget exhausted or an injected fault: back out to a
-          clean level-0 state. Learnt clauses (and their DRAT events) are
+       (* Budget exhausted: back out to a clean level-0 state. Learnt clauses (and their DRAT events) are
           kept, so a follow-up [solve] resumes from the accumulated work. *)
        s.answer <- A_unknown;
        result := Some (Unknown reason));

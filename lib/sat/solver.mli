@@ -20,61 +20,26 @@ type t
 (** {1 Resource governance}
 
     Every [solve] call may run under a {!budget} — optional caps on
-    conflicts, propagations, decisions, wall-clock seconds and the memory
-    footprint of the learnt-clause database. Caps are counted relative to
-    the start of the call, checked on the cheap boundaries of the search
-    loop, and exhausting any of them returns {!Unknown} with the first
+    conflicts and wall-clock seconds. Caps are counted relative to the
+    start of the call, checked on the cheap boundaries of the search loop
+    (the first check runs before any propagation, so a cap of 0 conflicts
+    always fires), and exhausting either returns {!Unknown} with the
     reason that fired. An [Unknown] answer
     leaves the solver fully reusable: the trail is backtracked to level 0,
     learnt clauses are kept, and a follow-up [solve] (with a larger
     budget, or none) resumes from the accumulated state. *)
 
-type budget = {
-  max_conflicts : int option;
-  max_propagations : int option;
-  max_decisions : int option;
-  max_seconds : float option;
-  max_learnt_mb : float option;  (** estimated learnt-DB footprint *)
-}
+type budget = { max_conflicts : int option; max_seconds : float option }
 
 val no_budget : budget
 (** All caps absent: [solve] runs to completion. *)
 
-val budget :
-  ?conflicts:int ->
-  ?propagations:int ->
-  ?decisions:int ->
-  ?seconds:float ->
-  ?learnt_mb:float ->
-  unit ->
-  budget
+val budget : ?conflicts:int -> ?seconds:float -> unit -> budget
 
-type unknown_reason =
-  | Out_of_conflicts
-  | Out_of_propagations
-  | Out_of_decisions
-  | Out_of_time
-  | Out_of_memory_budget
-  | Cancelled
-(** Why a [solve] call gave up. [Cancelled] is only ever produced by an
-    injected [Fault_cancel]. *)
+type unknown_reason = Out_of_conflicts | Out_of_time
+(** Why a [solve] call gave up. *)
 
 val reason_to_string : unknown_reason -> string
-
-(** {1 Fault injection}
-
-    A test hook: when installed, the hook is consulted at every search-loop
-    boundary (and once at [solve] entry) and may fire a fault mid-solve.
-    Faults model resource exhaustion ([Fault_exhaust]), external
-    cancellation ([Fault_cancel]) and allocation pressure ([Fault_alloc],
-    which allocates the given number of words and continues). The first
-    two turn the answer into [Unknown]; none may flip a [Sat]/[Unsat]
-    verdict — the fuzz harness asserts exactly that. *)
-
-type fault =
-  | Fault_exhaust of unknown_reason
-  | Fault_cancel
-  | Fault_alloc of int
 
 type result = Sat | Unsat | Unknown of unknown_reason
 
@@ -87,9 +52,6 @@ type stats = {
   clauses : int;  (** problem clauses currently in the database *)
   vars : int;
 }
-
-val set_fault_hook : t -> (stats -> fault option) option -> unit
-(** Install ([Some]) or clear ([None]) the fault hook. *)
 
 val create : unit -> t
 

@@ -399,18 +399,19 @@ let prop_shortest_cex =
       | Bmc.Holds _, _ | Bmc.Unknown _, _ -> false)
 
 (* ------------------------------------------------------------------ *)
-(* Resource governance: faults and budgets yield Unknown outcomes.     *)
+(* Resource governance: exhausted budgets yield Unknown outcomes.       *)
 
-let test_unknown_under_permanent_fault () =
-  (* A hook that cancels every query can only ever produce Unknown. *)
-  let limits = Bmc.limits ~fault:(fun _ -> Some Sat.Solver.Fault_cancel) () in
+let test_unknown_under_budget () =
+  (* A cap of 0 conflicts fires at the first poll of every query, before
+     any propagation, so the check can only ever produce Unknown. *)
+  let budget = Sat.Solver.budget ~conflicts:0 () in
   match
-    Bmc.check_safety ~limits ~design:(counter ()) ~invariant:(count_ne 10) ~depth:10 ()
+    Bmc.check_safety ~budget ~design:(counter ()) ~invariant:(count_ne 10) ~depth:10 ()
   with
   | Bmc.Unknown u, _ ->
-      Alcotest.(check string) "reason" "cancelled"
+      Alcotest.(check string) "reason" "conflict budget exhausted"
         (Sat.Solver.reason_to_string u.Bmc.un_reason)
-  | Bmc.Holds _, _ | Bmc.Violated _, _ -> Alcotest.fail "fault hook did not fire"
+  | Bmc.Holds _, _ | Bmc.Violated _, _ -> Alcotest.fail "conflict budget did not fire"
 
 (* Two counters advancing under independent enables: enough arithmetic
    structure for the solver to learn real clauses, with an invariant that
@@ -472,6 +473,6 @@ let suite =
     ("bmc.simp_stats", `Quick, test_simp_stats_sanity);
     ("bmc.stats_span_fresh_solvers", `Quick, test_stats_span_fresh_solvers);
     ("bmc.certified_twin_counter", `Quick, test_certified_twin_counter);
-    ("bmc.unknown_under_fault", `Quick, test_unknown_under_permanent_fault);
+    ("bmc.unknown_under_budget", `Quick, test_unknown_under_budget);
     Qc.to_alcotest prop_shortest_cex;
   ]

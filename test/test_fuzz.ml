@@ -307,23 +307,25 @@ let test_same_outcome_rejects_wrong_lanes () =
   Alcotest.(check bool) "same bound" true (same (Bmc.Holds 3) (Bmc.Holds 3) = Ok ());
   Alcotest.(check bool) "same cex length" true (same (violated 4) (violated 4) = Ok ())
 
-(* ---- fault-injection oracle ---- *)
+(* ---- budget oracle ---- *)
 
-let test_fault_injection_oracle () =
-  (* On the healthy stack the oracle must hold across seeds: faults only
+(* The two test ids below keep the names they had when this oracle
+   injected solver faults, so runs stay comparable across releases. *)
+let test_budget_oracle () =
+  (* On the healthy stack the oracle must hold across seeds: budgets only
      ever yield Unknown, never a flipped verdict. *)
   for seed = 0 to 4 do
     let rand = Random.State.make [| 0xFA; seed |] in
     let d = Fuzz.Gen.design rand in
-    match Fuzz.Oracle.fault_injection ~rate:0.05 ~depth:3 rand d with
+    match Fuzz.Oracle.budget_caps ~depth:3 rand d with
     | Ok _ -> ()
     | Error msg -> Alcotest.failf "seed %d: %s\n%s" seed msg (Fuzz.design_to_string d)
   done
 
-let test_fault_injection_oracle_certified () =
+let test_budget_oracle_certified () =
   let rand = Random.State.make [| 0xFA; 99 |] in
   let d = Fuzz.Gen.design rand in
-  match Fuzz.Oracle.fault_injection ~cert:true ~rate:0.05 ~depth:3 rand d with
+  match Fuzz.Oracle.budget_caps ~cert:true ~depth:3 rand d with
   | Ok _ -> ()
   | Error msg -> Alcotest.failf "certified run: %s" msg
 
@@ -334,8 +336,8 @@ let suite =
     ("fuzz.oracles_agree", `Slow, test_oracles_agree);
     ("fuzz.oracles_agree_certified", `Slow, test_oracles_agree_certified);
     ("fuzz.same_outcome_rejects", `Quick, test_same_outcome_rejects_wrong_lanes);
-    ("fuzz.fault_injection", `Slow, test_fault_injection_oracle);
-    ("fuzz.fault_injection_certified", `Slow, test_fault_injection_oracle_certified);
+    ("fuzz.fault_injection", `Slow, test_budget_oracle);
+    ("fuzz.fault_injection_certified", `Slow, test_budget_oracle_certified);
     ("fuzz.dimacs_certified", `Quick, test_dimacs_fuzz_certified);
     ("fuzz.shrink_converges", `Quick, test_shrink_converges);
     ("fuzz.shrink_no_op", `Quick, test_shrink_keeps_failure);

@@ -1,7 +1,7 @@
 (* Tests for the crash-safe campaign persistence layer (Persist): journal
    round-trips, every recovery path a SIGKILL or bit-rot can force (torn
    tail, bad CRC, duplicates, empty and headerless files), injected I/O
-   faults, atomic compaction, and the end-to-end resume-equivalence sweep over a real
+   faults, and the end-to-end resume-equivalence sweep over a real
    mutant matrix — kill the campaign after every record in turn and the
    resumed verdicts must be bit-for-bit those of an uninterrupted run, as
    must a run journaled under injected I/O faults and its resume. *)
@@ -264,28 +264,6 @@ let test_campaign_swallows_write_faults () =
           Alcotest.(check (list string)) "only the non-faulted key persisted" [ "kept" ]
             (List.map (fun e -> e.Persist.Journal.e_key) entries))
 
-let test_compact_atomic_under_fault () =
-  with_tmp "compact-fault" (fun path ->
-      write_journal path [ ("a", true, "a1"); ("a", true, "a2"); ("b", false, "b1") ];
-      let read () =
-        let ic = open_in_bin path in
-        let s = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        s
-      in
-      let before = read () in
-      (* A faulted compaction aborts before the rename: journal untouched. *)
-      (match
-         Persist.Journal.compact ~fault:(fun () -> Some (Persist.Short_write 3)) path
-       with
-      | Ok _ -> Alcotest.fail "faulted compaction reported success"
-      | Error _ -> ());
-      Alcotest.(check string) "journal byte-identical after a faulted compaction" before
-        (read ());
-      match Persist.Journal.compact path with
-      | Error msg -> Alcotest.failf "clean compaction after a fault: %s" msg
-      | Ok comp -> Alcotest.(check int) "records after" 2 comp.Persist.Journal.comp_after)
-
 (* ------------------------------------------------------------------ *)
 (* Campaign guard semantics                                            *)
 (* ------------------------------------------------------------------ *)
@@ -448,8 +426,8 @@ let test_resume_never_skips_unknown () =
   and iface = e.Designs.Entry.iface
   and bound = e.Designs.Entry.rec_bound in
   let key = Qed.Checks.campaign_key Qed.Checks.Gqed design iface ~bound in
-  let starved = Bmc.limits ~budget:(Sat.Solver.budget ~conflicts:1 ()) () in
-  let starved_report = Qed.Checks.run ~limits:starved Qed.Checks.Gqed design iface ~bound in
+  let starved = Sat.Solver.budget ~conflicts:1 () in
+  let starved_report = Qed.Checks.run ~budget:starved Qed.Checks.Gqed design iface ~bound in
   (match starved_report.Qed.Checks.verdict with
   | Qed.Checks.Unknown _ -> ()
   | _ -> Alcotest.fail "one-conflict budget unexpectedly decided (test premise)");
@@ -521,10 +499,11 @@ let test_decode_rejects_drift () =
   | Some _ -> Alcotest.fail "stale schema tag decoded; payload drift must re-run"
   | None -> ());
   (* Version 1 reports carried two more solver stats fields, version 2
-     escalation attempts one more field, and version 3 the escalation
-     attempt log; a journal written under any of them must re-run its
-     cells rather than decode them. *)
-  let tag = "gqed-report/4:" in
+     escalation attempts one more field, version 3 the escalation attempt
+     log, and version 4 six unknown reasons and two pipeline timers; a
+     journal written under any of them must re-run its cells rather than
+     decode them. *)
+  let tag = "gqed-report/5:" in
   let tag_len = String.length tag in
   Alcotest.(check string) "current schema tag" tag (String.sub blob 0 tag_len);
   List.iter
@@ -533,94 +512,14 @@ let test_decode_rejects_drift () =
       match Qed.Checks.decode_report old_blob with
       | Some _ -> Alcotest.failf "%s blob decoded; it must re-run" old
       | None -> ())
-    [ "gqed-report/1:"; "gqed-report/2:"; "gqed-report/3:" ];
-  match Qed.Checks.decode_report "gqed-report/4:not-a-marshal-blob" with
+    [ "gqed-report/1:"; "gqed-report/2:"; "gqed-report/3:"; "gqed-report/4:" ];
+  match Qed.Checks.decode_report "gqed-report/5:not-a-marshal-blob" with
   | Some _ -> Alcotest.fail "garbage payload decoded"
   | None -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Compaction and the v2 record format                                 *)
+(* The v2 record format                                                *)
 (* ------------------------------------------------------------------ *)
-
-let test_compact_round_trip () =
-  with_tmp "compact" (fun path ->
-      write_journal path
-        [
-          ("a", true, "a1");
-          ("b", true, "b1");
-          ("a", true, "a2");
-          ("c", false, "c1");
-          ("b", false, "b2");
-          ("d", true, "d1");
-        ];
-      let size_before = (Unix.stat path).Unix.st_size in
-      (match Persist.Journal.compact path with
-      | Error msg -> Alcotest.failf "compact: %s" msg
-      | Ok comp ->
-          Alcotest.(check int) "records before" 6 comp.Persist.Journal.comp_before;
-          Alcotest.(check int) "records after" 4 comp.Persist.Journal.comp_after;
-          Alcotest.(check int) "bytes before" size_before
-            comp.Persist.Journal.comp_bytes_before;
-          if comp.Persist.Journal.comp_bytes_after >= size_before then
-            Alcotest.fail "compaction did not shrink the journal");
-      let entries, recovery = load_ok path in
-      Alcotest.(check bool) "compacted journal is clean" false
-        recovery.Persist.Journal.rec_truncated;
-      (* One record per key, the key's LAST record, in first-appearance
-         order — exactly the fold a resume's skip index performs, so the
-         skip set is unchanged: a and d skippable, b and c blocked. *)
-      Alcotest.(check (list (triple string bool string)))
-        "last record per key, first-appearance order"
-        [ ("a", true, "a2"); ("b", false, "b2"); ("c", false, "c1"); ("d", true, "d1") ]
-        (List.map entry_triple entries);
-      match Persist.Campaign.start ~resume:true ~force:false path with
-      | Error msg -> Alcotest.failf "resume after compact: %s" msg
-      | Ok c ->
-          Alcotest.(check (option string)) "a skippable" (Some "a2")
-            (Persist.Campaign.find_decided c "a");
-          Alcotest.(check (option string)) "d skippable" (Some "d1")
-            (Persist.Campaign.find_decided c "d");
-          Alcotest.(check (option string)) "b blocked by trailing Unknown" None
-            (Persist.Campaign.find_decided c "b");
-          Alcotest.(check (option string)) "c blocked" None
-            (Persist.Campaign.find_decided c "c");
-          Persist.Campaign.close c)
-
-let test_campaign_auto_compaction () =
-  with_tmp "autocompact" (fun path ->
-      (match Persist.Campaign.start ~resume:false ~force:false path with
-      | Error msg -> Alcotest.failf "start: %s" msg
-      | Ok c ->
-          for i = 1 to 10 do
-            Persist.Campaign.record c ~decided:true ~key:"k"
-              ~payload:(Printf.sprintf "p%d" i)
-          done;
-          Persist.Campaign.record c ~decided:true ~key:"k2" ~payload:"q";
-          Persist.Campaign.close c);
-      (* Default threshold (512 records) leaves a small journal alone... *)
-      (match Persist.Campaign.start ~resume:true ~force:false path with
-      | Error msg -> Alcotest.failf "resume: %s" msg
-      | Ok c ->
-          let s = Persist.Campaign.stats c in
-          Alcotest.(check int) "no compaction below threshold" 0
-            s.Persist.Campaign.c_compactions;
-          Persist.Campaign.close c);
-      (* ...but a lowered gate folds the 11 records down to the 2 live. *)
-      match Persist.Campaign.start ~resume:true ~force:false ~compact_min:4 path with
-      | Error msg -> Alcotest.failf "resume+compact: %s" msg
-      | Ok c ->
-          let s = Persist.Campaign.stats c in
-          Alcotest.(check int) "one compaction" 1 s.Persist.Campaign.c_compactions;
-          Alcotest.(check int) "nine duplicates folded away" 9
-            s.Persist.Campaign.c_compacted_away;
-          Alcotest.(check int) "live rows loaded" 2 s.Persist.Campaign.c_loaded;
-          Alcotest.(check (option string)) "latest duplicate survives" (Some "p10")
-            (Persist.Campaign.find_decided c "k");
-          Alcotest.(check (option string)) "singleton survives" (Some "q")
-            (Persist.Campaign.find_decided c "k2");
-          Persist.Campaign.close c;
-          let entries, _ = load_ok path in
-          Alcotest.(check int) "journal holds only live rows" 2 (List.length entries))
 
 (* A v1 record, byte-for-byte: no seconds field. The format is gone, so
    a v1 journal must be refused, not replayed or rewritten. *)
@@ -698,8 +597,6 @@ let suite =
       test_fault_appends_leave_loadable_prefix;
     Alcotest.test_case "campaign swallows write faults" `Quick
       test_campaign_swallows_write_faults;
-    Alcotest.test_case "journal compact is atomic under faults" `Quick
-      test_compact_atomic_under_fault;
     Alcotest.test_case "campaign guard semantics" `Quick test_campaign_guards;
     Alcotest.test_case "kill-at-every-record sweep (fast)" `Slow test_kill_sweep_fast;
     Alcotest.test_case "kill-at-every-record sweep (full matrix)" `Slow
@@ -709,9 +606,6 @@ let suite =
       test_resume_never_skips_unknown;
     Alcotest.test_case "report encode/decode drift" `Quick test_decode_rejects_drift;
     Alcotest.test_case "campaign key is frozen" `Quick test_campaign_key_frozen;
-    Alcotest.test_case "journal compaction round-trip" `Quick test_compact_round_trip;
-    Alcotest.test_case "campaign auto-compaction gate" `Quick
-      test_campaign_auto_compaction;
     Alcotest.test_case "v1 journal is refused" `Quick test_v1_journal_refused;
     Alcotest.test_case "per-cell seconds round-trip" `Quick test_seconds_round_trip;
   ]

@@ -369,7 +369,9 @@ let test_gqed_pipeline_agrees () =
    more than 500 conflicts, then answers every later query on a fresh one;
    each bmc.query span end names the path that answered. hamming74 never
    gets there, accum does, and both still prove at the recommended bound.
-   Both traces must be non-empty and pass the structural checker. *)
+   The checks go through [Checks.run], as `gqed verify` does, so each
+   trace holds exactly one qed.check span, and both traces must pass the
+   structural checker. *)
 let test_solver_path_switches () =
   let paths name =
     let { Designs.Entry.design; iface; rec_bound; _ } = Designs.Registry.find name in
@@ -382,7 +384,7 @@ let test_solver_path_switches () =
           Obs.Trace.reset ();
           if not was_on then Obs.disable ())
         (fun () ->
-          let r = Checks.gqed design iface ~bound:rec_bound in
+          let r = Checks.run Checks.Gqed design iface ~bound:rec_bound in
           (r, Obs.Trace.events ()))
     in
     Alcotest.(check bool) (name ^ " proves") true (verdict_pass report.Checks.verdict);
@@ -390,6 +392,12 @@ let test_solver_path_switches () =
     (match Obs.Trace.check events with
     | Ok () -> ()
     | Error msg -> Alcotest.failf "%s trace malformed: %s" name msg);
+    Alcotest.(check int) (name ^ " qed.check spans") 1
+      (List.length
+         (List.filter
+            (fun (ev : Obs.Trace.event) ->
+              ev.ev_name = "qed.check" && ev.ev_kind = Obs.Trace.Begin)
+            events));
     List.sort_uniq compare
       (List.filter_map
          (fun (ev : Obs.Trace.event) ->
@@ -405,13 +413,13 @@ let test_solver_path_switches () =
 (* Resource governance at the check level: Unknown verdicts.             *)
 
 let test_limits_produce_unknown () =
-  let limits = Bmc.limits ~fault:(fun _ -> Some Sat.Solver.Fault_cancel) () in
-  let r = Checks.gqed ~limits (accum No_bug) accum_iface ~bound:4 in
+  let budget = Sat.Solver.budget ~conflicts:0 () in
+  let r = Checks.gqed ~budget (accum No_bug) accum_iface ~bound:4 in
   match r.Checks.verdict with
   | Checks.Unknown u ->
-      Alcotest.(check string) "reason" "cancelled"
+      Alcotest.(check string) "reason" "conflict budget exhausted"
         (Sat.Solver.reason_to_string u.Checks.u_reason)
-  | Checks.Pass _ | Checks.Fail _ -> Alcotest.fail "fault hook did not fire"
+  | Checks.Pass _ | Checks.Fail _ -> Alcotest.fail "conflict budget did not fire"
 
 (* ---- copy symmetry of the two-copy product ---- *)
 

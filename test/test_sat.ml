@@ -353,6 +353,14 @@ let test_simplify_self_subsume () =
   in
   Alcotest.(check bool) "strengthening happened" true (stats.Simplify.s_strengthened >= 1)
 
+(* An empty input clause makes the set UNSAT as given: the log is the one
+   [Empty] action, whatever else the set holds. *)
+let test_simplify_empty_input_clause () =
+  let actions, _ =
+    Simplify.run ~nvars:1 ~frozen:(no_flags 1) ~protected:(no_flags 2) [| [| 0 |]; [||] |]
+  in
+  Alcotest.(check bool) "log is [Empty]" true (actions = [ Simplify.Empty ])
+
 let test_simplify_bve_extend_model () =
   (* x <-> y & z, Tseitin-style. All three variables are eliminable (in
      some order); whatever the eliminator picked, model extension must
@@ -684,7 +692,7 @@ let test_preprocess_drat_certified () =
   Alcotest.(check bool) "some UNSAT instances were certified" true (!certified > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Resource governance: budgets, cancellation, fault injection, reuse.  *)
+(* Resource governance: conflict and wall-clock budgets, reuse.         *)
 
 (* Pigeonhole np/nh: UNSAT for np > nh, with enough real search that every
    budget kind gets a chance to fire before the verdict. *)
@@ -715,51 +723,27 @@ let test_budget_conflicts_fires () =
   expect_unknown "conflicts" Solver.Out_of_conflicts
     (Solver.solve ~budget:(Solver.budget ~conflicts:1 ()) (pigeonhole 6 5))
 
-let test_budget_decisions_fires () =
-  expect_unknown "decisions" Solver.Out_of_decisions
-    (Solver.solve ~budget:(Solver.budget ~decisions:1 ()) (pigeonhole 6 5))
-
-let test_budget_propagations_fires () =
-  expect_unknown "propagations" Solver.Out_of_propagations
-    (Solver.solve ~budget:(Solver.budget ~propagations:1 ()) (pigeonhole 6 5))
-
 let test_budget_seconds_fires () =
   expect_unknown "seconds" Solver.Out_of_time
     (Solver.solve ~budget:(Solver.budget ~seconds:1e-9 ()) (pigeonhole 6 5))
-
-let test_budget_learnt_mb_fires () =
-  expect_unknown "learnt_mb" Solver.Out_of_memory_budget
-    (Solver.solve ~budget:(Solver.budget ~learnt_mb:1e-9 ()) (pigeonhole 6 5))
-
-let test_fault_hook_fires () =
-  let s = pigeonhole 5 4 in
-  Solver.set_fault_hook s (Some (fun _ -> Some Solver.Fault_cancel));
-  expect_unknown "fault" Solver.Cancelled (Solver.solve s);
-  (* Clearing the hook restores normal operation on the same solver. *)
-  Solver.set_fault_hook s None;
-  Alcotest.(check bool) "unsat after clearing hook" true (Solver.solve s = Solver.Unsat)
 
 let test_reusable_after_unknown () =
   (* An Unknown answer must leave the solver resumable: a follow-up call
      with a bigger (or absent) budget reaches the real verdict. *)
   let s = pigeonhole 6 5 in
-  (match Solver.solve ~budget:(Solver.budget ~conflicts:1 ()) s with
-  | Solver.Unknown _ -> ()
-  | Solver.Sat | Solver.Unsat -> Alcotest.fail "expected unknown on the starved call");
+  expect_unknown "starved call" Solver.Out_of_conflicts
+    (Solver.solve ~budget:(Solver.budget ~conflicts:1 ()) s);
   Alcotest.(check bool) "unsat on resume" true (Solver.solve s = Solver.Unsat);
   (* And a SAT instance still produces a usable model after an Unknown.
-     An implication chain with no unit clause forces at least one decision,
-     so the cancelled search loop is guaranteed to be entered. *)
+     A cap of 0 conflicts fires at the first poll of the search loop,
+     before any propagation. *)
   let s = Solver.create () in
   let vs = Array.init 30 (fun _ -> Solver.new_var s) in
   for i = 0 to 28 do
     Solver.add_clause s [ Lit.neg vs.(i); Lit.pos vs.(i + 1) ]
   done;
-  Solver.set_fault_hook s (Some (fun _ -> Some Solver.Fault_cancel));
-  (match Solver.solve s with
-  | Solver.Unknown _ -> ()
-  | Solver.Sat | Solver.Unsat -> Alcotest.fail "expected cancellation");
-  Solver.set_fault_hook s None;
+  expect_unknown "zero-conflict call" Solver.Out_of_conflicts
+    (Solver.solve ~budget:(Solver.budget ~conflicts:0 ()) s);
   Alcotest.(check bool) "sat on resume" true (Solver.solve s = Solver.Sat);
   for i = 0 to 28 do
     Alcotest.(check bool) "model respects implication" true
@@ -862,6 +846,7 @@ let suite =
     ("dimacs.fuzz_20vars", `Quick, test_dimacs_fuzz_20vars);
     ("simplify.subsumption", `Quick, test_simplify_subsumption);
     ("simplify.self_subsume", `Quick, test_simplify_self_subsume);
+    ("simplify.empty_input_clause", `Quick, test_simplify_empty_input_clause);
     ("simplify.bve_extend_model", `Quick, test_simplify_bve_extend_model);
     ("simplify.action_log_pinned", `Quick, test_simplify_action_log_pinned);
     ("simplify.bve_boundaries", `Quick, test_simplify_bve_boundaries);
@@ -875,11 +860,7 @@ let suite =
       `Quick,
       test_preprocess_elim_assumption_pulls_definition );
     ("govern.conflicts", `Quick, test_budget_conflicts_fires);
-    ("govern.decisions", `Quick, test_budget_decisions_fires);
-    ("govern.propagations", `Quick, test_budget_propagations_fires);
     ("govern.seconds", `Quick, test_budget_seconds_fires);
-    ("govern.learnt_mb", `Quick, test_budget_learnt_mb_fires);
-    ("govern.fault_hook", `Quick, test_fault_hook_fires);
     ("govern.reuse_after_unknown", `Quick, test_reusable_after_unknown);
     q prop_matches_brute_force;
     q prop_assumptions_match_brute_force;
