@@ -604,7 +604,6 @@ let s1 () =
   let stages =
     [
       ("off", Bmc.no_simplify);
-      ("coi", { Bmc.no_simplify with Bmc.sc_coi = true });
       ("rewrite", { Bmc.no_simplify with Bmc.sc_rewrite = true });
       ("pg", { Bmc.no_simplify with Bmc.sc_pg = true });
       ("cnf", { Bmc.no_simplify with Bmc.sc_cnf = true });
@@ -612,8 +611,7 @@ let s1 () =
     ]
   in
   (* Per-stage ablation on the correct designs with the default engine
-     (per-query compaction and BVE run only once it has switched to fresh
-     solvers). "clauses" is the total number of clauses sent to the solver
+     (BVE runs only once it has switched to fresh solvers). "clauses" is the total number of clauses sent to the solver
      over all SAT queries of the check. Any stage changing the verdict is a
      verifier bug and fails the bench run. *)
   Printf.printf "per-stage clauses sent (correct designs, G-QED at the recommended bound):\n";

@@ -125,24 +125,17 @@ let simplify_term =
     Arg.(
       value & flag
       & info [ "no-simplify" ]
-          ~doc:"Disable the whole formula-shrinking pipeline (COI, AIG rewriting, \
+          ~doc:"Disable the whole formula-shrinking pipeline (AIG rewriting, \
                 polarity-aware Tseitin, CNF preprocessing).")
   in
   let stage_flag name doc = Arg.(value & flag & info [ "no-" ^ name ] ~doc) in
-  let combine off coi rewrite pg cnf =
+  let combine off rewrite pg cnf =
     if off then Bmc.no_simplify
-    else
-      {
-        Bmc.sc_coi = not coi;
-        sc_rewrite = not rewrite;
-        sc_pg = not pg;
-        sc_cnf = not cnf;
-      }
+    else { Bmc.sc_rewrite = not rewrite; sc_pg = not pg; sc_cnf = not cnf }
   in
   Term.(
     const combine $ no_simplify
-    $ stage_flag "coi" "Disable cone-of-influence reduction."
-    $ stage_flag "rewrite" "Disable AIG rewriting and per-query compaction."
+    $ stage_flag "rewrite" "Disable construction-time AIG rewriting."
     $ stage_flag "pg" "Disable polarity-aware (Plaisted-Greenbaum) Tseitin."
     $ stage_flag "cnf" "Disable CNF preprocessing (subsumption / strengthening / BVE).")
 
@@ -547,10 +540,10 @@ let campaign_cmd =
             Printf.printf "%-40s %-18s %8.2fs%s\n" label cellv r.Dist.r_seconds
               (if r.Dist.r_warm then "  (journal)" else ""))
           rows;
-        Printf.printf
-          "campaign: %d cell(s), %d from journal, %d dispatched across %d worker(s)\n"
+        Printf.printf "campaign: %d cell(s), %d from journal, %d dispatched %s\n"
           stats.Dist.d_cells stats.Dist.d_skipped stats.Dist.d_dispatched
-          stats.Dist.d_workers;
+          (if stats.Dist.d_workers = 0 then "in-process"
+           else Printf.sprintf "across %d worker(s)" stats.Dist.d_workers);
         if stats.Dist.d_restarts + stats.Dist.d_gave_up + stats.Dist.d_degraded > 0 then
           Printf.printf
             "supervisor: %d restart(s), %d give-up(s), %d cell(s) solved degraded\n"

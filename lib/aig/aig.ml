@@ -281,43 +281,6 @@ let eval_many g inputs ls =
   let memo = Array.make g.num_nodes 0 in
   List.map (eval_lit g inputs memo) ls
 
-(* Cone extraction ("sweep"): copy the cones of [roots] into a fresh graph
-   with strashing and rewriting enabled, dropping every node that does not
-   feed a root. Because the rewrite rules see the whole cone again (in
-   topological order), this doubles as the two-level rewrite pass over an
-   already-built graph. All primary inputs are pre-allocated in their
-   original order, so input indices — and therefore [eval] input arrays
-   and witness extraction — carry over unchanged. *)
-let compact g ~roots =
-  let h = create ~strash:true ~rewrite:true () in
-  let map = Array.make (max g.num_nodes 1) (-1) in
-  map.(0) <- false_;
-  let input_nodes = Array.make g.num_inputs 0 in
-  for n = 0 to g.num_nodes - 1 do
-    if g.input_of.(n) >= 0 then input_nodes.(g.input_of.(n)) <- n
-  done;
-  Array.iter (fun n -> map.(n) <- fresh_input h) input_nodes;
-  let rec visit n =
-    if map.(n) >= 0 then map.(n)
-    else begin
-      let edge f =
-        let l = visit (node_of f) in
-        if is_complemented f then not_ l else l
-      in
-      let l = and_ h (edge g.fanin0.(n)) (edge g.fanin1.(n)) in
-      map.(n) <- l;
-      l
-    end
-  in
-  List.iter (fun r -> ignore (visit (node_of r))) roots;
-  let map_lit l =
-    let n = node_of l in
-    if n < Array.length map && map.(n) >= 0 then
-      Some (if is_complemented l then not_ map.(n) else map.(n))
-    else None
-  in
-  (h, map_lit)
-
 module Cnf = struct
   type stats = {
     cnf_vars : int;  (** SAT variables allocated by this emitter *)

@@ -36,7 +36,8 @@ val create : ?strash:bool -> ?rewrite:bool -> unit -> t
     complement annihilation, shared-fanin contraction, resolution), as in
     ABC's [rewrite]: each hit replaces a would-be node by a strictly
     smaller function of existing nodes, so the graph shrinks before CNF
-    emission ever sees it. *)
+    emission ever sees it. Rewriting happens only here: nothing re-runs
+    the rules over an already-built graph. *)
 
 val fresh_input : t -> lit
 (** Allocate a new primary input; returns its positive literal. Inputs are
@@ -82,17 +83,6 @@ val eval : t -> bool array -> lit -> bool
 
 val eval_many : t -> bool array -> lit list -> bool list
 (** Same, sharing one memo table across all roots. *)
-
-(** {1 Cone extraction} *)
-
-val compact : t -> roots:lit list -> t * (lit -> lit option)
-(** [compact g ~roots] copies the cones of [roots] into a fresh graph built
-    with strashing {e and} rewriting enabled, dropping every node that does
-    not feed a root (dangling-node sweep) and re-running the rewrite rules
-    over the surviving logic. Returns the new graph and a literal map; the
-    map is [None] for literals outside the copied cones. All primary inputs
-    are pre-allocated in their original order, so input indices (and hence
-    {!eval} input arrays) are unchanged. *)
 
 (** {1 CNF emission (Tseitin)} *)
 

@@ -105,93 +105,18 @@ let pp_witness ppf w =
 exception Certification_failed of string
 
 type simplify_config = {
-  sc_coi : bool;
   sc_rewrite : bool;
   sc_pg : bool;
   sc_cnf : bool;
 }
 
-let default_simplify = { sc_coi = true; sc_rewrite = true; sc_pg = true; sc_cnf = true }
-let no_simplify = { sc_coi = false; sc_rewrite = false; sc_pg = false; sc_cnf = false }
-
-module Coi = struct
-  module S = Set.Make (String)
-
-  type stats = {
-    coi_regs_before : int;
-    coi_regs_after : int;
-    coi_outputs_before : int;
-    coi_outputs_after : int;
-  }
-
-  let no_reduction (design : Rtl.design) =
-    let nr = List.length design.Rtl.registers
-    and no = List.length design.Rtl.outputs in
-    { coi_regs_before = nr; coi_regs_after = nr; coi_outputs_before = no; coi_outputs_after = no }
-
-  (* Name-level cone fixpoint: a register is in the cone when its name is
-     (transitively) reachable from the property expressions through
-     next-state functions and output definitions. Inputs are always kept,
-     so input indices — and hence witness input valuations — are unchanged
-     by the reduction. *)
-  let reduce (design : Rtl.design) ~props =
-    let reg_next =
-      List.map (fun (r : Rtl.reg) -> (r.Rtl.reg.Expr.name, r.Rtl.next)) design.Rtl.registers
-    in
-    let need = ref S.empty in
-    let frontier = ref [] in
-    let demand name =
-      if not (S.mem name !need) then begin
-        need := S.add name !need;
-        frontier := name :: !frontier
-      end
-    in
-    let demand_expr e = List.iter (fun (v : Expr.var) -> demand v.Expr.name) (Expr.vars e) in
-    List.iter demand_expr props;
-    while !frontier <> [] do
-      let name = List.hd !frontier in
-      frontier := List.tl !frontier;
-      match List.assoc_opt name reg_next with
-      | Some next -> demand_expr next
-      | None -> (
-          match List.assoc_opt name design.Rtl.outputs with
-          | Some e -> demand_expr e
-          | None -> () (* input: no support *))
-    done;
-    let keep = !need in
-    let registers =
-      List.filter (fun (r : Rtl.reg) -> S.mem r.Rtl.reg.Expr.name keep) design.Rtl.registers
-    in
-    let outputs = List.filter (fun (name, _) -> S.mem name keep) design.Rtl.outputs in
-    let stats =
-      {
-        coi_regs_before = List.length design.Rtl.registers;
-        coi_regs_after = List.length registers;
-        coi_outputs_before = List.length design.Rtl.outputs;
-        coi_outputs_after = List.length outputs;
-      }
-    in
-    if
-      List.length registers = List.length design.Rtl.registers
-      && List.length outputs = List.length design.Rtl.outputs
-    then (design, stats)
-    else
-      match
-        Rtl.validate ~name:design.Rtl.name ~inputs:design.Rtl.inputs ~registers ~outputs
-      with
-      | Ok () ->
-          (Rtl.make ~name:design.Rtl.name ~inputs:design.Rtl.inputs ~registers ~outputs, stats)
-      | Error _ -> (design, no_reduction design)
-end
+let default_simplify = { sc_rewrite = true; sc_pg = true; sc_cnf = true }
+let no_simplify = { sc_rewrite = false; sc_pg = false; sc_cnf = false }
 
 module Engine = struct
   type simp_stats = {
     ss_queries : int;
-    ss_coi_regs_before : int;
-    ss_coi_regs_after : int;
     ss_rewrite_hits : int;
-    ss_compact_in : int;
-    ss_compact_out : int;
     ss_clauses_emitted : int;
     ss_clauses_plain : int;
     ss_single_pol : int;
@@ -200,10 +125,9 @@ module Engine = struct
 
   let pp_simp_stats ppf s =
     Format.fprintf ppf
-      "queries=%d coi-regs=%d->%d rewrites=%d compact=%d->%d clauses=%d (plain %d, 1-pol \
-       nodes %d) pre: sub=%d str=%d elim=%d units=%d (%d->%d clauses)"
-      s.ss_queries s.ss_coi_regs_before s.ss_coi_regs_after s.ss_rewrite_hits s.ss_compact_in
-      s.ss_compact_out s.ss_clauses_emitted s.ss_clauses_plain s.ss_single_pol
+      "queries=%d rewrites=%d clauses=%d (plain %d, 1-pol nodes %d) pre: sub=%d str=%d \
+       elim=%d units=%d (%d->%d clauses)"
+      s.ss_queries s.ss_rewrite_hits s.ss_clauses_emitted s.ss_clauses_plain s.ss_single_pol
       s.ss_pre.Sat.Solver.pre_subsumed s.ss_pre.Sat.Solver.pre_strengthened
       s.ss_pre.Sat.Solver.pre_eliminated s.ss_pre.Sat.Solver.pre_units
       s.ss_pre.Sat.Solver.pre_clauses_before s.ss_pre.Sat.Solver.pre_clauses_after
@@ -255,9 +179,6 @@ module Engine = struct
     budget : Sat.Solver.budget;
     mutable solver : Sat.Solver.t;
     mutable emitter : Aig.Cnf.emitter;
-    mutable map : (Aig.lit -> Aig.lit option) option;
-        (* literal translation into the current compacted graph; [None] when
-           the emitter works on [graph] directly *)
     mutable pending : Aig.lit list; (* every permanent assert, newest first *)
     mutable certified_unsats : int;
     (* Pipeline accounting. The [*_acc] fields collect stats of solvers and
@@ -265,11 +186,6 @@ module Engine = struct
        add the live ones. *)
     mutable search_acc : Sat.Solver.stats;
     mutable queries : int;
-    mutable coi_before : int;
-    mutable coi_after : int;
-    mutable rewrite_acc : int;
-    mutable compact_in : int;
-    mutable compact_out : int;
     mutable emitted_acc : int;
     mutable plain_acc : int;
     mutable single_acc : int;
@@ -294,16 +210,10 @@ module Engine = struct
       budget;
       solver;
       emitter;
-      map = None;
       pending = [];
       certified_unsats = 0;
       search_acc = Sat.Solver.stats solver (* a new solver: all counters zero *);
       queries = 0;
-      coi_before = List.length design.Rtl.registers;
-      coi_after = List.length design.Rtl.registers;
-      rewrite_acc = 0;
-      compact_in = 0;
-      compact_out = 0;
       emitted_acc = 0;
       plain_acc = 0;
       single_acc = 0;
@@ -312,11 +222,6 @@ module Engine = struct
 
   let unroller t = t.unroller
   let graph t = t.graph
-  let note_coi t ~before ~after =
-    t.coi_before <- before;
-    t.coi_after <- after
-
-  let map_lit t l = match t.map with None -> Some l | Some f -> f l
 
   (* Search counters summed over [acc] and [live]; the database sizes are
      the live solver's. *)
@@ -336,12 +241,10 @@ module Engine = struct
     t.pending <- l :: t.pending;
     if not t.mono then Aig.Cnf.assert_lit t.emitter l
 
-  (* Fresh-solver queries: each gets a new solver over exactly the cones it
-     needs. Retire the outgoing solver/emitter into the accumulators, then —
-     when rewriting is on — sweep the persistent graph down to the cones of
-     the roots (re-running the rewrite rules over them) and emit from the
-     compacted copy. *)
-  let reset_query t ~roots =
+  (* Fresh-solver queries: retire the outgoing solver/emitter into the
+     accumulators and start a new pair over the same graph. The emitter is
+     lazy, so the new solver only sees the cones the query reaches. *)
+  let reset_query t =
     let st = Aig.Cnf.stats t.emitter in
     t.emitted_acc <- t.emitted_acc + st.Aig.Cnf.cnf_clauses;
     t.plain_acc <- t.plain_acc + st.Aig.Cnf.cnf_clauses_plain;
@@ -351,41 +254,17 @@ module Engine = struct
     let solver = Sat.Solver.create () in
     if t.certify then Sat.Solver.start_proof solver;
     t.solver <- solver;
-    if t.simplify.sc_rewrite then begin
-      if Obs.on () then
-        Obs.Trace.span_begin "bmc.rewrite"
-          ~args:[ ("ands", string_of_int (Aig.num_ands t.graph)) ];
-      t.compact_in <- t.compact_in + Aig.num_ands t.graph;
-      let h, map = Aig.compact t.graph ~roots in
-      t.compact_out <- t.compact_out + Aig.num_ands h;
-      t.rewrite_acc <- t.rewrite_acc + Aig.num_rewrites h;
-      if Obs.on () then
-        Obs.Trace.span_end "bmc.rewrite" ~args:[ ("ands", string_of_int (Aig.num_ands h)) ];
-      t.map <- Some map;
-      t.emitter <- Aig.Cnf.make ~pg:t.simplify.sc_pg h solver
-    end
-    else begin
-      t.map <- None;
-      t.emitter <- Aig.Cnf.make ~pg:t.simplify.sc_pg t.graph solver
-    end
+    t.emitter <- Aig.Cnf.make ~pg:t.simplify.sc_pg t.graph solver
 
-  (* Value of an AIG literal (of the persistent graph) in the SAT model.
-     Bits whose node never reached the solver — outside the compacted cone,
-     or never emitted — are unconstrained; default them to false. *)
+  (* Value of an AIG literal in the SAT model. Bits whose node never
+     reached the solver are unconstrained; default them to false. *)
   let model_bit t l =
     if l = Aig.true_ then true
     else if l = Aig.false_ then false
     else
-      match map_lit t l with
+      match Aig.Cnf.lookup_lit t.emitter l with
       | None -> false
-      | Some l' ->
-          if l' = Aig.true_ then true
-          else if l' = Aig.false_ then false
-          else (
-            match Aig.Cnf.lookup_lit t.emitter l' with
-            | None -> false
-            | Some sat_lit -> (
-                try Sat.Solver.value t.solver sat_lit with Failure _ -> false))
+      | Some sat_lit -> ( try Sat.Solver.value t.solver sat_lit with Failure _ -> false)
 
   let bits_value t bits =
     let n = Array.length bits in
@@ -433,22 +312,8 @@ module Engine = struct
   (* Replay the solver's DRAT stream through the independent checker. Only
      meaningful right after an UNSAT answer to a query with exactly these
      SAT-level assumptions. *)
-  let certify_unsat_sat_lits t sat_assumptions =
+  let certify_unsat t sat_assumptions =
     Sat.Drat.check ~assumptions:sat_assumptions (Sat.Solver.proof t.solver)
-
-  let mapped t l =
-    match map_lit t l with
-    | Some l' -> l'
-    | None -> invalid_arg "Bmc.Engine: literal outside the compacted cone"
-
-  let certify_unsat t ~assumptions =
-    (* The cones of the assumption literals were emitted by the query that
-       answered UNSAT, so [assume_lit] is a memoized lookup here and adds no
-       clauses. *)
-    let sat_assumptions =
-      List.map (fun l -> Aig.Cnf.assume_lit t.emitter (mapped t l)) assumptions
-    in
-    certify_unsat_sat_lits t sat_assumptions
 
   let check t ~assumptions =
     t.queries <- t.queries + 1;
@@ -461,14 +326,10 @@ module Engine = struct
           ];
     let fresh = t.mono in
     if fresh then begin
-      reset_query t ~roots:(assumptions @ t.pending);
-      List.iter
-        (fun l -> Aig.Cnf.assert_lit t.emitter (mapped t l))
-        (List.rev t.pending)
+      reset_query t;
+      List.iter (Aig.Cnf.assert_lit t.emitter) (List.rev t.pending)
     end;
-    let sat_assumptions =
-      List.map (fun l -> Aig.Cnf.assume_lit t.emitter (mapped t l)) assumptions
-    in
+    let sat_assumptions = List.map (Aig.Cnf.assume_lit t.emitter) assumptions in
     if t.simplify.sc_cnf then
       (* BVE only on a fresh solver: it is merely satisfiability-preserving,
          and an incremental solver keeps taking clauses over existing
@@ -498,7 +359,7 @@ module Engine = struct
         Cex (extract_witness t)
     | Sat.Solver.Unsat ->
         if t.certify then begin
-          match certify_unsat_sat_lits t sat_assumptions with
+          match certify_unsat t sat_assumptions with
           | Ok () -> t.certified_unsats <- t.certified_unsats + 1
           | Error msg ->
               finish_span "certification-failed";
@@ -524,11 +385,7 @@ module Engine = struct
     let st = Aig.Cnf.stats t.emitter in
     {
       ss_queries = t.queries;
-      ss_coi_regs_before = t.coi_before;
-      ss_coi_regs_after = t.coi_after;
-      ss_rewrite_hits = Aig.num_rewrites t.graph + t.rewrite_acc;
-      ss_compact_in = t.compact_in;
-      ss_compact_out = t.compact_out;
+      ss_rewrite_hits = Aig.num_rewrites t.graph;
       ss_clauses_emitted = t.emitted_acc + st.Aig.Cnf.cnf_clauses;
       ss_clauses_plain = t.plain_acc + st.Aig.Cnf.cnf_clauses_plain;
       ss_single_pol = t.single_acc + st.Aig.Cnf.cnf_single_pol;
@@ -553,28 +410,6 @@ let assert_assumes engine ~assumes k =
       Engine.assert_lit engine bit)
     assumes
 
-(* Re-anchor a witness found on a COI-reduced design to the original one:
-   inputs carry over verbatim (the reduction keeps every input), registers
-   outside the cone take their reset value (or zero under symbolic init —
-   they cannot influence the property), and the trace is re-simulated on
-   the original design so the waveform shows every register. *)
-let reconstruct_witness ~original ~symbolic_init w =
-  let base =
-    if symbolic_init then
-      List.fold_left
-        (fun m (r : Rtl.reg) ->
-          Rtl.Smap.add r.Rtl.reg.Expr.name (Bitvec.zero r.Rtl.reg.Expr.width) m)
-        Rtl.Smap.empty original.Rtl.registers
-    else Rtl.initial_state original
-  in
-  let initial = Rtl.Smap.union (fun _ v _ -> Some v) w.w_initial base in
-  let trace = Rtl.simulate_from original initial (Array.to_list w.w_inputs) in
-  { w with w_initial = initial; w_trace = trace }
-
-let coi_setup simplify ~design ~props =
-  if simplify.sc_coi then Coi.reduce design ~props
-  else (design, Coi.no_reduction design)
-
 let check_safety ?(symbolic_init = false) ?(certify = false) ?(assumes = [])
     ?(simplify = default_simplify) ?(mono = false) ?budget ?stats ~design
     ~invariant ~depth () =
@@ -585,13 +420,10 @@ let check_safety ?(symbolic_init = false) ?(certify = false) ?(assumes = [])
       if Expr.width a <> 1 then
         invalid_arg "Bmc.check_safety: assumptions must be 1 bit wide")
     assumes;
-  let original = design in
-  let design, coi = coi_setup simplify ~design ~props:(invariant :: assumes) in
   (* One engine for all bounds. Once it runs queries on fresh solvers, the
      design blasting (graph + unrolling) is still shared, but each bound's
      query replays the recorded assumptions and proven bounds. *)
   let engine = Engine.create ~symbolic_init ~certify ~simplify ~mono ?budget design in
-  Engine.note_coi engine ~before:coi.Coi.coi_regs_before ~after:coi.Coi.coi_regs_after;
   let finish outcome =
     Option.iter (fun f -> f (Engine.simp_stats engine)) stats;
     (outcome, Engine.stats engine)
@@ -606,9 +438,7 @@ let check_safety ?(symbolic_init = false) ?(certify = false) ?(assumes = [])
             Engine.check engine ~assumptions:[ bad ])
       in
       match r with
-      | Engine.Cex w ->
-          let w = if design == original then w else reconstruct_witness ~original ~symbolic_init w in
-          finish (Violated w)
+      | Engine.Cex w -> finish (Violated w)
       | Engine.Undecided reason -> finish (Unknown { un_reason = reason; un_bound = k })
       | Engine.Unreachable ->
           (* The invariant holds at cycle k: assert it to help deeper

@@ -46,17 +46,18 @@ end
 
 (** {1 Formula-shrinking pipeline}
 
-    Between unrolling and solving, four verdict-preserving simplification
+    Between unrolling and solving, three verdict-preserving simplification
     stages shrink the formula each SAT query sees. Every stage toggles
-    independently, so the bench harness can ablate them one at a time. *)
+    independently, so the bench harness can ablate them one at a time.
+    There is no separate cone-of-influence stage: the {!Unroller} blasts a
+    register only when something reads it and the Tseitin emitter emits
+    only the nodes reached from an assert or an assumption, so each query
+    already sees just the cone of its property. *)
 
 type simplify_config = {
-  sc_coi : bool;
-      (** cone-of-influence reduction: drop registers/outputs outside the
-          property's transitive support before unrolling *)
   sc_rewrite : bool;
-      (** AIG rewriting: one- and two-level rules at construction time,
-          plus a per-query compaction sweep on fresh solvers *)
+      (** AIG rewriting: one- and two-level rules applied as the graph is
+          built *)
   sc_pg : bool;  (** polarity-aware (Plaisted–Greenbaum) Tseitin emission *)
   sc_cnf : bool;
       (** CNF preprocessing: subsumption + self-subsuming resolution (and
@@ -64,30 +65,11 @@ type simplify_config = {
 }
 
 val default_simplify : simplify_config
-(** All four stages on — the default everywhere. *)
+(** All three stages on — the default everywhere. *)
 
 val no_simplify : simplify_config
-(** All four stages off — the pre-pipeline behaviour, kept for ablation and
+(** All three stages off — the pre-pipeline behaviour, kept for ablation and
     as the differential-fuzzing baseline. *)
-
-(** Cone-of-influence reduction at the design level. *)
-module Coi : sig
-  type stats = {
-    coi_regs_before : int;
-    coi_regs_after : int;
-    coi_outputs_before : int;
-    coi_outputs_after : int;
-  }
-
-  val reduce : Rtl.design -> props:Expr.t list -> Rtl.design * stats
-  (** [reduce design ~props] keeps exactly the registers and outputs in the
-      transitive support of [props] (name-level fixpoint through next-state
-      functions and output definitions). All inputs are kept, so witnesses
-      of the reduced design replay on the original with the same input
-      valuations. Returns the design unchanged when nothing is droppable. *)
-
-  val no_reduction : Rtl.design -> stats
-end
 
 (** A witness (counterexample) to a bounded check. *)
 type witness = {
@@ -112,11 +94,7 @@ module Engine : sig
       every query (including solvers retired by fresh-solver resets). *)
   type simp_stats = {
     ss_queries : int;  (** SAT queries issued *)
-    ss_coi_regs_before : int;  (** registers before COI (set by the drivers) *)
-    ss_coi_regs_after : int;
-    ss_rewrite_hits : int;  (** AIG rewrite rule applications *)
-    ss_compact_in : int;  (** AND nodes entering per-query compaction (sum) *)
-    ss_compact_out : int;  (** AND nodes surviving it (sum) *)
+    ss_rewrite_hits : int;  (** construction-time AIG rewrite rule applications *)
     ss_clauses_emitted : int;  (** Tseitin clauses actually emitted *)
     ss_clauses_plain : int;  (** what plain Tseitin would have emitted *)
     ss_single_pol : int;  (** AND nodes emitted in a single polarity *)
@@ -148,17 +126,16 @@ module Engine : sig
       are cross-checked.
 
       [simplify] (default {!default_simplify}) selects the pipeline stages
-      this engine applies; [sc_coi] is handled by {!check_safety}, not
-      here.
+      this engine applies.
 
       Solving path: a new engine answers its queries on one incremental
       solver. After a query whose search takes more than 500 conflicts (a
       fixed constant), every later {!check} runs on a fresh solver; the
       AIG and unrolling persist (so the design is only blasted once) and
-      the permanent asserts are replayed. With
-      [sc_rewrite] a fresh-solver query sweeps the graph down to the cones
-      it needs, and with [sc_cnf] it also runs bounded variable elimination
-      (safe only because the solver is one-shot). [mono] (default [false])
+      the permanent asserts are replayed. A fresh solver emits from the
+      same graph, lazily, so it only receives the cones the query reaches;
+      with [sc_cnf] it also runs bounded variable elimination (safe only
+      because the solver is one-shot). [mono] (default [false])
       starts the engine on fresh solvers from the first query; it exists
       for the differential lanes (the fuzz [bmc] oracle, bench A2, the unit
       tests), and the answers are the same either way.
@@ -186,14 +163,8 @@ module Engine : sig
 
   val model_lit : t -> Aig.lit -> bool
   (** Value of an AIG literal in the most recent SAT model (valid after
-      [check] returned [Some _] and before the next query). Unconstrained
+      [check] returned [Cex _] and before the next query). Unconstrained
       literals read as [false]. *)
-
-  val certify_unsat : t -> assumptions:Aig.lit list -> (unit, string) result
-  (** Explicitly re-check the DRAT certificate of the most recent UNSAT
-      answer (which must have used exactly these assumptions). Requires a
-      [certify:true] engine. [check] already does this automatically; this
-      entry point exists for tests and tooling. *)
 
   val certified_unsats : t -> int
   (** Number of UNSAT answers certified so far on this engine. *)
@@ -207,11 +178,6 @@ module Engine : sig
   (** [(vars, clauses)] currently in the solver. *)
 
   val simp_stats : t -> simp_stats
-
-  val note_coi : t -> before:int -> after:int -> unit
-  (** Record COI figures (register counts) in this engine's {!simp_stats};
-      called by drivers that reduced the design before creating the
-      engine. *)
 end
 
 (** Why (and where) a bounded check gave up. *)
@@ -248,10 +214,9 @@ val check_safety :
     raises {!Certification_failed} on a rejected certificate.
 
     [simplify] (default {!default_simplify}) selects the formula-shrinking
-    stages; under COI, counterexamples are re-anchored to the original
-    design (out-of-cone registers at their reset values — or zero under
-    symbolic init — and the trace re-simulated), so witnesses always speak
-    about the design passed in. One {!Engine} serves every bound, so the
+    stages. Registers outside the property's cone are never blasted, yet
+    the witness trace is simulated on the whole design, so it shows every
+    register. One {!Engine} serves every bound, so the
     solving path switches as {!Engine.create} describes; [mono] (default
     [false]) runs every bound on a fresh solver from the first query, for
     the default-vs-fresh ablation (experiment A2). The answers are the

@@ -688,7 +688,7 @@ let run ?(simplify = Bmc.default_simplify) ?budget technique design iface ~bound
    (or any type it reaches) changes shape; stale records then decode to
    [None] and the task simply re-runs — schema drift degrades to re-work,
    never to a wrong verdict. *)
-let report_schema_tag = "gqed-report/5:"
+let report_schema_tag = "gqed-report/6:"
 
 let encode_report (r : report) = report_schema_tag ^ Marshal.to_string r []
 

@@ -502,12 +502,10 @@ module Oracle = struct
      safety check runs with every stage on, every stage off, and each stage
      individually, and all runs must agree (same proved bound, or
      counterexamples of the same length whose witnesses replay — every run
-     goes through the simulator replay inside [check_safety]). The COI-only
-     run is held to a stronger standard: the reduction keeps all inputs and
-     the unroller is lazy, so its CNF — and hence its witness — must be
-     bit-identical to the baseline's. With [cert] the fully-simplified run
-     is DRAT-certified at every UNSAT bound, exercising the proof logging
-     of rewriting + Plaisted-Greenbaum + preprocessing end to end. *)
+     goes through the simulator replay inside [check_safety]). With [cert]
+     the fully-simplified run is DRAT-certified at every UNSAT bound,
+     exercising the proof logging of rewriting + Plaisted-Greenbaum +
+     preprocessing end to end. *)
   let simplify_on_vs_off ?(cert = false) ~depth rand (d : Rtl.design) =
     let vars = all_vars d in
     let invariant = Gen.expr rand ~vars ~width:1 ~depth:2 in
@@ -531,7 +529,6 @@ module Oracle = struct
             | Ok () ->
                 let stages =
                   [
-                    ("coi", { Bmc.no_simplify with Bmc.sc_coi = true });
                     ("rewrite", { Bmc.no_simplify with Bmc.sc_rewrite = true });
                     ("pg", { Bmc.no_simplify with Bmc.sc_pg = true });
                     ("cnf", { Bmc.no_simplify with Bmc.sc_cnf = true });
@@ -545,22 +542,7 @@ module Oracle = struct
                       | Ok outcome -> (
                           match agree name base outcome with
                           | Error _ as e -> e
-                          | Ok () ->
-                              if name <> "coi" then check_stages rest
-                              else
-                                (* COI alone: bit-identical witnesses. *)
-                                let identical =
-                                  match (base, outcome) with
-                                  | Bmc.Holds _, Bmc.Holds _ -> true
-                                  | Bmc.Violated wa, Bmc.Violated wb ->
-                                      Rtl.Smap.equal Bitvec.equal wa.Bmc.w_initial
-                                        wb.Bmc.w_initial
-                                      && Array.for_all2 (Rtl.Smap.equal Bitvec.equal)
-                                           wa.Bmc.w_inputs wb.Bmc.w_inputs
-                                  | _ -> false
-                                in
-                                if identical then check_stages rest
-                                else Error "simplify(coi): witness differs from baseline"))
+                          | Ok () -> check_stages rest))
                 in
                 check_stages stages))
 

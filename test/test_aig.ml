@@ -174,29 +174,6 @@ let test_rewrite_eval_equiv () =
     if Aig.num_ands g1 > Aig.num_ands g0 then Alcotest.fail "rewriting grew the graph"
   done
 
-(* Compaction keeps the cone of the roots (semantics preserved through the
-   returned literal map), drops dangling logic, and leaves the input
-   numbering intact. *)
-let test_compact () =
-  let g = Aig.create () in
-  let x = Aig.fresh_input g and y = Aig.fresh_input g and z = Aig.fresh_input g in
-  let root = Aig.or_ g (Aig.and_ g x y) (Aig.and_ g x (Aig.not_ y)) in
-  let dangling = Aig.and_ g y z in
-  let h, map = Aig.compact g ~roots:[ root ] in
-  Alcotest.(check int) "inputs preserved" (Aig.num_inputs g) (Aig.num_inputs h);
-  let root' =
-    match map root with Some l -> l | None -> Alcotest.fail "root not mapped"
-  in
-  for assignment = 0 to 7 do
-    let values = Array.init 3 (fun i -> assignment land (1 lsl i) <> 0) in
-    Alcotest.(check bool)
-      "compact preserves semantics" (Aig.eval g values root) (Aig.eval h values root')
-  done;
-  Alcotest.(check (option int)) "dangling node unmapped" None (map dangling);
-  (* The re-rewrite recognises (x & y) | (x & ~y) = x, so the compacted
-     graph is strictly smaller here. *)
-  Alcotest.(check bool) "compacted graph smaller" true (Aig.num_ands h < Aig.num_ands g)
-
 (* ---- Plaisted-Greenbaum emission ---- *)
 
 (* The PG emitter agrees with evaluation in both polarities (on-demand
@@ -270,7 +247,6 @@ let suite =
     ("aig.cnf_matches_eval", `Quick, test_cnf_matches_eval);
     ("aig.rewrite_rules", `Quick, test_rewrite_rules);
     ("aig.rewrite_eval_equiv", `Quick, test_rewrite_eval_equiv);
-    ("aig.compact", `Quick, test_compact);
     ("aig.pg_cnf_matches_eval", `Quick, test_pg_cnf_matches_eval);
     ("aig.pg_single_polarity", `Quick, test_pg_single_polarity_savings);
     ("aig.eval_many", `Quick, test_eval_many_consistent);

@@ -208,7 +208,8 @@ let test_witness_many_inputs_many_frames () =
 (* ---- formula-shrinking pipeline ---- *)
 
 (* Counter plus logic that is irrelevant to the invariant: a register fed
-   by its own input, and an output over it. COI must drop both. *)
+   by its own input, and an output over it. The lazy unroller never blasts
+   either. *)
 let counter_with_noise () =
   let count = Expr.var "count" 4 and enable = Expr.var "enable" 1 in
   let junk = Expr.var "junk" 4 and noise = Expr.var "noise" 4 in
@@ -232,7 +233,6 @@ let counter_with_noise () =
 let stage_configs =
   [
     ("off", Bmc.no_simplify);
-    ("coi", { Bmc.no_simplify with Bmc.sc_coi = true });
     ("rewrite", { Bmc.no_simplify with Bmc.sc_rewrite = true });
     ("pg", { Bmc.no_simplify with Bmc.sc_pg = true });
     ("cnf", { Bmc.no_simplify with Bmc.sc_cnf = true });
@@ -262,49 +262,53 @@ let test_pipeline_stages_agree () =
       | Bmc.Unknown _, _ -> Alcotest.failf "%s: unexpected unknown" name)
     stage_configs
 
-(* COI reduction drops the irrelevant register and output, and the
-   reconstructed witness still speaks about the original design. *)
-let test_coi_reduce () =
-  let design = counter_with_noise () in
-  let reduced, stats = Bmc.Coi.reduce design ~props:[ count_ne 5 ] in
-  Alcotest.(check int) "regs before" 2 stats.Bmc.Coi.coi_regs_before;
-  Alcotest.(check int) "regs after" 1 stats.Bmc.Coi.coi_regs_after;
-  Alcotest.(check int) "outputs after" 0 stats.Bmc.Coi.coi_outputs_after;
-  Alcotest.(check int) "inputs all kept" 2 (List.length reduced.Rtl.inputs);
-  match
-    Bmc.check_safety ~simplify:Bmc.default_simplify ~design ~invariant:(count_ne 5)
-      ~depth:10 ()
-  with
-  | Bmc.Violated w, _ ->
-      let last = List.nth w.Bmc.w_trace (w.Bmc.w_length - 1) in
-      Alcotest.(check bool) "witness trace covers the dropped register" true
-        (Rtl.Smap.mem "junk" last.Rtl.t_state)
-  | Bmc.Holds _, _ -> Alcotest.fail "expected violation"
-  | Bmc.Unknown _, _ -> Alcotest.fail "unexpected unknown"
-
-(* The COI-reduced run is the same CNF lazily: witnesses must be
-   bit-identical to the unsimplified baseline, not just verdict-equal. *)
-let test_coi_witness_bit_identical () =
-  let run simplify =
-    match
-      Bmc.check_safety ~simplify ~design:(counter_with_noise ()) ~invariant:(count_ne 5)
-        ~depth:10 ()
-    with
-    | Bmc.Violated w, _ -> w
-    | Bmc.Holds _, _ | Bmc.Unknown _, _ -> Alcotest.fail "expected violation"
+(* The unroller blasts a register only when something reads it, and the
+   emitter sends only the nodes an assert or assumption reaches, so the
+   noise register and input never reach the solver: each check on the
+   noisy counter emits the same clauses and takes the same conflicts as on
+   the plain counter, on both solving paths. The witness is still
+   simulated on the whole design, so its trace shows the noise register. *)
+let test_lazy_unrolling_is_the_cone () =
+  let run ~mono design invariant depth =
+    let captured = ref None in
+    let outcome, stats =
+      Bmc.check_safety ~mono
+        ~stats:(fun s -> captured := Some s)
+        ~design ~invariant ~depth ()
+    in
+    match !captured with
+    | None -> Alcotest.fail "stats callback never called"
+    | Some s -> (outcome, s.Bmc.Engine.ss_clauses_emitted, stats.Sat.Solver.conflicts)
   in
-  let base = run Bmc.no_simplify in
-  let coi = run { Bmc.no_simplify with Bmc.sc_coi = true } in
-  Alcotest.(check int) "same length" base.Bmc.w_length coi.Bmc.w_length;
-  Alcotest.(check bool) "same initial state" true
-    (Rtl.Smap.equal Bitvec.equal base.Bmc.w_initial coi.Bmc.w_initial);
-  Alcotest.(check bool) "same inputs, every frame" true
-    (Array.for_all2
-       (Rtl.Smap.equal Bitvec.equal)
-       base.Bmc.w_inputs coi.Bmc.w_inputs)
+  let verdict = function
+    | Bmc.Holds n -> Printf.sprintf "holds@%d" n
+    | Bmc.Violated w -> Printf.sprintf "violated@%d" w.Bmc.w_length
+    | Bmc.Unknown _ -> "unknown"
+  in
+  List.iter
+    (fun mono ->
+      List.iter
+        (fun (n, depth, expected) ->
+          let what = Printf.sprintf "count_ne %d, depth %d, mono %b" n depth mono in
+          let plain, plain_cl, plain_conf = run ~mono (counter ()) (count_ne n) depth in
+          let noisy, noisy_cl, noisy_conf =
+            run ~mono (counter_with_noise ()) (count_ne n) depth
+          in
+          Alcotest.(check string) (what ^ ": plain verdict") expected (verdict plain);
+          Alcotest.(check string) (what ^ ": noisy verdict") expected (verdict noisy);
+          Alcotest.(check int) (what ^ ": clauses emitted") plain_cl noisy_cl;
+          Alcotest.(check int) (what ^ ": conflicts") plain_conf noisy_conf;
+          match noisy with
+          | Bmc.Violated w ->
+              let last = List.nth w.Bmc.w_trace (w.Bmc.w_length - 1) in
+              Alcotest.(check bool) (what ^ ": trace shows junk") true
+                (Rtl.Smap.mem "junk" last.Rtl.t_state)
+          | Bmc.Holds _ | Bmc.Unknown _ -> ())
+        [ (5, 10, "violated@6"); (12, 8, "holds@8") ])
+    [ false; true ]
 
-(* Fresh solvers from the first query, with the full pipeline (compaction
-   + BVE live), agree with the unsimplified default engine. *)
+(* Fresh solvers from the first query, with the full pipeline (BVE
+   live), agree with the unsimplified default engine. *)
 let test_mono_pipeline_agrees () =
   List.iter
     (fun depth ->
@@ -341,8 +345,6 @@ let test_simp_stats_sanity () =
       Alcotest.(check bool) "clauses emitted" true (s.Bmc.Engine.ss_clauses_emitted > 0);
       Alcotest.(check bool) "PG saves clauses" true
         (s.Bmc.Engine.ss_clauses_emitted < s.Bmc.Engine.ss_clauses_plain);
-      Alcotest.(check bool) "COI figures recorded" true
-        (s.Bmc.Engine.ss_coi_regs_before = 2 && s.Bmc.Engine.ss_coi_regs_after = 1);
       Alcotest.(check bool) "BVE eliminated variables" true
         (s.Bmc.Engine.ss_pre.Sat.Solver.pre_eliminated > 0)
 
@@ -467,8 +469,7 @@ let suite =
     ("bmc.follower_violation", `Quick, test_follower_violation_found);
     ("bmc.witness_many_inputs", `Quick, test_witness_many_inputs_many_frames);
     ("bmc.pipeline_stages_agree", `Quick, test_pipeline_stages_agree);
-    ("bmc.coi_reduce", `Quick, test_coi_reduce);
-    ("bmc.coi_witness_bit_identical", `Quick, test_coi_witness_bit_identical);
+    ("bmc.lazy_unrolling_is_the_cone", `Quick, test_lazy_unrolling_is_the_cone);
     ("bmc.mono_pipeline_agrees", `Quick, test_mono_pipeline_agrees);
     ("bmc.simp_stats", `Quick, test_simp_stats_sanity);
     ("bmc.stats_span_fresh_solvers", `Quick, test_stats_span_fresh_solvers);

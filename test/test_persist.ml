@@ -500,10 +500,11 @@ let test_decode_rejects_drift () =
   | None -> ());
   (* Version 1 reports carried two more solver stats fields, version 2
      escalation attempts one more field, version 3 the escalation attempt
-     log, and version 4 six unknown reasons and two pipeline timers; a
+     log, version 4 six unknown reasons and two pipeline timers, and
+     version 5 four COI and compaction figures in the pipeline stats; a
      journal written under any of them must re-run its cells rather than
      decode them. *)
-  let tag = "gqed-report/5:" in
+  let tag = "gqed-report/6:" in
   let tag_len = String.length tag in
   Alcotest.(check string) "current schema tag" tag (String.sub blob 0 tag_len);
   List.iter
@@ -512,8 +513,14 @@ let test_decode_rejects_drift () =
       match Qed.Checks.decode_report old_blob with
       | Some _ -> Alcotest.failf "%s blob decoded; it must re-run" old
       | None -> ())
-    [ "gqed-report/1:"; "gqed-report/2:"; "gqed-report/3:"; "gqed-report/4:" ];
-  match Qed.Checks.decode_report "gqed-report/5:not-a-marshal-blob" with
+    [
+      "gqed-report/1:";
+      "gqed-report/2:";
+      "gqed-report/3:";
+      "gqed-report/4:";
+      "gqed-report/5:";
+    ];
+  match Qed.Checks.decode_report "gqed-report/6:not-a-marshal-blob" with
   | Some _ -> Alcotest.fail "garbage payload decoded"
   | None -> ()
 
