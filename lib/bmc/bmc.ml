@@ -183,7 +183,7 @@ module Engine = struct
     mutable certified_unsats : int;
     (* Pipeline accounting. The [*_acc] fields collect stats of solvers and
        emitters retired by fresh-solver resets; [simp_stats] and [stats]
-       add the live ones. *)
+       add the live ones. [pre_acc] sums every preprocessing pass. *)
     mutable search_acc : Sat.Solver.stats;
     mutable queries : int;
     mutable emitted_acc : int;
@@ -249,7 +249,6 @@ module Engine = struct
     t.emitted_acc <- t.emitted_acc + st.Aig.Cnf.cnf_clauses;
     t.plain_acc <- t.plain_acc + st.Aig.Cnf.cnf_clauses_plain;
     t.single_acc <- t.single_acc + st.Aig.Cnf.cnf_single_pol;
-    t.pre_acc <- add_presult t.pre_acc (Sat.Solver.preprocess_totals t.solver);
     t.search_acc <- add_search t.search_acc (Sat.Solver.stats t.solver);
     let solver = Sat.Solver.create () in
     if t.certify then Sat.Solver.start_proof solver;
@@ -330,11 +329,13 @@ module Engine = struct
       List.iter (Aig.Cnf.assert_lit t.emitter) (List.rev t.pending)
     end;
     let sat_assumptions = List.map (Aig.Cnf.assume_lit t.emitter) assumptions in
-    if t.simplify.sc_cnf then
-      (* BVE only on a fresh solver: it is merely satisfiability-preserving,
-         and an incremental solver keeps taking clauses over existing
-         variables. *)
-      ignore (Sat.Solver.preprocess ~elim:fresh ~frozen:sat_assumptions t.solver);
+    if fresh && t.simplify.sc_cnf then
+      (* Only a fresh solver is preprocessed: it answers this one query, so
+         variable elimination (merely satisfiability-preserving) is safe
+         with the assumptions frozen. An incremental solver keeps taking
+         clauses over its variables and is never preprocessed. *)
+      t.pre_acc <-
+        add_presult t.pre_acc (Sat.Solver.preprocess ~frozen:sat_assumptions t.solver);
     let conflicts0 = (Sat.Solver.stats t.solver).Sat.Solver.conflicts in
     let result =
       Sat.Solver.solve ~assumptions:sat_assumptions ~budget:t.budget t.solver
@@ -389,7 +390,7 @@ module Engine = struct
       ss_clauses_emitted = t.emitted_acc + st.Aig.Cnf.cnf_clauses;
       ss_clauses_plain = t.plain_acc + st.Aig.Cnf.cnf_clauses_plain;
       ss_single_pol = t.single_acc + st.Aig.Cnf.cnf_single_pol;
-      ss_pre = add_presult t.pre_acc (Sat.Solver.preprocess_totals t.solver);
+      ss_pre = t.pre_acc;
     }
 end
 

@@ -60,8 +60,10 @@ type simplify_config = {
           built *)
   sc_pg : bool;  (** polarity-aware (Plaisted–Greenbaum) Tseitin emission *)
   sc_cnf : bool;
-      (** CNF preprocessing: subsumption + self-subsuming resolution (and
-          bounded variable elimination on fresh solvers), DRAT-logged *)
+      (** CNF preprocessing of each fresh solver, once, before its one
+          query: subsumption, self-subsuming resolution and bounded
+          variable elimination, DRAT-logged. Incremental queries are not
+          preprocessed. *)
 }
 
 val default_simplify : simplify_config
@@ -98,7 +100,9 @@ module Engine : sig
     ss_clauses_emitted : int;  (** Tseitin clauses actually emitted *)
     ss_clauses_plain : int;  (** what plain Tseitin would have emitted *)
     ss_single_pol : int;  (** AND nodes emitted in a single polarity *)
-    ss_pre : Sat.Solver.presult;  (** CNF-preprocessing totals *)
+    ss_pre : Sat.Solver.presult;
+        (** CNF-preprocessing totals over every fresh solver; all zero for
+            an engine that stayed incremental *)
   }
 
   val pp_simp_stats : Format.formatter -> simp_stats -> unit
@@ -134,8 +138,9 @@ module Engine : sig
       AIG and unrolling persist (so the design is only blasted once) and
       the permanent asserts are replayed. A fresh solver emits from the
       same graph, lazily, so it only receives the cones the query reaches;
-      with [sc_cnf] it also runs bounded variable elimination (safe only
-      because the solver is one-shot). [mono] (default [false])
+      with [sc_cnf] it is preprocessed once, with bounded variable
+      elimination (safe only because the solver is one-shot). The
+      incremental solver is never preprocessed. [mono] (default [false])
       starts the engine on fresh solvers from the first query; it exists
       for the differential lanes (the fuzz [bmc] oracle, bench A2, the unit
       tests), and the answers are the same either way.

@@ -184,6 +184,13 @@ let targets (d : Rtl.design) =
 
 let target_expr = function `Reg (r : Rtl.reg) -> r.Rtl.next | `Out (_, e) -> e
 
+(* The design with new registers and outputs, or [None] if that is not a
+   valid design. [Rtl.make] validates, so nothing else does. *)
+let rebuild (d : Rtl.design) ~registers ~outputs =
+  match Rtl.make ~name:d.Rtl.name ~inputs:d.Rtl.inputs ~registers ~outputs with
+  | d' -> Some d'
+  | exception Invalid_argument _ -> None
+
 (* Rebuild the design with one target's expression replaced. *)
 let with_target_expr (d : Rtl.design) target e' =
   let registers =
@@ -199,11 +206,7 @@ let with_target_expr (d : Rtl.design) target e' =
       (fun (n, e) -> if Printf.sprintf "out(%s)" n = target then (n, e') else (n, e))
       d.Rtl.outputs
   in
-  match
-    Rtl.validate ~name:d.Rtl.name ~inputs:d.Rtl.inputs ~registers ~outputs
-  with
-  | Ok () -> Some (Rtl.make ~name:d.Rtl.name ~inputs:d.Rtl.inputs ~registers ~outputs)
-  | Error _ -> None
+  rebuild d ~registers ~outputs
 
 (* Add the hidden toggle register (flips every cycle, starts at 0). *)
 let with_hidden_reg (d : Rtl.design) registers outputs =
@@ -215,11 +218,7 @@ let with_hidden_reg (d : Rtl.design) registers outputs =
     }
   in
   let registers = registers @ [ hidden ] in
-  match
-    Rtl.validate ~name:d.Rtl.name ~inputs:d.Rtl.inputs ~registers ~outputs
-  with
-  | Ok () -> Some (Rtl.make ~name:d.Rtl.name ~inputs:d.Rtl.inputs ~registers ~outputs)
-  | Error _ -> None
+  rebuild d ~registers ~outputs
 
 let corrupt_conditionally e =
   (* When the hidden toggle is high, the value is off by one. *)

@@ -21,9 +21,9 @@
    It is newest first: created clauses from the latest back, then input
    clauses by descending id. Dropping dead entries keeps that order. *)
 
-type config = { bve : bool; bve_max_occ : int; bve_max_resolvent : int }
+type config = { bve_max_occ : int; bve_max_resolvent : int }
 
-let default_config = { bve = true; bve_max_occ = 20; bve_max_resolvent = 30 }
+let default_config = { bve_max_occ = 20; bve_max_resolvent = 30 }
 
 type action =
   | Remove of int
@@ -48,7 +48,7 @@ let f_prot = 4
 
 type t = {
   config : config;
-  (* Per variable. [frozen] is a private copy, [||] when BVE is off. *)
+  (* Per variable. [frozen] is a private copy. *)
   frozen : bool array;
   occ_n : int array; (* live literal occurrences *)
   (* Whether an input clause repeats a literal. Without one, no clause
@@ -169,12 +169,10 @@ let enqueue st k =
     st.qtail <- st.qtail + 1
   end
 
-let freeze st v = if st.config.bve then st.frozen.(v) <- true
-
 let new_unit st l =
   emit st (Unit l);
   st.n_unit <- st.n_unit + 1;
-  freeze st (Lit.var l);
+  st.frozen.(Lit.var l) <- true;
   enqueue st (new_clause st ~cid:(-1) [| l |])
 
 let kill st k =
@@ -509,7 +507,7 @@ let try_eliminate st b v =
     end
   end
 
-let run ?(config = default_config) ?seeds ~nvars ~frozen ~protected clauses =
+let run ?(config = default_config) ~nvars ~frozen ~protected clauses =
   let nvars = max nvars 1 in
   let n = Array.length clauses in
   (* Occurrence counts, then the CSR index over the input clauses: fill
@@ -526,10 +524,9 @@ let run ?(config = default_config) ?seeds ~nvars ~frozen ~protected clauses =
     for j = 0 to Array.length lits - 1 do
       let v = Lit.var lits.(j) in
       occ_n.(v) <- occ_n.(v) + 1;
-      if config.bve then
-        for k = 0 to j - 1 do
-          if lits.(k) = lits.(j) then repeats := true
-        done
+      for k = 0 to j - 1 do
+        if lits.(k) = lits.(j) then repeats := true
+      done
     done
   done;
   let occ_hi = Array.make nvars 0 in
@@ -556,12 +553,9 @@ let run ?(config = default_config) ?seeds ~nvars ~frozen ~protected clauses =
     {
       config;
       frozen =
-        (if config.bve then begin
-           let a = Array.make nvars false in
-           Array.blit frozen 0 a 0 (min (Array.length frozen) nvars);
-           a
-         end
-         else [||]);
+        (let a = Array.make nvars false in
+         Array.blit frozen 0 a 0 (min (Array.length frozen) nvars);
+         a);
       occ_n;
       repeats = !repeats;
       occ_lo;
@@ -594,17 +588,14 @@ let run ?(config = default_config) ?seeds ~nvars ~frozen ~protected clauses =
   (* Variables constrained by a protected clause (the trail) must never be
      eliminated; derived units freeze theirs as they appear. *)
   for i = 0 to n - 1 do
-    if has st i f_prot then Array.iter (fun l -> freeze st (Lit.var l)) clauses.(i)
+    if has st i f_prot then Array.iter (fun l -> st.frozen.(Lit.var l) <- true) clauses.(i)
   done;
-  (match seeds with
-  | None ->
-      for i = 0 to n - 1 do
-        enqueue st i
-      done
-  | Some ids -> List.iter (fun i -> if i >= 0 && i < n then enqueue st i) ids);
+  for i = 0 to n - 1 do
+    enqueue st i
+  done;
   drain st;
   (* Bounded variable elimination, cheapest variables first. *)
-  if config.bve && not st.contradiction then begin
+  if not st.contradiction then begin
     let cap = max 1 config.bve_max_occ in
     let b =
       {

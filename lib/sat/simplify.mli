@@ -23,16 +23,14 @@
       database is deleted;
     - {b self-subsuming resolution}: when resolving [C ∨ l] with [D ∨ ¬l]
       yields a clause subsuming [C ∨ l], the literal [l] is removed from
-      it ("strengthening") — equivalence-preserving, hence safe even for
-      incremental solving where more clauses arrive later;
+      it ("strengthening");
     - {b bounded variable elimination}: a variable whose resolvent set is
       no larger than the clauses it replaces is resolved away. Only
-      satisfiability-preserving, so the caller enables it solely for
-      one-shot (fresh-solver) queries and freezes assumption variables; the
-      eliminated clauses are saved for {!extend_model}. *)
+      satisfiability-preserving, so the caller runs it on a clause set
+      that answers one query and freezes that query's assumption
+      variables; the eliminated clauses are saved for {!extend_model}. *)
 
 type config = {
-  bve : bool;  (** bounded variable elimination (needs [frozen] discipline) *)
   bve_max_occ : int;
       (** do not try to eliminate a variable occurring in more clauses *)
   bve_max_resolvent : int;  (** abort an elimination producing a longer clause *)
@@ -63,24 +61,20 @@ type stats = {
 
 val run :
   ?config:config ->
-  ?seeds:int list ->
   nvars:int ->
   frozen:bool array ->
   protected:bool array ->
   Lit.t array array ->
   action list * stats
 (** [run ~nvars ~frozen ~protected clauses] computes a simplification of
-    the clause set to fixpoint and returns the action log (chronological)
-    plus counters.
+    the whole clause set to fixpoint and returns the action log
+    (chronological) plus counters.
 
-    [frozen.(v)] excludes variable [v] from elimination (assumption
-    variables, level-0 assigned variables, previously eliminated ones).
+    [frozen.(v)] excludes variable [v] from elimination (the assumption
+    variables of the query the clauses will answer).
     [protected.(i)] marks clause [i] as immutable — it may subsume or
     strengthen others but is never itself removed or strengthened; the
-    solver passes its level-0 trail as protected unit clauses this way.
-    [seeds], when given, restricts the initial worklist to those clause
-    ids (incremental use: only clauses added since the last run need to be
-    reconsidered); omitted, every clause is processed. *)
+    solver passes its level-0 trail as protected unit clauses this way. *)
 
 val extend_model : (int * Lit.t array array) list -> bool array -> unit
 (** [extend_model stack model] fixes the values of eliminated variables in

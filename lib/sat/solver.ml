@@ -38,7 +38,11 @@
    binary watchers carry the full semantics of the clause and propagation
    needs no search. The hot paths inline their literal arithmetic ([var],
    [neg]) rather than calling [Lit]: across modules every call is a real
-   call. *)
+   call.
+
+   Values are kept per literal: [vals.(l)] is 1, -1 or 0 (true, false,
+   unassigned), and assigning or unassigning a variable writes both of
+   its literals, so every watcher visit reads a value with one load. *)
 
 (* ------------------------------------------------------------------ *)
 (* Int vectors.                                                        *)
@@ -111,7 +115,7 @@ type stats = {
   vars : int;
 }
 
-(* Counters from one (or, accumulated, all) [preprocess] call(s). *)
+(* Counters from one [preprocess] call. *)
 type presult = {
   pre_clauses_before : int;
   pre_clauses_after : int;
@@ -122,34 +126,12 @@ type presult = {
   pre_units : int;
 }
 
-let empty_presult =
-  {
-    pre_clauses_before = 0;
-    pre_clauses_after = 0;
-    pre_subsumed = 0;
-    pre_strengthened = 0;
-    pre_eliminated = 0;
-    pre_resolvents = 0;
-    pre_units = 0;
-  }
-
-let presult_add a b =
-  {
-    pre_clauses_before = a.pre_clauses_before + b.pre_clauses_before;
-    pre_clauses_after = a.pre_clauses_after + b.pre_clauses_after;
-    pre_subsumed = a.pre_subsumed + b.pre_subsumed;
-    pre_strengthened = a.pre_strengthened + b.pre_strengthened;
-    pre_eliminated = a.pre_eliminated + b.pre_eliminated;
-    pre_resolvents = a.pre_resolvents + b.pre_resolvents;
-    pre_units = a.pre_units + b.pre_units;
-  }
-
 type answer = A_none | A_sat | A_unsat | A_unknown
 
 type t = {
   mutable nvars : int;
+  mutable vals : int array; (* per literal (see the header), capacity >= 2 * nvars *)
   (* Per-variable state, arrays of capacity >= nvars. *)
-  mutable assigns : int array; (* 0 = unassigned, 1 = true, -1 = false *)
   mutable level : int array;
   mutable reason : int array; (* cref, or no_cref *)
   mutable activity : float array;
@@ -193,15 +175,10 @@ type t = {
   mutable proof_logging : bool;
   mutable proof_rev : Drat.event list;
   (* Preprocessing (Simplify) state: variables resolved away by bounded
-     variable elimination, their saved clauses for model reconstruction
-     (most recent first), and watermarks so an incremental [preprocess]
-     call only reconsiders clauses and trail literals added since the
-     last one. *)
+     variable elimination and their saved clauses for model
+     reconstruction (most recent first). *)
   mutable eliminated : bool array;
   mutable elim_stack : (int * int array array) list;
-  mutable pre_watermark : int;
-  mutable pre_trail_mark : int;
-  mutable pre_acc : presult;
   (* Status. *)
   mutable ok : bool;
   mutable answer : answer;
@@ -226,7 +203,7 @@ let restart_base = 100
 let create () =
   {
     nvars = 0;
-    assigns = Array.make 16 0;
+    vals = Array.make 32 0;
     level = Array.make 16 (-1);
     reason = Array.make 16 no_cref;
     activity = Array.make 16 0.;
@@ -257,9 +234,6 @@ let create () =
     proof_rev = [];
     eliminated = Array.make 16 false;
     elim_stack = [];
-    pre_watermark = 0;
-    pre_trail_mark = 0;
-    pre_acc = empty_presult;
     ok = true;
     answer = A_none;
     model = [||];
@@ -401,7 +375,7 @@ let grow_array a n dflt =
 let new_var s =
   let v = s.nvars in
   s.nvars <- v + 1;
-  s.assigns <- grow_array s.assigns s.nvars 0;
+  s.vals <- grow_array s.vals (2 * s.nvars) 0;
   s.level <- grow_array s.level s.nvars (-1);
   s.reason <- grow_array s.reason s.nvars no_cref;
   s.activity <- grow_array s.activity s.nvars 0.;
@@ -422,7 +396,8 @@ let new_var s =
     s.watches <- grow_watchlists s.watches;
     s.bin_watches <- grow_watchlists s.bin_watches
   end;
-  s.assigns.(v) <- 0;
+  s.vals.(2 * v) <- 0;
+  s.vals.((2 * v) + 1) <- 0;
   s.level.(v) <- -1;
   s.reason.(v) <- no_cref;
   s.activity.(v) <- 0.;
@@ -431,9 +406,7 @@ let new_var s =
   v
 
 (* Literal value: 0 unassigned, 1 true, -1 false. *)
-let[@inline] value_lit s l =
-  let a = Array.unsafe_get s.assigns (var l) in
-  if l land 1 = 1 then -a else a
+let[@inline] value_lit s l = Array.unsafe_get s.vals l
 
 let[@inline] decision_level s = s.trail_lim.n
 
@@ -472,7 +445,8 @@ let decay_clause_activity s = s.cla_inc <- s.cla_inc *. clause_decay
 
 let[@inline] unchecked_enqueue s l reason =
   let v = var l in
-  Array.unsafe_set s.assigns v (if l land 1 = 1 then -1 else 1);
+  Array.unsafe_set s.vals l 1;
+  Array.unsafe_set s.vals (neg l) (-1);
   Array.unsafe_set s.level v s.trail_lim.n;
   Array.unsafe_set s.reason v reason;
   ivec_push s.trail l
@@ -485,7 +459,8 @@ let cancel_until s lvl =
     for i = s.trail.n - 1 downto bound do
       let l = s.trail.a.(i) in
       let v = var l in
-      s.assigns.(v) <- 0;
+      s.vals.(l) <- 0;
+      s.vals.(neg l) <- 0;
       s.polarity.(v) <- l land 1 = 1;
       s.reason.(v) <- no_cref;
       heap_insert s v
@@ -521,7 +496,7 @@ let remove_clause s c =
 
 let locked s c =
   let v = var (c_lit s c 0) in
-  s.reason.(v) = c && s.assigns.(v) <> 0
+  s.reason.(v) = c && s.vals.(2 * v) <> 0
 
 (* Copy the live clauses into a fresh arena, in database order, and rewrite
    every cref: the databases, the reasons and the watch lists (dropping the
@@ -923,27 +898,22 @@ let simplify s =
   assert (decision_level s = 0);
   if Obs.on () then Obs.Trace.span_begin "sat.simplify";
   if s.ok && propagate s = no_cref then begin
-    let compact ?(track_watermark = false) db =
+    let compact db =
       let kept = ref 0 in
-      let removed_below = ref 0 in
       for i = 0 to db.n - 1 do
         let c = db.a.(i) in
         if h_removed s.arena.(c) || (clause_satisfied s c && not (locked s c)) then begin
-          if not (h_removed s.arena.(c)) then remove_clause s c;
-          if track_watermark && i < s.pre_watermark then incr removed_below
+          if not (h_removed s.arena.(c)) then remove_clause s c
         end
         else begin
           db.a.(!kept) <- c;
           incr kept
         end
       done;
-      db.n <- !kept;
-      (* Keep the preprocessing watermark pointing at the first clause not
-         yet seen by [preprocess], across the index shifts of compaction. *)
-      if track_watermark then s.pre_watermark <- max 0 (s.pre_watermark - !removed_below)
+      db.n <- !kept
     in
     compact s.learnts;
-    compact ~track_watermark:true s.clauses;
+    compact s.clauses;
     s.simp_assigns <- s.trail.n;
     maybe_compact s;
     if Obs.on () then Obs.Trace.span_end "sat.simplify"
@@ -964,7 +934,7 @@ let pick_branch_var s =
     if s.heap.n = 0 then None
     else begin
       let v = heap_pop s in
-      if s.assigns.(v) = 0 then Some v else loop ()
+      if s.vals.(2 * v) = 0 then Some v else loop ()
     end
   in
   loop ()
@@ -1130,7 +1100,7 @@ let solve ?(assumptions = []) ?(budget = no_budget) s =
             assert false
           with
          | Found_sat ->
-             s.model <- Array.init s.nvars (fun v -> s.assigns.(v) = 1);
+             s.model <- Array.init s.nvars (fun v -> s.vals.(2 * v) = 1);
              (* Extend the model over variables resolved away by elimination
                 so callers can read any variable they ever allocated. *)
              if s.elim_stack <> [] then Simplify.extend_model s.elim_stack s.model;
@@ -1222,13 +1192,13 @@ let install_clause s lits =
   else if !k = 1 && value_lit s a.(o) = 0 then unchecked_enqueue s a.(o) no_cref;
   c
 
-let preprocess ?(elim = false) ?(frozen = []) s =
+let preprocess ?(frozen = []) s =
   if decision_level s <> 0 then
     invalid_arg "Solver.preprocess: only allowed at decision level 0";
   let before = s.clauses.n in
   if Obs.on () then
     Obs.Trace.span_begin "sat.preprocess"
-      ~args:[ ("clauses", string_of_int before); ("elim", string_of_bool elim) ];
+      ~args:[ ("clauses", string_of_int before) ];
   let finish st =
     let r =
       {
@@ -1241,7 +1211,6 @@ let preprocess ?(elim = false) ?(frozen = []) s =
         pre_units = st.Simplify.s_units;
       }
     in
-    s.pre_acc <- presult_add s.pre_acc r;
     if Obs.on () then
       Obs.Trace.span_end "sat.preprocess"
         ~args:
@@ -1287,32 +1256,9 @@ let preprocess ?(elim = false) ?(frozen = []) s =
       db.(n + i) <- [| s.trail.a.(i) |];
       protected.(n + i) <- true
     done;
-    let fr =
-      if not elim then [||]
-      else begin
-        let fr = Array.make (max 1 s.nvars) false in
-        List.iter (fun l -> fr.(Lit.var l) <- true) frozen;
-        for v = 0 to s.nvars - 1 do
-          if s.eliminated.(v) then fr.(v) <- true
-        done;
-        fr
-      end
-    in
-    let config = { Simplify.default_config with bve = elim } in
-    let seeds =
-      if s.pre_watermark <= 0 && s.pre_trail_mark <= 0 then None
-      else begin
-        let ids = ref [] in
-        for i = n - 1 downto min s.pre_watermark n do
-          ids := i :: !ids
-        done;
-        for i = ntrail - 1 downto min s.pre_trail_mark ntrail do
-          ids := (n + i) :: !ids
-        done;
-        Some !ids
-      end
-    in
-    let actions, st = Simplify.run ~config ?seeds ~nvars:s.nvars ~frozen:fr ~protected db in
+    let fr = Array.make (max 1 s.nvars) false in
+    List.iter (fun l -> fr.(Lit.var l) <- true) frozen;
+    let actions, st = Simplify.run ~nvars:s.nvars ~frozen:fr ~protected db in
     (* The id map: [cref.(id)] is the clause currently standing for
        Simplify's clause [id], or [no_cref] for the trail units. Ids are
        dense: the snapshot's, then one per [Add] (there are [s_resolvents]
@@ -1358,7 +1304,7 @@ let preprocess ?(elim = false) ?(frozen = []) s =
       s.ok <- false;
       log_empty s
     end;
-    (* Compact the problem database and advance the watermarks. *)
+    (* Compact the problem database. *)
     let kept = ref 0 in
     for i = 0 to s.clauses.n - 1 do
       let c = s.clauses.a.(i) in
@@ -1368,8 +1314,6 @@ let preprocess ?(elim = false) ?(frozen = []) s =
       end
     done;
     s.clauses.n <- !kept;
-    s.pre_watermark <- s.clauses.n;
-    s.pre_trail_mark <- s.trail.n;
     (* Cleared reasons may have unlocked satisfied clauses, and installed
        clauses may already be satisfied: the next restart at level 0
        simplifies again. *)
@@ -1377,8 +1321,6 @@ let preprocess ?(elim = false) ?(frozen = []) s =
     maybe_compact s;
     finish st
   end
-
-let preprocess_totals s = s.pre_acc
 
 let stats = current_stats
 

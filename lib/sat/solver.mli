@@ -5,8 +5,10 @@
     minimization, VSIDS branching with phase saving, Luby restarts and
     learnt-clause database reduction that drops high-LBD ("glue") clauses
     first, breaking ties by clause activity. Clauses live in one flat
-    integer arena that is compacted as clauses are deleted; see the header
-    of [solver.ml] for the layout. It solves incrementally:
+    integer arena that is compacted as clauses are deleted, and literal
+    values in one array indexed by literal (both polarities written on
+    assignment); see the header of [solver.ml] for the layout. It solves
+    incrementally:
     clauses may be added between [solve] calls, and each call may pass
     assumptions (temporary unit hypotheses) whose unsatisfiable core is
     available after an UNSAT answer.
@@ -99,37 +101,29 @@ val pp_stats : Format.formatter -> stats -> unit
 (** {1 Preprocessing}
 
     In-place CNF simplification between clause addition and search (see
-    {!Simplify}): subsumption, self-subsuming resolution and — when [elim]
-    is set — bounded variable elimination. Everything is mirrored into the
-    DRAT stream when proof logging is on, so certificates keep checking. *)
+    {!Simplify}): subsumption, self-subsuming resolution and bounded
+    variable elimination. Everything is mirrored into the DRAT stream when
+    proof logging is on, so certificates keep checking. *)
 
 type presult = {
   pre_clauses_before : int;
   pre_clauses_after : int;
   pre_subsumed : int;
   pre_strengthened : int;
-  pre_eliminated : int;  (** variables eliminated (with [elim]) *)
+  pre_eliminated : int;  (** variables eliminated *)
   pre_resolvents : int;
   pre_units : int;
 }
 
-val preprocess : ?elim:bool -> ?frozen:Lit.t list -> t -> presult
-(** Simplify the problem clause database at decision level 0. Subsumption
-    and strengthening are equivalence-preserving, so the call is safe in
-    incremental use (more clauses may be added afterwards); repeated calls
-    only reconsider clauses added since the previous one.
-
-    [elim] (default [false]) additionally applies bounded variable
-    elimination, which only preserves satisfiability: enable it solely
-    when no further clauses will be added over existing variables, and
-    pass every literal to be assumed in the upcoming [solve] in [frozen]
-    so its variable survives. Eliminated variables keep valid values in
-    the model of a later [Sat] answer (reconstructed from the clauses they
-    were resolved out of); adding a clause over one raises
-    [Invalid_argument]. *)
-
-val preprocess_totals : t -> presult
-(** Counters accumulated over every {!preprocess} call on this solver. *)
+val preprocess : ?frozen:Lit.t list -> t -> presult
+(** Simplify the whole problem clause database at decision level 0 and
+    return this call's counters. Variable elimination only preserves
+    satisfiability, so call it once, on a solver that has all its clauses
+    and will answer one query, and pass every literal that query assumes
+    in [frozen] so its variable survives. Eliminated variables keep valid
+    values in the model of a later [Sat] answer (reconstructed from the
+    clauses they were resolved out of); adding a clause over one raises
+    [Invalid_argument]. A second call is another full pass. *)
 
 (** {1 Proof logging}
 

@@ -409,6 +409,58 @@ let test_solver_path_switches () =
   Alcotest.(check (list string)) "hamming74 paths" [ "incremental" ] (paths "hamming74");
   Alcotest.(check (list string)) "accum paths" [ "fresh"; "incremental" ] (paths "accum")
 
+(* CNF preprocessing runs once per fresh solver, before its one query,
+   and never on the incremental solver. In a traced G-QED check of accum
+   (both paths), every fresh bmc.query span holds exactly one
+   sat.preprocess span and every incremental one holds none; an untraced
+   hamming74 check stays incremental, so its preprocessing totals are
+   all zero. *)
+let test_preprocess_once_per_fresh_solver () =
+  let { Designs.Entry.design; iface; rec_bound; _ } = Designs.Registry.find "accum" in
+  let was_on = Obs.on () in
+  Obs.Trace.reset ();
+  Obs.enable ();
+  let events =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Trace.reset ();
+        if not was_on then Obs.disable ())
+      (fun () ->
+        ignore (Checks.run Checks.Gqed design iface ~bound:rec_bound);
+        Obs.Trace.events ())
+  in
+  let fresh = ref 0 and pre = ref 0 in
+  List.iter
+    (fun (ev : Obs.Trace.event) ->
+      match (ev.ev_kind, ev.ev_name) with
+      | Obs.Trace.Begin, "bmc.query" -> pre := 0
+      | Obs.Trace.Begin, "sat.preprocess" -> incr pre
+      | Obs.Trace.End, "bmc.query" ->
+          let path = Option.value ~default:"" (List.assoc_opt "solver" ev.ev_args) in
+          if path = "fresh" then incr fresh;
+          Alcotest.(check int)
+            ("sat.preprocess spans in a " ^ path ^ " query")
+            (if path = "fresh" then 1 else 0)
+            !pre
+      | _ -> ())
+    events;
+  Alcotest.(check bool) "accum ran fresh queries" true (!fresh > 0);
+  let { Designs.Entry.design; iface; rec_bound; _ } = Designs.Registry.find "hamming74" in
+  let r = Checks.run Checks.Gqed design iface ~bound:rec_bound in
+  let p = r.Checks.simp.Bmc.Engine.ss_pre in
+  Alcotest.(check (list int))
+    "hamming74 ss_pre all zero" [ 0; 0; 0; 0; 0; 0; 0 ]
+    Sat.Solver.
+      [
+        p.pre_clauses_before;
+        p.pre_clauses_after;
+        p.pre_subsumed;
+        p.pre_strengthened;
+        p.pre_eliminated;
+        p.pre_resolvents;
+        p.pre_units;
+      ]
+
 (* ------------------------------------------------------------------ *)
 (* Resource governance at the check level: Unknown verdicts.             *)
 
@@ -489,6 +541,7 @@ let suite =
     ("qed.gqed_correct_accum", `Quick, test_gqed_passes_on_correct_accum);
     ("qed.pipeline_mono_agree", `Quick, test_gqed_pipeline_agrees);
     ("qed.solver_path_switches", `Quick, test_solver_path_switches);
+    ("qed.preprocess_once_per_fresh_solver", `Quick, test_preprocess_once_per_fresh_solver);
     ("qed.aqed_false_alarm", `Quick, test_aqed_false_alarm_on_interfering);
     ("qed.gqed_hidden_op", `Quick, test_gqed_catches_hidden_op);
     ("qed.state_conjunct_ablation", `Quick, test_state_conjunct_is_load_bearing);

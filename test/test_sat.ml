@@ -374,9 +374,8 @@ let test_simplify_bve_extend_model () =
       [| x; Lit.negate y; Lit.negate z |];
     |]
   in
-  let config = { Simplify.default_config with Simplify.bve = true } in
   let actions, stats =
-    Simplify.run ~config ~nvars:3 ~frozen:(no_flags 3) ~protected:(no_flags 3) clauses
+    Simplify.run ~nvars:3 ~frozen:(no_flags 3) ~protected:(no_flags 3) clauses
   in
   Alcotest.(check bool) "something eliminated" true (stats.Simplify.s_eliminated >= 1);
   (* Reverse elimination order, as the solver's elim stack accumulates. *)
@@ -401,11 +400,9 @@ let test_simplify_bve_extend_model () =
 
 (* The action log decides the solver's clause database after
    preprocessing, hence the whole search and the DRAT stream: it must not
-   change unless the preprocessing itself is meant to. Fixed-seed CNFs, a
-   random one and a Tseitin encoding of a random AND graph, each with
-   elimination on and off, each over the whole database (unseeded) and as
-   an incremental run (seeded with the newest clauses, plus protected
-   trail units). *)
+   change unless the preprocessing itself is meant to. Fixed-seed CNFs: a
+   random one and a Tseitin encoding of a random AND graph, each
+   simplified as a whole with every seventh variable frozen. *)
 let pinned_cnfs () =
   let rand = Random.State.make [| 31 |] in
   let lit v = Lit.make v ~neg:(Random.State.bool rand) in
@@ -456,42 +453,17 @@ let render_log actions st =
 let pinned_logs =
   [
     ("random bve unseeded", 238, "a0e20bf287201753c2f224ec4a9f97dc");
-    ("random bve seeded", 235, "579b760029a9468f93405deddf908ae1");
-    ("random nobve unseeded", 0, "c48902d4b4553f63076acf3191d0b1e3");
-    ("random nobve seeded", 10, "22fc955593882b0563d9725288dc3c9f");
     ("tseitin bve unseeded", 95, "5baddf5a7476319aa51c5e1bb770c8b3");
-    ("tseitin bve seeded", 241, "61c19d7a0507a9fded048bf7f3b5a93d");
-    ("tseitin nobve unseeded", 91, "4ce1841c5c58119d91f64d0c178b2d7c");
-    ("tseitin nobve seeded", 25, "246e5d5eff6beb8770a1e1793e48804b");
   ]
 
 let test_simplify_action_log_pinned () =
   let got =
-    List.concat_map
+    List.map
       (fun (name, nvars, cnf) ->
-        let n = Array.length cnf in
-        List.concat_map
-          (fun bve ->
-            let config = { Simplify.default_config with Simplify.bve } in
-            let frozen = Array.init nvars (fun v -> v mod 7 = 0) in
-            List.map
-              (fun seeded ->
-                let clauses, protected, seeds =
-                  if not seeded then (cnf, no_flags n, None)
-                  else
-                    ( Array.append cnf [| [| Lit.pos 3 |]; [| Lit.neg 8 |] |],
-                      Array.init (n + 2) (fun i -> i >= n),
-                      Some (List.init 17 (fun i -> n + 1 - i)) )
-                in
-                let actions, st =
-                  Simplify.run ~config ?seeds ~nvars ~frozen ~protected clauses
-                in
-                ( Printf.sprintf "%s %s %s" name (if bve then "bve" else "nobve")
-                    (if seeded then "seeded" else "unseeded"),
-                  List.length actions,
-                  render_log actions st ))
-              [ false; true ])
-          [ true; false ])
+        let frozen = Array.init nvars (fun v -> v mod 7 = 0) in
+        let protected = no_flags (Array.length cnf) in
+        let actions, st = Simplify.run ~nvars ~frozen ~protected cnf in
+        (name ^ " bve unseeded", List.length actions, render_log actions st))
       (pinned_cnfs ())
   in
   List.iter2
@@ -580,7 +552,7 @@ let test_preprocess_matches_plain () =
     let s = Solver.create () in
     let _ = fresh_vars s nvars in
     List.iter (Solver.add_clause s) clauses;
-    let _ = Solver.preprocess ~elim:true s in
+    let _ = Solver.preprocess s in
     match Solver.solve s with
     | Solver.Sat ->
         if not expected then Alcotest.fail "preprocessed solver said SAT, brute force UNSAT";
@@ -588,33 +560,6 @@ let test_preprocess_matches_plain () =
           Alcotest.fail "model does not satisfy the original clauses"
     | Solver.Unsat ->
         if expected then Alcotest.fail "preprocessed solver said UNSAT, brute force SAT"
-    | Solver.Unknown _ -> Alcotest.fail "unexpected unknown without a budget"
-  done
-
-(* Same, but incrementally: preprocess between clause batches and solve
-   under assumptions. Only the equivalence-preserving reductions run here
-   (no elimination), so later batches are safe. *)
-let test_preprocess_incremental () =
-  let rand = Random.State.make [| 2026 |] in
-  for _trial = 1 to 200 do
-    let nvars = 3 + Random.State.int rand 5 in
-    let batch1 = random_instance rand nvars (2 + Random.State.int rand 10) in
-    let batch2 = random_instance rand nvars (2 + Random.State.int rand 10) in
-    let assumption = Lit.make (Random.State.int rand nvars) ~neg:(Random.State.bool rand) in
-    let s = Solver.create () in
-    let _ = fresh_vars s nvars in
-    List.iter (Solver.add_clause s) batch1;
-    let _ = Solver.preprocess s in
-    List.iter (Solver.add_clause s) batch2;
-    let _ = Solver.preprocess s in
-    let expected = brute_force nvars ([ assumption ] :: batch1 @ batch2) in
-    match Solver.solve ~assumptions:[ assumption ] s with
-    | Solver.Sat ->
-        if not expected then Alcotest.fail "incremental preprocess: SAT vs brute UNSAT";
-        if not (check_model s (batch1 @ batch2)) then
-          Alcotest.fail "incremental preprocess: bad model"
-    | Solver.Unsat ->
-        if expected then Alcotest.fail "incremental preprocess: UNSAT vs brute SAT"
     | Solver.Unknown _ -> Alcotest.fail "unexpected unknown without a budget"
   done
 
@@ -632,7 +577,7 @@ let test_preprocess_elim_frozen_assumptions () =
     let s = Solver.create () in
     let _ = fresh_vars s nvars in
     List.iter (Solver.add_clause s) clauses;
-    let _ = Solver.preprocess ~elim:true ~frozen:[ a ] s in
+    let _ = Solver.preprocess ~frozen:[ a ] s in
     match Solver.solve ~assumptions:[ a ] s with
     | Solver.Sat ->
         if not expected then
@@ -657,7 +602,7 @@ let test_preprocess_elim_assumption_pulls_definition () =
   Solver.add_clause s [ Lit.negate x; y ];
   Solver.add_clause s [ Lit.negate x; z ];
   Solver.add_clause s [ x; Lit.negate y; Lit.negate z ];
-  let _ = Solver.preprocess ~elim:true ~frozen:[ x ] s in
+  let _ = Solver.preprocess ~frozen:[ x ] s in
   match Solver.solve ~assumptions:[ x ] s with
   | Solver.Sat ->
       Alcotest.(check bool) "x true" true (Solver.value s x);
@@ -678,7 +623,7 @@ let test_preprocess_drat_certified () =
     Solver.start_proof s;
     let _ = fresh_vars s nvars in
     List.iter (Solver.add_clause s) clauses;
-    let _ = Solver.preprocess ~elim:true s in
+    let _ = Solver.preprocess s in
     match Solver.solve s with
     | Solver.Sat ->
         if not (check_model s clauses) then Alcotest.fail "SAT model broken under proof"
@@ -851,7 +796,6 @@ let suite =
     ("simplify.action_log_pinned", `Quick, test_simplify_action_log_pinned);
     ("simplify.bve_boundaries", `Quick, test_simplify_bve_boundaries);
     ("simplify.preprocess_matches_plain", `Quick, test_preprocess_matches_plain);
-    ("simplify.preprocess_incremental", `Quick, test_preprocess_incremental);
     ("simplify.preprocess_drat", `Quick, test_preprocess_drat_certified);
     ( "simplify.elim_frozen_assumptions",
       `Quick,
