@@ -136,7 +136,7 @@ let simplify_term =
   Term.(
     const combine $ no_simplify
     $ stage_flag "rewrite" "Disable construction-time AIG rewriting."
-    $ stage_flag "pg" "Disable polarity-aware (Plaisted-Greenbaum) Tseitin."
+    $ stage_flag "pg" "Disable polarity-aware (Plaisted-Greenbaum) Tseitin and gate recognition."
     $ stage_flag "cnf" "Disable CNF preprocessing (subsumption / strengthening / BVE).")
 
 let simp_stats_flag =

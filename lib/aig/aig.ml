@@ -285,16 +285,18 @@ module Cnf = struct
   type stats = {
     cnf_vars : int;  (** SAT variables allocated by this emitter *)
     cnf_clauses : int;  (** defining clauses actually emitted *)
-    cnf_clauses_plain : int;  (** what plain (both-direction) Tseitin would emit *)
-    cnf_single_pol : int;  (** AND nodes emitted in one polarity only (so far) *)
+    cnf_clauses_plain : int;  (** three per AND node of the emitted cones *)
+    cnf_single_pol : int;  (** encoded nodes emitted in one polarity only (so far) *)
+    cnf_gates : int;  (** nodes encoded as one if-then-else gate *)
   }
 
-  (* Per-node polarity mask: bit 0 set once the positive direction
-     (v -> a /\ b, two clauses) has been emitted, bit 1 once the negative
-     one (a /\ b -> v, one clause) has. Plain Tseitin emits both at once;
-     Plaisted-Greenbaum emits only what each use site needs, upgrading a
-     node on demand when a later query uses the other polarity (incremental
-     queries negate previously-assumed literals, so upgrades do happen). *)
+  (* Per-node state in [pols]: bit 0 set once the positive direction
+     (v -> function) has been emitted, bit 1 once the negative one
+     (function -> v) has, and bit 2 once the node is counted in the plain
+     figure. Plain Tseitin emits both directions at once; Plaisted-Greenbaum
+     emits only what each use site needs, upgrading a node on demand when a
+     later query uses the other polarity (incremental queries negate
+     previously-assumed literals, so upgrades do happen). *)
   type emitter = {
     graph : t;
     solver : Sat.Solver.t;
@@ -303,7 +305,10 @@ module Cnf = struct
     mutable pols : int array;
     mutable n_clauses : int;
     mutable n_clauses_plain : int;
+    mutable n_gates : int;
   }
+
+  let counted = 4
 
   let make ?(pg = false) graph solver =
     {
@@ -314,6 +319,7 @@ module Cnf = struct
       pols = Array.make 64 0;
       n_clauses = 0;
       n_clauses_plain = 0;
+      n_gates = 0;
     }
 
   let pg_enabled e = e.pg
@@ -329,8 +335,36 @@ module Cnf = struct
       e.pols <- p
     end
 
+  (* Plain Tseitin gives every AND node of the emitted cones three clauses,
+     including the inner nodes of a gate that never get a variable. *)
+  let count_plain e n =
+    if e.pols.(n) land counted = 0 then begin
+      e.pols.(n) <- e.pols.(n) lor counted;
+      e.n_clauses_plain <- e.n_clauses_plain + 3
+    end
+
+  (* An AND node whose fanins are both complemented AND nodes [x = c & t]
+     and [y = ~c & f] computes [~ITE(c, t, f)]; XOR and XNOR are the case
+     [f = ~t]. Returns the edges [(c, t, f)]. *)
+  let ite_fanins g n =
+    let f0 = g.fanin0.(n) and f1 = g.fanin1.(n) in
+    let x = node_of f0 and y = node_of f1 in
+    if is_complemented f0 && is_complemented f1 && is_and_node g x && is_and_node g y
+    then begin
+      let x0 = g.fanin0.(x) and x1 = g.fanin1.(x) in
+      let y0 = g.fanin0.(y) and y1 = g.fanin1.(y) in
+      if x0 = not_ y0 then Some (x0, x1, y1)
+      else if x0 = not_ y1 then Some (x0, x1, y0)
+      else if x1 = not_ y0 then Some (x1, x0, y1)
+      else if x1 = not_ y1 then Some (x1, x0, y0)
+      else None
+    end
+    else None
+
   (* Emit the variable for node [n] and any not-yet-emitted defining
-     clauses among the directions in [need] (a polarity mask). *)
+     clauses among the directions in [need] (a polarity mask). With PG on,
+     an if-then-else node gets two clauses per direction over [c], [t] and
+     [f]; its inner AND nodes get no variable of their own. *)
   let rec ensure e n ~need =
     ensure_capacity e n;
     if e.vars.(n) < 0 then e.vars.(n) <- Sat.Solver.new_var e.solver;
@@ -347,24 +381,51 @@ module Cnf = struct
       end
       else if g.input_of.(n) >= 0 then e.pols.(n) <- 3 (* free variable *)
       else begin
+        let gate = if e.pg then ite_fanins g n else None in
+        if Option.is_some gate && e.pols.(n) land 3 = 0 then
+          e.n_gates <- e.n_gates + 1;
+        count_plain e n;
         (* Mark before recursing: the DAG is acyclic, but shared fanins
            must not re-enter the same direction of this node. *)
-        if e.pols.(n) = 0 then e.n_clauses_plain <- e.n_clauses_plain + 3;
         e.pols.(n) <- e.pols.(n) lor missing;
-        if missing land 1 <> 0 then begin
-          let la = edge_lit e g.fanin0.(n) ~need_pos:true in
-          let lb = edge_lit e g.fanin1.(n) ~need_pos:true in
-          Sat.Solver.add_clause e.solver [ Sat.Lit.neg v; la ];
-          Sat.Solver.add_clause e.solver [ Sat.Lit.neg v; lb ];
-          e.n_clauses <- e.n_clauses + 2
-        end;
-        if missing land 2 <> 0 then begin
-          let la = edge_lit e g.fanin0.(n) ~need_pos:false in
-          let lb = edge_lit e g.fanin1.(n) ~need_pos:false in
-          Sat.Solver.add_clause e.solver
-            [ Sat.Lit.pos v; Sat.Lit.negate la; Sat.Lit.negate lb ];
-          e.n_clauses <- e.n_clauses + 1
-        end
+        match gate with
+        | None ->
+            if missing land 1 <> 0 then begin
+              let la = edge_lit e g.fanin0.(n) ~need_pos:true in
+              let lb = edge_lit e g.fanin1.(n) ~need_pos:true in
+              Sat.Solver.add_clause e.solver [ Sat.Lit.neg v; la ];
+              Sat.Solver.add_clause e.solver [ Sat.Lit.neg v; lb ];
+              e.n_clauses <- e.n_clauses + 2
+            end;
+            if missing land 2 <> 0 then begin
+              let la = edge_lit e g.fanin0.(n) ~need_pos:false in
+              let lb = edge_lit e g.fanin1.(n) ~need_pos:false in
+              Sat.Solver.add_clause e.solver
+                [ Sat.Lit.pos v; Sat.Lit.negate la; Sat.Lit.negate lb ];
+              e.n_clauses <- e.n_clauses + 1
+            end
+        | Some (c, t, f) ->
+            count_plain e (node_of g.fanin0.(n));
+            count_plain e (node_of g.fanin1.(n));
+            (* Both clauses of each direction branch on [c]. *)
+            let lc =
+              Sat.Lit.make (ensure e (node_of c) ~need:3) ~neg:(is_complemented c)
+            in
+            if missing land 1 <> 0 then begin
+              let lt = edge_lit e t ~need_pos:false in
+              let lf = edge_lit e f ~need_pos:false in
+              Sat.Solver.add_clause e.solver
+                [ Sat.Lit.neg v; Sat.Lit.negate lc; Sat.Lit.negate lt ];
+              Sat.Solver.add_clause e.solver [ Sat.Lit.neg v; lc; Sat.Lit.negate lf ];
+              e.n_clauses <- e.n_clauses + 2
+            end;
+            if missing land 2 <> 0 then begin
+              let lt = edge_lit e t ~need_pos:true in
+              let lf = edge_lit e f ~need_pos:true in
+              Sat.Solver.add_clause e.solver [ Sat.Lit.pos v; Sat.Lit.negate lc; lt ];
+              Sat.Solver.add_clause e.solver [ Sat.Lit.pos v; lc; lf ];
+              e.n_clauses <- e.n_clauses + 2
+            end
       end
     end;
     v
@@ -391,21 +452,34 @@ module Cnf = struct
 
   let assert_lit e l = Sat.Solver.add_clause e.solver [ sat_lit e l ]
 
-  (* Model-read path: no emission. A node the solver never saw has no
-     truth value; callers treat [None] as false (don't-care). *)
-  let lookup_lit e l =
-    let n = node_of l in
-    if n < Array.length e.vars && e.vars.(n) >= 0 then
-      Some (Sat.Lit.make e.vars.(n) ~neg:(is_complemented l))
-    else None
+  (* Model-read path: no emission. A node with a variable reads it; an AND
+     node without one (a gate's inner node, or a node outside every
+     emitted cone) is evaluated from its fanins, memoised in this reader;
+     an input or constant without one reads false (don't-care). *)
+  let model_reader e =
+    let g = e.graph in
+    let memo = Hashtbl.create 16 in
+    let rec node_value n =
+      if n < Array.length e.vars && e.vars.(n) >= 0 then (
+        try Sat.Solver.value e.solver (Sat.Lit.pos e.vars.(n)) with Failure _ -> false)
+      else if not (is_and_node g n) then false
+      else
+        match Hashtbl.find_opt memo n with
+        | Some b -> b
+        | None ->
+            let b = edge_value g.fanin0.(n) && edge_value g.fanin1.(n) in
+            Hashtbl.add memo n b;
+            b
+    and edge_value l = node_value (node_of l) <> is_complemented l in
+    edge_value
 
   let stats e =
     let vars = ref 0 and single = ref 0 in
     for n = 0 to Array.length e.vars - 1 do
       if e.vars.(n) >= 0 then begin
         incr vars;
-        if e.graph.input_of.(n) < 0 && n > 0 && (e.pols.(n) = 1 || e.pols.(n) = 2)
-        then incr single
+        let p = e.pols.(n) land 3 in
+        if e.graph.input_of.(n) < 0 && n > 0 && (p = 1 || p = 2) then incr single
       end
     done;
     {
@@ -413,6 +487,7 @@ module Cnf = struct
       cnf_clauses = e.n_clauses;
       cnf_clauses_plain = e.n_clauses_plain;
       cnf_single_pol = !single;
+      cnf_gates = e.n_gates;
     }
 end
 

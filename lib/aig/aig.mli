@@ -89,28 +89,40 @@ val eval_many : t -> bool array -> lit list -> bool list
 module Cnf : sig
   type emitter
   (** Translates AIG literals to SAT literals on demand, memoizing node
-      variables, and emits the defining clauses of each AND gate into the
-      underlying solver exactly once. Suitable for incremental use: new AIG
-      nodes built after earlier queries are handled transparently. *)
+      variables, and emits the defining clauses of each encoded node into
+      the underlying solver exactly once. Suitable for incremental use: new
+      AIG nodes built after earlier queries are handled transparently.
+
+      Plain mode ([~pg:false]) is the per-node Tseitin reference encoding:
+      every AND node reached gets a variable and three clauses. With [pg]
+      on, the emitter also recognises if-then-else structure: an AND node
+      whose fanins are both complemented AND nodes [c & t] and [~c & f]
+      computes [~ITE(c, t, f)] (XOR and XNOR are [f = ~t]), and it gets one
+      variable and two clauses per direction over [c], [t] and [f]. The two
+      inner AND nodes get no variable unless another use reaches them. *)
 
   type stats = {
     cnf_vars : int;  (** SAT variables allocated by this emitter *)
     cnf_clauses : int;  (** defining clauses actually emitted *)
     cnf_clauses_plain : int;
-        (** what plain (both-direction) Tseitin would have emitted for the
-            same nodes — the polarity-aware saving is the difference *)
+        (** what plain Tseitin would have emitted for the same cones: three
+            clauses per AND node reached, counting each node once and
+            counting a gate's inner nodes too, plus one for the constant.
+            The saving of PG and gate recognition is the difference. *)
     cnf_single_pol : int;
-        (** AND nodes currently emitted in one polarity only *)
+        (** encoded nodes currently emitted in one polarity only *)
+    cnf_gates : int;  (** nodes encoded as one if-then-else gate *)
   }
 
   val make : ?pg:bool -> t -> Sat.Solver.t -> emitter
   (** [pg] (default [false]) enables polarity-aware (Plaisted–Greenbaum)
-      emission: each AND gate's defining clauses are emitted only in the
-      direction(s) its use sites require, tracked per node and upgraded on
-      demand when a later (incremental) query uses the other polarity. The
-      resulting CNF is equisatisfiable and any model still assigns the
-      original constraints' input values correctly; internal node variables
-      may be under-constrained, so read models through primary inputs. *)
+      emission with if-then-else recognition: each node's defining clauses
+      are emitted only in the direction(s) its use sites require, tracked
+      per node and upgraded on demand when a later (incremental) query uses
+      the other polarity. The resulting CNF is equisatisfiable and any
+      model still assigns the original constraints' input values correctly;
+      internal node variables may be under-constrained, so read models
+      through primary inputs or {!model_reader}. *)
 
   val pg_enabled : emitter -> bool
 
@@ -126,11 +138,13 @@ module Cnf : sig
   (** Like {!sat_lit} but intended for use in [Solver.solve ~assumptions]:
       returns the SAT literal to pass as an assumption. *)
 
-  val lookup_lit : emitter -> lit -> Sat.Lit.t option
-  (** The SAT literal for an AIG literal whose node was already emitted,
-      without emitting anything — the model-read path. [None] if the node
-      never reached the solver (its value is unconstrained: treat as
-      don't-care). *)
+  val model_reader : emitter -> lit -> bool
+  (** [model_reader e] reads AIG literals in the solver's current model,
+      emitting nothing. A node with a SAT variable reads it. An AND node
+      without one (the inner node of a gate, or a node no emitted cone
+      reaches) is evaluated from its fanins, memoised in this reader, so
+      make a new reader after each SAT answer. An input without a variable
+      is unconstrained and reads [false] (don't-care). *)
 
   val stats : emitter -> stats
 end

@@ -120,14 +120,16 @@ module Engine = struct
     ss_clauses_emitted : int;
     ss_clauses_plain : int;
     ss_single_pol : int;
+    ss_gates : int;
     ss_pre : Sat.Solver.presult;
   }
 
   let pp_simp_stats ppf s =
     Format.fprintf ppf
-      "queries=%d rewrites=%d clauses=%d (plain %d, 1-pol nodes %d) pre: sub=%d str=%d \
-       elim=%d units=%d (%d->%d clauses)"
+      "queries=%d rewrites=%d clauses=%d (plain %d, 1-pol nodes %d) gates=%d pre: sub=%d \
+       str=%d elim=%d units=%d (%d->%d clauses)"
       s.ss_queries s.ss_rewrite_hits s.ss_clauses_emitted s.ss_clauses_plain s.ss_single_pol
+      s.ss_gates
       s.ss_pre.Sat.Solver.pre_subsumed s.ss_pre.Sat.Solver.pre_strengthened
       s.ss_pre.Sat.Solver.pre_eliminated s.ss_pre.Sat.Solver.pre_units
       s.ss_pre.Sat.Solver.pre_clauses_before s.ss_pre.Sat.Solver.pre_clauses_after
@@ -179,6 +181,7 @@ module Engine = struct
     budget : Sat.Solver.budget;
     mutable solver : Sat.Solver.t;
     mutable emitter : Aig.Cnf.emitter;
+    mutable model : Aig.lit -> bool; (* reads the last SAT answer *)
     mutable pending : Aig.lit list; (* every permanent assert, newest first *)
     mutable certified_unsats : int;
     (* Pipeline accounting. The [*_acc] fields collect stats of solvers and
@@ -189,8 +192,11 @@ module Engine = struct
     mutable emitted_acc : int;
     mutable plain_acc : int;
     mutable single_acc : int;
+    mutable gates_acc : int;
     mutable pre_acc : Sat.Solver.presult;
   }
+
+  let no_model _ = false
 
   let create ?(symbolic_init = false) ?(certify = false) ?(simplify = default_simplify)
       ?(mono = false) ?(budget = Sat.Solver.no_budget) design =
@@ -210,6 +216,7 @@ module Engine = struct
       budget;
       solver;
       emitter;
+      model = no_model;
       pending = [];
       certified_unsats = 0;
       search_acc = Sat.Solver.stats solver (* a new solver: all counters zero *);
@@ -217,6 +224,7 @@ module Engine = struct
       emitted_acc = 0;
       plain_acc = 0;
       single_acc = 0;
+      gates_acc = 0;
       pre_acc = zero_presult;
     }
 
@@ -249,27 +257,18 @@ module Engine = struct
     t.emitted_acc <- t.emitted_acc + st.Aig.Cnf.cnf_clauses;
     t.plain_acc <- t.plain_acc + st.Aig.Cnf.cnf_clauses_plain;
     t.single_acc <- t.single_acc + st.Aig.Cnf.cnf_single_pol;
+    t.gates_acc <- t.gates_acc + st.Aig.Cnf.cnf_gates;
     t.search_acc <- add_search t.search_acc (Sat.Solver.stats t.solver);
     let solver = Sat.Solver.create () in
     if t.certify then Sat.Solver.start_proof solver;
     t.solver <- solver;
     t.emitter <- Aig.Cnf.make ~pg:t.simplify.sc_pg t.graph solver
 
-  (* Value of an AIG literal in the SAT model. Bits whose node never
-     reached the solver are unconstrained; default them to false. *)
-  let model_bit t l =
-    if l = Aig.true_ then true
-    else if l = Aig.false_ then false
-    else
-      match Aig.Cnf.lookup_lit t.emitter l with
-      | None -> false
-      | Some sat_lit -> ( try Sat.Solver.value t.solver sat_lit with Failure _ -> false)
-
   let bits_value t bits =
     let n = Array.length bits in
     let v = ref 0 in
     for i = 0 to n - 1 do
-      if model_bit t bits.(i) then v := !v lor (1 lsl i)
+      if t.model bits.(i) then v := !v lor (1 lsl i)
     done;
     Bitvec.make ~width:n !v
 
@@ -306,7 +305,7 @@ module Engine = struct
     let trace = Rtl.simulate_from design initial (Array.to_list inputs) in
     { w_length = frames; w_initial = initial; w_inputs = inputs; w_trace = trace }
 
-  let model_lit = model_bit
+  let model_lit t l = t.model l
 
   (* Replay the solver's DRAT stream through the independent checker. Only
      meaningful right after an UNSAT answer to a query with exactly these
@@ -323,6 +322,7 @@ module Engine = struct
             ("query", string_of_int t.queries);
             ("frames", string_of_int (Unroller.max_frame t.unroller + 1));
           ];
+    t.model <- no_model;
     let fresh = t.mono in
     if fresh then begin
       reset_query t;
@@ -357,6 +357,7 @@ module Engine = struct
     match result with
     | Sat.Solver.Sat ->
         finish_span "cex";
+        t.model <- Aig.Cnf.model_reader t.emitter;
         Cex (extract_witness t)
     | Sat.Solver.Unsat ->
         if t.certify then begin
@@ -390,6 +391,7 @@ module Engine = struct
       ss_clauses_emitted = t.emitted_acc + st.Aig.Cnf.cnf_clauses;
       ss_clauses_plain = t.plain_acc + st.Aig.Cnf.cnf_clauses_plain;
       ss_single_pol = t.single_acc + st.Aig.Cnf.cnf_single_pol;
+      ss_gates = t.gates_acc + st.Aig.Cnf.cnf_gates;
       ss_pre = t.pre_acc;
     }
 end

@@ -58,7 +58,10 @@ type simplify_config = {
   sc_rewrite : bool;
       (** AIG rewriting: one- and two-level rules applied as the graph is
           built *)
-  sc_pg : bool;  (** polarity-aware (Plaisted–Greenbaum) Tseitin emission *)
+  sc_pg : bool;
+      (** polarity-aware (Plaisted–Greenbaum) Tseitin emission with
+          if-then-else gate recognition (see {!Aig.Cnf}); off, every AND
+          node gets the per-node reference encoding *)
   sc_cnf : bool;
       (** CNF preprocessing of each fresh solver, once, before its one
           query: subsumption, self-subsuming resolution and bounded
@@ -99,7 +102,8 @@ module Engine : sig
     ss_rewrite_hits : int;  (** construction-time AIG rewrite rule applications *)
     ss_clauses_emitted : int;  (** Tseitin clauses actually emitted *)
     ss_clauses_plain : int;  (** what plain Tseitin would have emitted *)
-    ss_single_pol : int;  (** AND nodes emitted in a single polarity *)
+    ss_single_pol : int;  (** nodes emitted in a single polarity *)
+    ss_gates : int;  (** nodes encoded as one if-then-else gate (PG only) *)
     ss_pre : Sat.Solver.presult;
         (** CNF-preprocessing totals over every fresh solver; all zero for
             an engine that stayed incremental *)
@@ -168,8 +172,10 @@ module Engine : sig
 
   val model_lit : t -> Aig.lit -> bool
   (** Value of an AIG literal in the most recent SAT model (valid after
-      [check] returned [Cex _] and before the next query). Unconstrained
-      literals read as [false]. *)
+      [check] returned [Cex _] and before the next query). A node with no
+      SAT variable, such as the inner node of an if-then-else gate, is
+      evaluated from its fanins, memoised per answer; an input no query
+      reached is unconstrained and reads [false]. *)
 
   val certified_unsats : t -> int
   (** Number of UNSAT answers certified so far on this engine. *)

@@ -226,6 +226,95 @@ let test_pg_single_polarity_savings () =
     (st.Aig.Cnf.cnf_clauses < st.Aig.Cnf.cnf_clauses_plain);
   Alcotest.(check bool) "single-polarity nodes counted" true (st.Aig.Cnf.cnf_single_pol > 0)
 
+(* Random circuits over the constructors that build if-then-else
+   structure ([xor_], [xnor_], [ite]), emitted plain and with PG (so with
+   gate recognition). Both polarities of the root are requested, in a
+   random order, so on-demand upgrades of gate nodes run; every input
+   assignment must then agree with evaluation. *)
+let gate_circuit rand n_inputs n_gates =
+  let g = Aig.create () in
+  let inputs = Array.init n_inputs (fun _ -> Aig.fresh_input g) in
+  let pool = ref (Array.to_list inputs) in
+  let pick () =
+    let l = List.nth !pool (Random.State.int rand (List.length !pool)) in
+    if Random.State.bool rand then Aig.not_ l else l
+  in
+  for _ = 1 to n_gates do
+    let a = pick () and b = pick () in
+    let node =
+      match Random.State.int rand 5 with
+      | 0 -> Aig.and_ g a b
+      | 1 -> Aig.or_ g a b
+      | 2 -> Aig.xor_ g a b
+      | 3 -> Aig.xnor_ g a b
+      | _ -> Aig.ite g (pick ()) a b
+    in
+    pool := node :: !pool
+  done;
+  (g, inputs, List.hd !pool)
+
+let test_gate_cnf_matches_eval () =
+  let rand = Random.State.make [| 44 |] in
+  let gates = ref 0 in
+  for _trial = 1 to 60 do
+    let n_inputs = 1 + Random.State.int rand 5 in
+    let g, inputs, root = gate_circuit rand n_inputs (3 + Random.State.int rand 20) in
+    List.iter
+      (fun pg ->
+        let solver = Sat.Solver.create () in
+        let emitter = Aig.Cnf.make ~pg g solver in
+        let input_sats = Array.map (Aig.Cnf.sat_lit emitter) inputs in
+        let first, second =
+          if Random.State.bool rand then (root, Aig.not_ root) else (Aig.not_ root, root)
+        in
+        let l_first = Aig.Cnf.sat_lit emitter first in
+        let l_second = Aig.Cnf.sat_lit emitter second in
+        for assignment = 0 to (1 lsl n_inputs) - 1 do
+          let values = Array.init n_inputs (fun i -> assignment land (1 lsl i) <> 0) in
+          let assumptions =
+            Array.to_list
+              (Array.mapi (fun i l -> if values.(i) then l else Sat.Lit.negate l) input_sats)
+          in
+          List.iter
+            (fun (aig_lit, sat_lit) ->
+              let expected =
+                if Aig.eval g values aig_lit then Sat.Solver.Sat else Sat.Solver.Unsat
+              in
+              if Sat.Solver.solve ~assumptions:(sat_lit :: assumptions) solver <> expected
+              then Alcotest.failf "gate CNF (pg %b) disagrees with eval" pg)
+            [ (first, l_first); (second, l_second) ]
+        done;
+        let st = Aig.Cnf.stats emitter in
+        if st.Aig.Cnf.cnf_clauses > st.Aig.Cnf.cnf_clauses_plain then
+          Alcotest.fail "emitted more clauses than plain Tseitin";
+        if pg then gates := !gates + st.Aig.Cnf.cnf_gates
+        else Alcotest.(check int) "plain mode encodes no gate" 0 st.Aig.Cnf.cnf_gates)
+      [ true; false ]
+  done;
+  Alcotest.(check bool) "gates recognised" true (!gates > 0);
+  (* The cost of one mux in one polarity: PG with gate recognition gives
+     its output and its three operands a variable and emits two clauses;
+     per-node PG would also give the two inner AND nodes a variable. The
+     plain figure counts all three AND nodes, as does plain emission. *)
+  List.iter
+    (fun (pg, use, vars, clauses) ->
+      let g = Aig.create () in
+      let c = Aig.fresh_input g and a = Aig.fresh_input g and b = Aig.fresh_input g in
+      let m = Aig.ite g c a b in
+      let emitter = Aig.Cnf.make ~pg g (Sat.Solver.create ()) in
+      ignore (Aig.Cnf.sat_lit emitter (use m));
+      let st = Aig.Cnf.stats emitter in
+      let what = Printf.sprintf "pg %b" pg in
+      Alcotest.(check int) (what ^ ": vars") vars st.Aig.Cnf.cnf_vars;
+      Alcotest.(check int) (what ^ ": clauses") clauses st.Aig.Cnf.cnf_clauses;
+      Alcotest.(check int) (what ^ ": plain") 9 st.Aig.Cnf.cnf_clauses_plain;
+      Alcotest.(check int) (what ^ ": gates") (if pg then 1 else 0) st.Aig.Cnf.cnf_gates)
+    [
+      (true, Fun.id, 4, 2);
+      (true, Aig.not_, 4, 2);
+      (false, Fun.id, 6, 9);
+    ]
+
 let test_eval_many_consistent () =
   let g = Aig.create () in
   let x = Aig.fresh_input g and y = Aig.fresh_input g in
@@ -249,5 +338,6 @@ let suite =
     ("aig.rewrite_eval_equiv", `Quick, test_rewrite_eval_equiv);
     ("aig.pg_cnf_matches_eval", `Quick, test_pg_cnf_matches_eval);
     ("aig.pg_single_polarity", `Quick, test_pg_single_polarity_savings);
+    ("aig.gate_cnf_matches_eval", `Quick, test_gate_cnf_matches_eval);
     ("aig.eval_many", `Quick, test_eval_many_consistent);
   ]

@@ -348,6 +348,41 @@ let test_simp_stats_sanity () =
       Alcotest.(check bool) "BVE eliminated variables" true
         (s.Bmc.Engine.ss_pre.Sat.Solver.pre_eliminated > 0)
 
+(* [or_list [p & q; ~p & s]] is an if-then-else over [p], so PG emission
+   gives its two conditions no SAT variable of their own. Reading them
+   after a SAT answer must still give their values under the witness's
+   inputs (as [Checks.find_failure] does to pick the failing pair), and the
+   assumed disjunction makes at least one of them true. *)
+let test_model_reads_gate_inner_nodes () =
+  List.iter
+    (fun mono ->
+      let what = Printf.sprintf "mono %b" mono in
+      let engine = Bmc.Engine.create ~mono (counter ()) in
+      let g = Bmc.Engine.graph engine and u = Bmc.Engine.unroller engine in
+      let enable frame = (Bmc.Unroller.input_bits u "enable" ~frame).(0) in
+      let p = enable 0 and q = enable 1 and s = enable 2 in
+      let c1 = Aig.and_ g p q and c2 = Aig.and_ g (Aig.not_ p) s in
+      match Bmc.Engine.check engine ~assumptions:[ Aig.or_list g [ c1; c2 ] ] with
+      | Bmc.Engine.Cex w ->
+          let values = Array.make (Aig.num_inputs g) false in
+          for frame = 0 to 2 do
+            match Aig.input_index g (enable frame) with
+            | Some i ->
+                values.(i) <-
+                  Bv.bit (Rtl.Smap.find "enable" w.Bmc.w_inputs.(frame)) 0
+            | None -> Alcotest.fail "enable bit is not an AIG input"
+          done;
+          Alcotest.(check bool) (what ^ ": gate-encoded") true
+            ((Bmc.Engine.simp_stats engine).Bmc.Engine.ss_gates > 0);
+          let m1 = Bmc.Engine.model_lit engine c1
+          and m2 = Bmc.Engine.model_lit engine c2 in
+          Alcotest.(check bool) (what ^ ": c1 = eval") (Aig.eval g values c1) m1;
+          Alcotest.(check bool) (what ^ ": c2 = eval") (Aig.eval g values c2) m2;
+          Alcotest.(check bool) (what ^ ": one condition holds") true (m1 || m2)
+      | Bmc.Engine.Unreachable | Bmc.Engine.Undecided _ ->
+          Alcotest.failf "%s: expected a counterexample" what)
+    [ false; true ]
+
 (* The engine's search counters cover every solver it used, not only the
    live one: on fresh solvers its conflicts equal the per-solve sum the
    solver publishes as the sat.conflicts metric. Propagations also happen
@@ -472,6 +507,7 @@ let suite =
     ("bmc.lazy_unrolling_is_the_cone", `Quick, test_lazy_unrolling_is_the_cone);
     ("bmc.mono_pipeline_agrees", `Quick, test_mono_pipeline_agrees);
     ("bmc.simp_stats", `Quick, test_simp_stats_sanity);
+    ("bmc.model_reads_gate_inner_nodes", `Quick, test_model_reads_gate_inner_nodes);
     ("bmc.stats_span_fresh_solvers", `Quick, test_stats_span_fresh_solvers);
     ("bmc.certified_twin_counter", `Quick, test_certified_twin_counter);
     ("bmc.unknown_under_budget", `Quick, test_unknown_under_budget);

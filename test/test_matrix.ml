@@ -22,30 +22,20 @@
 
 type entry = { g_design : string; g_mutant : string; g_verdict : string }
 
-(* The dune (deps ...) stanza copies the golden file next to the test
-   binary; resolve it there so `dune exec test/test_main.exe` works from
-   any cwd, not just under `dune runtest`. *)
-let golden_file =
-  let beside_exe =
-    Filename.concat (Filename.dirname Sys.executable_name) "matrix_golden.txt"
-  in
-  if Sys.file_exists beside_exe then beside_exe else "matrix_golden.txt"
-
+(* The build embeds the golden file in the test binary (the
+   [matrix_golden_data.ml] rule in test/dune), so `dune exec
+   test/test_main.exe` works from any cwd, with or without `dune runtest`
+   having run first. *)
 let golden =
   lazy
-    (let ic = open_in golden_file in
-     let rec loop acc =
-       match input_line ic with
-       | line -> (
+    (let lines = String.split_on_char '\n' Matrix_golden_data.contents in
+     (* The file ends with a newline, which leaves one empty piece. *)
+     let lines = match List.rev lines with "" :: rest -> List.rev rest | _ -> lines in
+     lines
+     |> List.map (fun line ->
            match String.split_on_char ' ' (String.trim line) with
-           | [ g_design; g_mutant; g_verdict ] ->
-               loop ({ g_design; g_mutant; g_verdict } :: acc)
-           | _ -> Alcotest.failf "malformed golden line: %S" line)
-       | exception End_of_file ->
-           close_in ic;
-           List.rev acc
-     in
-     loop [])
+           | [ g_design; g_mutant; g_verdict ] -> { g_design; g_mutant; g_verdict }
+           | _ -> Alcotest.failf "malformed golden line: %S" line))
 
 let golden_tbl =
   lazy

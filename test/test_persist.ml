@@ -501,10 +501,10 @@ let test_decode_rejects_drift () =
   (* Version 1 reports carried two more solver stats fields, version 2
      escalation attempts one more field, version 3 the escalation attempt
      log, version 4 six unknown reasons and two pipeline timers, and
-     version 5 four COI and compaction figures in the pipeline stats; a
-     journal written under any of them must re-run its cells rather than
-     decode them. *)
-  let tag = "gqed-report/6:" in
+     version 5 four COI and compaction figures in the pipeline stats, and
+     version 6 had no gate count in the pipeline stats; a journal written
+     under any of them must re-run its cells rather than decode them. *)
+  let tag = "gqed-report/7:" in
   let tag_len = String.length tag in
   Alcotest.(check string) "current schema tag" tag (String.sub blob 0 tag_len);
   List.iter
@@ -519,8 +519,9 @@ let test_decode_rejects_drift () =
       "gqed-report/3:";
       "gqed-report/4:";
       "gqed-report/5:";
+      "gqed-report/6:";
     ];
-  match Qed.Checks.decode_report "gqed-report/6:not-a-marshal-blob" with
+  match Qed.Checks.decode_report "gqed-report/7:not-a-marshal-blob" with
   | Some _ -> Alcotest.fail "garbage payload decoded"
   | None -> ()
 
