@@ -6,7 +6,7 @@
      dune exec bench/main.exe                       # all experiments
      dune exec bench/main.exe -- t2 f1              # a subset, by id
 
-   Experiment ids: t1 t2 t3 t4 t5 a1 a2 a3 s1 f1 f2 f3 micro.
+   Experiment ids: t1 t2 t3 t4 t5 a1 a2 a3 f1 f2 f3 micro.
 
    Every check runs cold: the harness keeps no journal. A journaled,
    resumable mutant matrix is `gqed campaign --checkpoint FILE`.
@@ -16,16 +16,12 @@
    metrics snapshot on completion. --trace/--metrics refuse to overwrite
    an existing file; pass --force to replace it.
 
-   --designs d1,d2 restricts s1 to the named designs; --no-simplify runs
-   the solver-cost experiments (t3, f1, a2) with the formula-shrinking
-   pipeline off. s1 exits nonzero if any pipeline stage changes a verdict.
-
    --timeout SEC and --max-conflicts N put one fixed per-query budget on
    every check the harness runs; a check that exhausts it reports
    "unknown" instead of a verdict, and nothing retries it.
 
    The exit status is the run's one gate. Every experiment that compares
-   a reference lane with a variant (s1, a2, t5) reports each
+   a reference lane with a variant (a2, t5) reports each
    disagreement as (experiment, cell, expected, got); the run lists them
    all at the end and exits 1 if there is any. Otherwise
    it exits 3 when some verdict stayed unknown under the budget, and 0.
@@ -49,11 +45,6 @@ let time f =
 
 (* ------------------------------------------------------------------ *)
 (* Run-wide flags and the verdict gate.                                *)
-
-(* --no-simplify: run the solver-cost experiments (t3, f1, a2) with the
-   formula-shrinking pipeline disabled, for before/after comparisons. S1
-   always runs both configurations and ignores this flag. *)
-let pipeline = ref Bmc.default_simplify
 
 (* --timeout / --max-conflicts build the per-query budget every governed
    check runs under. *)
@@ -82,17 +73,12 @@ let agree experiment cell ~expected ~got =
   if not same then disagree experiment cell ~expected ~got;
   same
 
-let flip_count experiment =
-  List.length (List.filter (fun f -> f.Report.experiment = experiment) !flips)
-
 let bench_budget () = Sat.Solver.budget ?conflicts:!max_conflicts ?seconds:!timeout ()
 
 (* Every experiment's checks funnel through here so the budget flags
    apply uniformly and exhausted budgets are counted for the exit code. *)
-let check ?simplify technique design iface ~bound =
-  let report =
-    Checks.run ?simplify ~budget:(bench_budget ()) technique design iface ~bound
-  in
+let check technique design iface ~bound =
+  let report = Checks.run ~budget:(bench_budget ()) technique design iface ~bound in
   (match report.Checks.verdict with
   | Checks.Unknown _ -> incr unknown_verdicts
   | Checks.Pass _ | Checks.Fail _ -> ());
@@ -122,18 +108,6 @@ let cex_length report =
   | Checks.Fail f -> Some f.Checks.witness.Bmc.w_length
   | Checks.Pass _ | Checks.Unknown _ -> None
 
-let verdict_key report =
-  match report.Checks.verdict with
-  | Checks.Pass n -> Printf.sprintf "pass@%d" n
-  | Checks.Fail f ->
-      Printf.sprintf "fail:%s@%d"
-        (Checks.failure_kind_to_string f.Checks.kind)
-        f.Checks.witness.Bmc.w_length
-  | Checks.Unknown u ->
-      Printf.sprintf "unknown:%s@%d"
-        (Sat.Solver.reason_to_string u.Checks.u_reason)
-        u.Checks.u_bound
-
 let short_verdict report =
   match report.Checks.verdict with
   | Checks.Pass _ -> "pass"
@@ -149,11 +123,6 @@ let mutant_label m =
   Printf.sprintf "%s:%s"
     (Mutation.operator_to_string m.Mutation.operator)
     m.Mutation.target
-
-(* A design's matrix row: the correct design, then its mutant suite. *)
-let design_cases e =
-  ("correct", e.Entry.design)
-  :: List.map (fun (m, mutant) -> (mutant_label m, mutant)) (mutant_suite e)
 
 (* ------------------------------------------------------------------ *)
 (* T1: benchmark suite characteristics.                                 *)
@@ -318,7 +287,7 @@ let t3 () =
   let rows =
     map_timed
       (fun e ->
-        (e, check ~simplify:!pipeline Checks.Gqed e.Entry.design e.Entry.iface
+        (e, check Checks.Gqed e.Entry.design e.Entry.iface
               ~bound:e.Entry.rec_bound))
       Registry.all
   in
@@ -505,13 +474,13 @@ let a2 () =
     (fun depth ->
       let (r1, _), t_default =
         time (fun () ->
-            Bmc.check_safety ~assumes ~simplify:!pipeline ~budget:(bench_budget ())
-              ~design:e.Entry.design ~invariant ~depth ())
+            Bmc.check_safety ~assumes ~budget:(bench_budget ()) ~design:e.Entry.design
+              ~invariant ~depth ())
       in
       let (r2, _), t_fresh =
         time (fun () ->
-            Bmc.check_safety ~assumes ~simplify:!pipeline ~mono:true
-              ~budget:(bench_budget ()) ~design:e.Entry.design ~invariant ~depth ())
+            Bmc.check_safety ~assumes ~mono:true ~budget:(bench_budget ())
+              ~design:e.Entry.design ~invariant ~depth ())
       in
       let show = function
         | Bmc.Holds a -> Printf.sprintf "holds<=%d" a
@@ -580,123 +549,6 @@ let a3 () =
       | None -> Printf.printf "seeded bug NOT localized\n")
 
 (* ------------------------------------------------------------------ *)
-(* S1: formula-shrinking pipeline — per-stage ablation and the           *)
-(* off-vs-on design x mutant matrix.                                     *)
-
-let design_filter : string list option ref = ref None
-
-let s1_entries () =
-  match !design_filter with
-  | None -> Registry.all
-  | Some names ->
-      List.iter
-        (fun n ->
-          if not (List.exists (fun e -> e.Entry.name = n) Registry.all) then begin
-            Printf.eprintf "bench: --designs: unknown design %s\n" n;
-            exit 2
-          end)
-        names;
-      List.filter (fun e -> List.mem e.Entry.name names) Registry.all
-
-let s1 () =
-  header "S1  Formula-shrinking pipeline: stage ablation + off-vs-on matrix";
-  let entries = s1_entries () in
-  let stages =
-    [
-      ("off", Bmc.no_simplify);
-      ("rewrite", { Bmc.no_simplify with Bmc.sc_rewrite = true });
-      ("pg", { Bmc.no_simplify with Bmc.sc_pg = true });
-      ("cnf", { Bmc.no_simplify with Bmc.sc_cnf = true });
-      ("all", Bmc.default_simplify);
-    ]
-  in
-  (* Per-stage ablation on the correct designs with the default engine
-     (BVE runs only once it has switched to fresh solvers). "clauses" is the total number of clauses sent to the solver
-     over all SAT queries of the check. Any stage changing the verdict is a
-     verifier bug and fails the bench run. *)
-  Printf.printf "per-stage clauses sent (correct designs, G-QED at the recommended bound):\n";
-  Printf.printf "%-12s %-8s %9s %9s %10s %8s\n" "design" "stage" "vars" "clauses" "verdict"
-    "time(s)";
-  let ablation =
-    List.map
-      (fun (e, (stage, conf)) ->
-        let report, dt =
-          time (fun () ->
-              check ~simplify:conf Checks.Gqed e.Entry.design e.Entry.iface
-                ~bound:e.Entry.rec_bound)
-        in
-        (e.Entry.name, stage, report, dt))
-      (List.concat_map (fun e -> List.map (fun s -> (e, s)) stages) entries)
-  in
-  let baseline_verdict name =
-    List.find_map
-      (fun (n, stage, r, _) -> if n = name && stage = "off" then Some (verdict_key r) else None)
-      ablation
-  in
-  List.iter
-    (fun (name, stage, report, dt) ->
-      let vk = verdict_key report in
-      let same =
-        agree "s1" (name ^ "/" ^ stage)
-          ~expected:(Option.value (baseline_verdict name) ~default:"<no baseline>")
-          ~got:vk
-      in
-      Printf.printf "%-12s %-8s %9d %9d %10s %8.2f%s\n%!" name stage report.Checks.cnf_vars
-        report.Checks.simp.Bmc.Engine.ss_clauses_emitted vk dt
-        (if same then "" else "  VERDICT MISMATCH"))
-    ablation;
-  (* Off-vs-on over the full design x mutant matrix (same mutant suites as
-     T2). "Clauses" is again the total sent to the solver over the whole
-     check; the per-case ratios feed the geo-mean reduction figure. *)
-  let cases =
-    List.concat_map
-      (fun e -> List.map (fun (label, design) -> (e, label, design)) (design_cases e))
-      entries
-  in
-  let matrix =
-    List.map
-      (fun (e, label, design) ->
-        let run simplify =
-          check ~simplify Checks.Gqed design e.Entry.iface ~bound:e.Entry.rec_bound
-        in
-        let off = run Bmc.no_simplify in
-        let on = run Bmc.default_simplify in
-        (e.Entry.name, label, off, on))
-      cases
-  in
-  Printf.printf "\noff vs on over the design x mutant matrix (%d cases):\n"
-    (List.length matrix);
-  Printf.printf "%-12s %-28s %10s %10s %7s %10s\n" "design" "case" "cl(off)" "cl(on)"
-    "saved" "verdict";
-  let ratios =
-    List.filter_map
-      (fun (name, label, off, on) ->
-        let vk_off = verdict_key off and vk_on = verdict_key on in
-        let same = agree "s1" (name ^ "/" ^ label) ~expected:vk_off ~got:vk_on in
-        let cl_off = off.Checks.simp.Bmc.Engine.ss_clauses_emitted
-        and cl_on = on.Checks.simp.Bmc.Engine.ss_clauses_emitted in
-        let saved =
-          if cl_off > 0 then
-            Printf.sprintf "%.0f%%"
-              (100.0 *. (1.0 -. (float_of_int cl_on /. float_of_int cl_off)))
-          else "-"
-        in
-        Printf.printf "%-12s %-28s %10d %10d %7s %10s%s\n%!" name label cl_off cl_on saved
-          vk_on
-          (if same then "" else Printf.sprintf "  VERDICT MISMATCH (off: %s)" vk_off);
-        if cl_off > 0 && cl_on > 0 then Some (float_of_int cl_on, float_of_int cl_off)
-        else None)
-      matrix
-  in
-  match Report.geo_mean_ratio ratios with
-  | None -> ()
-  | Some kept ->
-      Printf.printf
-        "\ngeo-mean clause reduction: %.1f%% over %d cases; verdict mismatches: %d\n"
-        (100.0 *. (1.0 -. kept))
-        (List.length ratios) (flip_count "s1")
-
-(* ------------------------------------------------------------------ *)
 (* F1: G-QED runtime vs unroll bound (scaling curves).                  *)
 
 let f1 () =
@@ -712,7 +564,7 @@ let f1 () =
     map_timed
       (fun (bound, name) ->
         let e = Registry.find name in
-        check ~simplify:!pipeline Checks.Gqed e.Entry.design e.Entry.iface ~bound)
+        check Checks.Gqed e.Entry.design e.Entry.iface ~bound)
       cells
   in
   List.iteri
@@ -946,16 +798,13 @@ let micro () =
 let experiments =
   [
     ("t1", t1); ("t2", t2); ("t3", t3); ("t4", t4); ("t5", t5);
-    ("a1", a1); ("a2", a2); ("a3", a3); ("s1", s1);
+    ("a1", a1); ("a2", a2); ("a3", a3);
     ("f1", f1); ("f2", f2); ("f3", f3); ("micro", micro);
   ]
 
 let () =
   let rec parse_args acc = function
     | [] -> List.rev acc
-    | "--no-simplify" :: rest ->
-        pipeline := Bmc.no_simplify;
-        parse_args acc rest
     | "--timeout" :: s :: rest -> begin
         match float_of_string_opt s with
         | Some t when t > 0.0 ->
@@ -979,12 +828,6 @@ let () =
       end
     | [ "--max-conflicts" ] ->
         prerr_endline "bench: --max-conflicts expects a positive integer";
-        exit 2
-    | "--designs" :: names :: rest ->
-        design_filter := Some (String.split_on_char ',' names);
-        parse_args acc rest
-    | [ "--designs" ] ->
-        prerr_endline "bench: --designs expects a comma-separated list";
         exit 2
     | "--trace" :: path :: rest ->
         obs_trace_path := Some path;

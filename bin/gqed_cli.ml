@@ -118,27 +118,6 @@ let technique_arg =
           "One of $(b,gqed) (default), $(b,flow) (reset+SA+stability+G-FC), \
            $(b,aqed), $(b,gqed-out) (ablation), $(b,sa), $(b,stability).")
 
-(* Formula-shrinking pipeline knobs. The verdict never depends on these;
-   they exist for ablation and debugging (see lib/bmc/bmc.mli). *)
-let simplify_term =
-  let no_simplify =
-    Arg.(
-      value & flag
-      & info [ "no-simplify" ]
-          ~doc:"Disable the whole formula-shrinking pipeline (AIG rewriting, \
-                polarity-aware Tseitin, CNF preprocessing).")
-  in
-  let stage_flag name doc = Arg.(value & flag & info [ "no-" ^ name ] ~doc) in
-  let combine off rewrite pg cnf =
-    if off then Bmc.no_simplify
-    else { Bmc.sc_rewrite = not rewrite; sc_pg = not pg; sc_cnf = not cnf }
-  in
-  Term.(
-    const combine $ no_simplify
-    $ stage_flag "rewrite" "Disable construction-time AIG rewriting."
-    $ stage_flag "pg" "Disable polarity-aware (Plaisted-Greenbaum) Tseitin and gate recognition."
-    $ stage_flag "cnf" "Disable CNF preprocessing (subsumption / strengthening / BVE).")
-
 let simp_stats_flag =
   Arg.(
     value & flag
@@ -252,7 +231,7 @@ let verify_cmd =
         | None -> ());
         exit 1
   in
-  let run name technique bound mutant waveform vcd simplify simp_stats timeout
+  let run name technique bound mutant waveform vcd simp_stats timeout
       max_conflicts obs_trace obs_metrics obs_format =
     setup_obs ~trace:obs_trace ~metrics:obs_metrics ~format:obs_format;
     let e = or_die (find_design name) in
@@ -263,7 +242,7 @@ let verify_cmd =
     | None -> ());
     let budget = Sat.Solver.budget ?conflicts:max_conflicts ?seconds:timeout () in
     let t0 = Unix.gettimeofday () in
-    let report = Checks.run ~simplify ~budget technique design e.Entry.iface ~bound in
+    let report = Checks.run ~budget technique design e.Entry.iface ~bound in
     let dt = Unix.gettimeofday () -. t0 in
     report_and_exit ~name ~waveform ~vcd ~dt ~simp_stats report
   in
@@ -271,7 +250,7 @@ let verify_cmd =
     (Cmd.info "verify" ~doc:"Run one QED check on a design (or one of its mutants).")
     Term.(
       const run $ design_arg $ technique_arg $ bound_arg $ mutant_arg $ waveform_flag
-      $ vcd_arg $ simplify_term $ simp_stats_flag $ timeout_arg $ max_conflicts_arg
+      $ vcd_arg $ simp_stats_flag $ timeout_arg $ max_conflicts_arg
       $ obs_trace_arg $ obs_metrics_arg $ obs_format_arg)
 
 (* ---- campaign ---- *)

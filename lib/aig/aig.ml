@@ -225,7 +225,6 @@ let or_ g a b = not_ (and_ g (not_ a) (not_ b))
 let xor_ g a b = or_ g (and_ g a (not_ b)) (and_ g (not_ a) b)
 let xnor_ g a b = not_ (xor_ g a b)
 let implies g a b = or_ g (not_ a) b
-let iff = xnor_
 let ite g c a b = or_ g (and_ g c a) (and_ g (not_ c) b)
 let and_list g = List.fold_left (and_ g) true_
 let or_list g = List.fold_left (or_ g) false_
@@ -321,8 +320,6 @@ module Cnf = struct
       n_clauses_plain = 0;
       n_gates = 0;
     }
-
-  let pg_enabled e = e.pg
 
   let ensure_capacity e n =
     if n >= Array.length e.vars then begin

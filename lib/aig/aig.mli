@@ -66,7 +66,6 @@ val or_ : t -> lit -> lit -> lit
 val xor_ : t -> lit -> lit -> lit
 val xnor_ : t -> lit -> lit -> lit
 val implies : t -> lit -> lit -> lit
-val iff : t -> lit -> lit -> lit
 val ite : t -> lit -> lit -> lit -> lit
 (** [ite g c a b] is [if c then a else b]. *)
 
@@ -123,8 +122,6 @@ module Cnf : sig
       model still assigns the original constraints' input values correctly;
       internal node variables may be under-constrained, so read models
       through primary inputs or {!model_reader}. *)
-
-  val pg_enabled : emitter -> bool
 
   val sat_lit : emitter -> lit -> Sat.Lit.t
   (** SAT literal equisatisfiably representing the AIG literal; emits the

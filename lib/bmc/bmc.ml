@@ -104,15 +104,6 @@ let pp_witness ppf w =
 
 exception Certification_failed of string
 
-type simplify_config = {
-  sc_rewrite : bool;
-  sc_pg : bool;
-  sc_cnf : bool;
-}
-
-let default_simplify = { sc_rewrite = true; sc_pg = true; sc_cnf = true }
-let no_simplify = { sc_rewrite = false; sc_pg = false; sc_cnf = false }
-
 module Engine = struct
   type simp_stats = {
     ss_queries : int;
@@ -174,7 +165,7 @@ module Engine = struct
     graph : Aig.t;
     design : Rtl.design;
     unroller : Unroller.t;
-    simplify : simplify_config;
+    plain : bool; (* reference encoding: no rewriting, PG or preprocessing *)
     mutable mono : bool; (* every query on a fresh solver; never reverts *)
     symbolic_init : bool;
     certify : bool;
@@ -198,18 +189,18 @@ module Engine = struct
 
   let no_model _ = false
 
-  let create ?(symbolic_init = false) ?(certify = false) ?(simplify = default_simplify)
-      ?(mono = false) ?(budget = Sat.Solver.no_budget) design =
-    let graph = Aig.create ~rewrite:simplify.sc_rewrite () in
+  let create ?(symbolic_init = false) ?(certify = false) ?(plain = false) ?(mono = false)
+      ?(budget = Sat.Solver.no_budget) design =
+    let graph = Aig.create ~rewrite:(not plain) () in
     let unroller = Unroller.create ~symbolic_init graph design in
     let solver = Sat.Solver.create () in
     if certify then Sat.Solver.start_proof solver;
-    let emitter = Aig.Cnf.make ~pg:simplify.sc_pg graph solver in
+    let emitter = Aig.Cnf.make ~pg:(not plain) graph solver in
     {
       graph;
       design;
       unroller;
-      simplify;
+      plain;
       mono;
       symbolic_init;
       certify;
@@ -262,7 +253,7 @@ module Engine = struct
     let solver = Sat.Solver.create () in
     if t.certify then Sat.Solver.start_proof solver;
     t.solver <- solver;
-    t.emitter <- Aig.Cnf.make ~pg:t.simplify.sc_pg t.graph solver
+    t.emitter <- Aig.Cnf.make ~pg:(not t.plain) t.graph solver
 
   let bits_value t bits =
     let n = Array.length bits in
@@ -329,7 +320,7 @@ module Engine = struct
       List.iter (Aig.Cnf.assert_lit t.emitter) (List.rev t.pending)
     end;
     let sat_assumptions = List.map (Aig.Cnf.assume_lit t.emitter) assumptions in
-    if fresh && t.simplify.sc_cnf then
+    if fresh && not t.plain then
       (* Only a fresh solver is preprocessed: it answers this one query, so
          variable elimination (merely satisfiability-preserving) is safe
          with the assumptions frozen. An incremental solver keeps taking
@@ -414,8 +405,7 @@ let assert_assumes engine ~assumes k =
     assumes
 
 let check_safety ?(symbolic_init = false) ?(certify = false) ?(assumes = [])
-    ?(simplify = default_simplify) ?(mono = false) ?budget ?stats ~design
-    ~invariant ~depth () =
+    ?(plain = false) ?(mono = false) ?budget ?stats ~design ~invariant ~depth () =
   if Expr.width invariant <> 1 then
     invalid_arg "Bmc.check_safety: invariant must be 1 bit wide";
   List.iter
@@ -426,7 +416,7 @@ let check_safety ?(symbolic_init = false) ?(certify = false) ?(assumes = [])
   (* One engine for all bounds. Once it runs queries on fresh solvers, the
      design blasting (graph + unrolling) is still shared, but each bound's
      query replays the recorded assumptions and proven bounds. *)
-  let engine = Engine.create ~symbolic_init ~certify ~simplify ~mono ?budget design in
+  let engine = Engine.create ~symbolic_init ~certify ~plain ~mono ?budget design in
   let finish outcome =
     Option.iter (fun f -> f (Engine.simp_stats engine)) stats;
     (outcome, Engine.stats engine)

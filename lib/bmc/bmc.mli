@@ -47,34 +47,19 @@ end
 (** {1 Formula-shrinking pipeline}
 
     Between unrolling and solving, three verdict-preserving simplification
-    stages shrink the formula each SAT query sees. Every stage toggles
-    independently, so the bench harness can ablate them one at a time.
-    There is no separate cone-of-influence stage: the {!Unroller} blasts a
-    register only when something reads it and the Tseitin emitter emits
-    only the nodes reached from an assert or an assumption, so each query
-    already sees just the cone of its property. *)
-
-type simplify_config = {
-  sc_rewrite : bool;
-      (** AIG rewriting: one- and two-level rules applied as the graph is
-          built *)
-  sc_pg : bool;
-      (** polarity-aware (Plaisted–Greenbaum) Tseitin emission with
-          if-then-else gate recognition (see {!Aig.Cnf}); off, every AND
-          node gets the per-node reference encoding *)
-  sc_cnf : bool;
-      (** CNF preprocessing of each fresh solver, once, before its one
-          query: subsumption, self-subsuming resolution and bounded
-          variable elimination, DRAT-logged. Incremental queries are not
-          preprocessed. *)
-}
-
-val default_simplify : simplify_config
-(** All three stages on — the default everywhere. *)
-
-val no_simplify : simplify_config
-(** All three stages off — the pre-pipeline behaviour, kept for ablation and
-    as the differential-fuzzing baseline. *)
+    stages shrink the formula each SAT query sees: AIG rewriting (one- and
+    two-level rules applied as the graph is built), polarity-aware
+    (Plaisted–Greenbaum) Tseitin emission with if-then-else and XOR gate
+    recognition (see {!Aig.Cnf}), and CNF preprocessing of each fresh
+    solver, once, before its one query (subsumption, self-subsuming
+    resolution and bounded variable elimination, DRAT-logged; incremental
+    queries are not preprocessed). Every engine runs all three; only the
+    differential reference lane ([?plain] on {!Engine.create} and
+    {!check_safety}) runs none. There is no separate cone-of-influence
+    stage: the {!Unroller} blasts a register only when something reads it
+    and the Tseitin emitter emits only the nodes reached from an assert or
+    an assumption, so each query already sees just the cone of its
+    property. *)
 
 (** A witness (counterexample) to a bounded check. *)
 type witness = {
@@ -121,7 +106,7 @@ module Engine : sig
   val create :
     ?symbolic_init:bool ->
     ?certify:bool ->
-    ?simplify:simplify_config ->
+    ?plain:bool ->
     ?mono:bool ->
     ?budget:Sat.Solver.budget ->
     Rtl.design ->
@@ -133,8 +118,11 @@ module Engine : sig
       witness extraction, so with [certify:true] both verdict polarities
       are cross-checked.
 
-      [simplify] (default {!default_simplify}) selects the pipeline stages
-      this engine applies.
+      [plain] (default [false]) turns the whole pipeline off: no AIG
+      rewriting, the per-node reference Tseitin encoding and no
+      preprocessing. It is the test-only reference the differential lanes
+      compare the pipeline against (the fuzz [simplify] oracle, the unit
+      tests); the answers are the same either way.
 
       Solving path: a new engine answers its queries on one incremental
       solver. After a query whose search takes more than 500 conflicts (a
@@ -142,7 +130,7 @@ module Engine : sig
       AIG and unrolling persist (so the design is only blasted once) and
       the permanent asserts are replayed. A fresh solver emits from the
       same graph, lazily, so it only receives the cones the query reaches;
-      with [sc_cnf] it is preprocessed once, with bounded variable
+      unless [plain], it is preprocessed once, with bounded variable
       elimination (safe only because the solver is one-shot). The
       incremental solver is never preprocessed. [mono] (default [false])
       starts the engine on fresh solvers from the first query; it exists
@@ -208,7 +196,7 @@ val check_safety :
   ?symbolic_init:bool ->
   ?certify:bool ->
   ?assumes:Expr.t list ->
-  ?simplify:simplify_config ->
+  ?plain:bool ->
   ?mono:bool ->
   ?budget:Sat.Solver.budget ->
   ?stats:(Engine.simp_stats -> unit) ->
@@ -224,8 +212,8 @@ val check_safety :
     DRAT-certified (so a [Holds] verdict is fully certificate-backed);
     raises {!Certification_failed} on a rejected certificate.
 
-    [simplify] (default {!default_simplify}) selects the formula-shrinking
-    stages. Registers outside the property's cone are never blasted, yet
+    [plain] (default [false]) runs the reference encoding without the
+    formula-shrinking stages, as on {!Engine.create}. Registers outside the property's cone are never blasted, yet
     the witness trace is simulated on the whole design, so it shows every
     register. One {!Engine} serves every bound, so the
     solving path switches as {!Engine.create} describes; [mono] (default

@@ -222,9 +222,9 @@ let drive ~engine ~bound ~pairs_at ~kinds =
 (* ------------------------------------------------------------------ *)
 (* A-QED functional consistency (single copy).                          *)
 
-let aqed_fc_fixed ~simplify ?budget design iface ~bound =
+let aqed_fc_fixed ?budget design iface ~bound =
   Iface.check design iface;
-  let engine = Bmc.Engine.create ~simplify ?budget design in
+  let engine = Bmc.Engine.create ?budget design in
   let view = { engine; prefix = ""; iface } in
   let gr = Bmc.Engine.graph engine in
   let latency = iface.Iface.latency in
@@ -259,12 +259,12 @@ let aqed_fc_fixed ~simplify ?budget design iface ~bound =
 (* ------------------------------------------------------------------ *)
 (* G-QED (product of two copies).                                       *)
 
-let gqed_generic ~simplify ?budget ~with_state design iface ~bound =
+let gqed_generic ?budget ~with_state design iface ~bound =
   Iface.check design iface;
   let copy1 = Rtl.rename ~prefix:copy1_prefix design in
   let copy2 = Rtl.rename ~prefix:copy2_prefix design in
   let prod = Rtl.product copy1 copy2 in
-  let engine = Bmc.Engine.create ~simplify ?budget prod in
+  let engine = Bmc.Engine.create ?budget prod in
   let v1 = { engine; prefix = copy1_prefix; iface } in
   let v2 = { engine; prefix = copy2_prefix; iface } in
   let gr = Bmc.Engine.graph engine in
@@ -311,19 +311,19 @@ let gqed_generic ~simplify ?budget ~with_state design iface ~bound =
   drive ~engine ~bound ~pairs_at
     ~kinds:(Gfc_output, Gfc_response, if with_state then Some Gfc_state else None)
 
-let gqed_fixed ~simplify ?budget design iface ~bound =
-  gqed_generic ~simplify ?budget ~with_state:true design iface ~bound
+let gqed_fixed ?budget design iface ~bound =
+  gqed_generic ?budget ~with_state:true design iface ~bound
 
-let gqed_output_only_fixed ~simplify ?budget design iface ~bound =
-  gqed_generic ~simplify ?budget ~with_state:false design iface ~bound
+let gqed_output_only_fixed ?budget design iface ~bound =
+  gqed_generic ?budget ~with_state:false design iface ~bound
 
 (* ------------------------------------------------------------------ *)
 (* Single-action (responsiveness): with fixed latency L, out_valid at
    frame f must equal in_valid at frame f - L (false before reset).      *)
 
-let sa_check_fixed ~simplify ?budget design iface ~bound =
+let sa_check_fixed ?budget design iface ~bound =
   Iface.check design iface;
-  let engine = Bmc.Engine.create ~simplify ?budget design in
+  let engine = Bmc.Engine.create ?budget design in
   if iface.Iface.out_valid = None then
     (* No response-valid port: responses are combinational values sampled at
        dispatch + latency, so single-action holds by construction. *)
@@ -352,9 +352,9 @@ let sa_check_fixed ~simplify ?budget design iface ~bound =
 (* ------------------------------------------------------------------ *)
 (* Stability: without a dispatch, the architectural state cannot move.   *)
 
-let stability_check ?(simplify = Bmc.default_simplify) ?budget design iface ~bound =
+let stability_check ?budget design iface ~bound =
   Iface.check design iface;
-  let engine = Bmc.Engine.create ~simplify ?budget design in
+  let engine = Bmc.Engine.create ?budget design in
   if iface.Iface.arch_regs = [] || iface.Iface.in_valid = None then
     (* No architectural state, or a transaction on every cycle: vacuous. *)
     report_of engine (Pass bound)
@@ -385,12 +385,12 @@ let stability_check ?(simplify = Bmc.default_simplify) ?budget design iface ~bou
 (* ------------------------------------------------------------------ *)
 (* Reset: documented architectural reset values match the RTL.           *)
 
-let reset_check ?(simplify = Bmc.default_simplify) ?budget design iface =
+let reset_check ?budget design iface =
   Iface.check design iface;
   (* Static check: reset values are constants in this modelling. The report
      shape is kept for uniformity; a failure carries a zero-length witness
      whose initial state shows the wrong value. *)
-  let engine = Bmc.Engine.create ~simplify ?budget design in
+  let engine = Bmc.Engine.create ?budget design in
   let initial = Rtl.initial_state design in
   let mismatch =
     List.find_opt
@@ -434,13 +434,13 @@ let assert_k_stable engine prefix ~frame =
    [with_arch] adds the equal-architectural-state hypothesis (dropping it
    gives the A-QED-style check, which false-alarms on interfering designs);
    [with_state] adds the post-state conjunct. *)
-let gqed_variable ~simplify ?budget ~with_arch ~with_state design iface ~bound =
+let gqed_variable ?budget ~with_arch ~with_state design iface ~bound =
   Iface.check design iface;
   let instrumented = Instrument.with_monitor design iface in
   let copy1 = Rtl.rename ~prefix:copy1_prefix instrumented in
   let copy2 = Rtl.rename ~prefix:copy2_prefix instrumented in
   let prod = Rtl.product copy1 copy2 in
-  let engine = Bmc.Engine.create ~simplify ?budget prod in
+  let engine = Bmc.Engine.create ?budget prod in
   let v name w prefix = Expr.var (prefix ^ name) w in
   let both f = (f copy1_prefix, f copy2_prefix) in
   let have p =
@@ -524,11 +524,11 @@ let gqed_variable ~simplify ?budget ~with_arch ~with_state design iface ~bound =
 
 (* Responsiveness for variable latency: no response when nothing is
    outstanding, and every dispatch is answered within max_latency. *)
-let sa_variable ~simplify ?budget design iface ~bound =
+let sa_variable ?budget design iface ~bound =
   Iface.check design iface;
   let lmax = Option.get iface.Iface.max_latency in
   let instrumented = Instrument.with_monitor design iface in
-  let engine = Bmc.Engine.create ~simplify ?budget instrumented in
+  let engine = Bmc.Engine.create ?budget instrumented in
   let u = Bmc.Engine.unroller engine in
   let gr = Bmc.Engine.graph engine in
   let dispatch_e = Instrument.dispatch_expr design iface in
@@ -572,35 +572,35 @@ let sa_variable ~simplify ?budget design iface ~bound =
 (* ------------------------------------------------------------------ *)
 (* Public checks: dispatch on the interface's latency mode.              *)
 
-let aqed_fc ?(simplify = Bmc.default_simplify) ?budget design iface ~bound =
+let aqed_fc ?budget design iface ~bound =
   if Iface.is_variable_latency iface then
-    gqed_variable ~simplify ?budget ~with_arch:false ~with_state:false design iface ~bound
-  else aqed_fc_fixed ~simplify ?budget design iface ~bound
+    gqed_variable ?budget ~with_arch:false ~with_state:false design iface ~bound
+  else aqed_fc_fixed ?budget design iface ~bound
 
-let gqed ?(simplify = Bmc.default_simplify) ?budget design iface ~bound =
+let gqed ?budget design iface ~bound =
   if Iface.is_variable_latency iface then
-    gqed_variable ~simplify ?budget ~with_arch:true ~with_state:true design iface ~bound
-  else gqed_fixed ~simplify ?budget design iface ~bound
+    gqed_variable ?budget ~with_arch:true ~with_state:true design iface ~bound
+  else gqed_fixed ?budget design iface ~bound
 
-let gqed_output_only ?(simplify = Bmc.default_simplify) ?budget design iface ~bound =
+let gqed_output_only ?budget design iface ~bound =
   if Iface.is_variable_latency iface then
-    gqed_variable ~simplify ?budget ~with_arch:true ~with_state:false design iface ~bound
-  else gqed_output_only_fixed ~simplify ?budget design iface ~bound
+    gqed_variable ?budget ~with_arch:true ~with_state:false design iface ~bound
+  else gqed_output_only_fixed ?budget design iface ~bound
 
-let sa_check ?(simplify = Bmc.default_simplify) ?budget design iface ~bound =
+let sa_check ?budget design iface ~bound =
   if Iface.is_variable_latency iface then
-    sa_variable ~simplify ?budget design iface ~bound
-  else sa_check_fixed ~simplify ?budget design iface ~bound
+    sa_variable ?budget design iface ~bound
+  else sa_check_fixed ?budget design iface ~bound
 
 (* ------------------------------------------------------------------ *)
 (* The complete flow.                                                    *)
 
-let flow ?(simplify = Bmc.default_simplify) ?budget design iface ~bound =
+let flow ?budget design iface ~bound =
   let later_stages =
-    [ (fun () -> sa_check ~simplify ?budget design iface ~bound) ]
+    [ (fun () -> sa_check ?budget design iface ~bound) ]
     @ (if Iface.is_variable_latency iface then []
-       else [ (fun () -> stability_check ~simplify ?budget design iface ~bound) ])
-    @ [ (fun () -> gqed ~simplify ?budget design iface ~bound) ]
+       else [ (fun () -> stability_check ?budget design iface ~bound) ])
+    @ [ (fun () -> gqed ?budget design iface ~bound) ]
   in
   (* An undecided stage blocks the flow just like a failing one: the later
      stages' soundness preconditions were not discharged. *)
@@ -611,7 +611,7 @@ let flow ?(simplify = Bmc.default_simplify) ?budget design iface ~bound =
         | Fail _ | Unknown _ -> report
         | Pass _ -> run_stages (stage ()) rest)
   in
-  run_stages (reset_check ~simplify ?budget design iface) later_stages
+  run_stages (reset_check ?budget design iface) later_stages
 
 (* ------------------------------------------------------------------ *)
 
@@ -637,10 +637,10 @@ let digest v = Digest.to_hex (Digest.string (Marshal.to_string v []))
 
 (* The canonical task identity of the on-disk campaign journal: the
    technique, the bound, and structural digests of the design and
-   interface. [simplify]/[budget] are deliberately excluded — every
-   pipeline stage and solving path is verdict-preserving (the repo's core
-   invariant), so a verdict recorded under one configuration answers the
-   same query under any other. *)
+   interface. [budget] is deliberately excluded: it can only turn a
+   verdict into [Unknown], which a resume re-runs, and the solving path
+   and the formula encoding are verdict-preserving (the repo's core
+   invariant), so a decided verdict answers the query under any budget. *)
 let campaign_key technique design iface ~bound =
   Printf.sprintf "%s/%d/%s/%s" (technique_to_string technique) bound (digest design)
     (digest iface)
@@ -652,15 +652,15 @@ let campaign_hint design ~bound =
   let state_bits, input_bits, nodes = Rtl.stats design in
   float_of_int bound *. float_of_int (state_bits + input_bits + nodes)
 
-let run ?(simplify = Bmc.default_simplify) ?budget technique design iface ~bound =
+let run ?budget technique design iface ~bound =
   let solve () =
     match technique with
-    | Aqed -> aqed_fc ~simplify ?budget design iface ~bound
-    | Gqed -> gqed ~simplify ?budget design iface ~bound
-    | Gqed_output_only -> gqed_output_only ~simplify ?budget design iface ~bound
-    | Gqed_flow -> flow ~simplify ?budget design iface ~bound
-    | Sa -> sa_check ~simplify ?budget design iface ~bound
-    | Stability -> stability_check ~simplify ?budget design iface ~bound
+    | Aqed -> aqed_fc ?budget design iface ~bound
+    | Gqed -> gqed ?budget design iface ~bound
+    | Gqed_output_only -> gqed_output_only ?budget design iface ~bound
+    | Gqed_flow -> flow ?budget design iface ~bound
+    | Sa -> sa_check ?budget design iface ~bound
+    | Stability -> stability_check ?budget design iface ~bound
   in
   if not (Obs.on ()) then solve ()
   else begin

@@ -75,18 +75,18 @@ type report = {
       (** formula-shrinking pipeline totals for this check's engine *)
 }
 
-(** Every check takes [?simplify] (default {!Bmc.default_simplify})
-    selecting the formula-shrinking stages of its BMC engine; pass
-    {!Bmc.no_simplify} (or a partial configuration) for ablation. The
-    engine picks its own solving path: incremental until a query gets
-    hard, then a fresh solver per query (see {!Bmc.Engine.create}).
-    [?budget] (default {!Sat.Solver.no_budget}) caps each SAT query the
-    engine runs; an exhausted budget yields an [Unknown] verdict, which
-    nothing retries. The decided verdict is independent of every knob —
-    the bench harness and the fuzz oracle enforce this. *)
+(** Every check runs its BMC engine with the full formula-shrinking
+    pipeline (see {!Bmc}); the engine picks its own solving path:
+    incremental until a query gets hard, then a fresh solver per query
+    (see {!Bmc.Engine.create}). [?budget] (default
+    {!Sat.Solver.no_budget}) caps each SAT query the engine runs; an
+    exhausted budget yields an [Unknown] verdict, which nothing retries.
+    A decided verdict depends only on the check and its bound: the fuzz
+    [simplify] oracle compares the pipeline with the plain reference
+    engine, the fuzz [bmc] oracle the two solving paths, and the golden
+    verdict matrix pins every cell by kind and witness length. *)
 
 val aqed_fc :
-  ?simplify:Bmc.simplify_config ->
   ?budget:Sat.Solver.budget ->
   Rtl.design ->
   Iface.t ->
@@ -94,7 +94,6 @@ val aqed_fc :
   report
 
 val gqed :
-  ?simplify:Bmc.simplify_config ->
   ?budget:Sat.Solver.budget ->
   Rtl.design ->
   Iface.t ->
@@ -102,7 +101,6 @@ val gqed :
   report
 
 val gqed_output_only :
-  ?simplify:Bmc.simplify_config ->
   ?budget:Sat.Solver.budget ->
   Rtl.design ->
   Iface.t ->
@@ -110,7 +108,6 @@ val gqed_output_only :
   report
 
 val sa_check :
-  ?simplify:Bmc.simplify_config ->
   ?budget:Sat.Solver.budget ->
   Rtl.design ->
   Iface.t ->
@@ -118,7 +115,6 @@ val sa_check :
   report
 
 val stability_check :
-  ?simplify:Bmc.simplify_config ->
   ?budget:Sat.Solver.budget ->
   Rtl.design ->
   Iface.t ->
@@ -130,7 +126,6 @@ val stability_check :
     transactional-machine abstraction the G-FC soundness argument uses. *)
 
 val reset_check :
-  ?simplify:Bmc.simplify_config ->
   ?budget:Sat.Solver.budget ->
   Rtl.design ->
   Iface.t ->
@@ -140,7 +135,6 @@ val reset_check :
     values are constants in this modelling. *)
 
 val flow :
-  ?simplify:Bmc.simplify_config ->
   ?budget:Sat.Solver.budget ->
   Rtl.design ->
   Iface.t ->
@@ -163,7 +157,6 @@ type technique =
 val technique_to_string : technique -> string
 
 val run :
-  ?simplify:Bmc.simplify_config ->
   ?budget:Sat.Solver.budget ->
   technique ->
   Rtl.design ->
@@ -180,10 +173,10 @@ val run :
 val campaign_key : technique -> Rtl.design -> Iface.t -> bound:int -> string
 (** Canonical task identity — technique, bound and Marshal+MD5 digests of
     the design and interface. The encoding is frozen so journals written
-    by earlier releases still resume. [simplify]/[budget] are
-    deliberately excluded: every pipeline stage and solving path is
-    verdict-preserving, so a verdict recorded under one configuration
-    answers the same query under any other. *)
+    by earlier releases still resume. [budget] is deliberately excluded:
+    it can only make a verdict [Unknown], which a resume re-runs, and the
+    formula encoding and solving path are verdict-preserving, so a decided
+    verdict answers the same query under any budget. *)
 
 val campaign_hint : Rtl.design -> bound:int -> float
 (** Cold-start hardness estimate for a campaign cell — unrolled problem

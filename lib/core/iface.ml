@@ -91,12 +91,6 @@ let check d t =
 let is_interfering t = t.arch_regs <> []
 let is_variable_latency t = t.max_latency <> None
 
-let in_width d t =
-  List.fold_left (fun acc name -> acc + (Rtl.input_var d name).Expr.width) 0 t.in_data
-
-let out_width d t =
-  List.fold_left (fun acc name -> acc + Expr.width (Rtl.output_expr d name)) 0 t.out_data
-
 let arch_width d t =
   List.fold_left (fun acc name -> acc + (Rtl.reg_var d name).Expr.width) 0 t.arch_regs
 

@@ -72,10 +72,6 @@ val is_interfering : t -> bool
 
 val is_variable_latency : t -> bool
 
-val in_width : Rtl.design -> t -> int
-(** Total width of the transaction operand. *)
-
-val out_width : Rtl.design -> t -> int
 val arch_width : Rtl.design -> t -> int
 
 val pp : Format.formatter -> t -> unit

@@ -48,5 +48,3 @@ let idle_valuation e =
   match e.iface.Qed.Iface.in_valid with
   | None -> base
   | Some port -> Rtl.Smap.add port (Bitvec.zero 1) base
-
-let golden_response e state operand = e.golden.step state operand

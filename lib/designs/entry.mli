@@ -46,6 +46,3 @@ val idle_valuation : t -> Rtl.valuation
 (** A cycle with no transaction (valid low, everything zero). For designs
     without an [in_valid], this still dispatches; the testbench accounts
     for that. *)
-
-val golden_response : t -> Bitvec.t list -> Bitvec.t list -> Bitvec.t list * Bitvec.t list
-(** [golden_response e state operand] = [e.golden.step state operand]. *)

@@ -558,8 +558,6 @@ let unop_name = function
   | Red_or -> "|"
   | Red_xor -> "^"
 
-let pp_var ppf v = Format.fprintf ppf "%s:%d" v.name v.width
-
 let rec pp ppf = function
   | Const bv -> Bitvec.pp ppf bv
   | Var v -> Format.pp_print_string ppf v.name

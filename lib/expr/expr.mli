@@ -149,4 +149,3 @@ val blast : Aig.t -> (var -> Aig.lit array) -> t -> Aig.lit array
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
-val pp_var : Format.formatter -> var -> unit

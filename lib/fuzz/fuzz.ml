@@ -499,52 +499,24 @@ module Oracle = struct
         | Ok () -> Ok !certified)
 
   (* The formula-shrinking pipeline must be invisible in verdicts: the same
-     safety check runs with every stage on, every stage off, and each stage
-     individually, and all runs must agree (same proved bound, or
-     counterexamples of the same length whose witnesses replay — every run
-     goes through the simulator replay inside [check_safety]). With [cert]
-     the fully-simplified run is DRAT-certified at every UNSAT bound,
-     exercising the proof logging of rewriting + Plaisted-Greenbaum +
-     preprocessing end to end. *)
+     safety check runs on the plain reference engine (no rewriting, PG or
+     preprocessing) and on the default engine, and both must agree (same
+     proved bound, or counterexamples of the same length whose witnesses
+     replay — every run goes through the simulator replay inside
+     [check_safety]). With [cert] the default run is DRAT-certified at every
+     UNSAT bound, exercising the proof logging of rewriting +
+     Plaisted-Greenbaum + preprocessing end to end. *)
   let simplify_on_vs_off ?(cert = false) ~depth rand (d : Rtl.design) =
     let vars = all_vars d in
     let invariant = Gen.expr rand ~vars ~width:1 ~depth:2 in
-    let certified = ref 0 in
-    let run_conf name ~certify simplify =
-      match Bmc.check_safety ~certify ~simplify ~design:d ~invariant ~depth () with
-      | exception Bmc.Certification_failed msg ->
-          Error (Printf.sprintf "simplify(%s): rejected DRAT certificate: %s" name msg)
-      | outcome, _ -> Ok outcome
-    in
-    let agree lane = same_outcome ~oracle:"simplify" ~lane in
-    match run_conf "off" ~certify:false Bmc.no_simplify with
-    | Error _ as e -> e
-    | Ok base -> (
-        match run_conf "all" ~certify:cert Bmc.default_simplify with
-        | Error _ as e -> e
-        | Ok full -> (
-            if cert then certified := certified_bounds full;
-            match agree "all" base full with
-            | Error _ as e -> e
-            | Ok () ->
-                let stages =
-                  [
-                    ("rewrite", { Bmc.no_simplify with Bmc.sc_rewrite = true });
-                    ("pg", { Bmc.no_simplify with Bmc.sc_pg = true });
-                    ("cnf", { Bmc.no_simplify with Bmc.sc_cnf = true });
-                  ]
-                in
-                let rec check_stages = function
-                  | [] -> Ok !certified
-                  | (name, conf) :: rest -> (
-                      match run_conf name ~certify:false conf with
-                      | Error _ as e -> e
-                      | Ok outcome -> (
-                          match agree name base outcome with
-                          | Error _ as e -> e
-                          | Ok () -> check_stages rest))
-                in
-                check_stages stages))
+    let plain, _ = Bmc.check_safety ~plain:true ~design:d ~invariant ~depth () in
+    match Bmc.check_safety ~certify:cert ~design:d ~invariant ~depth () with
+    | exception Bmc.Certification_failed msg ->
+        Error (Printf.sprintf "simplify(pipeline): rejected DRAT certificate: %s" msg)
+    | full, _ ->
+        Result.map
+          (fun () -> if cert then certified_bounds full else 0)
+          (same_outcome ~oracle:"simplify" ~lane:"pipeline" plain full)
 
   (* Budget invariance: the same safety check under per-query conflict
      caps drawn uniformly from 0 .. 2c + 1, c the reference run's total

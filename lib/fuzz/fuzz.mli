@@ -86,11 +86,11 @@ module Oracle : sig
   val simplify_on_vs_off :
     ?cert:bool -> depth:int -> Random.State.t -> Rtl.design -> (int, string) result
   (** The formula-shrinking pipeline is verdict-invisible: the same safety
-      check with all stages on, all off, and each of rewriting /
-      Plaisted-Greenbaum / CNF preprocessing individually must agree on the
-      outcome (same proved bound or same counterexample length). With
-      [cert], the fully-simplified run is DRAT-certified at every UNSAT
-      bound; on success, returns the number of certified bounds. *)
+      check on the plain reference engine ([Bmc.check_safety ~plain:true])
+      and on the default engine must agree on the outcome (same proved
+      bound or same counterexample length). With [cert], the default run
+      is DRAT-certified at every UNSAT bound; on success, returns the
+      number of certified bounds. *)
 
   val budget_caps :
     ?cert:bool -> depth:int -> Random.State.t -> Rtl.design -> (int, string) result

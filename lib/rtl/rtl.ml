@@ -159,11 +159,6 @@ let compose ~name ~a ~b ~connections =
     ~registers:(a.registers @ b_registers)
     ~outputs:(a.outputs @ b_outputs)
 
-let map_exprs f d =
-  make ~name:d.name ~inputs:d.inputs
-    ~registers:(List.map (fun r -> { r with next = f r.next }) d.registers)
-    ~outputs:(List.map (fun (n, e) -> (n, f e)) d.outputs)
-
 let stats d =
   let state_bits = List.fold_left (fun acc r -> acc + r.reg.Expr.width) 0 d.registers in
   let input_bits =

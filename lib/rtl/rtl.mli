@@ -78,10 +78,6 @@ val compose :
     cycle, which holds by construction since expressions cannot mention
     [b]. *)
 
-val map_exprs : (Expr.t -> Expr.t) -> design -> design
-(** Rewrite every next-state and output expression (used by mutation).
-    The result is re-validated. *)
-
 val stats : design -> int * int * int
 (** [(num_state_bits, num_input_bits, total_expr_nodes)] — the size figures
     reported in the evaluation tables. *)

@@ -52,13 +52,6 @@ let tokenize text =
 
 let parse_string text = parse_tokens (tokenize (strip_comments text))
 
-let parse_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  parse_string text
-
 let to_string { num_vars; clauses } =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (Printf.sprintf "p cnf %d %d\n" num_vars (List.length clauses));

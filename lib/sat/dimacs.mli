@@ -11,8 +11,6 @@ val parse_string : string -> (cnf, string) Stdlib.result
     input (bad header, literal out of the declared range, missing
     terminator). *)
 
-val parse_file : string -> (cnf, string) Stdlib.result
-
 val to_string : cnf -> string
 (** Render in DIMACS format. *)
 

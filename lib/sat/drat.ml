@@ -14,16 +14,6 @@ type event =
 
 type proof = event list
 
-let pp_event ppf e =
-  let pp_clause ppf c =
-    Array.iter (fun l -> Format.fprintf ppf "%d " (Lit.to_dimacs l)) c;
-    Format.fprintf ppf "0"
-  in
-  match e with
-  | Input c -> Format.fprintf ppf "i %a" pp_clause c
-  | Add c -> Format.fprintf ppf "a %a" pp_clause c
-  | Delete c -> Format.fprintf ppf "d %a" pp_clause c
-
 (* ------------------------------------------------------------------ *)
 (* Checker.                                                            *)
 

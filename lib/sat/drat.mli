@@ -48,5 +48,3 @@ val to_string : proof -> string
 val formula_to_string : proof -> string
 (** The [Input] events as a DIMACS document, for handing the original formula to an external checker
     alongside {!to_string}. *)
-
-val pp_event : Format.formatter -> event -> unit

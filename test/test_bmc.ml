@@ -230,37 +230,68 @@ let counter_with_noise () =
       ]
     ~outputs:[ ("value", count); ("junk_out", junk) ]
 
-let stage_configs =
-  [
-    ("off", Bmc.no_simplify);
-    ("rewrite", { Bmc.no_simplify with Bmc.sc_rewrite = true });
-    ("pg", { Bmc.no_simplify with Bmc.sc_pg = true });
-    ("cnf", { Bmc.no_simplify with Bmc.sc_cnf = true });
-    ("all", Bmc.default_simplify);
-  ]
-
-(* Every pipeline stage preserves the verdict (and the counterexample
-   length), on both a violated and a held instance. *)
+(* The plain reference engine and the default pipeline agree on the
+   verdict (and the counterexample length), on both a violated and a held
+   instance. *)
 let test_pipeline_stages_agree () =
   List.iter
-    (fun (name, simplify) ->
+    (fun (name, plain) ->
       (match
-         Bmc.check_safety ~simplify ~design:(counter_with_noise ())
-           ~invariant:(count_ne 5) ~depth:10 ()
+         Bmc.check_safety ~plain ~design:(counter_with_noise ()) ~invariant:(count_ne 5)
+           ~depth:10 ()
        with
       | Bmc.Violated w, _ -> Alcotest.(check int) (name ^ ": cex length") 6 w.Bmc.w_length
       | Bmc.Holds n, _ -> Alcotest.failf "%s: holds up to %d but should fail" name n
       | Bmc.Unknown _, _ -> Alcotest.failf "%s: unexpected unknown" name);
       match
-        Bmc.check_safety ~simplify ~design:(counter_with_noise ())
-          ~invariant:(count_ne 12) ~depth:8 ()
+        Bmc.check_safety ~plain ~design:(counter_with_noise ()) ~invariant:(count_ne 12)
+          ~depth:8 ()
       with
       | Bmc.Holds 8, _ -> ()
       | Bmc.Holds n, _ -> Alcotest.failf "%s: wrong bound %d" name n
       | Bmc.Violated w, _ ->
           Alcotest.failf "%s: unexpected counterexample of length %d" name w.Bmc.w_length
       | Bmc.Unknown _, _ -> Alcotest.failf "%s: unexpected unknown" name)
-    stage_configs
+    [ ("plain", true); ("pipeline", false) ]
+
+(* [~plain:true] runs no stage at all: no rewrite fires, every node gets
+   the per-node reference encoding (so exactly the plain clause count), and
+   no fresh solver is preprocessed, although every query runs on one. The
+   default engine on the same check emits fewer clauses than plain. *)
+let test_plain_is_unsimplified () =
+  let simp ~plain =
+    let captured = ref None in
+    (match
+       Bmc.check_safety ~plain ~mono:true ~stats:(fun s -> captured := Some s)
+         ~design:(counter_with_noise ()) ~invariant:(count_ne 12) ~depth:6 ()
+     with
+    | Bmc.Holds 6, _ -> ()
+    | _ -> Alcotest.fail "expected Holds 6");
+    match !captured with
+    | None -> Alcotest.fail "stats callback never called"
+    | Some s -> s
+  in
+  let p = simp ~plain:true in
+  Alcotest.(check int) "no rewrites" 0 p.Bmc.Engine.ss_rewrite_hits;
+  Alcotest.(check int) "no gates" 0 p.Bmc.Engine.ss_gates;
+  Alcotest.(check int) "plain clause count" p.Bmc.Engine.ss_clauses_plain
+    p.Bmc.Engine.ss_clauses_emitted;
+  let pre = p.Bmc.Engine.ss_pre in
+  Alcotest.(check (list int))
+    "no preprocessing" [ 0; 0; 0; 0; 0; 0; 0 ]
+    Sat.Solver.
+      [
+        pre.pre_clauses_before;
+        pre.pre_clauses_after;
+        pre.pre_subsumed;
+        pre.pre_strengthened;
+        pre.pre_eliminated;
+        pre.pre_resolvents;
+        pre.pre_units;
+      ];
+  let d = simp ~plain:false in
+  Alcotest.(check bool) "pipeline saves clauses" true
+    (d.Bmc.Engine.ss_clauses_emitted < d.Bmc.Engine.ss_clauses_plain)
 
 (* The unroller blasts a register only when something reads it, and the
    emitter sends only the nodes an assert or assumption reaches, so the
@@ -308,24 +339,23 @@ let test_lazy_unrolling_is_the_cone () =
     [ false; true ]
 
 (* Fresh solvers from the first query, with the full pipeline (BVE
-   live), agree with the unsimplified default engine. *)
+   live), agree with the plain reference engine. *)
 let test_mono_pipeline_agrees () =
   List.iter
     (fun depth ->
       let inv = count_ne 6 in
       let r1, _ =
-        Bmc.check_safety ~simplify:Bmc.no_simplify ~design:(counter_with_noise ())
-          ~invariant:inv ~depth ()
+        Bmc.check_safety ~plain:true ~design:(counter_with_noise ()) ~invariant:inv
+          ~depth ()
       in
       let r2, _ =
-        Bmc.check_safety ~simplify:Bmc.default_simplify ~mono:true
-          ~design:(counter_with_noise ()) ~invariant:inv ~depth ()
+        Bmc.check_safety ~mono:true ~design:(counter_with_noise ()) ~invariant:inv ~depth ()
       in
       match (r1, r2) with
       | Bmc.Holds a, Bmc.Holds b -> Alcotest.(check int) "same bound" a b
       | Bmc.Violated a, Bmc.Violated b ->
           Alcotest.(check int) "same cex length" a.Bmc.w_length b.Bmc.w_length
-      | _ -> Alcotest.fail "fresh/default verdicts differ")
+      | _ -> Alcotest.fail "fresh/plain verdicts differ")
     [ 3; 6; 9 ]
 
 (* The stats record actually measures the pipeline: PG emits fewer clauses
@@ -504,6 +534,7 @@ let suite =
     ("bmc.follower_violation", `Quick, test_follower_violation_found);
     ("bmc.witness_many_inputs", `Quick, test_witness_many_inputs_many_frames);
     ("bmc.pipeline_stages_agree", `Quick, test_pipeline_stages_agree);
+    ("bmc.plain_is_unsimplified", `Quick, test_plain_is_unsimplified);
     ("bmc.lazy_unrolling_is_the_cone", `Quick, test_lazy_unrolling_is_the_cone);
     ("bmc.mono_pipeline_agrees", `Quick, test_mono_pipeline_agrees);
     ("bmc.simp_stats", `Quick, test_simp_stats_sanity);
