@@ -6,26 +6,24 @@
      dune exec bench/main.exe                       # all experiments
      dune exec bench/main.exe -- t2 f1              # a subset, by id
 
-   Experiment ids: t1 t2 t3 t4 t5 a1 a2 a3 f1 f2 f3 micro.
+   Experiment ids: t1 t2 t3 t4 t5 a1 a2 a3 f1 f2 f3.
 
-   Every check runs cold: the harness keeps no journal. A journaled,
-   resumable mutant matrix is `gqed campaign --checkpoint FILE`.
+   Every check runs cold and unbudgeted: the harness keeps no journal
+   and sets no per-query budget. A journaled, resumable mutant matrix
+   is `gqed campaign --checkpoint FILE`; budgets are `gqed verify` and
+   `gqed campaign`'s --timeout/--max-conflicts.
 
-   --trace FILE / --metrics FILE / --trace-format ndjson|chrome enable
-   the Obs layer for the whole run and write the merged span trace and
-   metrics snapshot on completion. --trace/--metrics refuse to overwrite
-   an existing file; pass --force to replace it.
-
-   --timeout SEC and --max-conflicts N put one fixed per-query budget on
-   every check the harness runs; a check that exhausts it reports
-   "unknown" instead of a verdict, and nothing retries it.
+   --trace FILE enables the Obs layer for the whole run and writes the
+   span trace (Chrome trace_event JSON, checkable with `gqed
+   trace-check`) on completion. It refuses to overwrite an existing file;
+   pass --force to replace it.
 
    The exit status is the run's one gate. Every experiment that compares
    a reference lane with a variant (a2, t5) reports each
    disagreement as (experiment, cell, expected, got); the run lists them
-   all at the end and exits 1 if there is any. Otherwise
-   it exits 3 when some verdict stayed unknown under the budget, and 0.
-   Machine-readable measurements live in bench/perf (see its README).
+   all at the end and exits 1 if there is any, else 0. An unknown
+   experiment id or option exits 2. Machine-readable measurements live
+   in bench/perf (see its README).
 
    Every task runs serially in one domain; parallel runs are `gqed
    campaign --workers N`. *)
@@ -44,20 +42,7 @@ let time f =
   (result, Unix.gettimeofday () -. t0)
 
 (* ------------------------------------------------------------------ *)
-(* Run-wide flags and the verdict gate.                                *)
-
-(* --timeout / --max-conflicts build the per-query budget every governed
-   check runs under. *)
-let timeout : float option ref = ref None
-let max_conflicts : int option ref = ref None
-let unknown_verdicts = ref 0
-
-(* --trace / --metrics / --trace-format enable the Obs layer for the whole
-   run; --force permits overwriting existing trace and metrics files. *)
-let obs_trace_path : string option ref = ref None
-let obs_metrics_path : string option ref = ref None
-let obs_format : [ `Ndjson | `Chrome ] ref = ref `Ndjson
-let force_overwrite = ref false
+(* The verdict gate.                                                   *)
 
 (* The run's one verdict gate: every disagreement any experiment finds
    between a reference lane and a variant lands here, and a nonempty list
@@ -72,17 +57,6 @@ let agree experiment cell ~expected ~got =
   let same = String.equal expected got in
   if not same then disagree experiment cell ~expected ~got;
   same
-
-let bench_budget () = Sat.Solver.budget ?conflicts:!max_conflicts ?seconds:!timeout ()
-
-(* Every experiment's checks funnel through here so the budget flags
-   apply uniformly and exhausted budgets are counted for the exit code. *)
-let check technique design iface ~bound =
-  let report = Checks.run ~budget:(bench_budget ()) technique design iface ~bound in
-  (match report.Checks.verdict with
-  | Checks.Unknown _ -> incr unknown_verdicts
-  | Checks.Pass _ | Checks.Fail _ -> ());
-  report
 
 (* [f] over [xs] in order, each result paired with its wall-clock
    seconds. *)
@@ -183,7 +157,7 @@ let t2_compute () =
             `Alarm_r
               (e.Entry.interfering
               && failed
-                   (check Checks.Aqed e.Entry.design e.Entry.iface
+                   (Checks.run Checks.Aqed e.Entry.design e.Entry.iface
                       ~bound:e.Entry.rec_bound))
         | `Cell (e, mutant) ->
             let bound = e.Entry.rec_bound in
@@ -195,9 +169,9 @@ let t2_compute () =
                ones it already rejects the bug-free design. *)
             let aqed_hit =
               (not e.Entry.interfering)
-              && failed (check Checks.Aqed mutant e.Entry.iface ~bound)
+              && failed (Checks.run Checks.Aqed mutant e.Entry.iface ~bound)
             in
-            let g = check Checks.Gqed_flow mutant e.Entry.iface ~bound in
+            let g = Checks.run Checks.Gqed_flow mutant e.Entry.iface ~bound in
             `Cell_r
               {
                 cc_crv_detected = crv.Crv.detected;
@@ -287,7 +261,7 @@ let t3 () =
   let rows =
     map_timed
       (fun e ->
-        (e, check Checks.Gqed e.Entry.design e.Entry.iface
+        (e, Checks.run Checks.Gqed e.Entry.design e.Entry.iface
               ~bound:e.Entry.rec_bound))
       Registry.all
   in
@@ -337,7 +311,7 @@ let t5 () =
       let table =
         Theory.transaction_table e.Entry.design e.Entry.iface ~alphabet ~depth:4
       in
-      let report = check Checks.Gqed e.Entry.design e.Entry.iface ~bound:6 in
+      let report = Checks.run Checks.Gqed e.Entry.design e.Entry.iface ~bound:6 in
       (name, table, passed report))
     small
   |> List.iter (fun (name, table, pass) ->
@@ -368,7 +342,7 @@ let t5 () =
             Theory.default_alphabet ~operand_values:[ 0; 1; 3 ] mutant e.Entry.iface
           in
           let table = Theory.transaction_table mutant e.Entry.iface ~alphabet ~depth:4 in
-          let report = check Checks.Gqed mutant e.Entry.iface ~bound:6 in
+          let report = Checks.run Checks.Gqed mutant e.Entry.iface ~bound:6 in
           let genuine =
             match report.Checks.verdict with
             | Checks.Fail f -> Some (Theory.witness_is_genuine mutant e.Entry.iface f)
@@ -398,7 +372,9 @@ let t5 () =
   let verdicts =
     List.map
       (fun (e, _label, mutant) ->
-        let report = check Checks.Gqed mutant e.Entry.iface ~bound:e.Entry.rec_bound in
+        let report =
+          Checks.run Checks.Gqed mutant e.Entry.iface ~bound:e.Entry.rec_bound
+        in
         match report.Checks.verdict with
         | Checks.Fail f -> Some (Theory.witness_is_genuine mutant e.Entry.iface f)
         | Checks.Pass _ | Checks.Unknown _ -> None)
@@ -439,10 +415,9 @@ let a1 () =
         with
         | None -> None
         | Some mutant ->
-            let full = check Checks.Gqed mutant e.Entry.iface ~bound:e.Entry.rec_bound in
-            let out_only =
-              check Checks.Gqed_output_only mutant e.Entry.iface ~bound:e.Entry.rec_bound
-            in
+            let bound = e.Entry.rec_bound in
+            let full = Checks.run Checks.Gqed mutant e.Entry.iface ~bound in
+            let out_only = Checks.run Checks.Gqed_output_only mutant e.Entry.iface ~bound in
             Some (e.Entry.name, full, out_only))
     Registry.all
   |> List.iter (function
@@ -474,13 +449,12 @@ let a2 () =
     (fun depth ->
       let (r1, _), t_default =
         time (fun () ->
-            Bmc.check_safety ~assumes ~budget:(bench_budget ()) ~design:e.Entry.design
-              ~invariant ~depth ())
+            Bmc.check_safety ~assumes ~design:e.Entry.design ~invariant ~depth ())
       in
       let (r2, _), t_fresh =
         time (fun () ->
-            Bmc.check_safety ~assumes ~mono:true ~budget:(bench_budget ())
-              ~design:e.Entry.design ~invariant ~depth ())
+            Bmc.check_safety ~assumes ~mono:true ~design:e.Entry.design ~invariant
+              ~depth ())
       in
       let show = function
         | Bmc.Holds a -> Printf.sprintf "holds<=%d" a
@@ -488,18 +462,10 @@ let a2 () =
         | Bmc.Unknown u ->
             Printf.sprintf "unknown:%s" (Sat.Solver.reason_to_string u.Bmc.un_reason)
       in
-      let result, same =
-        match (r1, r2) with
-        (* Not a mismatch: one side gave up under the --timeout or
-           --max-conflicts budget, so there is nothing to compare. *)
-        | Bmc.Unknown _, _ -> (show r1, true)
-        | _, Bmc.Unknown _ -> (show r2, true)
-        | _ ->
-            ( show r1,
-              agree "a2" (Printf.sprintf "depth %d" depth) ~expected:(show r1)
-                ~got:(show r2) )
+      let same =
+        agree "a2" (Printf.sprintf "depth %d" depth) ~expected:(show r1) ~got:(show r2)
       in
-      Printf.printf "%-8d %14.3f %14.3f %10s%s\n%!" depth t_default t_fresh result
+      Printf.printf "%-8d %14.3f %14.3f %10s%s\n%!" depth t_default t_fresh (show r1)
         (if same then "" else "  MISMATCH"))
     [ 4; 8; 12; 16 ]
 
@@ -510,7 +476,8 @@ let a3 () =
   header "A3  Ablation: monolithic vs decomposed verification (peak_accum)";
   let e = Registry.find "peak_accum" in
   let mono, t_mono =
-    time (fun () -> check Checks.Gqed e.Entry.design e.Entry.iface ~bound:e.Entry.rec_bound)
+    time (fun () ->
+        Checks.run Checks.Gqed e.Entry.design e.Entry.iface ~bound:e.Entry.rec_bound)
   in
   let dec, t_dec =
     time (fun () ->
@@ -564,7 +531,7 @@ let f1 () =
     map_timed
       (fun (bound, name) ->
         let e = Registry.find name in
-        check Checks.Gqed e.Entry.design e.Entry.iface ~bound)
+        Checks.run Checks.Gqed e.Entry.design e.Entry.iface ~bound)
       cells
   in
   List.iteri
@@ -614,7 +581,8 @@ let f2 () =
       | Some mutant ->
           let curve = Crv.detection_curve ~design_override:mutant e ~budgets ~seeds in
           let report, dt =
-            time (fun () -> check Checks.Gqed_flow mutant e.Entry.iface ~bound:e.Entry.rec_bound)
+            time (fun () ->
+                Checks.run Checks.Gqed_flow mutant e.Entry.iface ~bound:e.Entry.rec_bound)
           in
           let one_shot =
             match report.Checks.verdict with
@@ -664,200 +632,26 @@ let f3 () =
     (c /. g)
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per table/figure kernel.    *)
-
-(* PHP(np, nh) as a fresh solver: every pigeon in some hole, no two pigeons
-   in one hole. *)
-let pigeonhole np nh =
-  let s = Sat.Solver.create () in
-  let p = Array.init np (fun _ -> Array.init nh (fun _ -> Sat.Solver.new_var s)) in
-  for i = 0 to np - 1 do
-    Sat.Solver.add_clause s (List.init nh (fun h -> Sat.Lit.pos p.(i).(h)))
-  done;
-  for h = 0 to nh - 1 do
-    for i = 0 to np - 1 do
-      for j = i + 1 to np - 1 do
-        Sat.Solver.add_clause s [ Sat.Lit.neg p.(i).(h); Sat.Lit.neg p.(j).(h) ]
-      done
-    done
-  done;
-  s
-
-(* A Tseitin-style CNF: [ninputs] inputs, [ngates] AND gates over random
-   earlier nodes with random polarities (three clauses each), and one
-   clause asking for one of the last three gates. *)
-let tseitin_cnf ~seed ~ninputs ~ngates =
-  let rand = Random.State.make [| seed |] in
-  let lit v = Sat.Lit.make v ~neg:(Random.State.bool rand) in
-  let gates =
-    List.init ngates (fun i ->
-        let g = ninputs + i in
-        let a = lit (Random.State.int rand g) and b = lit (Random.State.int rand g) in
-        [
-          [| Sat.Lit.neg g; a |];
-          [| Sat.Lit.neg g; b |];
-          [| Sat.Lit.pos g; Sat.Lit.negate a; Sat.Lit.negate b |];
-        ])
-  in
-  let n = ninputs + ngates in
-  (n, Array.of_list (List.concat gates @ [ Array.init 3 (fun i -> Sat.Lit.pos (n - 1 - i)) ]))
-
-let micro () =
-  header "Micro-benchmarks (Bechamel): per-experiment computational kernels";
-  let open Bechamel in
-  let accum = Registry.find "accum" in
-  let mutant =
-    List.find_map
-      (fun (m, d) -> if m.Mutation.operator = Mutation.Off_by_one then Some d else None)
-      (Mutation.mutants accum.Entry.design)
-    |> Option.get
-  in
-  let simp_nvars, simp_cnf = tseitin_cnf ~seed:5 ~ninputs:200 ~ngates:3000 in
-  let simp_frozen = Array.make simp_nvars false in
-  let simp_protected = Array.make (Array.length simp_cnf) false in
-  let sim_inputs =
-    let rand = Random.State.make [| 9 |] in
-    List.init 200 (fun _ ->
-        Entry.operand_valuation accum ~valid:true (accum.Entry.sample_operand rand))
-  in
-  let tests =
-    [
-      Test.make ~name:"t1.design_stats"
-        (Staged.stage (fun () -> ignore (Rtl.stats accum.Entry.design)));
-      Test.make ~name:"t2.gqed_buggy_mutant"
-        (Staged.stage (fun () -> ignore (Checks.gqed mutant accum.Entry.iface ~bound:4)));
-      Test.make ~name:"t3.gqed_pass_bound3"
-        (Staged.stage (fun () ->
-             ignore (Checks.gqed accum.Entry.design accum.Entry.iface ~bound:3)));
-      Test.make ~name:"t4.productivity_model"
-        (Staged.stage (fun () -> ignore (Productivity.improvement accum)));
-      Test.make ~name:"t5.transaction_table"
-        (Staged.stage (fun () ->
-             ignore
-               (Theory.transaction_table accum.Entry.design accum.Entry.iface
-                  ~alphabet:
-                    (Theory.default_alphabet ~operand_values:[ 0; 1 ] accum.Entry.design
-                       accum.Entry.iface)
-                  ~depth:3)));
-      Test.make ~name:"a1.gqed_output_only_bound3"
-        (Staged.stage (fun () ->
-             ignore (Checks.gqed_output_only accum.Entry.design accum.Entry.iface ~bound:3)));
-      Test.make ~name:"a2.bmc_safety_depth6"
-        (Staged.stage (fun () ->
-             ignore
-               (Bmc.check_safety ~design:accum.Entry.design
-                  ~invariant:(Expr.ne (Expr.var "acc" 4) (Expr.const_int ~width:4 15))
-                  ~depth:6 ())));
-      Test.make ~name:"f1.simulate_200_cycles"
-        (Staged.stage (fun () -> ignore (Rtl.simulate accum.Entry.design sim_inputs)));
-      Test.make ~name:"f2.crv_200tx"
-        (Staged.stage (fun () ->
-             ignore
-               (Crv.run accum { Crv.seed = 1; max_transactions = 200; idle_prob = 0.2 })));
-      Test.make ~name:"f3.aqed_fc_bound4"
-        (Staged.stage (fun () -> ignore (Checks.aqed_fc mutant accum.Entry.iface ~bound:4)));
-      Test.make ~name:"sat.cdcl_php_8_7"
-        (Staged.stage (fun () -> ignore (Sat.Solver.solve (pigeonhole 8 7))));
-      Test.make ~name:"sat.simplify_bve"
-        (Staged.stage (fun () ->
-             ignore
-               (Sat.Simplify.run ~nvars:simp_nvars ~frozen:simp_frozen
-                  ~protected:simp_protected simp_cnf)));
-    ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"kernel" tests) in
-  let ols = Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols instance raw in
-  let rows =
-    Hashtbl.fold
-      (fun name result acc ->
-        let est =
-          match Analyze.OLS.estimates result with Some (e :: _) -> e | _ -> nan
-        in
-        (name, est) :: acc)
-      results []
-    |> List.sort compare
-  in
-  Printf.printf "%-36s %16s\n" "kernel" "time/run";
-  List.iter
-    (fun (name, ns) ->
-      let human =
-        if Float.is_nan ns then "n/a"
-        else if ns > 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
-        else if ns > 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-        else if ns > 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
-        else Printf.sprintf "%.0f ns" ns
-      in
-      Printf.printf "%-36s %16s\n" name human)
-    rows
-
-(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
     ("t1", t1); ("t2", t2); ("t3", t3); ("t4", t4); ("t5", t5);
     ("a1", a1); ("a2", a2); ("a3", a3);
-    ("f1", f1); ("f2", f2); ("f3", f3); ("micro", micro);
+    ("f1", f1); ("f2", f2); ("f3", f3);
   ]
 
 let () =
+  let trace_path = ref None and force = ref false in
   let rec parse_args acc = function
     | [] -> List.rev acc
-    | "--timeout" :: s :: rest -> begin
-        match float_of_string_opt s with
-        | Some t when t > 0.0 ->
-            timeout := Some t;
-            parse_args acc rest
-        | _ ->
-            prerr_endline "bench: --timeout expects a positive number of seconds";
-            exit 2
-      end
-    | [ "--timeout" ] ->
-        prerr_endline "bench: --timeout expects a positive number of seconds";
-        exit 2
-    | "--max-conflicts" :: s :: rest -> begin
-        match int_of_string_opt s with
-        | Some n when n >= 1 ->
-            max_conflicts := Some n;
-            parse_args acc rest
-        | _ ->
-            prerr_endline "bench: --max-conflicts expects a positive integer";
-            exit 2
-      end
-    | [ "--max-conflicts" ] ->
-        prerr_endline "bench: --max-conflicts expects a positive integer";
-        exit 2
     | "--trace" :: path :: rest ->
-        obs_trace_path := Some path;
+        trace_path := Some path;
         parse_args acc rest
     | [ "--trace" ] ->
         prerr_endline "bench: --trace expects a file path";
         exit 2
-    | "--metrics" :: path :: rest ->
-        obs_metrics_path := Some path;
-        parse_args acc rest
-    | [ "--metrics" ] ->
-        prerr_endline "bench: --metrics expects a file path";
-        exit 2
-    | "--trace-format" :: f :: rest -> begin
-        match f with
-        | "ndjson" ->
-            obs_format := `Ndjson;
-            parse_args acc rest
-        | "chrome" ->
-            obs_format := `Chrome;
-            parse_args acc rest
-        | _ ->
-            prerr_endline "bench: --trace-format expects ndjson or chrome";
-            exit 2
-      end
-    | [ "--trace-format" ] ->
-        prerr_endline "bench: --trace-format expects ndjson or chrome";
-        exit 2
     | "--force" :: rest ->
-        force_overwrite := true;
+        force := true;
         parse_args acc rest
     | id :: rest -> parse_args (id :: acc) rest
   in
@@ -866,62 +660,47 @@ let () =
     | [] -> List.map fst experiments
     | ids -> ids
   in
-  (* Output-file guards run only after the whole command line is parsed, so
-     --force works in any position. Refusing to clobber an existing file
-     beats discovering the loss after an hour-long run. *)
-  List.iter
-    (fun (flag, path) ->
-      match path with
-      | None -> ()
-      | Some path -> (
-          match Obs.Export.guard ~force:!force_overwrite path with
-          | Error msg ->
-              prerr_endline ("bench: " ^ msg);
-              exit 2
-          | Ok () -> (
-              (* Fail fast on an unwritable path rather than after the run. *)
-              try close_out (open_out path)
-              with Sys_error e ->
-                Printf.eprintf "bench: cannot write %s file: %s\n" flag e;
-                exit 2)))
-    [ ("--trace", !obs_trace_path); ("--metrics", !obs_metrics_path) ];
-  if !obs_trace_path <> None || !obs_metrics_path <> None then Obs.enable ();
   List.iter
     (fun id ->
       if not (List.mem_assoc id experiments) then begin
-        Printf.eprintf "bench: unknown experiment %s (known: %s)\n" id
+        Printf.eprintf
+          "bench: unknown experiment %s (known: %s; options: --trace FILE, --force)\n" id
           (String.concat " " (List.map fst experiments));
         exit 2
       end)
     requested;
+  (* The output-file guard runs only after the whole command line is
+     parsed, so --force works in any position. Refusing to clobber an
+     existing file beats discovering the loss after an hour-long run. *)
+  Option.iter
+    (fun path ->
+      (match Obs.Export.guard ~force:!force path with
+      | Error msg ->
+          prerr_endline ("bench: " ^ msg);
+          exit 2
+      | Ok () -> (
+          (* Fail fast on an unwritable path rather than after the run. *)
+          try close_out (open_out path)
+          with Sys_error e ->
+            Printf.eprintf "bench: cannot write --trace file: %s\n" e;
+            exit 2));
+      Obs.enable ())
+    !trace_path;
   Printf.printf "G-QED reproduction harness — %d experiment(s)\n" (List.length requested);
   List.iter
     (fun id ->
       let (), dt = time (List.assoc id experiments) in
       Printf.printf "[%s completed in %.1fs]\n%!" id dt)
     requested;
-  (match !obs_trace_path with
-  | None -> ()
-  | Some path ->
+  Option.iter
+    (fun path ->
       let evs = Obs.Trace.events () in
-      Obs.Trace.write ~format:!obs_format path evs;
-      Printf.printf "trace written to %s (%d events)\n" path (List.length evs));
-  (match !obs_metrics_path with
-  | None -> ()
-  | Some path ->
-      Obs.Metrics.write path (Obs.Metrics.snapshot ());
-      Printf.printf "metrics written to %s\n" path);
+      Obs.Trace.write path evs;
+      Printf.printf "trace written to %s (%d events)\n" path (List.length evs))
+    !trace_path;
   let flips = List.rev !flips in
   List.iter (fun f -> prerr_endline ("bench: FLIP " ^ Report.flip_to_string f)) flips;
-  let unknowns = !unknown_verdicts in
-  let code = Report.exit_code ~flips ~unknowns in
+  let code = Report.exit_code ~flips in
   if code = 1 then
-    Printf.eprintf "bench: FAILED — %d verdict disagreement(s)\n" (List.length flips)
-  else if code = 3 then
-    (* Nothing wrong, but some verdicts stayed unknown under the
-       --timeout/--max-conflicts budget. *)
-    Printf.eprintf
-      "bench: %d verdict(s) unknown under the configured budget (raise --timeout or \
-       --max-conflicts)\n"
-      unknowns;
+    Printf.eprintf "bench: FAILED — %d verdict disagreement(s)\n" (List.length flips);
   exit code

@@ -10,7 +10,5 @@ let flip_to_string f =
   Printf.sprintf "%s %s: expected %s, got %s" f.experiment f.cell f.expected f.got
 
 (* The bench exit status is its one gate: any disagreement fails the run
-   (1); otherwise verdicts left undecided by the configured budget give
-   the distinct code 3; otherwise 0. *)
-let exit_code ~flips ~unknowns =
-  if flips <> [] then 1 else if unknowns > 0 then 3 else 0
+   (1), otherwise 0. *)
+let exit_code ~flips = if flips <> [] then 1 else 0

@@ -169,9 +169,9 @@ let obs_trace_arg =
     & info [ "trace" ] ~docv:"FILE"
         ~doc:
           "Enable the observability layer and write the span trace to $(docv) \
-           on exit. The format is chosen by $(b,--trace-format); the ndjson \
-           form is checkable with $(b,gqed trace-check), the chrome form \
-           loads in Perfetto / chrome://tracing.")
+           on exit, replacing any existing file. The file is Chrome \
+           trace_event JSON: $(b,gqed trace-check) checks it and Perfetto / \
+           chrome://tracing load it.")
 
 let obs_metrics_arg =
   Arg.(
@@ -180,24 +180,17 @@ let obs_metrics_arg =
     & info [ "metrics" ] ~docv:"FILE"
         ~doc:
           "Enable the observability layer and write a JSON metrics snapshot \
-           (counters, gauges, histograms) to $(docv) on exit.")
+           (counters, gauges, histograms) to $(docv) on exit, replacing any \
+           existing file.")
 
-let obs_format_arg =
-  let formats = [ ("ndjson", `Ndjson); ("chrome", `Chrome) ] in
-  Arg.(
-    value
-    & opt (enum formats) `Ndjson
-    & info [ "trace-format" ] ~docv:"FMT"
-        ~doc:"Trace file format: $(b,ndjson) (default) or $(b,chrome).")
-
-let setup_obs ~trace ~metrics ~format =
+let setup_obs ~trace ~metrics =
   if trace <> None || metrics <> None then begin
     Obs.enable ();
     at_exit (fun () ->
         (match trace with
         | None -> ()
         | Some path ->
-            Obs.Trace.write ~format path (Obs.Trace.events ());
+            Obs.Trace.write path (Obs.Trace.events ());
             Printf.eprintf "gqed: trace written to %s\n%!" path);
         match metrics with
         | None -> ()
@@ -232,8 +225,8 @@ let verify_cmd =
         exit 1
   in
   let run name technique bound mutant waveform vcd simp_stats timeout
-      max_conflicts obs_trace obs_metrics obs_format =
-    setup_obs ~trace:obs_trace ~metrics:obs_metrics ~format:obs_format;
+      max_conflicts obs_trace obs_metrics =
+    setup_obs ~trace:obs_trace ~metrics:obs_metrics;
     let e = or_die (find_design name) in
     let bound = Option.value bound ~default:e.Entry.rec_bound in
     let design, m = or_die (resolve_mutant e mutant) in
@@ -251,7 +244,7 @@ let verify_cmd =
     Term.(
       const run $ design_arg $ technique_arg $ bound_arg $ mutant_arg $ waveform_flag
       $ vcd_arg $ simp_stats_flag $ timeout_arg $ max_conflicts_arg
-      $ obs_trace_arg $ obs_metrics_arg $ obs_format_arg)
+      $ obs_trace_arg $ obs_metrics_arg)
 
 (* ---- campaign ---- *)
 
@@ -381,15 +374,6 @@ let campaign_cmd =
              machine's core count). $(b,1) solves in-process — the serial \
              baseline with the same journal and the same verdicts.")
   in
-  let batch_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "batch" ] ~docv:"N"
-          ~doc:
-            "Cells a worker may hold unacked (pull-based dynamic batching); \
-             small keeps the hardest-first queue adaptive, large amortizes \
-             protocol chatter.")
-  in
   let no_sync_arg =
     Arg.(
       value & flag
@@ -429,15 +413,11 @@ let campaign_cmd =
       & info [ "force" ]
           ~doc:"Allow starting a fresh campaign over an existing $(b,--checkpoint) journal.")
   in
-  let run names technique bound timeout max_conflicts workers batch no_sync
-      checkpoint resume force obs_trace obs_metrics obs_format =
-    setup_obs ~trace:obs_trace ~metrics:obs_metrics ~format:obs_format;
+  let run names technique bound timeout max_conflicts workers no_sync
+      checkpoint resume force obs_trace obs_metrics =
+    setup_obs ~trace:obs_trace ~metrics:obs_metrics;
     if workers < 1 then begin
       prerr_endline "gqed: --workers must be a positive integer";
-      exit 2
-    end;
-    if batch < 1 then begin
-      prerr_endline "gqed: --batch must be a positive integer";
       exit 2
     end;
     let checkpoint =
@@ -471,7 +451,7 @@ let campaign_cmd =
         }
     in
     match
-      Dist.run ~workers ~batch ~sync:(not no_sync) ~arg ~resume ~force
+      Dist.run ~workers ~sync:(not no_sync) ~arg ~resume ~force
         ~journal:checkpoint ~solver:"campaign" cells
     with
     | Error msg ->
@@ -551,8 +531,8 @@ let campaign_cmd =
           uninterrupted verdict matrix bit-for-bit.")
     Term.(
       const run $ designs_arg $ technique_arg $ bound_arg $ timeout_arg
-      $ max_conflicts_arg $ workers_arg $ batch_arg $ no_sync_arg $ checkpoint_arg
-      $ resume_flag $ force_flag $ obs_trace_arg $ obs_metrics_arg $ obs_format_arg)
+      $ max_conflicts_arg $ workers_arg $ no_sync_arg $ checkpoint_arg
+      $ resume_flag $ force_flag $ obs_trace_arg $ obs_metrics_arg)
 
 (* ---- mutants ---- *)
 
@@ -701,7 +681,7 @@ let trace_check_cmd =
     Arg.(
       required
       & pos 0 (some string) None
-      & info [] ~docv:"FILE" ~doc:"Trace file written by $(b,--trace) (ndjson or chrome).")
+      & info [] ~docv:"FILE" ~doc:"Chrome trace file written by $(b,--trace).")
   in
   let run file =
     match Obs.Trace.validate_file file with

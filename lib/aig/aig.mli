@@ -56,8 +56,6 @@ val input_index : t -> lit -> int option
 (** [input_index g l] is [Some i] when [l] is (possibly complemented)
     primary input number [i]. *)
 
-val is_complemented : lit -> bool
-
 (** {1 Construction} *)
 
 val not_ : lit -> lit

@@ -154,8 +154,6 @@ type technique =
   | Sa  (** {!sa_check} *)
   | Stability  (** {!stability_check} *)
 
-val technique_to_string : technique -> string
-
 val run :
   ?budget:Sat.Solver.budget ->
   technique ->

@@ -65,9 +65,6 @@ type restart_policy = {
   backoff_cap_s : float;  (** exponential backoff saturates here *)
 }
 
-val default_policy : restart_policy
-(** 2 restarts, 50 ms initial backoff, 1 s cap. *)
-
 type kill = {
   k_worker : int;  (** worker index to SIGKILL *)
   k_after : int;  (** ... once it has acked this many cells (1-based) *)
@@ -117,9 +114,9 @@ val run :
     cells. [solver] names a {!register}ed solve function and [arg]
     (default [""]) its configuration string; the solve runs {e in the
     worker process}, and any exception raised there ([Out_of_memory]
-    included) reports as a worker crash. [policy] defaults to
-    {!default_policy}; a worker that already finished its share is never
-    restarted, whatever its exit status. [workers <= 1] solves
+    included) reports as a worker crash. [policy] defaults to 2
+    restarts, 50 ms initial backoff and a 1 s cap; a worker that already
+    finished its share is never restarted, whatever its exit status. [workers <= 1] solves
     in-process (same journal, same rows — the serial baseline), where a
     raising solve is retried under the same policy and, once exhausted,
     degrades to an undecided row with an empty payload.

@@ -1,30 +1,19 @@
-type config = {
-  max_inputs : int;
-  max_regs : int;
-  max_outputs : int;
-  max_width : int;
-  max_depth : int;
-  sim_cycles : int;
-  bmc_depth : int;
-}
-
-let default_config =
-  {
-    max_inputs = 3;
-    max_regs = 3;
-    max_outputs = 3;
-    max_width = 8;
-    max_depth = 3;
-    sim_cycles = 6;
-    bmc_depth = 3;
-  }
+(* Design size: 1..3 inputs, registers and outputs, widths 1..8,
+   expressions of depth 3 -- big enough to exercise every kernel, small
+   enough to run hundreds per second. The oracles simulate 6 cycles and
+   unroll 3 bounds. *)
+let max_ports = 3
+let max_width = 8
+let max_depth = 3
+let sim_cycles = 6
+let bmc_depth = 3
 
 (* ------------------------------------------------------------------ *)
 (* Generation                                                          *)
 (* ------------------------------------------------------------------ *)
 
 module Gen = struct
-  let rand_width rand cfg = 1 + Random.State.int rand (min cfg.max_width Bitvec.max_width)
+  let rand_width rand = 1 + Random.State.int rand max_width
 
   (* A uniform [width]-bit value. [Random.State.int] tops out at 2^30-ish
      bounds, so wide values are assembled from 30-bit chunks. *)
@@ -108,17 +97,17 @@ module Gen = struct
         Rtl.Smap.add v.Expr.name (rand_bitvec rand v.Expr.width) m)
       Rtl.Smap.empty vars
 
-  let design ?(config = default_config) rand =
-    let n_inputs = 1 + Random.State.int rand config.max_inputs in
-    let n_regs = 1 + Random.State.int rand config.max_regs in
-    let n_outputs = 1 + Random.State.int rand config.max_outputs in
+  let design rand =
+    let n_inputs = 1 + Random.State.int rand max_ports in
+    let n_regs = 1 + Random.State.int rand max_ports in
+    let n_outputs = 1 + Random.State.int rand max_ports in
     let inputs =
       List.init n_inputs (fun i ->
-          { Expr.name = Printf.sprintf "in%d" i; width = rand_width rand config })
+          { Expr.name = Printf.sprintf "in%d" i; width = rand_width rand })
     in
     let reg_vars =
       List.init n_regs (fun i ->
-          { Expr.name = Printf.sprintf "r%d" i; width = rand_width rand config })
+          { Expr.name = Printf.sprintf "r%d" i; width = rand_width rand })
     in
     let vars = inputs @ reg_vars in
     let registers =
@@ -127,14 +116,14 @@ module Gen = struct
           {
             Rtl.reg = v;
             init = rand_bitvec rand v.Expr.width;
-            next = expr rand ~vars ~width:v.Expr.width ~depth:config.max_depth;
+            next = expr rand ~vars ~width:v.Expr.width ~depth:max_depth;
           })
         reg_vars
     in
     let outputs =
       List.init n_outputs (fun i ->
-          let w = rand_width rand config in
-          (Printf.sprintf "y%d" i, expr rand ~vars ~width:w ~depth:config.max_depth))
+          let w = rand_width rand in
+          (Printf.sprintf "y%d" i, expr rand ~vars ~width:w ~depth:max_depth))
     in
     Rtl.make ~name:"fuzz" ~inputs ~registers ~outputs
 
@@ -557,7 +546,7 @@ module Oracle = struct
      safety check run with tracing enabled must decide exactly the untraced
      verdict (spans only watch the pipeline, they never steer it), the
      emitted trace must pass the structural well-formedness checker, and
-     the ndjson export must round-trip through the parser. Same gate style
+     the Chrome export must round-trip through the parser. Same gate style
      as the budget oracle: any disagreement is a failure. *)
   let check_trace events =
     if events = [] then Error "tracing: enabled run emitted no events"
@@ -565,19 +554,24 @@ module Oracle = struct
       match Obs.Trace.check events with
       | Error msg -> Error ("tracing: malformed trace: " ^ msg)
       | Ok () -> (
-          (* The ndjson export must survive a parse round-trip and still
-             satisfy the checker — this is the same path the CLI's
-             trace-check subcommand and the CI obs-smoke job rely on. *)
+          (* The Chrome export must come back event for event and still
+             satisfy the checker: this is the path the CLI's trace-check
+             subcommand and the CI obs-smoke job rely on. *)
           let buf = Buffer.create 4096 in
-          Obs.Trace.to_ndjson buf events;
-          match Obs.Trace.parse_ndjson (Buffer.contents buf) with
-          | Error msg -> Error ("tracing: ndjson did not round-trip: " ^ msg)
-          | Ok events' ->
-              if List.length events' <> List.length events then
+          Obs.Trace.to_chrome buf events;
+          match Obs.Trace.parse_chrome (Buffer.contents buf) with
+          | Error msg -> Error ("tracing: Chrome export did not round-trip: " ^ msg)
+          | Ok events' -> (
+              let key (e : Obs.Trace.event) =
+                (e.ev_seq, e.ev_name, e.ev_kind, e.ev_args)
+              in
+              if List.map key events' <> List.map key events then
                 Error
-                  (Printf.sprintf "tracing: round-trip lost events (%d -> %d)"
+                  (Printf.sprintf
+                     "tracing: round-trip changed the events (%d -> %d; seq, name, kind \
+                      or args differ)"
                      (List.length events) (List.length events'))
-              else (
+              else
                 match Obs.Trace.check events' with
                 | Error msg -> Error ("tracing: round-tripped trace malformed: " ^ msg)
                 | Ok () -> Ok ()))
@@ -1003,26 +997,26 @@ type summary = { cases : int; failures : failure list; certified_unsats : int }
    exactly without re-running the oracles before it. The indices are
    fixed: stream 4 belonged to a deleted oracle, and renumbering the
    later ones would change every draw they see. *)
-let oracles ~config ~cert =
+let oracles ~cert =
   [
     ( 0, "sim-vs-unroll",
       fun rand d ->
-        Result.map (fun () -> 0) (Oracle.sim_vs_unroll ~cycles:config.sim_cycles rand d) );
+        Result.map (fun () -> 0) (Oracle.sim_vs_unroll ~cycles:sim_cycles rand d) );
     (1, "eval-vs-blast", fun rand d -> Result.map (fun () -> 0) (Oracle.eval_vs_blast rand d));
     (2, "strash", fun rand d -> Result.map (fun () -> 0) (Oracle.strash_on_vs_off rand d));
-    (3, "bmc-vs-sim", fun rand d -> Oracle.bmc_vs_sim ~cert ~depth:config.bmc_depth rand d);
+    (3, "bmc-vs-sim", fun rand d -> Oracle.bmc_vs_sim ~cert ~depth:bmc_depth rand d);
     ( 5, "simplify",
-      fun rand d -> Oracle.simplify_on_vs_off ~cert ~depth:config.bmc_depth rand d );
-    (6, "budget", fun rand d -> Oracle.budget_caps ~cert ~depth:config.bmc_depth rand d);
+      fun rand d -> Oracle.simplify_on_vs_off ~cert ~depth:bmc_depth rand d );
+    (6, "budget", fun rand d -> Oracle.budget_caps ~cert ~depth:bmc_depth rand d);
     ( 7, "tracing",
-      fun rand d -> Oracle.tracing_on_vs_off ~cert ~depth:config.bmc_depth rand d );
+      fun rand d -> Oracle.tracing_on_vs_off ~cert ~depth:bmc_depth rand d );
     ( 8, "checkpoint",
-      fun rand d -> Oracle.checkpoint_resume ~cert ~depth:config.bmc_depth rand d );
+      fun rand d -> Oracle.checkpoint_resume ~cert ~depth:bmc_depth rand d );
     ( 9, "dist-kill",
       fun rand d ->
         Result.map
           (fun () -> 0)
-          (Oracle.dist_kill_worker ~depth:config.bmc_depth rand d) );
+          (Oracle.dist_kill_worker ~depth:bmc_depth rand d) );
   ]
 
 let run_oracle oracle_fn ~seed ~case ~idx d =
@@ -1045,14 +1039,14 @@ let write_corpus_file ~out_dir ~seed ~case ~oracle ~message d =
   close_out oc;
   file
 
-let run ?(config = default_config) ?out_dir ?(progress = fun _ -> ()) ~seed ~count
+let run ?out_dir ?(progress = fun _ -> ()) ~seed ~count
     ~cert () =
-  let battery = oracles ~config ~cert in
+  let battery = oracles ~cert in
   let failures = ref [] in
   let certified = ref 0 in
   for case = 0 to count - 1 do
     let rand = Random.State.make [| seed; case |] in
-    let d = Gen.design ~config rand in
+    let d = Gen.design rand in
     List.iter
       (fun (idx, name, fn) ->
         match run_oracle fn ~seed ~case ~idx d with

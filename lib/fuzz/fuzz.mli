@@ -24,27 +24,15 @@
     and written to a corpus directory together with the seed that found
     them. Everything is deterministic in the seed. *)
 
-type config = {
-  max_inputs : int;  (** 1..n input ports *)
-  max_regs : int;  (** 1..n registers *)
-  max_outputs : int;  (** 1..n outputs *)
-  max_width : int;  (** widths drawn from 1..n (capped at {!Bitvec.max_width}) *)
-  max_depth : int;  (** expression generator recursion depth *)
-  sim_cycles : int;  (** concrete stimulus length for sim-vs-unroll *)
-  bmc_depth : int;  (** unroll depth for the BMC oracles *)
-}
-
-val default_config : config
-(** Small designs (≤3 inputs/registers/outputs, widths ≤8, depth 3,
-    6 simulated cycles, BMC depth 3) — big enough to exercise every kernel,
-    small enough to run hundreds per second. *)
-
 (** {1 Generation} *)
 
 module Gen : sig
-  val design : ?config:config -> Random.State.t -> Rtl.design
+  val design : Random.State.t -> Rtl.design
   (** A random well-typed synchronous design (guaranteed to pass
-      {!Rtl.validate} by construction). *)
+      {!Rtl.validate} by construction): 1..3 inputs, registers and
+      outputs, widths 1..8, expressions of depth 3 — big enough to
+      exercise every kernel, small enough to run hundreds per second. The
+      oracles of {!run} simulate 6 cycles and unroll 3 bounds. *)
 
   val expr : Random.State.t -> vars:Expr.var list -> width:int -> depth:int -> Expr.t
   (** A random well-typed expression of the given width over the given
@@ -110,7 +98,9 @@ module Oracle : sig
       (same proved bound or same counterexample length). The emitted trace
       must additionally pass {!Obs.Trace.check} (balanced spans, monotone
       per-track timestamps, strictly increasing sequence numbers) and
-      round-trip through the ndjson exporter and parser unchanged. On
+      round-trip through {!Obs.Trace.to_chrome} and
+      {!Obs.Trace.parse_chrome} with every event's seq, name, kind and args
+      unchanged. On
       success, returns the number of certified bounds of the reference
       run. *)
 
@@ -167,7 +157,6 @@ type summary = {
 }
 
 val run :
-  ?config:config ->
   ?out_dir:string ->
   ?progress:(int -> unit) ->
   seed:int ->

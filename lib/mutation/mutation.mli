@@ -59,7 +59,3 @@ val mutants :
   ?per_operator_limit:int -> Rtl.design -> (t * Rtl.design) list
 (** Enumerate and apply, optionally capping the number of mutants kept per
     operator (first applicable sites win; enumeration order is stable). *)
-
-val hidden_reg_name : string
-(** Name of the injected hidden register (excluded from architectural
-    state by construction). *)

@@ -347,7 +347,7 @@ module Trace = struct
     in
     go (-1) evs
 
-  (* ---------------- exporters ---------------- *)
+  (* ---------------- exporter and reader ---------------- *)
 
   let ph_of = function
     | Begin -> "B"
@@ -355,49 +355,27 @@ module Trace = struct
     | Instant -> "i"
     | Counter _ -> "C"
 
-  let args_json args = Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) args)
-
-  let event_json e =
-    let base =
-      [
-        ("seq", Json.Num (float_of_int e.ev_seq));
-        ("dom", Json.Num (float_of_int e.ev_domain));
-        ("ts", Json.Num e.ev_ts);
-        ("ph", Json.Str (ph_of e.ev_kind));
-        ("name", Json.Str e.ev_name);
-      ]
-    in
-    let value = match e.ev_kind with Counter v -> [ ("value", Json.Num v) ] | _ -> [] in
-    let args = if e.ev_args = [] then [] else [ ("args", args_json e.ev_args) ] in
-    Json.Obj (base @ value @ args)
-
-  let to_ndjson buf evs =
-    List.iter
-      (fun e ->
-        Json.to_buf buf (event_json e);
-        Buffer.add_char buf '\n')
-      evs
-
+  (* Chrome [trace_event] JSON. Besides the keys Perfetto reads, each entry
+     carries its [seq], and its args on every kind, so that [parse_chrome]
+     gives [check] the same events the buffer held. *)
   let to_chrome buf evs =
     let t0 = match evs with [] -> 0. | e :: _ -> e.ev_ts in
-    let us e = (e.ev_ts -. t0) *. 1e6 in
     let entry e =
-      let base =
-        [
-          ("name", Json.Str e.ev_name);
-          ("ph", Json.Str (ph_of e.ev_kind));
-          ("ts", Json.Num (us e));
-          ("pid", Json.Num 0.);
-          ("tid", Json.Num (float_of_int e.ev_domain));
-        ]
+      let args = List.map (fun (k, v) -> (k, Json.Str v)) e.ev_args in
+      let args =
+        match e.ev_kind with Counter v -> ("value", Json.Num v) :: args | _ -> args
       in
-      let extra =
-        match e.ev_kind with
-        | Instant -> [ ("s", Json.Str "t") ]
-        | Counter v -> [ ("args", Json.Obj [ ("value", Json.Num v) ]) ]
-        | Begin | End -> if e.ev_args = [] then [] else [ ("args", args_json e.ev_args) ]
-      in
-      Json.Obj (base @ extra)
+      Json.Obj
+        ([
+           ("name", Json.Str e.ev_name);
+           ("ph", Json.Str (ph_of e.ev_kind));
+           ("seq", Json.Num (float_of_int e.ev_seq));
+           ("ts", Json.Num ((e.ev_ts -. t0) *. 1e6));
+           ("pid", Json.Num 0.);
+           ("tid", Json.Num (float_of_int e.ev_domain));
+         ]
+        @ (if e.ev_kind = Instant then [ ("s", Json.Str "t") ] else [])
+        @ if args = [] then [] else [ ("args", Json.Obj args) ])
     in
     Json.to_buf buf
       (Json.Obj
@@ -406,143 +384,77 @@ module Trace = struct
            ("displayTimeUnit", Json.Str "ms");
          ])
 
-  let parse_ndjson text =
-    let lines =
-      List.filteri
-        (fun _ l -> String.trim l <> "")
-        (String.split_on_char '\n' text)
-    in
-    let event_of_json lineno j =
+  (* The inverse of [to_chrome], as strict as [check] needs: an entry
+     missing a field, or with an unknown phase, is an error rather than a
+     skipped line. Timestamps come back in seconds since the first event. *)
+  let parse_chrome text =
+    let ( let* ) = Result.bind in
+    let event_of i e =
       let num k =
-        match Json.member k j with
+        match Json.member k e with
         | Some (Json.Num f) -> Ok f
-        | _ -> Error (Printf.sprintf "line %d: missing numeric field %S" lineno k)
+        | _ -> Error (Printf.sprintf "entry %d: missing numeric field %S" i k)
       in
-      let str k =
-        match Json.member k j with
+      let* name =
+        match Json.member "name" e with
         | Some (Json.Str s) -> Ok s
-        | _ -> Error (Printf.sprintf "line %d: missing string field %S" lineno k)
+        | _ -> Error (Printf.sprintf "entry %d: missing string field \"name\"" i)
       in
-      let ( let* ) = Result.bind in
       let* sq = num "seq" in
-      let* dom = num "dom" in
       let* ts = num "ts" in
-      let* ph = str "ph" in
-      let* name = str "name" in
+      let* tid = num "tid" in
+      let args = match Json.member "args" e with Some (Json.Obj kvs) -> kvs | _ -> [] in
       let* kind =
-        match ph with
-        | "B" -> Ok Begin
-        | "E" -> Ok End
-        | "i" -> Ok Instant
-        | "C" -> (
-            match Json.member "value" j with
+        match Json.member "ph" e with
+        | Some (Json.Str "B") -> Ok Begin
+        | Some (Json.Str "E") -> Ok End
+        | Some (Json.Str "i") -> Ok Instant
+        | Some (Json.Str "C") -> (
+            match List.assoc_opt "value" args with
             | Some (Json.Num v) -> Ok (Counter v)
-            | _ -> Error (Printf.sprintf "line %d: counter without value" lineno))
-        | _ -> Error (Printf.sprintf "line %d: unknown ph %S" lineno ph)
-      in
-      let args =
-        match Json.member "args" j with
-        | Some (Json.Obj kvs) ->
-            List.filter_map
-              (fun (k, v) -> match v with Json.Str s -> Some (k, s) | _ -> None)
-              kvs
-        | _ -> []
+            | _ -> Error (Printf.sprintf "entry %d: counter without value" i))
+        | _ -> Error (Printf.sprintf "entry %d: missing or unknown ph" i)
       in
       Ok
         {
           ev_seq = int_of_float sq;
-          ev_domain = int_of_float dom;
-          ev_ts = ts;
+          ev_domain = int_of_float tid;
+          ev_ts = ts /. 1e6;
           ev_kind = kind;
           ev_name = name;
-          ev_args = args;
+          ev_args =
+            List.filter_map
+              (fun (k, v) -> match v with Json.Str s -> Some (k, s) | _ -> None)
+              args;
         }
     in
-    let rec go lineno acc = function
-      | [] -> Ok (List.rev acc)
-      | line :: rest -> (
-          match Json.parse line with
-          | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg)
-          | Ok j -> (
-              match event_of_json lineno j with
-              | Error _ as e -> e
-              | Ok ev -> go (lineno + 1) (ev :: acc) rest))
-    in
-    go 1 [] lines
+    let* j = Json.parse text in
+    match Json.member "traceEvents" j with
+    | Some (Json.Arr entries) ->
+        let rec go i acc = function
+          | [] -> Ok (List.rev acc)
+          | e :: rest ->
+              let* ev = event_of i e in
+              go (i + 1) (ev :: acc) rest
+        in
+        go 0 [] entries
+    | _ -> Error "not a Chrome trace: no traceEvents array"
 
-  let write ~format path evs =
+  let write path evs =
     let buf = Buffer.create 4096 in
-    (match format with `Ndjson -> to_ndjson buf evs | `Chrome -> to_chrome buf evs);
+    to_chrome buf evs;
     let oc = open_out path in
     Buffer.output_buffer oc buf;
     close_out oc
 
-  (* Chrome traces come back through the generic JSON parser; the checker
-     runs on the reconstructed event list (ts in us, order = array order). *)
-  let events_of_chrome text =
-    match Json.parse text with
-    | Error msg -> Error msg
-    | Ok j -> (
-        match Json.member "traceEvents" j with
-        | Some (Json.Arr entries) ->
-            let event_of i e =
-              let num k d =
-                match Json.member k e with Some (Json.Num f) -> f | _ -> d
-              in
-              let str k =
-                match Json.member k e with Some (Json.Str s) -> Some s | _ -> None
-              in
-              match (str "name", str "ph") with
-              | Some name, Some ph ->
-                  let kind =
-                    match ph with
-                    | "B" -> Some Begin
-                    | "E" -> Some End
-                    | "i" -> Some Instant
-                    | "C" ->
-                        Some
-                          (Counter
-                             (match Json.member "args" e with
-                             | Some (Json.Obj kvs) -> (
-                                 match List.assoc_opt "value" kvs with
-                                 | Some (Json.Num v) -> v
-                                 | _ -> 0.)
-                             | _ -> 0.))
-                    | _ -> None
-                  in
-                  Option.map
-                    (fun kind ->
-                      {
-                        ev_seq = i;
-                        ev_domain = int_of_float (num "tid" 0.);
-                        ev_ts = num "ts" 0.;
-                        ev_kind = kind;
-                        ev_name = name;
-                        ev_args = [];
-                      })
-                    kind
-              | _ -> None
-            in
-            Ok (List.filter_map Fun.id (List.mapi event_of entries))
-        | _ -> Error "not a Chrome trace: no traceEvents array")
-
   let validate_file path =
     let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let text = really_input_string ic len in
+    let text = really_input_string ic (in_channel_length ic) in
     close_in ic;
-    (* Both formats open with '{': a Chrome trace is one JSON object whose
-       first member is "traceEvents" (that is how [to_chrome] writes it),
-       while ndjson is one event object per line. *)
-    let trimmed = String.trim text in
-    let is_chrome =
-      String.length trimmed >= 15 && String.sub trimmed 0 15 = "{\"traceEvents\":"
-    in
-    let parsed = if is_chrome then events_of_chrome text else parse_ndjson text in
-    match parsed with
-    | Error msg -> Error msg
-    | Ok evs -> (
-        match check evs with Ok () -> Ok (List.length evs) | Error msg -> Error msg)
+    let ( let* ) = Result.bind in
+    let* evs = parse_chrome text in
+    let* () = check evs in
+    Ok (List.length evs)
 end
 
 (* ------------------------------------------------------------------ *)

@@ -50,8 +50,8 @@ module Trace : sig
   type event = {
     ev_seq : int;  (** emission order (strictly increasing) *)
     ev_domain : int;
-        (** track id ([dom] in ndjson, [tid] in Chrome); always 0 for
-            events emitted in-process *)
+        (** track id ([tid] in the trace file); always 0 for events
+            emitted in-process *)
     ev_ts : float;  (** seconds; non-decreasing within a track *)
     ev_kind : kind;
     ev_name : string;
@@ -85,26 +85,29 @@ module Trace : sig
       span is left open. Per-track checking keeps merged multi-process
       traces checkable. *)
 
-  (** {2 Exporters} *)
+  (** {2 Trace files}
 
-  val to_ndjson : Buffer.t -> event list -> unit
-  (** One JSON object per line:
-      [{"seq":..,"dom":..,"ts":..,"ph":"B|E|i|C",...}]. *)
+      The one file format is Chrome [trace_event] JSON: Perfetto loads it,
+      and {!validate_file} checks it. *)
 
   val to_chrome : Buffer.t -> event list -> unit
-  (** Chrome [trace_event] JSON ([{"traceEvents":[...]}]), loadable in
-      Perfetto / [about://tracing]. Timestamps are microseconds relative
-      to the first event; tracks appear as threads. *)
+  (** [{"traceEvents":[...]}], loadable in Perfetto /
+      [about://tracing]. Timestamps are microseconds relative to the first
+      event; tracks appear as threads. Each entry also keeps its [seq] and
+      its args (a counter's value is the [value] arg), so {!parse_chrome}
+      gets back everything {!check} reads. *)
 
-  val parse_ndjson : string -> (event list, string) result
-  (** Re-read an ndjson export (inverse of {!to_ndjson}). *)
+  val parse_chrome : string -> (event list, string) result
+  (** Re-read a {!to_chrome} export. An entry with a missing field or an
+      unknown phase is an error. Timestamps come back in seconds since the
+      first event. *)
 
-  val write : format:[ `Ndjson | `Chrome ] -> string -> event list -> unit
-  (** Write a trace file; overwrites. *)
+  val write : string -> event list -> unit
+  (** Write a Chrome trace file; overwrites. *)
 
   val validate_file : string -> (int, string) result
-  (** Parse a trace file (ndjson, or Chrome JSON recognized by a leading
-      ['{']) and run {!check}; returns the number of events on success. *)
+  (** {!parse_chrome} a trace file and run {!check}; returns the number of
+      events on success. *)
 end
 
 (** {1 Metrics registry}

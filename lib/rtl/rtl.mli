@@ -110,7 +110,6 @@ val simulate_from : design -> valuation -> valuation list -> trace_step list
     the reset state (used to replay counterexamples found with a symbolic
     initial state). *)
 
-val pp_valuation : Format.formatter -> valuation -> unit
 val pp_trace : Format.formatter -> trace_step list -> unit
 (** Waveform-style table, one row per cycle. *)
 

@@ -21,9 +21,8 @@
    It is newest first: created clauses from the latest back, then input
    clauses by descending id. Dropping dead entries keeps that order. *)
 
-type config = { bve_max_occ : int; bve_max_resolvent : int }
-
-let default_config = { bve_max_occ = 20; bve_max_resolvent = 30 }
+let bve_max_occ = 20
+let bve_max_resolvent = 30
 
 type action =
   | Remove of int
@@ -47,7 +46,6 @@ let f_queued = 2
 let f_prot = 4
 
 type t = {
-  config : config;
   (* Per variable. [frozen] is a private copy. *)
   frozen : bool array;
   occ_n : int array; (* live literal occurrences *)
@@ -441,14 +439,13 @@ let collect st b v =
   end
 
 let try_eliminate st b v =
-  let cfg = st.config in
   if (not st.frozen.(v)) && st.occ_n.(v) > 0
-     && (st.occ_n.(v) <= cfg.bve_max_occ || st.repeats)
+     && (st.occ_n.(v) <= bve_max_occ || st.repeats)
   then begin
     collect st b v;
     let np = b.np and nn = b.nn in
     let total = np + nn in
-    if total > 0 && total <= cfg.bve_max_occ then begin
+    if total > 0 && total <= bve_max_occ then begin
       (* Size every resolvent; give up at the first one that is too long
          or once the non-tautological ones outnumber the clauses. *)
       let count = ref 0 and ok = ref true and top = ref 0 and i = ref 0 in
@@ -458,7 +455,7 @@ let try_eliminate st b v =
         while !ok && psize >= 0 && !j < nn do
           let e = add_resolvent st b !top ps psize b.neg.(!j) v in
           if e >= 0 then
-            if e - !top > cfg.bve_max_resolvent || !count = total then ok := false
+            if e - !top > bve_max_resolvent || !count = total then ok := false
             else begin
               b.res_end.(!count) <- e;
               incr count;
@@ -507,7 +504,7 @@ let try_eliminate st b v =
     end
   end
 
-let run ?(config = default_config) ~nvars ~frozen ~protected clauses =
+let run ~nvars ~frozen ~protected clauses =
   let nvars = max nvars 1 in
   let n = Array.length clauses in
   (* Occurrence counts, then the CSR index over the input clauses: fill
@@ -551,7 +548,6 @@ let run ?(config = default_config) ~nvars ~frozen ~protected clauses =
   done;
   let st =
     {
-      config;
       frozen =
         (let a = Array.make nvars false in
          Array.blit frozen 0 a 0 (min (Array.length frozen) nvars);
@@ -596,7 +592,7 @@ let run ?(config = default_config) ~nvars ~frozen ~protected clauses =
   drain st;
   (* Bounded variable elimination, cheapest variables first. *)
   if not st.contradiction then begin
-    let cap = max 1 config.bve_max_occ in
+    let cap = bve_max_occ in
     let b =
       {
         pos = Array.make cap 0;

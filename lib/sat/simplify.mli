@@ -30,13 +30,11 @@
       that answers one query and freezes that query's assumption
       variables; the eliminated clauses are saved for {!extend_model}. *)
 
-type config = {
-  bve_max_occ : int;
-      (** do not try to eliminate a variable occurring in more clauses *)
-  bve_max_resolvent : int;  (** abort an elimination producing a longer clause *)
-}
+val bve_max_occ : int
+(** 20: elimination does not try a variable that occurs in more clauses. *)
 
-val default_config : config
+val bve_max_resolvent : int
+(** 30: an elimination that would produce a longer resolvent is abandoned. *)
 
 (** One step of the replayable log, in derivation order. Clause ids index
     the input array; {!Add} introduces fresh ids continuing past it. *)
@@ -60,7 +58,6 @@ type stats = {
 }
 
 val run :
-  ?config:config ->
   nvars:int ->
   frozen:bool array ->
   protected:bool array ->

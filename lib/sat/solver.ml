@@ -280,7 +280,6 @@ let start_proof s =
   s.proof_logging <- true;
   s.proof_rev <- []
 
-let proof_logging s = s.proof_logging
 let proof s = List.rev s.proof_rev
 
 (* The solver permutes clause literals in place (watch maintenance), so

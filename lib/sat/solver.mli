@@ -139,8 +139,6 @@ val start_proof : t -> unit
     raises [Invalid_argument] otherwise. Logging costs one copied clause
     per addition/learn/delete event. *)
 
-val proof_logging : t -> bool
-
 val proof : t -> Drat.proof
 (** The events logged so far, in chronological order. The stream grows
     monotonically across incremental [add_clause]/[solve] calls, so a

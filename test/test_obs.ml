@@ -126,16 +126,19 @@ let sample_events () =
   traced (fun () ->
       Trace.span_begin "solve" ~args:[ ("design", "alu \"quoted\"") ];
       Trace.counter "conflicts" 17.5;
-      Trace.instant "restart";
-      Trace.span_end "solve";
+      Trace.instant "restart" ~args:[ ("reason", "luby") ];
+      Trace.span_end "solve" ~args:[ ("verdict", "unsat") ];
       Trace.events ())
 
-let test_ndjson_roundtrip () =
-  let evs = sample_events () in
+let chrome evs =
   let buf = Buffer.create 256 in
-  Trace.to_ndjson buf evs;
-  match Trace.parse_ndjson (Buffer.contents buf) with
-  | Error msg -> Alcotest.failf "ndjson did not parse: %s" msg
+  Trace.to_chrome buf evs;
+  Buffer.contents buf
+
+let test_chrome_roundtrip () =
+  let evs = sample_events () in
+  match Trace.parse_chrome (chrome evs) with
+  | Error msg -> Alcotest.failf "Chrome export did not parse: %s" msg
   | Ok evs' ->
       Alcotest.(check int) "same length" (List.length evs) (List.length evs');
       check_ok evs';
@@ -150,9 +153,7 @@ let test_ndjson_roundtrip () =
 
 let test_chrome_export_parses () =
   let evs = sample_events () in
-  let buf = Buffer.create 256 in
-  Trace.to_chrome buf evs;
-  match Json.parse (Buffer.contents buf) with
+  match Json.parse (chrome evs) with
   | Error msg -> Alcotest.failf "chrome export is not valid JSON: %s" msg
   | Ok j -> (
       match Json.member "traceEvents" j with
@@ -174,21 +175,35 @@ let test_chrome_export_parses () =
             entries
       | _ -> Alcotest.fail "no traceEvents array")
 
-let test_validate_file_both_formats () =
+(* A file whose events break [Trace.check] must fail [validate_file]: the
+   Chrome file carries each event's own [seq], so a repeated one is caught
+   rather than renumbered by array position. *)
+let test_validate_file () =
   let evs = sample_events () in
-  let tmp fmt =
-    let path = Filename.temp_file "gqed_obs" ".trace" in
-    Trace.write ~format:fmt path evs;
-    path
+  let validate write =
+    let path = Filename.temp_file "gqed_obs" ".json" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        write path;
+        Trace.validate_file path)
   in
-  List.iter
-    (fun fmt ->
-      let path = tmp fmt in
-      (match Trace.validate_file path with
-      | Ok n -> Alcotest.(check int) "all events seen" (List.length evs) n
-      | Error msg -> Alcotest.failf "validate_file rejected: %s" msg);
-      Sys.remove path)
-    [ `Ndjson; `Chrome ]
+  (match validate (fun path -> Trace.write path evs) with
+  | Ok n -> Alcotest.(check int) "all events seen" (List.length evs) n
+  | Error msg -> Alcotest.failf "validate_file rejected: %s" msg);
+  let write_text text path =
+    Out_channel.with_open_bin path (fun oc -> output_string oc text)
+  in
+  let repeated_seq =
+    List.mapi (fun i e -> if i = 2 then { e with Trace.ev_seq = 1 } else e) evs
+  in
+  (match validate (write_text (chrome repeated_seq)) with
+  | Ok _ -> Alcotest.fail "validate_file accepted a repeated seq"
+  | Error _ -> ());
+  let unbalanced = List.filter (fun e -> e.Trace.ev_kind <> Trace.End) evs in
+  match validate (write_text (chrome unbalanced)) with
+  | Ok _ -> Alcotest.fail "validate_file accepted an unclosed span"
+  | Error _ -> ()
 
 (* ---- metrics ---- *)
 
@@ -287,9 +302,9 @@ let suite =
     ("obs.with_span_raise", `Quick, test_with_span_closes_on_raise);
     ("obs.reject_unbalanced", `Quick, test_checker_rejects_unbalanced);
     ("obs.reject_seq", `Quick, test_checker_rejects_seq_violations);
-    ("obs.ndjson_roundtrip", `Quick, test_ndjson_roundtrip);
+    ("obs.chrome_roundtrip", `Quick, test_chrome_roundtrip);
     ("obs.chrome_parses", `Quick, test_chrome_export_parses);
-    ("obs.validate_file", `Quick, test_validate_file_both_formats);
+    ("obs.validate_file", `Quick, test_validate_file);
     ("obs.metrics_diff", `Quick, test_metrics_snapshot_and_diff);
     ("obs.metrics_interning", `Quick, test_metrics_snapshot_sorted_and_interned);
     ("obs.export_guard", `Quick, test_export_guard_refuses_overwrite);

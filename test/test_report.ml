@@ -1,6 +1,5 @@
 (* Regression tests for the bench report helpers: the run's single exit
-   gate (any disagreement fails the run, undecided verdicts alone give the
-   distinct code 3). *)
+   gate (any disagreement fails the run). *)
 
 module Report = Bench_report.Report
 
@@ -13,20 +12,10 @@ let flip =
   }
 
 let test_gate_flip_fails () =
-  Alcotest.(check int) "one flip exits 1" 1 (Report.exit_code ~flips:[ flip ] ~unknowns:0)
-
-let test_gate_flip_beats_unknown () =
-  Alcotest.(check int)
-    "flips plus unknowns exit 1" 1
-    (Report.exit_code
-       ~flips:[ flip; { flip with Report.experiment = "dist" } ]
-       ~unknowns:4)
-
-let test_gate_unknown_only () =
-  Alcotest.(check int) "only unknowns exit 3" 3 (Report.exit_code ~flips:[] ~unknowns:2)
+  Alcotest.(check int) "one flip exits 1" 1 (Report.exit_code ~flips:[ flip ])
 
 let test_gate_clean () =
-  Alcotest.(check int) "nothing exits 0" 0 (Report.exit_code ~flips:[] ~unknowns:0)
+  Alcotest.(check int) "nothing exits 0" 0 (Report.exit_code ~flips:[])
 
 let test_flip_names_its_cell () =
   Alcotest.(check string)
@@ -37,8 +26,6 @@ let test_flip_names_its_cell () =
 let suite =
   [
     Alcotest.test_case "gate: a flip exits 1" `Quick test_gate_flip_fails;
-    Alcotest.test_case "gate: flips beat unknowns" `Quick test_gate_flip_beats_unknown;
-    Alcotest.test_case "gate: unknowns alone exit 3" `Quick test_gate_unknown_only;
     Alcotest.test_case "gate: clean run exits 0" `Quick test_gate_clean;
     Alcotest.test_case "flip names its cell" `Quick test_flip_names_its_cell;
   ]

@@ -478,13 +478,12 @@ let test_simplify_action_log_pinned () =
    [x] is the only possible action. *)
 let test_simplify_bve_boundaries () =
   let x = 0 in
-  let config = Simplify.default_config in
   let run ?(freeze_x = false) clauses =
     let nvars =
       1 + Array.fold_left (Array.fold_left (fun m l -> max m (Lit.var l))) 0 clauses
     in
     let frozen = Array.init nvars (fun v -> v <> x || freeze_x) in
-    Simplify.run ~config ~nvars ~frozen ~protected:(no_flags (Array.length clauses)) clauses
+    Simplify.run ~nvars ~frozen ~protected:(no_flags (Array.length clauses)) clauses
   in
   let untouched name ?freeze_x clauses =
     let actions, st = run ?freeze_x clauses in
@@ -520,17 +519,18 @@ let test_simplify_bve_boundaries () =
       Array.init (k - half + 1) (fun i -> if i = 0 then nx else p (half + i));
     |]
   in
-  untouched "resolvent of bve_max_resolvent + 1 literals" (long (config.bve_max_resolvent + 1));
+  untouched "resolvent of bve_max_resolvent + 1 literals"
+    (long (Simplify.bve_max_resolvent + 1));
   eliminated "resolvent of bve_max_resolvent literals" ~resolvents:1
-    (long config.bve_max_resolvent);
+    (long Simplify.bve_max_resolvent);
   (* One positive clause and [k - 1] negative ones: [k] occurrences and
      [k - 1] resolvents. *)
   let occurrences k =
     Array.init k (fun i -> if i = 0 then [| px; p 1 |] else [| nx; p (i + 1) |])
   in
-  untouched "bve_max_occ + 1 occurrences" (occurrences (config.bve_max_occ + 1));
-  eliminated "bve_max_occ occurrences" ~resolvents:(config.bve_max_occ - 1)
-    (occurrences config.bve_max_occ);
+  untouched "bve_max_occ + 1 occurrences" (occurrences (Simplify.bve_max_occ + 1));
+  eliminated "bve_max_occ occurrences" ~resolvents:(Simplify.bve_max_occ - 1)
+    (occurrences Simplify.bve_max_occ);
   untouched "frozen" ~freeze_x:true [| [| px; p 1 |]; [| nx; p 2 |] |];
   eliminated "not frozen" ~resolvents:1 [| [| px; p 1 |]; [| nx; p 2 |] |]
 
