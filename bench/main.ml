@@ -6,7 +6,7 @@
      dune exec bench/main.exe                       # all experiments
      dune exec bench/main.exe -- t2 f1              # a subset, by id
 
-   Experiment ids: t1 t2 t3 t4 t5 a1 a2 a3 f1 f2 f3.
+   Experiment ids: t1 t2 t3 t4 t5 a1 a3 f1 f2 f3.
 
    Every check runs cold and unbudgeted: the harness keeps no journal
    and sets no per-query budget. A journaled, resumable mutant matrix
@@ -15,11 +15,11 @@
 
    --trace FILE enables the Obs layer for the whole run and writes the
    span trace (Chrome trace_event JSON, checkable with `gqed
-   trace-check`) on completion. It refuses to overwrite an existing file;
-   pass --force to replace it.
+   trace-check`) on completion. It refuses to overwrite an existing file
+   (exit 2); remove the file to replace it.
 
-   The exit status is the run's one gate. Every experiment that compares
-   a reference lane with a variant (a2, t5) reports each
+   The exit status is the run's one gate. An experiment that compares a
+   reference lane with a variant (t5) reports each
    disagreement as (experiment, cell, expected, got); the run lists them
    all at the end and exits 1 if there is any, else 0. An unknown
    experiment id or option exits 2. Machine-readable measurements live
@@ -432,44 +432,6 @@ let a1 () =
            Printf.printf "%-12s %22s %22s\n%!" name (show full) (show out_only))
 
 (* ------------------------------------------------------------------ *)
-(* A2: ablation — the default engine vs a fresh solver for every query.   *)
-
-let a2 () =
-  header "A2  Ablation: default engine vs fresh solver per query (accum reachability)";
-  let e = Registry.find "accum" in
-  let assumes =
-    [
-      Expr.ult (Expr.var "x" 4) (Expr.const_int ~width:4 2);
-      Expr.eq (Expr.var "cmd" 1) (Expr.const_int ~width:1 0);
-    ]
-  in
-  let invariant = Expr.ne (Expr.var "acc" 4) (Expr.const_int ~width:4 15) in
-  Printf.printf "%-8s %14s %14s %10s\n" "depth" "default(s)" "fresh(s)" "result";
-  List.iter
-    (fun depth ->
-      let (r1, _), t_default =
-        time (fun () ->
-            Bmc.check_safety ~assumes ~design:e.Entry.design ~invariant ~depth ())
-      in
-      let (r2, _), t_fresh =
-        time (fun () ->
-            Bmc.check_safety ~assumes ~mono:true ~design:e.Entry.design ~invariant
-              ~depth ())
-      in
-      let show = function
-        | Bmc.Holds a -> Printf.sprintf "holds<=%d" a
-        | Bmc.Violated w -> Printf.sprintf "cex@%d" w.Bmc.w_length
-        | Bmc.Unknown u ->
-            Printf.sprintf "unknown:%s" (Sat.Solver.reason_to_string u.Bmc.un_reason)
-      in
-      let same =
-        agree "a2" (Printf.sprintf "depth %d" depth) ~expected:(show r1) ~got:(show r2)
-      in
-      Printf.printf "%-8d %14.3f %14.3f %10s%s\n%!" depth t_default t_fresh (show r1)
-        (if same then "" else "  MISMATCH"))
-    [ 4; 8; 12; 16 ]
-
-(* ------------------------------------------------------------------ *)
 (* A3: ablation — monolithic vs decomposed verification (A-QED^2).      *)
 
 let a3 () =
@@ -636,12 +598,12 @@ let f3 () =
 let experiments =
   [
     ("t1", t1); ("t2", t2); ("t3", t3); ("t4", t4); ("t5", t5);
-    ("a1", a1); ("a2", a2); ("a3", a3);
+    ("a1", a1); ("a3", a3);
     ("f1", f1); ("f2", f2); ("f3", f3);
   ]
 
 let () =
-  let trace_path = ref None and force = ref false in
+  let trace_path = ref None in
   let rec parse_args acc = function
     | [] -> List.rev acc
     | "--trace" :: path :: rest ->
@@ -650,9 +612,6 @@ let () =
     | [ "--trace" ] ->
         prerr_endline "bench: --trace expects a file path";
         exit 2
-    | "--force" :: rest ->
-        force := true;
-        parse_args acc rest
     | id :: rest -> parse_args (id :: acc) rest
   in
   let requested =
@@ -664,17 +623,16 @@ let () =
     (fun id ->
       if not (List.mem_assoc id experiments) then begin
         Printf.eprintf
-          "bench: unknown experiment %s (known: %s; options: --trace FILE, --force)\n" id
+          "bench: unknown experiment %s (known: %s; option: --trace FILE)\n" id
           (String.concat " " (List.map fst experiments));
         exit 2
       end)
     requested;
-  (* The output-file guard runs only after the whole command line is
-     parsed, so --force works in any position. Refusing to clobber an
-     existing file beats discovering the loss after an hour-long run. *)
+  (* Refusing to clobber an existing file beats discovering the loss after
+     an hour-long run. *)
   Option.iter
     (fun path ->
-      (match Obs.Export.guard ~force:!force path with
+      (match Obs.Export.guard path with
       | Error msg ->
           prerr_endline ("bench: " ^ msg);
           exit 2

@@ -161,7 +161,8 @@ let vcd_arg =
 (* The obs layer is disabled by default and costs one atomic load per guard
    when off. [--trace FILE] / [--metrics FILE] enable it for the whole run
    and flush through [at_exit], so the files are written whatever exit path
-   the verdict takes (exit 0/1/3 all funnel through Stdlib.exit). *)
+   the verdict takes (exit 0/1/3 all funnel through Stdlib.exit). An
+   existing file is refused at startup, before any solving (exit 2). *)
 let obs_trace_arg =
   Arg.(
     value
@@ -169,7 +170,7 @@ let obs_trace_arg =
     & info [ "trace" ] ~docv:"FILE"
         ~doc:
           "Enable the observability layer and write the span trace to $(docv) \
-           on exit, replacing any existing file. The file is Chrome \
+           on exit. An existing $(docv) is refused (exit 2). The file is Chrome \
            trace_event JSON: $(b,gqed trace-check) checks it and Perfetto / \
            chrome://tracing load it.")
 
@@ -180,10 +181,18 @@ let obs_metrics_arg =
     & info [ "metrics" ] ~docv:"FILE"
         ~doc:
           "Enable the observability layer and write a JSON metrics snapshot \
-           (counters, gauges, histograms) to $(docv) on exit, replacing any \
-           existing file.")
+           (counters, gauges, histograms) to $(docv) on exit. An existing \
+           $(docv) is refused (exit 2).")
 
 let setup_obs ~trace ~metrics =
+  List.iter
+    (fun path ->
+      match Obs.Export.guard path with
+      | Ok () -> ()
+      | Error msg ->
+          prerr_endline ("gqed: " ^ msg);
+          exit 2)
+    (List.filter_map Fun.id [ trace; metrics ]);
   if trace <> None || metrics <> None then begin
     Obs.enable ();
     at_exit (fun () ->

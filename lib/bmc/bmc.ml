@@ -116,14 +116,14 @@ module Engine = struct
   }
 
   let pp_simp_stats ppf s =
+    let p = s.ss_pre in
     Format.fprintf ppf
       "queries=%d rewrites=%d clauses=%d (plain %d, 1-pol nodes %d) gates=%d pre: sub=%d \
-       str=%d elim=%d units=%d (%d->%d clauses)"
+       str=%d elim=%d restored=%d units=%d (%d->%d clauses)"
       s.ss_queries s.ss_rewrite_hits s.ss_clauses_emitted s.ss_clauses_plain s.ss_single_pol
-      s.ss_gates
-      s.ss_pre.Sat.Solver.pre_subsumed s.ss_pre.Sat.Solver.pre_strengthened
-      s.ss_pre.Sat.Solver.pre_eliminated s.ss_pre.Sat.Solver.pre_units
-      s.ss_pre.Sat.Solver.pre_clauses_before s.ss_pre.Sat.Solver.pre_clauses_after
+      s.ss_gates p.Sat.Solver.pre_subsumed p.Sat.Solver.pre_strengthened
+      p.Sat.Solver.pre_eliminated p.Sat.Solver.pre_restored p.Sat.Solver.pre_units
+      p.Sat.Solver.pre_clauses_before p.Sat.Solver.pre_clauses_after
 
   let add_presult (a : Sat.Solver.presult) (b : Sat.Solver.presult) =
     Sat.Solver.
@@ -135,6 +135,7 @@ module Engine = struct
         pre_eliminated = a.pre_eliminated + b.pre_eliminated;
         pre_resolvents = a.pre_resolvents + b.pre_resolvents;
         pre_units = a.pre_units + b.pre_units;
+        pre_restored = a.pre_restored + b.pre_restored;
       }
 
   let zero_presult =
@@ -147,6 +148,7 @@ module Engine = struct
         pre_eliminated = 0;
         pre_resolvents = 0;
         pre_units = 0;
+        pre_restored = 0;
       }
 
   type check_result =
@@ -154,42 +156,33 @@ module Engine = struct
     | Unreachable
     | Undecided of Sat.Solver.unknown_reason
 
-  (* An incremental engine switches to a fresh solver per query after its
-     first query whose search takes more than this many conflicts. Chosen by
-     the threshold sweep in EXPERIMENTS.md §A2: lower thresholds slow the
-     short counterexample queries of detection, higher ones leave hard
-     proofs on the incremental solver. *)
-  let fresh_after_conflicts = 500
+  (* After its first query whose search takes more than this many
+     conflicts, the engine preprocesses its solver before every later
+     query. Chosen by the threshold sweep in EXPERIMENTS.md §A2: lower
+     thresholds slow the short counterexample queries of detection, higher
+     ones leave hard proofs unpreprocessed. *)
+  let preprocess_after_conflicts = 500
 
   type t = {
     graph : Aig.t;
     design : Rtl.design;
     unroller : Unroller.t;
     plain : bool; (* reference encoding: no rewriting, PG or preprocessing *)
-    mutable mono : bool; (* every query on a fresh solver; never reverts *)
     symbolic_init : bool;
     certify : bool;
     budget : Sat.Solver.budget;
-    mutable solver : Sat.Solver.t;
-    mutable emitter : Aig.Cnf.emitter;
+    solver : Sat.Solver.t;
+    emitter : Aig.Cnf.emitter;
     mutable model : Aig.lit -> bool; (* reads the last SAT answer *)
-    mutable pending : Aig.lit list; (* every permanent assert, newest first *)
+    mutable preprocessing : bool; (* a query took > preprocess_after_conflicts *)
     mutable certified_unsats : int;
-    (* Pipeline accounting. The [*_acc] fields collect stats of solvers and
-       emitters retired by fresh-solver resets; [simp_stats] and [stats]
-       add the live ones. [pre_acc] sums every preprocessing pass. *)
-    mutable search_acc : Sat.Solver.stats;
     mutable queries : int;
-    mutable emitted_acc : int;
-    mutable plain_acc : int;
-    mutable single_acc : int;
-    mutable gates_acc : int;
-    mutable pre_acc : Sat.Solver.presult;
+    mutable pre_total : Sat.Solver.presult; (* every preprocessing pass *)
   }
 
   let no_model _ = false
 
-  let create ?(symbolic_init = false) ?(certify = false) ?(plain = false) ?(mono = false)
+  let create ?(symbolic_init = false) ?(certify = false) ?(plain = false)
       ?(budget = Sat.Solver.no_budget) design =
     let graph = Aig.create ~rewrite:(not plain) () in
     let unroller = Unroller.create ~symbolic_init graph design in
@@ -201,59 +194,21 @@ module Engine = struct
       design;
       unroller;
       plain;
-      mono;
       symbolic_init;
       certify;
       budget;
       solver;
       emitter;
       model = no_model;
-      pending = [];
+      preprocessing = false;
       certified_unsats = 0;
-      search_acc = Sat.Solver.stats solver (* a new solver: all counters zero *);
       queries = 0;
-      emitted_acc = 0;
-      plain_acc = 0;
-      single_acc = 0;
-      gates_acc = 0;
-      pre_acc = zero_presult;
+      pre_total = zero_presult;
     }
 
   let unroller t = t.unroller
   let graph t = t.graph
-
-  (* Search counters summed over [acc] and [live]; the database sizes are
-     the live solver's. *)
-  let add_search (acc : Sat.Solver.stats) (live : Sat.Solver.stats) =
-    Sat.Solver.
-      {
-        live with
-        conflicts = acc.conflicts + live.conflicts;
-        decisions = acc.decisions + live.decisions;
-        propagations = acc.propagations + live.propagations;
-        restarts = acc.restarts + live.restarts;
-      }
-
-  (* Recorded for replay on fresh solvers; the live solver only takes it
-     while the engine is still incremental. *)
-  let assert_lit t l =
-    t.pending <- l :: t.pending;
-    if not t.mono then Aig.Cnf.assert_lit t.emitter l
-
-  (* Fresh-solver queries: retire the outgoing solver/emitter into the
-     accumulators and start a new pair over the same graph. The emitter is
-     lazy, so the new solver only sees the cones the query reaches. *)
-  let reset_query t =
-    let st = Aig.Cnf.stats t.emitter in
-    t.emitted_acc <- t.emitted_acc + st.Aig.Cnf.cnf_clauses;
-    t.plain_acc <- t.plain_acc + st.Aig.Cnf.cnf_clauses_plain;
-    t.single_acc <- t.single_acc + st.Aig.Cnf.cnf_single_pol;
-    t.gates_acc <- t.gates_acc + st.Aig.Cnf.cnf_gates;
-    t.search_acc <- add_search t.search_acc (Sat.Solver.stats t.solver);
-    let solver = Sat.Solver.create () in
-    if t.certify then Sat.Solver.start_proof solver;
-    t.solver <- solver;
-    t.emitter <- Aig.Cnf.make ~pg:(not t.plain) t.graph solver
+  let assert_lit t l = Aig.Cnf.assert_lit t.emitter l
 
   let bits_value t bits =
     let n = Array.length bits in
@@ -314,30 +269,23 @@ module Engine = struct
             ("frames", string_of_int (Unroller.max_frame t.unroller + 1));
           ];
     t.model <- no_model;
-    let fresh = t.mono in
-    if fresh then begin
-      reset_query t;
-      List.iter (Aig.Cnf.assert_lit t.emitter) (List.rev t.pending)
-    end;
     let sat_assumptions = List.map (Aig.Cnf.assume_lit t.emitter) assumptions in
-    if fresh && not t.plain then
-      (* Only a fresh solver is preprocessed: it answers this one query, so
-         variable elimination (merely satisfiability-preserving) is safe
-         with the assumptions frozen. An incremental solver keeps taking
-         clauses over its variables and is never preprocessed. *)
-      t.pre_acc <-
-        add_presult t.pre_acc (Sat.Solver.preprocess ~frozen:sat_assumptions t.solver);
+    let preprocessed = t.preprocessing in
+    if preprocessed then
+      t.pre_total <-
+        add_presult t.pre_total (Sat.Solver.preprocess ~frozen:sat_assumptions t.solver);
     let conflicts0 = (Sat.Solver.stats t.solver).Sat.Solver.conflicts in
     let result =
       Sat.Solver.solve ~assumptions:sat_assumptions ~budget:t.budget t.solver
     in
-    if (Sat.Solver.stats t.solver).Sat.Solver.conflicts - conflicts0 > fresh_after_conflicts
-    then t.mono <- true;
+    if (not t.plain)
+       && (Sat.Solver.stats t.solver).Sat.Solver.conflicts - conflicts0
+          > preprocess_after_conflicts
+    then t.preprocessing <- true;
     let finish_span verdict =
       if Obs.on () then begin
         Obs.Trace.span_end "bmc.query"
-          ~args:
-            [ ("verdict", verdict); ("solver", if fresh then "fresh" else "incremental") ];
+          ~args:[ ("verdict", verdict); ("preprocessed", string_of_bool preprocessed) ];
         Obs.Metrics.add (Obs.Metrics.counter "bmc.queries") 1;
         Obs.Metrics.add (Obs.Metrics.counter ("bmc.verdict." ^ verdict)) 1;
         Obs.Metrics.set
@@ -368,7 +316,7 @@ module Engine = struct
 
   let certified_unsats t = t.certified_unsats
 
-  let stats t = add_search t.search_acc (Sat.Solver.stats t.solver)
+  let stats t = Sat.Solver.stats t.solver
 
   let cnf_size t =
     let st = Sat.Solver.stats t.solver in
@@ -379,11 +327,11 @@ module Engine = struct
     {
       ss_queries = t.queries;
       ss_rewrite_hits = Aig.num_rewrites t.graph;
-      ss_clauses_emitted = t.emitted_acc + st.Aig.Cnf.cnf_clauses;
-      ss_clauses_plain = t.plain_acc + st.Aig.Cnf.cnf_clauses_plain;
-      ss_single_pol = t.single_acc + st.Aig.Cnf.cnf_single_pol;
-      ss_gates = t.gates_acc + st.Aig.Cnf.cnf_gates;
-      ss_pre = t.pre_acc;
+      ss_clauses_emitted = st.Aig.Cnf.cnf_clauses;
+      ss_clauses_plain = st.Aig.Cnf.cnf_clauses_plain;
+      ss_single_pol = st.Aig.Cnf.cnf_single_pol;
+      ss_gates = st.Aig.Cnf.cnf_gates;
+      ss_pre = t.pre_total;
     }
 end
 
@@ -405,7 +353,7 @@ let assert_assumes engine ~assumes k =
     assumes
 
 let check_safety ?(symbolic_init = false) ?(certify = false) ?(assumes = [])
-    ?(plain = false) ?(mono = false) ?budget ?stats ~design ~invariant ~depth () =
+    ?(plain = false) ?budget ?stats ~design ~invariant ~depth () =
   if Expr.width invariant <> 1 then
     invalid_arg "Bmc.check_safety: invariant must be 1 bit wide";
   List.iter
@@ -413,10 +361,8 @@ let check_safety ?(symbolic_init = false) ?(certify = false) ?(assumes = [])
       if Expr.width a <> 1 then
         invalid_arg "Bmc.check_safety: assumptions must be 1 bit wide")
     assumes;
-  (* One engine for all bounds. Once it runs queries on fresh solvers, the
-     design blasting (graph + unrolling) is still shared, but each bound's
-     query replays the recorded assumptions and proven bounds. *)
-  let engine = Engine.create ~symbolic_init ~certify ~plain ~mono ?budget design in
+  (* One engine, hence one solver, for all bounds. *)
+  let engine = Engine.create ~symbolic_init ~certify ~plain ?budget design in
   let finish outcome =
     Option.iter (fun f -> f (Engine.simp_stats engine)) stats;
     (outcome, Engine.stats engine)

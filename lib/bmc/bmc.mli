@@ -5,8 +5,7 @@
     forward between frames. The {!Engine} bundles unroller, AIG, Tseitin
     emitter and SAT solver: constraints may be asserted permanently or
     passed per-query as assumptions, and the unrolling deepens on demand.
-    Queries run on one incremental solver until one of them gets hard,
-    and on a fresh solver each from then on.
+    Every query of an engine runs on its one incremental solver.
 
     On top of the engine, {!check_safety} implements the classic
     incremental-deepening safety check used by the experiment harness and by
@@ -50,10 +49,10 @@ end
     stages shrink the formula each SAT query sees: AIG rewriting (one- and
     two-level rules applied as the graph is built), polarity-aware
     (Plaisted–Greenbaum) Tseitin emission with if-then-else and XOR gate
-    recognition (see {!Aig.Cnf}), and CNF preprocessing of each fresh
-    solver, once, before its one query (subsumption, self-subsuming
-    resolution and bounded variable elimination, DRAT-logged; incremental
-    queries are not preprocessed). Every engine runs all three; only the
+    recognition (see {!Aig.Cnf}), and CNF preprocessing of the live solver
+    before each query once a query got hard (subsumption, self-subsuming
+    resolution and bounded variable elimination, DRAT-logged; see
+    {!Engine.create}). Every engine runs all three; only the
     differential reference lane ([?plain] on {!Engine.create} and
     {!check_safety}) runs none. There is no separate cone-of-influence
     stage: the {!Unroller} blasts a register only when something reads it
@@ -81,7 +80,7 @@ module Engine : sig
   type t
 
   (** Per-engine totals of the simplification pipeline, accumulated over
-      every query (including solvers retired by fresh-solver resets). *)
+      every query. *)
   type simp_stats = {
     ss_queries : int;  (** SAT queries issued *)
     ss_rewrite_hits : int;  (** construction-time AIG rewrite rule applications *)
@@ -90,8 +89,8 @@ module Engine : sig
     ss_single_pol : int;  (** nodes emitted in a single polarity *)
     ss_gates : int;  (** nodes encoded as one if-then-else gate (PG only) *)
     ss_pre : Sat.Solver.presult;
-        (** CNF-preprocessing totals over every fresh solver; all zero for
-            an engine that stayed incremental *)
+        (** CNF-preprocessing totals over every pass; all zero for an
+            engine whose queries all stayed under the trigger *)
   }
 
   val pp_simp_stats : Format.formatter -> simp_stats -> unit
@@ -107,7 +106,6 @@ module Engine : sig
     ?symbolic_init:bool ->
     ?certify:bool ->
     ?plain:bool ->
-    ?mono:bool ->
     ?budget:Sat.Solver.budget ->
     Rtl.design ->
     t
@@ -124,18 +122,14 @@ module Engine : sig
       compare the pipeline against (the fuzz [simplify] oracle, the unit
       tests); the answers are the same either way.
 
-      Solving path: a new engine answers its queries on one incremental
-      solver. After a query whose search takes more than 500 conflicts (a
-      fixed constant), every later {!check} runs on a fresh solver; the
-      AIG and unrolling persist (so the design is only blasted once) and
-      the permanent asserts are replayed. A fresh solver emits from the
-      same graph, lazily, so it only receives the cones the query reaches;
-      unless [plain], it is preprocessed once, with bounded variable
-      elimination (safe only because the solver is one-shot). The
-      incremental solver is never preprocessed. [mono] (default [false])
-      starts the engine on fresh solvers from the first query; it exists
-      for the differential lanes (the fuzz [bmc] oracle, bench A2, the unit
-      tests), and the answers are the same either way.
+      Solving path: an engine answers all its queries on one incremental
+      solver, which receives the cones its queries reach, lazily. After
+      the first query whose search takes more than 500 conflicts (a fixed
+      constant), the engine preprocesses that solver before every later
+      {!check}, with bounded variable elimination and the query's
+      assumptions frozen ({!Sat.Solver.preprocess}); a later clause or
+      assumption over an eliminated variable restores it. A [plain]
+      engine is never preprocessed.
 
       [budget] (default {!Sat.Solver.no_budget}) caps {e each} SAT query
       the engine runs, not the whole check: a query that exhausts it
@@ -145,18 +139,17 @@ module Engine : sig
   val graph : t -> Aig.t
 
   val assert_lit : t -> Aig.lit -> unit
-  (** Permanently constrain the given AIG literal to true. The engine
-      records it for replay on fresh solvers. *)
+  (** Permanently constrain the given AIG literal to true. *)
 
   val check : t -> assumptions:Aig.lit list -> check_result
   (** SAT query under assumptions and the engine's budget; on SAT,
       extract and replay the witness over all frames unrolled so far.
       [Undecided] leaves the engine usable: a follow-up [check] resumes
-      from the accumulated solver state, or starts a fresh solver if the
-      undecided query took more than 500 conflicts.
+      from the accumulated solver state.
 
       With tracing on, the [bmc.query] span end carries
-      [("solver", "incremental" | "fresh")]: the path that answered. *)
+      [("preprocessed", "true" | "false")]: whether the solver was
+      preprocessed before this query. *)
 
   val model_lit : t -> Aig.lit -> bool
   (** Value of an AIG literal in the most recent SAT model (valid after
@@ -169,9 +162,8 @@ module Engine : sig
   (** Number of UNSAT answers certified so far on this engine. *)
 
   val stats : t -> Sat.Solver.stats
-  (** Search counters ([conflicts], [decisions], [propagations],
-      [restarts]) summed over every solver this engine has used; the
-      database sizes are the live solver's. *)
+  (** The solver's counters: search totals over every query, and the
+      current database sizes. *)
 
   val cnf_size : t -> int * int
   (** [(vars, clauses)] currently in the solver. *)
@@ -197,7 +189,6 @@ val check_safety :
   ?certify:bool ->
   ?assumes:Expr.t list ->
   ?plain:bool ->
-  ?mono:bool ->
   ?budget:Sat.Solver.budget ->
   ?stats:(Engine.simp_stats -> unit) ->
   design:Rtl.design ->
@@ -215,9 +206,7 @@ val check_safety :
     [plain] (default [false]) runs the reference encoding without the
     formula-shrinking stages, as on {!Engine.create}. Registers outside the property's cone are never blasted, yet
     the witness trace is simulated on the whole design, so it shows every
-    register. One {!Engine} serves every bound, so the
-    solving path switches as {!Engine.create} describes; [mono] (default
-    [false]) runs every bound on a fresh solver from the first query, for
-    the default-vs-fresh ablation (experiment A2). The answers are the
-    same. [stats], when given, receives the engine's pipeline totals just
-    before the result is returned. *)
+    register. One {!Engine} serves every bound, so its solver is
+    preprocessed as {!Engine.create} describes. [stats], when given,
+    receives the engine's pipeline totals just before the result is
+    returned. *)

@@ -76,15 +76,15 @@ type report = {
 }
 
 (** Every check runs its BMC engine with the full formula-shrinking
-    pipeline (see {!Bmc}); the engine picks its own solving path:
-    incremental until a query gets hard, then a fresh solver per query
-    (see {!Bmc.Engine.create}). [?budget] (default
+    pipeline (see {!Bmc}) on one incremental solver, which it starts
+    preprocessing once a query gets hard (see {!Bmc.Engine.create}).
+    [?budget] (default
     {!Sat.Solver.no_budget}) caps each SAT query the engine runs; an
     exhausted budget yields an [Unknown] verdict, which nothing retries.
     A decided verdict depends only on the check and its bound: the fuzz
     [simplify] oracle compares the pipeline with the plain reference
-    engine, the fuzz [bmc] oracle the two solving paths, and the golden
-    verdict matrix pins every cell by kind and witness length. *)
+    engine, and the golden verdict matrix pins every cell by kind and
+    witness length. *)
 
 val aqed_fc :
   ?budget:Sat.Solver.budget ->

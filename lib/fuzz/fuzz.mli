@@ -11,7 +11,8 @@
       BMC unrolling of the same design evaluated on the same concrete
       stimulus ({!Aig.eval} over the unrolled graph);
     - {b eval-vs-blast}: concrete {!Expr.eval} against the bit-blasted
-      {!Expr.blast} interpretation, expression by expression;
+      {!Expr.blast} interpretation, expression by expression (both graphs
+      are built with AIG rewriting on, as the BMC engine builds them);
     - {b strash}: AIG construction with structural hashing on against the
       naive construction with hashing off;
     - {b bmc-vs-sim}: BMC verdicts against simulator replay — counter-

@@ -606,10 +606,10 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Export = struct
-  let guard ~force path =
-    if (not force) && Sys.file_exists path then
+  let guard path =
+    if Sys.file_exists path then
       Error
-        (Printf.sprintf
-           "refusing to overwrite existing file %s (pass --force to replace it)" path)
+        (Printf.sprintf "refusing to overwrite existing file %s (remove it to replace it)"
+           path)
     else Ok ()
 end

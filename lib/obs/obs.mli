@@ -165,7 +165,8 @@ end
 (** {1 Export guard} *)
 
 module Export : sig
-  val guard : force:bool -> string -> (unit, string) result
-  (** Refuse to clobber an existing report/trace file unless [force]:
-      [Error msg] when [path] exists and [force] is false. *)
+  val guard : string -> (unit, string) result
+  (** Refuse to clobber an existing output file: [Error msg] when [path]
+      exists. Every tool that writes a trace or metrics file checks its
+      path with this at startup, and none has an option to overwrite. *)
 end

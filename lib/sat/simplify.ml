@@ -620,20 +620,17 @@ let run ~nvars ~frozen ~protected clauses =
       s_units = st.n_unit;
     } )
 
-(* Model extension for eliminated variables (reverse elimination order):
-   a variable is forced true exactly when leaving it false would falsify
-   one of its saved clauses — such a clause necessarily contains the
-   positive literal, since all resolvents are satisfied by the model. *)
-let extend_model stack model =
-  List.iter
-    (fun (v, saved) ->
-      model.(v) <- false;
-      let sat_clause c =
-        Array.exists
-          (fun l ->
-            let value = model.(Lit.var l) in
-            if Lit.is_neg l then not value else value)
-          c
-      in
-      if not (Array.for_all sat_clause saved) then model.(v) <- true)
-    stack
+(* Model extension for one eliminated variable: it is forced true exactly
+   when leaving it false would falsify one of its saved clauses — such a
+   clause necessarily contains the positive literal, since all resolvents
+   are satisfied by the model. *)
+let extend_model model v saved =
+  model.(v) <- false;
+  let sat_clause c =
+    Array.exists
+      (fun l ->
+        let value = model.(Lit.var l) in
+        if Lit.is_neg l then not value else value)
+      c
+  in
+  if not (Array.for_all sat_clause saved) then model.(v) <- true

@@ -73,8 +73,9 @@ val run :
     strengthen others but is never itself removed or strengthened; the
     solver passes its level-0 trail as protected unit clauses this way. *)
 
-val extend_model : (int * Lit.t array array) list -> bool array -> unit
-(** [extend_model stack model] fixes the values of eliminated variables in
-    a model of the reduced formula so it satisfies the original clauses.
-    [stack] must be in reverse elimination order (most recently eliminated
-    first), exactly as the solver accumulates it. *)
+val extend_model : bool array -> int -> Lit.t array array -> unit
+(** [extend_model model v saved] sets [model.(v)] so that every clause in
+    [saved], the clauses [v] was eliminated with, holds under the other
+    variables' values. Applied to each eliminated variable, most recently
+    eliminated first, it turns a model of the simplified clauses into one
+    of the original clauses. *)

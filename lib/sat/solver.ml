@@ -124,6 +124,7 @@ type presult = {
   pre_eliminated : int;
   pre_resolvents : int;
   pre_units : int;
+  pre_restored : int;
 }
 
 type answer = A_none | A_sat | A_unsat | A_unknown
@@ -174,11 +175,14 @@ type t = {
      is kept reversed; [proof] re-chronologizes it. *)
   mutable proof_logging : bool;
   mutable proof_rev : Drat.event list;
-  (* Preprocessing (Simplify) state: variables resolved away by bounded
-     variable elimination and their saved clauses for model
-     reconstruction (most recent first). *)
-  mutable eliminated : bool array;
-  mutable elim_stack : (int * int array array) list;
+  (* Bounded variable elimination: [elim_vars] lists eliminated variables
+     in elimination order, [elim_at.(v)] is [v]'s live entry there (-1 if
+     [v] is not eliminated; [restore] leaves the entry stale) and
+     [elim_saved.(v)] the clauses [v] was resolved out of. *)
+  elim_vars : ivec;
+  mutable elim_at : int array;
+  mutable elim_saved : int array array array;
+  mutable n_restored : int; (* variables restored since the last [preprocess] *)
   (* Status. *)
   mutable ok : bool;
   mutable answer : answer;
@@ -232,8 +236,10 @@ let create () =
     simp_assigns = -1;
     proof_logging = false;
     proof_rev = [];
-    eliminated = Array.make 16 false;
-    elim_stack = [];
+    elim_vars = ivec_create ();
+    elim_at = Array.make 16 (-1);
+    elim_saved = Array.make 16 [||];
+    n_restored = 0;
     ok = true;
     answer = A_none;
     model = [||];
@@ -382,8 +388,9 @@ let new_var s =
   s.seen <- grow_array s.seen s.nvars false;
   s.heap_index <- grow_array s.heap_index s.nvars (-1);
   s.lbd_seen <- grow_array s.lbd_seen (s.nvars + 1) 0;
-  s.eliminated <- grow_array s.eliminated s.nvars false;
-  s.eliminated.(v) <- false;
+  s.elim_at <- grow_array s.elim_at s.nvars (-1);
+  s.elim_saved <- grow_array s.elim_saved s.nvars [||];
+  s.elim_at.(v) <- -1;
   if 2 * s.nvars > Array.length s.watches then begin
     let grow_watchlists old =
       let a =
@@ -810,14 +817,10 @@ let analyze_final s p =
 (* ------------------------------------------------------------------ *)
 (* Clause addition.                                                    *)
 
-let add_clause s lits =
-  if decision_level s <> 0 then
-    invalid_arg "Solver.add_clause: only allowed at decision level 0";
-  List.iter
-    (fun l ->
-      if s.eliminated.(Lit.var l) then
-        invalid_arg "Solver.add_clause: literal over an eliminated variable")
-    lits;
+let[@inline] eliminated s v = s.elim_at.(v) >= 0
+
+(* [add_clause] once no literal is over an eliminated variable. *)
+let add_input s lits =
   log_input s lits;
   if s.ok then begin
     (* Sort + dedup; detect tautologies and level-0 entailment. *)
@@ -854,6 +857,26 @@ let add_clause s lits =
     end
   end
 
+(* Bring eliminated variable [v] back because a new clause, assumption or
+   frozen literal mentions it: re-add the clauses it was resolved out of,
+   which brings back every eliminated variable they mention (its
+   elimination assumed they were gone). The clauses go into the proof as
+   [Input] events: they are original clauses, or consequences of them,
+   that RUP cannot re-derive once deleted. *)
+let rec restore s v =
+  let saved = s.elim_saved.(v) in
+  s.elim_at.(v) <- -1;
+  s.elim_saved.(v) <- [||];
+  s.n_restored <- s.n_restored + 1;
+  heap_insert s v;
+  Array.iter (fun c -> add_clause s (Array.to_list c)) saved
+
+and add_clause s lits =
+  if decision_level s <> 0 then
+    invalid_arg "Solver.add_clause: only allowed at decision level 0";
+  List.iter (fun l -> if eliminated s (var l) then restore s (var l)) lits;
+  add_input s lits
+
 (* ------------------------------------------------------------------ *)
 (* Learnt DB reduction and level-0 simplification.                     *)
 
@@ -887,6 +910,20 @@ let reduce_db s =
   if Obs.on () then
     Obs.Trace.span_end "sat.reduce" ~args:[ ("kept", string_of_int s.learnts.n) ]
 
+(* Keep the clauses of [db] that pass [keep], in order; remove the others
+   that are not removed yet. *)
+let filter_db s db keep =
+  let kept = ref 0 in
+  for i = 0 to db.n - 1 do
+    let c = db.a.(i) in
+    if keep c then begin
+      db.a.(!kept) <- c;
+      incr kept
+    end
+    else if not (h_removed s.arena.(c)) then remove_clause s c
+  done;
+  db.n <- !kept
+
 let clause_satisfied s c =
   let b = c + hdr in
   let stop = b + c_size s c in
@@ -897,22 +934,11 @@ let simplify s =
   assert (decision_level s = 0);
   if Obs.on () then Obs.Trace.span_begin "sat.simplify";
   if s.ok && propagate s = no_cref then begin
-    let compact db =
-      let kept = ref 0 in
-      for i = 0 to db.n - 1 do
-        let c = db.a.(i) in
-        if h_removed s.arena.(c) || (clause_satisfied s c && not (locked s c)) then begin
-          if not (h_removed s.arena.(c)) then remove_clause s c
-        end
-        else begin
-          db.a.(!kept) <- c;
-          incr kept
-        end
-      done;
-      db.n <- !kept
+    let live c =
+      (not (h_removed s.arena.(c))) && not (clause_satisfied s c && not (locked s c))
     in
-    compact s.learnts;
-    compact s.clauses;
+    filter_db s s.learnts live;
+    filter_db s s.clauses live;
     s.simp_assigns <- s.trail.n;
     maybe_compact s;
     if Obs.on () then Obs.Trace.span_end "sat.simplify"
@@ -928,12 +954,13 @@ let simplify s =
 (* ------------------------------------------------------------------ *)
 (* Search.                                                             *)
 
+(* An eliminated variable leaves the heap unassigned; [restore] puts it back. *)
 let pick_branch_var s =
   let rec loop () =
     if s.heap.n = 0 then None
     else begin
       let v = heap_pop s in
-      if s.vals.(2 * v) = 0 then Some v else loop ()
+      if s.vals.(2 * v) = 0 && not (eliminated s v) then Some v else loop ()
     end
   in
   loop ()
@@ -1072,6 +1099,7 @@ let clear_limits s =
   s.deadline <- infinity
 
 let solve ?(assumptions = []) ?(budget = no_budget) s =
+  List.iter (fun l -> if eliminated s (var l) then restore s (var l)) assumptions;
   s.answer <- A_none;
   s.conflict.n <- 0;
   if not s.ok then begin
@@ -1100,9 +1128,13 @@ let solve ?(assumptions = []) ?(budget = no_budget) s =
           with
          | Found_sat ->
              s.model <- Array.init s.nvars (fun v -> s.vals.(2 * v) = 1);
-             (* Extend the model over variables resolved away by elimination
-                so callers can read any variable they ever allocated. *)
-             if s.elim_stack <> [] then Simplify.extend_model s.elim_stack s.model;
+             (* Extend the model over variables resolved away by elimination,
+                newest first, so callers can read any variable they ever
+                allocated. *)
+             for i = s.elim_vars.n - 1 downto 0 do
+               let v = s.elim_vars.a.(i) in
+               if s.elim_at.(v) = i then Simplify.extend_model s.model v s.elim_saved.(v)
+             done;
              s.answer <- A_sat;
              result := Some Sat
          | Found_unsat ->
@@ -1194,6 +1226,9 @@ let install_clause s lits =
 let preprocess ?(frozen = []) s =
   if decision_level s <> 0 then
     invalid_arg "Solver.preprocess: only allowed at decision level 0";
+  List.iter (fun l -> if eliminated s (var l) then restore s (var l)) frozen;
+  let restored = s.n_restored in
+  s.n_restored <- 0;
   let before = s.clauses.n in
   if Obs.on () then
     Obs.Trace.span_begin "sat.preprocess"
@@ -1208,6 +1243,7 @@ let preprocess ?(frozen = []) s =
         pre_eliminated = st.Simplify.s_eliminated;
         pre_resolvents = st.Simplify.s_resolvents;
         pre_units = st.Simplify.s_units;
+        pre_restored = restored;
       }
     in
     if Obs.on () then
@@ -1217,6 +1253,7 @@ let preprocess ?(frozen = []) s =
             ("clauses", string_of_int r.pre_clauses_after);
             ("eliminated", string_of_int r.pre_eliminated);
             ("subsumed", string_of_int r.pre_subsumed);
+            ("restored", string_of_int r.pre_restored);
           ];
     r
   in
@@ -1261,24 +1298,38 @@ let preprocess ?(frozen = []) s =
     (* The id map: [cref.(id)] is the clause currently standing for
        Simplify's clause [id], or [no_cref] for the trail units. Ids are
        dense: the snapshot's, then one per [Add] (there are [s_resolvents]
-       of them). [Strengthen] moves an id to its new clause. *)
-    let cref = Array.make (n + ntrail + st.Simplify.s_resolvents) no_cref in
+       of them). [Strengthen] moves an id to its new clause; the log never
+       removes or strengthens a (protected) trail unit. An id the log
+       removes ([doomed]) never enters the arena after the snapshot: its
+       additions and its deletion still go into the proof in log order,
+       and [ghost.(id)] holds its literals meanwhile. *)
+    let ids = n + ntrail + st.Simplify.s_resolvents in
+    let cref = Array.make ids no_cref in
     Array.blit s.clauses.a 0 cref 0 n;
+    let doomed = Array.make ids false in
+    List.iter (function Simplify.Remove id -> doomed.(id) <- true | _ -> ()) actions;
+    let ghost = Array.make ids [||] in
+    let place id lits =
+      log_add_arr s lits;
+      if doomed.(id) then begin
+        cref.(id) <- no_cref;
+        ghost.(id) <- lits
+      end
+      else cref.(id) <- install_clause s lits
+    in
+    (* Delete what stood for an id: clause [c], or ghost literals [g]. *)
+    let retire c g =
+      if c <> no_cref then (if not (h_removed s.arena.(c)) then remove_clause s c)
+      else if s.proof_logging then s.proof_rev <- Drat.Delete g :: s.proof_rev
+    in
     let stopped = ref false in
     let apply = function
-      | Simplify.Remove id ->
-          let c = cref.(id) in
-          if c <> no_cref && not (h_removed s.arena.(c)) then remove_clause s c
+      | Simplify.Remove id -> retire cref.(id) ghost.(id)
       | Simplify.Strengthen (id, lits) ->
-          let old = cref.(id) in
-          if old <> no_cref then begin
-            log_add_arr s lits;
-            cref.(id) <- install_clause s lits;
-            if not (h_removed s.arena.(old)) then remove_clause s old
-          end
-      | Simplify.Add (id, lits) ->
-          log_add_arr s lits;
-          cref.(id) <- install_clause s lits
+          let c = cref.(id) and g = ghost.(id) in
+          place id lits;
+          retire c g
+      | Simplify.Add (id, lits) -> place id lits
       | Simplify.Unit l ->
           log_add_list s [ l ];
           (match value_lit s l with
@@ -1295,24 +1346,28 @@ let preprocess ?(frozen = []) s =
           end;
           stopped := true
       | Simplify.Eliminate (v, saved) ->
-          s.eliminated.(v) <- true;
-          s.elim_stack <- (v, saved) :: s.elim_stack
+          ivec_push s.elim_vars v;
+          s.elim_at.(v) <- s.elim_vars.n - 1;
+          s.elim_saved.(v) <- saved
     in
     List.iter (fun a -> if not !stopped then apply a) actions;
+    (* Learnt clauses over a variable this pass eliminated go too, before
+       anything propagates them: the variable is in no problem clause any
+       more. *)
+    let rec live c k = k = c_size s c || ((not (eliminated s (var (c_lit s c k)))) && live c (k + 1)) in
+    if st.Simplify.s_eliminated > 0 then filter_db s s.learnts (fun c -> live c 0);
     if s.ok && propagate s <> no_cref then begin
       s.ok <- false;
       log_empty s
     end;
-    (* Compact the problem database. *)
-    let kept = ref 0 in
-    for i = 0 to s.clauses.n - 1 do
-      let c = s.clauses.a.(i) in
-      if not (h_removed s.arena.(c)) then begin
-        s.clauses.a.(!kept) <- c;
-        incr kept
-      end
-    done;
-    s.clauses.n <- !kept;
+    filter_db s s.clauses (fun c -> not (h_removed s.arena.(c)));
+    (* Start the branching heuristic over, as on a new solver: activities
+       and phases from earlier queries steer the next one into their cones
+       (on fir4's G-QED ladder, 4,868 conflicts for a query that takes 993
+       after the reset). With all activities equal, the heap stays valid. *)
+    Array.fill s.activity 0 s.nvars 0.;
+    Array.fill s.polarity 0 s.nvars true;
+    s.var_inc <- 1.;
     (* Cleared reasons may have unlocked satisfied clauses, and installed
        clauses may already be satisfied: the next restart at level 0
        simplifies again. *)

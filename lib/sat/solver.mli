@@ -66,7 +66,8 @@ val add_clause : t -> Lit.t list -> unit
 (** Add a clause over existing variables. May only be called when the solver
     is at decision level 0 (i.e. outside [solve]). Tautologies are dropped
     and duplicate/false-at-level-0 literals removed. Adding the empty clause
-    (or deriving one) makes the solver permanently UNSAT. *)
+    (or deriving one) makes the solver permanently UNSAT. A literal over a
+    variable that {!preprocess} eliminated first restores that variable. *)
 
 val ok : t -> bool
 (** [false] once the clause set is known UNSAT at level 0; further [solve]
@@ -79,7 +80,8 @@ val solve :
   result
 (** [budget] caps are relative to this call (see {!budget}). An [Unknown]
     answer reports partial progress through {!stats} and leaves the solver
-    reusable. *)
+    reusable. An assumption over an eliminated variable restores it first
+    (see {!preprocess}). *)
 
 val value : t -> Lit.t -> bool
 (** Model value of a literal after a [Sat] answer. Raises [Failure] if the
@@ -113,17 +115,23 @@ type presult = {
   pre_eliminated : int;  (** variables eliminated *)
   pre_resolvents : int;
   pre_units : int;
+  pre_restored : int;
+      (** variables restored since the previous call (see {!preprocess}) *)
 }
 
 val preprocess : ?frozen:Lit.t list -> t -> presult
 (** Simplify the whole problem clause database at decision level 0 and
-    return this call's counters. Variable elimination only preserves
-    satisfiability, so call it once, on a solver that has all its clauses
-    and will answer one query, and pass every literal that query assumes
-    in [frozen] so its variable survives. Eliminated variables keep valid
-    values in the model of a later [Sat] answer (reconstructed from the
-    clauses they were resolved out of); adding a clause over one raises
-    [Invalid_argument]. A second call is another full pass. *)
+    return this call's counters. Each call is another full pass, and
+    clauses and queries may follow it; pass every literal the next [solve]
+    assumes in [frozen], so its variable survives. Variable elimination
+    only preserves satisfiability, so a clause, assumption or frozen
+    literal over an eliminated variable first restores it: its saved
+    clauses return (as DRAT [Input] events), and transitively those of
+    every eliminated variable they mention. A pass deletes the learnt
+    clauses over the variables it eliminates, and starts the branching
+    heuristic (activities, saved phases) over. Eliminated variables keep
+    valid values in the model of a [Sat] answer (reconstructed from the
+    clauses they were resolved out of). *)
 
 (** {1 Proof logging}
 

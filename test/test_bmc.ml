@@ -1,6 +1,6 @@
 (* BMC tests: safety checks on small designs with known shortest
    counterexamples, witness replay correctness, symbolic initial states,
-   and agreement between the default engine and one on fresh solvers. *)
+   and the preprocessing of the live solver once a query got hard. *)
 
 module Bv = Bitvec
 
@@ -87,18 +87,6 @@ let test_symbolic_init () =
         (Bv.to_int (Rtl.Smap.find "count" w.Bmc.w_initial))
   | Bmc.Holds _, _ -> Alcotest.fail "expected violation from symbolic init"
   | Bmc.Unknown _, _ -> Alcotest.fail "unexpected unknown"
-
-let test_mono_agrees_with_incremental () =
-  List.iter
-    (fun (inv, depth) ->
-      let r1, _ = Bmc.check_safety ~design:(counter ()) ~invariant:inv ~depth () in
-      let r2, _ = Bmc.check_safety ~mono:true ~design:(counter ()) ~invariant:inv ~depth () in
-      match (r1, r2) with
-      | Bmc.Holds a, Bmc.Holds b -> Alcotest.(check int) "both hold" a b
-      | Bmc.Violated a, Bmc.Violated b ->
-          Alcotest.(check int) "same length" a.Bmc.w_length b.Bmc.w_length
-      | _ -> Alcotest.fail "engines disagree")
-    [ (count_ne 3, 8); (count_ne 9, 8); (count_ne 0, 4) ]
 
 let test_depth_zero () =
   match Bmc.check_safety ~design:(counter ()) ~invariant:(count_ne 0) ~depth:0 () with
@@ -254,19 +242,40 @@ let test_pipeline_stages_agree () =
       | Bmc.Unknown _, _ -> Alcotest.failf "%s: unexpected unknown" name)
     [ ("plain", true); ("pipeline", false) ]
 
+(* Two registers load x * y and y * x each cycle, so every bound from 1 on
+   asks the solver to prove a 6-bit multiplier commutative: about 2,000
+   conflicts each. The first such query crosses the 500-conflict trigger,
+   so the engine preprocesses its solver before every later bound, and
+   each bound's new frame and asserted invariant bring eliminated
+   variables back. *)
+let mul_commutes () =
+  let w = 6 in
+  let x = Expr.var "x" w and y = Expr.var "y" w in
+  Rtl.make ~name:"mul_commutes"
+    ~inputs:[ { Expr.name = "x"; width = w }; { Expr.name = "y"; width = w } ]
+    ~registers:
+      [
+        { Rtl.reg = { Expr.name = "p"; width = w }; init = Bv.zero w; next = Expr.mul x y };
+        { Rtl.reg = { Expr.name = "q"; width = w }; init = Bv.zero w; next = Expr.mul y x };
+      ]
+    ~outputs:[ ("p_out", Expr.var "p" w) ]
+
+let commutes = Expr.eq (Expr.var "p" 6) (Expr.var "q" 6)
+
+let hard_ladder ?(plain = false) ?stats () =
+  Bmc.check_safety ~plain ?stats ~design:(mul_commutes ()) ~invariant:commutes ~depth:4 ()
+
 (* [~plain:true] runs no stage at all: no rewrite fires, every node gets
    the per-node reference encoding (so exactly the plain clause count), and
-   no fresh solver is preprocessed, although every query runs on one. The
+   the solver is never preprocessed, although the ladder (the one of
+   [bmc.simp_stats]) has queries past the 500-conflict trigger. The
    default engine on the same check emits fewer clauses than plain. *)
 let test_plain_is_unsimplified () =
   let simp ~plain =
     let captured = ref None in
-    (match
-       Bmc.check_safety ~plain ~mono:true ~stats:(fun s -> captured := Some s)
-         ~design:(counter_with_noise ()) ~invariant:(count_ne 12) ~depth:6 ()
-     with
-    | Bmc.Holds 6, _ -> ()
-    | _ -> Alcotest.fail "expected Holds 6");
+    (match hard_ladder ~plain ~stats:(fun s -> captured := Some s) () with
+    | Bmc.Holds _, _ -> ()
+    | _ -> Alcotest.fail "expected Holds");
     match !captured with
     | None -> Alcotest.fail "stats callback never called"
     | Some s -> s
@@ -278,7 +287,7 @@ let test_plain_is_unsimplified () =
     p.Bmc.Engine.ss_clauses_emitted;
   let pre = p.Bmc.Engine.ss_pre in
   Alcotest.(check (list int))
-    "no preprocessing" [ 0; 0; 0; 0; 0; 0; 0 ]
+    "no preprocessing" [ 0; 0; 0; 0; 0; 0; 0; 0 ]
     Sat.Solver.
       [
         pre.pre_clauses_before;
@@ -288,6 +297,7 @@ let test_plain_is_unsimplified () =
         pre.pre_eliminated;
         pre.pre_resolvents;
         pre.pre_units;
+        pre.pre_restored;
       ];
   let d = simp ~plain:false in
   Alcotest.(check bool) "pipeline saves clauses" true
@@ -297,15 +307,13 @@ let test_plain_is_unsimplified () =
    emitter sends only the nodes an assert or assumption reaches, so the
    noise register and input never reach the solver: each check on the
    noisy counter emits the same clauses and takes the same conflicts as on
-   the plain counter, on both solving paths. The witness is still
-   simulated on the whole design, so its trace shows the noise register. *)
+   the plain counter. The witness is still simulated on the whole design,
+   so its trace shows the noise register. *)
 let test_lazy_unrolling_is_the_cone () =
-  let run ~mono design invariant depth =
+  let run design invariant depth =
     let captured = ref None in
     let outcome, stats =
-      Bmc.check_safety ~mono
-        ~stats:(fun s -> captured := Some s)
-        ~design ~invariant ~depth ()
+      Bmc.check_safety ~stats:(fun s -> captured := Some s) ~design ~invariant ~depth ()
     in
     match !captured with
     | None -> Alcotest.fail "stats callback never called"
@@ -317,57 +325,30 @@ let test_lazy_unrolling_is_the_cone () =
     | Bmc.Unknown _ -> "unknown"
   in
   List.iter
-    (fun mono ->
-      List.iter
-        (fun (n, depth, expected) ->
-          let what = Printf.sprintf "count_ne %d, depth %d, mono %b" n depth mono in
-          let plain, plain_cl, plain_conf = run ~mono (counter ()) (count_ne n) depth in
-          let noisy, noisy_cl, noisy_conf =
-            run ~mono (counter_with_noise ()) (count_ne n) depth
-          in
-          Alcotest.(check string) (what ^ ": plain verdict") expected (verdict plain);
-          Alcotest.(check string) (what ^ ": noisy verdict") expected (verdict noisy);
-          Alcotest.(check int) (what ^ ": clauses emitted") plain_cl noisy_cl;
-          Alcotest.(check int) (what ^ ": conflicts") plain_conf noisy_conf;
-          match noisy with
-          | Bmc.Violated w ->
-              let last = List.nth w.Bmc.w_trace (w.Bmc.w_length - 1) in
-              Alcotest.(check bool) (what ^ ": trace shows junk") true
-                (Rtl.Smap.mem "junk" last.Rtl.t_state)
-          | Bmc.Holds _ | Bmc.Unknown _ -> ())
-        [ (5, 10, "violated@6"); (12, 8, "holds@8") ])
-    [ false; true ]
-
-(* Fresh solvers from the first query, with the full pipeline (BVE
-   live), agree with the plain reference engine. *)
-let test_mono_pipeline_agrees () =
-  List.iter
-    (fun depth ->
-      let inv = count_ne 6 in
-      let r1, _ =
-        Bmc.check_safety ~plain:true ~design:(counter_with_noise ()) ~invariant:inv
-          ~depth ()
-      in
-      let r2, _ =
-        Bmc.check_safety ~mono:true ~design:(counter_with_noise ()) ~invariant:inv ~depth ()
-      in
-      match (r1, r2) with
-      | Bmc.Holds a, Bmc.Holds b -> Alcotest.(check int) "same bound" a b
-      | Bmc.Violated a, Bmc.Violated b ->
-          Alcotest.(check int) "same cex length" a.Bmc.w_length b.Bmc.w_length
-      | _ -> Alcotest.fail "fresh/plain verdicts differ")
-    [ 3; 6; 9 ]
+    (fun (n, depth, expected) ->
+      let what = Printf.sprintf "count_ne %d, depth %d" n depth in
+      let plain, plain_cl, plain_conf = run (counter ()) (count_ne n) depth in
+      let noisy, noisy_cl, noisy_conf = run (counter_with_noise ()) (count_ne n) depth in
+      Alcotest.(check string) (what ^ ": plain verdict") expected (verdict plain);
+      Alcotest.(check string) (what ^ ": noisy verdict") expected (verdict noisy);
+      Alcotest.(check int) (what ^ ": clauses emitted") plain_cl noisy_cl;
+      Alcotest.(check int) (what ^ ": conflicts") plain_conf noisy_conf;
+      match noisy with
+      | Bmc.Violated w ->
+          let last = List.nth w.Bmc.w_trace (w.Bmc.w_length - 1) in
+          Alcotest.(check bool) (what ^ ": trace shows junk") true
+            (Rtl.Smap.mem "junk" last.Rtl.t_state)
+      | Bmc.Holds _ | Bmc.Unknown _ -> ())
+    [ (5, 10, "violated@6"); (12, 8, "holds@8") ]
 
 (* The stats record actually measures the pipeline: PG emits fewer clauses
-   than plain Tseitin, and fresh-solver preprocessing eliminates variables. *)
+   than plain Tseitin, and once a query crossed the trigger, preprocessing
+   eliminates variables. *)
 let test_simp_stats_sanity () =
   let captured = ref None in
-  (match
-     Bmc.check_safety ~mono:true ~stats:(fun s -> captured := Some s)
-       ~design:(counter_with_noise ()) ~invariant:(count_ne 12) ~depth:6 ()
-   with
-  | Bmc.Holds 6, _ -> ()
-  | _ -> Alcotest.fail "expected Holds 6");
+  (match hard_ladder ~stats:(fun s -> captured := Some s) () with
+  | Bmc.Holds 4, _ -> ()
+  | _ -> Alcotest.fail "expected Holds 4");
   match !captured with
   | None -> Alcotest.fail "stats callback never called"
   | Some s ->
@@ -384,73 +365,26 @@ let test_simp_stats_sanity () =
    inputs (as [Checks.find_failure] does to pick the failing pair), and the
    assumed disjunction makes at least one of them true. *)
 let test_model_reads_gate_inner_nodes () =
-  List.iter
-    (fun mono ->
-      let what = Printf.sprintf "mono %b" mono in
-      let engine = Bmc.Engine.create ~mono (counter ()) in
-      let g = Bmc.Engine.graph engine and u = Bmc.Engine.unroller engine in
-      let enable frame = (Bmc.Unroller.input_bits u "enable" ~frame).(0) in
-      let p = enable 0 and q = enable 1 and s = enable 2 in
-      let c1 = Aig.and_ g p q and c2 = Aig.and_ g (Aig.not_ p) s in
-      match Bmc.Engine.check engine ~assumptions:[ Aig.or_list g [ c1; c2 ] ] with
-      | Bmc.Engine.Cex w ->
-          let values = Array.make (Aig.num_inputs g) false in
-          for frame = 0 to 2 do
-            match Aig.input_index g (enable frame) with
-            | Some i ->
-                values.(i) <-
-                  Bv.bit (Rtl.Smap.find "enable" w.Bmc.w_inputs.(frame)) 0
-            | None -> Alcotest.fail "enable bit is not an AIG input"
-          done;
-          Alcotest.(check bool) (what ^ ": gate-encoded") true
-            ((Bmc.Engine.simp_stats engine).Bmc.Engine.ss_gates > 0);
-          let m1 = Bmc.Engine.model_lit engine c1
-          and m2 = Bmc.Engine.model_lit engine c2 in
-          Alcotest.(check bool) (what ^ ": c1 = eval") (Aig.eval g values c1) m1;
-          Alcotest.(check bool) (what ^ ": c2 = eval") (Aig.eval g values c2) m2;
-          Alcotest.(check bool) (what ^ ": one condition holds") true (m1 || m2)
-      | Bmc.Engine.Unreachable | Bmc.Engine.Undecided _ ->
-          Alcotest.failf "%s: expected a counterexample" what)
-    [ false; true ]
-
-(* The engine's search counters cover every solver it used, not only the
-   live one: on fresh solvers its conflicts equal the per-solve sum the
-   solver publishes as the sat.conflicts metric. Propagations also happen
-   outside [solve] (level-0 units), so that metric is only a lower bound. *)
-let test_stats_span_fresh_solvers () =
-  let e = Designs.Registry.find "accum" in
-  let assumes =
-    [
-      Expr.ult (Expr.var "x" 4) (Expr.const_int ~width:4 2);
-      Expr.eq (Expr.var "cmd" 1) (Expr.const_int ~width:1 0);
-    ]
-  in
-  let invariant = Expr.ne (Expr.var "acc" 4) (Expr.const_int ~width:4 15) in
-  let was_on = Obs.on () in
-  Obs.enable ();
-  Obs.Metrics.reset ();
-  let outcome, stats =
-    Fun.protect
-      ~finally:(fun () -> if not was_on then Obs.disable ())
-      (fun () ->
-        Bmc.check_safety ~assumes ~mono:true ~design:e.Designs.Entry.design ~invariant
-          ~depth:12 ())
-  in
-  let metric name =
-    match List.assoc_opt name (Obs.Metrics.snapshot ()) with
-    | Some (Obs.Metrics.Counter n) -> n
-    | _ -> Alcotest.failf "no %s counter" name
-  in
-  let solves = metric "sat.solves" and conflicts = metric "sat.conflicts" in
-  let propagations = metric "sat.propagations" in
-  Obs.Metrics.reset ();
-  (match outcome with
-  | Bmc.Holds 12 -> ()
-  | _ -> Alcotest.fail "expected Holds 12");
-  Alcotest.(check int) "one solver per bound" 12 solves;
-  Alcotest.(check int) "conflicts summed" conflicts stats.Sat.Solver.conflicts;
-  Alcotest.(check bool) "propagations summed" true
-    (stats.Sat.Solver.propagations >= propagations)
+  let engine = Bmc.Engine.create (counter ()) in
+  let g = Bmc.Engine.graph engine and u = Bmc.Engine.unroller engine in
+  let enable frame = (Bmc.Unroller.input_bits u "enable" ~frame).(0) in
+  let p = enable 0 and q = enable 1 and s = enable 2 in
+  let c1 = Aig.and_ g p q and c2 = Aig.and_ g (Aig.not_ p) s in
+  match Bmc.Engine.check engine ~assumptions:[ Aig.or_list g [ c1; c2 ] ] with
+  | Bmc.Engine.Cex w ->
+      let values = Array.make (Aig.num_inputs g) false in
+      for frame = 0 to 2 do
+        match Aig.input_index g (enable frame) with
+        | Some i -> values.(i) <- Bv.bit (Rtl.Smap.find "enable" w.Bmc.w_inputs.(frame)) 0
+        | None -> Alcotest.fail "enable bit is not an AIG input"
+      done;
+      Alcotest.(check bool) "gate-encoded" true
+        ((Bmc.Engine.simp_stats engine).Bmc.Engine.ss_gates > 0);
+      let m1 = Bmc.Engine.model_lit engine c1 and m2 = Bmc.Engine.model_lit engine c2 in
+      Alcotest.(check bool) "c1 = eval" (Aig.eval g values c1) m1;
+      Alcotest.(check bool) "c2 = eval" (Aig.eval g values c2) m2;
+      Alcotest.(check bool) "one condition holds" true (m1 || m2)
+  | Bmc.Engine.Unreachable | Bmc.Engine.Undecided _ -> Alcotest.fail "expected a counterexample"
 
 (* Property: the incremental engine reports the *shortest* counterexample.
    For the enabled counter, the shortest trace reaching value n has exactly
@@ -506,6 +440,38 @@ let twin_counter () =
       ]
     ~outputs:[ ("sum", Expr.add a b) ]
 
+(* The ladder of [mul_commutes] on a certifying engine and on the plain
+   reference, side by side: the default engine crosses the trigger,
+   eliminates variables and restores some of them, yet it answers every
+   bound as the reference does, and every UNSAT answer's DRAT certificate
+   checks (so the restored clauses' [Input] events keep the proof
+   whole). *)
+let test_certified_restore_agrees_with_plain () =
+  let depth = 5 in
+  let live = Bmc.Engine.create ~certify:true (mul_commutes ()) in
+  let plain = Bmc.Engine.create ~plain:true (mul_commutes ()) in
+  let answer e k =
+    let u = Bmc.Engine.unroller e in
+    let bad = Aig.not_ (Bmc.Unroller.expr_bits u commutes ~frame:k).(0) in
+    match Bmc.Engine.check e ~assumptions:[ bad ] with
+    | Bmc.Engine.Unreachable ->
+        Bmc.Engine.assert_lit e (Aig.not_ bad);
+        "unreachable"
+    | Bmc.Engine.Cex w -> Printf.sprintf "cex@%d" w.Bmc.w_length
+    | Bmc.Engine.Undecided _ -> "undecided"
+  in
+  for k = 0 to depth - 1 do
+    let got =
+      try answer live k
+      with Bmc.Certification_failed msg -> Alcotest.failf "bound %d: certificate rejected: %s" k msg
+    in
+    Alcotest.(check string) (Printf.sprintf "bound %d" k) (answer plain k) got
+  done;
+  Alcotest.(check int) "every bound certified" depth (Bmc.Engine.certified_unsats live);
+  let pre = (Bmc.Engine.simp_stats live).Bmc.Engine.ss_pre in
+  Alcotest.(check bool) "variables eliminated" true (pre.Sat.Solver.pre_eliminated > 0);
+  Alcotest.(check bool) "variables restored" true (pre.Sat.Solver.pre_restored > 0)
+
 let test_certified_twin_counter () =
   let invariant =
     Expr.ne (Expr.add (Expr.var "a" 6) (Expr.var "b" 6)) (Expr.const_int ~width:6 34)
@@ -527,7 +493,6 @@ let suite =
     ("bmc.assumes", `Quick, test_assumes_block_counterexample);
     ("bmc.output_invariant", `Quick, test_invariant_over_outputs);
     ("bmc.symbolic_init", `Quick, test_symbolic_init);
-    ("bmc.mono_agrees", `Quick, test_mono_agrees_with_incremental);
     ("bmc.depth_zero", `Quick, test_depth_zero);
     ("bmc.immediate_violation", `Quick, test_immediate_violation);
     ("bmc.relational_holds", `Quick, test_relational_invariant_holds);
@@ -536,11 +501,10 @@ let suite =
     ("bmc.pipeline_stages_agree", `Quick, test_pipeline_stages_agree);
     ("bmc.plain_is_unsimplified", `Quick, test_plain_is_unsimplified);
     ("bmc.lazy_unrolling_is_the_cone", `Quick, test_lazy_unrolling_is_the_cone);
-    ("bmc.mono_pipeline_agrees", `Quick, test_mono_pipeline_agrees);
     ("bmc.simp_stats", `Quick, test_simp_stats_sanity);
     ("bmc.model_reads_gate_inner_nodes", `Quick, test_model_reads_gate_inner_nodes);
-    ("bmc.stats_span_fresh_solvers", `Quick, test_stats_span_fresh_solvers);
     ("bmc.certified_twin_counter", `Quick, test_certified_twin_counter);
+    ("bmc.certified_restore_agrees_with_plain", `Quick, test_certified_restore_agrees_with_plain);
     ("bmc.unknown_under_budget", `Quick, test_unknown_under_budget);
     Qc.to_alcotest prop_shortest_cex;
   ]

@@ -1,7 +1,6 @@
 (* Tests for the observability layer: span nesting and balance invariants,
-   metrics snapshot/diff algebra, exporter round-trips, and the overwrite guard behind bench --trace and
-   --metrics (which --force lifts, as it does for campaign --checkpoint
-   journals). *)
+   metrics snapshot/diff algebra, exporter round-trips, and the overwrite
+   guard every --trace and --metrics file goes through. *)
 
 module Trace = Obs.Trace
 module Metrics = Obs.Metrics
@@ -271,13 +270,12 @@ let test_metrics_snapshot_sorted_and_interned () =
   | _ -> Alcotest.fail "kind clash accepted");
   Metrics.reset ()
 
-(* ---- export guard (bench --trace / --metrics overwrite regression;
-   campaign --checkpoint journals refuse the same way in
-   Persist.Campaign) ---- *)
+(* ---- export guard: gqed verify / campaign and bench/main.exe refuse an
+   existing --trace or --metrics file, with no option to overwrite it ---- *)
 
 let test_export_guard_refuses_overwrite () =
   let path = Filename.temp_file "gqed_obs" ".json" in
-  (match Obs.Export.guard ~force:false path with
+  (match Obs.Export.guard path with
   | Ok () -> Alcotest.fail "guard allowed clobbering an existing file"
   | Error msg ->
       let contains s sub =
@@ -286,12 +284,9 @@ let test_export_guard_refuses_overwrite () =
         go 0
       in
       Alcotest.(check bool) "error names the file" true (contains msg path);
-      Alcotest.(check bool) "error mentions --force" true (contains msg "--force"));
-  (match Obs.Export.guard ~force:true path with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "guard refused despite force: %s" msg);
+      Alcotest.(check bool) "error offers no --force" false (contains msg "--force"));
   Sys.remove path;
-  match Obs.Export.guard ~force:false path with
+  match Obs.Export.guard path with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "guard refused a fresh path: %s" msg
 

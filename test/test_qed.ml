@@ -358,13 +358,14 @@ let test_gqed_pipeline_agrees () =
   agree "correct accum" (accum No_bug) true;
   agree "hidden-op accum" (accum Hidden_op) false
 
-(* The default engine stays on its incremental solver until a query takes
-   more than 500 conflicts, then answers every later query on a fresh one;
-   each bmc.query span end names the path that answered. hamming74 never
-   gets there, accum does, and both still prove at the recommended bound.
-   The checks go through [Checks.run], as `gqed verify` does, so each
-   trace holds exactly one qed.check span, and both traces must pass the
-   structural checker. *)
+(* The engine answers every query on its one solver and preprocesses it
+   before every query after the first one that took more than 500
+   conflicts; each bmc.query span end says whether its query was
+   preprocessed, so within a check no unpreprocessed query follows a
+   preprocessed one. hamming74 never gets there, accum does, and both
+   still prove at the recommended bound. The checks go through
+   [Checks.run], as `gqed verify` does, so each trace holds exactly one
+   qed.check span, and both traces must pass the structural checker. *)
 let test_solver_path_switches () =
   let paths name =
     let { Designs.Entry.design; iface; rec_bound; _ } = Designs.Registry.find name in
@@ -391,24 +392,32 @@ let test_solver_path_switches () =
             (fun (ev : Obs.Trace.event) ->
               ev.ev_name = "qed.check" && ev.ev_kind = Obs.Trace.Begin)
             events));
-    List.sort_uniq compare
-      (List.filter_map
-         (fun (ev : Obs.Trace.event) ->
-           if ev.ev_name = "bmc.query" && ev.ev_kind = Obs.Trace.End then
-             List.assoc_opt "solver" ev.ev_args
-           else None)
-         events)
+    let seq =
+      List.filter_map
+        (fun (ev : Obs.Trace.event) ->
+          if ev.ev_name = "bmc.query" && ev.ev_kind = Obs.Trace.End then
+            List.assoc_opt "preprocessed" ev.ev_args
+          else None)
+        events
+    in
+    let rec switches_once = function
+      | "true" :: "false" :: _ -> false
+      | _ :: rest -> switches_once rest
+      | [] -> true
+    in
+    Alcotest.(check bool) (name ^ " never stops preprocessing") true (switches_once seq);
+    List.sort_uniq compare seq
   in
-  Alcotest.(check (list string)) "hamming74 paths" [ "incremental" ] (paths "hamming74");
-  Alcotest.(check (list string)) "accum paths" [ "fresh"; "incremental" ] (paths "accum")
+  Alcotest.(check (list string)) "hamming74 paths" [ "false" ] (paths "hamming74");
+  Alcotest.(check (list string)) "accum paths" [ "false"; "true" ] (paths "accum")
 
-(* CNF preprocessing runs once per fresh solver, before its one query,
-   and never on the incremental solver. In a traced G-QED check of accum
-   (both paths), every fresh bmc.query span holds exactly one
-   sat.preprocess span and every incremental one holds none; an untraced
-   hamming74 check stays incremental, so its preprocessing totals are
-   all zero. *)
-let test_preprocess_once_per_fresh_solver () =
+(* CNF preprocessing never runs before the trigger and runs once before
+   each query after it. In a traced G-QED check of accum, which crosses
+   the trigger, every bmc.query span marked preprocessed holds exactly one
+   sat.preprocess span and every other one holds none; an untraced
+   hamming74 check never crosses it, so its preprocessing totals are all
+   zero. *)
+let test_preprocess_after_trigger () =
   let { Designs.Entry.design; iface; rec_bound; _ } = Designs.Registry.find "accum" in
   let was_on = Obs.on () in
   Obs.Trace.reset ();
@@ -422,27 +431,27 @@ let test_preprocess_once_per_fresh_solver () =
         ignore (Checks.run Checks.Gqed design iface ~bound:rec_bound);
         Obs.Trace.events ())
   in
-  let fresh = ref 0 and pre = ref 0 in
+  let preprocessed = ref 0 and pre = ref 0 in
   List.iter
     (fun (ev : Obs.Trace.event) ->
       match (ev.ev_kind, ev.ev_name) with
       | Obs.Trace.Begin, "bmc.query" -> pre := 0
       | Obs.Trace.Begin, "sat.preprocess" -> incr pre
       | Obs.Trace.End, "bmc.query" ->
-          let path = Option.value ~default:"" (List.assoc_opt "solver" ev.ev_args) in
-          if path = "fresh" then incr fresh;
+          let flag = Option.value ~default:"" (List.assoc_opt "preprocessed" ev.ev_args) in
+          if flag = "true" then incr preprocessed;
           Alcotest.(check int)
-            ("sat.preprocess spans in a " ^ path ^ " query")
-            (if path = "fresh" then 1 else 0)
+            ("sat.preprocess spans in a query with preprocessed=" ^ flag)
+            (if flag = "true" then 1 else 0)
             !pre
       | _ -> ())
     events;
-  Alcotest.(check bool) "accum ran fresh queries" true (!fresh > 0);
+  Alcotest.(check bool) "accum preprocessed some queries" true (!preprocessed > 0);
   let { Designs.Entry.design; iface; rec_bound; _ } = Designs.Registry.find "hamming74" in
   let r = Checks.run Checks.Gqed design iface ~bound:rec_bound in
   let p = r.Checks.simp.Bmc.Engine.ss_pre in
   Alcotest.(check (list int))
-    "hamming74 ss_pre all zero" [ 0; 0; 0; 0; 0; 0; 0 ]
+    "hamming74 ss_pre all zero" [ 0; 0; 0; 0; 0; 0; 0; 0 ]
     Sat.Solver.
       [
         p.pre_clauses_before;
@@ -452,6 +461,7 @@ let test_preprocess_once_per_fresh_solver () =
         p.pre_eliminated;
         p.pre_resolvents;
         p.pre_units;
+        p.pre_restored;
       ]
 
 (* ------------------------------------------------------------------ *)
@@ -534,7 +544,7 @@ let suite =
     ("qed.gqed_correct_accum", `Quick, test_gqed_passes_on_correct_accum);
     ("qed.pipeline_mono_agree", `Quick, test_gqed_pipeline_agrees);
     ("qed.solver_path_switches", `Quick, test_solver_path_switches);
-    ("qed.preprocess_once_per_fresh_solver", `Quick, test_preprocess_once_per_fresh_solver);
+    ("qed.preprocess_after_trigger", `Quick, test_preprocess_after_trigger);
     ("qed.aqed_false_alarm", `Quick, test_aqed_false_alarm_on_interfering);
     ("qed.gqed_hidden_op", `Quick, test_gqed_catches_hidden_op);
     ("qed.state_conjunct_ablation", `Quick, test_state_conjunct_is_load_bearing);

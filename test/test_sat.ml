@@ -390,7 +390,7 @@ let test_simplify_bve_extend_model () =
   in
   for init = 0 to 7 do
     let model = Array.init 3 (fun i -> init land (1 lsl i) <> 0) in
-    Simplify.extend_model stack model;
+    List.iter (fun (v, cls) -> Simplify.extend_model model v cls) stack;
     Array.iter
       (fun cl ->
         if not (Array.exists (lit_true model) cl) then
@@ -636,6 +636,96 @@ let test_preprocess_drat_certified () =
   done;
   Alcotest.(check bool) "some UNSAT instances were certified" true (!certified > 0)
 
+(* Restore on touch. x <-> y and y <-> a & b with a, b frozen: elimination
+   takes x first, whose saved clauses mention y, then y, and leaves no
+   clause. A later clause or assumption over x must bring back x and,
+   through its saved clauses, y. Each answer and extended model must equal
+   those of a solver that never preprocessed, and each UNSAT answer's DRAT
+   stream must check. *)
+let test_preprocess_restore_transitive () =
+  let a = Lit.pos 0 and b = Lit.pos 1 and x = Lit.pos 2 and y = Lit.pos 3 in
+  let base =
+    [
+      [ Lit.negate x; y ];
+      [ x; Lit.negate y ];
+      [ Lit.negate y; a ];
+      [ Lit.negate y; b ];
+      [ y; Lit.negate a; Lit.negate b ];
+    ]
+  in
+  let run ~pre (extra, assumptions) =
+    let s = Solver.create () in
+    Solver.start_proof s;
+    let _ = fresh_vars s 4 in
+    List.iter (Solver.add_clause s) base;
+    if pre then begin
+      let r = Solver.preprocess ~frozen:[ a; b ] s in
+      Alcotest.(check int) "x and y eliminated" 2 r.Solver.pre_eliminated;
+      Alcotest.(check int) "no clause left" 0 r.Solver.pre_clauses_after
+    end;
+    List.iter (Solver.add_clause s) extra;
+    (s, Solver.solve ~assumptions s)
+  in
+  List.iteri
+    (fun i ((extra, assumptions) as case) ->
+      let what = Printf.sprintf "case %d" i in
+      let s, got = run ~pre:true case and p, want = run ~pre:false case in
+      Alcotest.(check bool) (what ^ ": same answer") true (got = want);
+      match got with
+      | Solver.Sat ->
+          Alcotest.(check (array bool)) (what ^ ": same model") (Solver.model p) (Solver.model s);
+          Alcotest.(check bool) (what ^ ": model satisfies every clause") true
+            (check_model s (base @ extra @ List.map (fun l -> [ l ]) assumptions));
+          Alcotest.(check int) (what ^ ": both restored") 2
+            (Solver.preprocess ~frozen:[ a; b; x; y ] s).Solver.pre_restored
+      | Solver.Unsat -> (
+          match Sat.Drat.check ~assumptions (Solver.proof s) with
+          | Ok () -> ()
+          | Error msg -> Alcotest.failf "%s: DRAT certificate rejected: %s" what msg)
+      | Solver.Unknown _ -> Alcotest.fail "unexpected unknown without a budget")
+    [
+      ([ [ x ] ], []);
+      ([ [ x ]; [ Lit.negate a ] ], []);
+      ([], [ x ]);
+      ([ [ Lit.negate b ] ], [ x ]);
+    ]
+
+(* Preprocessing between incremental rounds: each round adds clauses,
+   preprocesses with its assumption frozen and solves under it. Every
+   answer must match brute force over all clauses so far, every model must
+   satisfy them, and every UNSAT answer's DRAT stream must check. *)
+let test_preprocess_incremental_rounds () =
+  let rand = Random.State.make [| 2031 |] in
+  let certified = ref 0 and restored = ref 0 in
+  for _trial = 1 to 150 do
+    let nvars = 4 + Random.State.int rand 5 in
+    let s = Solver.create () in
+    Solver.start_proof s;
+    let _ = fresh_vars s nvars in
+    let clauses = ref [] in
+    for _round = 1 to 4 do
+      let added = random_instance rand nvars (1 + Random.State.int rand 6) in
+      List.iter (Solver.add_clause s) added;
+      clauses := added @ !clauses;
+      let a = Lit.make (Random.State.int rand nvars) ~neg:(Random.State.bool rand) in
+      restored := !restored + (Solver.preprocess ~frozen:[ a ] s).Solver.pre_restored;
+      let expected = brute_force nvars ([ a ] :: !clauses) in
+      match Solver.solve ~assumptions:[ a ] s with
+      | Solver.Sat ->
+          if not expected then Alcotest.fail "SAT, brute force UNSAT";
+          if not (check_model s ([ a ] :: !clauses)) then
+            Alcotest.fail "extended model violates a clause"
+      | Solver.Unsat -> (
+          if expected then Alcotest.fail "UNSAT, brute force SAT";
+          match Sat.Drat.check ~assumptions:[ a ] (Solver.proof s) with
+          | Ok () -> incr certified
+          | Error msg -> Alcotest.failf "DRAT certificate rejected: %s" msg)
+      | Solver.Unknown _ -> Alcotest.fail "unexpected unknown without a budget"
+    done
+  done;
+  Alcotest.(check bool) "some UNSAT answers certified" true (!certified > 0);
+  Alcotest.(check bool) "some variables restored" true (!restored > 0)
+
 (* ------------------------------------------------------------------ *)
 (* Resource governance: conflict and wall-clock budgets, reuse.         *)
 
@@ -803,6 +893,8 @@ let suite =
     ( "simplify.elim_assumption_definition",
       `Quick,
       test_preprocess_elim_assumption_pulls_definition );
+    ("simplify.restore_transitive", `Quick, test_preprocess_restore_transitive);
+    ("simplify.incremental_rounds", `Quick, test_preprocess_incremental_rounds);
     ("govern.conflicts", `Quick, test_budget_conflicts_fires);
     ("govern.seconds", `Quick, test_budget_seconds_fires);
     ("govern.reuse_after_unknown", `Quick, test_reusable_after_unknown);
