@@ -445,7 +445,6 @@ module Cnf = struct
   (* Public entry points take the edge in positive use: an assumption or
      asserted literal must entail its function when true. *)
   let sat_lit e l = edge_lit e l ~need_pos:true
-  let assume_lit = sat_lit
 
   let assert_lit e l = Sat.Solver.add_clause e.solver [ sat_lit e l ]
 

@@ -124,14 +124,11 @@ module Cnf : sig
   val sat_lit : emitter -> lit -> Sat.Lit.t
   (** SAT literal equisatisfiably representing the AIG literal; emits the
       supporting clauses for the node's cone if not already present. The
-      literal is taken in positive use: true entails the AIG function. *)
+      literal is taken in positive use: true entails the AIG function, so
+      it is also the literal to pass in [Solver.solve ~assumptions]. *)
 
   val assert_lit : emitter -> lit -> unit
   (** Add the unit clause forcing the AIG literal true. *)
-
-  val assume_lit : emitter -> lit -> Sat.Lit.t
-  (** Like {!sat_lit} but intended for use in [Solver.solve ~assumptions]:
-      returns the SAT literal to pass as an assumption. *)
 
   val model_reader : emitter -> lit -> bool
   (** [model_reader e] reads AIG literals in the solver's current model,

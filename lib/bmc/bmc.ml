@@ -269,7 +269,7 @@ module Engine = struct
             ("frames", string_of_int (Unroller.max_frame t.unroller + 1));
           ];
     t.model <- no_model;
-    let sat_assumptions = List.map (Aig.Cnf.assume_lit t.emitter) assumptions in
+    let sat_assumptions = List.map (Aig.Cnf.sat_lit t.emitter) assumptions in
     let preprocessed = t.preprocessing in
     if preprocessed then
       t.pre_total <-

@@ -35,9 +35,6 @@ module Unroller : sig
       as seen at the given cycle (output names resolve to their defining
       expressions). *)
 
-  val max_frame : t -> int
-  (** Highest frame index touched so far, -1 if none. *)
-
   val find_input : t -> string -> frame:int -> Aig.lit array option
   (** The AIG input bits allocated for a port at a frame, if that port was
       read there; [None] for never-touched (port, frame) pairs. O(1). *)

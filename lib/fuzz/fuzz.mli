@@ -19,7 +19,40 @@
       examples must violate the invariant exactly at their last cycle, and
       invariants that are true by construction must come back [Holds];
       with certification on, every UNSAT bound is DRAT-checked
-      ({!Sat.Drat}).
+      ({!Sat.Drat});
+    - {b simplify}: the formula-shrinking pipeline is verdict-invisible:
+      the same safety check on the plain reference engine
+      ([Bmc.check_safety ~plain:true]) and on the default engine must
+      agree on the outcome ({!Oracle.same_outcome}); with certification
+      on, the default run is DRAT-certified at every UNSAT bound;
+    - {b budget}: verdict invariance under per-query budgets
+      ({!Oracle.budget_caps});
+    - {b tracing}: observability is verdict-invisible: the same safety
+      check run with {!Obs} tracing enabled must decide exactly the
+      untraced verdict, and the emitted trace must pass
+      {!Obs.Trace.check} (balanced spans, monotone per-track timestamps,
+      strictly increasing sequence numbers) and round-trip through
+      {!Obs.Trace.to_chrome} and {!Obs.Trace.parse_chrome} with every
+      event's seq, name, kind and args unchanged;
+    - {b checkpoint}: crash/resume is verdict-invisible: a small campaign
+      of safety checks run and journaled by the serial campaign runner
+      ([Dist.run ~workers:1], as [gqed campaign --workers 1]) is killed
+      at a random record boundary (sometimes mid-append, leaving a torn
+      tail via {!Persist.Journal.chop}) and resumed; the resumed verdict
+      matrix must equal the uninterrupted run bit-for-bit, exactly the
+      cells whose decided record survived the crash come back [r_warm],
+      and journaled [Unknown]s are re-attempted, never skipped;
+    - {b dist-kill}: killing a worker process only costs re-work: a small
+      safety-check campaign sharded across 2 worker processes via
+      {!Dist.run} is SIGKILLed at a random ack (sometimes also tearing
+      the journal's last record) and resumed; the resumed matrix must
+      equal an in-process reference cell-for-cell, exactly the cells
+      whose decided record survived come back [r_warm], and journaled
+      [Unknown]s are re-solved. The random design travels to the
+      re-exec'd workers through a marshalled cell table on disk,
+      exercising the solver-by-registered-name path end to end, so any
+      binary that calls {!run} must have called {!Dist.worker_entry}
+      first thing in [main].
 
     Failing designs are shrunk greedily to a (locally) minimal reproducer
     and written to a corpus directory together with the seed that found
@@ -50,36 +83,19 @@ end
 
 (** {1 Oracles}
 
-    Each oracle returns [Ok ()] on agreement and [Error msg] pinpointing
-    the first disagreement. Oracles draw their stimulus from the supplied
-    RNG; reseed to replay. *)
+    The two oracle pieces that tests call directly; {!run} runs the whole
+    battery listed above. Each oracle returns [Ok] on agreement and
+    [Error msg] pinpointing the first disagreement. Oracles draw their
+    stimulus from the supplied RNG; reseed to replay. *)
 
 module Oracle : sig
   val same_outcome :
     oracle:string -> lane:string -> Bmc.outcome -> Bmc.outcome -> (unit, string) result
   (** [same_outcome ~oracle ~lane reference got] is the agreement every
-      differential oracle below demands of a lane: the same proved bound,
+      differential oracle of the battery demands of a lane: the same proved bound,
       or counterexamples of the same length. Anything else, including
       [Unknown] on either side, is an [Error] naming [oracle] and [lane]
       and printing both outcomes. *)
-
-  val sim_vs_unroll : cycles:int -> Random.State.t -> Rtl.design -> (unit, string) result
-  val eval_vs_blast : Random.State.t -> Rtl.design -> (unit, string) result
-  val strash_on_vs_off : Random.State.t -> Rtl.design -> (unit, string) result
-
-  val bmc_vs_sim :
-    ?cert:bool -> depth:int -> Random.State.t -> Rtl.design -> (int, string) result
-  (** On success, the number of UNSAT bounds that were DRAT-certified
-      (0 when [cert] is false). *)
-
-  val simplify_on_vs_off :
-    ?cert:bool -> depth:int -> Random.State.t -> Rtl.design -> (int, string) result
-  (** The formula-shrinking pipeline is verdict-invisible: the same safety
-      check on the plain reference engine ([Bmc.check_safety ~plain:true])
-      and on the default engine must agree on the outcome (same proved
-      bound or same counterexample length). With [cert], the default run
-      is DRAT-certified at every UNSAT bound; on success, returns the
-      number of certified bounds. *)
 
   val budget_caps :
     ?cert:bool -> depth:int -> Random.State.t -> Rtl.design -> (int, string) result
@@ -91,46 +107,6 @@ module Oracle : sig
       the opposite decided verdict — with DRAT certification active
       throughout when [cert]. On success, returns the number of
       DRAT-certified bounds of the reference run. *)
-
-  val tracing_on_vs_off :
-    ?cert:bool -> depth:int -> Random.State.t -> Rtl.design -> (int, string) result
-  (** Observability is verdict-invisible: the same safety check run with
-      {!Obs} tracing enabled must decide exactly the untraced verdict
-      (same proved bound or same counterexample length). The emitted trace
-      must additionally pass {!Obs.Trace.check} (balanced spans, monotone
-      per-track timestamps, strictly increasing sequence numbers) and
-      round-trip through {!Obs.Trace.to_chrome} and
-      {!Obs.Trace.parse_chrome} with every event's seq, name, kind and args
-      unchanged. On
-      success, returns the number of certified bounds of the reference
-      run. *)
-
-  val checkpoint_resume :
-    ?cert:bool -> depth:int -> Random.State.t -> Rtl.design -> (int, string) result
-  (** Crash/resume is verdict-invisible: a small campaign of safety checks
-      run and journaled by the serial campaign runner ([Dist.run
-      ~workers:1], as [gqed campaign --workers 1]) is killed at a random
-      record boundary (sometimes mid-append, leaving a torn tail via
-      {!Persist.Journal.chop}) and resumed; the resumed verdict matrix
-      must equal the uninterrupted run bit-for-bit, and exactly the cells
-      whose decided record survived the crash come back [r_warm].
-      Journaled [Unknown]s are re-attempted on resume, never skipped. With [cert] the clean
-      reference queries DRAT-certify their UNSAT bounds; on success,
-      returns the number of certified bounds of the reference run. *)
-
-  val dist_kill_worker :
-    depth:int -> Random.State.t -> Rtl.design -> (unit, string) result
-  (** Killing a worker process only costs re-work: a small safety-check
-      campaign sharded across 2 worker processes via {!Dist.run} is
-      SIGKILLed at a random ack (sometimes also tearing the journal's
-      last record) and resumed; the resumed matrix must equal an in-process
-      reference cell-for-cell, exactly the cells whose decided record
-      survived come back [r_warm], and journaled [Unknown]s are
-      re-solved. The
-      random design travels to the re-exec'd workers through a marshalled
-      cell table on disk, exercising the solver-by-registered-name path
-      end to end. Any binary that runs this oracle must have called
-      {!Dist.worker_entry} first thing in [main]. *)
 end
 
 (** {1 Shrinking} *)

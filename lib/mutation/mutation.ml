@@ -273,8 +273,7 @@ let corrupt_rarely d e =
 
 (* ------------------------------------------------------------------ *)
 
-let enumerate ?(off_by_one_roots_only = true) (d : Rtl.design) =
-  ignore off_by_one_roots_only;
+let enumerate (d : Rtl.design) =
   let muts = ref [] in
   let add operator target site description =
     let id =

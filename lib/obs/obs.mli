@@ -31,7 +31,6 @@ module Json : sig
     | Arr of t list
     | Obj of (string * t) list
 
-  val to_buf : Buffer.t -> t -> unit
   val to_string : t -> string
   val parse : string -> (t, string) result
   val member : string -> t -> t option

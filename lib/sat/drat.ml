@@ -277,34 +277,3 @@ let check ?(assumptions = []) proof =
       else if assumptions = [] then
         Error "proof does not derive the empty clause"
       else Error "proof does not refute the formula under the given assumptions"
-
-(* ------------------------------------------------------------------ *)
-(* Serialization.                                                      *)
-
-let clause_line buf lits =
-  Array.iter (fun l -> Buffer.add_string buf (string_of_int (Lit.to_dimacs l) ^ " ")) lits;
-  Buffer.add_string buf "0\n"
-
-let to_string proof =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (function
-      | Input _ -> ()
-      | Add lits -> clause_line buf lits
-      | Delete lits ->
-          Buffer.add_string buf "d ";
-          clause_line buf lits)
-    proof;
-  Buffer.contents buf
-
-let formula_to_string proof =
-  let inputs = List.filter_map (function Input lits -> Some lits | _ -> None) proof in
-  let max_var =
-    List.fold_left
-      (fun acc lits -> Array.fold_left (fun acc l -> max acc (Lit.var l + 1)) acc lits)
-      0 inputs
-  in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "p cnf %d %d\n" max_var (List.length inputs));
-  List.iter (clause_line buf) inputs;
-  Buffer.contents buf

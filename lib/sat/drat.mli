@@ -38,13 +38,3 @@ val check : ?assumptions:Lit.t list -> proof -> (unit, string) result
     A proof certifying a plain (assumption-free) refutation ends in an
     [Add [||]] event; a proof for an UNSAT-under-assumptions answer needs
     the same [assumptions] that were passed to [Solver.solve]. *)
-
-val to_string : proof -> string
-(** The [Add]/[Delete] events in standard textual DRAT format (one clause
-    per line, deletions prefixed with [d], DIMACS literals). [Input] events
-    are not part of a DRAT file — they are the CNF itself — and are
-    skipped. Suitable for external checkers such as [drat-trim]. *)
-
-val formula_to_string : proof -> string
-(** The [Input] events as a DIMACS document, for handing the original formula to an external checker
-    alongside {!to_string}. *)

@@ -17,20 +17,12 @@
    entries. A clause has one entry per literal, so the entries of a
    clause with a repeated variable are adjacent.
 
-   The action log depends on the order in which occurrences are visited.
-   It is newest first: created clauses from the latest back, then input
+   The result depends on the order in which occurrences are visited. It
+   is newest first: created clauses from the latest back, then input
    clauses by descending id. Dropping dead entries keeps that order. *)
 
 let bve_max_occ = 20
 let bve_max_resolvent = 30
-
-type action =
-  | Remove of int
-  | Strengthen of int * Lit.t array
-  | Add of int * Lit.t array
-  | Unit of Lit.t
-  | Empty
-  | Eliminate of int * Lit.t array array
 
 type stats = {
   s_subsumed : int;
@@ -40,10 +32,20 @@ type stats = {
   s_units : int;
 }
 
+type result = {
+  proof : Drat.event list;
+  removed : bool array;
+  added : Lit.t array array;
+  unsat : bool;
+  eliminated : (int * Lit.t array array) list;
+  stats : stats;
+}
+
 (* Per-clause flag bits. *)
 let f_dead = 1
 let f_queued = 2
 let f_prot = 4
+let f_unit = 8 (* a derived unit *)
 
 type t = {
   (* Per variable. [frozen] is a private copy. *)
@@ -64,20 +66,22 @@ type t = {
   dyn_head : int array;
   mutable ent : int array;
   mutable n_ent : int; (* slots used in [ent] *)
-  (* Per clause. A clause with [cid] = -1 is a derived unit that exists
-     only inside this run: its solver counterpart is a level-0 assignment,
-     not a clause object, so no action may reference it. *)
+  (* Per clause. [born.(k)] orders the clauses the result adds: the
+     number of the latest [Add] of clause [k]'s literals, or -1 if there
+     is none (an input clause never strengthened). *)
   mutable lits : Lit.t array array; (* never mutated, only replaced *)
   mutable csig : int array;
-  mutable cid : int array;
+  mutable born : int array;
   mutable flags : Bytes.t;
   mutable nc : int;
   (* FIFO worklist of clause numbers; a clause is in it at most once. *)
   mutable queue : int array;
   mutable qhead : int;
   mutable qtail : int;
-  mutable actions : action list; (* reversed *)
-  mutable next_id : int;
+  mutable proof : Drat.event list; (* reversed *)
+  mutable n_born : int; (* [Add] steps so far *)
+  removed : bool array; (* per input clause *)
+  mutable elims : (int * Lit.t array array) list; (* reversed *)
   mutable contradiction : bool;
   mutable n_sub : int;
   mutable n_str : int;
@@ -94,7 +98,24 @@ let[@inline] set st k f =
 let[@inline] clear st k f =
   Bytes.set st.flags k (Char.unsafe_chr (Char.code (Bytes.get st.flags k) land lnot f))
 
-let emit st a = st.actions <- a :: st.actions
+(* Proof steps. A derived clause is added before the clauses it came from
+   are deleted, so every addition is RUP against the live set. *)
+let add st k =
+  st.proof <- Drat.Add st.lits.(k) :: st.proof;
+  st.born.(k) <- st.n_born;
+  st.n_born <- st.n_born + 1
+
+(* [lits] were clause [k]'s literals until now. *)
+let delete st k lits =
+  st.proof <- Drat.Delete lits :: st.proof;
+  if k < Array.length st.removed then st.removed.(k) <- true
+
+(* The empty clause is derived once: nothing after it is read. *)
+let derive_empty st =
+  if not st.contradiction then begin
+    st.proof <- Drat.Add [||] :: st.proof;
+    st.contradiction <- true
+  end
 
 let sig_of lits =
   let s = ref 0 in
@@ -117,19 +138,19 @@ let grow a n fill =
   b
 
 (* Append clause [lits] (never mutated afterwards) and index it. *)
-let new_clause st ~cid lits =
+let new_clause st lits =
   let k = st.nc in
   if k = Array.length st.lits then begin
     let cap = 2 * k + 16 in
     st.lits <- grow st.lits cap [||];
     st.csig <- grow st.csig cap 0;
-    st.cid <- grow st.cid cap 0;
+    st.born <- grow st.born cap (-1);
     st.flags <- Bytes.extend st.flags 0 (cap - k)
   end;
   st.nc <- k + 1;
   st.lits.(k) <- lits;
   st.csig.(k) <- sig_of lits;
-  st.cid.(k) <- cid;
+  st.born.(k) <- -1;
   Bytes.set st.flags k '\000';
   for i = 0 to Array.length lits - 1 do
     let v = Lit.var lits.(i) in
@@ -167,17 +188,21 @@ let enqueue st k =
     st.qtail <- st.qtail + 1
   end
 
+(* A derived unit is never deleted: its solver counterpart is a level-0
+   assignment, not a clause object. *)
 let new_unit st l =
-  emit st (Unit l);
   st.n_unit <- st.n_unit + 1;
   st.frozen.(Lit.var l) <- true;
-  enqueue st (new_clause st ~cid:(-1) [| l |])
+  let k = new_clause st [| l |] in
+  set st k f_unit;
+  add st k;
+  enqueue st k
 
 let kill st k =
   if not (has st k f_dead) then begin
     set st k f_dead;
     dec_occ st st.lits.(k);
-    if st.cid.(k) >= 0 then emit st (Remove st.cid.(k))
+    if not (has st k f_unit) then delete st k st.lits.(k)
   end
 
 (* Remove literal [p] from clause [d]. *)
@@ -193,15 +218,15 @@ let strengthen st d p =
   st.n_str <- st.n_str + 1;
   match !n with
   | 0 ->
-      (* [d] was the unit [p] and is contradicted: the set is UNSAT. *)
-      emit st Empty;
-      st.contradiction <- true;
-      set st d f_dead
+      (* Every literal of [d] is [p], which is contradicted: the set is
+         UNSAT. [d] stays live, as it is in the proof's set; nothing reads
+         the clauses after a contradiction. *)
+      derive_empty st
   | 1 ->
       new_unit st !keep;
       set st d f_dead;
       dec_occ st old;
-      if st.cid.(d) >= 0 then emit st (Remove st.cid.(d))
+      delete st d old
   | n ->
       let lits = Array.make n 0 in
       let j = ref 0 in
@@ -214,7 +239,8 @@ let strengthen st d p =
       st.occ_n.(Lit.var p) <- st.occ_n.(Lit.var p) - 1;
       st.lits.(d) <- lits;
       st.csig.(d) <- sig_of lits;
-      emit st (Strengthen (st.cid.(d), lits));
+      add st d;
+      delete st d old;
       enqueue st d
 
 (* Does [c] subsume [d] ([sub_sub]), or strengthen it by removing one
@@ -474,18 +500,14 @@ let try_eliminate st b v =
           let e = b.res_end.(r) in
           sort_range b.res !start e;
           (match e - !start with
-          | 0 ->
-              emit st Empty;
-              st.contradiction <- true
+          | 0 -> derive_empty st
           | 1 -> if not st.contradiction then new_unit st b.res.(!start)
           | len ->
               if not st.contradiction then begin
-                let lits = Array.sub b.res !start len in
-                let id = st.next_id in
-                st.next_id <- id + 1;
-                emit st (Add (id, lits));
+                let k = new_clause st (Array.sub b.res !start len) in
+                add st k;
                 st.n_res <- st.n_res + 1;
-                enqueue st (new_clause st ~cid:id lits)
+                enqueue st k
               end);
           start := e
         done;
@@ -495,7 +517,7 @@ let try_eliminate st b v =
           for i = 0 to total - 1 do
             kill st (parent i)
           done;
-          emit st (Eliminate (v, saved));
+          st.elims <- (v, saved) :: st.elims;
           st.n_elim <- st.n_elim + 1;
           st.frozen.(v) <- true;
           drain st
@@ -562,15 +584,17 @@ let run ~nvars ~frozen ~protected clauses =
       n_ent = 0;
       lits = Array.append clauses (Array.make 16 [||]);
       csig;
-      cid = Array.init (n + 16) (fun i -> i);
+      born = Array.make (n + 16) (-1);
       flags;
       nc = n;
       queue = Array.make (n + 16) 0;
       qhead = 0;
       qtail = 0;
-      actions = [];
-      next_id = n;
-      contradiction = !empty;
+      proof = [];
+      n_born = 0;
+      removed = Array.make n false;
+      elims = [];
+      contradiction = false;
       n_sub = 0;
       n_str = 0;
       n_elim = 0;
@@ -578,9 +602,9 @@ let run ~nvars ~frozen ~protected clauses =
       n_unit = 0;
     }
   in
-  (* An empty input clause makes the set UNSAT as given: log it and do
+  (* An empty input clause makes the set UNSAT as given: derive it and do
      nothing else (subsumption would read the clause's first literal). *)
-  if !empty then emit st Empty;
+  if !empty then derive_empty st;
   (* Variables constrained by a protected clause (the trail) must never be
      eliminated; derived units freeze theirs as they appear. *)
   for i = 0 to n - 1 do
@@ -611,14 +635,28 @@ let run ~nvars ~frozen ~protected clauses =
     Array.sort (fun a b -> Int.compare occ_n.(a) occ_n.(b)) order;
     Array.iter (fun v -> if not st.contradiction then try_eliminate st b v) order
   end;
-  ( List.rev st.actions,
-    {
-      s_subsumed = st.n_sub;
-      s_strengthened = st.n_str;
-      s_eliminated = st.n_elim;
-      s_resolvents = st.n_res;
-      s_units = st.n_unit;
-    } )
+  (* The additions still in the proof's set, by their latest [Add]: the
+     live clauses, and the derived units, which are never deleted. *)
+  let at = Array.make st.n_born [||] in
+  for k = 0 to st.nc - 1 do
+    if st.born.(k) >= 0 && (has st k f_unit || not (has st k f_dead)) then
+      at.(st.born.(k)) <- st.lits.(k)
+  done;
+  {
+    proof = List.rev st.proof;
+    removed = st.removed;
+    added = Array.of_list (List.filter (fun c -> c <> [||]) (Array.to_list at));
+    unsat = st.contradiction;
+    eliminated = List.rev st.elims;
+    stats =
+      {
+        s_subsumed = st.n_sub;
+        s_strengthened = st.n_str;
+        s_eliminated = st.n_elim;
+        s_resolvents = st.n_res;
+        s_units = st.n_unit;
+      };
+  }
 
 (* Model extension for one eliminated variable: it is forced true exactly
    when leaving it false would falsify one of its saved clauses — such a

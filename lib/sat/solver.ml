@@ -160,7 +160,6 @@ type t = {
   mutable heap_index : int array; (* position in heap, -1 if absent *)
   (* Assumptions for the current solve. *)
   mutable assumptions : int array;
-  conflict : ivec; (* failed assumptions, negated *)
   analyze_toclear : ivec;
   learnt_buf : ivec; (* conflict analysis output, reused across conflicts *)
   (* LBD computation scratch: level -> stamp of the last clause that
@@ -228,7 +227,6 @@ let create () =
     heap = ivec_create ();
     heap_index = Array.make 16 (-1);
     assumptions = [||];
-    conflict = ivec_create ();
     analyze_toclear = ivec_create ();
     learnt_buf = ivec_create ();
     lbd_seen = Array.make 16 0;
@@ -490,14 +488,15 @@ let attach_clause s c =
 
 (* Detaching is lazy: removed clauses are dropped when the watch lists are
    next traversed or the arena is compacted, which avoids O(watchlist)
-   scans here. *)
-let remove_clause s c =
+   scans here. A removed clause must never remain a reason; callers
+   guarantee this via the [locked] check. *)
+let mark_removed s c =
   let h = s.arena.(c) in
   s.arena.(c) <- h lor 1;
-  let size = h_size h in
-  s.arena_wasted <- s.arena_wasted + hdr + size;
-  (* A removed clause must never remain a reason. Callers guarantee this via
-     the [locked] check. *)
+  s.arena_wasted <- s.arena_wasted + hdr + h_size h
+
+let remove_clause s c =
+  mark_removed s c;
   log_delete s c
 
 let locked s c =
@@ -789,31 +788,6 @@ let analyze s confl =
   s.analyze_toclear.n <- 0;
   blevel
 
-(* Produce the subset of assumptions responsible for falsifying literal [p]
-   (which is a currently-false assumption, passed negated). *)
-let analyze_final s p =
-  s.conflict.n <- 0;
-  ivec_push s.conflict p;
-  if decision_level s > 0 then begin
-    s.seen.(var p) <- true;
-    let bottom = s.trail_lim.a.(0) in
-    for i = s.trail.n - 1 downto bottom do
-      let l = s.trail.a.(i) in
-      let v = var l in
-      if s.seen.(v) then begin
-        let r = s.reason.(v) in
-        if r = no_cref then ivec_push s.conflict (neg l)
-        else
-          for k = 1 to c_size s r - 1 do
-            let q = c_lit s r k in
-            if s.level.(var q) > 0 then s.seen.(var q) <- true
-          done;
-        s.seen.(v) <- false
-      end
-    done;
-    s.seen.(var p) <- false
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Clause addition.                                                    *)
 
@@ -1002,9 +976,7 @@ let decide s =
           (* Dummy level so the level <-> assumption indexing stays aligned. *)
           new_decision_level s;
           assume ()
-      | -1 ->
-          analyze_final s (neg p);
-          raise Found_unsat
+      | -1 -> raise Found_unsat
       | _ ->
           new_decision_level s;
           unchecked_enqueue s p no_cref
@@ -1101,7 +1073,6 @@ let clear_limits s =
 let solve ?(assumptions = []) ?(budget = no_budget) s =
   List.iter (fun l -> if eliminated s (var l) then restore s (var l)) assumptions;
   s.answer <- A_none;
-  s.conflict.n <- 0;
   if not s.ok then begin
     s.answer <- A_unsat;
     Unsat
@@ -1184,19 +1155,14 @@ let model s =
   if s.answer <> A_sat then failwith "Solver.model: last answer was not Sat";
   Array.copy s.model
 
-let unsat_assumptions s =
-  if s.answer <> A_unsat then
-    failwith "Solver.unsat_assumptions: last answer was not Unsat";
-  List.init s.conflict.n (fun i -> Lit.negate s.conflict.a.(i))
-
 (* ------------------------------------------------------------------ *)
 (* CNF preprocessing (see Simplify).                                   *)
 
 (* Install a preprocessed clause (length >= 2). Watches must sit on
    non-false literals w.r.t. the level-0 assignment, or propagation would
-   miss the clause entirely: preprocessing enqueues derived units without
-   propagating between actions, so a clause may arrive with literals that
-   are already false. *)
+   miss the clause entirely: [preprocess] enqueues derived units without
+   propagating between installs, so a clause may arrive with literals
+   that are already false. *)
 let install_clause s lits =
   let len = Array.length lits in
   let c = alloc_clause s ~learnt:false ~lbd:0 len in
@@ -1220,8 +1186,7 @@ let install_clause s lits =
     s.ok <- false;
     log_empty s
   end
-  else if !k = 1 && value_lit s a.(o) = 0 then unchecked_enqueue s a.(o) no_cref;
-  c
+  else if !k = 1 && value_lit s a.(o) = 0 then unchecked_enqueue s a.(o) no_cref
 
 let preprocess ?(frozen = []) s =
   if decision_level s <> 0 then
@@ -1282,7 +1247,7 @@ let preprocess ?(frozen = []) s =
        protected unit clauses [n + i]: they subsume and strengthen but are
        themselves immutable (those literals are assignments, not clause
        objects, and their DRAT events must stay). Simplify never mutates
-       these arrays, so its actions may share them. *)
+       these arrays, so its result may share them. *)
     let db = Array.make (n + ntrail) [||] in
     let protected = Array.make (n + ntrail) false in
     for i = 0 to n - 1 do
@@ -1294,63 +1259,34 @@ let preprocess ?(frozen = []) s =
     done;
     let fr = Array.make (max 1 s.nvars) false in
     List.iter (fun l -> fr.(Lit.var l) <- true) frozen;
-    let actions, st = Simplify.run ~nvars:s.nvars ~frozen:fr ~protected db in
-    (* The id map: [cref.(id)] is the clause currently standing for
-       Simplify's clause [id], or [no_cref] for the trail units. Ids are
-       dense: the snapshot's, then one per [Add] (there are [s_resolvents]
-       of them). [Strengthen] moves an id to its new clause; the log never
-       removes or strengthens a (protected) trail unit. An id the log
-       removes ([doomed]) never enters the arena after the snapshot: its
-       additions and its deletion still go into the proof in log order,
-       and [ghost.(id)] holds its literals meanwhile. *)
-    let ids = n + ntrail + st.Simplify.s_resolvents in
-    let cref = Array.make ids no_cref in
-    Array.blit s.clauses.a 0 cref 0 n;
-    let doomed = Array.make ids false in
-    List.iter (function Simplify.Remove id -> doomed.(id) <- true | _ -> ()) actions;
-    let ghost = Array.make ids [||] in
-    let place id lits =
-      log_add_arr s lits;
-      if doomed.(id) then begin
-        cref.(id) <- no_cref;
-        ghost.(id) <- lits
-      end
-      else cref.(id) <- install_clause s lits
+    let { Simplify.proof; removed; added; unsat; eliminated = elims; stats = st } =
+      Simplify.run ~nvars:s.nvars ~frozen:fr ~protected db
     in
-    (* Delete what stood for an id: clause [c], or ghost literals [g]. *)
-    let retire c g =
-      if c <> no_cref then (if not (h_removed s.arena.(c)) then remove_clause s c)
-      else if s.proof_logging then s.proof_rev <- Drat.Delete g :: s.proof_rev
-    in
-    let stopped = ref false in
-    let apply = function
-      | Simplify.Remove id -> retire cref.(id) ghost.(id)
-      | Simplify.Strengthen (id, lits) ->
-          let c = cref.(id) and g = ghost.(id) in
-          place id lits;
-          retire c g
-      | Simplify.Add (id, lits) -> place id lits
-      | Simplify.Unit l ->
-          log_add_list s [ l ];
-          (match value_lit s l with
-          | 0 -> unchecked_enqueue s l no_cref
+    (* Install the result. Its proof steps already delete the removed
+       snapshot clauses and add [added], so neither is logged again. A
+       derived unit is a one-literal clause of [added]. *)
+    if s.proof_logging then s.proof_rev <- List.rev_append proof s.proof_rev;
+    for i = 0 to n - 1 do
+      if removed.(i) then mark_removed s s.clauses.a.(i)
+    done;
+    Array.iter
+      (fun lits ->
+        if Array.length lits > 1 then install_clause s lits
+        else
+          match value_lit s lits.(0) with
+          | 0 -> unchecked_enqueue s lits.(0) no_cref
           | 1 -> ()
           | _ ->
               s.ok <- false;
-              log_empty s;
-              stopped := true)
-      | Simplify.Empty ->
-          if s.ok then begin
-            s.ok <- false;
-            log_empty s
-          end;
-          stopped := true
-      | Simplify.Eliminate (v, saved) ->
-          ivec_push s.elim_vars v;
-          s.elim_at.(v) <- s.elim_vars.n - 1;
-          s.elim_saved.(v) <- saved
-    in
-    List.iter (fun a -> if not !stopped then apply a) actions;
+              log_empty s)
+      added;
+    if unsat then s.ok <- false;
+    List.iter
+      (fun (v, saved) ->
+        ivec_push s.elim_vars v;
+        s.elim_at.(v) <- s.elim_vars.n - 1;
+        s.elim_saved.(v) <- saved)
+      elims;
     (* Learnt clauses over a variable this pass eliminated go too, before
        anything propagates them: the variable is in no problem clause any
        more. *)

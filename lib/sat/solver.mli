@@ -8,10 +8,8 @@
     integer arena that is compacted as clauses are deleted, and literal
     values in one array indexed by literal (both polarities written on
     assignment); see the header of [solver.ml] for the layout. It solves
-    incrementally:
-    clauses may be added between [solve] calls, and each call may pass
-    assumptions (temporary unit hypotheses) whose unsatisfiable core is
-    available after an UNSAT answer.
+    incrementally: clauses may be added between [solve] calls, and each
+    call may pass assumptions (temporary unit hypotheses).
 
     This is the decision engine underneath the bounded model checker: the
     bit-blaster produces CNF, the BMC layer asks for a satisfying assignment
@@ -90,12 +88,6 @@ val value : t -> Lit.t -> bool
 val model : t -> bool array
 (** Model as an array indexed by variable, after a [Sat] answer. *)
 
-val unsat_assumptions : t -> Lit.t list
-(** After an [Unsat] answer to a [solve] with assumptions: a subset of the
-    assumptions that is already unsatisfiable together with the clauses
-    (an "unsat core" over assumptions). Empty if the clause set itself is
-    UNSAT. *)
-
 val stats : t -> stats
 
 val pp_stats : Format.formatter -> stats -> unit
@@ -104,8 +96,10 @@ val pp_stats : Format.formatter -> stats -> unit
 
     In-place CNF simplification between clause addition and search (see
     {!Simplify}): subsumption, self-subsuming resolution and bounded
-    variable elimination. Everything is mirrored into the DRAT stream when
-    proof logging is on, so certificates keep checking. *)
+    variable elimination. [Simplify.run] returns what the pass did, its
+    DRAT steps included; the solver installs that result and, when proof
+    logging is on, appends those steps to its stream unchanged, so
+    certificates keep checking. *)
 
 type presult = {
   pre_clauses_before : int;

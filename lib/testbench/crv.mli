@@ -19,8 +19,6 @@ type config = {
   idle_prob : float;  (** probability of an idle (no-dispatch) cycle *)
 }
 
-val default_config : config
-
 type outcome = {
   detected : bool;
   transactions_run : int;  (** transactions dispatched before stopping *)

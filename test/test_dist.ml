@@ -427,7 +427,7 @@ let kill_sweep ?(proj = row_sig) ?arg ~cells ~solver ~acks () =
             ~force:false ~journal:path ~solver cells
         with
         | Ok (rows, _) ->
-            (* The doomed worker never reached k acks; the run completed. *)
+            (* The targeted worker never reached k acks; the run completed. *)
             Alcotest.(check matrix)
               (Printf.sprintf "kill@%d never fired: matrix intact" k)
               reference (List.map proj rows)

@@ -213,19 +213,6 @@ let test_corrupted_certificate_rejected () =
   | Ok () -> Alcotest.fail "truncated certificate accepted"
   | Error _ -> ()
 
-let test_proof_serialization () =
-  let proof = php_proof () in
-  let drat_text = Drat.to_string proof in
-  let dimacs_text = Drat.formula_to_string proof in
-  Alcotest.(check bool) "DRAT text nonempty" true (String.length drat_text > 0);
-  (* The DIMACS side of the pair must re-parse to the original clauses. *)
-  match Sat.Dimacs.parse_string dimacs_text with
-  | Error e -> Alcotest.failf "formula_to_string unparseable: %s" e
-  | Ok cnf ->
-      let inputs = List.filter (function Drat.Input _ -> true | _ -> false) proof in
-      Alcotest.(check int) "clause count" (List.length inputs)
-        (List.length cnf.Sat.Dimacs.clauses)
-
 (* ---- certified BMC ---- *)
 
 let test_bmc_certify_holds () =
@@ -350,7 +337,6 @@ let suite =
     ("drat.assumptions", `Quick, test_drat_assumptions);
     ("drat.certificate_accepted", `Quick, test_certificate_accepted);
     ("drat.corrupted_rejected", `Quick, test_corrupted_certificate_rejected);
-    ("drat.serialization", `Quick, test_proof_serialization);
     ("bmc.certify_holds", `Quick, test_bmc_certify_holds);
     ("bmc.certify_counts", `Quick, test_bmc_certify_engine_counts);
   ]

@@ -235,7 +235,7 @@ let test_apply_unknown_target () =
     {
       Mutation.id = "x";
       operator = Mutation.Stuck_reg;
-      target = "next(ghost)";
+      target = "next(phantom)";
       site = 0;
       description = "";
     }

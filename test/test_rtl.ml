@@ -52,7 +52,7 @@ let test_validation_errors () =
   | _ -> Alcotest.fail "expected duplicate-name error");
   let undeclared () =
     Rtl.make ~name:"scope" ~inputs:[] ~registers:[]
-      ~outputs:[ ("y", Expr.var "ghost" 4) ]
+      ~outputs:[ ("y", Expr.var "phantom" 4) ]
   in
   match undeclared () with
   | exception Invalid_argument _ -> ()
@@ -245,7 +245,7 @@ let test_compose_unknown_port () =
       ~outputs:[ ("o", Expr.var "t_in" 4) ]
   in
   match
-    Rtl.compose ~name:"bad" ~a ~b ~connections:[ ("ghost", Expr.var "value" 4) ]
+    Rtl.compose ~name:"bad" ~a ~b ~connections:[ ("phantom", Expr.var "value" 4) ]
   with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected unknown-port error"

@@ -108,21 +108,6 @@ let test_assumptions_flip () =
   (* Solver must remain usable and satisfiable afterwards. *)
   Alcotest.(check bool) "still sat" true (Solver.solve s = Solver.Sat)
 
-let test_unsat_core () =
-  let s = Solver.create () in
-  let a = Solver.new_var s and b = Solver.new_var s and c = Solver.new_var s in
-  Solver.add_clause s [ Lit.neg a; Lit.neg b ];
-  (* c is irrelevant. *)
-  let r = Solver.solve ~assumptions:[ Lit.pos a; Lit.pos b; Lit.pos c ] s in
-  Alcotest.(check bool) "unsat" true (r = Solver.Unsat);
-  let core = Solver.unsat_assumptions s in
-  Alcotest.(check bool) "core nonempty" true (core <> []);
-  Alcotest.(check bool) "core subset of assumptions" true
-    (List.for_all (fun l -> List.mem l [ Lit.pos a; Lit.pos b; Lit.pos c ]) core);
-  Alcotest.(check bool) "c not needed" true (not (List.mem (Lit.pos c) core));
-  (* The core itself must be unsatisfiable. *)
-  Alcotest.(check bool) "core unsat" true (Solver.solve ~assumptions:core s = Solver.Unsat)
-
 let test_incremental_strengthening () =
   let s = Solver.create () in
   let vs = Array.of_list (fresh_vars s 4) in
@@ -331,35 +316,38 @@ let test_lit_encoding () =
 (* ---- CNF preprocessing (Simplify + Solver.preprocess) ---- *)
 
 module Simplify = Sat.Simplify
+module Drat = Sat.Drat
 
 let no_flags n = Array.make n false
 
 let test_simplify_subsumption () =
   let x = Lit.pos 0 and y = Lit.pos 1 and z = Lit.pos 2 in
   let clauses = [| [| x; y |]; [| x; y; z |] |] in
-  let actions, stats =
-    Simplify.run ~nvars:3 ~frozen:(no_flags 3) ~protected:(no_flags 2) clauses
-  in
-  Alcotest.(check int) "one clause subsumed" 1 stats.Simplify.s_subsumed;
-  Alcotest.(check bool) "the superset clause was removed" true
-    (List.exists (function Simplify.Remove 1 -> true | _ -> false) actions)
+  (* Every variable frozen, so nothing is eliminated afterwards. *)
+  let r = Simplify.run ~nvars:3 ~frozen:(Array.make 3 true) ~protected:(no_flags 2) clauses in
+  Alcotest.(check int) "one clause subsumed" 1 r.stats.s_subsumed;
+  Alcotest.(check (array bool)) "the superset clause was removed" [| false; true |] r.removed;
+  Alcotest.(check bool) "and deleted in the proof" true
+    (r.proof = [ Drat.Delete clauses.(1) ])
 
 let test_simplify_self_subsume () =
   let a = Lit.pos 0 and b = Lit.pos 1 and c = Lit.pos 2 in
   (* Resolving on c: (a|b|c) x (a|b|~c) -> (a|b), which strengthens both. *)
   let clauses = [| [| a; b; c |]; [| a; b; Lit.negate c |] |] in
-  let _, stats =
-    Simplify.run ~nvars:3 ~frozen:(no_flags 3) ~protected:(no_flags 2) clauses
-  in
-  Alcotest.(check bool) "strengthening happened" true (stats.Simplify.s_strengthened >= 1)
+  let r = Simplify.run ~nvars:3 ~frozen:(no_flags 3) ~protected:(no_flags 2) clauses in
+  Alcotest.(check bool) "strengthening happened" true (r.stats.s_strengthened >= 1)
 
-(* An empty input clause makes the set UNSAT as given: the log is the one
-   [Empty] action, whatever else the set holds. *)
+(* An empty input clause makes the set UNSAT as given: the result derives
+   the empty clause and does nothing else, whatever else the set holds. *)
 let test_simplify_empty_input_clause () =
-  let actions, _ =
+  let r =
     Simplify.run ~nvars:1 ~frozen:(no_flags 1) ~protected:(no_flags 2) [| [| 0 |]; [||] |]
   in
-  Alcotest.(check bool) "log is [Empty]" true (actions = [ Simplify.Empty ])
+  Alcotest.(check bool) "unsat" true r.unsat;
+  Alcotest.(check bool) "proof is [Add [||]]" true (r.proof = [ Drat.Add [||] ]);
+  Alcotest.(check (array bool)) "nothing removed" [| false; false |] r.removed;
+  Alcotest.(check int) "nothing added" 0 (Array.length r.added);
+  Alcotest.(check int) "nothing eliminated" 0 (List.length r.eliminated)
 
 let test_simplify_bve_extend_model () =
   (* x <-> y & z, Tseitin-style. All three variables are eliminable (in
@@ -374,16 +362,10 @@ let test_simplify_bve_extend_model () =
       [| x; Lit.negate y; Lit.negate z |];
     |]
   in
-  let actions, stats =
-    Simplify.run ~nvars:3 ~frozen:(no_flags 3) ~protected:(no_flags 3) clauses
-  in
-  Alcotest.(check bool) "something eliminated" true (stats.Simplify.s_eliminated >= 1);
+  let r = Simplify.run ~nvars:3 ~frozen:(no_flags 3) ~protected:(no_flags 3) clauses in
+  Alcotest.(check bool) "something eliminated" true (r.stats.s_eliminated >= 1);
   (* Reverse elimination order, as the solver's elim stack accumulates. *)
-  let stack =
-    List.fold_left
-      (fun acc -> function Simplify.Eliminate (v, cls) -> (v, cls) :: acc | _ -> acc)
-      [] actions
-  in
+  let stack = List.rev r.eliminated in
   let lit_true model l =
     let v = model.(Lit.var l) in
     if Lit.is_neg l then not v else v
@@ -398,11 +380,11 @@ let test_simplify_bve_extend_model () =
       clauses
   done
 
-(* The action log decides the solver's clause database after
-   preprocessing, hence the whole search and the DRAT stream: it must not
-   change unless the preprocessing itself is meant to. Fixed-seed CNFs: a
-   random one and a Tseitin encoding of a random AND graph, each
-   simplified as a whole with every seventh variable frozen. *)
+(* The result decides the solver's clause database after preprocessing,
+   hence the whole search and the DRAT stream: it must not change unless
+   the preprocessing itself is meant to. Fixed-seed CNFs: a random one and
+   a Tseitin encoding of a random AND graph, each simplified as a whole
+   with every seventh variable frozen. *)
 let pinned_cnfs () =
   let rand = Random.State.make [| 31 |] in
   let lit v = Lit.make v ~neg:(Random.State.bool rand) in
@@ -428,50 +410,129 @@ let pinned_cnfs () =
   let tseitin = Array.of_list (List.concat gates @ [ output ]) in
   [ ("random", 60, random_cnf); ("tseitin", ninputs + ngates, tseitin) ]
 
-let render_log actions st =
+let render (r : Simplify.result) =
   let b = Buffer.create 4096 in
   let lits a = String.concat " " (Array.to_list (Array.map string_of_int a)) in
   List.iter
     (function
-      | Simplify.Remove i -> Printf.bprintf b "R %d\n" i
-      | Simplify.Strengthen (i, a) -> Printf.bprintf b "S %d %s\n" i (lits a)
-      | Simplify.Add (i, a) -> Printf.bprintf b "A %d %s\n" i (lits a)
-      | Simplify.Unit l -> Printf.bprintf b "U %d\n" l
-      | Simplify.Empty -> Buffer.add_string b "E\n"
-      | Simplify.Eliminate (v, saved) ->
-          Printf.bprintf b "X %d %s\n" v
-            (String.concat " | " (Array.to_list (Array.map lits saved))))
-    actions;
-  Printf.bprintf b "stats %d %d %d %d %d\n" st.Simplify.s_subsumed st.Simplify.s_strengthened
-    st.Simplify.s_eliminated st.Simplify.s_resolvents st.Simplify.s_units;
+      | Drat.Add a -> Printf.bprintf b "a %s\n" (lits a)
+      | Drat.Delete a -> Printf.bprintf b "d %s\n" (lits a)
+      | Drat.Input a -> Printf.bprintf b "i %s\n" (lits a))
+    r.proof;
+  Array.iteri (fun i gone -> if gone then Printf.bprintf b "r %d\n" i) r.removed;
+  Array.iter (fun a -> Printf.bprintf b "+ %s\n" (lits a)) r.added;
+  Printf.bprintf b "unsat %b\n" r.unsat;
+  List.iter
+    (fun (v, saved) ->
+      Printf.bprintf b "x %d %s\n" v (String.concat " | " (Array.to_list (Array.map lits saved))))
+    r.eliminated;
+  let st = r.stats in
+  Printf.bprintf b "stats %d %d %d %d %d\n" st.s_subsumed st.s_strengthened st.s_eliminated
+    st.s_resolvents st.s_units;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-(* (case, number of actions, digest of the rendered log and stats). The
-   constants were computed by running this test body against the
-   list-based Simplify at commit 2d8d456, which the flat-array rewrite
-   replaced. *)
-let pinned_logs =
+(* (case, number of proof steps, digest of the rendered result). The
+   constants were computed from the six-constructor action log of commit
+   fa887f1, which this result replaced, by installing the log the way that
+   commit's [Solver.preprocess] did: a strengthening adds the new clause,
+   then deletes the old one; a removal deletes; each surviving clause
+   comes in at its last strengthening or addition; a clause the log later
+   removes never comes in. The log itself was pinned from the list-based
+   Simplify of commit 2d8d456. *)
+let pinned_results =
   [
-    ("random bve unseeded", 238, "a0e20bf287201753c2f224ec4a9f97dc");
-    ("tseitin bve unseeded", 95, "5baddf5a7476319aa51c5e1bb770c8b3");
+    ("random bve unseeded", 208, "b552ca12cc7886d03738f70945eff378");
+    ("tseitin bve unseeded", 111, "0becf584a7696d10893a86129b9bc4cc");
   ]
 
-let test_simplify_action_log_pinned () =
+let test_simplify_result_pinned () =
   let got =
     List.map
       (fun (name, nvars, cnf) ->
         let frozen = Array.init nvars (fun v -> v mod 7 = 0) in
         let protected = no_flags (Array.length cnf) in
-        let actions, st = Simplify.run ~nvars ~frozen ~protected cnf in
-        (name ^ " bve unseeded", List.length actions, render_log actions st))
+        let r = Simplify.run ~nvars ~frozen ~protected cnf in
+        (name ^ " bve unseeded", List.length r.proof, render r))
       (pinned_cnfs ())
   in
   List.iter2
     (fun (name, n, digest) (name', n', digest') ->
       Alcotest.(check string) "case" name name';
-      Alcotest.(check int) (name ^ ": actions") n n';
-      Alcotest.(check string) (name ^ ": log digest") digest digest')
-    pinned_logs got
+      Alcotest.(check int) (name ^ ": proof steps") n n';
+      Alcotest.(check string) (name ^ ": result digest") digest digest')
+    pinned_results got
+
+(* Applying the proof to the input clauses, [Add] inserting a clause and
+   [Delete] removing one copy, leaves exactly the inputs not [removed],
+   plus [added], plus the empty clause if [unsat]; no protected clause is
+   removed. Random CNFs (repeated literals and empty clauses included, no
+   tautologies, as [Simplify.run] requires) with random frozen variables
+   and protected units. *)
+let prop_simplify_result_is_proof =
+  let gen =
+    let open QCheck.Gen in
+    int_range 1 8 >>= fun n ->
+    let clause_lits =
+      array_size (return n) bool >>= fun neg ->
+      array_size (int_range 1 4) (map (fun v -> Lit.make v ~neg:neg.(v)) (int_range 0 (n - 1)))
+    in
+    let clause = frequency [ (1, return [||]); (30, clause_lits) ] in
+    list_size (int_range 0 30) (pair clause (int_range 0 4)) >>= fun cls ->
+    array_size (return n) (int_range 0 3) >>= fun fr ->
+    (* A unit clause drawn with 0 is protected. *)
+    return
+      ( n,
+        Array.of_list (List.map fst cls),
+        Array.of_list (List.map (fun (c, k) -> Array.length c = 1 && k = 0) cls),
+        Array.map (fun k -> k = 0) fr )
+  in
+  let print (n, cnf, prot, fr) =
+    Printf.sprintf "vars=%d frozen=[%s] clauses=[%s]" n
+      (String.concat "," (List.filteri (fun v _ -> fr.(v)) (List.init n string_of_int)))
+      (String.concat "; "
+         (Array.to_list
+            (Array.mapi
+               (fun i c ->
+                 (if prot.(i) then "!" else "")
+                 ^ String.concat "," (Array.to_list (Array.map (fun l -> string_of_int (Lit.to_dimacs l)) c)))
+               cnf)))
+  in
+  QCheck.Test.make ~count:1000 ~name:"simplify result is what its proof leaves"
+    (QCheck.make ~print gen)
+    (fun (nvars, cnf, protected, frozen) ->
+      let r = Simplify.run ~nvars ~frozen ~protected cnf in
+      let key c = List.sort compare (Array.to_list c) in
+      let bag = Hashtbl.create 64 in
+      let count c = Option.value ~default:0 (Hashtbl.find_opt bag (key c)) in
+      let put c d = Hashtbl.replace bag (key c) (count c + d) in
+      Array.iter (fun c -> put c 1) cnf;
+      let deletes_present =
+        List.for_all
+          (function
+            | Drat.Add c ->
+                put c 1;
+                true
+            | Drat.Delete c ->
+                let ok = count c > 0 in
+                put c (-1);
+                ok
+            | Drat.Input _ -> false)
+          r.proof
+      in
+      let expected = Hashtbl.create 64 in
+      let expect c =
+        let k = key c in
+        Hashtbl.replace expected k (1 + Option.value ~default:0 (Hashtbl.find_opt expected k))
+      in
+      Array.iteri (fun i c -> if not r.removed.(i) then expect c) cnf;
+      Array.iter expect r.added;
+      if r.unsat then expect [||];
+      let same =
+        Hashtbl.fold (fun k n ok -> ok && n = Option.value ~default:0 (Hashtbl.find_opt expected k)) bag true
+        && Hashtbl.fold (fun k n ok -> ok && n = Option.value ~default:0 (Hashtbl.find_opt bag k)) expected true
+      in
+      deletes_present && same
+      && Array.for_all2 (fun p gone -> not (p && gone)) protected r.removed)
 
 (* Elimination bounds at their edges. Every variable but [x] is frozen,
    and no clause subsumes or strengthens another, so an elimination of
@@ -486,22 +547,22 @@ let test_simplify_bve_boundaries () =
     Simplify.run ~nvars ~frozen ~protected:(no_flags (Array.length clauses)) clauses
   in
   let untouched name ?freeze_x clauses =
-    let actions, st = run ?freeze_x clauses in
-    Alcotest.(check int) (name ^ ": no action") 0 (List.length actions);
-    Alcotest.(check int) (name ^ ": not eliminated") 0 st.Simplify.s_eliminated
+    let r = run ?freeze_x clauses in
+    Alcotest.(check int) (name ^ ": no proof step") 0 (List.length r.proof);
+    Alcotest.(check int) (name ^ ": not eliminated") 0 (List.length r.eliminated);
+    Alcotest.(check int) (name ^ ": no elimination counted") 0 r.stats.s_eliminated
   in
   let eliminated name ~resolvents clauses =
-    let actions, st = run clauses in
-    Alcotest.(check int) (name ^ ": eliminated") 1 st.Simplify.s_eliminated;
-    Alcotest.(check int) (name ^ ": resolvents") resolvents st.Simplify.s_resolvents;
-    Alcotest.(check int)
-      (name ^ ": every clause removed") (Array.length clauses)
-      (List.length (List.filter (function Simplify.Remove _ -> true | _ -> false) actions));
-    match List.rev actions with
-    | Simplify.Eliminate (v, saved) :: _ ->
+    let r = run clauses in
+    Alcotest.(check int) (name ^ ": eliminated") 1 r.stats.s_eliminated;
+    Alcotest.(check int) (name ^ ": resolvents") resolvents r.stats.s_resolvents;
+    Alcotest.(check int) (name ^ ": resolvents added") resolvents (Array.length r.added);
+    Alcotest.(check bool) (name ^ ": every clause removed") true (Array.for_all Fun.id r.removed);
+    match r.eliminated with
+    | [ (v, saved) ] ->
         Alcotest.(check int) (name ^ ": variable") x v;
         Alcotest.(check int) (name ^ ": saved clauses") (Array.length clauses) (Array.length saved)
-    | _ -> Alcotest.failf "%s: the log does not end with Eliminate" name
+    | _ -> Alcotest.failf "%s: not exactly one elimination" name
   in
   let px = Lit.pos x and nx = Lit.neg x in
   let p = Lit.pos and n = Lit.neg in
@@ -863,7 +924,6 @@ let suite =
     ("sat.pigeonhole_3_2", `Quick, test_pigeonhole_3_2);
     ("sat.pigeonhole_5_4", `Quick, test_pigeonhole_5_4);
     ("sat.assumptions", `Quick, test_assumptions_flip);
-    ("sat.unsat_core", `Quick, test_unsat_core);
     ("sat.incremental", `Quick, test_incremental_strengthening);
     ("sat.tautology", `Quick, test_tautology_dropped);
     ("sat.duplicates", `Quick, test_duplicate_literals);
@@ -883,7 +943,7 @@ let suite =
     ("simplify.self_subsume", `Quick, test_simplify_self_subsume);
     ("simplify.empty_input_clause", `Quick, test_simplify_empty_input_clause);
     ("simplify.bve_extend_model", `Quick, test_simplify_bve_extend_model);
-    ("simplify.action_log_pinned", `Quick, test_simplify_action_log_pinned);
+    ("simplify.result_pinned", `Quick, test_simplify_result_pinned);
     ("simplify.bve_boundaries", `Quick, test_simplify_bve_boundaries);
     ("simplify.preprocess_matches_plain", `Quick, test_preprocess_matches_plain);
     ("simplify.preprocess_drat", `Quick, test_preprocess_drat_certified);
@@ -902,4 +962,5 @@ let suite =
     q prop_assumptions_match_brute_force;
     q prop_incremental_consistency;
     q prop_exhaustive_matches_brute_force;
+    q prop_simplify_result_is_proof;
   ]
